@@ -15,7 +15,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -53,6 +52,8 @@ def _parse_floats(text: str, n: int, label: str) -> tuple[float, ...]:
 
 def _axis(text: str) -> np.ndarray:
     d = np.array(_parse_floats(text, 3, "--axis"))
+    if not np.isfinite(d).all():
+        raise DarbouxError(f"--axis must be finite, got {text!r}")
     n = float(np.linalg.norm(d))
     if n == 0.0:
         raise DarbouxError("--axis must be nonzero")
@@ -65,9 +66,45 @@ def _angle_rad(deg: float) -> float:
     return math.radians(deg)
 
 
-def _eps_sing_default() -> float:
+def _positive(value: float, label: str) -> float:
+    if not (math.isfinite(value) and value > 0.0):
+        raise DarbouxError(f"{label} must be a positive finite number, got {value!r}")
+    return value
+
+
+def _grid(curve, samples: int) -> np.ndarray:
+    if samples < 2:
+        raise DarbouxError(f"--samples must be at least 2, got {samples}")
+    return _frames.uniform_grid(*curve.s_range, samples)
+
+
+def _family_angles(text: str) -> np.ndarray:
+    """Degrees of ``--family A:B:N``: N >= 1 angles from A to B, each in [0, 180]."""
+    parts = text.split(":")
+    if len(parts) != 3:
+        raise DarbouxError(f"--family needs A:B:N, got {text!r}")
+    try:
+        lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
+    except ValueError:
+        raise DarbouxError(f"bad number in --family: {text!r}") from None
+    if count < 1:
+        raise DarbouxError(f"--family needs N >= 1 angles, got {text!r}")
+    for deg in (lo, hi):
+        _angle_rad(deg)
+    return np.linspace(lo, hi, count)
+
+
+def _eps_sing(flag: float | None) -> float:
+    """--eps-sing, else DARBOUX_EPS_SING, else the library default."""
+    if flag is not None:
+        return flag
     env = os.environ.get("DARBOUX_EPS_SING")
-    return float(env) if env else _trace.EPS_SING_DEFAULT
+    if not env:
+        return _trace.EPS_SING_DEFAULT
+    try:
+        return float(env)
+    except ValueError:
+        raise DarbouxError(f"DARBOUX_EPS_SING is not a number: {env!r}") from None
 
 
 def _write(path: str | None, text: str):
@@ -198,11 +235,11 @@ def _cmd_trace(args, implicit: bool) -> int:
     d = _axis(args.axis)
     phi = _angle_rad(args.angle)
     config = _trace.TraceConfig(
-        step=args.step,
-        max_length=args.length,
+        step=_positive(args.step, "--step"),
+        max_length=_positive(args.length, "--length"),
         branch=args.branch,
         closure_tol=args.closure_tol,
-        eps_sing=args.eps_sing,
+        eps_sing=_eps_sing(args.eps_sing),
         projection_tol=args.project_tol,
         project_isophote=args.project_isophote,
     )
@@ -231,16 +268,12 @@ def _cmd_trace(args, implicit: bool) -> int:
         return result
 
     if args.family:
-        lo, hi, count = args.family.split(":")
-        angles = np.linspace(float(lo), float(hi), int(count))
+        angles = _family_angles(args.family)
         if args.out is None:
             raise DarbouxError("--family requires --out (one file per angle)")
         root, ext = os.path.splitext(args.out)
-        jobs = [(math.radians(a), f"{root}_deg{a:g}{ext}") for a in angles]
-        with ThreadPoolExecutor() as pool:
-            futures = [pool.submit(run_one, phi_k, path) for phi_k, path in jobs]
-            for fut in futures:
-                fut.result()
+        for a in angles:
+            run_one(math.radians(a), f"{root}_deg{a:g}{ext}")
         return 0
 
     run_one(phi, args.out)
@@ -260,11 +293,12 @@ def _cmd_seed_find(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    if not (math.isfinite(args.c_const) and args.c_const != 0.0):
+        raise DarbouxError(f"--c-const must be finite and nonzero, got {args.c_const!r}")
     implicit = args.curve.startswith("space:")
     surface = _surface.parse_surface_spec(args.surface, implicit=implicit)
     curve = build_curve(surface, args.curve)
-    s0, s1 = curve.s_range
-    grid = _frames.uniform_grid(s0, s1, args.samples)
+    grid = _grid(curve, args.samples)
     tols = _classify.Tolerances(constancy=args.tol)
     report = _classify.classify_report(curve, grid, tols=tols, c_const=args.c_const)
     _write(args.out, json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n")
@@ -275,8 +309,7 @@ def _cmd_frames(args) -> int:
     implicit = args.curve.startswith("space:")
     surface = _surface.parse_surface_spec(args.surface, implicit=implicit)
     curve = build_curve(surface, args.curve)
-    s0, s1 = curve.s_range
-    grid = _frames.uniform_grid(s0, s1, args.samples)
+    grid = _grid(curve, args.samples)
     if args.format == "json":
         _write(args.out, frames_json(curve, grid))
     else:
@@ -318,14 +351,14 @@ def _add_trace_args(p, implicit: bool):
     p.add_argument("--branch", choices=("plus", "minus"), default="plus")
     p.add_argument("--closure-tol", type=float, default=None,
                    help="closure detection radius (default 2*step)")
-    p.add_argument("--eps-sing", type=float, default=_eps_sing_default(),
-                   help="singularity threshold (env DARBOUX_EPS_SING overrides default)")
+    p.add_argument("--eps-sing", type=float, default=None,
+                   help="singularity threshold (default: env DARBOUX_EPS_SING, else 1e-10)")
     p.add_argument("--project-tol", type=float, default=1e-12,
                    help="implicit projection tolerance")
     p.add_argument("--project-isophote", action="store_true",
                    help="also Newton-project onto the isophote level each step (implicit)")
     p.add_argument("--family", default=None, metavar="A:B:N",
-                   help="sweep N angles from A to B degrees, traced concurrently")
+                   help="sweep N angles from A to B degrees, traced one after another")
     p.add_argument("--format", choices=("csv", "json", "obj"), default="csv")
     _add_common_output(p)
 

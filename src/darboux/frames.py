@@ -28,7 +28,7 @@ from .errors import (
     FrenetUndefinedError,
     VanishingSpeedError,
 )
-from .surface import ImplicitSurface, ParametricSurface
+from .surface import ImplicitSurface, ParametricSurface, cross3, norm3
 
 __all__ = [
     "FrenetFrame",
@@ -275,15 +275,15 @@ def frenet(curve, s: float, eps_kappa: float = EPS_KAPPA_DEFAULT) -> FrenetFrame
     """Frenet frame at s: T = gamma', kappa = |gamma''|, N = gamma''/kappa,
     B = T x N, tau = (gamma' x gamma'').gamma''' / kappa^2."""
     g, d1, d2, d3 = _curve_jet(curve, s)
-    kappa = float(np.linalg.norm(d2))
+    kappa = norm3(d2)
     if kappa <= eps_kappa:
         raise FrenetUndefinedError(
             f"Frenet frame undefined: curvature {kappa:g} <= {eps_kappa:g} at s={float(s):g}"
         )
     T = d1
     N = d2 / kappa
-    B = np.cross(T, N)
-    tau = float(np.cross(d1, d2) @ d3) / kappa**2
+    B = cross3(T, N)
+    tau = float(cross3(d1, d2) @ d3) / kappa**2
     return FrenetFrame(T, N, B, kappa, tau)
 
 
@@ -301,7 +301,7 @@ def darboux(c: CurveOnSurface, s: float) -> DarbouxFrame:
     analytic normal derivatives.
     """
     g, d1, d2, _ = c.gamma_jet(s)
-    speed = float(np.linalg.norm(d1))
+    speed = norm3(d1)
     if abs(speed - 1.0) > UNIT_SPEED_TOL:
         raise DarbouxError(
             f"curve is not unit speed at s={float(s):g}: |gamma'| = {speed:.6g}")
@@ -315,7 +315,7 @@ def darboux(c: CurveOnSurface, s: float) -> DarbouxFrame:
     else:
         U = c.surface.unit_normal(g)
         U_prime = c.surface.normal_jacobian(g) @ d1
-    V = np.cross(U, T)
+    V = cross3(U, T)
     kn = float(d2 @ U)
     kg = float(d2 @ V)
     tg = float(-U_prime @ V)
@@ -391,7 +391,7 @@ def sample_frames(c: CurveOnSurface, grid: np.ndarray,
         dkg[i] = d3 @ fr.V + fr.tg * fr.kn
         dkn[i] = d3 @ fr.U - fr.tg * fr.kg
         kap2 = fr.kg**2 + fr.kn**2
-        tau[i] = (np.cross(d1, d2) @ d3) / kap2 if kap2 > eps_kappa**2 else np.nan
+        tau[i] = (cross3(d1, d2) @ d3) / kap2 if kap2 > eps_kappa**2 else np.nan
         if tg_analytic:
             # tau_g' = -U''.V - k_n k_g with U'' along the curve
             u, v = c.path.point(s)
@@ -434,7 +434,7 @@ def normal_angle_series(c: CurveOnSurface, grid: np.ndarray,
             f"Frenet frame undefined (kappa <= {eps_kappa:g}) at s={float(bad[0]):g}"
         )
     # |gamma''| rather than hypot(kg, kn): keeps r1/r2 sensitive to frame error
-    kappa = np.array([np.linalg.norm(c.gamma_jet(s)[2]) for s in data.s])
+    kappa = np.array([norm3(c.gamma_jet(s)[2]) for s in data.s])
     theta = np.unwrap(np.arctan2(data.kn, data.kg))
     theta_prime = deriv_uniform(theta, data.s[1] - data.s[0])
     r1 = data.kn - kappa * np.sin(theta)
@@ -526,7 +526,7 @@ def resample_unit_speed(raw: ParamCurve, n: int = 512) -> UnitSpeedCurve:
     through third order."""
 
     def speed(t):
-        return float(np.linalg.norm(raw.c1(t)))
+        return norm3(raw.c1(t))
 
     amap = ArclengthMap(speed, raw.t_range, n)
     memo = {}
@@ -536,7 +536,7 @@ def resample_unit_speed(raw: ParamCurve, n: int = 512) -> UnitSpeedCurve:
             return memo["value"]
         t = amap.t_of_s(s)
         c1, c2, c3 = raw.c1(t), raw.c2(t), raw.c3(t)
-        v = float(np.linalg.norm(c1))
+        v = norm3(c1)
         vd = float(c1 @ c2) / v
         vdd = (float(c2 @ c2) + float(c1 @ c3) - vd * vd) / v
         tp = 1.0 / v
@@ -578,7 +578,7 @@ def unit_speed_chart_curve(surface: ParametricSurface, path: ChartPath,
         return jets
 
     def speed(t):
-        return float(np.linalg.norm(raw_jets(t)[1]))
+        return norm3(raw_jets(t)[1])
 
     amap = ArclengthMap(speed, path.s_range, n)
     jet_memo = {}
@@ -588,7 +588,7 @@ def unit_speed_chart_curve(surface: ParametricSurface, path: ChartPath,
             return jet_memo["value"]
         t = amap.t_of_s(s)
         _, c1, c2, c3 = raw_jets(t)
-        v = float(np.linalg.norm(c1))
+        v = norm3(c1)
         vd = float(c1 @ c2) / v
         vdd = (float(c2 @ c2) + float(c1 @ c3) - vd * vd) / v
         tp = 1.0 / v

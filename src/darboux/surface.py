@@ -13,6 +13,7 @@ quantities (normal curvature, geodesic torsion) inherit these choices.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -61,6 +62,20 @@ POLE_MARGIN = 1e-6
 
 def vec(x, y, z) -> np.ndarray:
     return np.array([x, y, z], dtype=float)
+
+
+def cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.cross for two shape-(3,) arrays, without its axis bookkeeping.
+
+    Same products and differences in the same order, so the same bits."""
+    a0, a1, a2 = a.tolist()
+    b0, b1, b2 = b.tolist()
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+
+
+def norm3(a: np.ndarray) -> float:
+    """np.linalg.norm of a shape-(3,) float array: sqrt of the dot product."""
+    return math.sqrt(float(a @ a))
 
 
 @dataclass(frozen=True)
@@ -163,8 +178,7 @@ class ParametricSurface:
         if memo is not None and memo[0] == (u, v):
             return memo[1]
         jet = ChartJet(*self._jet_fn(u, v))
-        w = np.cross(jet.sigma_u, jet.sigma_v)
-        if np.linalg.norm(w) <= self.eps_reg:
+        if norm3(cross3(jet.sigma_u, jet.sigma_v)) <= self.eps_reg:
             raise RegularityError(
                 f"{self.name}: |sigma_u x sigma_v| <= {self.eps_reg:g} "
                 f"at (u, v)=({float(u):g}, {float(v):g})"
@@ -199,24 +213,24 @@ class ParametricSurface:
             raise DarbouxError(f"{self.name}: third-order jets unavailable")
         jet = self.chart_jet(u, v)
         suuu, suuv, suvv, svvv = third
-        w = np.cross(jet.sigma_u, jet.sigma_v)
-        w_u = np.cross(jet.sigma_uu, jet.sigma_v) + np.cross(jet.sigma_u, jet.sigma_uv)
-        w_v = np.cross(jet.sigma_uv, jet.sigma_v) + np.cross(jet.sigma_u, jet.sigma_vv)
+        w = cross3(jet.sigma_u, jet.sigma_v)
+        w_u = cross3(jet.sigma_uu, jet.sigma_v) + cross3(jet.sigma_u, jet.sigma_uv)
+        w_v = cross3(jet.sigma_uv, jet.sigma_v) + cross3(jet.sigma_u, jet.sigma_vv)
         w_uu = (
-            np.cross(suuu, jet.sigma_v)
-            + 2.0 * np.cross(jet.sigma_uu, jet.sigma_uv)
-            + np.cross(jet.sigma_u, suuv)
+            cross3(suuu, jet.sigma_v)
+            + 2.0 * cross3(jet.sigma_uu, jet.sigma_uv)
+            + cross3(jet.sigma_u, suuv)
         )
         w_uv = (
-            np.cross(suuv, jet.sigma_v)
-            + np.cross(jet.sigma_uu, jet.sigma_vv)
-            + np.cross(jet.sigma_uv, jet.sigma_uv)
-            + np.cross(jet.sigma_u, suvv)
+            cross3(suuv, jet.sigma_v)
+            + cross3(jet.sigma_uu, jet.sigma_vv)
+            + cross3(jet.sigma_uv, jet.sigma_uv)
+            + cross3(jet.sigma_u, suvv)
         )
         w_vv = (
-            np.cross(suvv, jet.sigma_v)
-            + 2.0 * np.cross(jet.sigma_uv, jet.sigma_vv)
-            + np.cross(jet.sigma_u, svvv)
+            cross3(suvv, jet.sigma_v)
+            + 2.0 * cross3(jet.sigma_uv, jet.sigma_vv)
+            + cross3(jet.sigma_u, svvv)
         )
         return (
             _unit_vector_second_derivative(w, w_u, w_u, w_uu),
@@ -226,13 +240,13 @@ class ParametricSurface:
 
 
 def _unit_vector_derivative(w: np.ndarray, w_a: np.ndarray) -> np.ndarray:
-    n = np.linalg.norm(w)
+    n = norm3(w)
     return w_a / n - w * (w @ w_a) / n**3
 
 
 def _unit_vector_second_derivative(w, w_a, w_b, w_ab):
     # d_b d_a (w/|w|) for |w| = n: expand the quotient rule once more.
-    n = np.linalg.norm(w)
+    n = norm3(w)
     na = (w @ w_a) / n
     nb = (w @ w_b) / n
     nab = (w_b @ w_a + w @ w_ab - na * nb) / n
@@ -278,7 +292,7 @@ class ImplicitSurface:
 
     def unit_normal(self, p: np.ndarray) -> np.ndarray:
         g = self.gradient(p)
-        n = np.linalg.norm(g)
+        n = norm3(g)
         if n <= self.eps_reg:
             raise RegularityError(f"{self.name}: |grad f| <= {self.eps_reg:g} at {p!r}")
         return g / n
@@ -287,7 +301,7 @@ class ImplicitSurface:
         """d/dp of grad(f)/|grad(f)| as a 3x3 matrix."""
         g = self.gradient(p)
         H = self.hessian(p)
-        n = np.linalg.norm(g)
+        n = norm3(g)
         if n <= self.eps_reg:
             raise RegularityError(f"{self.name}: |grad f| <= {self.eps_reg:g} at {p!r}")
         return H / n - np.outer(g, g @ H) / n**3
@@ -313,8 +327,8 @@ def first_form(jet: ChartJet) -> FirstForm:
 
 def unit_normal(jet: ChartJet) -> np.ndarray:
     """sigma_u x sigma_v, normalized (orientation fixed by chart order)."""
-    w = np.cross(jet.sigma_u, jet.sigma_v)
-    n = np.linalg.norm(w)
+    w = cross3(jet.sigma_u, jet.sigma_v)
+    n = norm3(w)
     if n <= EPS_REG_DEFAULT:
         raise RegularityError(f"|sigma_u x sigma_v| = {n:g} below regularity threshold")
     return w / n
@@ -328,9 +342,9 @@ def normal_derivatives(surface: ParametricSurface, u: float, v: float):
     if memo is not None and memo[0] == (u, v):
         return memo[1]
     jet = surface.chart_jet(u, v)
-    w = np.cross(jet.sigma_u, jet.sigma_v)
-    w_u = np.cross(jet.sigma_uu, jet.sigma_v) + np.cross(jet.sigma_u, jet.sigma_uv)
-    w_v = np.cross(jet.sigma_uv, jet.sigma_v) + np.cross(jet.sigma_u, jet.sigma_vv)
+    w = cross3(jet.sigma_u, jet.sigma_v)
+    w_u = cross3(jet.sigma_uu, jet.sigma_v) + cross3(jet.sigma_u, jet.sigma_uv)
+    w_v = cross3(jet.sigma_uv, jet.sigma_v) + cross3(jet.sigma_u, jet.sigma_vv)
     result = (_unit_vector_derivative(w, w_u), _unit_vector_derivative(w, w_v))
     surface._nd_memo = ((u, v), result)
     return result
@@ -725,12 +739,10 @@ def parse_surface_spec(spec: str, implicit: bool = False, eps_reg: float = EPS_R
         if name not in CATALOG:
             raise DarbouxError(f"unknown builtin surface {name!r} (see 'catalog')")
         parametric_ctor, implicit_ctor = CATALOG[name]
-        params = {k: float(v) for k, v in parse_qsl(query)}
-        if implicit:
-            if implicit_ctor is None:
-                raise DarbouxError(f"builtin {name!r} has no implicit form")
-            return implicit_ctor(**params, eps_reg=eps_reg)
-        return parametric_ctor(**params, eps_reg=eps_reg)
+        ctor = implicit_ctor if implicit else parametric_ctor
+        if ctor is None:
+            raise DarbouxError(f"builtin {name!r} has no implicit form")
+        return ctor(**_builtin_params(name, ctor, query), eps_reg=eps_reg)
     if kind == "param":
         fields = _split_fields(rest)
         for key in ("x", "y", "z", "u", "v"):
@@ -749,6 +761,28 @@ def parse_surface_spec(spec: str, implicit: bool = False, eps_reg: float = EPS_R
             raise DarbouxError(f"implicit surface spec missing f=...: {spec!r}")
         return implicit_from_expression(fields["f"], eps_reg=eps_reg)
     raise DarbouxError(f"unknown surface spec kind {kind!r}")
+
+
+def _builtin_params(name: str, ctor: Callable, query: str) -> dict[str, float]:
+    """Numeric ``key=value`` pairs of a builtin spec, checked against the
+    constructor's scalar parameters."""
+    allowed = [
+        key for key, param in inspect.signature(ctor).parameters.items()
+        if key != "eps_reg" and isinstance(param.default, (int, float))
+    ]
+    params = {}
+    for key, value in parse_qsl(query, keep_blank_values=True):
+        if key not in allowed:
+            expected = ", ".join(allowed) or "none"
+            raise DarbouxError(f"builtin {name!r} has no parameter {key!r} (parameters: {expected})")
+        try:
+            number = float(value)
+        except ValueError:
+            number = math.nan
+        if not math.isfinite(number):
+            raise DarbouxError(f"bad number for builtin parameter {key}={value!r}")
+        params[key] = number
+    return params
 
 
 def _split_fields(rest: str) -> dict[str, str]:

@@ -35,7 +35,9 @@ from .frames import deriv_uniform
 from .surface import (
     ImplicitSurface,
     ParametricSurface,
+    cross3,
     first_form,
+    norm3,
     project_to_implicit,
     unit_normal,
 )
@@ -227,7 +229,7 @@ def _find_seed_implicit(surface, d, target, guess, tol, max_iter):
     p = project_to_implicit(surface, np.asarray(guess, dtype=float), 1e-12)
     for _ in range(max_iter):
         n_vec = surface.gradient(p)
-        n_norm = float(np.linalg.norm(n_vec))
+        n_norm = norm3(n_vec)
         if n_norm <= surface.eps_reg:
             raise SeedError("no isophote at this level near guess")
         nhat = n_vec / n_norm
@@ -242,8 +244,8 @@ def _find_seed_implicit(surface, d, target, guess, tol, max_iter):
             break
         step = -g / gt2 * gt
         # damp long steps; Newton is only trusted locally
-        limit = 0.5 * (1.0 + float(np.linalg.norm(p)))
-        step_len = float(np.linalg.norm(step))
+        limit = 0.5 * (1.0 + norm3(p))
+        step_len = norm3(step)
         if step_len > limit:
             step *= limit / step_len
         p = project_to_implicit(surface, p + step, 1e-12)
@@ -294,7 +296,7 @@ def direction_scalars_parametric(surface: ParametricSurface, d, u: float, v: flo
     kn = L * du * du + 2.0 * M * du * dv + N * dv * dv
     T = du * jet.sigma_u + dv * jet.sigma_v
     U_prime = du * U_u + dv * U_v
-    V = np.cross(U, T)
+    V = cross3(U, T)
     tg = float(-U_prime @ V)
     return kn, tg
 
@@ -309,8 +311,13 @@ def delta_coefficients(surface: ParametricSurface, d, u: float, v: float,
     with k_n, tau_g evaluated for the supplied direction."""
     d = np.asarray(d, dtype=float)
     jet = surface.chart_jet(u, v)
-    ff = first_form(jet)
     kn, tg = direction_scalars_parametric(surface, d, u, v, direction)
+    return _delta(jet, first_form(jet), d, kn, tg)
+
+
+def _delta(jet, ff, d, kn, tg) -> tuple[float, float]:
+    """(Delta, Delta*) from the point's jet and first form and the
+    direction's (k_n, tau_g)."""
     su_d = float(jet.sigma_u @ d)
     sv_d = float(jet.sigma_v @ d)
     root = ff.area_element
@@ -333,13 +340,13 @@ def isophote_direction_implicit(surface: ImplicitSurface, d, p, branch: str = "p
     if abs(f) > on_surface_tol:
         raise DarbouxError(f"point is not on the surface: |f| = {abs(f):g} > {on_surface_tol:g}")
     grad = surface.gradient(p)
-    n = float(np.linalg.norm(grad))
+    n = norm3(grad)
     if n <= surface.eps_reg:
         raise RegularityError(f"{surface.name}: vanishing gradient at {p!r}")
     H = surface.hessian(p)
     grad_g = H @ d / n - float(grad @ d) * (H @ grad) / n**3
-    w = np.cross(grad, grad_g)
-    wn = float(np.linalg.norm(w))
+    w = cross3(grad, grad_g)
+    wn = norm3(w)
     if wn <= eps_sing:
         raise SingularPointError(
             f"singular isophote point at {np.round(p, 9).tolist()}: "
@@ -352,13 +359,13 @@ def isophote_direction_implicit(surface: ImplicitSurface, d, p, branch: str = "p
 def direction_scalars_implicit(surface: ImplicitSurface, d, p, t) -> tuple[float, float]:
     """(k_n, tau_g) of a unit tangent t at a surface point p."""
     grad = surface.gradient(p)
-    n = float(np.linalg.norm(grad))
+    n = norm3(grad)
     H = surface.hessian(p)
     t = np.asarray(t, dtype=float)
     kn = float(-t @ H @ t) / n
     U = grad / n
     U_prime = surface.normal_jacobian(p) @ t
-    V = np.cross(U, t)
+    V = cross3(U, t)
     tg = float(-U_prime @ V)
     return kn, tg
 
@@ -369,7 +376,12 @@ def omega_coefficients(surface: ImplicitSurface, d, p, t) -> np.ndarray:
     d = np.asarray(d, dtype=float)
     p = np.asarray(p, dtype=float)
     kn, tg = direction_scalars_implicit(surface, d, p, t)
-    return kn * d + tg * np.cross(d, surface.gradient(p))
+    return _omega(d, surface.gradient(p), kn, tg)
+
+
+def _omega(d, grad, kn, tg) -> np.ndarray:
+    """Omega from the axis, grad(f) and the direction's (k_n, tau_g)."""
+    return kn * d + tg * cross3(d, grad)
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +417,7 @@ def _closure_step(p, t, seed_p, seed_t, s_done, config):
     if s_done < 10.0 * config.step:
         return None
     gap = seed_p - p
-    if float(np.linalg.norm(gap)) > config.closure_radius:
+    if norm3(gap) > config.closure_radius:
         return None
     if float(t @ seed_t) < 0.5:
         return None
@@ -443,8 +455,8 @@ def _trace_parametric(surface, d, phi, seed, config):
         du, dv = dirpair
         t3 = du * jet.sigma_u + dv * jet.sigma_v
         ff = first_form(jet)
-        delta, delta_star = delta_coefficients(surface, d, y[0], y[1], (du, dv))
         kn, tg = direction_scalars_parametric(surface, d, y[0], y[1], (du, dv))
+        delta, delta_star = _delta(jet, ff, d, kn, tg)
         samples["s"].append(s)
         samples["point"].append(jet.sigma)
         samples["chart"].append((y[0], y[1]))
@@ -465,7 +477,7 @@ def _trace_parametric(surface, d, phi, seed, config):
         if config.branch == "minus":
             first_dir, first_t3 = -first_dir, -first_t3
         seed_point = surface.chart_jet(u, v).sigma
-        seed_tan = first_t3 / np.linalg.norm(first_t3)
+        seed_tan = first_t3 / norm3(first_t3)
         prev_t3 = record(0.0, y, first_dir)
         n_steps = int(math.floor(config.max_length / h + 1e-9))
         s_done = 0.0
@@ -476,7 +488,7 @@ def _trace_parametric(surface, d, phi, seed, config):
             prev_t3 = record(s_done, y_new, dirpair)
             y = y_new
             p_now = samples["point"][-1]
-            delta = _closure_step(p_now, t3 / np.linalg.norm(t3), seed_point,
+            delta = _closure_step(p_now, t3 / norm3(t3), seed_point,
                                   seed_tan, s_done, config)
             if delta is not None:
                 y_new = _rk4_step(direction_field, y, delta, prev_t3, surface.wrap)
@@ -553,16 +565,16 @@ def _trace_implicit(surface, d, phi, seed, config):
 
     def record(s, q, t):
         grad = surface.gradient(q)
-        U = grad / np.linalg.norm(grad)
-        omega = omega_coefficients(surface, d, q, t)
+        U = grad / norm3(grad)
         kn, tg = direction_scalars_implicit(surface, d, q, t)
+        omega = _omega(d, grad, kn, tg)
         samples["s"].append(s)
         samples["point"].append(q.copy())
         samples["tangent"].append(t.copy())
         samples["normal"].append(U)
         samples["angle"].append(float(U @ d))
         samples["constraint"].append(float(omega @ t))
-        samples["unit"].append(float(np.linalg.norm(t)) - 1.0)
+        samples["unit"].append(norm3(t) - 1.0)
         samples["kn"].append(kn)
         samples["tg"].append(tg)
         samples["f"].append(abs(surface.value(q)))
@@ -624,7 +636,7 @@ def _project_two_constraints(surface, d, target, p, tol):
     """Newton onto {f = 0} intersected with {<U, d> = cos(phi)}."""
     for _ in range(8):
         grad = surface.gradient(p)
-        n = float(np.linalg.norm(grad))
+        n = norm3(grad)
         f = surface.value(p)
         g = float(grad @ d) / n - target
         if abs(f) <= tol and abs(g) <= tol:

@@ -97,6 +97,18 @@ class TestTrace:
         for angle in ("30", "45", "60"):
             assert (tmp_path / f"fam_deg{angle}.csv").exists()
 
+    def test_family_files_match_single_traces(self, tmp_path):
+        base = ["trace", "--surface", "builtin:sphere?r=1", "--axis", "0,0,1",
+                "--angle", "45", "--seed", "0,0.785398", "--length", "0.3",
+                "--step", "0.01"]
+        assert run(base + ["--family", "30:60:3", "--out", str(tmp_path / "fam.csv")]) == 0
+        for angle in ("30", "45", "60"):
+            single = tmp_path / f"single{angle}.csv"
+            args = base[:]
+            args[args.index("--angle") + 1] = angle
+            assert run(args + ["--out", str(single)]) == 0
+            assert (tmp_path / f"fam_deg{angle}.csv").read_bytes() == single.read_bytes()
+
     def test_eps_sing_env_override(self, tmp_path, monkeypatch, capsys):
         # an absurdly large threshold makes every point look singular
         monkeypatch.setenv("DARBOUX_EPS_SING", "1e6")
@@ -264,6 +276,62 @@ class TestUsageErrors:
         code, captured = run(["catalog"], capsys)
         assert code == 0
         assert "sphere" in captured.out
+
+
+SPHERE_TRACE = ["trace", "--surface", "builtin:sphere?r=1", "--axis", "0,0,1",
+                "--angle", "45", "--seed", "0,0.7", "--length", "0.1", "--step", "0.01"]
+
+
+def _with(argv, **flags):
+    argv = list(argv)
+    for flag, value in flags.items():
+        flag = "--" + flag.replace("_", "-")
+        if flag in argv:
+            argv[argv.index(flag) + 1] = value
+        else:
+            argv += [flag, value]
+    return argv
+
+
+BAD_INPUTS = {
+    "negative-step": _with(SPHERE_TRACE, step="-1"),
+    "family-two-fields": _with(SPHERE_TRACE, family="30:60"),
+    "family-zero-count": _with(SPHERE_TRACE, family="30:60:0"),
+    "builtin-bad-number": _with(SPHERE_TRACE, surface="builtin:sphere?r=x"),
+    "builtin-unknown-param": _with(SPHERE_TRACE, surface="builtin:sphere?q=1"),
+    "builtin-nonfinite-param": _with(SPHERE_TRACE, surface="builtin:sphere?r=inf"),
+    "axis-nan": _with(SPHERE_TRACE, axis="nan,0,1"),
+    "classify-c-const-zero": ["classify", "--surface", "builtin:cylinder?r=1",
+                              "--curve", "param:u=s;v=s", "--samples", "8",
+                              "--c-const", "0"],
+    "frames-negative-samples": ["frames", "--surface", "builtin:cylinder?r=1",
+                                "--curve", "param:u=s;v=s", "--samples", "-1"],
+}
+
+
+class TestBoundaryErrors:
+    """Values that parse but cannot be used: exit 2 with a one-line message."""
+
+    @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+    def test_exit_2_one_line_no_traceback(self, case, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        code, captured = run(BAD_INPUTS[case] + ["--out", str(out)], capsys)
+        assert code == 2
+        assert "Traceback" not in captured.err
+        assert len(captured.err.splitlines()) == 1
+        assert not list(tmp_path.iterdir())
+
+    def test_bad_eps_sing_env(self, monkeypatch, capsys):
+        monkeypatch.setenv("DARBOUX_EPS_SING", "abc")
+        code, captured = run(SPHERE_TRACE, capsys)
+        assert code == 2
+        assert "DARBOUX_EPS_SING" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_axis_nan_named_as_axis(self, capsys):
+        code, captured = run(BAD_INPUTS["axis-nan"], capsys)
+        assert "--axis" in captured.err
+        assert "no isophote" not in captured.err
 
 
 class TestCatalog:

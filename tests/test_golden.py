@@ -1,0 +1,39 @@
+"""Golden outputs: CLI bytes compared with files under tests/golden/.
+
+Each file was written by the CLI with the argv listed next to it.  A
+refactor that keeps the operations and their order keeps these bytes; any
+change to a golden file is numeric drift and is listed in CHANGES.md with
+its maximum absolute difference and its reason.
+"""
+
+import os
+
+import pytest
+
+from darboux.cli import main
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+
+CASES = {
+    # the closed 45-degree circuit on the unit sphere at step 1e-2
+    "sphere_circuit_step1e-2.csv": [
+        "trace", "--surface", "builtin:sphere?r=1", "--axis", "0,0,1",
+        "--angle", "45", "--seed", "0,0.785398", "--length", "4.5", "--step", "1e-2"],
+    # a short 60-degree isophote on the implicit torus
+    "torus_implicit_step1e-2.csv": [
+        "trace-implicit", "--surface", "builtin:torus?R=2&r=0.5", "--axis", "0,0,1",
+        "--angle", "60", "--seed", "2.5,0,0.1", "--length", "0.5", "--step", "1e-2"],
+    # the unit-speed helix on the unit cylinder
+    "cylinder_helix_classify.json": [
+        "classify", "--surface", "builtin:cylinder?r=1", "--curve", "param:u=s;v=s",
+        "--samples", "64"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_matches_golden_bytes(name, tmp_path):
+    out = tmp_path / name
+    assert main(CASES[name] + ["--out", str(out)]) == 0
+    with open(os.path.join(GOLDEN, name), "rb") as fh:
+        expected = fh.read()
+    assert out.read_bytes() == expected
