@@ -42,13 +42,11 @@ from .surface import (
     FirstForm,
     ImplicitSurface,
     ParametricSurface,
-    chart_jet,
     cylinder,
     ellipsoid,
     first_form,
     helicoid,
     implicit_cylinder,
-    implicit_jet,
     implicit_plane,
     implicit_sphere,
     implicit_torus,

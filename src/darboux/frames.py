@@ -28,7 +28,15 @@ from .errors import (
     FrenetUndefinedError,
     VanishingSpeedError,
 )
-from .surface import ImplicitSurface, ParametricSurface, cross3, norm3
+from .surface import (
+    ImplicitSurface,
+    ParametricSurface,
+    chart_normal_derivatives,
+    chart_normal_second_derivatives,
+    cross3,
+    norm3,
+    unit_normal,
+)
 
 __all__ = [
     "FrenetFrame",
@@ -223,47 +231,32 @@ class CurveOnSurface:
                     f"{abs(f):g} > {self.on_surface_tol:g}"
                 )
             return g
+        return self._chart_sample(s)[0]
+
+    def _chart_sample(self, s: float):
+        """The curve jet at s on a chart path, with the chart jet, the third
+        partials and the path's (u', v'), (u'', v'') it was built from."""
         (u, v), d1, d2, d3 = self.path.jet(s)
         jet = self.surface.chart_jet(u, v)
         jet3 = self.surface.jet3(u, v)
-        return _chart_rule_jets(jet, jet3, d1, d2, d3,
-                                fallback=lambda uu, vv: self.surface.chart_jet(uu, vv),
-                                point=(u, v))
+        return _chart_rule_jets(jet, jet3, d1, d2, d3), jet, jet3, d1, d2
 
 
-def _chart_rule_jets(jet, jet3, d1, d2, d3, fallback=None, point=None):
+def _chart_rule_jets(jet, jet3, d1, d2, d3):
     du, dv = d1
     ddu, ddv = d2
     dddu, dddv = d3
     su, sv = jet.sigma_u, jet.sigma_v
     suu, suv, svv = jet.sigma_uu, jet.sigma_uv, jet.sigma_vv
+    suuu, suuv, suvv, svvv = jet3
     g = jet.sigma
     g1 = du * su + dv * sv
     g2 = ddu * su + ddv * sv + du * du * suu + 2.0 * du * dv * suv + dv * dv * svv
-    if jet3 is not None:
-        suuu, suuv, suvv, svvv = jet3
-        g3 = (
-            dddu * su + dddv * sv
-            + 3.0 * du * ddu * suu + 3.0 * (ddu * dv + du * ddv) * suv + 3.0 * dv * ddv * svv
-            + du**3 * suuu + 3.0 * du * du * dv * suuv + 3.0 * du * dv * dv * suvv + dv**3 * svvv
-        )
-    else:
-        # no third-order chart jets: difference the second s-derivative
-        h = 1e-5
-        u0, v0 = point
-
-        def second(uu, vv, d1_, d2_):
-            j = fallback(uu, vv)
-            du_, dv_ = d1_
-            ddu_, ddv_ = d2_
-            return (ddu_ * j.sigma_u + ddv_ * j.sigma_v
-                    + du_ * du_ * j.sigma_uu + 2 * du_ * dv_ * j.sigma_uv + dv_ * dv_ * j.sigma_vv)
-
-        plus = second(u0 + h * du, v0 + h * dv,
-                      (du + h * ddu, dv + h * ddv), (ddu + h * dddu, ddv + h * dddv))
-        minus = second(u0 - h * du, v0 - h * dv,
-                       (du - h * ddu, dv - h * ddv), (ddu - h * dddu, ddv - h * dddv))
-        g3 = (plus - minus) / (2.0 * h)
+    g3 = (
+        dddu * su + dddv * sv
+        + 3.0 * du * ddu * suu + 3.0 * (ddu * dv + du * ddv) * suv + 3.0 * dv * ddv * svv
+        + du**3 * suuu + 3.0 * du * du * dv * suuv + 3.0 * du * dv * dv * suvv + dv**3 * svvv
+    )
     return g, g1, g2, g3
 
 
@@ -300,21 +293,31 @@ def darboux(c: CurveOnSurface, s: float) -> DarbouxFrame:
     analytically as -U'.V (equal to V'.U by orthonormality), with U' from
     analytic normal derivatives.
     """
-    g, d1, d2, _ = c.gamma_jet(s)
+    jets, U, U_prime, _ = _frame_sample(c, s)
+    return _darboux_frame(jets, U, U_prime, s)
+
+
+def _frame_sample(c: CurveOnSurface, s: float):
+    """Curve jet, unit normal U and its arclength derivative U' at s, each
+    surface quantity evaluated once.  On chart paths the chart data that
+    tau_g' needs comes along: (jet, jet3, U_u, U_v, (u', v'), (u'', v''))."""
+    if c.kind == "implicit":
+        jets = c.gamma_jet(s)
+        U, J = c.surface.normal_and_jacobian(jets[0])
+        return jets, U, J @ jets[1], None
+    jets, jet, jet3, d1, d2 = c._chart_sample(s)
+    U_u, U_v = chart_normal_derivatives(jet)
+    du, dv = d1
+    return jets, unit_normal(jet), du * U_u + dv * U_v, (jet, jet3, U_u, U_v, d1, d2)
+
+
+def _darboux_frame(jets, U, U_prime, s) -> DarbouxFrame:
+    _, d1, d2, _ = jets
     speed = norm3(d1)
     if abs(speed - 1.0) > UNIT_SPEED_TOL:
         raise DarbouxError(
             f"curve is not unit speed at s={float(s):g}: |gamma'| = {speed:.6g}")
     T = d1
-    if c.kind == "parametric":
-        u, v = c.path.point(s)
-        U = c.surface.unit_normal(u, v)
-        U_u, U_v = c.surface.normal_derivatives(u, v)
-        du, dv = c.path.du(s), c.path.dv(s)
-        U_prime = du * U_u + dv * U_v
-    else:
-        U = c.surface.unit_normal(g)
-        U_prime = c.surface.normal_jacobian(g) @ d1
     V = cross3(U, T)
     kn = float(d2 @ U)
     kg = float(d2 @ V)
@@ -331,8 +334,8 @@ class FrameData:
     """Frame samples over a uniform arclength grid.
 
     dkg/dkn are always analytic (third-order curve jets); dtg is analytic
-    when the surface carries third-order chart jets, else a 5-point central
-    difference of tg.
+    on chart paths (third-order chart jets) and a 5-point central difference
+    of tg on space curves.
     """
 
     s: np.ndarray
@@ -376,17 +379,16 @@ def sample_frames(c: CurveOnSurface, grid: np.ndarray,
     dkg = np.empty(n)
     dkn = np.empty(n)
     tau = np.empty(n)
-    d3s = np.empty((n, 3))
-    tg_analytic = c.kind == "parametric" and c.surface.has_jet3
+    tg_analytic = c.kind == "parametric"
     dtg = np.empty(n) if tg_analytic else None
 
     for i, s in enumerate(grid):
-        g, d1, d2, d3 = c.gamma_jet(s)
-        fr = darboux(c, s)
+        jets, normal, U_prime, chart = _frame_sample(c, s)
+        g, d1, d2, d3 = jets
+        fr = _darboux_frame(jets, normal, U_prime, s)
         gam[i] = g
         T[i], V[i], U[i] = fr.T, fr.V, fr.U
         kg[i], kn[i], tg[i] = fr.kg, fr.kn, fr.tg
-        d3s[i] = d3
         # k_g' = gamma'''.V + tau_g k_n ; k_n' = gamma'''.U - tau_g k_g
         dkg[i] = d3 @ fr.V + fr.tg * fr.kn
         dkn[i] = d3 @ fr.U - fr.tg * fr.kg
@@ -394,11 +396,8 @@ def sample_frames(c: CurveOnSurface, grid: np.ndarray,
         tau[i] = (cross3(d1, d2) @ d3) / kap2 if kap2 > eps_kappa**2 else np.nan
         if tg_analytic:
             # tau_g' = -U''.V - k_n k_g with U'' along the curve
-            u, v = c.path.point(s)
-            U_u, U_v = c.surface.normal_derivatives(u, v)
-            U_uu, U_uv, U_vv = c.surface.normal_second_derivatives(u, v)
-            du, dv = c.path.du(s), c.path.dv(s)
-            ddu, ddv = c.path.ddu(s), c.path.ddv(s)
+            jet, jet3, U_u, U_v, (du, dv), (ddu, ddv) = chart
+            U_uu, U_uv, U_vv = chart_normal_second_derivatives(jet, jet3)
             U_pp = (ddu * U_u + ddv * U_v
                     + du * du * U_uu + 2.0 * du * dv * U_uv + dv * dv * U_vv)
             dtg[i] = -(U_pp @ fr.V) - fr.kn * fr.kg
@@ -506,9 +505,6 @@ class ArclengthMap:
 
     def t_of_s(self, s: float) -> float:
         s = min(max(float(s), 0.0), self.length)
-        memo = getattr(self, "_memo", None)
-        if memo is not None and memo[0] == s:
-            return memo[1]
         t = float(self._inverse(s))
         t = min(max(t, self.t_nodes[0]), self.t_nodes[-1])
         for _ in range(3):
@@ -517,8 +513,19 @@ class ArclengthMap:
             err = self._arclength_from_node(k, t) - s
             t -= err / self.speed(t)
             t = min(max(t, self.t_nodes[0]), self.t_nodes[-1])
-        self._memo = (s, t)
         return t
+
+
+def _arclength_chain(c1, c2, c3):
+    """(t', t'', t''') of t(s), the inverse of arclength, from the curve's
+    raw derivatives c1, c2, c3 in t."""
+    v = norm3(c1)
+    vd = float(c1 @ c2) / v
+    vdd = (float(c2 @ c2) + float(c1 @ c3) - vd * vd) / v
+    tp = 1.0 / v
+    tpp = -vd / v**3
+    tppp = (3.0 * vd * vd - v * vdd) / v**5
+    return tp, tpp, tppp
 
 
 def resample_unit_speed(raw: ParamCurve, n: int = 512) -> UnitSpeedCurve:
@@ -536,12 +543,7 @@ def resample_unit_speed(raw: ParamCurve, n: int = 512) -> UnitSpeedCurve:
             return memo["value"]
         t = amap.t_of_s(s)
         c1, c2, c3 = raw.c1(t), raw.c2(t), raw.c3(t)
-        v = norm3(c1)
-        vd = float(c1 @ c2) / v
-        vdd = (float(c2 @ c2) + float(c1 @ c3) - vd * vd) / v
-        tp = 1.0 / v
-        tpp = -vd / v**3
-        tppp = (3.0 * vd * vd - v * vdd) / v**5
+        tp, tpp, tppp = _arclength_chain(c1, c2, c3)
         g1 = c1 * tp
         g2 = c2 * tp * tp + c1 * tpp
         g3 = c3 * tp**3 + 3.0 * c2 * tp * tpp + c1 * tppp
@@ -563,19 +565,9 @@ def unit_speed_chart_curve(surface: ParametricSurface, path: ChartPath,
     """Reparametrize a chart path to unit (metric) speed and wrap it as a
     CurveOnSurface."""
 
-    raw_memo = {}
-
     def raw_jets(t):
-        if raw_memo.get("t") == t:
-            return raw_memo["jets"]
         (u, v), d1, d2, d3 = path.jet(t)
-        jet = surface.chart_jet(u, v)
-        jet3 = surface.jet3(u, v)
-        jets = _chart_rule_jets(jet, jet3, d1, d2, d3,
-                                fallback=lambda uu, vv: surface.chart_jet(uu, vv),
-                                point=(u, v))
-        raw_memo["t"], raw_memo["jets"] = t, jets
-        return jets
+        return _chart_rule_jets(surface.chart_jet(u, v), surface.jet3(u, v), d1, d2, d3)
 
     def speed(t):
         return norm3(raw_jets(t)[1])
@@ -588,12 +580,7 @@ def unit_speed_chart_curve(surface: ParametricSurface, path: ChartPath,
             return jet_memo["value"]
         t = amap.t_of_s(s)
         _, c1, c2, c3 = raw_jets(t)
-        v = norm3(c1)
-        vd = float(c1 @ c2) / v
-        vdd = (float(c2 @ c2) + float(c1 @ c3) - vd * vd) / v
-        tp = 1.0 / v
-        tpp = -vd / v**3
-        tppp = (3.0 * vd * vd - v * vdd) / v**5
+        tp, tpp, tppp = _arclength_chain(c1, c2, c3)
         (u, vv_), (du, dv), (ddu, ddv), (dddu, dddv) = path.jet(t)
         u_s = du * tp
         v_s = dv * tp

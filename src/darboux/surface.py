@@ -34,11 +34,9 @@ __all__ = [
     "ChartJet",
     "ParametricSurface",
     "ImplicitSurface",
-    "chart_jet",
     "first_form",
     "unit_normal",
     "normal_derivatives",
-    "implicit_jet",
     "project_to_implicit",
     "sphere",
     "cylinder",
@@ -110,10 +108,10 @@ class ChartJet:
 class ParametricSurface:
     """Chart map sigma(u, v) with analytic partials.
 
-    ``jet_fn(u, v)`` returns the six ChartJet vectors; ``jet3_fn(u, v)``,
-    when present, returns the four third partials (uuu, uuv, uvv, vvv) used
-    for analytic derivatives of frame scalars.  Domain is a rectangle with
-    optional periodic wrapping per parameter.
+    ``jet_fn(u, v)`` returns the six ChartJet vectors and ``jet3_fn(u, v)``
+    the four third partials (uuu, uuv, uvv, vvv) used for analytic
+    derivatives of frame scalars.  Domain is a rectangle with optional
+    periodic wrapping per parameter.
     """
 
     def __init__(
@@ -124,7 +122,8 @@ class ParametricSurface:
         v_range: tuple[float, float],
         periodic_u: bool = False,
         periodic_v: bool = False,
-        jet3_fn: Callable | None = None,
+        *,
+        jet3_fn: Callable,
         eps_reg: float = EPS_REG_DEFAULT,
     ):
         self.name = name
@@ -135,17 +134,9 @@ class ParametricSurface:
         self.periodic_u = bool(periodic_u)
         self.periodic_v = bool(periodic_v)
         self.eps_reg = float(eps_reg)
-        # single-entry memos: traces and frame sampling query the same
-        # point many times in a row (callers never mutate jets)
-        self._jet_memo = None
-        self._nd_memo = None
 
     def __repr__(self):
         return f"ParametricSurface({self.name!r})"
-
-    @property
-    def has_jet3(self) -> bool:
-        return self._jet3_fn is not None
 
     def wrap(self, u: float, v: float) -> tuple[float, float]:
         """Wrap periodic parameters into range; raise if outside a
@@ -174,22 +165,16 @@ class ParametricSurface:
 
     def chart_jet(self, u: float, v: float) -> ChartJet:
         u, v = self.wrap(u, v)
-        memo = self._jet_memo
-        if memo is not None and memo[0] == (u, v):
-            return memo[1]
         jet = ChartJet(*self._jet_fn(u, v))
         if norm3(cross3(jet.sigma_u, jet.sigma_v)) <= self.eps_reg:
             raise RegularityError(
                 f"{self.name}: |sigma_u x sigma_v| <= {self.eps_reg:g} "
                 f"at (u, v)=({float(u):g}, {float(v):g})"
             )
-        self._jet_memo = ((u, v), jet)
         return jet
 
     def jet3(self, u: float, v: float):
         """Third partials (sigma_uuu, sigma_uuv, sigma_uvv, sigma_vvv)."""
-        if self._jet3_fn is None:
-            return None
         u, v = self.wrap(u, v)
         return tuple(np.asarray(a, dtype=float) for a in self._jet3_fn(u, v))
 
@@ -203,40 +188,9 @@ class ParametricSurface:
         return normal_derivatives(self, u, v)
 
     def normal_second_derivatives(self, u: float, v: float):
-        """Second partials (U_uu, U_uv, U_vv) of the unit normal.
-
-        Requires third-order jets; quotient rule applied twice to
-        w = sigma_u x sigma_v.
-        """
+        """Second partials (U_uu, U_uv, U_vv) of the unit normal."""
         third = self.jet3(u, v)
-        if third is None:
-            raise DarbouxError(f"{self.name}: third-order jets unavailable")
-        jet = self.chart_jet(u, v)
-        suuu, suuv, suvv, svvv = third
-        w = cross3(jet.sigma_u, jet.sigma_v)
-        w_u = cross3(jet.sigma_uu, jet.sigma_v) + cross3(jet.sigma_u, jet.sigma_uv)
-        w_v = cross3(jet.sigma_uv, jet.sigma_v) + cross3(jet.sigma_u, jet.sigma_vv)
-        w_uu = (
-            cross3(suuu, jet.sigma_v)
-            + 2.0 * cross3(jet.sigma_uu, jet.sigma_uv)
-            + cross3(jet.sigma_u, suuv)
-        )
-        w_uv = (
-            cross3(suuv, jet.sigma_v)
-            + cross3(jet.sigma_uu, jet.sigma_vv)
-            + cross3(jet.sigma_uv, jet.sigma_uv)
-            + cross3(jet.sigma_u, suvv)
-        )
-        w_vv = (
-            cross3(suvv, jet.sigma_v)
-            + 2.0 * cross3(jet.sigma_uv, jet.sigma_vv)
-            + cross3(jet.sigma_u, svvv)
-        )
-        return (
-            _unit_vector_second_derivative(w, w_u, w_u, w_uu),
-            _unit_vector_second_derivative(w, w_u, w_v, w_uv),
-            _unit_vector_second_derivative(w, w_v, w_v, w_vv),
-        )
+        return chart_normal_second_derivatives(self.chart_jet(u, v), third)
 
 
 def _unit_vector_derivative(w: np.ndarray, w_a: np.ndarray) -> np.ndarray:
@@ -299,21 +253,21 @@ class ImplicitSurface:
 
     def normal_jacobian(self, p: np.ndarray) -> np.ndarray:
         """d/dp of grad(f)/|grad(f)| as a 3x3 matrix."""
+        return self.normal_and_jacobian(p)[1]
+
+    def normal_and_jacobian(self, p: np.ndarray):
+        """Unit normal grad(f)/|grad(f)| and its 3x3 Jacobian, from one
+        gradient and one Hessian evaluation."""
         g = self.gradient(p)
         H = self.hessian(p)
         n = norm3(g)
         if n <= self.eps_reg:
             raise RegularityError(f"{self.name}: |grad f| <= {self.eps_reg:g} at {p!r}")
-        return H / n - np.outer(g, g @ H) / n**3
+        return g / n, implicit_normal_jacobian(g, n, H)
 
 
 # ---------------------------------------------------------------------------
-# Module-level operations (thin wrappers with the jet-based signatures)
-
-
-def chart_jet(surface: ParametricSurface, u: float, v: float) -> ChartJet:
-    """Chart value and partials to 2nd order at (u, v), after periodic wrap."""
-    return surface.chart_jet(u, v)
+# Operations on evaluated jets (callers evaluate a point once and pass it down)
 
 
 def first_form(jet: ChartJet) -> FirstForm:
@@ -334,25 +288,54 @@ def unit_normal(jet: ChartJet) -> np.ndarray:
     return w / n
 
 
-def normal_derivatives(surface: ParametricSurface, u: float, v: float):
+def chart_normal_derivatives(jet: ChartJet):
     """Analytic partials (U_u, U_v) of the unit normal via the quotient rule
     on w = sigma_u x sigma_v."""
-    u, v = surface.wrap(u, v)
-    memo = surface._nd_memo
-    if memo is not None and memo[0] == (u, v):
-        return memo[1]
-    jet = surface.chart_jet(u, v)
     w = cross3(jet.sigma_u, jet.sigma_v)
     w_u = cross3(jet.sigma_uu, jet.sigma_v) + cross3(jet.sigma_u, jet.sigma_uv)
     w_v = cross3(jet.sigma_uv, jet.sigma_v) + cross3(jet.sigma_u, jet.sigma_vv)
-    result = (_unit_vector_derivative(w, w_u), _unit_vector_derivative(w, w_v))
-    surface._nd_memo = ((u, v), result)
-    return result
+    return _unit_vector_derivative(w, w_u), _unit_vector_derivative(w, w_v)
 
 
-def implicit_jet(surface: ImplicitSurface, p: np.ndarray):
-    """(f, grad f, Hessian) at p."""
-    return surface.jet(p)
+def chart_normal_second_derivatives(jet: ChartJet, third):
+    """Second partials (U_uu, U_uv, U_vv) of the unit normal from the chart
+    jet and the third partials: quotient rule applied twice to
+    w = sigma_u x sigma_v."""
+    suuu, suuv, suvv, svvv = third
+    w = cross3(jet.sigma_u, jet.sigma_v)
+    w_u = cross3(jet.sigma_uu, jet.sigma_v) + cross3(jet.sigma_u, jet.sigma_uv)
+    w_v = cross3(jet.sigma_uv, jet.sigma_v) + cross3(jet.sigma_u, jet.sigma_vv)
+    w_uu = (
+        cross3(suuu, jet.sigma_v)
+        + 2.0 * cross3(jet.sigma_uu, jet.sigma_uv)
+        + cross3(jet.sigma_u, suuv)
+    )
+    w_uv = (
+        cross3(suuv, jet.sigma_v)
+        + cross3(jet.sigma_uu, jet.sigma_vv)
+        + cross3(jet.sigma_uv, jet.sigma_uv)
+        + cross3(jet.sigma_u, suvv)
+    )
+    w_vv = (
+        cross3(suvv, jet.sigma_v)
+        + 2.0 * cross3(jet.sigma_uv, jet.sigma_vv)
+        + cross3(jet.sigma_u, svvv)
+    )
+    return (
+        _unit_vector_second_derivative(w, w_u, w_u, w_uu),
+        _unit_vector_second_derivative(w, w_u, w_v, w_uv),
+        _unit_vector_second_derivative(w, w_v, w_v, w_vv),
+    )
+
+
+def implicit_normal_jacobian(g: np.ndarray, n: float, H: np.ndarray) -> np.ndarray:
+    """d/dp of grad(f)/|grad(f)| from g = grad(f), n = |g| and the Hessian H."""
+    return H / n - np.outer(g, g @ H) / n**3
+
+
+def normal_derivatives(surface: ParametricSurface, u: float, v: float):
+    """Analytic partials (U_u, U_v) of the unit normal at (u, v)."""
+    return chart_normal_derivatives(surface.chart_jet(u, v))
 
 
 def project_to_implicit(surface: ImplicitSurface, p: np.ndarray, tol: float = 1e-12) -> np.ndarray:

@@ -35,8 +35,10 @@ from .frames import deriv_uniform
 from .surface import (
     ImplicitSurface,
     ParametricSurface,
+    chart_normal_derivatives,
     cross3,
     first_form,
+    implicit_normal_jacobian,
     norm3,
     project_to_implicit,
     unit_normal,
@@ -266,7 +268,15 @@ def isophote_direction_parametric(surface: ParametricSurface, d, u: float, v: fl
     (no isophotic curve with this axis exists through the point)."""
     d = np.asarray(d, dtype=float)
     jet = surface.chart_jet(u, v)
-    U_u, U_v = surface.normal_derivatives(u, v)
+    du, dv = _chart_direction((jet, *chart_normal_derivatives(jet)), d, eps_sing, u, v)
+    if branch == "minus":
+        du, dv = -du, -dv
+    return du, dv
+
+
+def _chart_direction(point, d, eps_sing, u, v):
+    """(u', v') on the plus branch from a chart point's (jet, U_u, U_v)."""
+    jet, U_u, U_v = point
     g_u = float(U_u @ d)
     g_v = float(U_v @ d)
     if abs(g_u) <= eps_sing and abs(g_v) <= eps_sing:
@@ -276,10 +286,7 @@ def isophote_direction_parametric(surface: ParametricSurface, d, u: float, v: fl
         )
     ff = first_form(jet)
     W = math.sqrt(ff.E * g_v**2 - 2.0 * ff.F * g_u * g_v + ff.G * g_u**2)
-    du, dv = -g_v / W, g_u / W
-    if branch == "minus":
-        du, dv = -du, -dv
-    return du, dv
+    return -g_v / W, g_u / W
 
 
 def direction_scalars_parametric(surface: ParametricSurface, d, u: float, v: float,
@@ -288,7 +295,13 @@ def direction_scalars_parametric(surface: ParametricSurface, d, u: float, v: flo
     the direction, no curve needed)."""
     jet = surface.chart_jet(u, v)
     U = unit_normal(jet)
-    U_u, U_v = surface.normal_derivatives(u, v)
+    U_u, U_v = chart_normal_derivatives(jet)
+    return _chart_scalars(jet, U, U_u, U_v, direction)
+
+
+def _chart_scalars(jet, U, U_u, U_v, direction) -> tuple[float, float]:
+    """(k_n, tau_g) of a chart direction from the point's jet, unit normal
+    and normal partials."""
     du, dv = direction
     L = float(jet.sigma_uu @ U)
     M = float(jet.sigma_uv @ U)
@@ -339,11 +352,23 @@ def isophote_direction_implicit(surface: ImplicitSurface, d, p, branch: str = "p
     f = surface.value(p)
     if abs(f) > on_surface_tol:
         raise DarbouxError(f"point is not on the surface: |f| = {abs(f):g} > {on_surface_tol:g}")
+    t = _implicit_direction(_implicit_point(surface, p), d, eps_sing, p)
+    return -t if branch == "minus" else t
+
+
+def _implicit_point(surface, p):
+    """(grad f, |grad f|, Hessian) at p; raises RegularityError where the
+    gradient vanishes."""
     grad = surface.gradient(p)
     n = norm3(grad)
     if n <= surface.eps_reg:
         raise RegularityError(f"{surface.name}: vanishing gradient at {p!r}")
-    H = surface.hessian(p)
+    return grad, n, surface.hessian(p)
+
+
+def _implicit_direction(point, d, eps_sing, p) -> np.ndarray:
+    """Unit tangent on the plus branch from a point's (grad f, |grad f|, H)."""
+    grad, n, H = point
     grad_g = H @ d / n - float(grad @ d) * (H @ grad) / n**3
     w = cross3(grad, grad_g)
     wn = norm3(w)
@@ -352,19 +377,20 @@ def isophote_direction_implicit(surface: ImplicitSurface, d, p, branch: str = "p
             f"singular isophote point at {np.round(p, 9).tolist()}: "
             "no isophotic curve with this axis/angle"
         )
-    t = w / wn
-    return -t if branch == "minus" else t
+    return w / wn
 
 
 def direction_scalars_implicit(surface: ImplicitSurface, d, p, t) -> tuple[float, float]:
     """(k_n, tau_g) of a unit tangent t at a surface point p."""
-    grad = surface.gradient(p)
-    n = norm3(grad)
-    H = surface.hessian(p)
-    t = np.asarray(t, dtype=float)
+    return _implicit_scalars(_implicit_point(surface, p), np.asarray(t, dtype=float))
+
+
+def _implicit_scalars(point, t) -> tuple[float, float]:
+    """(k_n, tau_g) of a unit tangent from the point's (grad f, |grad f|, H)."""
+    grad, n, H = point
     kn = float(-t @ H @ t) / n
     U = grad / n
-    U_prime = surface.normal_jacobian(p) @ t
+    U_prime = implicit_normal_jacobian(grad, n, H) @ t
     V = cross3(U, t)
     tg = float(-U_prime @ V)
     return kn, tg
@@ -406,9 +432,101 @@ def trace_isophote(surface, d, phi: float, seed, config: TraceConfig | None = No
     """
     config = config or TraceConfig()
     d = _unit(d)
-    if isinstance(surface, ParametricSurface):
-        return _trace_parametric(surface, d, float(phi), seed, config)
-    return _trace_implicit(surface, d, float(phi), seed, config)
+    phi = float(phi)
+    kind = _ChartTrace if isinstance(surface, ParametricSurface) else _ImplicitTrace
+    return _integrate(kind(surface, d, math.cos(phi), config), phi, seed)
+
+
+# TraceResult fields filled from the recorded rows, in row order; each
+# adapter's ``extra`` names the fields that follow them
+_ROW_FIELDS = ("s", "points", "tangents", "normals", "angle_dot", "constraint_residual",
+               "unit_speed_residual", "kn", "tg")
+
+
+def _integrate(adapter, phi, seed):
+    """Fixed-step RK4 along an adapter's direction field, with branch
+    continuity, closure onto the seed and one record per sample.
+
+    The adapter (_ChartTrace or _ImplicitTrace) maps the seed to a state,
+    evaluates the point of a state once, turns an evaluation into an RK4
+    slope and a 3-D tangent, fixes up each new state (wrap or
+    reprojection) and records a sample.  The last evaluated point and its
+    evaluation are kept and reused while the requested point repeats: RK4's
+    first stage is the previous post-step point, each sample is recorded
+    at the point its direction was taken from, and stages whose slopes
+    agree land on the same point.
+    """
+    config = adapter.config
+    last = [None, None]
+
+    def at(y):
+        key = adapter.key(y)
+        if key != last[0]:
+            last[:] = key, adapter.evaluate(y)
+        return last[1]
+
+    def field(y, ref):
+        return adapter.direction(y, at(y), ref)
+
+    def step(y, h, ref):
+        k1, _ = field(y, ref)
+        k2, _ = field(y + 0.5 * h * k1, ref)
+        k3, _ = field(y + 0.5 * h * k2, ref)
+        k4, _ = field(y + h * k3, ref)
+        return adapter.fix(y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+
+    rows = []
+
+    def record(s, y, k, t3):
+        rows.append((s, *adapter.record(y, at(y), k, t3)))
+
+    y = adapter.start(seed)
+    level = adapter.level(y, at)
+    if abs(level - adapter.target) > config.seed_tol:
+        raise SeedError(
+            f"seed is not on the isophote level: |<U,d> - cos(phi)| = "
+            f"{abs(level - adapter.target):g} > {config.seed_tol:g}; use find_seed"
+        )
+
+    h = config.step
+    termination = "length reached"
+    try:
+        k, t3 = field(y, None)
+        if config.branch == "minus":
+            k, t3 = -k, -t3
+        seed_point, seed_tan = adapter.closure_frame(y, at(y), t3)
+        record(0.0, y, k, t3)
+        n_steps = int(math.floor(config.max_length / h + 1e-9))
+        s_done = 0.0
+        for _ in range(n_steps):
+            y = step(y, h, t3)
+            s_done += h
+            k, t3 = field(y, t3)
+            record(s_done, y, k, t3)
+            delta = _closure_step(*adapter.closure_frame(y, at(y), t3),
+                                  seed_point, seed_tan, s_done, config)
+            if delta is not None:
+                y = step(y, delta, t3)
+                s_done += delta
+                k, t3 = field(y, t3)
+                record(s_done, y, k, t3)
+                termination = "closed"
+                break
+    except OutOfDomainError:
+        if not rows:
+            raise
+        termination = "left domain"
+    except SingularPointError:
+        if not rows:
+            raise
+        termination = "singular point"
+    except DarbouxError as exc:
+        if not rows:
+            raise
+        termination = f"error: {exc}"
+    columns = (np.array(column) for column in zip(*rows))
+    return TraceResult(**dict(zip(_ROW_FIELDS + adapter.extra, columns)),
+                       termination=termination, d=adapter.d, phi=phi)
 
 
 def _closure_step(p, t, seed_p, seed_t, s_done, config):
@@ -427,209 +545,104 @@ def _closure_step(p, t, seed_p, seed_t, s_done, config):
     return delta
 
 
-def _trace_parametric(surface, d, phi, seed, config):
-    target = math.cos(phi)
-    u, v = surface.wrap(float(seed[0]), float(seed[1]))
-    level = _angle_value_parametric(surface, d, u, v)
-    if abs(level - target) > config.seed_tol:
-        raise SeedError(
-            f"seed is not on the isophote level: |<U,d> - cos(phi)| = "
-            f"{abs(level - target):g} > {config.seed_tol:g}; use find_seed"
-        )
+class _ChartTrace:
+    """Isophote on a chart.  The state is (u, v), wrapped after each step;
+    RK4 slopes are (u', v') and the reference tangent is sigma_u u' + sigma_v v'.
+    A point's evaluation is its chart jet with the normal's partials."""
 
-    def direction_field(y, ref):
-        du, dv = isophote_direction_parametric(surface, d, y[0], y[1],
-                                               eps_sing=config.eps_sing)
-        jet = surface.chart_jet(y[0], y[1])
+    extra = ("chart",)
+
+    def __init__(self, surface, d, target, config):
+        self.surface, self.d, self.target, self.config = surface, d, target, config
+
+    def start(self, seed):
+        return np.array(self.surface.wrap(float(seed[0]), float(seed[1])))
+
+    def level(self, y, at):
+        return float(unit_normal(at(y)[0]) @ self.d)
+
+    def key(self, y):
+        # the chart point evaluated: wrapping sends equal points to one key
+        return self.surface.wrap(y[0], y[1])
+
+    def evaluate(self, y):
+        jet = self.surface.chart_jet(y[0], y[1])
+        return (jet, *chart_normal_derivatives(jet))
+
+    def direction(self, y, point, ref):
+        du, dv = _chart_direction(point, self.d, self.config.eps_sing, y[0], y[1])
+        jet = point[0]
         t3 = du * jet.sigma_u + dv * jet.sigma_v
         if ref is not None and float(t3 @ ref) < 0.0:
             return np.array([-du, -dv]), -t3
         return np.array([du, dv]), t3
 
-    samples = {k: [] for k in ("s", "point", "chart", "tangent", "normal",
-                               "angle", "constraint", "unit", "kn", "tg")}
+    def fix(self, y):
+        return np.array(self.surface.wrap(y[0], y[1]))
 
-    def record(s, y, dirpair):
-        jet = surface.chart_jet(y[0], y[1])
+    def closure_frame(self, y, point, t3):
+        return point[0].sigma, t3 / norm3(t3)
+
+    def record(self, y, point, k, t3):
+        jet, U_u, U_v = point
         U = unit_normal(jet)
-        du, dv = dirpair
-        t3 = du * jet.sigma_u + dv * jet.sigma_v
+        du, dv = k
         ff = first_form(jet)
-        kn, tg = direction_scalars_parametric(surface, d, y[0], y[1], (du, dv))
-        delta, delta_star = _delta(jet, ff, d, kn, tg)
-        samples["s"].append(s)
-        samples["point"].append(jet.sigma)
-        samples["chart"].append((y[0], y[1]))
-        samples["tangent"].append(t3)
-        samples["normal"].append(U)
-        samples["angle"].append(float(U @ d))
-        samples["constraint"].append(delta * du + delta_star * dv)
-        samples["unit"].append(ff.E * du * du + 2 * ff.F * du * dv + ff.G * dv * dv - 1.0)
-        samples["kn"].append(kn)
-        samples["tg"].append(tg)
-        return t3
-
-    h = config.step
-    y = np.array([u, v])
-    termination = "length reached"
-    try:
-        first_dir, first_t3 = direction_field(y, None)
-        if config.branch == "minus":
-            first_dir, first_t3 = -first_dir, -first_t3
-        seed_point = surface.chart_jet(u, v).sigma
-        seed_tan = first_t3 / norm3(first_t3)
-        prev_t3 = record(0.0, y, first_dir)
-        n_steps = int(math.floor(config.max_length / h + 1e-9))
-        s_done = 0.0
-        for _ in range(n_steps):
-            y_new = _rk4_step(direction_field, y, h, prev_t3, surface.wrap)
-            s_done += h
-            dirpair, t3 = direction_field(y_new, prev_t3)
-            prev_t3 = record(s_done, y_new, dirpair)
-            y = y_new
-            p_now = samples["point"][-1]
-            delta = _closure_step(p_now, t3 / norm3(t3), seed_point,
-                                  seed_tan, s_done, config)
-            if delta is not None:
-                y_new = _rk4_step(direction_field, y, delta, prev_t3, surface.wrap)
-                s_done += delta
-                dirpair, _ = direction_field(y_new, prev_t3)
-                record(s_done, y_new, dirpair)
-                termination = "closed"
-                break
-    except OutOfDomainError:
-        if not samples["s"]:
-            raise
-        termination = "left domain"
-    except SingularPointError:
-        if not samples["s"]:
-            raise
-        termination = "singular point"
-    except (RegularityError, DarbouxError) as exc:
-        if not samples["s"]:
-            raise
-        termination = f"error: {exc}"
-    return TraceResult(
-        s=np.array(samples["s"]),
-        points=np.array(samples["point"]),
-        tangents=np.array(samples["tangent"]),
-        normals=np.array(samples["normal"]),
-        angle_dot=np.array(samples["angle"]),
-        constraint_residual=np.array(samples["constraint"]),
-        unit_speed_residual=np.array(samples["unit"]),
-        kn=np.array(samples["kn"]),
-        tg=np.array(samples["tg"]),
-        termination=termination,
-        d=d,
-        phi=phi,
-        chart=np.array(samples["chart"]),
-    )
+        kn, tg = _chart_scalars(jet, U, U_u, U_v, k)
+        delta, delta_star = _delta(jet, ff, self.d, kn, tg)
+        return (jet.sigma, t3, U, float(U @ self.d), delta * du + delta_star * dv,
+                ff.E * du * du + 2 * ff.F * du * dv + ff.G * dv * dv - 1.0, kn, tg,
+                (y[0], y[1]))
 
 
-def _rk4_step(field, y, h, ref, wrap=None):
-    k1, _ = field(y, ref)
-    k2, _ = field(y + 0.5 * h * k1, ref)
-    k3, _ = field(y + 0.5 * h * k2, ref)
-    k4, _ = field(y + h * k3, ref)
-    y_new = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if wrap is not None:
-        y_new = np.array(wrap(y_new[0], y_new[1]))
-    return y_new
+class _ImplicitTrace:
+    """Isophote on f = 0.  The state is the point itself, Newton-projected
+    back onto the surface (and optionally the level) after each step; the
+    RK4 slope is the unit tangent.  A point's evaluation is
+    (grad f, |grad f|, H)."""
 
+    extra = ("surface_residual", "grad_dot_t")
 
-def _trace_implicit(surface, d, phi, seed, config):
-    target = math.cos(phi)
-    p = project_to_implicit(surface, np.asarray(seed, dtype=float), config.projection_tol)
-    level = float(surface.unit_normal(p) @ d)
-    if abs(level - target) > config.seed_tol:
-        raise SeedError(
-            f"seed is not on the isophote level: |<U,d> - cos(phi)| = "
-            f"{abs(level - target):g} > {config.seed_tol:g}; use find_seed"
-        )
+    def __init__(self, surface, d, target, config):
+        self.surface, self.d, self.target, self.config = surface, d, target, config
 
-    def direction_field(q, ref):
-        t = isophote_direction_implicit(surface, d, q, eps_sing=config.eps_sing,
-                                        on_surface_tol=np.inf)
+    def start(self, seed):
+        return project_to_implicit(self.surface, np.asarray(seed, dtype=float),
+                                   self.config.projection_tol)
+
+    def level(self, p, at):
+        return float(self.surface.unit_normal(p) @ self.d)
+
+    def key(self, p):
+        return p.tobytes()
+
+    def evaluate(self, p):
+        return _implicit_point(self.surface, p)
+
+    def direction(self, p, point, ref):
+        t = _implicit_direction(point, self.d, self.config.eps_sing, p)
         if ref is not None and float(t @ ref) < 0.0:
             return -t, -t
         return t, t
 
-    def reproject(q):
-        q = project_to_implicit(surface, q, config.projection_tol)
-        if config.project_isophote:
-            q = _project_two_constraints(surface, d, target, q, config.projection_tol)
+    def fix(self, q):
+        q = project_to_implicit(self.surface, q, self.config.projection_tol)
+        if self.config.project_isophote:
+            q = _project_two_constraints(self.surface, self.d, self.target, q,
+                                         self.config.projection_tol)
         return q
 
-    samples = {k: [] for k in ("s", "point", "tangent", "normal", "angle",
-                               "constraint", "unit", "kn", "tg", "f", "gdt")}
+    def closure_frame(self, p, point, t):
+        # the field's tangent is unit already
+        return p, t
 
-    def record(s, q, t):
-        grad = surface.gradient(q)
-        U = grad / norm3(grad)
-        kn, tg = direction_scalars_implicit(surface, d, q, t)
-        omega = _omega(d, grad, kn, tg)
-        samples["s"].append(s)
-        samples["point"].append(q.copy())
-        samples["tangent"].append(t.copy())
-        samples["normal"].append(U)
-        samples["angle"].append(float(U @ d))
-        samples["constraint"].append(float(omega @ t))
-        samples["unit"].append(norm3(t) - 1.0)
-        samples["kn"].append(kn)
-        samples["tg"].append(tg)
-        samples["f"].append(abs(surface.value(q)))
-        samples["gdt"].append(float(grad @ t))
-
-    h = config.step
-    termination = "length reached"
-    try:
-        t0, _ = direction_field(p, None)
-        if config.branch == "minus":
-            t0 = -t0
-        seed_point = p.copy()
-        seed_tan = t0.copy()
-        record(0.0, p, t0)
-        prev_t = t0
-        n_steps = int(math.floor(config.max_length / h + 1e-9))
-        s_done = 0.0
-        for _ in range(n_steps):
-            p_new = reproject(_rk4_step(direction_field, p, h, prev_t))
-            s_done += h
-            t_new, _ = direction_field(p_new, prev_t)
-            record(s_done, p_new, t_new)
-            p, prev_t = p_new, t_new
-            delta = _closure_step(p, t_new, seed_point, seed_tan, s_done, config)
-            if delta is not None:
-                p_new = reproject(_rk4_step(direction_field, p, delta, prev_t))
-                s_done += delta
-                t_new, _ = direction_field(p_new, prev_t)
-                record(s_done, p_new, t_new)
-                termination = "closed"
-                break
-    except SingularPointError:
-        if not samples["s"]:
-            raise
-        termination = "singular point"
-    except (RegularityError, DarbouxError) as exc:
-        if not samples["s"]:
-            raise
-        termination = f"error: {exc}"
-    return TraceResult(
-        s=np.array(samples["s"]),
-        points=np.array(samples["point"]),
-        tangents=np.array(samples["tangent"]),
-        normals=np.array(samples["normal"]),
-        angle_dot=np.array(samples["angle"]),
-        constraint_residual=np.array(samples["constraint"]),
-        unit_speed_residual=np.array(samples["unit"]),
-        kn=np.array(samples["kn"]),
-        tg=np.array(samples["tg"]),
-        termination=termination,
-        d=d,
-        phi=phi,
-        surface_residual=np.array(samples["f"]),
-        grad_dot_t=np.array(samples["gdt"]),
-    )
+    def record(self, q, point, k, t):
+        grad, n, _ = point
+        U = grad / n
+        kn, tg = _implicit_scalars(point, t)
+        omega = _omega(self.d, grad, kn, tg)
+        return (q.copy(), t.copy(), U, float(U @ self.d), float(omega @ t),
+                norm3(t) - 1.0, kn, tg, abs(self.surface.value(q)), float(grad @ t))
 
 
 def _project_two_constraints(surface, d, target, p, tol):

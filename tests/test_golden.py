@@ -27,6 +27,25 @@ CASES = {
     "cylinder_helix_classify.json": [
         "classify", "--surface", "builtin:cylinder?r=1", "--curve", "param:u=s;v=s",
         "--samples", "64"],
+    # the implicit torus on the minus branch, Newton-projected onto the level
+    "torus_implicit_minus_project.csv": [
+        "trace-implicit", "--surface", "builtin:torus?R=2&r=0.5", "--axis", "0,0,1",
+        "--angle", "60", "--seed", "2.5,0,0.1", "--length", "0.2", "--step", "1e-2",
+        "--branch", "minus", "--project-isophote"],
+    # a helicoid helix that runs off the chart at u = 2 pi ("left domain")
+    "helicoid_left_domain.json": [
+        "trace", "--surface", "builtin:helicoid?a=1", "--axis", "0,0,1",
+        "--angle", "135", "--seed", "6.1,1", "--length", "1", "--step", "1e-2",
+        "--format", "json"],
+    # the implicit torus given as an expression (symbolic gradient and Hessian)
+    "torus_expr_implicit.csv": [
+        "trace-implicit", "--surface", "implicit:f=(x^2+y^2+z^2+3.75)^2-16*(x^2+y^2)",
+        "--axis", "0,0,1", "--angle", "60", "--seed", "2.5,0,0.1", "--length", "0.2",
+        "--step", "1e-2"],
+    # Darboux frames along a (1, 2) winding of the catalog torus
+    "torus_frames.csv": [
+        "frames", "--surface", "builtin:torus?R=2&r=0.5", "--curve", "param:u=s;v=2*s",
+        "--samples", "20"],
 }
 
 

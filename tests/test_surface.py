@@ -14,10 +14,8 @@ from darboux.errors import (
     RegularityError,
 )
 from darboux.surface import (
-    chart_jet,
     first_form,
     implicit_from_expression,
-    implicit_jet,
     normal_derivatives,
     parametric_from_expressions,
     parse_surface_spec,
@@ -97,13 +95,13 @@ def test_catalog_jets_match_symbolic_oracle(surface, exprs):
 
 class TestChartJet:
     def test_sphere_at_origin_chart_point(self):
-        jet = chart_jet(darboux.sphere(1.0), 0.0, 0.0)
+        jet = darboux.sphere(1.0).chart_jet(0.0, 0.0)
         np.testing.assert_allclose(jet.sigma, [1, 0, 0], atol=1e-15)
         np.testing.assert_allclose(jet.sigma_u, [0, 1, 0], atol=1e-15)
         np.testing.assert_allclose(jet.sigma_v, [0, 0, 1], atol=1e-15)
 
     def test_plane_second_partials_vanish(self):
-        jet = chart_jet(darboux.plane(), 3.0, -2.0)
+        jet = darboux.plane().chart_jet(3.0, -2.0)
         for arr in (jet.sigma_uu, jet.sigma_uv, jet.sigma_vv):
             np.testing.assert_array_equal(arr, [0, 0, 0])
 
@@ -235,18 +233,18 @@ class TestNormalDerivatives:
 
 class TestImplicitJet:
     def test_unit_sphere(self):
-        f, g, H = implicit_jet(darboux.implicit_sphere(1.0), np.array([1.0, 0.0, 0.0]))
+        f, g, H = darboux.implicit_sphere(1.0).jet(np.array([1.0, 0.0, 0.0]))
         assert f == 0.0
         np.testing.assert_array_equal(g, [2, 0, 0])
         np.testing.assert_array_equal(H, 2 * np.eye(3))
 
     def test_cylinder(self):
-        f, g, _ = implicit_jet(darboux.implicit_cylinder(1.0), np.array([0.0, 1.0, 5.0]))
+        f, g, _ = darboux.implicit_cylinder(1.0).jet(np.array([0.0, 1.0, 5.0]))
         assert f == 0.0
         np.testing.assert_array_equal(g, [0, 2, 0])
 
     def test_plane(self):
-        f, g, H = implicit_jet(darboux.implicit_plane(), np.array([0.0, 0.0, 0.0]))
+        f, g, H = darboux.implicit_plane().jet(np.array([0.0, 0.0, 0.0]))
         assert f == 0.0
         np.testing.assert_array_equal(g, [0, 0, 1])
         np.testing.assert_array_equal(H, np.zeros((3, 3)))

@@ -7,6 +7,7 @@ import pytest
 
 import darboux
 from darboux.errors import SeedError, SingularPointError
+from darboux.surface import ImplicitSurface, ParametricSurface
 from darboux.trace import (
     TraceConfig,
     delta_coefficients,
@@ -330,6 +331,60 @@ class TestTraceImplicit:
         with pytest.raises(SingularPointError):
             trace_isophote(darboux.implicit_plane(), EZ, 0.0,
                            (0.0, 0.0, 0.0), TraceConfig())
+
+
+class TestEvaluationCounts:
+    """Raw surface evaluations per trace, counted through the public
+    constructors: each point a trace visits is evaluated once."""
+
+    @staticmethod
+    def counting_sphere(calls):
+        base = darboux.sphere(1.0)
+
+        def jet(u, v):
+            calls["jet"] += 1
+            j = base.chart_jet(u, v)
+            return j.sigma, j.sigma_u, j.sigma_v, j.sigma_uu, j.sigma_uv, j.sigma_vv
+
+        return ParametricSurface("counted sphere", jet, base.u_range, base.v_range,
+                                 periodic_u=True, jet3_fn=base.jet3)
+
+    @staticmethod
+    def counting_torus(calls):
+        base = darboux.implicit_torus(2.0, 0.5)
+
+        def counted(name, fn):
+            def wrapper(p):
+                calls[name] += 1
+                return fn(p)
+            return wrapper
+
+        return ImplicitSurface("counted torus", counted("f", base.value),
+                               counted("grad", base.gradient), counted("hess", base.hessian))
+
+    def test_sphere_circuit_jets(self):
+        calls = {"jet": 0}
+        res = trace_isophote(self.counting_sphere(calls), EZ, math.pi / 4,
+                             (0.0, math.pi / 4), TraceConfig(step=1e-2, max_length=4.5))
+        assert res.termination == "closed"
+        # on a latitude the four RK4 slopes agree, so k2 and k3 share a point
+        # and k4 lands on the next sample: two jets per step, one at the seed
+        assert calls["jet"] <= 2 * (res.n - 1) + 1
+
+    def test_implicit_torus_evaluations(self):
+        calls = {"f": 0, "grad": 0, "hess": 0}
+        surface = self.counting_torus(calls)
+        seed = find_seed(surface, EZ, math.pi / 3, (2.5, 0.0, 0.1))
+        for name in calls:
+            calls[name] = 0
+        res = trace_isophote(surface, EZ, math.pi / 3, seed,
+                             TraceConfig(step=1e-2, max_length=2.0))
+        assert res.termination == "length reached"
+        # RK4 stages 2-4 and the new sample take grad and H; the projection
+        # and the |f| column take f
+        assert calls["hess"] <= 4 * res.n + 5
+        assert calls["grad"] <= 5 * res.n + 5
+        assert calls["f"] <= 3 * res.n + 5
 
 
 class TestConvergence:
