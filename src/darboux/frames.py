@@ -10,8 +10,10 @@ Frame scalars:
 
 Arbitrary regular parametrizations are brought to unit speed through an
 arclength table (adaptive Simpson, tol 1e-10) inverted by monotone cubic
-interpolation and polished by Newton steps, with chain-rule derivatives to
-third order.
+interpolation and polished by up to three Newton steps, stopping at a fixed
+point, with chain-rule derivatives to third order.  The table and the
+Newton steps read only the first-order speed |gamma'(t)|; the third-order
+chain is evaluated at the sample points alone.
 """
 
 from __future__ import annotations
@@ -446,12 +448,9 @@ def normal_angle_series(c: CurveOnSurface, grid: np.ndarray,
 # Arclength reparametrization
 
 
-def _adaptive_simpson(f, a, b, tol):
-    fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return _asr(f, a, b, fa, fm, fb, whole, tol, 50)
-
-def _asr(f, a, b, fa, fm, fb, whole, tol, depth):
+def _adaptive_simpson(f, a, b, fa, fm, fb, whole, tol, depth):
+    """Adaptive Simpson on [a, b] from f at a, the midpoint and b and the
+    Simpson estimate `whole` built from them."""
     m = 0.5 * (a + b)
     lm, rm = 0.5 * (a + m), 0.5 * (m + b)
     flm, frm = f(lm), f(rm)
@@ -460,8 +459,8 @@ def _asr(f, a, b, fa, fm, fb, whole, tol, depth):
     if depth <= 0 or abs(left + right - whole) <= 15.0 * tol:
         return left + right + (left + right - whole) / 15.0
     half = 0.5 * tol
-    return (_asr(f, a, m, fa, flm, fm, left, half, depth - 1)
-            + _asr(f, m, b, fm, frm, fb, right, half, depth - 1))
+    return (_adaptive_simpson(f, a, m, fa, flm, fm, left, half, depth - 1)
+            + _adaptive_simpson(f, m, b, fm, frm, fb, right, half, depth - 1))
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
@@ -471,8 +470,10 @@ class ArclengthMap:
     """Invertible map between a raw parameter t and arclength s.
 
     Table built with adaptive Simpson (tol 1e-10) at n+1 uniform t-nodes,
-    inverted by monotone cubic (PCHIP) interpolation and polished with
-    Newton steps against locally Gauss-Legendre-integrated arclength.
+    starting from the speeds already taken at the nodes and midpoints for
+    the vanishing-speed check.  Inverted by monotone cubic (PCHIP)
+    interpolation and polished with up to three Newton steps against
+    locally Gauss-Legendre-integrated arclength, stopping at a fixed point.
     """
 
     def __init__(self, speed: Callable, t_range: tuple[float, float], n: int,
@@ -482,20 +483,23 @@ class ArclengthMap:
             raise DarbouxError("empty parameter range")
         self.speed = speed
         self.t_nodes = np.linspace(t0, t1, max(int(n), 8) + 1)
-        for t in self.t_nodes:
-            if speed(t) <= eps_speed:
-                raise VanishingSpeedError(f"vanishing speed at t={float(t):g}")
         mids = 0.5 * (self.t_nodes[:-1] + self.t_nodes[1:])
-        for t in mids:
-            if speed(t) <= eps_speed:
-                raise VanishingSpeedError(f"vanishing speed at t={float(t):g}")
-        increments = [
-            _adaptive_simpson(speed, a, b, tol)
-            for a, b in zip(self.t_nodes[:-1], self.t_nodes[1:])
-        ]
+        node_speeds = [self._checked_speed(t, eps_speed) for t in self.t_nodes]
+        mid_speeds = [self._checked_speed(t, eps_speed) for t in mids]
+        increments = []
+        for k, (a, b) in enumerate(zip(self.t_nodes[:-1], self.t_nodes[1:])):
+            fa, fm, fb = node_speeds[k], mid_speeds[k], node_speeds[k + 1]
+            whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+            increments.append(_adaptive_simpson(speed, a, b, fa, fm, fb, whole, tol, 50))
         self.s_nodes = np.concatenate([[0.0], np.cumsum(increments)])
         self.length = float(self.s_nodes[-1])
         self._inverse = PchipInterpolator(self.s_nodes, self.t_nodes)
+
+    def _checked_speed(self, t, eps_speed):
+        value = self.speed(t)
+        if value <= eps_speed:
+            raise VanishingSpeedError(f"vanishing speed at t={float(t):g}")
+        return value
 
     def _arclength_from_node(self, k: int, t: float) -> float:
         a = self.t_nodes[k]
@@ -511,8 +515,12 @@ class ArclengthMap:
             k = int(np.searchsorted(self.t_nodes, t, side="right") - 1)
             k = min(max(k, 0), len(self.t_nodes) - 2)
             err = self._arclength_from_node(k, t) - s
-            t -= err / self.speed(t)
-            t = min(max(t, self.t_nodes[0]), self.t_nodes[-1])
+            t_new = t - err / self.speed(t)
+            t_new = min(max(t_new, self.t_nodes[0]), self.t_nodes[-1])
+            if t_new == t:
+                # a further step would repeat this one on the same t
+                break
+            t = t_new
         return t
 
 
@@ -565,12 +573,11 @@ def unit_speed_chart_curve(surface: ParametricSurface, path: ChartPath,
     """Reparametrize a chart path to unit (metric) speed and wrap it as a
     CurveOnSurface."""
 
-    def raw_jets(t):
-        (u, v), d1, d2, d3 = path.jet(t)
-        return _chart_rule_jets(surface.chart_jet(u, v), surface.jet3(u, v), d1, d2, d3)
-
     def speed(t):
-        return norm3(raw_jets(t)[1])
+        # |gamma'| = |u' sigma_u + v' sigma_v|, the g1 of _chart_rule_jets
+        u, v, du, dv = path.u(t), path.v(t), path.du(t), path.dv(t)
+        jet = surface.chart_jet(u, v)
+        return norm3(du * jet.sigma_u + dv * jet.sigma_v)
 
     amap = ArclengthMap(speed, path.s_range, n)
     jet_memo = {}
@@ -579,9 +586,11 @@ def unit_speed_chart_curve(surface: ParametricSurface, path: ChartPath,
         if jet_memo.get("s") == s:
             return jet_memo["value"]
         t = amap.t_of_s(s)
-        _, c1, c2, c3 = raw_jets(t)
+        (u, vv_), d1, d2, d3 = path.jet(t)
+        _, c1, c2, c3 = _chart_rule_jets(surface.chart_jet(u, vv_), surface.jet3(u, vv_),
+                                         d1, d2, d3)
         tp, tpp, tppp = _arclength_chain(c1, c2, c3)
-        (u, vv_), (du, dv), (ddu, ddv), (dddu, dddv) = path.jet(t)
+        (du, dv), (ddu, ddv), (dddu, dddv) = d1, d2, d3
         u_s = du * tp
         v_s = dv * tp
         u_ss = ddu * tp * tp + du * tpp

@@ -1,10 +1,15 @@
 """Frenet and Darboux frames: fixture oracles, structure relations, the
 normal-angle series, and arclength reparametrization."""
 
+import functools
 import math
+from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.interpolate import PchipInterpolator
 
 import darboux
 from conftest import (
@@ -20,18 +25,23 @@ from conftest import (
 )
 from darboux.errors import DarbouxError, FrenetUndefinedError, VanishingSpeedError
 from darboux.frames import (
+    ArclengthMap,
     ChartPath,
     CurveOnSurface,
     ParamCurve,
     UnitSpeedCurve,
+    _adaptive_simpson,
+    _chart_rule_jets,
     darboux as darboux_frame,
     deriv_uniform,
     frenet,
     normal_angle_series,
     resample_unit_speed,
     sample_frames,
+    uniform_grid,
     unit_speed_chart_curve,
 )
+from darboux.surface import ParametricSurface, norm3
 
 
 class TestFrenet:
@@ -264,6 +274,13 @@ class TestResample:
         with pytest.raises(VanishingSpeedError):
             resample_unit_speed(raw, 64)
 
+    @pytest.mark.parametrize("n", [64, 65])
+    def test_vanishing_speed_on_chart_path(self, n):
+        # u = s^3 stops at s = 0: a table node for n = 64, a midpoint for n = 65
+        path = ChartPath.from_expressions("s^3", "0", (-0.1, 0.1))
+        with pytest.raises(VanishingSpeedError):
+            unit_speed_chart_curve(darboux.plane(), path, n)
+
     def test_chart_reparametrization_unit_speed(self):
         # u = v = s on the unit cylinder has metric speed sqrt(2)
         path = ChartPath.from_expressions("s", "s", (0.0, 2 * math.pi))
@@ -274,6 +291,160 @@ class TestResample:
         assert fr.tg == pytest.approx(0.5, abs=1e-9)
         g, d1, d2, d3 = c.gamma_jet(2.0)
         assert np.linalg.norm(d1) == pytest.approx(1.0, abs=1e-11)
+
+
+def _helix_param_curve():
+    return ParamCurve(
+        lambda t: np.array([math.cos(t), math.sin(t), t]),
+        lambda t: np.array([-math.sin(t), math.cos(t), 1.0]),
+        lambda t: np.array([-math.cos(t), -math.sin(t), 0.0]),
+        lambda t: np.array([math.sin(t), -math.cos(t), 0.0]),
+        (0.0, 2 * math.pi),
+    )
+
+
+def _third_order_chart_speed(surface, path):
+    """|gamma'(t)| read off the full third-order chain, as the chart speed
+    was first computed."""
+
+    def speed(t):
+        (u, v), d1, d2, d3 = path.jet(t)
+        return norm3(_chart_rule_jets(surface.chart_jet(u, v), surface.jet3(u, v),
+                                      d1, d2, d3)[1])
+
+    return speed
+
+
+class _ReferenceArclength:
+    """The arclength map as first written: Simpson evaluates its end and
+    midpoint speeds afresh, and t_of_s always takes three Newton steps."""
+
+    GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
+
+    def __init__(self, speed, t_range, n, tol=1e-10):
+        self.speed = speed
+        self.t_nodes = np.linspace(t_range[0], t_range[1], max(int(n), 8) + 1)
+        increments = []
+        for a, b in zip(self.t_nodes[:-1], self.t_nodes[1:]):
+            fa, fm, fb = speed(a), speed(0.5 * (a + b)), speed(b)
+            whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+            increments.append(_adaptive_simpson(speed, a, b, fa, fm, fb, whole, tol, 50))
+        self.s_nodes = np.concatenate([[0.0], np.cumsum(increments)])
+        self.length = float(self.s_nodes[-1])
+        self.inverse = PchipInterpolator(self.s_nodes, self.t_nodes)
+
+    def t_of_s(self, s):
+        s = min(max(float(s), 0.0), self.length)
+        t = float(self.inverse(s))
+        t = min(max(t, self.t_nodes[0]), self.t_nodes[-1])
+        for _ in range(3):
+            k = int(np.searchsorted(self.t_nodes, t, side="right") - 1)
+            k = min(max(k, 0), len(self.t_nodes) - 2)
+            a = self.t_nodes[k]
+            half = 0.5 * (t - a)
+            pts = a + half * (self.GL_NODES + 1.0)
+            arc = self.s_nodes[k] + half * float(
+                self.GL_WEIGHTS @ np.array([self.speed(p) for p in pts]))
+            t -= (arc - s) / self.speed(t)
+            t = min(max(t, self.t_nodes[0]), self.t_nodes[-1])
+        return t
+
+
+class _ArclengthCase(NamedTuple):
+    amap: ArclengthMap             # the map under test, on the reference's speed
+    ref: _ReferenceArclength
+    curve_length: float            # of the unit-speed curve built by the library
+    point_of_s: Callable           # s -> that curve's point
+    point_of_t: Callable           # t -> the same point from the raw parameter
+
+
+@functools.cache
+def _arclength_cases():
+    """A torus chart path and a resampled space helix, each at n = 64."""
+    n = 64
+    torus = darboux.torus(2.0, 0.5)
+    path = ChartPath.from_expressions("s", "2*s", (0.0, 2 * math.pi))
+    speed = _third_order_chart_speed(torus, path)
+    chart = unit_speed_chart_curve(torus, path, n)
+    raw = _helix_param_curve()
+
+    def helix_speed(t):
+        return norm3(raw.c1(t))
+
+    helix = resample_unit_speed(raw, n)
+    return {
+        "torus chart path": _ArclengthCase(
+            ArclengthMap(speed, path.s_range, n), _ReferenceArclength(speed, path.s_range, n),
+            chart.s_range[1], lambda s: np.array(chart.path.point(s)),
+            lambda t: np.array(path.point(t))),
+        "space helix": _ArclengthCase(
+            ArclengthMap(helix_speed, raw.t_range, n),
+            _ReferenceArclength(helix_speed, raw.t_range, n),
+            helix.length, helix.gamma, raw.c),
+    }
+
+
+ARCLENGTH_CASES = ["torus chart path", "space helix"]
+
+
+class TestArclengthBitIdentity:
+    """The cheap arclength inversion (first-order chart speed, table speeds
+    reused, Newton exit at a fixed point) gives the bits of the map as first
+    written."""
+
+    @pytest.mark.parametrize("name", ARCLENGTH_CASES)
+    def test_table_matches_reference(self, name):
+        case = _arclength_cases()[name]
+        assert np.array_equal(case.amap.s_nodes, case.ref.s_nodes)
+        assert case.amap.length == case.ref.length
+        assert case.curve_length == case.ref.length
+
+    @settings(max_examples=50, deadline=None)
+    @given(name=st.sampled_from(ARCLENGTH_CASES), frac=st.floats(0.0, 1.0))
+    def test_t_of_s_matches_three_fixed_steps(self, name, frac):
+        case = _arclength_cases()[name]
+        s = frac * case.ref.length
+        t_ref = case.ref.t_of_s(s)
+        assert case.amap.t_of_s(s) == t_ref
+        assert np.array_equal(case.point_of_s(s), case.point_of_t(t_ref))
+
+
+class TestArclengthEvaluationCounts:
+    """Raw chart evaluations made by unit_speed_chart_curve and the frame
+    samples read from it, counted through the public constructor."""
+
+    @staticmethod
+    def counting_torus(calls):
+        base = darboux.torus(2.0, 0.5)
+
+        def jet(u, v):
+            calls["jet"] += 1
+            j = base.chart_jet(u, v)
+            return j.sigma, j.sigma_u, j.sigma_v, j.sigma_uu, j.sigma_uv, j.sigma_vv
+
+        def jet3(u, v):
+            calls["jet3"] += 1
+            return base.jet3(u, v)
+
+        return ParametricSurface("counted torus", jet, base.u_range, base.v_range,
+                                 periodic_u=True, periodic_v=True, jet3_fn=jet3)
+
+    def test_torus_winding(self):
+        calls = {"jet": 0, "jet3": 0}
+        surface = self.counting_torus(calls)
+        n, samples = 512, 200
+        path = ChartPath.from_expressions("s", "2*s", (0.0, 2 * math.pi))
+        c = unit_speed_chart_curve(surface, path, n)
+        # the table reads the first-order speed once at each of the n + 1
+        # nodes and n midpoints, and Simpson adds two points per interval
+        assert calls == {"jet": 4 * n + 1, "jet3": 0}
+        calls["jet"] = 0
+        sample_frames(c, uniform_grid(0.0, c.s_range[1], samples))
+        # each sample: the third-order chain at t(s) and the frame itself
+        assert calls["jet3"] <= 2 * samples
+        # three Newton steps of 13 speeds each plus 2 would be 41 per
+        # sample; the fixed-point exit saves a step on many samples
+        assert calls["jet"] <= 36 * samples
 
 
 class TestPolyline:

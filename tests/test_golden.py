@@ -46,6 +46,10 @@ CASES = {
     "torus_frames.csv": [
         "frames", "--surface", "builtin:torus?R=2&r=0.5", "--curve", "param:u=s;v=2*s",
         "--samples", "20"],
+    # a latitude of the unit sphere given as a space curve (resampled to unit speed)
+    "sphere_latitude_space_classify.json": [
+        "classify", "--surface", "builtin:sphere?r=1", "--curve",
+        "space:x=cos(s)*cos(0.5);y=sin(s)*cos(0.5);z=sin(0.5)", "--samples", "100"],
 }
 
 
