@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 
 from .errors import (
     DarbouxError,
@@ -230,6 +229,8 @@ class TheoremFunctions:
 
 
 def _cumulative_integral(y, s):
+    from scipy.integrate import cumulative_simpson  # deferred: scipy is slow to import
+
     return np.concatenate([[0.0], cumulative_simpson(y, x=s)])
 
 

@@ -4,6 +4,9 @@ Surfaces and curves can be supplied as text like ``"cos(v)*cos(u)"``; this
 module turns such text into an immutable AST, evaluates it in binary64, and
 produces exact symbolic partial derivatives (with constant folding, no
 algebraic simplification) so chart jets and gradients stay analytic.
+``compile`` turns a list of expressions into one generated Python function
+with the same operations, so hot callers skip the tree walk; the tree walk
+(``evaluate``) stays the reference and reports domain errors.
 
 Grammar (whitespace insignificant, implicit multiplication NOT allowed):
 
@@ -22,12 +25,13 @@ from __future__ import annotations
 
 import math
 import re
+import struct
 from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import EvalDomainError, ParseError
 
-__all__ = ["Expression", "parse", "differentiate", "evaluate", "unparse"]
+__all__ = ["Expression", "parse", "differentiate", "evaluate", "compile", "unparse"]
 
 CONSTANTS = {"pi": math.pi, "e": math.e}
 FUNCTIONS = ("sin", "cos", "tan", "exp", "ln", "sqrt", "sinh", "cosh", "abs", "sign")
@@ -292,6 +296,9 @@ def _eval(node: Node, env: Mapping[str, float]) -> float:
         return math.copysign(1.0, x)
     except OverflowError:
         raise EvalDomainError("overflow", _unparse(node)) from None
+    except ValueError:
+        # the one case left once ln/sqrt are checked: sin, cos, tan of +-inf
+        raise EvalDomainError(f"{fn} of infinite value", _unparse(node)) from None
 
 
 def evaluate(e: Expression, bindings: Mapping[str, float]) -> float:
@@ -301,6 +308,114 @@ def evaluate(e: Expression, bindings: Mapping[str, float]) -> float:
     leaves the real domain.
     """
     return _eval(e.root, bindings)
+
+
+# ---------------------------------------------------------------------------
+# Compilation (one generated function per list of expressions)
+
+
+def _sign(x: float) -> float:
+    # fails where the tree walk fails, which then reports the error
+    if x == 0.0:
+        raise ValueError("sign undefined at 0")
+    return math.copysign(1.0, x)
+
+
+# names the generated code calls, bound as closure cells of the function
+_HELPERS = {
+    "_float": float, "_pow": math.pow, "_abs": abs, "_sign": _sign,
+    "_sin": math.sin, "_cos": math.cos, "_tan": math.tan, "_exp": math.exp,
+    "_ln": math.log, "_sqrt": math.sqrt, "_sinh": math.sinh, "_cosh": math.cosh,
+}
+
+
+class _Emitter:
+    """Straight-line source for a list of trees: one local per distinct
+    subtree, assigned where the tree walk first reaches it.  Each node's
+    value depends only on its operands, so a subtree that repeats (common
+    across the partial derivatives of one expression) is computed once
+    with the same bits."""
+
+    def __init__(self, variables: tuple[str, ...]):
+        self.variables = variables
+        self.used: set[int] = set()  # positions i of the variables read, as x{i}
+        self.consts: list[float] = []
+        self.names: dict[tuple, str] = {}
+        self.lines: list[str] = []
+
+    def emit(self, node: Node) -> str:
+        """Name of the local that holds ``node``'s value."""
+        if isinstance(node, (Num, Const)):
+            value = node.value if isinstance(node, Num) else CONSTANTS[node.name]
+            # keyed by the bits, so -0.0 and 0.0 (and each nan) stay apart
+            key = ("k", struct.pack("<d", value))
+            name = self.names.get(key)
+            if name is None:
+                name = self.names[key] = f"k{len(self.consts)}"
+                self.consts.append(value)
+            return name
+        if isinstance(node, Var):
+            if node.name not in self.variables:
+                raise ValueError(f"variable {node.name!r} not among {self.variables}")
+            i = self.variables.index(node.name)
+            self.used.add(i)
+            return f"x{i}"
+        if isinstance(node, Neg):
+            a = self.emit(node.arg)
+            return self._assign(("neg", a), f"-{a}")
+        if isinstance(node, BinOp):
+            a = self.emit(node.left)
+            b = self.emit(node.right)
+            code = f"_pow({a}, {b})" if node.op == "^" else f"{a} {node.op} {b}"
+            return self._assign((node.op, a, b), code)
+        a = self.emit(node.arg)
+        return self._assign((node.fn, a), f"_{node.fn}({a})")
+
+    def _assign(self, key: tuple, code: str) -> str:
+        name = self.names.get(key)
+        if name is None:
+            name = self.names[key] = f"t{len(self.lines)}"
+            self.lines.append(f"{name} = {code}")
+        return name
+
+
+def compile(exprs, variables):
+    """One function ``fn(*values)`` returning the tuple of ``exprs``' values
+    at ``variables`` bound positionally to ``values``.
+
+    The generated code makes the tree walk's operations in its order
+    (``math.pow`` for ``^``, the same ``math`` functions, ``float()`` of
+    each variable), computing a repeated subtree once, so every value has
+    the bits ``evaluate`` gives.  When
+    it fails with ArithmeticError or ValueError it re-runs ``evaluate``
+    over the same expressions in the same order, which raises the
+    EvalDomainError the tree walk raises.
+    """
+    exprs = tuple(exprs)
+    variables = tuple(variables)
+    emitter = _Emitter(variables)
+    results = [emitter.emit(e.root) for e in exprs]
+    args = [f"a{i}" for i in range(len(variables))]
+    entry = [f"x{i} = _float(a{i})" for i in sorted(emitter.used)]
+    cells = ["_fallback", *_HELPERS, *(f"k{i}" for i in range(len(emitter.consts)))]
+    body = entry + emitter.lines + [f"return ({''.join(r + ', ' for r in results)})"]
+    source = "\n".join([
+        f"def _make({', '.join(cells)}):",
+        f"    def compiled({', '.join(args)}):",
+        "        try:",
+        *(f"            {line}" for line in body),
+        "        except (ArithmeticError, ValueError):",
+        f"            return _fallback({', '.join(args)})",
+        "    return compiled",
+    ])
+
+    def fallback(*values):
+        env = dict(zip(variables, values))
+        return tuple(_eval(e.root, env) for e in exprs)
+
+    namespace: dict = {}
+    exec(source, namespace)
+    return namespace["_make"](fallback, *_HELPERS.values(), *emitter.consts)
 
 
 # ---------------------------------------------------------------------------

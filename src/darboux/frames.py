@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicSpline, PchipInterpolator
 
 from . import expr as _expr
 from .errors import (
@@ -103,8 +102,8 @@ class ParamCurve:
             jets.append([_expr.differentiate(e, var) for e in jets[-1]])
 
         def make(level):
-            exprs = jets[level]
-            return lambda t: np.array([_expr.evaluate(e, {var: t}) for e in exprs])
+            fn = _expr.compile(jets[level], [var])
+            return lambda t: np.array(fn(t))
 
         return cls(make(0), make(1), make(2), make(3), t_range)
 
@@ -144,6 +143,8 @@ class UnitSpeedCurve:
         d1 = deriv_uniform(points, h)
         d2 = deriv_uniform(d1, h)
         d3 = deriv_uniform(d2, h)
+        from scipy.interpolate import CubicSpline  # deferred: scipy is slow to import
+
         splines = [CubicSpline(s, arr) for arr in (points, d1, d2, d3)]
 
         def ev(spl):
@@ -184,8 +185,8 @@ class ChartPath:
         for e in (eu, ev):
             cur = e
             for _ in range(4):
-                ex = cur
-                fns.append(lambda t, _ex=ex: _expr.evaluate(_ex, {var: t}))
+                fn = _expr.compile([cur], [var])
+                fns.append(lambda t, _fn=fn: _fn(t)[0])
                 cur = _expr.differentiate(cur, var)
         u, du, ddu, dddu, v, dv, ddv, dddv = fns
         return cls(u, v, du, dv, ddu, ddv, dddu, dddv, s_range)
@@ -493,6 +494,8 @@ class ArclengthMap:
             increments.append(_adaptive_simpson(speed, a, b, fa, fm, fb, whole, tol, 50))
         self.s_nodes = np.concatenate([[0.0], np.cumsum(increments)])
         self.length = float(self.s_nodes[-1])
+        from scipy.interpolate import PchipInterpolator  # deferred: scipy is slow to import
+
         self._inverse = PchipInterpolator(self.s_nodes, self.t_nodes)
 
     def _checked_speed(self, t, eps_speed):

@@ -628,29 +628,13 @@ def parametric_from_expressions(
             e = _expr.differentiate(e, w)
         return e
 
-    orders = {
-        "": comps,
-        "u": [d(e, "u") for e in comps],
-        "v": [d(e, "v") for e in comps],
-        "uu": [d(e, "u", "u") for e in comps],
-        "uv": [d(e, "u", "v") for e in comps],
-        "vv": [d(e, "v", "v") for e in comps],
-        "uuu": [d(e, "u", "u", "u") for e in comps],
-        "uuv": [d(e, "u", "u", "v") for e in comps],
-        "uvv": [d(e, "u", "v", "v") for e in comps],
-        "vvv": [d(e, "v", "v", "v") for e in comps],
-    }
+    def compiled(orders):
+        fn = _expr.compile([d(e, *order) for order in orders for e in comps], ["u", "v"])
+        shape = (len(orders), 3)
+        return lambda u, v: tuple(np.array(fn(u, v)).reshape(shape))
 
-    def ev(key, env):
-        return np.array([_expr.evaluate(e, env) for e in orders[key]])
-
-    def jet(u, v):
-        env = {"u": u, "v": v}
-        return tuple(ev(k, env) for k in ("", "u", "v", "uu", "uv", "vv"))
-
-    def jet3(u, v):
-        env = {"u": u, "v": v}
-        return tuple(ev(k, env) for k in ("uuu", "uuv", "uvv", "vvv"))
+    jet = compiled(["", "u", "v", "uu", "uv", "vv"])
+    jet3 = compiled(["uuu", "uuv", "uvv", "vvv"])
 
     return ParametricSurface(
         name, jet, u_range, v_range,
@@ -665,28 +649,23 @@ def implicit_from_expression(f_src: str, eps_reg: float = EPS_REG_DEFAULT,
     The Hessian is assembled from its six independent entries (symbolic
     second partials of f), mirrored into the symmetric 3x3.
     """
-    f = _expr.parse(f_src, ["x", "y", "z"])
-    grads = [_expr.differentiate(f, w) for w in ("x", "y", "z")]
-    upper = {
-        (i, j): _expr.differentiate(grads[i], "xyz"[j])
-        for i in range(3)
-        for j in range(i, 3)
-    }
+    xyz = ["x", "y", "z"]
+    f = _expr.parse(f_src, xyz)
+    grads = [_expr.differentiate(f, w) for w in xyz]
+    upper = [_expr.differentiate(grads[i], xyz[j]) for i in range(3) for j in range(i, 3)]
 
-    def env(p):
-        return {"x": p[0], "y": p[1], "z": p[2]}
+    f_fn = _expr.compile([f], xyz)
+    grad_fn = _expr.compile(grads, xyz)
+    upper_fn = _expr.compile(upper, xyz)
 
     def hess(p):
-        e = env(p)
-        H = np.empty((3, 3))
-        for (i, j), ex in upper.items():
-            H[i, j] = H[j, i] = _expr.evaluate(ex, e)
-        return H
+        xx, xy, xz, yy, yz, zz = upper_fn(*p.tolist())
+        return np.array([[xx, xy, xz], [xy, yy, yz], [xz, yz, zz]])
 
     return ImplicitSurface(
         name,
-        lambda p: _expr.evaluate(f, env(p)),
-        lambda p: np.array([_expr.evaluate(g, env(p)) for g in grads]),
+        lambda p: f_fn(*p.tolist())[0],
+        lambda p: np.array(grad_fn(*p.tolist())),
         hess,
         eps_reg=eps_reg,
     )

@@ -185,24 +185,31 @@ def _find_seed_parametric(surface, d, target, guess, tol, max_iter):
 
 
 def _nearest_bracket(g, lo, hi, center, n: int = 256):
+    """The cell of the n-cell grid on [lo, hi] whose ends g does not give
+    the same sign and whose midpoint is nearest ``center`` (the lower index
+    on a tie), or None.  Cells are visited nearest first, so g is evaluated
+    only at the ends of the cells up to the chosen one; a point where g
+    raises a DarbouxError has no sign."""
     ts = np.linspace(lo, hi, n + 1)
-    vals = np.empty(n + 1)
-    for i, t in enumerate(ts):
-        try:
-            vals[i] = g(t)
-        except (RegularityError, OutOfDomainError, DarbouxError):
-            vals[i] = np.nan
-    best = None
-    best_dist = np.inf
-    for i in range(n):
-        a, b = vals[i], vals[i + 1]
+    dists = np.abs(0.5 * (ts[:-1] + ts[1:]) - center)
+    vals = {}
+
+    def value(i):
+        if i not in vals:
+            try:
+                vals[i] = g(ts[i])
+            except DarbouxError:
+                vals[i] = np.nan
+        return vals[i]
+
+    for i in np.argsort(dists, kind="stable"):
+        if not dists[i] < np.inf:  # only inf and nan distances are left
+            return None
+        a, b = value(i), value(i + 1)
         if np.isnan(a) or np.isnan(b) or a * b > 0:
             continue
-        mid = 0.5 * (ts[i] + ts[i + 1])
-        dist = abs(mid - center)
-        if dist < best_dist:
-            best, best_dist = (ts[i], ts[i + 1]), dist
-    return best
+        return ts[i], ts[i + 1]
+    return None
 
 
 def _bisect_newton(g, a, b, tol, max_iter):

@@ -3,11 +3,14 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import jsonschema
 import numpy as np
 import pytest
 
+import darboux
 from darboux.cli import main
 
 DOCS = os.path.join(os.path.dirname(__file__), "..", "docs")
@@ -306,6 +309,10 @@ BAD_INPUTS = {
                               "--c-const", "0"],
     "frames-negative-samples": ["frames", "--surface", "builtin:cylinder?r=1",
                                 "--curve", "param:u=s;v=s", "--samples", "-1"],
+    "param-sin-of-infinity": ["trace", "--surface",
+                              "param:x=sin(u*1e300*1e300);y=v;z=u;u=0,1;v=0,1",
+                              "--axis", "0,0,1", "--angle", "45", "--seed", "0.5,0.5",
+                              "--length", "0.01"],
 }
 
 
@@ -332,6 +339,24 @@ class TestBoundaryErrors:
         code, captured = run(BAD_INPUTS["axis-nan"], capsys)
         assert "--axis" in captured.err
         assert "no isophote" not in captured.err
+
+    def test_sin_of_infinity_names_the_call(self, capsys):
+        code, captured = run(BAD_INPUTS["param-sin-of-infinity"], capsys)
+        assert code == 2
+        assert "sin of infinite value in 'sin(u*1e+300*1e+300)'" in captured.err
+
+
+def test_import_loads_no_scipy():
+    """scipy is imported by the functions that use it, so starting the CLI
+    does not pay for it."""
+    src = os.path.dirname(os.path.dirname(darboux.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    probe = ("import sys, darboux, darboux.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 class TestCatalog:

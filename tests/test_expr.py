@@ -1,12 +1,31 @@
 """Parser, evaluator, and symbolic differentiation."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from darboux.errors import EvalDomainError, ParseError
-from darboux.expr import FUNCTIONS, differentiate, evaluate, parse, unparse
+from darboux.expr import (
+    CONSTANTS,
+    FUNCTIONS,
+    BinOp,
+    Call,
+    Const,
+    Expression,
+    Neg,
+    Num,
+    Var,
+    compile,
+    differentiate,
+    evaluate,
+    parse,
+    unparse,
+)
+from darboux.surface import implicit_from_expression, parametric_from_expressions
 
 
 def fd_derivative(e, var, env, h=1e-5):
@@ -92,6 +111,19 @@ class TestEvaluate:
     def test_unbound_variable(self):
         with pytest.raises(EvalDomainError, match="unbound"):
             evaluate(parse("u+v", ["u", "v"]), {"u": 1.0})
+
+    @pytest.mark.parametrize("fn", ["sin", "cos", "tan"])
+    @pytest.mark.parametrize("x", [math.inf, -math.inf])
+    def test_trig_of_infinity_names_the_call(self, fn, x):
+        with pytest.raises(EvalDomainError) as exc:
+            evaluate(parse(f"1 + {fn}(u)", ["u"]), {"u": x})
+        assert str(exc.value) == f"{fn} of infinite value in '{fn}(u)'"
+        assert exc.value.subexpression == f"{fn}(u)"
+
+    def test_folding_an_infinite_trig_argument_keeps_the_call(self):
+        # d/du folds cos(1e999), which used to raise a bare ValueError
+        d = differentiate(parse("sin(1e999) + u", ["u"]), "u")
+        assert evaluate(d, {"u": 0.0}) == 1.0
 
 
 class TestDifferentiate:
@@ -259,3 +291,165 @@ def test_derivative_unparse_reparses():
 def test_known_function_list_is_closed():
     for fn in FUNCTIONS:
         parse(f"{fn}(u)", ["u"])
+
+
+# ---------------------------------------------------------------------------
+# Compiled expressions against the tree walk
+
+
+def bits(x):
+    """The bits of x, every NaN alike: CPython's float + and * give
+    ``nan + -nan`` a sign bit that changes once the interpreter specializes
+    the instruction, so not even the tree walk repeats a NaN's sign."""
+    return b"nan" if math.isnan(x) else struct.pack("<d", x)
+
+
+class TestCompile:
+    def test_values_in_order(self):
+        exprs = [parse(src, ["u", "v"]) for src in ("cos(v)*cos(u)", "u^v", "2*pi - e")]
+        fn = compile(exprs, ["u", "v"])
+        env = {"u": 1.7, "v": 0.3}
+        assert fn(1.7, 0.3) == tuple(evaluate(e, env) for e in exprs)
+
+    def test_empty_list_and_no_variables(self):
+        assert compile([], ["u"])(1.0) == ()
+        assert compile([parse("2^3", [])], [])() == (8.0,)
+
+    def test_constants_keep_their_bits(self):
+        values = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324]
+        fn = compile([Expression(Num(x), ()) for x in values], [])
+        assert [struct.pack("<d", x) for x in fn()] == [struct.pack("<d", x) for x in values]
+
+    def test_undeclared_variable_rejected(self):
+        with pytest.raises(ValueError, match="not among"):
+            compile([parse("u + v", ["u", "v"])], ["u"])
+
+    @pytest.mark.parametrize("u", [0.0, -1.0])
+    def test_domain_error_text_is_the_tree_walks(self, u):
+        e = parse("1 + ln(u)", ["u"])
+        with pytest.raises(EvalDomainError) as walked:
+            evaluate(e, {"u": u})
+        with pytest.raises(EvalDomainError) as compiled:
+            compile([e], ["u"])(u)
+        assert str(compiled.value) == str(walked.value) == "ln of nonpositive value in 'ln(u)'"
+        assert compiled.value.subexpression == "ln(u)"
+
+    def test_first_failing_expression_is_reported(self):
+        a, b = parse("sqrt(u)", ["u"]), parse("ln(u)", ["u"])
+        with pytest.raises(EvalDomainError, match="sqrt of negative"):
+            compile([a, b], ["u"])(-1.0)
+        with pytest.raises(EvalDomainError, match="ln of nonpositive"):
+            compile([b, a], ["u"])(-1.0)
+
+    # the texts below are those the tree-walked surfaces raised
+    def test_operand_order_is_kept_where_subtrees_repeat(self):
+        srcs = ["u - v", "v - u", "u/v", "v/u", "u^v", "v^u", "(u - v)*(v - u)"]
+        exprs = [parse(src, ["u", "v"]) for src in srcs]
+        expected = tuple(evaluate(e, {"u": 1.5, "v": 0.25}) for e in exprs)
+        assert compile(exprs, ["u", "v"])(1.5, 0.25) == expected
+
+    def test_parametric_surface_domain_error(self):
+        surface = parametric_from_expressions("ln(u)", "v", "u", (-1.0, 1.0), (0.0, 1.0))
+        with pytest.raises(EvalDomainError) as exc:
+            surface.chart_jet(-0.5, 0.5)
+        assert str(exc.value) == "ln of nonpositive value in 'ln(u)'"
+        with pytest.raises(EvalDomainError) as exc:
+            surface.jet3(0.0, 0.5)
+        assert str(exc.value) == "division by zero in '-(-1.0*(2.0*u))/(u^2.0)^2.0'"
+
+    def test_implicit_surface_domain_error(self):
+        surface = implicit_from_expression("sqrt(x) + y^2 + z^2 - 1")
+        p = np.array([-1.0, 0.0, 0.0])
+        for method in (surface.value, surface.gradient, surface.hessian):
+            with pytest.raises(EvalDomainError) as exc:
+                method(p)
+            assert str(exc.value) == "sqrt of negative value in 'sqrt(x)'"
+
+
+VARIABLES = ("u", "v")
+
+_FLOATS = st.one_of(
+    st.floats(-4.0, 4.0),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]),
+    st.floats(),
+)
+
+
+def _trees(numbers):
+    leaves = st.one_of(
+        numbers.map(Num),
+        st.sampled_from(VARIABLES).map(Var),
+        st.sampled_from(sorted(CONSTANTS)).map(Const),
+    )
+    return st.recursive(
+        leaves,
+        lambda kids: st.one_of(
+            kids.map(Neg),
+            st.builds(BinOp, st.sampled_from("+-*/^"), kids, kids),
+            st.builds(Call, st.sampled_from(FUNCTIONS), kids),
+        ),
+        max_leaves=10,
+    )
+
+
+def assert_compiled_matches_tree_walk(fn, exprs, u, v):
+    """Equal bits where the tree walk evaluates, the same EvalDomainError
+    (message and subexpression) where it raises."""
+    try:
+        expected = [evaluate(e, {"u": u, "v": v}) for e in exprs]
+    except EvalDomainError as walked:
+        with pytest.raises(EvalDomainError) as compiled:
+            fn(u, v)
+        assert str(compiled.value) == str(walked)
+        assert compiled.value.subexpression == walked.subexpression
+        return
+    assert [bits(x) for x in fn(u, v)] == [bits(x) for x in expected]
+
+
+# ordinary values, signed zeros, the extremes, overflow edges for exp/sinh/cosh
+GRID = [0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.5, 3.0, 710.0, -710.0, 1e308, -1e308,
+        5e-324, math.inf, -math.inf, math.nan]
+
+
+@pytest.mark.parametrize("root", [
+    *(BinOp(op, Var("u"), Var("v")) for op in "+-*/^"),
+    Neg(Var("u")),
+    *(Call(fn, Var("u")) for fn in FUNCTIONS),
+], ids=lambda root: unparse(Expression(root, VARIABLES)))
+def test_each_operation_matches_tree_walk_on_a_grid(root):
+    exprs = [Expression(root, VARIABLES)]
+    fn = compile(exprs, VARIABLES)
+    for u in GRID:
+        for v in GRID:
+            assert_compiled_matches_tree_walk(fn, exprs, u, v)
+
+
+def sign_of_nan(node, env):
+    """Whether a sign() in the tree reads a NaN: its result is that NaN's
+    sign bit, which the tree walk itself does not repeat (see ``bits``)."""
+    if isinstance(node, Call) and node.fn == "sign":
+        try:
+            if math.isnan(evaluate(Expression(node.arg, VARIABLES), env)):
+                return True
+        except EvalDomainError:
+            pass
+    children = [getattr(node, name) for name in ("arg", "left", "right") if hasattr(node, name)]
+    return any(sign_of_nan(child, env) for child in children)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_trees(_FLOATS), min_size=1, max_size=3), _FLOATS, _FLOATS, st.booleans())
+def test_compiled_equals_tree_walk_bit_for_bit(roots, u, v, with_derivatives):
+    exprs = [Expression(root, VARIABLES) for root in roots]
+    if with_derivatives:  # repeated subtrees, shared by the compiled code
+        exprs += [differentiate(e, w) for e in exprs for w in VARIABLES]
+    assume(not any(sign_of_nan(e.root, {"u": u, "v": v}) for e in exprs))
+    assert_compiled_matches_tree_walk(compile(exprs, VARIABLES), exprs, u, v)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_trees(st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)))
+def test_unparse_parse_gives_an_equal_tree(root):
+    # the parser makes only finite nonnegative numbers; a minus is a Neg node
+    e = Expression(root, VARIABLES)
+    assert parse(unparse(e), VARIABLES) == e

@@ -19,6 +19,14 @@ CASES = {
     "sphere_circuit_step1e-2.csv": [
         "trace", "--surface", "builtin:sphere?r=1", "--axis", "0,0,1",
         "--angle", "45", "--seed", "0,0.785398", "--length", "4.5", "--step", "1e-2"],
+    # the same circuit on the sphere given as expressions (symbolic chart jets)
+    "sphere_param_circuit_step1e-2.csv": [
+        "trace", "--surface",
+        "param:x=1.0*cos(v)*cos(u);y=1.0*cos(v)*sin(u);z=1.0*sin(v);"
+        "u=-3.141592653589793,3.141592653589793;"
+        "v=-1.5707953267948966,1.5707953267948966;periodic=u",
+        "--axis", "0,0,1", "--angle", "45", "--seed", "0,0.785398", "--length", "4.5",
+        "--step", "1e-2"],
     # a short 60-degree isophote on the implicit torus
     "torus_implicit_step1e-2.csv": [
         "trace-implicit", "--surface", "builtin:torus?R=2&r=0.5", "--axis", "0,0,1",

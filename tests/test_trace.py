@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 import darboux
-from darboux.errors import SeedError, SingularPointError
+from darboux.errors import DarbouxError, SeedError, SingularPointError
 from darboux.surface import ImplicitSurface, ParametricSurface
 from darboux.trace import (
     TraceConfig,
+    _nearest_bracket,
     delta_coefficients,
     direction_scalars_parametric,
     find_seed,
@@ -62,6 +63,74 @@ class TestFindSeed:
         seed = find_seed(darboux.sphere(1.0), np.array([0.0, 0.0, 5.0]),
                          math.pi / 3, (0.0, 0.4))
         assert seed[1] == pytest.approx(math.pi / 6, abs=1e-11)
+
+
+def _nearest_bracket_full_scan(g, lo, hi, center, n=256):
+    """The bracket scan as first written: g at every grid point, then the
+    sign-change cell whose midpoint is nearest ``center`` by a strict <."""
+    ts = np.linspace(lo, hi, n + 1)
+    vals = np.empty(n + 1)
+    for i, t in enumerate(ts):
+        try:
+            vals[i] = g(t)
+        except DarbouxError:
+            vals[i] = np.nan
+    best = None
+    best_dist = np.inf
+    for i in range(n):
+        a, b = vals[i], vals[i + 1]
+        if np.isnan(a) or np.isnan(b) or a * b > 0:
+            continue
+        mid = 0.5 * (ts[i] + ts[i + 1])
+        dist = abs(mid - center)
+        if dist < best_dist:
+            best, best_dist = (ts[i], ts[i + 1]), dist
+    return best
+
+
+class TestNearestBracket:
+    @staticmethod
+    def grid_function(ts, values, calls):
+        """g on the grid points: a value, nan, or (None) a DarbouxError."""
+        index = {t: i for i, t in enumerate(ts.tolist())}
+
+        def g(t):
+            calls.append(t)
+            value = values[index[float(t)]]
+            if value is None:
+                raise DarbouxError("no value here")
+            return value
+
+        return g
+
+    def test_same_bracket_as_the_full_scan(self):
+        rng = np.random.default_rng(11)
+        calls_full, calls_nearest = [], []
+        for _ in range(600):
+            n = int(rng.choice([4, 16, 256]))
+            lo, hi = np.sort(rng.uniform(-4.0, 4.0, 2))
+            ts = np.linspace(lo, hi, n + 1)
+            # a random walk crosses zero a few times; holes are nan or raise
+            values = list(np.cumsum(rng.normal(size=n + 1)) + rng.normal())
+            for i in range(n + 1):
+                r = rng.random()
+                values[i] = (np.nan if r < 0.08 else None if r < 0.12
+                             else 0.0 if r < 0.14 else float(values[i]))
+            center = rng.choice([
+                rng.uniform(lo - 1.0, hi + 1.0),
+                ts[rng.integers(0, n + 1)],  # equal distances to two cells
+                0.5 * (ts[0] + ts[1]),
+                lo, hi, np.nan, np.inf,
+            ])
+            full = _nearest_bracket_full_scan(
+                self.grid_function(ts, values, calls_full), lo, hi, center, n)
+            nearest = _nearest_bracket(
+                self.grid_function(ts, values, calls_nearest), lo, hi, center, n)
+            if full is None:
+                assert nearest is None
+            else:
+                assert nearest == full
+        assert len(calls_nearest) < len(calls_full) / 2
 
 
 class TestParametricDirection:
