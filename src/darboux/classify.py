@@ -27,6 +27,8 @@ from .frames import (
     EPS_KAPPA_DEFAULT,
     CurveOnSurface,
     FrameData,
+    _curve_jet,
+    _frenet,
     deriv_uniform,
     frenet,
     sample_frames,
@@ -67,10 +69,6 @@ class CharacterizationSeries:
 
     def defined_values(self) -> np.ndarray:
         return self.values[self.mask]
-
-    @property
-    def n_defined(self) -> int:
-        return int(self.mask.sum())
 
 
 @dataclass
@@ -471,20 +469,14 @@ def rectifying_check(c, grid, tol: float = 1e-6, eps: float = 1e-9,
     tau = np.empty(len(grid))
     dot_n = np.empty(len(grid))
     for i, s in enumerate(grid):
-        fr = frenet(c, s, eps_kappa=eps_kappa)
+        jets = _curve_jet(c, s)
+        fr = _frenet(jets, s, eps_kappa)
         kappa[i], tau[i] = fr.kappa, fr.tau
-        g = _position(c, s)
-        dot_n[i] = g @ fr.N
+        dot_n[i] = jets[0] @ fr.N
     check = rectifying_from_scalars(grid, kappa, tau, tol=tol, eps=eps)
     check.gamma_dot_N = CharacterizationSeries(
         grid, dot_n, np.ones(len(grid), dtype=bool), "gamma_dot_N")
     return check
-
-
-def _position(c, s):
-    if isinstance(c, CurveOnSurface):
-        return c.gamma_jet(s)[0]
-    return c.gamma(s)
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,20 @@ interpolation and polished by up to three Newton steps, stopping at a fixed
 point, with chain-rule derivatives to third order.  The table and the
 Newton steps read only the first-order speed |gamma'(t)|; the third-order
 chain is evaluated at the sample points alone.
+
+Both run batched over an array-valued speed: the table takes one speed
+call for its nodes and midpoints and one per Simpson recursion depth, and
+the Newton polish runs on all samples of a grid at once.  Each lane keeps
+the bits of a point-by-point evaluation: the operations are elementwise in
+the same order, and np.vecdot sums each row (the |gamma'| dot product and
+the Gauss-Legendre sum) through the same BLAS ddot as ``@`` on one vector.
+A batch that fails is redone point by point, so errors are the ones a
+point-by-point pass raises first.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -36,6 +46,7 @@ from .surface import (
     chart_normal_second_derivatives,
     cross3,
     norm3,
+    norm3_rows,
     unit_normal,
 )
 
@@ -61,6 +72,11 @@ __all__ = [
 EPS_KAPPA_DEFAULT = 1e-9
 EPS_SPEED = 1e-12
 UNIT_SPEED_TOL = 1e-7
+
+# What evaluating a path, a curve or a chart can raise: the domain errors,
+# and ZeroDivisionError/OverflowError/ValueError from float arithmetic and
+# math.  A batch that raises one of these is redone point by point.
+_EVALUATION_ERRORS = (DarbouxError, ArithmeticError, ValueError)
 
 
 @dataclass(frozen=True)
@@ -123,6 +139,10 @@ class UnitSpeedCurve:
     def jet(self, s: float):
         return self.gamma(s), self.d1(s), self.d2(s), self.d3(s)
 
+    def jets(self, grid) -> list:
+        """jet(s) at each s of grid."""
+        return [self.jet(s) for s in grid]
+
     @classmethod
     def from_polyline(cls, points: np.ndarray, length: float | None = None) -> "UnitSpeedCurve":
         """Curve from uniformly spaced samples assumed unit-speed.
@@ -155,17 +175,28 @@ class UnitSpeedCurve:
 
 
 class ChartPath:
-    """Chart path (u(s), v(s)) with derivatives to third order."""
+    """Chart path (u(s), v(s)) with derivatives to third order.
 
-    def __init__(self, u, v, du, dv, ddu, ddv, dddu, dddv, s_range: tuple[float, float]):
+    ``first_order(s)``, if given, returns (u, v, u', v') at s in one call
+    with the bits of the four component functions."""
+
+    def __init__(self, u, v, du, dv, ddu, ddv, dddu, dddv, s_range: tuple[float, float],
+                 first_order=None):
         self.u, self.v = u, v
         self.du, self.dv = du, dv
         self.ddu, self.ddv = ddu, ddv
         self.dddu, self.dddv = dddu, dddv
         self.s_range = (float(s_range[0]), float(s_range[1]))
+        self._first_order = first_order
 
     def point(self, s: float) -> tuple[float, float]:
         return self.u(s), self.v(s)
+
+    def first_order(self, s: float):
+        """(u, v, u', v') at s: what the arclength speed reads."""
+        if self._first_order is not None:
+            return self._first_order(s)
+        return self.u(s), self.v(s), self.du(s), self.dv(s)
 
     def jet(self, s: float):
         """((u, v), (u', v'), (u'', v''), (u''', v'''))."""
@@ -179,21 +210,29 @@ class ChartPath:
     @classmethod
     def from_expressions(cls, u_src: str, v_src: str, s_range: tuple[float, float],
                          var: str = "s") -> "ChartPath":
-        eu = _expr.parse(u_src, [var])
-        ev = _expr.parse(v_src, [var])
-        fns = []
-        for e in (eu, ev):
-            cur = e
-            for _ in range(4):
-                fn = _expr.compile([cur], [var])
-                fns.append(lambda t, _fn=fn: _fn(t)[0])
-                cur = _expr.differentiate(cur, var)
+        exprs = []
+        for src in (u_src, v_src):
+            exprs.append(_expr.parse(src, [var]))
+            for _ in range(3):
+                exprs.append(_expr.differentiate(exprs[-1], var))
+        fns = [lambda t, _fn=_expr.compile([e], [var]): _fn(t)[0] for e in exprs]
         u, du, ddu, dddu, v, dv, ddv, dddv = fns
-        return cls(u, v, du, dv, ddu, ddv, dddu, dddv, s_range)
+        first_order = _expr.compile([exprs[0], exprs[4], exprs[1], exprs[5]], [var])
+        return cls(u, v, du, dv, ddu, ddv, dddu, dddv, s_range, first_order=first_order)
 
-    @classmethod
-    def from_functions(cls, u, v, du, dv, ddu, ddv, dddu, dddv, s_range) -> "ChartPath":
-        return cls(u, v, du, dv, ddu, ddv, dddu, dddv, s_range)
+    def chart_samples(self, surface: ParametricSurface, grid) -> list:
+        return _chart_samples(self, surface, grid)
+
+
+def _chart_samples(path, surface: ParametricSurface, grid) -> list:
+    """(path jet, chart jet, third partials) at each s of grid, the surface
+    evaluated once per sample at the path's (u, v)."""
+    out = []
+    for s in grid:
+        jet = path.jet(s)
+        u, v = jet[0]
+        out.append((jet, surface.chart_jet(u, v), surface.jet3(u, v)))
+    return out
 
 
 class CurveOnSurface:
@@ -226,23 +265,32 @@ class CurveOnSurface:
     def gamma_jet(self, s: float):
         """(gamma, gamma', gamma'', gamma''') at arclength s."""
         if self.kind == "implicit":
-            g = self.curve.jet(s)
-            f = self.surface.value(g[0])
-            if abs(f) > self.on_surface_tol:
-                raise DarbouxError(
-                    f"curve leaves surface: |f(gamma({float(s):g}))| = "
-                    f"{abs(f):g} > {self.on_surface_tol:g}"
-                )
-            return g
-        return self._chart_sample(s)[0]
+            return self._on_surface(s, self.curve.jet(s))
+        return self._chart_samples([s])[0][0]
 
-    def _chart_sample(self, s: float):
-        """The curve jet at s on a chart path, with the chart jet, the third
-        partials and the path's (u', v'), (u'', v'') it was built from."""
-        (u, v), d1, d2, d3 = self.path.jet(s)
-        jet = self.surface.chart_jet(u, v)
-        jet3 = self.surface.jet3(u, v)
-        return _chart_rule_jets(jet, jet3, d1, d2, d3), jet, jet3, d1, d2
+    def _on_surface(self, s, g):
+        """The space-curve jet g at s, checked against the implicit surface."""
+        f = self.surface.value(g[0])
+        if abs(f) > self.on_surface_tol:
+            raise DarbouxError(
+                f"curve leaves surface: |f(gamma({float(s):g}))| = "
+                f"{abs(f):g} > {self.on_surface_tol:g}"
+            )
+        return g
+
+    def _frame_inputs(self, grid) -> list:
+        """What the frame at each s of grid is built from: the space-curve
+        jet (not yet checked against the surface) or the chart sample."""
+        if self.kind == "implicit":
+            return self.curve.jets(grid)
+        return self._chart_samples(grid)
+
+    def _chart_samples(self, grid) -> list:
+        """The curve jet at each s of grid on a chart path, with the chart
+        jet, the third partials and the path's (u', v'), (u'', v'') it was
+        built from."""
+        return [(_chart_rule_jets(jet, jet3, d1, d2, d3), jet, jet3, d1, d2)
+                for (_, d1, d2, d3), jet, jet3 in self.path.chart_samples(self.surface, grid)]
 
 
 def _chart_rule_jets(jet, jet3, d1, d2, d3):
@@ -270,7 +318,12 @@ def _chart_rule_jets(jet, jet3, d1, d2, d3):
 def frenet(curve, s: float, eps_kappa: float = EPS_KAPPA_DEFAULT) -> FrenetFrame:
     """Frenet frame at s: T = gamma', kappa = |gamma''|, N = gamma''/kappa,
     B = T x N, tau = (gamma' x gamma'').gamma''' / kappa^2."""
-    g, d1, d2, d3 = _curve_jet(curve, s)
+    return _frenet(_curve_jet(curve, s), s, eps_kappa)
+
+
+def _frenet(jets, s, eps_kappa) -> FrenetFrame:
+    """frenet from the curve jet (gamma, gamma', gamma'', gamma''') at s."""
+    _, d1, d2, d3 = jets
     kappa = norm3(d2)
     if kappa <= eps_kappa:
         raise FrenetUndefinedError(
@@ -300,15 +353,18 @@ def darboux(c: CurveOnSurface, s: float) -> DarbouxFrame:
     return _darboux_frame(jets, U, U_prime, s)
 
 
-def _frame_sample(c: CurveOnSurface, s: float):
+def _frame_sample(c: CurveOnSurface, s: float, inputs=None):
     """Curve jet, unit normal U and its arclength derivative U' at s, each
-    surface quantity evaluated once.  On chart paths the chart data that
-    tau_g' needs comes along: (jet, jet3, U_u, U_v, (u', v'), (u'', v''))."""
+    surface quantity evaluated once, from the sample's ``_frame_inputs``
+    when they are given.  On chart paths the chart data that tau_g' needs
+    comes along: (jet, jet3, U_u, U_v, (u', v'), (u'', v''))."""
+    if inputs is None:
+        inputs = c._frame_inputs([s])[0]
     if c.kind == "implicit":
-        jets = c.gamma_jet(s)
+        jets = c._on_surface(s, inputs)
         U, J = c.surface.normal_and_jacobian(jets[0])
         return jets, U, J @ jets[1], None
-    jets, jet, jet3, d1, d2 = c._chart_sample(s)
+    jets, jet, jet3, d1, d2 = inputs
     U_u, U_v = chart_normal_derivatives(jet)
     du, dv = d1
     return jets, unit_normal(jet), du * U_u + dv * U_v, (jet, jet3, U_u, U_v, d1, d2)
@@ -384,9 +440,15 @@ def sample_frames(c: CurveOnSurface, grid: np.ndarray,
     tau = np.empty(n)
     tg_analytic = c.kind == "parametric"
     dtg = np.empty(n) if tg_analytic else None
+    try:
+        inputs = c._frame_inputs(grid)
+    except _EVALUATION_ERRORS:
+        # evaluate each sample with its frame instead, so that the error
+        # raised is the first one a pass in grid order meets
+        inputs = [None] * n
 
     for i, s in enumerate(grid):
-        jets, normal, U_prime, chart = _frame_sample(c, s)
+        jets, normal, U_prime, chart = _frame_sample(c, s, inputs[i])
         g, d1, d2, d3 = jets
         fr = _darboux_frame(jets, normal, U_prime, s)
         gam[i] = g
@@ -457,24 +519,76 @@ def _adaptive_simpson(f, a, b, fa, fm, fb, whole, tol, depth):
     flm, frm = f(lm), f(rm)
     left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
     right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    if depth <= 0 or abs(left + right - whole) <= 15.0 * tol:
-        return left + right + (left + right - whole) / 15.0
+    err = left + right - whole
+    if depth <= 0 or abs(err) <= 15.0 * tol:
+        return left + right + err / 15.0
+    if not math.isfinite(err):
+        # a nan or infinite estimate would split down to full depth
+        raise DarbouxError(f"speed not finite for t in [{float(a):g}, {float(b):g}]")
     half = 0.5 * tol
     return (_adaptive_simpson(f, a, m, fa, flm, fm, left, half, depth - 1)
             + _adaptive_simpson(f, m, b, fm, frm, fb, right, half, depth - 1))
 
 
+# Lanes one level of the breadth-first Simpson may hold before the table is
+# built depth-first instead (memory stays bounded on pathological speeds).
+_MAX_SIMPSON_LANES = 1 << 16
+
+
+def _adaptive_simpson_many(f_many, a, b, fa, fm, fb, whole, tol, depth):
+    """_adaptive_simpson on each interval [a_i, b_i], breadth first: the
+    intervals at one recursion depth evaluate f in one array call, and the
+    results are summed back pair by pair as the recursion sums them, so each
+    value has the recursion's bits.  Raises ArithmeticError if a lane would
+    split on a non-finite error estimate or a level outgrows the lane cap."""
+    levels = []
+    while len(a):
+        m = 0.5 * (a + b)
+        f_new = f_many(np.concatenate([0.5 * (a + m), 0.5 * (m + b)]))
+        flm, frm = f_new[:len(a)], f_new[len(a):]
+        left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
+        right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
+        err = left + right - whole
+        split = (np.flatnonzero(~(np.abs(err) <= 15.0 * tol)) if depth > 0
+                 else np.empty(0, dtype=int))
+        levels.append((split, left + right + err / 15.0))
+        if not (np.isfinite(err[split]).all() and 2 * len(split) <= _MAX_SIMPSON_LANES):
+            raise ArithmeticError("breadth-first Simpson cannot finish this table")
+        a, b = np.concatenate([a[split], m[split]]), np.concatenate([m[split], b[split]])
+        fa, fm, fb = (np.concatenate([fa[split], fm[split]]),
+                      np.concatenate([flm[split], frm[split]]),
+                      np.concatenate([fm[split], fb[split]]))
+        whole = np.concatenate([left[split], right[split]])
+        tol = 0.5 * tol
+        depth -= 1
+    values = None
+    for split, value in reversed(levels):
+        if len(split):
+            value[split] = values[:len(split)] + values[len(split):]
+        values = value
+    return values
+
+
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
+
+
+def _clip(x: np.ndarray, lo, hi) -> np.ndarray:
+    """min(max(x, lo), hi) lane by lane, ties and nans resolved as Python's."""
+    x = np.where(lo > x, lo, x)
+    return np.where(hi < x, hi, x)
 
 
 class ArclengthMap:
     """Invertible map between a raw parameter t and arclength s.
 
-    Table built with adaptive Simpson (tol 1e-10) at n+1 uniform t-nodes,
-    starting from the speeds already taken at the nodes and midpoints for
-    the vanishing-speed check.  Inverted by monotone cubic (PCHIP)
+    ``speed`` maps an (N,) array of parameters to the (N,) speeds |gamma'(t)|,
+    each lane with the bits of a one-lane call.  Table built with adaptive
+    Simpson (tol 1e-10) at n+1 uniform t-nodes, starting from the speeds
+    already taken at the nodes and midpoints for the vanishing-speed check,
+    one speed call per recursion depth.  Inverted by monotone cubic (PCHIP)
     interpolation and polished with up to three Newton steps against
-    locally Gauss-Legendre-integrated arclength, stopping at a fixed point.
+    locally Gauss-Legendre-integrated arclength, each lane stopping at its
+    own fixed point.
     """
 
     def __init__(self, speed: Callable, t_range: tuple[float, float], n: int,
@@ -484,46 +598,77 @@ class ArclengthMap:
             raise DarbouxError("empty parameter range")
         self.speed = speed
         self.t_nodes = np.linspace(t0, t1, max(int(n), 8) + 1)
-        mids = 0.5 * (self.t_nodes[:-1] + self.t_nodes[1:])
-        node_speeds = [self._checked_speed(t, eps_speed) for t in self.t_nodes]
-        mid_speeds = [self._checked_speed(t, eps_speed) for t in mids]
-        increments = []
-        for k, (a, b) in enumerate(zip(self.t_nodes[:-1], self.t_nodes[1:])):
-            fa, fm, fb = node_speeds[k], mid_speeds[k], node_speeds[k + 1]
-            whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-            increments.append(_adaptive_simpson(speed, a, b, fa, fm, fb, whole, tol, 50))
+        try:
+            increments = self._increments_by_level(tol, eps_speed)
+        except _EVALUATION_ERRORS:
+            # a lane failed: the depth-first build raises the error (or
+            # takes the path) that a point-by-point build meets first
+            increments = self._increments_depth_first(tol, eps_speed)
         self.s_nodes = np.concatenate([[0.0], np.cumsum(increments)])
         self.length = float(self.s_nodes[-1])
         from scipy.interpolate import PchipInterpolator  # deferred: scipy is slow to import
 
         self._inverse = PchipInterpolator(self.s_nodes, self.t_nodes)
 
-    def _checked_speed(self, t, eps_speed):
-        value = self.speed(t)
-        if value <= eps_speed:
-            raise VanishingSpeedError(f"vanishing speed at t={float(t):g}")
-        return value
+    def _increments_by_level(self, tol, eps_speed):
+        nodes = self.t_nodes
+        n = len(nodes) - 1
+        speeds = self.speed(np.concatenate([nodes, 0.5 * (nodes[:-1] + nodes[1:])]))
+        if not (speeds > eps_speed).all():
+            raise VanishingSpeedError("vanishing speed in the table")
+        f_nodes, fm = speeds[:n + 1], speeds[n + 1:]
+        a, b, fa, fb = nodes[:-1], nodes[1:], f_nodes[:-1], f_nodes[1:]
+        whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+        return _adaptive_simpson_many(self.speed, a, b, fa, fm, fb, whole, tol, 50)
 
-    def _arclength_from_node(self, k: int, t: float) -> float:
-        a = self.t_nodes[k]
-        half = 0.5 * (t - a)
-        pts = a + half * (_GL_NODES + 1.0)
-        return self.s_nodes[k] + half * float(_GL_WEIGHTS @ np.array([self.speed(p) for p in pts]))
+    def _increments_depth_first(self, tol, eps_speed):
+        def speed(t):
+            return self.speed(np.array([t]))[0]
+
+        def checked(t):
+            value = speed(t)
+            if value <= eps_speed:
+                raise VanishingSpeedError(f"vanishing speed at t={float(t):g}")
+            return value
+
+        mids = 0.5 * (self.t_nodes[:-1] + self.t_nodes[1:])
+        node_speeds = [checked(t) for t in self.t_nodes]
+        mid_speeds = [checked(t) for t in mids]
+        increments = []
+        for k, (a, b) in enumerate(zip(self.t_nodes[:-1], self.t_nodes[1:])):
+            fa, fm, fb = node_speeds[k], mid_speeds[k], node_speeds[k + 1]
+            whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+            increments.append(_adaptive_simpson(speed, a, b, fa, fm, fb, whole, tol, 50))
+        return increments
 
     def t_of_s(self, s: float) -> float:
-        s = min(max(float(s), 0.0), self.length)
-        t = float(self._inverse(s))
-        t = min(max(t, self.t_nodes[0]), self.t_nodes[-1])
+        return float(self.t_of_s_many([s])[0])
+
+    def t_of_s_many(self, s) -> np.ndarray:
+        """t(s) at each lane of s: the PCHIP guess, then up to three Newton
+        steps on all lanes at once, each step one speed call for the 12
+        Gauss-Legendre points and the Newton speed of every moving lane."""
+        lo, hi = self.t_nodes[0], self.t_nodes[-1]
+        s = _clip(np.asarray(s, dtype=float), 0.0, self.length)
+        t = _clip(np.asarray(self._inverse(s), dtype=float), lo, hi)
+        lanes = np.arange(len(t))
         for _ in range(3):
-            k = int(np.searchsorted(self.t_nodes, t, side="right") - 1)
-            k = min(max(k, 0), len(self.t_nodes) - 2)
-            err = self._arclength_from_node(k, t) - s
-            t_new = t - err / self.speed(t)
-            t_new = min(max(t_new, self.t_nodes[0]), self.t_nodes[-1])
-            if t_new == t:
-                # a further step would repeat this one on the same t
+            if not len(lanes):
                 break
-            t = t_new
+            tl = t[lanes]
+            k = np.searchsorted(self.t_nodes, tl, side="right") - 1
+            k = np.clip(k, 0, len(self.t_nodes) - 2)
+            a = self.t_nodes[k]
+            half = 0.5 * (tl - a)
+            pts = a[:, None] + half[:, None] * (_GL_NODES + 1.0)
+            speeds = self.speed(np.concatenate([pts, tl[:, None]], axis=1).ravel())
+            speeds = speeds.reshape(len(lanes), len(_GL_NODES) + 1)
+            err = self.s_nodes[k] + half * np.vecdot(speeds[:, :-1], _GL_WEIGHTS) - s[lanes]
+            t_new = _clip(tl - err / speeds[:, -1], lo, hi)
+            # a lane at its fixed point would repeat the same step: it stops
+            moved = t_new != tl
+            lanes = lanes[moved]
+            t[lanes] = t_new[moved]
         return t
 
 
@@ -539,36 +684,105 @@ def _arclength_chain(c1, c2, c3):
     return tp, tpp, tppp
 
 
+class _ResampledCurve(UnitSpeedCurve):
+    """A regular ParamCurve reparametrized by arclength.  Its samples come
+    from one batched inversion; ``gamma``/``d1``/``d2``/``d3`` each take the
+    whole jet at s."""
+
+    def __init__(self, raw: ParamCurve, amap: ArclengthMap):
+        self.raw, self.amap = raw, amap
+        self.length = amap.length
+        self.analytic = True
+
+    def gamma(self, s):
+        return self.jet(s)[0]
+
+    def d1(self, s):
+        return self.jet(s)[1]
+
+    def d2(self, s):
+        return self.jet(s)[2]
+
+    def d3(self, s):
+        return self.jet(s)[3]
+
+    def jet(self, s: float):
+        return self.jets([s])[0]
+
+    def jets(self, grid) -> list:
+        raw = self.raw
+        out = []
+        for t in self.amap.t_of_s_many(grid).tolist():
+            c1, c2, c3 = raw.c1(t), raw.c2(t), raw.c3(t)
+            tp, tpp, tppp = _arclength_chain(c1, c2, c3)
+            g1 = c1 * tp
+            g2 = c2 * tp * tp + c1 * tpp
+            g3 = c3 * tp**3 + 3.0 * c2 * tp * tpp + c1 * tppp
+            out.append((raw.c(t), g1, g2, g3))
+        return out
+
+
 def resample_unit_speed(raw: ParamCurve, n: int = 512) -> UnitSpeedCurve:
     """Arclength reparametrization of a regular curve, derivatives chained
     through third order."""
 
-    def speed(t):
-        return norm3(raw.c1(t))
+    def speed(ts):
+        return norm3_rows(np.array([raw.c1(t) for t in ts.tolist()]).reshape(-1, 3))
 
-    amap = ArclengthMap(speed, raw.t_range, n)
-    memo = {}
+    return _ResampledCurve(raw, ArclengthMap(speed, raw.t_range, n))
 
-    def chain(s):
-        if memo.get("s") == s:
-            return memo["value"]
-        t = amap.t_of_s(s)
-        c1, c2, c3 = raw.c1(t), raw.c2(t), raw.c3(t)
-        tp, tpp, tppp = _arclength_chain(c1, c2, c3)
-        g1 = c1 * tp
-        g2 = c2 * tp * tp + c1 * tpp
-        g3 = c3 * tp**3 + 3.0 * c2 * tp * tpp + c1 * tppp
-        value = (raw.c(t), g1, g2, g3)
-        memo["s"], memo["value"] = s, value
-        return value
 
-    return UnitSpeedCurve(
-        lambda s: chain(s)[0],
-        lambda s: chain(s)[1],
-        lambda s: chain(s)[2],
-        lambda s: chain(s)[3],
-        amap.length,
-    )
+def _jet_entry(order: int, axis: int):
+    """Accessor reading entry [order][axis] of a path's jet at s."""
+    return lambda path, s: path.jet(s)[order][axis]
+
+
+class _UnitSpeedChartPath:
+    """A chart path reparametrized to unit metric speed on one surface.
+
+    Its (u, v) and derivatives come together from one arclength inversion;
+    ChartPath's per-component accessors read the jet at s."""
+
+    u, v = _jet_entry(0, 0), _jet_entry(0, 1)
+    du, dv = _jet_entry(1, 0), _jet_entry(1, 1)
+    ddu, ddv = _jet_entry(2, 0), _jet_entry(2, 1)
+    dddu, dddv = _jet_entry(3, 0), _jet_entry(3, 1)
+
+    def __init__(self, surface: ParametricSurface, raw: ChartPath, amap: ArclengthMap):
+        self.surface, self.raw, self.amap = surface, raw, amap
+        self.s_range = (0.0, amap.length)
+
+    def point(self, s: float) -> tuple[float, float]:
+        return self.jet(s)[0]
+
+    def first_order(self, s: float):
+        (u, v), (du, dv), _, _ = self.jet(s)
+        return u, v, du, dv
+
+    def jet(self, s: float):
+        return self.chart_samples(self.surface, [s])[0][0]
+
+    def chart_samples(self, surface: ParametricSurface, grid) -> list:
+        """One t_of_s_many call, then per sample the chain rule through
+        t(s); the chart jet and third partials it evaluates at (u, v) come
+        along for the frame."""
+        if surface is not self.surface:
+            return _chart_samples(self, surface, grid)
+        out = []
+        for t in self.amap.t_of_s_many(grid).tolist():
+            (u, v), d1, d2, d3 = self.raw.jet(t)
+            jet, jet3 = surface.chart_jet(u, v), surface.jet3(u, v)
+            _, c1, c2, c3 = _chart_rule_jets(jet, jet3, d1, d2, d3)
+            tp, tpp, tppp = _arclength_chain(c1, c2, c3)
+            (du, dv), (ddu, ddv), (dddu, dddv) = d1, d2, d3
+            u_s = du * tp
+            v_s = dv * tp
+            u_ss = ddu * tp * tp + du * tpp
+            v_ss = ddv * tp * tp + dv * tpp
+            u_sss = dddu * tp**3 + 3.0 * ddu * tp * tpp + du * tppp
+            v_sss = dddv * tp**3 + 3.0 * ddv * tp * tpp + dv * tppp
+            out.append((((u, v), (u_s, v_s), (u_ss, v_ss), (u_sss, v_sss)), jet, jet3))
+        return out
 
 
 def unit_speed_chart_curve(surface: ParametricSurface, path: ChartPath,
@@ -576,46 +790,28 @@ def unit_speed_chart_curve(surface: ParametricSurface, path: ChartPath,
     """Reparametrize a chart path to unit (metric) speed and wrap it as a
     CurveOnSurface."""
 
-    def speed(t):
+    def speed_at(t):
         # |gamma'| = |u' sigma_u + v' sigma_v|, the g1 of _chart_rule_jets
-        u, v, du, dv = path.u(t), path.v(t), path.du(t), path.dv(t)
+        u, v, du, dv = path.first_order(t)
         jet = surface.chart_jet(u, v)
         return norm3(du * jet.sigma_u + dv * jet.sigma_v)
 
+    def speed(ts):
+        # speed_at on every lane, the path read on all lanes before the chart
+        try:
+            rows = [path.first_order(t) for t in ts.tolist()]
+            u, v, du, dv = np.array(rows, dtype=float).reshape(-1, 4).T
+            sigma_u, sigma_v = surface.tangents_many(u, v)
+            return norm3_rows(du[:, None] * sigma_u + dv[:, None] * sigma_v)
+        except _EVALUATION_ERRORS:
+            # lane by lane, path then chart, the first error is the one a
+            # point-by-point pass meets
+            for t in ts.tolist():
+                speed_at(t)
+            raise
+
     amap = ArclengthMap(speed, path.s_range, n)
-    jet_memo = {}
-
-    def chart_jet_of_s(s):
-        if jet_memo.get("s") == s:
-            return jet_memo["value"]
-        t = amap.t_of_s(s)
-        (u, vv_), d1, d2, d3 = path.jet(t)
-        _, c1, c2, c3 = _chart_rule_jets(surface.chart_jet(u, vv_), surface.jet3(u, vv_),
-                                         d1, d2, d3)
-        tp, tpp, tppp = _arclength_chain(c1, c2, c3)
-        (du, dv), (ddu, ddv), (dddu, dddv) = d1, d2, d3
-        u_s = du * tp
-        v_s = dv * tp
-        u_ss = ddu * tp * tp + du * tpp
-        v_ss = ddv * tp * tp + dv * tpp
-        u_sss = dddu * tp**3 + 3.0 * ddu * tp * tpp + du * tppp
-        v_sss = dddv * tp**3 + 3.0 * ddv * tp * tpp + dv * tppp
-        value = (u, vv_), (u_s, v_s), (u_ss, v_ss), (u_sss, v_sss)
-        jet_memo["s"], jet_memo["value"] = s, value
-        return value
-
-    new_path = ChartPath(
-        lambda s: chart_jet_of_s(s)[0][0],
-        lambda s: chart_jet_of_s(s)[0][1],
-        lambda s: chart_jet_of_s(s)[1][0],
-        lambda s: chart_jet_of_s(s)[1][1],
-        lambda s: chart_jet_of_s(s)[2][0],
-        lambda s: chart_jet_of_s(s)[2][1],
-        lambda s: chart_jet_of_s(s)[3][0],
-        lambda s: chart_jet_of_s(s)[3][1],
-        (0.0, amap.length),
-    )
-    return CurveOnSurface(surface, chart_path=new_path)
+    return CurveOnSurface(surface, chart_path=_UnitSpeedChartPath(surface, path, amap))
 
 
 # ---------------------------------------------------------------------------

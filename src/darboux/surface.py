@@ -76,6 +76,27 @@ def norm3(a: np.ndarray) -> float:
     return math.sqrt(float(a @ a))
 
 
+def norm3_rows(a: np.ndarray) -> np.ndarray:
+    """norm3 of each row of an (N, 3) array.
+
+    np.vecdot takes each row's dot product through the same BLAS ddot as
+    ``a @ a`` on a shape-(3,) array, so each lane has norm3's bits."""
+    return np.sqrt(np.vecdot(a, a))
+
+
+def cross3_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """cross3 of each pair of rows of two (N, 3) arrays, with its bits."""
+    return _rows(a, a[:, 1] * b[:, 2] - a[:, 2] * b[:, 1],
+                 a[:, 2] * b[:, 0] - a[:, 0] * b[:, 2], a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0])
+
+
+def _rows(like: np.ndarray, x, y, z) -> np.ndarray:
+    """(N, 3) array, N = len(like), with columns x, y, z (arrays or scalars)."""
+    out = np.empty((len(like), 3))
+    out[:, 0], out[:, 1], out[:, 2] = x, y, z
+    return out
+
+
 @dataclass(frozen=True)
 class FirstForm:
     """First-fundamental-form coefficients E, F, G of a chart."""
@@ -110,8 +131,11 @@ class ParametricSurface:
 
     ``jet_fn(u, v)`` returns the six ChartJet vectors and ``jet3_fn(u, v)``
     the four third partials (uuu, uuv, uvv, vvv) used for analytic
-    derivatives of frame scalars.  Domain is a rectangle with optional
-    periodic wrapping per parameter.
+    derivatives of frame scalars.  The optional ``tangents_fn(u, v)`` takes
+    (N,) arrays and returns (sigma_u, sigma_v) as (N, 3) arrays with the
+    bits of ``jet_fn``'s; without it ``tangents_many`` evaluates the scalar
+    jet once per lane.  Domain is a rectangle with optional periodic
+    wrapping per parameter.
     """
 
     def __init__(
@@ -124,11 +148,13 @@ class ParametricSurface:
         periodic_v: bool = False,
         *,
         jet3_fn: Callable,
+        tangents_fn: Callable | None = None,
         eps_reg: float = EPS_REG_DEFAULT,
     ):
         self.name = name
         self._jet_fn = jet_fn
         self._jet3_fn = jet3_fn
+        self._tangents_fn = tangents_fn
         self.u_range = (float(u_range[0]), float(u_range[1]))
         self.v_range = (float(v_range[0]), float(v_range[1]))
         self.periodic_u = bool(periodic_u)
@@ -156,13 +182,6 @@ class ParametricSurface:
             )
         return t
 
-    def contains(self, u: float, v: float) -> bool:
-        try:
-            self.wrap(u, v)
-        except OutOfDomainError:
-            return False
-        return True
-
     def chart_jet(self, u: float, v: float) -> ChartJet:
         u, v = self.wrap(u, v)
         jet = ChartJet(*self._jet_fn(u, v))
@@ -172,6 +191,41 @@ class ParametricSurface:
                 f"at (u, v)=({float(u):g}, {float(v):g})"
             )
         return jet
+
+    def tangents_many(self, u, v):
+        """(sigma_u, sigma_v) at each lane of the (N,) arrays u, v, as two
+        (N, 3) arrays with chart_jet's bits.  Raises chart_jet's error for
+        the first lane that chart_jet would reject."""
+        u = np.asarray(u, dtype=float)
+        v = np.asarray(v, dtype=float)
+        if self._tangents_fn is not None:
+            # numpy warns where Python floats do not (nan wraps, lanes outside
+            # the domain); such lanes are redone by chart_jet below
+            with np.errstate(all="ignore"):
+                uw, vw, outside = self._wrap_many(u, v)
+                su, sv = self._tangents_fn(uw, vw)
+                bad = outside | (norm3_rows(cross3_rows(su, sv)) <= self.eps_reg)
+            if not bad.any():
+                return su, sv
+        # lane by lane: chart_jet raises the first failing lane's own error
+        jets = [self.chart_jet(a, b) for a, b in zip(u.tolist(), v.tolist())]
+        return (np.array([j.sigma_u for j in jets]).reshape(-1, 3),
+                np.array([j.sigma_v for j in jets]).reshape(-1, 3))
+
+    def _wrap_many(self, u: np.ndarray, v: np.ndarray):
+        """wrap for (N,) arrays, with a mask of the lanes outside a
+        non-periodic range in place of the error; np.remainder has the bits
+        of Python's %."""
+        outside = np.zeros(len(u), dtype=bool)
+        wrapped = []
+        for t, (lo, hi), periodic in ((u, self.u_range, self.periodic_u),
+                                      (v, self.v_range, self.periodic_v)):
+            if periodic:
+                t = np.remainder(t - lo, hi - lo) + lo
+            else:
+                outside |= (t < lo) | (t > hi)
+            wrapped.append(t)
+        return wrapped[0], wrapped[1], outside
 
     def jet3(self, u: float, v: float):
         """Third partials (sigma_uuu, sigma_uuv, sigma_uvv, sigma_vvv)."""
@@ -417,9 +471,13 @@ def cylinder(r: float = 1.0, v_range: tuple[float, float] = (-20.0, 20.0),
         cu, su = math.cos(u), math.sin(u)
         return (vec(r * su, -r * cu, 0.0), zero, zero, zero)
 
+    def tangents(u, v):
+        cu, su = np.cos(u), np.sin(u)
+        return _rows(u, -r * su, r * cu, 0.0), _rows(u, 0.0, 0.0, 1.0)
+
     return ParametricSurface(
         f"cylinder(r={r:g})", jet, (-math.pi, math.pi), v_range,
-        periodic_u=True, jet3_fn=jet3, eps_reg=eps_reg,
+        periodic_u=True, jet3_fn=jet3, tangents_fn=tangents, eps_reg=eps_reg,
     )
 
 
@@ -467,9 +525,15 @@ def torus(R: float = 2.0, r: float = 0.5, eps_reg: float = EPS_REG_DEFAULT) -> P
             vec(rho_vvv * cu, rho_vvv * su, -r * cv),
         )
 
+    def tangents(u, v):
+        cu, su, cv, sv = np.cos(u), np.sin(u), np.cos(v), np.sin(v)
+        rho = R + r * cv
+        rho_v = -r * sv
+        return _rows(u, -rho * su, rho * cu, 0.0), _rows(u, rho_v * cu, rho_v * su, r * cv)
+
     return ParametricSurface(
         f"torus(R={R:g},r={r:g})", jet, (-math.pi, math.pi), (-math.pi, math.pi),
-        periodic_u=True, periodic_v=True, jet3_fn=jet3, eps_reg=eps_reg,
+        periodic_u=True, periodic_v=True, jet3_fn=jet3, tangents_fn=tangents, eps_reg=eps_reg,
     )
 
 

@@ -187,9 +187,9 @@ def _find_seed_parametric(surface, d, target, guess, tol, max_iter):
 def _nearest_bracket(g, lo, hi, center, n: int = 256):
     """The cell of the n-cell grid on [lo, hi] whose ends g does not give
     the same sign and whose midpoint is nearest ``center`` (the lower index
-    on a tie), or None.  Cells are visited nearest first, so g is evaluated
-    only at the ends of the cells up to the chosen one; a point where g
-    raises a DarbouxError has no sign."""
+    on a tie), as (a, g(a), b, g(b)), or None.  Cells are visited nearest
+    first, so g is evaluated only at the ends of the cells up to the chosen
+    one; a point where g raises a DarbouxError has no sign."""
     ts = np.linspace(lo, hi, n + 1)
     dists = np.abs(0.5 * (ts[:-1] + ts[1:]) - center)
     vals = {}
@@ -208,12 +208,12 @@ def _nearest_bracket(g, lo, hi, center, n: int = 256):
         a, b = value(i), value(i + 1)
         if np.isnan(a) or np.isnan(b) or a * b > 0:
             continue
-        return ts[i], ts[i + 1]
+        return ts[i], a, ts[i + 1], b
     return None
 
 
-def _bisect_newton(g, a, b, tol, max_iter):
-    ga, gb = g(a), g(b)
+def _bisect_newton(g, a, ga, b, gb, tol, max_iter):
+    """A root of g in [a, b] from g's values ga, gb at the ends."""
     if ga == 0.0:
         return a
     if gb == 0.0:

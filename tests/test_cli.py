@@ -1,5 +1,7 @@
 """Command-line interface: exit codes, formats, determinism, error paths."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -9,6 +11,8 @@ import sys
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import darboux
 from darboux.cli import main
@@ -344,6 +348,45 @@ class TestBoundaryErrors:
         code, captured = run(BAD_INPUTS["param-sin-of-infinity"], capsys)
         assert code == 2
         assert "sin of infinite value in 'sin(u*1e+300*1e+300)'" in captured.err
+
+
+# Path coefficients: zero (a zero-speed path), small values, and offsets
+# that put a non-periodic parameter off the chart.
+_COEFFICIENTS = st.one_of(st.sampled_from([0.0, 1.0, -1.0, 30.0, -30.0]),
+                          st.floats(-3.0, 3.0).map(lambda x: round(x, 3)))
+
+
+@st.composite
+def _curve_argv(draw):
+    """classify/frames argv on a random catalog surface and curve spec."""
+    command = draw(st.sampled_from(["classify", "frames"]))
+    a, b, c, d, e = (draw(_COEFFICIENTS) for _ in range(5))
+    hi = draw(st.sampled_from([0.5, 2.0, 6.0]))
+    if draw(st.booleans()):
+        surface = draw(st.sampled_from(
+            ["sphere", "cylinder", "plane", "torus", "helicoid", "ellipsoid", "monkey_saddle"]))
+        curve = f"param:u=({a})+({b})*s;v=({c})+({d})*s+({e})*sin(s);s=0,{hi}"
+    else:
+        # a latitude-like circle: on the implicit sphere for a = 0, b = 1
+        surface = draw(st.sampled_from(["sphere", "cylinder", "plane", "torus"]))
+        curve = (f"space:x=({b})*cos(s)*cos({a});y=({b})*sin(s)*cos({a});"
+                 f"z=({b})*sin({a})+({c})*s;s=0,{hi}")
+    samples = draw(st.integers(2, 50))
+    return [command, "--surface", f"builtin:{surface}", "--curve", curve,
+            "--samples", str(samples)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(argv=_curve_argv())
+def test_curve_commands_never_trace_back(argv, tmp_path_factory):
+    """Any catalog surface and curve spec ends in exit 0, 1 or 2 and never
+    in a stack trace, whichever stage (table, inversion, frames) fails."""
+    out = tmp_path_factory.mktemp("fuzz") / "out"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv + ["--out", str(out)])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
 
 
 def test_import_loads_no_scipy():

@@ -23,7 +23,13 @@ from conftest import (
     make_line_on_plane,
     make_unit_helix_space_curve,
 )
-from darboux.errors import DarbouxError, FrenetUndefinedError, VanishingSpeedError
+from darboux.errors import (
+    DarbouxError,
+    EvalDomainError,
+    FrenetUndefinedError,
+    OutOfDomainError,
+    VanishingSpeedError,
+)
 from darboux.frames import (
     ArclengthMap,
     ChartPath,
@@ -223,7 +229,15 @@ class TestUnitSpeedCondition:
     @pytest.mark.parametrize("maker", [make_helix_curve, make_latitude_curve],
                              ids=["helix", "latitude"])
     def test_metric_residual(self, maker):
-        c = maker()
+        self.assert_unit_metric_speed(maker())
+
+    def test_metric_residual_after_reparametrization(self):
+        # u = s, v = 2 s winds the torus at metric speed between 2.2 and 2.7
+        path = ChartPath.from_expressions("s", "2*s", (0.0, 2 * math.pi))
+        self.assert_unit_metric_speed(unit_speed_chart_curve(darboux.torus(2.0, 0.5), path, 256))
+
+    @staticmethod
+    def assert_unit_metric_speed(c):
         for s in np.linspace(*c.s_range, 50):
             u, v = c.path.point(s)
             ff = c.surface.first_form(u, v)
@@ -350,6 +364,11 @@ class _ReferenceArclength:
         return t
 
 
+def _per_lane(speed):
+    """An array-valued speed for ArclengthMap from a scalar one."""
+    return lambda ts: np.array([speed(t) for t in ts], dtype=float)
+
+
 class _ArclengthCase(NamedTuple):
     amap: ArclengthMap             # the map under test, on the reference's speed
     ref: _ReferenceArclength
@@ -374,11 +393,12 @@ def _arclength_cases():
     helix = resample_unit_speed(raw, n)
     return {
         "torus chart path": _ArclengthCase(
-            ArclengthMap(speed, path.s_range, n), _ReferenceArclength(speed, path.s_range, n),
+            ArclengthMap(_per_lane(speed), path.s_range, n),
+            _ReferenceArclength(speed, path.s_range, n),
             chart.s_range[1], lambda s: np.array(chart.path.point(s)),
             lambda t: np.array(path.point(t))),
         "space helix": _ArclengthCase(
-            ArclengthMap(helix_speed, raw.t_range, n),
+            ArclengthMap(_per_lane(helix_speed), raw.t_range, n),
             _ReferenceArclength(helix_speed, raw.t_range, n),
             helix.length, helix.gamma, raw.c),
     }
@@ -407,6 +427,139 @@ class TestArclengthBitIdentity:
         t_ref = case.ref.t_of_s(s)
         assert case.amap.t_of_s(s) == t_ref
         assert np.array_equal(case.point_of_s(s), case.point_of_t(t_ref))
+
+
+class TestBatchedInversion:
+    """t_of_s_many runs the Newton polish on all lanes at once and gives
+    each lane the bits of t_of_s and of the map as first written."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(name=st.sampled_from(ARCLENGTH_CASES),
+           fracs=st.lists(st.floats(-0.1, 1.1), min_size=1, max_size=40))
+    def test_lanes_match_scalar_inversion(self, name, fracs):
+        case = _arclength_cases()[name]
+        s = [f * case.ref.length for f in fracs]
+        many = case.amap.t_of_s_many(s)
+        assert [t.hex() for t in many.tolist()] == [case.amap.t_of_s(x).hex() for x in s]
+        assert [t.hex() for t in many.tolist()] == [float(case.ref.t_of_s(x)).hex() for x in s]
+
+    @pytest.mark.parametrize("name", ARCLENGTH_CASES)
+    def test_uniform_grid(self, name):
+        case = _arclength_cases()[name]
+        grid = uniform_grid(0.0, case.ref.length, 257)
+        many = case.amap.t_of_s_many(grid)
+        assert [t.hex() for t in many.tolist()] == [
+            float(case.ref.t_of_s(x)).hex() for x in grid]
+
+
+def _depth_first_chart_table(surface, path, n, eps_speed=1e-12):
+    """unit_speed_chart_curve's arclength table built point by point from a
+    scalar first-order speed: every node, then every midpoint, checked
+    against eps_speed, then Simpson depth first on each interval."""
+
+    def speed(t):
+        u, v, du, dv = path.u(t), path.v(t), path.du(t), path.dv(t)
+        jet = surface.chart_jet(u, v)
+        return norm3(du * jet.sigma_u + dv * jet.sigma_v)
+
+    def checked(t):
+        value = speed(t)
+        if value <= eps_speed:
+            raise VanishingSpeedError(f"vanishing speed at t={float(t):g}")
+        return value
+
+    nodes = np.linspace(*path.s_range, max(n, 8) + 1)
+    f_nodes = [checked(t) for t in nodes]
+    f_mids = [checked(t) for t in 0.5 * (nodes[:-1] + nodes[1:])]
+    return [_adaptive_simpson(speed, a, b, f_nodes[k], f_mids[k], f_nodes[k + 1],
+                              (b - a) / 6.0 * (f_nodes[k] + 4.0 * f_mids[k] + f_nodes[k + 1]),
+                              1e-10, 50)
+            for k, (a, b) in enumerate(zip(nodes[:-1], nodes[1:]))]
+
+
+def _raised(fn, *args):
+    """(type, message) of the exception fn(*args) raises, or None."""
+    try:
+        fn(*args)
+    except Exception as exc:  # the comparison is the point
+        return type(exc), str(exc)
+    return None
+
+
+class TestArclengthErrorParity:
+    """A failing lane in a table batch rebuilds the table depth first, and
+    a failing frame-input batch evaluates sample by sample: either way the
+    error is the one a point-by-point pass meets first."""
+
+    def assert_same_error(self, surface, path, n, expected):
+        error = _raised(unit_speed_chart_curve, surface, path, n)
+        assert error == _raised(_depth_first_chart_table, surface, path, n)
+        assert error is not None and error[0] is expected
+
+    # per-lane chart jets on the helicoid, array tangents on the cylinder
+    @pytest.mark.parametrize("surface", [darboux.helicoid(1.0),
+                                         darboux.cylinder(1.0, v_range=(-5.0, 5.0))], ids=repr)
+    @settings(max_examples=20, deadline=None)
+    @given(slope=st.floats(2.6, 20.0), n=st.integers(8, 80))
+    def test_path_leaving_the_chart(self, surface, slope, n):
+        # v = slope s leaves v <= 5 at s = 5 / slope, inside (0, 2)
+        path = ChartPath.from_expressions("s", f"{slope!r}*s", (0.0, 2.0))
+        self.assert_same_error(surface, path, n, OutOfDomainError)
+
+    def test_speed_batch_keeps_lane_order(self):
+        # lane 0 leaves the chart (v = 9), lane 1 fails in the path (ln of
+        # -0.5): the batch reads the path on every lane before the chart
+        surface = darboux.cylinder(1.0, v_range=(-5.0, 5.0))
+        path = ChartPath.from_expressions("ln(2-s)", "10*s", (0.0, 0.1))
+        c = unit_speed_chart_curve(surface, path, 8)
+
+        def point_by_point(ts):
+            for t in ts:
+                u, v, _, _ = path.first_order(t)
+                surface.chart_jet(u, v)
+
+        error = _raised(c.path.amap.speed, np.array([0.9, 2.5]))
+        assert error == _raised(point_by_point, [0.9, 2.5])
+        assert error[0] is OutOfDomainError
+
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_zero_speed_on_the_plane(self, data):
+        # u = (s - c)^3 stops at s = c, a table node (even k) or midpoint (odd k)
+        n = data.draw(st.integers(8, 80))
+        c = data.draw(st.integers(0, 2 * n)) / (2 * n)
+        path = ChartPath.from_expressions(f"(s-{c!r})^3", "0", (0.0, 1.0))
+        self.assert_same_error(darboux.plane(), path, n, VanishingSpeedError)
+
+    @settings(max_examples=20, deadline=None)
+    @given(c=st.floats(0.05, 0.95), n=st.integers(8, 80))
+    def test_log_through_nonpositive_argument(self, c, n):
+        # 0.1 ln keeps u inside the plane chart wherever ln is defined
+        path = ChartPath.from_expressions(f"0.1*ln({c!r}-s)", "0.5*s", (-1.0, 1.0))
+        self.assert_same_error(darboux.plane(), path, n, EvalDomainError)
+
+    def test_frames_keep_grid_order(self):
+        # u = s, v = 3 s at speed > 1 on the helicoid: the first sample's
+        # frame fails (not unit speed) before v leaves the chart at s = 5/3
+        c = CurveOnSurface(darboux.helicoid(1.0),
+                           chart_path=constant_speed_path(0.0, 0.0, 1.0, 3.0, (0.0, 3.0)))
+        grid = uniform_grid(0.0, 3.0, 31)
+
+        def point_by_point():
+            for s in grid:
+                darboux_frame(c, s)
+
+        error = _raised(sample_frames, c, grid)
+        assert error == _raised(point_by_point)
+        assert error[0] is DarbouxError and "not unit speed at s=0:" in error[1]
+
+    def test_non_finite_speed_raises(self):
+        # a nan speed inside the table used to split Simpson to full depth
+        def speed(ts):
+            return np.where(ts > 0.3, np.nan, 1.0)
+
+        with pytest.raises(DarbouxError, match="speed not finite for t in"):
+            ArclengthMap(speed, (0.0, 1.0), 8)
 
 
 class TestArclengthEvaluationCounts:
@@ -440,11 +593,16 @@ class TestArclengthEvaluationCounts:
         assert calls == {"jet": 4 * n + 1, "jet3": 0}
         calls["jet"] = 0
         sample_frames(c, uniform_grid(0.0, c.s_range[1], samples))
-        # each sample: the third-order chain at t(s) and the frame itself
-        assert calls["jet3"] <= 2 * samples
-        # three Newton steps of 13 speeds each plus 2 would be 41 per
+        # each sample: one chart jet and one jet3 at (u(s), v(s)), shared by
+        # the third-order chain through t(s) and the frame itself
+        assert calls["jet3"] == samples
+        # the rest are Newton steps of 13 speeds each, at most three per
         # sample; the fixed-point exit saves a step on many samples
-        assert calls["jet"] <= 36 * samples
+        newton_speeds = calls["jet"] - samples
+        assert newton_speeds % 13 == 0
+        assert newton_speeds // 13 < 3 * samples
+        # measured 30.2 chart jets per sample (2.2 Newton steps)
+        assert calls["jet"] <= 31 * samples
 
 
 class TestPolyline:

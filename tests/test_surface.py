@@ -2,9 +2,12 @@
 fundamental forms, normals, implicit jets, and projection."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import darboux
 from darboux.errors import (
@@ -126,6 +129,74 @@ class TestChartJet:
     def test_out_of_domain_nonperiodic(self):
         with pytest.raises(OutOfDomainError):
             darboux.plane().chart_jet(100.0, 0.0)
+
+
+# Every catalog chart, plus charts with regular and irregular lanes: a
+# sphere small enough that |sigma_u x sigma_v| = r^2 cos(v) falls below
+# eps_reg = 1e-10 for |v| > 0.80 (per-lane tangents), and a torus whose
+# |sigma_u x sigma_v| = r (R + r cos(v)) is at most eps_reg = 1 where
+# cos(v) <= 0 (array tangents).
+TANGENT_CHARTS = [twin[0] for twin in CATALOG_WITH_TWINS] + [
+    darboux.sphere(1.2e-5), darboux.torus(2.0, 0.5, eps_reg=1.0)]
+
+
+def _bits(values):
+    return [struct.pack("<d", x) for x in np.asarray(values, dtype=float).ravel().tolist()]
+
+
+def _raised(fn, *args):
+    """(type, message) of what fn(*args) raises, or None and the value."""
+    try:
+        return None, fn(*args)
+    except Exception as exc:  # the comparison is the point
+        return (type(exc), str(exc)), None
+
+
+def _chart_parameter(surface, which):
+    """Periodic parameters from three periods either side of the range, the
+    others from the range widened by 5 % at each end (some lanes outside)."""
+    lo, hi = surface.u_range if which == "u" else surface.v_range
+    periodic = surface.periodic_u if which == "u" else surface.periodic_v
+    pad = 3.0 * (hi - lo) if periodic else 0.05 * (hi - lo)
+    return st.floats(lo - pad, hi + pad)
+
+
+class TestTangentsMany:
+    """tangents_many is chart_jet's (sigma_u, sigma_v) lane by lane, to the
+    bit, and raises chart_jet's error for the first lane it rejects."""
+
+    @staticmethod
+    def scalar_tangents(surface, us, vs):
+        jets = [surface.chart_jet(u, v) for u, v in zip(us, vs)]
+        return [j.sigma_u for j in jets], [j.sigma_v for j in jets]
+
+    @pytest.mark.parametrize("surface", TANGENT_CHARTS, ids=repr)
+    def test_bits_on_regular_points(self, surface):
+        pts = regular_points(surface, 40)
+        us, vs = [p[0] for p in pts], [p[1] for p in pts]
+        su, sv = surface.tangents_many(us, vs)
+        ref_u, ref_v = self.scalar_tangents(surface, us, vs)
+        assert _bits(su) == _bits(ref_u)
+        assert _bits(sv) == _bits(ref_v)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_lanes_match_chart_jet(self, data):
+        surface = data.draw(st.sampled_from(TANGENT_CHARTS))
+        lanes = data.draw(st.lists(
+            st.tuples(_chart_parameter(surface, "u"), _chart_parameter(surface, "v")),
+            min_size=1, max_size=8))
+        us, vs = [p[0] for p in lanes], [p[1] for p in lanes]
+        error, many = _raised(surface.tangents_many, us, vs)
+        ref_error, ref = _raised(self.scalar_tangents, surface, us, vs)
+        assert error == ref_error
+        if ref is not None:
+            assert _bits(many[0]) == _bits(ref[0])
+            assert _bits(many[1]) == _bits(ref[1])
+
+    def test_no_lanes(self):
+        su, sv = darboux.torus().tangents_many([], [])
+        assert su.shape == sv.shape == (0, 3)
 
 
 class TestFirstForm:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import darboux
+import darboux.trace as trace_module
 from darboux.errors import DarbouxError, SeedError, SingularPointError
 from darboux.surface import ImplicitSurface, ParametricSurface
 from darboux.trace import (
@@ -129,8 +130,27 @@ class TestNearestBracket:
             if full is None:
                 assert nearest is None
             else:
-                assert nearest == full
+                a, ga, b, gb = nearest
+                assert (a, b) == full
+                # the values at the ends come along for the bisection
+                i = int(np.flatnonzero(ts == a)[0])
+                assert (ga, gb) == (values[i], values[i + 1])
         assert len(calls_nearest) < len(calls_full) / 2
+
+    def test_seed_search_reuses_the_bracket_values(self, monkeypatch):
+        # the bisection starts from g at the bracket ends the scan took:
+        # 99 evaluations of g where re-evaluating both ends took 101
+        calls = []
+        angle_value = trace_module._angle_value_parametric
+
+        def counted(*args):
+            calls.append(args)
+            return angle_value(*args)
+
+        monkeypatch.setattr(trace_module, "_angle_value_parametric", counted)
+        seed = find_seed(darboux.sphere(1.0), EZ, math.radians(35.0), (0.0, 0.4))
+        assert len(calls) == 99
+        assert [float(x).hex() for x in seed] == ["0x0.0p+0", "0x1.eb7c166fdfff1p-1"]
 
 
 class TestParametricDirection:
