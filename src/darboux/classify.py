@@ -22,6 +22,7 @@ from .errors import (
     DarbouxError,
     DegenerateFrameError,
     InsufficientSamplesError,
+    numerical,
 )
 from .frames import (
     EPS_KAPPA_DEFAULT,
@@ -33,6 +34,7 @@ from .frames import (
     frenet,
     sample_frames,
 )
+from .surface import _floats, dot3, dot3_rows, norm3, norm3_rows
 
 __all__ = [
     "CharacterizationSeries",
@@ -308,11 +310,11 @@ def position_decomposition(c, grid=None, plane_tol: float | None = None) -> Posi
     requires max |<gamma,U>| below it.  Default tolerance is
     1e-8 * (1 + max |gamma|)."""
     data = _as_data(c, grid)
-    dt = np.einsum("ij,ij->i", data.gamma, data.T)
-    dv = np.einsum("ij,ij->i", data.gamma, data.V)
-    du = np.einsum("ij,ij->i", data.gamma, data.U)
+    dt = dot3_rows(data.gamma, data.T)
+    dv = dot3_rows(data.gamma, data.V)
+    du = dot3_rows(data.gamma, data.U)
     if plane_tol is None:
-        plane_tol = 1e-8 * (1.0 + float(np.max(np.linalg.norm(data.gamma, axis=1))))
+        plane_tol = 1e-8 * (1.0 + float(np.max(norm3_rows(data.gamma))))
     mask = np.ones(data.n, dtype=bool)
     return PositionDecomposition(
         CharacterizationSeries(data.s, dt, mask.copy(), "gamma_dot_T"),
@@ -351,7 +353,7 @@ def position_theorem_residual(c, grid=None, which: str = "TU",
         claimed = ((am * am / q)[:, None] * data.V[mask]
                    - (am * tgm / q)[:, None] * data.T[mask])
     res = np.full(data.n, np.nan)
-    res[mask] = np.linalg.norm(data.gamma[mask] - claimed, axis=1)
+    res[mask] = norm3_rows(data.gamma[mask] - claimed)
     return CharacterizationSeries(data.s, res, mask, f"position_residual_{which}")
 
 
@@ -414,10 +416,11 @@ def recover_axis(vectors: np.ndarray, axis_gap: float = 1e-12) -> AxisEstimate:
         raise DarbouxError("recover_axis needs at least 3 vectors of shape (n, 3)")
     mean = w.mean(axis=0)
     centered = w - mean
-    cov = centered.T @ centered / len(w)
+    # the sum of the samples' outer products, elementwise (no BLAS)
+    cov = (centered[:, :, None] * centered[:, None, :]).sum(axis=0) / len(w)
     eigvals, eigvecs = np.linalg.eigh(cov)  # ascending
     ambiguous = bool(eigvals[1] - eigvals[0] < axis_gap)
-    mean_norm = float(np.linalg.norm(mean))
+    mean_norm = norm3(mean.tolist())
     if ambiguous and eigvals[1] < axis_gap and mean_norm > 0.0:
         # fully degenerate (e.g. a constant series): every axis has zero
         # projection variance; take the one maximizing the mean projection
@@ -425,7 +428,7 @@ def recover_axis(vectors: np.ndarray, axis_gap: float = 1e-12) -> AxisEstimate:
         angle = math.acos(min(mean_norm, 1.0))
         return AxisEstimate(d, angle, float(eigvals[0]), True, None)
     d = eigvecs[:, 0]
-    proj = float(mean @ d)
+    proj = dot3(mean.tolist(), d.tolist())
     if proj < 0.0:
         d = -d
         proj = -proj
@@ -433,7 +436,7 @@ def recover_axis(vectors: np.ndarray, axis_gap: float = 1e-12) -> AxisEstimate:
     candidates = None
     if ambiguous:
         d2 = eigvecs[:, 1]
-        if mean @ d2 < 0:
+        if dot3(mean.tolist(), d2.tolist()) < 0:
             d2 = -d2
         candidates = (d.copy(), d2)
     return AxisEstimate(d, float(angle), float(eigvals[0]), ambiguous, candidates)
@@ -472,7 +475,7 @@ def rectifying_check(c, grid, tol: float = 1e-6, eps: float = 1e-9,
         jets = _curve_jet(c, s)
         fr = _frenet(jets, s, eps_kappa)
         kappa[i], tau[i] = fr.kappa, fr.tau
-        dot_n[i] = jets[0] @ fr.N
+        dot_n[i] = dot3(_floats(jets[0]), fr.N.tolist())
     check = rectifying_from_scalars(grid, kappa, tau, tol=tol, eps=eps)
     check.gamma_dot_N = CharacterizationSeries(
         grid, dot_n, np.ones(len(grid), dtype=bool), "gamma_dot_N")
@@ -508,6 +511,7 @@ def _series_payload(series: CharacterizationSeries) -> dict:
     return {"s": series.s.tolist(), "values": vals, "mask": series.mask.tolist()}
 
 
+@numerical
 def classify_report(c: CurveOnSurface, grid, tols: Tolerances | None = None,
                     c_const: float = 1.0) -> ClassificationReport:
     """Full classification: constancy verdicts, special-type flags, plane

@@ -54,7 +54,7 @@ def _axis(text: str) -> np.ndarray:
     d = np.array(_parse_floats(text, 3, "--axis"))
     if not np.isfinite(d).all():
         raise DarbouxError(f"--axis must be finite, got {text!r}")
-    n = float(np.linalg.norm(d))
+    n = _surface.norm3(d.tolist())
     if n == 0.0:
         raise DarbouxError("--axis must be nonzero")
     return d / n
@@ -247,17 +247,7 @@ def _cmd_trace(args, implicit: bool) -> int:
 
     def run_one(phi_k: float, out_path: str | None):
         # the CLI treats --seed as a guess: snap it onto the exact level
-        target = math.cos(phi_k)
-        if implicit:
-            p = _trace.project_to_implicit(surface, np.asarray(guess, dtype=float),
-                                           config.projection_tol)
-            level = float(surface.unit_normal(p) @ d)
-            seed = p if abs(level - target) <= config.seed_tol else _trace.find_seed(
-                surface, d, phi_k, guess)
-        else:
-            level = _trace._angle_value_parametric(surface, d, guess[0], guess[1])
-            seed = guess if abs(level - target) <= config.seed_tol else _trace.find_seed(
-                surface, d, phi_k, guess)
+        seed = _trace.snap_seed(surface, d, phi_k, guess, config)
         result = _trace.trace_isophote(surface, d, phi_k, seed, config)
         if args.format == "csv":
             _write(out_path, trace_csv(result))

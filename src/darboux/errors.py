@@ -4,6 +4,13 @@ Everything raised on bad geometry or bad input derives from DarbouxError so
 front ends can separate domain failures (exit code 2) from genuine bugs.
 """
 
+import functools
+
+# What Python float arithmetic and the math module raise where numpy would
+# return inf or nan: OverflowError and ZeroDivisionError (ArithmeticError),
+# and the ValueError of an argument outside a math function's domain.
+ARITHMETIC_ERRORS = (ArithmeticError, ValueError)
+
 
 class DarbouxError(Exception):
     """Base class for all domain errors raised by this package."""
@@ -62,3 +69,28 @@ class SingularPointError(DarbouxError):
 
 class SeedError(DarbouxError):
     """Seed-finding failed or a supplied seed is not on the isophote level."""
+
+
+class NumericalError(DarbouxError):
+    """Float arithmetic failed: an overflow, a division by zero or an
+    argument outside a math function's domain, as on surfaces scaled near
+    the ends of the float range."""
+
+    @classmethod
+    def of(cls, exc: Exception) -> "NumericalError":
+        # OverflowError carries (errno, message): keep the message
+        detail = exc.args[-1] if exc.args else type(exc).__name__
+        return cls(f"float arithmetic failed: {detail}")
+
+
+def numerical(fn):
+    """fn, raising NumericalError where float arithmetic fails in it."""
+
+    @functools.wraps(fn)
+    def checked(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except ARITHMETIC_ERRORS as exc:
+            raise NumericalError.of(exc) from exc
+
+    return checked

@@ -19,8 +19,8 @@ Both run batched over an array-valued speed: the table takes one speed
 call for its nodes and midpoints and one per Simpson recursion depth, and
 the Newton polish runs on all samples of a grid at once.  Each lane keeps
 the bits of a point-by-point evaluation: the operations are elementwise in
-the same order, and np.vecdot sums each row (the |gamma'| dot product and
-the Gauss-Legendre sum) through the same BLAS ddot as ``@`` on one vector.
+the same order, and the sums of a row (the |gamma'| dot product and the
+Gauss-Legendre sum) are accumulated left to right as ``surface.dot3`` sums.
 A batch that fails is redone point by point, so errors are the ones a
 point-by-point pass raises first.
 """
@@ -35,16 +35,23 @@ import numpy as np
 
 from . import expr as _expr
 from .errors import (
+    ARITHMETIC_ERRORS,
     DarbouxError,
     FrenetUndefinedError,
     VanishingSpeedError,
+    numerical,
 )
 from .surface import (
     ImplicitSurface,
     ParametricSurface,
+    _cross,
+    _floats,
+    _lincomb,
+    _matvec,
     chart_normal_derivatives,
     chart_normal_second_derivatives,
     cross3,
+    dot3,
     norm3,
     norm3_rows,
     unit_normal,
@@ -76,7 +83,7 @@ UNIT_SPEED_TOL = 1e-7
 # What evaluating a path, a curve or a chart can raise: the domain errors,
 # and ZeroDivisionError/OverflowError/ValueError from float arithmetic and
 # math.  A batch that raises one of these is redone point by point.
-_EVALUATION_ERRORS = (DarbouxError, ArithmeticError, ValueError)
+_EVALUATION_ERRORS = (DarbouxError, *ARITHMETIC_ERRORS)
 
 
 @dataclass(frozen=True)
@@ -157,7 +164,7 @@ class UnitSpeedCurve:
         if n < 5:
             raise DarbouxError("polyline needs at least 5 samples")
         if length is None:
-            length = float(np.sum(np.linalg.norm(np.diff(points, axis=0), axis=1)))
+            length = float(np.sum(norm3_rows(np.diff(points, axis=0))))
         s = np.linspace(0.0, length, n)
         h = s[1] - s[0]
         d1 = deriv_uniform(points, h)
@@ -324,7 +331,7 @@ def frenet(curve, s: float, eps_kappa: float = EPS_KAPPA_DEFAULT) -> FrenetFrame
 def _frenet(jets, s, eps_kappa) -> FrenetFrame:
     """frenet from the curve jet (gamma, gamma', gamma'', gamma''') at s."""
     _, d1, d2, d3 = jets
-    kappa = norm3(d2)
+    kappa = norm3(_floats(d2))
     if kappa <= eps_kappa:
         raise FrenetUndefinedError(
             f"Frenet frame undefined: curvature {kappa:g} <= {eps_kappa:g} at s={float(s):g}"
@@ -332,8 +339,13 @@ def _frenet(jets, s, eps_kappa) -> FrenetFrame:
     T = d1
     N = d2 / kappa
     B = cross3(T, N)
-    tau = float(cross3(d1, d2) @ d3) / kappa**2
+    tau = _triple(d1, d2, d3) / kappa**2
     return FrenetFrame(T, N, B, kappa, tau)
+
+
+def _triple(a, b, c) -> float:
+    """(a x b) . c of three 3-vectors."""
+    return dot3(_cross(_floats(a), _floats(b)), _floats(c))
 
 
 def _curve_jet(curve, s):
@@ -363,7 +375,7 @@ def _frame_sample(c: CurveOnSurface, s: float, inputs=None):
     if c.kind == "implicit":
         jets = c._on_surface(s, inputs)
         U, J = c.surface.normal_and_jacobian(jets[0])
-        return jets, U, J @ jets[1], None
+        return jets, U, np.array(_matvec(J.tolist(), _floats(jets[1]))), None
     jets, jet, jet3, d1, d2 = inputs
     U_u, U_v = chart_normal_derivatives(jet)
     du, dv = d1
@@ -372,15 +384,16 @@ def _frame_sample(c: CurveOnSurface, s: float, inputs=None):
 
 def _darboux_frame(jets, U, U_prime, s) -> DarbouxFrame:
     _, d1, d2, _ = jets
-    speed = norm3(d1)
+    speed = norm3(_floats(d1))
     if abs(speed - 1.0) > UNIT_SPEED_TOL:
         raise DarbouxError(
             f"curve is not unit speed at s={float(s):g}: |gamma'| = {speed:.6g}")
     T = d1
     V = cross3(U, T)
-    kn = float(d2 @ U)
-    kg = float(d2 @ V)
-    tg = float(-U_prime @ V)
+    d2f, Vf = _floats(d2), V.tolist()
+    kn = dot3(d2f, U.tolist())
+    kg = dot3(d2f, Vf)
+    tg = -dot3(U_prime.tolist(), Vf)
     return DarbouxFrame(T, V, U, kg, kn, tg)
 
 
@@ -394,7 +407,8 @@ class FrameData:
 
     dkg/dkn are always analytic (third-order curve jets); dtg is analytic
     on chart paths (third-order chart jets) and a 5-point central difference
-    of tg on space curves.
+    of tg on space curves.  ``kappa`` is hypot(kg, kn) and ``accel`` is
+    |gamma''| read off the curve jet, independent of the frame.
     """
 
     s: np.ndarray
@@ -412,6 +426,7 @@ class FrameData:
     tau: np.ndarray
     analytic: bool
     eps_kappa: float = EPS_KAPPA_DEFAULT
+    accel: np.ndarray | None = None
 
     @property
     def n(self) -> int:
@@ -422,6 +437,7 @@ class FrameData:
         return self.kappa > self.eps_kappa
 
 
+@numerical
 def sample_frames(c: CurveOnSurface, grid: np.ndarray,
                   eps_kappa: float = EPS_KAPPA_DEFAULT) -> FrameData:
     """Evaluate Darboux data over a uniform grid of arclength values."""
@@ -438,6 +454,7 @@ def sample_frames(c: CurveOnSurface, grid: np.ndarray,
     dkg = np.empty(n)
     dkn = np.empty(n)
     tau = np.empty(n)
+    accel = np.empty(n)
     tg_analytic = c.kind == "parametric"
     dtg = np.empty(n) if tg_analytic else None
     try:
@@ -455,23 +472,25 @@ def sample_frames(c: CurveOnSurface, grid: np.ndarray,
         T[i], V[i], U[i] = fr.T, fr.V, fr.U
         kg[i], kn[i], tg[i] = fr.kg, fr.kn, fr.tg
         # k_g' = gamma'''.V + tau_g k_n ; k_n' = gamma'''.U - tau_g k_g
-        dkg[i] = d3 @ fr.V + fr.tg * fr.kn
-        dkn[i] = d3 @ fr.U - fr.tg * fr.kg
+        d3 = _floats(d3)
+        dkg[i] = dot3(d3, fr.V.tolist()) + fr.tg * fr.kn
+        dkn[i] = dot3(d3, fr.U.tolist()) - fr.tg * fr.kg
         kap2 = fr.kg**2 + fr.kn**2
-        tau[i] = (cross3(d1, d2) @ d3) / kap2 if kap2 > eps_kappa**2 else np.nan
+        tau[i] = _triple(d1, d2, d3) / kap2 if kap2 > eps_kappa**2 else np.nan
+        accel[i] = norm3(_floats(d2))
         if tg_analytic:
             # tau_g' = -U''.V - k_n k_g with U'' along the curve
             jet, jet3, U_u, U_v, (du, dv), (ddu, ddv) = chart
             U_uu, U_uv, U_vv = chart_normal_second_derivatives(jet, jet3)
             U_pp = (ddu * U_u + ddv * U_v
                     + du * du * U_uu + 2.0 * du * dv * U_uv + dv * dv * U_vv)
-            dtg[i] = -(U_pp @ fr.V) - fr.kn * fr.kg
+            dtg[i] = -dot3(U_pp.tolist(), fr.V.tolist()) - fr.kn * fr.kg
 
     if not tg_analytic:
         dtg = deriv_uniform(tg, grid[1] - grid[0])
     kappa = np.hypot(kg, kn)
     return FrameData(grid, gam, T, V, U, kg, kn, tg, dkg, dkn, dtg, kappa, tau,
-                     analytic=c.analytic, eps_kappa=eps_kappa)
+                     analytic=c.analytic, eps_kappa=eps_kappa, accel=accel)
 
 
 @dataclass
@@ -498,7 +517,7 @@ def normal_angle_series(c: CurveOnSurface, grid: np.ndarray,
             f"Frenet frame undefined (kappa <= {eps_kappa:g}) at s={float(bad[0]):g}"
         )
     # |gamma''| rather than hypot(kg, kn): keeps r1/r2 sensitive to frame error
-    kappa = np.array([norm3(c.gamma_jet(s)[2]) for s in data.s])
+    kappa = data.accel
     theta = np.unwrap(np.arctan2(data.kn, data.kg))
     theta_prime = deriv_uniform(theta, data.s[1] - data.s[0])
     r1 = data.kn - kappa * np.sin(theta)
@@ -509,6 +528,13 @@ def normal_angle_series(c: CurveOnSurface, grid: np.ndarray,
 
 # ---------------------------------------------------------------------------
 # Arclength reparametrization
+
+
+# An interval also stops splitting once Simpson's error estimate is within
+# a few ulps of the estimate itself (8 |whole| 2^-52): there it is rounding
+# noise, which splitting does not shrink, and on arclengths far above the
+# absolute tolerance (curves scaled to 1e60) it would split to full depth.
+_SIMPSON_ROUNDING = 8.0 * 2.0**-52
 
 
 def _adaptive_simpson(f, a, b, fa, fm, fb, whole, tol, depth):
@@ -525,6 +551,8 @@ def _adaptive_simpson(f, a, b, fa, fm, fb, whole, tol, depth):
     if not math.isfinite(err):
         # a nan or infinite estimate would split down to full depth
         raise DarbouxError(f"speed not finite for t in [{float(a):g}, {float(b):g}]")
+    if abs(err) <= _SIMPSON_ROUNDING * abs(whole):
+        return left + right + err / 15.0
     half = 0.5 * tol
     return (_adaptive_simpson(f, a, m, fa, flm, fm, left, half, depth - 1)
             + _adaptive_simpson(f, m, b, fm, frm, fb, right, half, depth - 1))
@@ -549,8 +577,12 @@ def _adaptive_simpson_many(f_many, a, b, fa, fm, fb, whole, tol, depth):
         left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
         right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
         err = left + right - whole
-        split = (np.flatnonzero(~(np.abs(err) <= 15.0 * tol)) if depth > 0
-                 else np.empty(0, dtype=int))
+        # _adaptive_simpson's tests in its order: within tol, not finite
+        # (split, then raise below), within rounding of whole
+        abs_err = np.abs(err)
+        settled = (abs_err <= 15.0 * tol) | (np.isfinite(err)
+                                            & (abs_err <= _SIMPSON_ROUNDING * np.abs(whole)))
+        split = np.flatnonzero(~settled) if depth > 0 else np.empty(0, dtype=int)
         levels.append((split, left + right + err / 15.0))
         if not (np.isfinite(err[split]).all() and 2 * len(split) <= _MAX_SIMPSON_LANES):
             raise ArithmeticError("breadth-first Simpson cannot finish this table")
@@ -570,6 +602,15 @@ def _adaptive_simpson_many(f_many, a, b, fa, fm, fb, whole, tol, depth):
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
+
+
+def _gl_sum(speeds: np.ndarray) -> np.ndarray:
+    """sum_j w_j f_j of each row of the (N, 12) speeds, accumulated left to
+    right from j = 0 (no BLAS, so the bits do not depend on its kernel)."""
+    total = speeds[:, 0] * _GL_WEIGHTS[0]
+    for j in range(1, len(_GL_WEIGHTS)):
+        total = total + speeds[:, j] * _GL_WEIGHTS[j]
+    return total
 
 
 def _clip(x: np.ndarray, lo, hi) -> np.ndarray:
@@ -663,7 +704,7 @@ class ArclengthMap:
             pts = a[:, None] + half[:, None] * (_GL_NODES + 1.0)
             speeds = self.speed(np.concatenate([pts, tl[:, None]], axis=1).ravel())
             speeds = speeds.reshape(len(lanes), len(_GL_NODES) + 1)
-            err = self.s_nodes[k] + half * np.vecdot(speeds[:, :-1], _GL_WEIGHTS) - s[lanes]
+            err = self.s_nodes[k] + half * _gl_sum(speeds[:, :-1]) - s[lanes]
             t_new = _clip(tl - err / speeds[:, -1], lo, hi)
             # a lane at its fixed point would repeat the same step: it stops
             moved = t_new != tl
@@ -675,9 +716,10 @@ class ArclengthMap:
 def _arclength_chain(c1, c2, c3):
     """(t', t'', t''') of t(s), the inverse of arclength, from the curve's
     raw derivatives c1, c2, c3 in t."""
+    c1, c2, c3 = _floats(c1), _floats(c2), _floats(c3)
     v = norm3(c1)
-    vd = float(c1 @ c2) / v
-    vdd = (float(c2 @ c2) + float(c1 @ c3) - vd * vd) / v
+    vd = dot3(c1, c2) / v
+    vdd = (dot3(c2, c2) + dot3(c1, c3) - vd * vd) / v
     tp = 1.0 / v
     tpp = -vd / v**3
     tppp = (3.0 * vd * vd - v * vdd) / v**5
@@ -793,8 +835,8 @@ def unit_speed_chart_curve(surface: ParametricSurface, path: ChartPath,
     def speed_at(t):
         # |gamma'| = |u' sigma_u + v' sigma_v|, the g1 of _chart_rule_jets
         u, v, du, dv = path.first_order(t)
-        jet = surface.chart_jet(u, v)
-        return norm3(du * jet.sigma_u + dv * jet.sigma_v)
+        _, su, sv = surface.chart_point(u, v)[0][:3]
+        return norm3(_lincomb(du, su, dv, sv))
 
     def speed(ts):
         # speed_at on every lane, the path read on all lanes before the chart

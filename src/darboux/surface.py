@@ -1,6 +1,10 @@
 """Parametric and implicit surfaces with analytic jets to third order.
 
-All points and frame vectors are plain numpy arrays of shape (3,), float64.
+The public functions and methods take and return plain numpy arrays of
+shape (3,), float64.  Each wraps a float kernel that works on tuples of
+Python floats (``chart_point``, ``level_point`` and the ``_``-prefixed
+functions below), which is what the isophote tracer runs on.
+
 Catalog surfaces (sphere, cylinder, plane, torus, helicoid, ellipsoid,
 monkey saddle) carry hand-written jets; surfaces built from expression text
 get exact jets from symbolic differentiation, which keeps the two routes
@@ -30,6 +34,7 @@ from .errors import (
 )
 
 __all__ = [
+    "dot3",
     "FirstForm",
     "ChartJet",
     "ParametricSurface",
@@ -58,30 +63,47 @@ EPS_REG_DEFAULT = 1e-10
 POLE_MARGIN = 1e-6
 
 
-def vec(x, y, z) -> np.ndarray:
-    return np.array([x, y, z], dtype=float)
+# ---------------------------------------------------------------------------
+# Float kernels.  A 3-vector is a sequence of three Python floats (a tuple,
+# or the list an array's tolist() gives); a 3x3 matrix is three such rows.
+# Every inner product is dot3's left-to-right sum, so the bits depend on
+# neither the numpy build nor the BLAS kernel the CPU selects.
 
 
-def cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.cross for two shape-(3,) arrays, without its axis bookkeeping.
+def dot3(a, b) -> float:
+    """a . b of two 3-vectors summed left to right, (a0 b0 + a1 b1) + a2 b2,
+    each product and each sum rounded once (no fused multiply-add)."""
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return a0 * b0 + a1 * b1 + a2 * b2
 
-    Same products and differences in the same order, so the same bits."""
-    a0, a1, a2 = a.tolist()
-    b0, b1, b2 = b.tolist()
-    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+
+def norm3(a) -> float:
+    """|a| of a 3-vector: the square root of dot3(a, a)."""
+    return math.sqrt(dot3(a, a))
 
 
-def norm3(a: np.ndarray) -> float:
-    """np.linalg.norm of a shape-(3,) float array: sqrt of the dot product."""
-    return math.sqrt(float(a @ a))
+def dot3_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """dot3 of each pair of rows of two (N, 3) arrays: the same sum on the
+    columns, elementwise in the same order, so each lane has dot3's bits."""
+    return a[:, 0] * b[:, 0] + a[:, 1] * b[:, 1] + a[:, 2] * b[:, 2]
 
 
 def norm3_rows(a: np.ndarray) -> np.ndarray:
-    """norm3 of each row of an (N, 3) array.
+    """norm3 of each row of an (N, 3) array, with its bits."""
+    return np.sqrt(dot3_rows(a, a))
 
-    np.vecdot takes each row's dot product through the same BLAS ddot as
-    ``a @ a`` on a shape-(3,) array, so each lane has norm3's bits."""
-    return np.sqrt(np.vecdot(a, a))
+
+def _cross(a, b) -> tuple:
+    """a x b of two 3-vectors, with np.cross's products in its order."""
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
+
+
+def cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.cross of two shape-(3,) arrays, with its bits."""
+    return np.array(_cross(a.tolist(), b.tolist()))
 
 
 def cross3_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -95,6 +117,145 @@ def _rows(like: np.ndarray, x, y, z) -> np.ndarray:
     out = np.empty((len(like), 3))
     out[:, 0], out[:, 1], out[:, 2] = x, y, z
     return out
+
+
+def _cross_sum(a, b, c, d) -> tuple:
+    """a x b + c x d."""
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    c0, c1, c2 = c
+    d0, d1, d2 = d
+    return (a1 * b2 - a2 * b1 + (c1 * d2 - c2 * d1),
+            a2 * b0 - a0 * b2 + (c2 * d0 - c0 * d2),
+            a0 * b1 - a1 * b0 + (c0 * d1 - c1 * d0))
+
+
+def _lincomb(a: float, x, b: float, y) -> tuple:
+    """a x + b y for scalars a, b and 3-vectors x, y."""
+    x0, x1, x2 = x
+    y0, y1, y2 = y
+    return (a * x0 + b * y0, a * x1 + b * y1, a * x2 + b * y2)
+
+
+def _div3(x, s: float) -> tuple:
+    """x / s for a 3-vector x."""
+    x0, x1, x2 = x
+    return (x0 / s, x1 / s, x2 / s)
+
+
+def _matvec(A, x) -> tuple:
+    """A x for a 3x3 matrix A given by its rows."""
+    r0, r1, r2 = A
+    return (dot3(r0, x), dot3(r1, x), dot3(r2, x))
+
+
+def _floats(a) -> list:
+    """A 3-vector or 3x3 matrix given as an array or nested sequences, as
+    (nested) lists of Python floats."""
+    return np.asarray(a, dtype=float).tolist()
+
+
+def _point(p) -> tuple:
+    """A point given as an array or a sequence, as a 3-tuple of floats."""
+    return tuple(_floats(p))
+
+
+def _triples(values) -> tuple:
+    """(a, b, c, d, e, f, ...) as ((a, b, c), (d, e, f), ...)."""
+    it = iter(values)
+    return tuple(zip(it, it, it))
+
+
+def _unit_derivative(w, n, w_a) -> tuple:
+    """d_a (w/|w|) = w_a/n - w (w . w_a)/n^3 at |w| = n."""
+    k = dot3(w, w_a)
+    n3 = n**3
+    w0, w1, w2 = w
+    a0, a1, a2 = w_a
+    return (a0 / n - w0 * k / n3, a1 / n - w1 * k / n3, a2 / n - w2 * k / n3)
+
+
+def _unit_second_derivative(w, n, w_a, w_b, w_ab) -> tuple:
+    """d_b d_a (w/|w|) at |w| = n: the quotient rule expanded once more."""
+    na = dot3(w, w_a) / n
+    nb = dot3(w, w_b) / n
+    nab = (dot3(w_b, w_a) + dot3(w, w_ab) - na * nb) / n
+    n2, n3 = n**2, n**3
+    return tuple([ab / n - (a * nb + b * na + x * nab) / n2 + 2.0 * x * na * nb / n3
+                  for x, a, b, ab in zip(w, w_a, w_b, w_ab)])
+
+
+def _unit_normal(w, n) -> tuple:
+    """U = w/|w| for w = sigma_u x sigma_v with |w| = n."""
+    if n <= EPS_REG_DEFAULT:
+        raise RegularityError(f"|sigma_u x sigma_v| = {n:g} below regularity threshold")
+    return _div3(w, n)
+
+
+def _chart_w(jet) -> tuple:
+    """(w, |w|) for w = sigma_u x sigma_v of a chart jet."""
+    w = _cross(jet[1], jet[2])
+    return w, norm3(w)
+
+
+def _first_form(jet) -> tuple:
+    """(E, F, G) = (sigma_u.sigma_u, sigma_u.sigma_v, sigma_v.sigma_v)."""
+    su, sv = jet[1], jet[2]
+    return dot3(su, su), dot3(su, sv), dot3(sv, sv)
+
+
+def _normal_partials(jet, w, n) -> tuple:
+    """(U_u, U_v) of U = w/|w|, w = sigma_u x sigma_v with |w| = n: the
+    quotient rule on w."""
+    _, su, sv, suu, suv, svv = jet
+    return (_unit_derivative(w, n, _cross_sum(suu, sv, su, suv)),
+            _unit_derivative(w, n, _cross_sum(suv, sv, su, svv)))
+
+
+def _normal_second_partials(jet, third, w, n) -> tuple:
+    """(U_uu, U_uv, U_vv): the quotient rule applied twice to
+    w = sigma_u x sigma_v, |w| = n, with the third partials of the chart."""
+    _, su, sv, suu, suv, svv = jet
+    suuu, suuv, suvv, svvv = third
+    c = _cross
+    w_u = _cross_sum(suu, sv, su, suv)
+    w_v = _cross_sum(suv, sv, su, svv)
+    w_uu = [a + 2.0 * b + d for a, b, d in zip(c(suuu, sv), c(suu, suv), c(su, suuv))]
+    w_uv = [a + b + d + e for a, b, d, e in zip(c(suuv, sv), c(suu, svv), c(suv, suv),
+                                                c(su, suvv))]
+    w_vv = [a + 2.0 * b + d for a, b, d in zip(c(suvv, sv), c(suv, svv), c(su, svvv))]
+    return (_unit_second_derivative(w, n, w_u, w_u, w_uu),
+            _unit_second_derivative(w, n, w_u, w_v, w_uv),
+            _unit_second_derivative(w, n, w_v, w_v, w_vv))
+
+
+def _normal_jacobian(g, n, H) -> tuple:
+    """Rows of d/dp (g/|g|) = H/n - g (H g)^T/n^3 from g = grad f, n = |g|
+    and the (symmetric) Hessian H given by its rows."""
+    Hg = _matvec(H, g)
+    n3 = n**3
+    return tuple(tuple([h / n - gi * k / n3 for h, k in zip(row, Hg)])
+                 for gi, row in zip(g, H))
+
+
+def _project(surface: "ImplicitSurface", p, tol: float = 1e-12) -> tuple:
+    """project_to_implicit on a 3-tuple of floats."""
+    for _ in range(8):
+        f = surface._f(p)
+        if abs(f) <= tol:
+            return p
+        g = surface._grad(p)
+        gg = dot3(g, g)
+        if gg <= surface.eps_reg**2:
+            raise RegularityError(f"{surface.name}: vanishing gradient near {p!r}")
+        x, y, z = p
+        g0, g1, g2 = g
+        p = (x - f * g0 / gg, y - f * g1 / gg, z - f * g2 / gg)
+    if abs(surface._f(p)) <= tol:
+        return p
+    raise ProjectionError(
+        f"{surface.name}: projection did not reach |f| <= {tol:g} in 8 iterations"
+    )
 
 
 @dataclass(frozen=True)
@@ -125,17 +286,23 @@ class ChartJet:
     sigma_uv: np.ndarray
     sigma_vv: np.ndarray
 
+    def floats(self) -> tuple:
+        """The six vectors as lists of Python floats, for the float kernels."""
+        return (self.sigma.tolist(), self.sigma_u.tolist(), self.sigma_v.tolist(),
+                self.sigma_uu.tolist(), self.sigma_uv.tolist(), self.sigma_vv.tolist())
+
 
 class ParametricSurface:
     """Chart map sigma(u, v) with analytic partials.
 
     ``jet_fn(u, v)`` returns the six ChartJet vectors and ``jet3_fn(u, v)``
     the four third partials (uuu, uuv, uvv, vvv) used for analytic
-    derivatives of frame scalars.  The optional ``tangents_fn(u, v)`` takes
-    (N,) arrays and returns (sigma_u, sigma_v) as (N, 3) arrays with the
-    bits of ``jet_fn``'s; without it ``tangents_many`` evaluates the scalar
-    jet once per lane.  Domain is a rectangle with optional periodic
-    wrapping per parameter.
+    derivatives of frame scalars, each a 3-vector (a tuple of floats, the
+    form the float kernels read, or an array).  The optional
+    ``tangents_fn(u, v)`` takes (N,) arrays and returns (sigma_u, sigma_v)
+    as (N, 3) arrays with the bits of ``jet_fn``'s; without it
+    ``tangents_many`` evaluates the scalar jet once per lane.  Domain is a
+    rectangle with optional periodic wrapping per parameter.
     """
 
     def __init__(
@@ -182,15 +349,23 @@ class ParametricSurface:
             )
         return t
 
-    def chart_jet(self, u: float, v: float) -> ChartJet:
+    def chart_point(self, u: float, v: float):
+        """The float kernel of chart_jet: (jet, w, |w|) at (u, v), with jet
+        the six 3-vectors of jet_fn and w = sigma_u x sigma_v.  Raises
+        OutOfDomainError off the chart and RegularityError where
+        |w| <= eps_reg."""
         u, v = self.wrap(u, v)
-        jet = ChartJet(*self._jet_fn(u, v))
-        if norm3(cross3(jet.sigma_u, jet.sigma_v)) <= self.eps_reg:
+        jet = self._jet_fn(u, v)
+        w, n = _chart_w(jet)
+        if n <= self.eps_reg:
             raise RegularityError(
                 f"{self.name}: |sigma_u x sigma_v| <= {self.eps_reg:g} "
                 f"at (u, v)=({float(u):g}, {float(v):g})"
             )
-        return jet
+        return jet, w, n
+
+    def chart_jet(self, u: float, v: float) -> ChartJet:
+        return ChartJet(*(np.array(a, dtype=float) for a in self.chart_point(u, v)[0]))
 
     def tangents_many(self, u, v):
         """(sigma_u, sigma_v) at each lane of the (N,) arrays u, v, as two
@@ -200,17 +375,17 @@ class ParametricSurface:
         v = np.asarray(v, dtype=float)
         if self._tangents_fn is not None:
             # numpy warns where Python floats do not (nan wraps, lanes outside
-            # the domain); such lanes are redone by chart_jet below
+            # the domain); such lanes are redone by chart_point below
             with np.errstate(all="ignore"):
                 uw, vw, outside = self._wrap_many(u, v)
                 su, sv = self._tangents_fn(uw, vw)
                 bad = outside | (norm3_rows(cross3_rows(su, sv)) <= self.eps_reg)
             if not bad.any():
                 return su, sv
-        # lane by lane: chart_jet raises the first failing lane's own error
-        jets = [self.chart_jet(a, b) for a, b in zip(u.tolist(), v.tolist())]
-        return (np.array([j.sigma_u for j in jets]).reshape(-1, 3),
-                np.array([j.sigma_v for j in jets]).reshape(-1, 3))
+        # lane by lane: chart_point raises the first failing lane's own error
+        jets = [self.chart_point(a, b)[0] for a, b in zip(u.tolist(), v.tolist())]
+        return (np.array([j[1] for j in jets], dtype=float).reshape(-1, 3),
+                np.array([j[2] for j in jets], dtype=float).reshape(-1, 3))
 
     def _wrap_many(self, u: np.ndarray, v: np.ndarray):
         """wrap for (N,) arrays, with a mask of the lanes outside a
@@ -229,8 +404,7 @@ class ParametricSurface:
 
     def jet3(self, u: float, v: float):
         """Third partials (sigma_uuu, sigma_uuv, sigma_uvv, sigma_vvv)."""
-        u, v = self.wrap(u, v)
-        return tuple(np.asarray(a, dtype=float) for a in self._jet3_fn(u, v))
+        return tuple(np.array(a, dtype=float) for a in self._jet3_fn(*self.wrap(u, v)))
 
     def first_form(self, u: float, v: float) -> FirstForm:
         return first_form(self.chart_jet(u, v))
@@ -247,26 +421,12 @@ class ParametricSurface:
         return chart_normal_second_derivatives(self.chart_jet(u, v), third)
 
 
-def _unit_vector_derivative(w: np.ndarray, w_a: np.ndarray) -> np.ndarray:
-    n = norm3(w)
-    return w_a / n - w * (w @ w_a) / n**3
-
-
-def _unit_vector_second_derivative(w, w_a, w_b, w_ab):
-    # d_b d_a (w/|w|) for |w| = n: expand the quotient rule once more.
-    n = norm3(w)
-    na = (w @ w_a) / n
-    nb = (w @ w_b) / n
-    nab = (w_b @ w_a + w @ w_ab - na * nb) / n
-    return (
-        w_ab / n
-        - (w_a * nb + w_b * na + w * nab) / n**2
-        + 2.0 * w * na * nb / n**3
-    )
-
-
 class ImplicitSurface:
-    """Level set f(x, y, z) = 0 with analytic gradient and Hessian."""
+    """Level set f(x, y, z) = 0 with analytic gradient and Hessian.
+
+    ``f``, ``grad`` and ``hess`` take the point as a 3-tuple of Python floats
+    and return f, the gradient as a 3-vector and the Hessian as three rows
+    (tuples of floats, the form the float kernels read, or arrays)."""
 
     def __init__(
         self,
@@ -286,21 +446,29 @@ class ImplicitSurface:
         return f"ImplicitSurface({self.name!r})"
 
     def value(self, p: np.ndarray) -> float:
-        return float(self._f(np.asarray(p, dtype=float)))
+        return float(self._f(_point(p)))
 
     def gradient(self, p: np.ndarray) -> np.ndarray:
-        return np.asarray(self._grad(np.asarray(p, dtype=float)), dtype=float)
+        return np.array(self._grad(_point(p)), dtype=float)
 
     def hessian(self, p: np.ndarray) -> np.ndarray:
-        return np.asarray(self._hess(np.asarray(p, dtype=float)), dtype=float)
+        return np.array(self._hess(_point(p)), dtype=float)
 
     def jet(self, p: np.ndarray):
-        p = np.asarray(p, dtype=float)
         return self.value(p), self.gradient(p), self.hessian(p)
+
+    def level_point(self, p):
+        """The float kernel of the normal: (grad f, |grad f|, H) at the
+        3-tuple p.  Raises RegularityError where |grad f| <= eps_reg."""
+        g = self._grad(p)
+        n = norm3(g)
+        if n <= self.eps_reg:
+            raise RegularityError(f"{self.name}: |grad f| <= {self.eps_reg:g} at {p!r}")
+        return g, n, self._hess(p)
 
     def unit_normal(self, p: np.ndarray) -> np.ndarray:
         g = self.gradient(p)
-        n = norm3(g)
+        n = norm3(g.tolist())
         if n <= self.eps_reg:
             raise RegularityError(f"{self.name}: |grad f| <= {self.eps_reg:g} at {p!r}")
         return g / n
@@ -312,79 +480,45 @@ class ImplicitSurface:
     def normal_and_jacobian(self, p: np.ndarray):
         """Unit normal grad(f)/|grad(f)| and its 3x3 Jacobian, from one
         gradient and one Hessian evaluation."""
-        g = self.gradient(p)
-        H = self.hessian(p)
-        n = norm3(g)
-        if n <= self.eps_reg:
-            raise RegularityError(f"{self.name}: |grad f| <= {self.eps_reg:g} at {p!r}")
-        return g / n, implicit_normal_jacobian(g, n, H)
+        g, n, H = self.level_point(_point(p))
+        return np.array(g, dtype=float) / n, np.array(_normal_jacobian(g, n, H))
 
 
 # ---------------------------------------------------------------------------
-# Operations on evaluated jets (callers evaluate a point once and pass it down)
+# Operations on evaluated jets (callers evaluate a point once and pass it
+# down).  Each wraps its float kernel.
 
 
 def first_form(jet: ChartJet) -> FirstForm:
     """E = sigma_u.sigma_u, F = sigma_u.sigma_v, G = sigma_v.sigma_v."""
-    return FirstForm(
-        float(jet.sigma_u @ jet.sigma_u),
-        float(jet.sigma_u @ jet.sigma_v),
-        float(jet.sigma_v @ jet.sigma_v),
-    )
+    return FirstForm(*_first_form(jet.floats()))
 
 
 def unit_normal(jet: ChartJet) -> np.ndarray:
     """sigma_u x sigma_v, normalized (orientation fixed by chart order)."""
-    w = cross3(jet.sigma_u, jet.sigma_v)
-    n = norm3(w)
-    if n <= EPS_REG_DEFAULT:
-        raise RegularityError(f"|sigma_u x sigma_v| = {n:g} below regularity threshold")
-    return w / n
+    return np.array(_unit_normal(*_chart_w(jet.floats())))
 
 
 def chart_normal_derivatives(jet: ChartJet):
     """Analytic partials (U_u, U_v) of the unit normal via the quotient rule
     on w = sigma_u x sigma_v."""
-    w = cross3(jet.sigma_u, jet.sigma_v)
-    w_u = cross3(jet.sigma_uu, jet.sigma_v) + cross3(jet.sigma_u, jet.sigma_uv)
-    w_v = cross3(jet.sigma_uv, jet.sigma_v) + cross3(jet.sigma_u, jet.sigma_vv)
-    return _unit_vector_derivative(w, w_u), _unit_vector_derivative(w, w_v)
+    floats = jet.floats()
+    return tuple(np.array(a) for a in _normal_partials(floats, *_chart_w(floats)))
 
 
 def chart_normal_second_derivatives(jet: ChartJet, third):
     """Second partials (U_uu, U_uv, U_vv) of the unit normal from the chart
     jet and the third partials: quotient rule applied twice to
     w = sigma_u x sigma_v."""
-    suuu, suuv, suvv, svvv = third
-    w = cross3(jet.sigma_u, jet.sigma_v)
-    w_u = cross3(jet.sigma_uu, jet.sigma_v) + cross3(jet.sigma_u, jet.sigma_uv)
-    w_v = cross3(jet.sigma_uv, jet.sigma_v) + cross3(jet.sigma_u, jet.sigma_vv)
-    w_uu = (
-        cross3(suuu, jet.sigma_v)
-        + 2.0 * cross3(jet.sigma_uu, jet.sigma_uv)
-        + cross3(jet.sigma_u, suuv)
-    )
-    w_uv = (
-        cross3(suuv, jet.sigma_v)
-        + cross3(jet.sigma_uu, jet.sigma_vv)
-        + cross3(jet.sigma_uv, jet.sigma_uv)
-        + cross3(jet.sigma_u, suvv)
-    )
-    w_vv = (
-        cross3(suvv, jet.sigma_v)
-        + 2.0 * cross3(jet.sigma_uv, jet.sigma_vv)
-        + cross3(jet.sigma_u, svvv)
-    )
-    return (
-        _unit_vector_second_derivative(w, w_u, w_u, w_uu),
-        _unit_vector_second_derivative(w, w_u, w_v, w_uv),
-        _unit_vector_second_derivative(w, w_v, w_v, w_vv),
-    )
+    floats = jet.floats()
+    third = [_floats(a) for a in third]
+    return tuple(np.array(a) for a in
+                 _normal_second_partials(floats, third, *_chart_w(floats)))
 
 
 def implicit_normal_jacobian(g: np.ndarray, n: float, H: np.ndarray) -> np.ndarray:
     """d/dp of grad(f)/|grad(f)| from g = grad(f), n = |g| and the Hessian H."""
-    return H / n - np.outer(g, g @ H) / n**3
+    return np.array(_normal_jacobian(_floats(g), float(n), _floats(H)))
 
 
 def normal_derivatives(surface: ParametricSurface, u: float, v: float):
@@ -398,21 +532,7 @@ def project_to_implicit(surface: ImplicitSurface, p: np.ndarray, tol: float = 1e
     At most 8 iterations; raises ProjectionError on non-convergence and
     RegularityError on a vanishing gradient.
     """
-    p = np.asarray(p, dtype=float).copy()
-    for _ in range(8):
-        f = surface.value(p)
-        if abs(f) <= tol:
-            return p
-        g = surface.gradient(p)
-        g2 = float(g @ g)
-        if g2 <= surface.eps_reg**2:
-            raise RegularityError(f"{surface.name}: vanishing gradient near {p!r}")
-        p -= f * g / g2
-    if abs(surface.value(p)) <= tol:
-        return p
-    raise ProjectionError(
-        f"{surface.name}: projection did not reach |f| <= {tol:g} in 8 iterations"
-    )
+    return np.array(_project(surface, _point(p), tol))
 
 
 # ---------------------------------------------------------------------------
@@ -426,21 +546,21 @@ def sphere(r: float = 1.0, eps_reg: float = EPS_REG_DEFAULT) -> ParametricSurfac
     def jet(u, v):
         cu, su, cv, sv = math.cos(u), math.sin(u), math.cos(v), math.sin(v)
         return (
-            vec(r * cv * cu, r * cv * su, r * sv),
-            vec(-r * cv * su, r * cv * cu, 0.0),
-            vec(-r * sv * cu, -r * sv * su, r * cv),
-            vec(-r * cv * cu, -r * cv * su, 0.0),
-            vec(r * sv * su, -r * sv * cu, 0.0),
-            vec(-r * cv * cu, -r * cv * su, -r * sv),
+            (r * cv * cu, r * cv * su, r * sv),
+            (-r * cv * su, r * cv * cu, 0.0),
+            (-r * sv * cu, -r * sv * su, r * cv),
+            (-r * cv * cu, -r * cv * su, 0.0),
+            (r * sv * su, -r * sv * cu, 0.0),
+            (-r * cv * cu, -r * cv * su, -r * sv),
         )
 
     def jet3(u, v):
         cu, su, cv, sv = math.cos(u), math.sin(u), math.cos(v), math.sin(v)
         return (
-            vec(r * cv * su, -r * cv * cu, 0.0),
-            vec(r * sv * cu, r * sv * su, 0.0),
-            vec(r * cv * su, -r * cv * cu, 0.0),
-            vec(r * sv * cu, r * sv * su, -r * cv),
+            (r * cv * su, -r * cv * cu, 0.0),
+            (r * sv * cu, r * sv * su, 0.0),
+            (r * cv * su, -r * cv * cu, 0.0),
+            (r * sv * cu, r * sv * su, -r * cv),
         )
 
     half = math.pi / 2 - POLE_MARGIN
@@ -454,22 +574,22 @@ def cylinder(r: float = 1.0, v_range: tuple[float, float] = (-20.0, 20.0),
              eps_reg: float = EPS_REG_DEFAULT) -> ParametricSurface:
     """sigma = (r cos u, r sin u, v)."""
     r = float(r)
-    zero = vec(0.0, 0.0, 0.0)
+    zero = (0.0, 0.0, 0.0)
 
     def jet(u, v):
         cu, su = math.cos(u), math.sin(u)
         return (
-            vec(r * cu, r * su, v),
-            vec(-r * su, r * cu, 0.0),
-            vec(0.0, 0.0, 1.0),
-            vec(-r * cu, -r * su, 0.0),
+            (r * cu, r * su, v),
+            (-r * su, r * cu, 0.0),
+            (0.0, 0.0, 1.0),
+            (-r * cu, -r * su, 0.0),
             zero,
             zero,
         )
 
     def jet3(u, v):
         cu, su = math.cos(u), math.sin(u)
-        return (vec(r * su, -r * cu, 0.0), zero, zero, zero)
+        return ((r * su, -r * cu, 0.0), zero, zero, zero)
 
     def tangents(u, v):
         cu, su = np.cos(u), np.sin(u)
@@ -484,10 +604,10 @@ def cylinder(r: float = 1.0, v_range: tuple[float, float] = (-20.0, 20.0),
 def plane(u_range=(-20.0, 20.0), v_range=(-20.0, 20.0),
           eps_reg: float = EPS_REG_DEFAULT) -> ParametricSurface:
     """sigma = (u, v, 0)."""
-    zero = vec(0.0, 0.0, 0.0)
+    zero = (0.0, 0.0, 0.0)
 
     def jet(u, v):
-        return (vec(u, v, 0.0), vec(1.0, 0.0, 0.0), vec(0.0, 1.0, 0.0), zero, zero, zero)
+        return ((u, v, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), zero, zero, zero)
 
     def jet3(u, v):
         return (zero, zero, zero, zero)
@@ -504,12 +624,12 @@ def torus(R: float = 2.0, r: float = 0.5, eps_reg: float = EPS_REG_DEFAULT) -> P
         rho = R + r * cv
         rho_v = -r * sv
         return (
-            vec(rho * cu, rho * su, r * sv),
-            vec(-rho * su, rho * cu, 0.0),
-            vec(rho_v * cu, rho_v * su, r * cv),
-            vec(-rho * cu, -rho * su, 0.0),
-            vec(-rho_v * su, rho_v * cu, 0.0),
-            vec(-r * cv * cu, -r * cv * su, -r * sv),
+            (rho * cu, rho * su, r * sv),
+            (-rho * su, rho * cu, 0.0),
+            (rho_v * cu, rho_v * su, r * cv),
+            (-rho * cu, -rho * su, 0.0),
+            (-rho_v * su, rho_v * cu, 0.0),
+            (-r * cv * cu, -r * cv * su, -r * sv),
         )
 
     def jet3(u, v):
@@ -519,10 +639,10 @@ def torus(R: float = 2.0, r: float = 0.5, eps_reg: float = EPS_REG_DEFAULT) -> P
         rho_vv = -r * cv
         rho_vvv = r * sv
         return (
-            vec(rho * su, -rho * cu, 0.0),
-            vec(-rho_v * cu, -rho_v * su, 0.0),
-            vec(-rho_vv * su, rho_vv * cu, 0.0),
-            vec(rho_vvv * cu, rho_vvv * su, -r * cv),
+            (rho * su, -rho * cu, 0.0),
+            (-rho_v * cu, -rho_v * su, 0.0),
+            (-rho_vv * su, rho_vv * cu, 0.0),
+            (rho_vvv * cu, rho_vvv * su, -r * cv),
         )
 
     def tangents(u, v):
@@ -541,22 +661,22 @@ def helicoid(a: float = 1.0, u_range=(-2 * math.pi, 2 * math.pi), v_range=(-5.0,
              eps_reg: float = EPS_REG_DEFAULT) -> ParametricSurface:
     """sigma = (v cos u, v sin u, a u)."""
     a = float(a)
-    zero = vec(0.0, 0.0, 0.0)
+    zero = (0.0, 0.0, 0.0)
 
     def jet(u, v):
         cu, su = math.cos(u), math.sin(u)
         return (
-            vec(v * cu, v * su, a * u),
-            vec(-v * su, v * cu, a),
-            vec(cu, su, 0.0),
-            vec(-v * cu, -v * su, 0.0),
-            vec(-su, cu, 0.0),
+            (v * cu, v * su, a * u),
+            (-v * su, v * cu, a),
+            (cu, su, 0.0),
+            (-v * cu, -v * su, 0.0),
+            (-su, cu, 0.0),
             zero,
         )
 
     def jet3(u, v):
         cu, su = math.cos(u), math.sin(u)
-        return (vec(v * su, -v * cu, 0.0), vec(-cu, -su, 0.0), zero, zero)
+        return ((v * su, -v * cu, 0.0), (-cu, -su, 0.0), zero, zero)
 
     return ParametricSurface(
         f"helicoid(a={a:g})", jet, u_range, v_range, jet3_fn=jet3, eps_reg=eps_reg,
@@ -566,14 +686,17 @@ def helicoid(a: float = 1.0, u_range=(-2 * math.pi, 2 * math.pi), v_range=(-5.0,
 def ellipsoid(a: float = 2.0, b: float = 1.5, c: float = 1.0,
               eps_reg: float = EPS_REG_DEFAULT) -> ParametricSurface:
     """sigma = (a cos v cos u, b cos v sin u, c sin v); poles excluded."""
-    scale = np.array([float(a), float(b), float(c)])
+    sa, sb, sc = float(a), float(b), float(c)
     base = sphere(1.0, eps_reg=eps_reg)
 
+    def scaled(vectors):
+        return tuple((sa * x, sb * y, sc * z) for x, y, z in vectors)
+
     def jet(u, v):
-        return tuple(scale * w for w in base._jet_fn(u, v))
+        return scaled(base._jet_fn(u, v))
 
     def jet3(u, v):
-        return tuple(scale * w for w in base._jet3_fn(u, v))
+        return scaled(base._jet3_fn(u, v))
 
     half = math.pi / 2 - POLE_MARGIN
     return ParametricSurface(
@@ -585,20 +708,20 @@ def ellipsoid(a: float = 2.0, b: float = 1.5, c: float = 1.0,
 def monkey_saddle(u_range=(-2.0, 2.0), v_range=(-2.0, 2.0),
                   eps_reg: float = EPS_REG_DEFAULT) -> ParametricSurface:
     """sigma = (u, v, u^3 - 3 u v^2)."""
-    zero = vec(0.0, 0.0, 0.0)
+    zero = (0.0, 0.0, 0.0)
 
     def jet(u, v):
         return (
-            vec(u, v, u**3 - 3.0 * u * v * v),
-            vec(1.0, 0.0, 3.0 * u * u - 3.0 * v * v),
-            vec(0.0, 1.0, -6.0 * u * v),
-            vec(0.0, 0.0, 6.0 * u),
-            vec(0.0, 0.0, -6.0 * v),
-            vec(0.0, 0.0, -6.0 * u),
+            (u, v, u**3 - 3.0 * u * v * v),
+            (1.0, 0.0, 3.0 * u * u - 3.0 * v * v),
+            (0.0, 1.0, -6.0 * u * v),
+            (0.0, 0.0, 6.0 * u),
+            (0.0, 0.0, -6.0 * v),
+            (0.0, 0.0, -6.0 * u),
         )
 
     def jet3(u, v):
-        return (vec(0.0, 0.0, 6.0), zero, vec(0.0, 0.0, -6.0), zero)
+        return ((0.0, 0.0, 6.0), zero, (0.0, 0.0, -6.0), zero)
 
     return ParametricSurface("monkey_saddle", jet, u_range, v_range, jet3_fn=jet3, eps_reg=eps_reg)
 
@@ -612,9 +735,9 @@ def implicit_sphere(r: float = 1.0, eps_reg: float = EPS_REG_DEFAULT) -> Implici
     r2 = float(r) ** 2
     return ImplicitSurface(
         f"implicit_sphere(r={r:g})",
-        lambda p: p @ p - r2,
-        lambda p: 2.0 * p,
-        lambda p: 2.0 * np.eye(3),
+        lambda p: dot3(p, p) - r2,
+        lambda p: (2.0 * p[0], 2.0 * p[1], 2.0 * p[2]),
+        lambda p: ((2.0, 0.0, 0.0), (0.0, 2.0, 0.0), (0.0, 0.0, 2.0)),
         eps_reg=eps_reg,
     )
 
@@ -625,8 +748,8 @@ def implicit_cylinder(r: float = 1.0, eps_reg: float = EPS_REG_DEFAULT) -> Impli
     return ImplicitSurface(
         f"implicit_cylinder(r={r:g})",
         lambda p: p[0] ** 2 + p[1] ** 2 - r2,
-        lambda p: vec(2.0 * p[0], 2.0 * p[1], 0.0),
-        lambda p: np.diag([2.0, 2.0, 0.0]),
+        lambda p: (2.0 * p[0], 2.0 * p[1], 0.0),
+        lambda p: ((2.0, 0.0, 0.0), (0.0, 2.0, 0.0), (0.0, 0.0, 0.0)),
         eps_reg=eps_reg,
     )
 
@@ -636,8 +759,8 @@ def implicit_plane(eps_reg: float = EPS_REG_DEFAULT) -> ImplicitSurface:
     return ImplicitSurface(
         "implicit_plane",
         lambda p: p[2],
-        lambda p: vec(0.0, 0.0, 1.0),
-        lambda p: np.zeros((3, 3)),
+        lambda p: (0.0, 0.0, 1.0),
+        lambda p: ((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0)),
         eps_reg=eps_reg,
     )
 
@@ -649,22 +772,21 @@ def implicit_torus(R: float = 2.0, r: float = 0.5, eps_reg: float = EPS_REG_DEFA
     fourR2 = 4.0 * R * R
 
     def f(p):
-        w = p @ p
-        return (w + A) ** 2 - fourR2 * (p[0] ** 2 + p[1] ** 2)
+        x, y, z = p
+        return (dot3(p, p) + A) ** 2 - fourR2 * (x**2 + y**2)
 
     def grad(p):
-        w = p @ p
-        g = 4.0 * (w + A) * p
-        g[0] -= 2.0 * fourR2 * p[0]
-        g[1] -= 2.0 * fourR2 * p[1]
-        return g
+        x, y, z = p
+        c = 4.0 * (dot3(p, p) + A)
+        return (c * x - 2.0 * fourR2 * x, c * y - 2.0 * fourR2 * y, c * z)
 
     def hess(p):
-        w = p @ p
-        H = 8.0 * np.outer(p, p) + 4.0 * (w + A) * np.eye(3)
-        H[0, 0] -= 2.0 * fourR2
-        H[1, 1] -= 2.0 * fourR2
-        return H
+        x, y, z = p
+        c = 4.0 * (dot3(p, p) + A)
+        xy, xz, yz = 8.0 * (x * y), 8.0 * (x * z), 8.0 * (y * z)
+        return ((8.0 * (x * x) + c - 2.0 * fourR2, xy, xz),
+                (xy, 8.0 * (y * y) + c - 2.0 * fourR2, yz),
+                (xz, yz, 8.0 * (z * z) + c))
 
     return ImplicitSurface(f"implicit_torus(R={R:g},r={r:g})", f, grad, hess, eps_reg=eps_reg)
 
@@ -694,8 +816,7 @@ def parametric_from_expressions(
 
     def compiled(orders):
         fn = _expr.compile([d(e, *order) for order in orders for e in comps], ["u", "v"])
-        shape = (len(orders), 3)
-        return lambda u, v: tuple(np.array(fn(u, v)).reshape(shape))
+        return lambda u, v: _triples(fn(u, v))
 
     jet = compiled(["", "u", "v", "uu", "uv", "vv"])
     jet3 = compiled(["uuu", "uuv", "uvv", "vvv"])
@@ -723,13 +844,13 @@ def implicit_from_expression(f_src: str, eps_reg: float = EPS_REG_DEFAULT,
     upper_fn = _expr.compile(upper, xyz)
 
     def hess(p):
-        xx, xy, xz, yy, yz, zz = upper_fn(*p.tolist())
-        return np.array([[xx, xy, xz], [xy, yy, yz], [xz, yz, zz]])
+        xx, xy, xz, yy, yz, zz = upper_fn(*p)
+        return ((xx, xy, xz), (xy, yy, yz), (xz, yz, zz))
 
     return ImplicitSurface(
         name,
-        lambda p: f_fn(*p.tolist())[0],
-        lambda p: np.array(grad_fn(*p.tolist())),
+        lambda p: f_fn(*p)[0],
+        lambda p: grad_fn(*p),
         hess,
         eps_reg=eps_reg,
     )

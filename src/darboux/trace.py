@@ -15,6 +15,14 @@ Implicit traces are Newton-projected back to f = 0 after every step.  When a
 trace returns to its seed it is closed with one final shortened step landing
 on the seed's transversal plane (the one sample exempt from the fixed-step
 spacing).
+
+The trace runs on the float kernels of ``surface``: states, RK4 slopes,
+jets, normals and recorded rows are tuples of Python floats, and arrays are
+built only for the columns of the TraceResult.  The public per-point
+functions (directions, scalars, verification coefficients) wrap the same
+kernels.  Where float arithmetic fails (an overflow, a division by zero, a
+math domain error) a NumericalError is raised, or the trace ends with an
+``error:`` termination once it has samples.
 """
 
 from __future__ import annotations
@@ -25,29 +33,43 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    ARITHMETIC_ERRORS,
     DarbouxError,
+    NumericalError,
     OutOfDomainError,
-    RegularityError,
     SeedError,
     SingularPointError,
+    numerical,
 )
 from .frames import deriv_uniform
 from .surface import (
     ImplicitSurface,
     ParametricSurface,
-    chart_normal_derivatives,
-    cross3,
-    first_form,
-    implicit_normal_jacobian,
+    _cross,
+    _div3,
+    _first_form,
+    _floats,
+    _lincomb,
+    _matvec,
+    _normal_jacobian,
+    _normal_partials,
+    _point,
+    _project,
+    _unit_normal,
+    cross3_rows,
+    dot3,
+    dot3_rows,
     norm3,
     project_to_implicit,
-    unit_normal,
 )
+# bound here by name: the benchmark's per-layer tracer wraps them on this module
+from .surface import first_form, unit_normal  # noqa: F401
 
 __all__ = [
     "TraceConfig",
     "TraceResult",
     "find_seed",
+    "snap_seed",
     "isophote_direction_parametric",
     "delta_coefficients",
     "isophote_direction_implicit",
@@ -123,16 +145,16 @@ class TraceResult:
         n = len(self.s)
         if n < 5:
             return np.full(n, np.nan)
-        V = np.cross(self.normals, self.tangents)
+        V = cross3_rows(self.normals, self.tangents)
         h = self.s[1] - self.s[0]
         uniform = n if self.termination != "closed" else n - 1
         kg = np.empty(n)
         dT = deriv_uniform(self.tangents[:uniform], h)
-        kg[:uniform] = np.einsum("ij,ij->i", dT, V[:uniform])
+        kg[:uniform] = dot3_rows(dT, V[:uniform])
         if uniform < n:
             ds = self.s[-1] - self.s[-2]
             dT_last = (self.tangents[-1] - self.tangents[-2]) / ds if ds > 0 else dT[-1]
-            kg[-1] = dT_last @ V[-1]
+            kg[-1] = dot3(dT_last.tolist(), V[-1].tolist())
         return kg
 
 
@@ -140,6 +162,7 @@ class TraceResult:
 # Seed finding
 
 
+@numerical
 def find_seed(surface, d, phi: float, guess, tol: float = 1e-12,
               max_iter: int = 100):
     """Locate a point on the level set <U, d> = cos(phi) near ``guess``.
@@ -150,15 +173,34 @@ def find_seed(surface, d, phi: float, guess, tol: float = 1e-12,
     SeedError("no isophote at this level near guess") when no crossing is
     found.
     """
-    d = _unit(d)
+    d = _floats(_unit(d))
     target = math.cos(phi)
     if isinstance(surface, ParametricSurface):
         return _find_seed_parametric(surface, d, target, guess, tol, max_iter)
-    return _find_seed_implicit(surface, d, target, guess, tol, max_iter)
+    return np.array(_find_seed_implicit(surface, d, target, guess, tol, max_iter))
+
+
+@numerical
+def snap_seed(surface, d, phi: float, guess, config: TraceConfig):
+    """The seed a trace from ``guess`` starts at: the guess itself (projected
+    onto f = 0 on an implicit surface) where it is on the level
+    <U, d> = cos(phi) to ``config.seed_tol``, else find_seed's point."""
+    target = math.cos(phi)
+    if isinstance(surface, ParametricSurface):
+        seed = guess
+        level = _angle_value_parametric(surface, _floats(d), guess[0], guess[1])
+    else:
+        seed = project_to_implicit(surface, np.asarray(guess, dtype=float),
+                                   config.projection_tol)
+        level = dot3(surface.unit_normal(seed).tolist(), _floats(d))
+    if abs(level - target) <= config.seed_tol:
+        return seed
+    return find_seed(surface, d, phi, guess)
 
 
 def _angle_value_parametric(surface, d, u, v):
-    return float(unit_normal(surface.chart_jet(u, v)) @ d)
+    _, w, n = surface.chart_point(u, v)
+    return dot3(_unit_normal(w, n), d)
 
 
 def _find_seed_parametric(surface, d, target, guess, tol, max_iter):
@@ -190,8 +232,9 @@ def _nearest_bracket(g, lo, hi, center, n: int = 256):
     on a tie), as (a, g(a), b, g(b)), or None.  Cells are visited nearest
     first, so g is evaluated only at the ends of the cells up to the chosen
     one; a point where g raises a DarbouxError has no sign."""
-    ts = np.linspace(lo, hi, n + 1)
-    dists = np.abs(0.5 * (ts[:-1] + ts[1:]) - center)
+    grid = np.linspace(lo, hi, n + 1)
+    dists = np.abs(0.5 * (grid[:-1] + grid[1:]) - center)
+    ts = grid.tolist()
     vals = {}
 
     def value(i):
@@ -199,14 +242,14 @@ def _nearest_bracket(g, lo, hi, center, n: int = 256):
             try:
                 vals[i] = g(ts[i])
             except DarbouxError:
-                vals[i] = np.nan
+                vals[i] = math.nan
         return vals[i]
 
-    for i in np.argsort(dists, kind="stable"):
+    for i in np.argsort(dists, kind="stable").tolist():
         if not dists[i] < np.inf:  # only inf and nan distances are left
             return None
         a, b = value(i), value(i + 1)
-        if np.isnan(a) or np.isnan(b) or a * b > 0:
+        if math.isnan(a) or math.isnan(b) or a * b > 0:
             continue
         return ts[i], a, ts[i + 1], b
     return None
@@ -235,34 +278,42 @@ def _bisect_newton(g, a, ga, b, gb, tol, max_iter):
 
 
 def _find_seed_implicit(surface, d, target, guess, tol, max_iter):
-    p = project_to_implicit(surface, np.asarray(guess, dtype=float), 1e-12)
+    p = _project(surface, _point(guess), 1e-12)
     for _ in range(max_iter):
-        n_vec = surface.gradient(p)
-        n_norm = norm3(n_vec)
-        if n_norm <= surface.eps_reg:
+        grad = surface._grad(p)
+        n = norm3(grad)
+        if n <= surface.eps_reg:
             raise SeedError("no isophote at this level near guess")
-        nhat = n_vec / n_norm
-        g = float(nhat @ d) - target
+        nhat = _div3(grad, n)
+        g = dot3(nhat, d) - target
         if abs(g) <= tol:
             return p
-        H = surface.hessian(p)
-        grad_g = H @ d / n_norm - float(n_vec @ d) * (H @ n_vec) / n_norm**3
-        gt = grad_g - float(grad_g @ nhat) * nhat
-        gt2 = float(gt @ gt)
+        grad_g = _level_gradient((grad, n, surface._hess(p)), d)
+        k = dot3(grad_g, nhat)
+        gt = tuple([a - k * b for a, b in zip(grad_g, nhat)])
+        gt2 = dot3(gt, gt)
         if gt2 <= 1e-30:
             break
-        step = -g / gt2 * gt
+        scale = -g / gt2
+        step = tuple([scale * a for a in gt])
         # damp long steps; Newton is only trusted locally
         limit = 0.5 * (1.0 + norm3(p))
         step_len = norm3(step)
         if step_len > limit:
-            step *= limit / step_len
-        p = project_to_implicit(surface, p + step, 1e-12)
+            step = tuple([a * (limit / step_len) for a in step])
+        p = _project(surface, tuple([a + b for a, b in zip(p, step)]), 1e-12)
     raise SeedError("no isophote at this level near guess")
 
 
 # ---------------------------------------------------------------------------
-# Direction fields
+# Direction fields: float kernels, and the public per-point functions over
+# them
+
+
+def _chart_evaluation(surface, u, v):
+    """(jet, w, |w|, U_u, U_v) at (u, v), w = sigma_u x sigma_v."""
+    jet, w, n = surface.chart_point(u, v)
+    return (jet, w, n, *_normal_partials(jet, w, n))
 
 
 def isophote_direction_parametric(surface: ParametricSurface, d, u: float, v: float,
@@ -273,26 +324,24 @@ def isophote_direction_parametric(surface: ParametricSurface, d, u: float, v: fl
 
     Raises SingularPointError when both g_u and g_v fall below ``eps_sing``
     (no isophotic curve with this axis exists through the point)."""
-    d = np.asarray(d, dtype=float)
-    jet = surface.chart_jet(u, v)
-    du, dv = _chart_direction((jet, *chart_normal_derivatives(jet)), d, eps_sing, u, v)
+    du, dv = _chart_direction(_chart_evaluation(surface, u, v), _floats(d), eps_sing, u, v)
     if branch == "minus":
         du, dv = -du, -dv
     return du, dv
 
 
 def _chart_direction(point, d, eps_sing, u, v):
-    """(u', v') on the plus branch from a chart point's (jet, U_u, U_v)."""
-    jet, U_u, U_v = point
-    g_u = float(U_u @ d)
-    g_v = float(U_v @ d)
+    """(u', v') on the plus branch from a chart point's _chart_evaluation."""
+    jet, _, _, U_u, U_v = point
+    g_u = dot3(U_u, d)
+    g_v = dot3(U_v, d)
     if abs(g_u) <= eps_sing and abs(g_v) <= eps_sing:
         raise SingularPointError(
             "singular point of the isophote field: no isophotic curve with "
             f"this axis/angle at (u, v)=({float(u):g}, {float(v):g})"
         )
-    ff = first_form(jet)
-    W = math.sqrt(ff.E * g_v**2 - 2.0 * ff.F * g_u * g_v + ff.G * g_u**2)
+    E, F, G = _first_form(jet)
+    W = math.sqrt(E * g_v**2 - 2.0 * F * g_u * g_v + G * g_u**2)
     return -g_v / W, g_u / W
 
 
@@ -300,24 +349,21 @@ def direction_scalars_parametric(surface: ParametricSurface, d, u: float, v: flo
                                  direction) -> tuple[float, float]:
     """(k_n, tau_g) of a unit chart direction at a point (point functions of
     the direction, no curve needed)."""
-    jet = surface.chart_jet(u, v)
-    U = unit_normal(jet)
-    U_u, U_v = chart_normal_derivatives(jet)
-    return _chart_scalars(jet, U, U_u, U_v, direction)
+    jet, w, n, U_u, U_v = _chart_evaluation(surface, u, v)
+    return _chart_scalars(jet, _unit_normal(w, n), U_u, U_v, direction)
 
 
 def _chart_scalars(jet, U, U_u, U_v, direction) -> tuple[float, float]:
     """(k_n, tau_g) of a chart direction from the point's jet, unit normal
     and normal partials."""
     du, dv = direction
-    L = float(jet.sigma_uu @ U)
-    M = float(jet.sigma_uv @ U)
-    N = float(jet.sigma_vv @ U)
+    _, su, sv, suu, suv, svv = jet
+    L = dot3(suu, U)
+    M = dot3(suv, U)
+    N = dot3(svv, U)
     kn = L * du * du + 2.0 * M * du * dv + N * dv * dv
-    T = du * jet.sigma_u + dv * jet.sigma_v
-    U_prime = du * U_u + dv * U_v
-    V = cross3(U, T)
-    tg = float(-U_prime @ V)
+    V = _cross(U, _lincomb(du, su, dv, sv))
+    tg = -dot3(_lincomb(du, U_u, dv, U_v), V)
     return kn, tg
 
 
@@ -329,20 +375,20 @@ def delta_coefficients(surface: ParametricSurface, d, u: float, v: float,
     Delta  = sqrt(EG - F^2) k_n <sigma_u, d> + E tau_g <sigma_v, d> - F tau_g <sigma_u, d>
     Delta* = sqrt(EG - F^2) k_n <sigma_v, d> + F tau_g <sigma_v, d> - G tau_g <sigma_u, d>
     with k_n, tau_g evaluated for the supplied direction."""
-    d = np.asarray(d, dtype=float)
-    jet = surface.chart_jet(u, v)
-    kn, tg = direction_scalars_parametric(surface, d, u, v, direction)
-    return _delta(jet, first_form(jet), d, kn, tg)
+    jet, w, n, U_u, U_v = _chart_evaluation(surface, u, v)
+    kn, tg = _chart_scalars(jet, _unit_normal(w, n), U_u, U_v, direction)
+    return _delta(jet, _first_form(jet), _floats(d), kn, tg)
 
 
 def _delta(jet, ff, d, kn, tg) -> tuple[float, float]:
-    """(Delta, Delta*) from the point's jet and first form and the
+    """(Delta, Delta*) from the point's jet and first form (E, F, G) and the
     direction's (k_n, tau_g)."""
-    su_d = float(jet.sigma_u @ d)
-    sv_d = float(jet.sigma_v @ d)
-    root = ff.area_element
-    delta = root * kn * su_d + ff.E * tg * sv_d - ff.F * tg * su_d
-    delta_star = root * kn * sv_d + ff.F * tg * sv_d - ff.G * tg * su_d
+    E, F, G = ff
+    su_d = dot3(jet[1], d)
+    sv_d = dot3(jet[2], d)
+    root = math.sqrt(E * G - F * F)
+    delta = root * kn * su_d + E * tg * sv_d - F * tg * su_d
+    delta_star = root * kn * sv_d + F * tg * sv_d - G * tg * su_d
     return delta, delta_star
 
 
@@ -354,67 +400,60 @@ def isophote_direction_implicit(surface: ImplicitSurface, d, p, branch: str = "p
 
     Raises SingularPointError when the two gradients are parallel or grad(g)
     vanishes (the level set degenerates; no isophotic curve exists)."""
-    d = np.asarray(d, dtype=float)
-    p = np.asarray(p, dtype=float)
-    f = surface.value(p)
+    p = _point(p)
+    f = surface._f(p)
     if abs(f) > on_surface_tol:
         raise DarbouxError(f"point is not on the surface: |f| = {abs(f):g} > {on_surface_tol:g}")
-    t = _implicit_direction(_implicit_point(surface, p), d, eps_sing, p)
+    t = np.array(_implicit_direction(surface.level_point(p), _floats(d), eps_sing, p))
     return -t if branch == "minus" else t
 
 
-def _implicit_point(surface, p):
-    """(grad f, |grad f|, Hessian) at p; raises RegularityError where the
-    gradient vanishes."""
-    grad = surface.gradient(p)
-    n = norm3(grad)
-    if n <= surface.eps_reg:
-        raise RegularityError(f"{surface.name}: vanishing gradient at {p!r}")
-    return grad, n, surface.hessian(p)
-
-
-def _implicit_direction(point, d, eps_sing, p) -> np.ndarray:
-    """Unit tangent on the plus branch from a point's (grad f, |grad f|, H)."""
+def _level_gradient(point, d) -> tuple:
+    """grad g of g = <grad f, d>/|grad f| from a point's (grad f, |grad f|, H):
+    H d/n - <grad f, d> H grad f/n^3."""
     grad, n, H = point
-    grad_g = H @ d / n - float(grad @ d) * (H @ grad) / n**3
-    w = cross3(grad, grad_g)
+    gd = dot3(grad, d)
+    n3 = n**3
+    return tuple([a / n - gd * b / n3 for a, b in zip(_matvec(H, d), _matvec(H, grad))])
+
+
+def _implicit_direction(point, d, eps_sing, p) -> tuple:
+    """Unit tangent on the plus branch from a point's (grad f, |grad f|, H)."""
+    w = _cross(point[0], _level_gradient(point, d))
     wn = norm3(w)
     if wn <= eps_sing:
         raise SingularPointError(
             f"singular isophote point at {np.round(p, 9).tolist()}: "
             "no isophotic curve with this axis/angle"
         )
-    return w / wn
+    return _div3(w, wn)
 
 
 def direction_scalars_implicit(surface: ImplicitSurface, d, p, t) -> tuple[float, float]:
     """(k_n, tau_g) of a unit tangent t at a surface point p."""
-    return _implicit_scalars(_implicit_point(surface, p), np.asarray(t, dtype=float))
+    return _implicit_scalars(surface.level_point(_point(p)), _floats(t))
 
 
 def _implicit_scalars(point, t) -> tuple[float, float]:
     """(k_n, tau_g) of a unit tangent from the point's (grad f, |grad f|, H)."""
     grad, n, H = point
-    kn = float(-t @ H @ t) / n
-    U = grad / n
-    U_prime = implicit_normal_jacobian(grad, n, H) @ t
-    V = cross3(U, t)
-    tg = float(-U_prime @ V)
+    kn = -dot3(t, _matvec(H, t)) / n
+    V = _cross(_div3(grad, n), t)
+    tg = -dot3(_matvec(_normal_jacobian(grad, n, H), t), V)
     return kn, tg
 
 
 def omega_coefficients(surface: ImplicitSurface, d, p, t) -> np.ndarray:
     """Verification triple Omega = k_n d + tau_g (d x grad f); along an
     isophote Omega . t = 0 and t is parallel to grad(f) x Omega."""
-    d = np.asarray(d, dtype=float)
-    p = np.asarray(p, dtype=float)
-    kn, tg = direction_scalars_implicit(surface, d, p, t)
-    return _omega(d, surface.gradient(p), kn, tg)
+    point = surface.level_point(_point(p))
+    kn, tg = _implicit_scalars(point, _floats(t))
+    return np.array(_omega(_floats(d), point[0], kn, tg))
 
 
-def _omega(d, grad, kn, tg) -> np.ndarray:
+def _omega(d, grad, kn, tg) -> tuple:
     """Omega from the axis, grad(f) and the direction's (k_n, tau_g)."""
-    return kn * d + tg * cross3(d, grad)
+    return _lincomb(kn, d, tg, _cross(d, grad))
 
 
 # ---------------------------------------------------------------------------
@@ -423,12 +462,13 @@ def _omega(d, grad, kn, tg) -> np.ndarray:
 
 def _unit(d) -> np.ndarray:
     d = np.asarray(d, dtype=float)
-    n = float(np.linalg.norm(d))
+    n = norm3(d.tolist())
     if n == 0.0:
         raise DarbouxError("axis must be a nonzero vector")
     return d / n
 
 
+@numerical
 def trace_isophote(surface, d, phi: float, seed, config: TraceConfig | None = None) -> TraceResult:
     """Trace the isophote <U, d> = cos(phi) from an on-level seed.
 
@@ -438,7 +478,7 @@ def trace_isophote(surface, d, phi: float, seed, config: TraceConfig | None = No
     transversal plane), leaving the chart domain, or a singular point.
     """
     config = config or TraceConfig()
-    d = _unit(d)
+    d = _floats(_unit(d))
     phi = float(phi)
     kind = _ChartTrace if isinstance(surface, ParametricSurface) else _ImplicitTrace
     return _integrate(kind(surface, d, math.cos(phi), config), phi, seed)
@@ -450,6 +490,11 @@ _ROW_FIELDS = ("s", "points", "tangents", "normals", "angle_dot", "constraint_re
                "unit_speed_residual", "kn", "tg")
 
 
+def _axpy(y, a, k) -> tuple:
+    """y + a k for a state y and slope k."""
+    return tuple([yi + a * ki for yi, ki in zip(y, k)])
+
+
 def _integrate(adapter, phi, seed):
     """Fixed-step RK4 along an adapter's direction field, with branch
     continuity, closure onto the seed and one record per sample.
@@ -457,11 +502,12 @@ def _integrate(adapter, phi, seed):
     The adapter (_ChartTrace or _ImplicitTrace) maps the seed to a state,
     evaluates the point of a state once, turns an evaluation into an RK4
     slope and a 3-D tangent, fixes up each new state (wrap or
-    reprojection) and records a sample.  The last evaluated point and its
-    evaluation are kept and reused while the requested point repeats: RK4's
-    first stage is the previous post-step point, each sample is recorded
-    at the point its direction was taken from, and stages whose slopes
-    agree land on the same point.
+    reprojection) and records a sample.  States, slopes and tangents are
+    tuples of floats.  The last evaluated point and its evaluation are kept
+    and reused while the requested point repeats: RK4's first stage is the
+    previous post-step point, each sample is recorded at the point its
+    direction was taken from, and stages whose slopes agree land on the
+    same point.
     """
     config = adapter.config
     last = [None, None]
@@ -477,10 +523,12 @@ def _integrate(adapter, phi, seed):
 
     def step(y, h, ref):
         k1, _ = field(y, ref)
-        k2, _ = field(y + 0.5 * h * k1, ref)
-        k3, _ = field(y + 0.5 * h * k2, ref)
-        k4, _ = field(y + h * k3, ref)
-        return adapter.fix(y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+        k2, _ = field(_axpy(y, 0.5 * h, k1), ref)
+        k3, _ = field(_axpy(y, 0.5 * h, k2), ref)
+        k4, _ = field(_axpy(y, h, k3), ref)
+        sixth = h / 6.0
+        return adapter.fix(tuple([yi + sixth * (a + 2.0 * b + 2.0 * c + e)
+                                  for yi, a, b, c, e in zip(y, k1, k2, k3, k4)]))
 
     rows = []
 
@@ -500,7 +548,7 @@ def _integrate(adapter, phi, seed):
     try:
         k, t3 = field(y, None)
         if config.branch == "minus":
-            k, t3 = -k, -t3
+            k, t3 = _negated(k), _negated(t3)
         seed_point, seed_tan = adapter.closure_frame(y, at(y), t3)
         record(0.0, y, k, t3)
         n_steps = int(math.floor(config.max_length / h + 1e-9))
@@ -531,9 +579,17 @@ def _integrate(adapter, phi, seed):
         if not rows:
             raise
         termination = f"error: {exc}"
+    except ARITHMETIC_ERRORS as exc:
+        if not rows:
+            raise
+        termination = f"error: {NumericalError.of(exc)}"
     columns = (np.array(column) for column in zip(*rows))
     return TraceResult(**dict(zip(_ROW_FIELDS + adapter.extra, columns)),
-                       termination=termination, d=adapter.d, phi=phi)
+                       termination=termination, d=np.array(adapter.d), phi=phi)
+
+
+def _negated(x) -> tuple:
+    return tuple([-a for a in x])
 
 
 def _closure_step(p, t, seed_p, seed_t, s_done, config):
@@ -541,12 +597,12 @@ def _closure_step(p, t, seed_p, seed_t, s_done, config):
     None if not closing here."""
     if s_done < 10.0 * config.step:
         return None
-    gap = seed_p - p
+    gap = tuple([a - b for a, b in zip(seed_p, p)])
     if norm3(gap) > config.closure_radius:
         return None
-    if float(t @ seed_t) < 0.5:
+    if dot3(t, seed_t) < 0.5:
         return None
-    delta = float(gap @ seed_t)
+    delta = dot3(gap, seed_t)
     if not 0.0 < delta <= config.step:
         return None
     return delta
@@ -555,7 +611,8 @@ def _closure_step(p, t, seed_p, seed_t, s_done, config):
 class _ChartTrace:
     """Isophote on a chart.  The state is (u, v), wrapped after each step;
     RK4 slopes are (u', v') and the reference tangent is sigma_u u' + sigma_v v'.
-    A point's evaluation is its chart jet with the normal's partials."""
+    A point's evaluation is its _chart_evaluation: the chart jet, w = sigma_u x
+    sigma_v, |w| and the normal's partials."""
 
     extra = ("chart",)
 
@@ -563,43 +620,42 @@ class _ChartTrace:
         self.surface, self.d, self.target, self.config = surface, d, target, config
 
     def start(self, seed):
-        return np.array(self.surface.wrap(float(seed[0]), float(seed[1])))
+        return self.surface.wrap(float(seed[0]), float(seed[1]))
 
     def level(self, y, at):
-        return float(unit_normal(at(y)[0]) @ self.d)
+        _, w, n, _, _ = at(y)
+        return dot3(_unit_normal(w, n), self.d)
 
     def key(self, y):
         # the chart point evaluated: wrapping sends equal points to one key
         return self.surface.wrap(y[0], y[1])
 
     def evaluate(self, y):
-        jet = self.surface.chart_jet(y[0], y[1])
-        return (jet, *chart_normal_derivatives(jet))
+        return _chart_evaluation(self.surface, y[0], y[1])
 
     def direction(self, y, point, ref):
         du, dv = _chart_direction(point, self.d, self.config.eps_sing, y[0], y[1])
         jet = point[0]
-        t3 = du * jet.sigma_u + dv * jet.sigma_v
-        if ref is not None and float(t3 @ ref) < 0.0:
-            return np.array([-du, -dv]), -t3
-        return np.array([du, dv]), t3
+        t3 = _lincomb(du, jet[1], dv, jet[2])
+        if ref is not None and dot3(t3, ref) < 0.0:
+            return (-du, -dv), _negated(t3)
+        return (du, dv), t3
 
     def fix(self, y):
-        return np.array(self.surface.wrap(y[0], y[1]))
+        return self.surface.wrap(y[0], y[1])
 
     def closure_frame(self, y, point, t3):
-        return point[0].sigma, t3 / norm3(t3)
+        return point[0][0], _div3(t3, norm3(t3))
 
     def record(self, y, point, k, t3):
-        jet, U_u, U_v = point
-        U = unit_normal(jet)
+        jet, w, n, U_u, U_v = point
+        U = _unit_normal(w, n)
         du, dv = k
-        ff = first_form(jet)
+        ff = E, F, G = _first_form(jet)
         kn, tg = _chart_scalars(jet, U, U_u, U_v, k)
         delta, delta_star = _delta(jet, ff, self.d, kn, tg)
-        return (jet.sigma, t3, U, float(U @ self.d), delta * du + delta_star * dv,
-                ff.E * du * du + 2 * ff.F * du * dv + ff.G * dv * dv - 1.0, kn, tg,
-                (y[0], y[1]))
+        return (jet[0], t3, U, dot3(U, self.d), delta * du + delta_star * dv,
+                E * du * du + 2 * F * du * dv + G * dv * dv - 1.0, kn, tg, y)
 
 
 class _ImplicitTrace:
@@ -614,26 +670,26 @@ class _ImplicitTrace:
         self.surface, self.d, self.target, self.config = surface, d, target, config
 
     def start(self, seed):
-        return project_to_implicit(self.surface, np.asarray(seed, dtype=float),
-                                   self.config.projection_tol)
+        return _project(self.surface, _point(seed), self.config.projection_tol)
 
     def level(self, p, at):
-        return float(self.surface.unit_normal(p) @ self.d)
+        grad, n, _ = at(p)
+        return dot3(_div3(grad, n), self.d)
 
     def key(self, p):
-        return p.tobytes()
+        return p
 
     def evaluate(self, p):
-        return _implicit_point(self.surface, p)
+        return self.surface.level_point(p)
 
     def direction(self, p, point, ref):
         t = _implicit_direction(point, self.d, self.config.eps_sing, p)
-        if ref is not None and float(t @ ref) < 0.0:
-            return -t, -t
+        if ref is not None and dot3(t, ref) < 0.0:
+            t = _negated(t)
         return t, t
 
     def fix(self, q):
-        q = project_to_implicit(self.surface, q, self.config.projection_tol)
+        q = _project(self.surface, q, self.config.projection_tol)
         if self.config.project_isophote:
             q = _project_two_constraints(self.surface, self.d, self.target, q,
                                          self.config.projection_tol)
@@ -645,29 +701,30 @@ class _ImplicitTrace:
 
     def record(self, q, point, k, t):
         grad, n, _ = point
-        U = grad / n
+        U = _div3(grad, n)
         kn, tg = _implicit_scalars(point, t)
         omega = _omega(self.d, grad, kn, tg)
-        return (q.copy(), t.copy(), U, float(U @ self.d), float(omega @ t),
-                norm3(t) - 1.0, kn, tg, abs(self.surface.value(q)), float(grad @ t))
+        return (q, t, U, dot3(U, self.d), dot3(omega, t), norm3(t) - 1.0, kn, tg,
+                abs(self.surface._f(q)), dot3(grad, t))
 
 
 def _project_two_constraints(surface, d, target, p, tol):
-    """Newton onto {f = 0} intersected with {<U, d> = cos(phi)}."""
+    """Newton onto {f = 0} intersected with {<U, d> = cos(phi)}: each step
+    solves (J J^T) x = -(f, g) for the 2x3 Jacobian J = (grad f; grad g) in
+    closed form and moves by J^T x.  A singular system leaves p as it is."""
     for _ in range(8):
-        grad = surface.gradient(p)
+        grad = surface._grad(p)
         n = norm3(grad)
-        f = surface.value(p)
-        g = float(grad @ d) / n - target
+        f = surface._f(p)
+        g = dot3(grad, d) / n - target
         if abs(f) <= tol and abs(g) <= tol:
             return p
-        H = surface.hessian(p)
-        grad_g = H @ d / n - float(grad @ d) * (H @ grad) / n**3
-        J = np.vstack([grad, grad_g])
-        r = np.array([f, g])
-        try:
-            correction = J.T @ np.linalg.solve(J @ J.T, -r)
-        except np.linalg.LinAlgError:
+        grad_g = _level_gradient((grad, n, surface._hess(p)), d)
+        a, b, c = dot3(grad, grad), dot3(grad, grad_g), dot3(grad_g, grad_g)
+        det = a * c - b * b
+        if det == 0.0:
             return p
-        p = p + correction
+        x0 = (b * g - c * f) / det
+        x1 = (b * f - a * g) / det
+        p = tuple([pi + (x0 * ai + x1 * bi) for pi, ai, bi in zip(p, grad, grad_g)])
     return p

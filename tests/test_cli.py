@@ -409,3 +409,71 @@ class TestCatalog:
         for name in ("sphere", "cylinder", "plane", "torus", "helicoid",
                      "ellipsoid", "monkey_saddle"):
             assert name in captured.out
+
+
+# Catalog scales from 1e-150 to 1e150: Python float arithmetic overflows,
+# divides by zero or leaves a math domain where numpy gave inf or nan.
+# Hypothesis leans towards the first entry; at 1e60 |w|**3 overflows.
+_SCALES = st.sampled_from([1e60, 1e-150, 1e-60, 1e-20, 1.0, 1e20, 1e100, 1e150])
+
+
+@st.composite
+def _trace_argv(draw):
+    """trace/trace-implicit/seed-find argv on a scaled catalog surface."""
+    command = draw(st.sampled_from(["trace", "trace-implicit", "seed-find"]))
+    implicit = command == "trace-implicit" or (command == "seed-find" and draw(st.booleans()))
+    scale = draw(_SCALES)
+    ratio = draw(st.sampled_from([0.1, 0.25, 0.5]))
+    names = ["sphere", "torus", "cylinder", "plane"]
+    if not implicit:
+        names[2:2] = ["ellipsoid", "helicoid", "monkey_saddle"]
+    name = draw(st.sampled_from(names))
+    # no "+" in a query: parse_qsl reads "1e+60" as "1e 60"
+    big, mid, small = (repr(x).replace("e+", "e") for x in (scale, scale * ratio,
+                                                            scale * ratio * ratio))
+    query = {"sphere": f"r={big}", "cylinder": f"r={big}", "torus": f"R={big}&r={mid}",
+             "helicoid": f"a={big}", "ellipsoid": f"a={big}&b={mid}&c={small}",
+             "plane": "", "monkey_saddle": ""}[name]
+    surface = f"builtin:{name}" + (f"?{query}" if query else "")
+    axis = draw(st.sampled_from(["0,0,1", "1,0,0", "1,0,2", "0.3,-0.5,0.8"]))
+    angle = draw(st.sampled_from(["45", "0", "30", "60", "90", "135", "180"]))
+    if implicit:
+        seed = ",".join(repr(scale * draw(st.sampled_from([0.0, 0.1, 1.0, 1.3, -2.5])))
+                        for _ in range(3))
+    else:
+        seed = ",".join(repr(draw(st.floats(-1.5, 1.5).map(lambda x: round(x, 3))))
+                        for _ in range(2))
+    if command == "seed-find":
+        # "--guess=-1,2" keeps argparse from reading a negative guess as a flag
+        return ["seed-find", "--surface", surface, "--axis", axis, "--angle", angle,
+                f"--guess={seed}"] + (["--implicit"] if implicit else [])
+    step = draw(st.sampled_from([1e-3, 1e-2 * scale]))
+    return [command, "--surface", surface, "--axis", axis, "--angle", angle, f"--seed={seed}",
+            "--step", repr(step), "--length", repr(3 * step)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(argv=_trace_argv())
+def test_trace_commands_never_trace_back(argv, tmp_path_factory):
+    """Any scaled catalog surface ends trace, trace-implicit and seed-find in
+    exit 0, 1 or 2 and never in a stack trace."""
+    out = tmp_path_factory.mktemp("fuzz") / "out"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv + ["--out", str(out)])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--surface", "builtin:cylinder?r=1e60", "--curve", "param:u=s;v=s",
+     "--samples", "20"],
+    ["frames", "--surface", "builtin:torus?R=1e60&r=1e59", "--curve", "param:u=s;v=s",
+     "--samples", "20"],
+], ids=["classify-cylinder-1e60", "frames-torus-1e60"])
+def test_curve_commands_on_huge_scales_finish(argv, tmp_path, capsys):
+    # the arclength table stops splitting at the rounding level of these
+    # 1e60-long intervals instead of running to full depth
+    code, captured = run(argv + ["--out", str(tmp_path / "out")], capsys)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in captured.err

@@ -225,6 +225,30 @@ class TestNormalAngleSeries:
             normal_angle_series(make_line_on_plane(), np.linspace(0.0, 2.0, 21))
 
 
+class TestNormalAngleSeriesInversions:
+    def test_each_sample_inverted_once_with_the_jets_bits(self):
+        # |gamma''| comes from sample_frames' own jets: one inverted lane per
+        # sample (not a second pass through gamma_jet), with the same bits
+        path = ChartPath.from_expressions("s", "2*s", (0.0, 2 * math.pi))
+        c = unit_speed_chart_curve(darboux.torus(2.0, 0.5), path, 128)
+        amap = c.path.amap
+        lanes = []
+        many = amap.t_of_s_many
+
+        def counted(s):
+            lanes.append(len(s))
+            return many(s)
+
+        amap.t_of_s_many = counted
+        grid = uniform_grid(0.0, c.s_range[1], 401)
+        series = normal_angle_series(c, grid)
+        assert sum(lanes) == 401
+        data = sample_frames(c, grid)
+        kappa = np.array([norm3(c.gamma_jet(s)[2].tolist()) for s in grid])
+        expected = data.kn - kappa * np.sin(series.theta)
+        assert expected.tobytes() == series.r1.tobytes()
+
+
 class TestUnitSpeedCondition:
     @pytest.mark.parametrize("maker", [make_helix_curve, make_latitude_curve],
                              ids=["helix", "latitude"])
@@ -357,8 +381,13 @@ class _ReferenceArclength:
             a = self.t_nodes[k]
             half = 0.5 * (t - a)
             pts = a + half * (self.GL_NODES + 1.0)
-            arc = self.s_nodes[k] + half * float(
-                self.GL_WEIGHTS @ np.array([self.speed(p) for p in pts]))
+            # the Gauss-Legendre sum accumulated left to right, one rounding
+            # per product and per sum (not sum(), which compensates on 3.12+)
+            terms = [w * self.speed(p) for w, p in zip(self.GL_WEIGHTS.tolist(), pts.tolist())]
+            total = terms[0]
+            for term in terms[1:]:
+                total += term
+            arc = self.s_nodes[k] + half * total
             t -= (arc - s) / self.speed(t)
             t = min(max(t, self.t_nodes[0]), self.t_nodes[-1])
         return t
@@ -560,6 +589,31 @@ class TestArclengthErrorParity:
 
         with pytest.raises(DarbouxError, match="speed not finite for t in"):
             ArclengthMap(speed, (0.0, 1.0), 8)
+
+
+class TestScaledArclength:
+    """Arclengths far above the absolute Simpson tolerance: both table
+    builds stop splitting where the error estimate is rounding noise of the
+    interval's arclength, and agree bit for bit."""
+
+    @pytest.mark.parametrize("surface", [darboux.cylinder(1e60), darboux.torus(1e60, 1e59)],
+                             ids=repr)
+    def test_table_builds_stop_at_rounding_level(self, surface):
+        path = ChartPath.from_expressions("s", "s", (0.0, 2 * math.pi))
+        amap = unit_speed_chart_curve(surface, path, 64).path.amap
+        lanes = [0]
+        speed = amap.speed
+
+        def counted(ts):
+            lanes[0] += len(ts)
+            return speed(ts)
+
+        amap.speed = counted
+        by_level = amap._increments_by_level(1e-10, 1e-12)
+        assert 2 * 64 + 1 < lanes[0] < 50_000  # measured 257 and 12637 lanes
+        depth_first = amap._increments_depth_first(1e-10, 1e-12)
+        assert [float(x).hex() for x in by_level] == [float(x).hex() for x in depth_first]
+        assert math.isfinite(amap.length) and amap.length > 6e60
 
 
 class TestArclengthEvaluationCounts:

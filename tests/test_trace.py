@@ -8,11 +8,19 @@ import pytest
 import darboux
 import darboux.trace as trace_module
 from darboux.errors import DarbouxError, SeedError, SingularPointError
-from darboux.surface import ImplicitSurface, ParametricSurface
+from darboux.surface import (
+    ImplicitSurface,
+    ParametricSurface,
+    dot3,
+    first_form,
+    norm3,
+    unit_normal,
+)
 from darboux.trace import (
     TraceConfig,
     _nearest_bracket,
     delta_coefficients,
+    direction_scalars_implicit,
     direction_scalars_parametric,
     find_seed,
     isophote_direction_implicit,
@@ -150,7 +158,8 @@ class TestNearestBracket:
         monkeypatch.setattr(trace_module, "_angle_value_parametric", counted)
         seed = find_seed(darboux.sphere(1.0), EZ, math.radians(35.0), (0.0, 0.4))
         assert len(calls) == 99
-        assert [float(x).hex() for x in seed] == ["0x0.0p+0", "0x1.eb7c166fdfff1p-1"]
+        # the bits of dot3's left-to-right sums
+        assert [float(x).hex() for x in seed] == ["0x0.0p+0", "0x1.eb7c166fdfff2p-1"]
 
 
 class TestParametricDirection:
@@ -511,3 +520,70 @@ class TestTraceConfig:
 
     def test_closure_radius_default(self):
         assert TraceConfig(step=0.5).closure_radius == 1.0
+
+
+def _hex(values):
+    return [float(x).hex() for x in np.asarray(values, dtype=float).ravel().tolist()]
+
+
+class TestRecordedColumnsMatchPublicFunctions:
+    """A trace records each sample with the float kernels that the public
+    per-point functions wrap, so every recorded column has their bits."""
+
+    def test_sphere_chart(self):
+        sph = darboux.sphere(1.0)
+        d = np.array([1.0, 0.0, 1.0]) / SQRT2
+        phi = math.pi / 4
+        seed = find_seed(sph, d, phi, (0.9, 0.1))
+        res = trace_isophote(sph, d, phi, seed, TraceConfig(step=0.05, max_length=2.0))
+        assert res.n > 20
+        for i in range(res.n):
+            u, v = res.chart[i].tolist()
+            jet = sph.chart_jet(u, v)
+            du, dv = isophote_direction_parametric(sph, res.d, u, v)
+            t3 = du * jet.sigma_u + dv * jet.sigma_v
+            if dot3(t3.tolist(), res.tangents[i].tolist()) < 0.0:
+                du, dv, t3 = -du, -dv, -t3
+            assert _hex(t3) == _hex(res.tangents[i])
+            assert _hex(jet.sigma) == _hex(res.points[i])
+            U = unit_normal(jet)
+            assert _hex(U) == _hex(res.normals[i])
+            assert _hex([dot3(U.tolist(), res.d.tolist())]) == _hex([res.angle_dot[i]])
+            kn, tg = direction_scalars_parametric(sph, res.d, u, v, (du, dv))
+            assert _hex([kn, tg]) == _hex([res.kn[i], res.tg[i]])
+            delta, delta_star = delta_coefficients(sph, res.d, u, v, (du, dv))
+            assert _hex([delta * du + delta_star * dv]) == _hex([res.constraint_residual[i]])
+            ff = first_form(jet)
+            speed = ff.E * du * du + 2 * ff.F * du * dv + ff.G * dv * dv - 1.0
+            assert _hex([speed]) == _hex([res.unit_speed_residual[i]])
+
+    def test_implicit_torus(self):
+        itor = darboux.implicit_torus(2.0, 0.5)
+        d = np.array([1.0, 0.0, 2.0]) / math.sqrt(5.0)
+        phi = math.pi / 3
+        seed = find_seed(itor, d, phi, (2.4, 0.3, 0.2))
+        res = trace_isophote(itor, d, phi, seed, TraceConfig(step=0.05, max_length=2.0))
+        assert res.n > 20
+        for i in range(res.n):
+            p, t = res.points[i], res.tangents[i]
+            field = isophote_direction_implicit(itor, res.d, p)
+            assert _hex(t) in (_hex(field), _hex(-field))
+            U = itor.unit_normal(p)
+            assert _hex(U) == _hex(res.normals[i])
+            assert _hex([dot3(U.tolist(), res.d.tolist())]) == _hex([res.angle_dot[i]])
+            kn, tg = direction_scalars_implicit(itor, res.d, p, t)
+            assert _hex([kn, tg]) == _hex([res.kn[i], res.tg[i]])
+            omega = omega_coefficients(itor, res.d, p, t)
+            assert _hex([dot3(omega.tolist(), t.tolist())]) == _hex([res.constraint_residual[i]])
+            assert _hex([norm3(t.tolist()) - 1.0]) == _hex([res.unit_speed_residual[i]])
+            assert _hex([abs(itor.value(p))]) == _hex([res.surface_residual[i]])
+            grad_t = dot3(itor.gradient(p).tolist(), t.tolist())
+            assert _hex([grad_t]) == _hex([res.grad_dot_t[i]])
+
+
+def test_two_constraint_projection_leaves_p_on_a_singular_system():
+    # on the plane grad g vanishes, so J J^T is singular: no Newton step
+    p = (0.1, 0.2, 0.3)
+    out = trace_module._project_two_constraints(darboux.implicit_plane(), (0.0, 0.0, 1.0),
+                                                0.5, p, 1e-12)
+    assert out is p

@@ -1,7 +1,13 @@
-"""Scalar 3-vector helpers: cross3/norm3 give the bits of np.cross and
-np.linalg.norm on shape-(3,) float64 arrays."""
+"""Scalar 3-vector helpers: cross3 gives the bits of np.cross on shape-(3,)
+float64 arrays; dot3, norm3, norm3_rows and the Gauss-Legendre row sum are
+left-to-right sums, pinned against exact rational arithmetic rounded once
+per operation in that order."""
 
+import ast
 import itertools
+import math
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,9 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from darboux.surface import cross3, norm3
+import darboux
+from darboux.frames import _GL_WEIGHTS, _gl_sum
+from darboux.surface import cross3, dot3, norm3, norm3_rows
 
-VEC3 = arrays(np.float64, 3, elements=st.floats(allow_nan=False, allow_infinity=False))
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+VEC3 = arrays(np.float64, 3, elements=FINITE)
 
 TINY = 5e-324          # smallest subnormal
 SUB = 2.2250738585072014e-308 / 3.0
@@ -32,6 +41,47 @@ def _same_bits(x, y) -> bool:
     return np.asarray(x, dtype=np.float64).tobytes() == np.asarray(y, dtype=np.float64).tobytes()
 
 
+# IEEE round-to-nearest sends magnitudes from max float + half an ulp up to inf
+OVERFLOW = Fraction(2**1024 - 2**970)
+
+
+def _rounded(x: Fraction) -> float:
+    """x rounded once to the nearest float, ties to even, as IEEE arithmetic
+    rounds (int/int division is correctly rounded below the overflow edge)."""
+    if abs(x) >= OVERFLOW:
+        return math.inf if x > 0 else -math.inf
+    return float(x)
+
+
+def _mul(a: float, b: float) -> float:
+    if not (math.isfinite(a) and math.isfinite(b)) or a == 0.0 or b == 0.0:
+        return a * b  # exact: inf/nan propagate, zeros keep the sign rule
+    return _rounded(Fraction(a) * Fraction(b))
+
+
+def _add(a: float, b: float) -> float:
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return a + b
+    total = Fraction(a) + Fraction(b)
+    if total == 0:
+        # an exact zero sum is -0 only when both terms are -0
+        return -0.0 if math.copysign(1.0, a) < 0 and math.copysign(1.0, b) < 0 else 0.0
+    return _rounded(total)
+
+
+def reference_dot(a, b) -> float:
+    """sum_i a_i b_i from i = 0, each product and each sum rounded once."""
+    total = _mul(a[0], b[0])
+    for x, y in zip(a[1:], b[1:]):
+        total = _add(total, _mul(x, y))
+    return total
+
+
+def reference_norm(a) -> float:
+    # sqrt is correctly rounded in IEEE arithmetic, so one more rounding
+    return math.sqrt(reference_dot(a, a))
+
+
 @settings(max_examples=300, deadline=None)
 @given(VEC3, VEC3)
 def test_cross3_matches_np_cross(a, b):
@@ -40,10 +90,32 @@ def test_cross3_matches_np_cross(a, b):
 
 
 @settings(max_examples=300, deadline=None)
+@given(st.tuples(FINITE, FINITE, FINITE), st.tuples(FINITE, FINITE, FINITE))
+def test_dot3_matches_exact_left_to_right(a, b):
+    assert _same_bits(dot3(a, b), reference_dot(a, b))
+
+
+@settings(max_examples=300, deadline=None)
 @given(VEC3)
-def test_norm3_matches_np_linalg_norm(a):
+def test_norm3_matches_exact_left_to_right(a):
+    assert _same_bits(norm3(a.tolist()), reference_norm(a.tolist()))
+
+
+@settings(max_examples=100, deadline=None)
+@given(arrays(np.float64, st.tuples(st.integers(0, 6), st.just(3)), elements=FINITE))
+def test_norm3_rows_matches_exact_left_to_right(rows):
     with np.errstate(all="ignore"):
-        assert _same_bits(norm3(a), np.linalg.norm(a))
+        many = norm3_rows(rows)
+    assert _same_bits(many, [reference_norm(r) for r in rows.tolist()])
+
+
+@settings(max_examples=100, deadline=None)
+@given(arrays(np.float64, st.tuples(st.integers(1, 6), st.just(12)),
+              elements=st.floats(0.0, 1e6)))
+def test_gauss_legendre_row_sum_matches_exact_left_to_right(speeds):
+    weights = _GL_WEIGHTS.tolist()
+    assert _same_bits(_gl_sum(speeds),
+                      [reference_dot(row, weights) for row in speeds.tolist()])
 
 
 @pytest.mark.parametrize("a, b", EXPLICIT)
@@ -51,8 +123,10 @@ def test_explicit_cases(a, b):
     with np.errstate(all="ignore"):
         assert _same_bits(cross3(a, b), np.cross(a, b))
         assert _same_bits(cross3(b, a), np.cross(b, a))
-        assert _same_bits(norm3(a), np.linalg.norm(a))
-        assert _same_bits(norm3(b), np.linalg.norm(b))
+    for x, y in ((a, b), (b, a), (a, a)):
+        assert _same_bits(dot3(x.tolist(), y.tolist()), reference_dot(x.tolist(), y.tolist()))
+    assert _same_bits(norm3(a.tolist()), reference_norm(a.tolist()))
+    assert _same_bits(norm3(b.tolist()), reference_norm(b.tolist()))
 
 
 def test_signed_zero_combinations():
@@ -60,10 +134,23 @@ def test_signed_zero_combinations():
     vectors = [np.array(v) for v in itertools.product(zeros, repeat=3)]
     for a, b in itertools.product(vectors, repeat=2):
         assert _same_bits(cross3(a, b), np.cross(a, b))
-        assert _same_bits(norm3(a), np.linalg.norm(a))
+        assert _same_bits(dot3(a.tolist(), b.tolist()), reference_dot(a.tolist(), b.tolist()))
+        assert _same_bits(norm3(a.tolist()), reference_norm(a.tolist()))
 
 
 def test_types():
     a, b = np.array([1.0, 2.0, 3.0]), np.array([-1.0, 0.5, 2.0])
     assert cross3(a, b).shape == (3,) and cross3(a, b).dtype == np.float64
-    assert isinstance(norm3(a), float)
+    assert isinstance(norm3(a.tolist()), float)
+    assert isinstance(dot3(a.tolist(), b.tolist()), float)
+
+
+@pytest.mark.parametrize("module", ["trace.py", "surface.py"])
+def test_no_matmul_operator(module):
+    """The trace kernel and the surfaces take every inner product through
+    dot3: no ``@`` (whose 3-vector dot goes to the BLAS build's ddot)."""
+    path = Path(darboux.__file__).parent / module
+    tree = ast.parse(path.read_text())
+    found = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)]
+    assert found == []
