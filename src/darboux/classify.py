@@ -28,13 +28,12 @@ from .frames import (
     EPS_KAPPA_DEFAULT,
     CurveOnSurface,
     FrameData,
-    _curve_jet,
+    _curve_jets,
     _frenet,
     deriv_uniform,
-    frenet,
     sample_frames,
 )
-from .surface import _floats, dot3, dot3_rows, norm3, norm3_rows
+from .surface import dot3, dot3_rows, norm3, norm3_rows
 
 __all__ = [
     "CharacterizationSeries",
@@ -202,12 +201,10 @@ def slant_helix_series(c, grid, eps_kappa: float = EPS_KAPPA_DEFAULT) -> Charact
 
 
 def _kappa_tau(c, grid, eps_kappa):
-    kappa = np.empty(len(grid))
-    tau = np.empty(len(grid))
-    for i, s in enumerate(grid):
-        fr = frenet(c, s, eps_kappa=eps_kappa)
-        kappa[i], tau[i] = fr.kappa, fr.tau
-    return kappa, tau
+    """(kappa, tau) of the Frenet frame at each s of grid, the jets read in
+    one batch."""
+    rows = [_frenet(jets, s, eps_kappa)[3:] for s, jets in _curve_jets(c, grid)]
+    return np.array(rows, dtype=float).reshape(len(grid), 2).T
 
 
 # ---------------------------------------------------------------------------
@@ -468,14 +465,11 @@ def rectifying_check(c, grid, tol: float = 1e-6, eps: float = 1e-9,
     """Rectifying test for a curve: <gamma, N> residual series plus the
     linear fit of tau/kappa."""
     grid = np.asarray(grid, dtype=float)
-    kappa = np.empty(len(grid))
-    tau = np.empty(len(grid))
-    dot_n = np.empty(len(grid))
-    for i, s in enumerate(grid):
-        jets = _curve_jet(c, s)
-        fr = _frenet(jets, s, eps_kappa)
-        kappa[i], tau[i] = fr.kappa, fr.tau
-        dot_n[i] = dot3(_floats(jets[0]), fr.N.tolist())
+    rows = []
+    for s, jets in _curve_jets(c, grid):
+        _, N, _, kappa, tau = _frenet(jets, s, eps_kappa)
+        rows.append((kappa, tau, dot3(jets[0], N)))
+    kappa, tau, dot_n = np.array(rows, dtype=float).reshape(len(grid), 3).T
     check = rectifying_from_scalars(grid, kappa, tau, tol=tol, eps=eps)
     check.gamma_dot_N = CharacterizationSeries(
         grid, dot_n, np.ones(len(grid), dtype=bool), "gamma_dot_N")

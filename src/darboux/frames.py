@@ -23,6 +23,13 @@ the same order, and the sums of a row (the |gamma'| dot product and the
 Gauss-Legendre sum) are accumulated left to right as ``surface.dot3`` sums.
 A batch that fails is redone point by point, so errors are the ones a
 point-by-point pass raises first.
+
+The frame sampler runs on the float kernels of ``surface``: each sample
+evaluates the chart (or the level set) once, and its jets, U and the
+normal's derivatives along the curve are tuples of Python floats, with one
+bivariate chain rule (``_chart_chain``) for the curve and for U and one
+univariate chain rule (``_arclength_rule``) through t(s).  Arrays are built
+only for the public results and for the columns of ``FrameData``.
 """
 
 from __future__ import annotations
@@ -45,16 +52,17 @@ from .surface import (
     ImplicitSurface,
     ParametricSurface,
     _cross,
+    _div3,
     _floats,
     _lincomb,
     _matvec,
-    chart_normal_derivatives,
-    chart_normal_second_derivatives,
-    cross3,
+    _normal_jacobian,
+    _normal_partials,
+    _normal_second_partials,
+    _unit_normal,
     dot3,
     norm3,
     norm3_rows,
-    unit_normal,
 )
 
 __all__ = [
@@ -150,6 +158,14 @@ class UnitSpeedCurve:
         """jet(s) at each s of grid."""
         return [self.jet(s) for s in grid]
 
+    def _samples(self, grid) -> list:
+        """What the jet at each s of grid is read from: the jet itself."""
+        return self.jets(grid)
+
+    def _jet_of(self, s, sample=None):
+        """The jet at s as lists of Python floats, from its sample if given."""
+        return _floats(self.jet(s) if sample is None else sample)
+
     @classmethod
     def from_polyline(cls, points: np.ndarray, length: float | None = None) -> "UnitSpeedCurve":
         """Curve from uniformly spaced samples assumed unit-speed.
@@ -232,13 +248,14 @@ class ChartPath:
 
 
 def _chart_samples(path, surface: ParametricSurface, grid) -> list:
-    """(path jet, chart jet, third partials) at each s of grid, the surface
-    evaluated once per sample at the path's (u, v)."""
+    """(path jet, chart point, third partials) at each s of grid, the surface
+    evaluated once per sample at the path's (u, v): chart_point's
+    (jet, w, |w|) and the float third partials."""
     out = []
     for s in grid:
         jet = path.jet(s)
         u, v = jet[0]
-        out.append((jet, surface.chart_jet(u, v), surface.jet3(u, v)))
+        out.append((jet, surface.chart_point(u, v), surface._jet3(u, v)))
     return out
 
 
@@ -271,9 +288,7 @@ class CurveOnSurface:
 
     def gamma_jet(self, s: float):
         """(gamma, gamma', gamma'', gamma''') at arclength s."""
-        if self.kind == "implicit":
-            return self._on_surface(s, self.curve.jet(s))
-        return self._chart_samples([s])[0][0]
+        return tuple(np.array(x) for x in self._jet_of(s))
 
     def _on_surface(self, s, g):
         """The space-curve jet g at s, checked against the implicit surface."""
@@ -285,37 +300,58 @@ class CurveOnSurface:
             )
         return g
 
-    def _frame_inputs(self, grid) -> list:
+    def _samples(self, grid) -> list:
         """What the frame at each s of grid is built from: the space-curve
         jet (not yet checked against the surface) or the chart sample."""
         if self.kind == "implicit":
             return self.curve.jets(grid)
-        return self._chart_samples(grid)
+        return self.path.chart_samples(self.surface, grid)
 
-    def _chart_samples(self, grid) -> list:
-        """The curve jet at each s of grid on a chart path, with the chart
-        jet, the third partials and the path's (u', v'), (u'', v'') it was
-        built from."""
-        return [(_chart_rule_jets(jet, jet3, d1, d2, d3), jet, jet3, d1, d2)
-                for (_, d1, d2, d3), jet, jet3 in self.path.chart_samples(self.surface, grid)]
+    def _jet_of(self, s, sample=None):
+        """The curve jet at s as float 3-vectors, from its sample if given:
+        the space-curve jet checked against the surface, or the chain rule
+        on the chart sample."""
+        if sample is None:
+            sample = self._samples([s])[0]
+        if self.kind == "implicit":
+            return self._on_surface(s, _floats(sample))
+        (_, *d), (jet, _, _), third = sample
+        return _chart_rule_jets(jet, third, *d)
 
 
 def _chart_rule_jets(jet, jet3, d1, d2, d3):
-    du, dv = d1
-    ddu, ddv = d2
-    dddu, dddv = d3
-    su, sv = jet.sigma_u, jet.sigma_v
-    suu, suv, svv = jet.sigma_uu, jet.sigma_uv, jet.sigma_vv
-    suuu, suuv, suvv, svvv = jet3
-    g = jet.sigma
-    g1 = du * su + dv * sv
-    g2 = ddu * su + ddv * sv + du * du * suu + 2.0 * du * dv * suv + dv * dv * svv
-    g3 = (
-        dddu * su + dddv * sv
-        + 3.0 * du * ddu * suu + 3.0 * (ddu * dv + du * ddv) * suv + 3.0 * dv * ddv * svv
-        + du**3 * suuu + 3.0 * du * du * dv * suuv + 3.0 * du * dv * dv * suvv + dv**3 * svvv
-    )
-    return g, g1, g2, g3
+    """(gamma, gamma', gamma'', gamma''') of gamma = sigma(u(s), v(s)) from
+    the chart jet, its third partials and the path's derivatives."""
+    return (jet[0], *_chart_chain((d1, d2, d3), (jet[1:3], jet[3:6], jet3)))
+
+
+def _chart_chain(d, partials) -> list:
+    """[x', x''] of x(u(s), v(s)) along a chart path, and x''' when partials
+    holds a third entry: d holds the path's (u', v'), (u'', v''),
+    (u''', v''') and partials x's (x_u, x_v), (x_uu, x_uv, x_vv),
+    (x_uuu, x_uuv, x_uvv, x_vvv), each a 3-vector."""
+    (du, dv), (ddu, ddv) = d[0], d[1]
+    (x_u, x_v), (x_uu, x_uv, x_vv) = partials[0], partials[1]
+    out = [_lincomb(du, x_u, dv, x_v),
+           _weighted_sum((ddu, ddv, du * du, 2.0 * du * dv, dv * dv),
+                         (x_u, x_v, x_uu, x_uv, x_vv))]
+    if len(partials) > 2:
+        dddu, dddv = d[2]
+        out.append(_weighted_sum(
+            (dddu, dddv, 3.0 * du * ddu, 3.0 * (ddu * dv + du * ddv), 3.0 * dv * ddv,
+             du**3, 3.0 * du * du * dv, 3.0 * du * dv * dv, dv**3),
+            (x_u, x_v, x_uu, x_uv, x_vv, *partials[2])))
+    return out
+
+
+def _weighted_sum(coefs, vectors) -> tuple:
+    """c_0 x_0 + c_1 x_1 + ... for scalars c_k and 3-vectors x_k, summed
+    left to right from k = 0."""
+    (c, *cs), ((a, b, e), *xs) = coefs, vectors
+    a, b, e = c * a, c * b, c * e
+    for c, (x, y, z) in zip(cs, xs):
+        a, b, e = a + c * x, b + c * y, e + c * z
+    return a, b, e
 
 
 # ---------------------------------------------------------------------------
@@ -325,33 +361,44 @@ def _chart_rule_jets(jet, jet3, d1, d2, d3):
 def frenet(curve, s: float, eps_kappa: float = EPS_KAPPA_DEFAULT) -> FrenetFrame:
     """Frenet frame at s: T = gamma', kappa = |gamma''|, N = gamma''/kappa,
     B = T x N, tau = (gamma' x gamma'').gamma''' / kappa^2."""
-    return _frenet(_curve_jet(curve, s), s, eps_kappa)
+    T, N, B, kappa, tau = _frenet(curve._jet_of(s), s, eps_kappa)
+    return FrenetFrame(np.array(T), np.array(N), np.array(B), kappa, tau)
 
 
-def _frenet(jets, s, eps_kappa) -> FrenetFrame:
-    """frenet from the curve jet (gamma, gamma', gamma'', gamma''') at s."""
+def _frenet(jets, s, eps_kappa) -> tuple:
+    """frenet's (T, N, B, kappa, tau) from the float curve jet at s."""
     _, d1, d2, d3 = jets
-    kappa = norm3(_floats(d2))
+    kappa = norm3(d2)
     if kappa <= eps_kappa:
         raise FrenetUndefinedError(
             f"Frenet frame undefined: curvature {kappa:g} <= {eps_kappa:g} at s={float(s):g}"
         )
-    T = d1
-    N = d2 / kappa
-    B = cross3(T, N)
-    tau = _triple(d1, d2, d3) / kappa**2
-    return FrenetFrame(T, N, B, kappa, tau)
+    N = _div3(d2, kappa)
+    return d1, N, _cross(d1, N), kappa, _triple(d1, d2, d3) / kappa**2
 
 
 def _triple(a, b, c) -> float:
     """(a x b) . c of three 3-vectors."""
-    return dot3(_cross(_floats(a), _floats(b)), _floats(c))
+    return dot3(_cross(a, b), c)
 
 
-def _curve_jet(curve, s):
-    if isinstance(curve, CurveOnSurface):
-        return curve.gamma_jet(s)
-    return curve.jet(s)
+def _batched_samples(curve, grid) -> list:
+    """curve._samples(grid), or None for each s if the batch raises: each
+    sample is then evaluated on its own when its turn comes, so the error
+    raised is the first one a pass in grid order meets."""
+    try:
+        return curve._samples(grid)
+    except _EVALUATION_ERRORS:
+        return [None] * len(grid)
+
+
+def _curve_jets(curve, grid):
+    """(s, float curve jet) at each s of grid, in grid order, read from the
+    batched samples sample_frames reads.  A generator: a caller that checks
+    each jet before taking the next keeps the errors of a point-by-point
+    pass."""
+    for s, sample in zip(grid, _batched_samples(curve, grid)):
+        yield s, curve._jet_of(s, sample)
 
 
 def darboux(c: CurveOnSurface, s: float) -> DarbouxFrame:
@@ -361,40 +408,38 @@ def darboux(c: CurveOnSurface, s: float) -> DarbouxFrame:
     analytically as -U'.V (equal to V'.U by orthonormality), with U' from
     analytic normal derivatives.
     """
-    jets, U, U_prime, _ = _frame_sample(c, s)
-    return _darboux_frame(jets, U, U_prime, s)
+    jets, U, U1, _ = _frame_sample(c, s)
+    V, kg, kn, tg = _darboux_scalars(jets, U, U1, s)
+    return DarbouxFrame(np.array(jets[1]), np.array(V), np.array(U), kg, kn, tg)
 
 
-def _frame_sample(c: CurveOnSurface, s: float, inputs=None):
-    """Curve jet, unit normal U and its arclength derivative U' at s, each
-    surface quantity evaluated once, from the sample's ``_frame_inputs``
-    when they are given.  On chart paths the chart data that tau_g' needs
-    comes along: (jet, jet3, U_u, U_v, (u', v'), (u'', v''))."""
-    if inputs is None:
-        inputs = c._frame_inputs([s])[0]
+def _frame_sample(c: CurveOnSurface, s: float, sample=None):
+    """(curve jet, U, U', U'') at s as float 3-vectors, primes along the
+    curve, from one evaluation of the surface: the sample of ``c._samples``
+    when it is given.  U'' comes from the chart's third partials and is None
+    on space curves."""
+    if sample is None:
+        sample = c._samples([s])[0]
+    jets = c._jet_of(s, sample)
     if c.kind == "implicit":
-        jets = c._on_surface(s, inputs)
-        U, J = c.surface.normal_and_jacobian(jets[0])
-        return jets, U, np.array(_matvec(J.tolist(), _floats(jets[1]))), None
-    jets, jet, jet3, d1, d2 = inputs
-    U_u, U_v = chart_normal_derivatives(jet)
-    du, dv = d1
-    return jets, unit_normal(jet), du * U_u + dv * U_v, (jet, jet3, U_u, U_v, d1, d2)
+        g, n, H = c.surface.level_point(tuple(jets[0]))
+        return jets, _div3(g, n), _matvec(_normal_jacobian(g, n, H), jets[1]), None
+    (_, *d), (jet, w, n), third = sample
+    U1, U2 = _chart_chain(d, (_normal_partials(jet, w, n),
+                              _normal_second_partials(jet, third, w, n)))
+    return jets, _unit_normal(w, n), U1, U2
 
 
-def _darboux_frame(jets, U, U_prime, s) -> DarbouxFrame:
+def _darboux_scalars(jets, U, U1, s) -> tuple:
+    """(V, k_g, k_n, tau_g) at s from the curve jet, U and U', with
+    V = U x T and T = gamma'."""
     _, d1, d2, _ = jets
-    speed = norm3(_floats(d1))
+    speed = norm3(d1)
     if abs(speed - 1.0) > UNIT_SPEED_TOL:
         raise DarbouxError(
             f"curve is not unit speed at s={float(s):g}: |gamma'| = {speed:.6g}")
-    T = d1
-    V = cross3(U, T)
-    d2f, Vf = _floats(d2), V.tolist()
-    kn = dot3(d2f, U.tolist())
-    kg = dot3(d2f, Vf)
-    tg = -dot3(U_prime.tolist(), Vf)
-    return DarbouxFrame(T, V, U, kg, kn, tg)
+    V = _cross(U, d1)
+    return V, dot3(d2, V), dot3(d2, U), -dot3(U1, V)
 
 
 # ---------------------------------------------------------------------------
@@ -440,56 +485,30 @@ class FrameData:
 @numerical
 def sample_frames(c: CurveOnSurface, grid: np.ndarray,
                   eps_kappa: float = EPS_KAPPA_DEFAULT) -> FrameData:
-    """Evaluate Darboux data over a uniform grid of arclength values."""
+    """Evaluate Darboux data over a uniform grid of arclength values: one
+    row of floats per sample, then each column as one array."""
     grid = np.asarray(grid, dtype=float)
     _require_uniform(grid)
-    n = len(grid)
-    gam = np.empty((n, 3))
-    T = np.empty((n, 3))
-    V = np.empty((n, 3))
-    U = np.empty((n, 3))
-    kg = np.empty(n)
-    kn = np.empty(n)
-    tg = np.empty(n)
-    dkg = np.empty(n)
-    dkn = np.empty(n)
-    tau = np.empty(n)
-    accel = np.empty(n)
-    tg_analytic = c.kind == "parametric"
-    dtg = np.empty(n) if tg_analytic else None
-    try:
-        inputs = c._frame_inputs(grid)
-    except _EVALUATION_ERRORS:
-        # evaluate each sample with its frame instead, so that the error
-        # raised is the first one a pass in grid order meets
-        inputs = [None] * n
-
-    for i, s in enumerate(grid):
-        jets, normal, U_prime, chart = _frame_sample(c, s, inputs[i])
+    rows = []
+    for s, sample in zip(grid, _batched_samples(c, grid)):
+        jets, U, U1, U2 = _frame_sample(c, s, sample)
         g, d1, d2, d3 = jets
-        fr = _darboux_frame(jets, normal, U_prime, s)
-        gam[i] = g
-        T[i], V[i], U[i] = fr.T, fr.V, fr.U
-        kg[i], kn[i], tg[i] = fr.kg, fr.kn, fr.tg
-        # k_g' = gamma'''.V + tau_g k_n ; k_n' = gamma'''.U - tau_g k_g
-        d3 = _floats(d3)
-        dkg[i] = dot3(d3, fr.V.tolist()) + fr.tg * fr.kn
-        dkn[i] = dot3(d3, fr.U.tolist()) - fr.tg * fr.kg
-        kap2 = fr.kg**2 + fr.kn**2
-        tau[i] = _triple(d1, d2, d3) / kap2 if kap2 > eps_kappa**2 else np.nan
-        accel[i] = norm3(_floats(d2))
-        if tg_analytic:
-            # tau_g' = -U''.V - k_n k_g with U'' along the curve
-            jet, jet3, U_u, U_v, (du, dv), (ddu, ddv) = chart
-            U_uu, U_uv, U_vv = chart_normal_second_derivatives(jet, jet3)
-            U_pp = (ddu * U_u + ddv * U_v
-                    + du * du * U_uu + 2.0 * du * dv * U_uv + dv * dv * U_vv)
-            dtg[i] = -dot3(U_pp.tolist(), fr.V.tolist()) - fr.kn * fr.kg
-
-    if not tg_analytic:
+        V, kg, kn, tg = _darboux_scalars(jets, U, U1, s)
+        kap2 = kg**2 + kn**2
+        rows.append((
+            g, d1, V, U, kg, kn, tg,
+            # k_g' = gamma'''.V + tau_g k_n ; k_n' = gamma'''.U - tau_g k_g
+            dot3(d3, V) + tg * kn, dot3(d3, U) - tg * kg,
+            _triple(d1, d2, d3) / kap2 if kap2 > eps_kappa**2 else np.nan,
+            norm3(d2),
+            # tau_g' = -U''.V - k_n k_g (analytic on chart paths only)
+            np.nan if U2 is None else -dot3(U2, V) - kn * kg,
+        ))
+    gam, T, V, U, kg, kn, tg, dkg, dkn, tau, accel, dtg = (
+        np.array(column, dtype=float) for column in zip(*rows))
+    if c.kind == "implicit":
         dtg = deriv_uniform(tg, grid[1] - grid[0])
-    kappa = np.hypot(kg, kn)
-    return FrameData(grid, gam, T, V, U, kg, kn, tg, dkg, dkn, dtg, kappa, tau,
+    return FrameData(grid, gam, T, V, U, kg, kn, tg, dkg, dkn, dtg, np.hypot(kg, kn), tau,
                      analytic=c.analytic, eps_kappa=eps_kappa, accel=accel)
 
 
@@ -715,8 +734,7 @@ class ArclengthMap:
 
 def _arclength_chain(c1, c2, c3):
     """(t', t'', t''') of t(s), the inverse of arclength, from the curve's
-    raw derivatives c1, c2, c3 in t."""
-    c1, c2, c3 = _floats(c1), _floats(c2), _floats(c3)
+    raw derivatives c1, c2, c3 in t, float 3-vectors."""
     v = norm3(c1)
     vd = dot3(c1, c2) / v
     vdd = (dot3(c2, c2) + dot3(c1, c3) - vd * vd) / v
@@ -724,6 +742,12 @@ def _arclength_chain(c1, c2, c3):
     tpp = -vd / v**3
     tppp = (3.0 * vd * vd - v * vdd) / v**5
     return tp, tpp, tppp
+
+
+def _arclength_rule(x1, x2, x3, tp, tpp, tppp) -> tuple:
+    """(x', x'', x''') in s of x(t(s)) from x's derivatives x1, x2, x3 in t
+    and (t', t'', t'''); x is a scalar or an array, taken elementwise."""
+    return x1 * tp, x2 * tp * tp + x1 * tpp, x3 * tp**3 + 3.0 * x2 * tp * tpp + x1 * tppp
 
 
 class _ResampledCurve(UnitSpeedCurve):
@@ -756,10 +780,7 @@ class _ResampledCurve(UnitSpeedCurve):
         out = []
         for t in self.amap.t_of_s_many(grid).tolist():
             c1, c2, c3 = raw.c1(t), raw.c2(t), raw.c3(t)
-            tp, tpp, tppp = _arclength_chain(c1, c2, c3)
-            g1 = c1 * tp
-            g2 = c2 * tp * tp + c1 * tpp
-            g3 = c3 * tp**3 + 3.0 * c2 * tp * tpp + c1 * tppp
+            g1, g2, g3 = _arclength_rule(c1, c2, c3, *_arclength_chain(*_floats((c1, c2, c3))))
             out.append((raw.c(t), g1, g2, g3))
         return out
 
@@ -806,24 +827,17 @@ class _UnitSpeedChartPath:
 
     def chart_samples(self, surface: ParametricSurface, grid) -> list:
         """One t_of_s_many call, then per sample the chain rule through
-        t(s); the chart jet and third partials it evaluates at (u, v) come
-        along for the frame."""
+        t(s); the chart point and third partials it evaluates at (u, v)
+        come along for the frame."""
         if surface is not self.surface:
             return _chart_samples(self, surface, grid)
         out = []
         for t in self.amap.t_of_s_many(grid).tolist():
-            (u, v), d1, d2, d3 = self.raw.jet(t)
-            jet, jet3 = surface.chart_jet(u, v), surface.jet3(u, v)
-            _, c1, c2, c3 = _chart_rule_jets(jet, jet3, d1, d2, d3)
-            tp, tpp, tppp = _arclength_chain(c1, c2, c3)
-            (du, dv), (ddu, ddv), (dddu, dddv) = d1, d2, d3
-            u_s = du * tp
-            v_s = dv * tp
-            u_ss = ddu * tp * tp + du * tpp
-            v_ss = ddv * tp * tp + dv * tpp
-            u_sss = dddu * tp**3 + 3.0 * ddu * tp * tpp + du * tppp
-            v_sss = dddv * tp**3 + 3.0 * ddv * tp * tpp + dv * tppp
-            out.append((((u, v), (u_s, v_s), (u_ss, v_ss), (u_sss, v_sss)), jet, jet3))
+            (u, v), *d = self.raw.jet(t)
+            point, third = surface.chart_point(u, v), surface._jet3(u, v)
+            chain = _arclength_chain(*_chart_rule_jets(point[0], third, *d)[1:])
+            u_jet, v_jet = (_arclength_rule(*x, *chain) for x in zip(*d))
+            out.append((((u, v), *zip(u_jet, v_jet)), point, third))
         return out
 
 

@@ -3,7 +3,8 @@
 The public functions and methods take and return plain numpy arrays of
 shape (3,), float64.  Each wraps a float kernel that works on tuples of
 Python floats (``chart_point``, ``level_point`` and the ``_``-prefixed
-functions below), which is what the isophote tracer runs on.
+functions below), which is what the isophote tracer and the frame sampler
+run on.
 
 Catalog surfaces (sphere, cylinder, plane, torus, helicoid, ellipsoid,
 monkey saddle) carry hand-written jets; surfaces built from expression text
@@ -20,7 +21,7 @@ from __future__ import annotations
 import inspect
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 from urllib.parse import parse_qsl
 
 import numpy as np
@@ -150,8 +151,8 @@ def _matvec(A, x) -> tuple:
 
 
 def _floats(a) -> list:
-    """A 3-vector or 3x3 matrix given as an array or nested sequences, as
-    (nested) lists of Python floats."""
+    """A 3-vector, a 3x3 matrix or a jet of 3-vectors given as an array or
+    nested sequences, as (nested) lists of Python floats."""
     return np.asarray(a, dtype=float).tolist()
 
 
@@ -275,9 +276,9 @@ class FirstForm:
         return math.sqrt(self.det)
 
 
-@dataclass(frozen=True)
-class ChartJet:
-    """Chart map value and partials to second order at one (u, v)."""
+class ChartJet(NamedTuple):
+    """Chart map value and partials to second order at one (u, v), in the
+    order of the six 3-vectors a float kernel's jet holds."""
 
     sigma: np.ndarray
     sigma_u: np.ndarray
@@ -285,11 +286,6 @@ class ChartJet:
     sigma_uu: np.ndarray
     sigma_uv: np.ndarray
     sigma_vv: np.ndarray
-
-    def floats(self) -> tuple:
-        """The six vectors as lists of Python floats, for the float kernels."""
-        return (self.sigma.tolist(), self.sigma_u.tolist(), self.sigma_v.tolist(),
-                self.sigma_uu.tolist(), self.sigma_uv.tolist(), self.sigma_vv.tolist())
 
 
 class ParametricSurface:
@@ -404,7 +400,11 @@ class ParametricSurface:
 
     def jet3(self, u: float, v: float):
         """Third partials (sigma_uuu, sigma_uuv, sigma_uvv, sigma_vvv)."""
-        return tuple(np.array(a, dtype=float) for a in self._jet3_fn(*self.wrap(u, v)))
+        return tuple(np.array(a, dtype=float) for a in self._jet3(u, v))
+
+    def _jet3(self, u: float, v: float):
+        """The float kernel of jet3: the four 3-vectors of jet3_fn."""
+        return self._jet3_fn(*self.wrap(u, v))
 
     def first_form(self, u: float, v: float) -> FirstForm:
         return first_form(self.chart_jet(u, v))
@@ -416,9 +416,11 @@ class ParametricSurface:
         return normal_derivatives(self, u, v)
 
     def normal_second_derivatives(self, u: float, v: float):
-        """Second partials (U_uu, U_uv, U_vv) of the unit normal."""
-        third = self.jet3(u, v)
-        return chart_normal_second_derivatives(self.chart_jet(u, v), third)
+        """Second partials (U_uu, U_uv, U_vv) of the unit normal: the
+        quotient rule applied twice to w = sigma_u x sigma_v."""
+        third = self._jet3(u, v)
+        jet, w, n = self.chart_point(u, v)
+        return tuple(np.array(a) for a in _normal_second_partials(jet, third, w, n))
 
 
 class ImplicitSurface:
@@ -475,13 +477,7 @@ class ImplicitSurface:
 
     def normal_jacobian(self, p: np.ndarray) -> np.ndarray:
         """d/dp of grad(f)/|grad(f)| as a 3x3 matrix."""
-        return self.normal_and_jacobian(p)[1]
-
-    def normal_and_jacobian(self, p: np.ndarray):
-        """Unit normal grad(f)/|grad(f)| and its 3x3 Jacobian, from one
-        gradient and one Hessian evaluation."""
-        g, n, H = self.level_point(_point(p))
-        return np.array(g, dtype=float) / n, np.array(_normal_jacobian(g, n, H))
+        return np.array(_normal_jacobian(*self.level_point(_point(p))))
 
 
 # ---------------------------------------------------------------------------
@@ -491,29 +487,12 @@ class ImplicitSurface:
 
 def first_form(jet: ChartJet) -> FirstForm:
     """E = sigma_u.sigma_u, F = sigma_u.sigma_v, G = sigma_v.sigma_v."""
-    return FirstForm(*_first_form(jet.floats()))
+    return FirstForm(*_first_form(_floats(jet)))
 
 
 def unit_normal(jet: ChartJet) -> np.ndarray:
     """sigma_u x sigma_v, normalized (orientation fixed by chart order)."""
-    return np.array(_unit_normal(*_chart_w(jet.floats())))
-
-
-def chart_normal_derivatives(jet: ChartJet):
-    """Analytic partials (U_u, U_v) of the unit normal via the quotient rule
-    on w = sigma_u x sigma_v."""
-    floats = jet.floats()
-    return tuple(np.array(a) for a in _normal_partials(floats, *_chart_w(floats)))
-
-
-def chart_normal_second_derivatives(jet: ChartJet, third):
-    """Second partials (U_uu, U_uv, U_vv) of the unit normal from the chart
-    jet and the third partials: quotient rule applied twice to
-    w = sigma_u x sigma_v."""
-    floats = jet.floats()
-    third = [_floats(a) for a in third]
-    return tuple(np.array(a) for a in
-                 _normal_second_partials(floats, third, *_chart_w(floats)))
+    return np.array(_unit_normal(*_chart_w(_floats(jet))))
 
 
 def implicit_normal_jacobian(g: np.ndarray, n: float, H: np.ndarray) -> np.ndarray:
@@ -522,8 +501,9 @@ def implicit_normal_jacobian(g: np.ndarray, n: float, H: np.ndarray) -> np.ndarr
 
 
 def normal_derivatives(surface: ParametricSurface, u: float, v: float):
-    """Analytic partials (U_u, U_v) of the unit normal at (u, v)."""
-    return chart_normal_derivatives(surface.chart_jet(u, v))
+    """Analytic partials (U_u, U_v) of the unit normal at (u, v): the
+    quotient rule on w = sigma_u x sigma_v."""
+    return tuple(np.array(a) for a in _normal_partials(*surface.chart_point(u, v)))
 
 
 def project_to_implicit(surface: ImplicitSurface, p: np.ndarray, tol: float = 1e-12) -> np.ndarray:

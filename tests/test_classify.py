@@ -33,10 +33,21 @@ from darboux.classify import (
     theorem_functions,
 )
 from darboux.errors import (
+    DarbouxError,
     DegenerateFrameError,
+    FrenetUndefinedError,
     InsufficientSamplesError,
+    OutOfDomainError,
 )
-from darboux.frames import sample_frames
+from darboux.frames import (
+    ChartPath,
+    CurveOnSurface,
+    frenet,
+    sample_frames,
+    uniform_grid,
+    unit_speed_chart_curve,
+)
+from darboux.surface import dot3
 
 
 class TestMuSeries:
@@ -281,6 +292,71 @@ class TestRectifying:
         c = make_circle_on_plane()
         check = darboux.rectifying_check(c, np.linspace(0.0, 2 * math.pi, 33))
         assert not check.is_rectifying
+
+
+class TestFrenetSeriesInversions:
+    """slant_helix_series and rectifying_check read the jets of a whole grid
+    from one batched inversion, with the bits of frenet at each sample, and
+    raise the error a point-by-point pass meets first."""
+
+    def test_each_grid_inverted_once_with_the_frenet_bits(self):
+        path = ChartPath.from_expressions("s", "0.9*s+0.2*sin(s)", (0.0, 2 * math.pi))
+        c = unit_speed_chart_curve(darboux.cylinder(1.0), path, 128)
+        amap = c.path.amap
+        lanes = []
+        many = amap.t_of_s_many
+
+        def counted(s):
+            lanes.append(len(s))
+            return many(s)
+
+        amap.t_of_s_many = counted
+        grid = uniform_grid(0.0, c.s_range[1], 101)
+        series = slant_helix_series(c, grid)
+        check = darboux.rectifying_check(c, grid)
+        assert lanes == [101, 101]
+
+        frames = [frenet(c, s) for s in grid]
+        kappa = np.array([fr.kappa for fr in frames])
+        tau = np.array([fr.tau for fr in frames])
+        expected = slant_series_from_scalars(grid, kappa, tau)
+        assert series.values.tobytes() == expected.values.tobytes()
+        fit = rectifying_from_scalars(grid, kappa, tau)
+        assert (check.slope, check.intercept, check.fit_residual) == (
+            fit.slope, fit.intercept, fit.fit_residual)
+        dot_n = np.array([dot3(c.gamma_jet(s)[0].tolist(), fr.N.tolist())
+                          for s, fr in zip(grid, frames)])
+        assert check.gamma_dot_N.values.tobytes() == dot_n.tobytes()
+
+    @staticmethod
+    def plane_curve_rising_after(s_rise, raising):
+        """A line on the implicit plane z = 0 (Frenet frame undefined
+        everywhere) that rises off the plane beyond s_rise, where its gamma''
+        also raises if ``raising``."""
+
+        def gamma(s):
+            return np.array([s, 0.0, max(s - s_rise, 0.0) ** 3])
+
+        def d2(s):
+            if raising and s > s_rise:
+                raise OutOfDomainError(f"d2 undefined at s={s:g}")
+            return np.zeros(3)
+
+        curve = darboux.UnitSpeedCurve(gamma, lambda s: np.array([1.0, 0.0, 0.0]), d2,
+                                       lambda s: np.zeros(3), 2.0)
+        return CurveOnSurface(darboux.implicit_plane(), space_curve=curve)
+
+    @pytest.mark.parametrize("fn", [slant_helix_series, darboux.rectifying_check],
+                             ids=["slant_helix_series", "rectifying_check"])
+    @pytest.mark.parametrize("raising", [False, True], ids=["leaves surface", "jet raises"])
+    def test_first_error_in_grid_order(self, fn, raising):
+        c = self.plane_curve_rising_after(1.0, raising)
+        with pytest.raises(FrenetUndefinedError, match="at s=0$"):
+            fn(c, np.linspace(0.0, 2.0, 21))
+        # a grid past s = 1: the jet's own error comes before the frame's
+        with pytest.raises(OutOfDomainError if raising else DarbouxError,
+                           match="d2 undefined" if raising else "leaves surface"):
+            fn(c, np.linspace(1.5, 2.0, 11))
 
 
 class TestAlgebraicIdentities:

@@ -249,6 +249,77 @@ class TestNormalAngleSeriesInversions:
         assert expected.tobytes() == series.r1.tobytes()
 
 
+# Catalog-like charts as expression text in {u} and {v}; the paths below
+# keep v in [-0.2, 1.3], inside each chart's regular part.
+ORIENTATION_CHARTS = {
+    "torus": ("(2+0.5*cos({v}))*cos({u})", "(2+0.5*cos({v}))*sin({u})", "0.5*sin({v})"),
+    "ellipsoid": ("2*cos({v})*cos({u})", "1.5*cos({v})*sin({u})", "sin({v})"),
+    "helicoid": ("{v}*cos({u})", "{v}*sin({u})", "{u}"),
+    "monkey_saddle": ("{u}", "{v}", "{u}^3-3*{u}*{v}^2"),
+}
+
+
+@functools.cache
+def _orientation_chart(name, swapped):
+    """The chart as a param: surface, with u and v exchanged if swapped."""
+    u, v = ("v", "u") if swapped else ("u", "v")
+    x, y, z = (src.format(u=u, v=v) for src in ORIENTATION_CHARTS[name])
+    return darboux.parse_surface_spec(f"param:x={x};y={y};z={z};u=-10,10;v=-10,10")
+
+
+ORIENTATION_PATHS = st.tuples(
+    st.sampled_from(sorted(ORIENTATION_CHARTS)),
+    st.floats(-1.0, 1.0), st.floats(0.5, 1.5),                          # u = u0 + a s
+    st.floats(0.3, 0.8), st.floats(-0.3, 0.3), st.floats(-0.2, 0.2))    # v = v0 + b s + c sin s
+
+
+def _orientation_frames(name, params, swapped=False, reversed_=False, samples=21):
+    """sample_frames along the path on [0, 1] (run backwards if reversed_)
+    on the chart (with u and v exchanged, the path too, if swapped)."""
+    u0, a, v0, b, c = params
+    s = "(1-s)" if reversed_ else "s"
+    u_src, v_src = f"{u0!r}+{a!r}*{s}", f"{v0!r}+{b!r}*{s}+{c!r}*sin({s})"
+    if swapped:
+        u_src, v_src = v_src, u_src
+    path = ChartPath.from_expressions(u_src, v_src, (0.0, 1.0))
+    curve = unit_speed_chart_curve(_orientation_chart(name, swapped), path, 64)
+    return sample_frames(curve, uniform_grid(0.0, curve.s_range[1], samples))
+
+
+class TestOrientation:
+    """Sign laws of the Darboux scalars.  Exchanging u and v flips the
+    surface normal U, so V = U x T flips too: k_n and k_g change sign and
+    tau_g = -U'.V does not.  Reversing the curve flips T and V but not U:
+    only k_g changes sign (and tau_g', a derivative of an unchanged scalar
+    along the reversed arclength)."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(ORIENTATION_PATHS)
+    def test_swapped_chart_flips_kn_and_kg(self, case):
+        name, *params = case
+        a = _orientation_frames(name, params)
+        b = _orientation_frames(name, params, swapped=True)
+        assert np.array_equal(a.s, b.s)
+        # measured at most 2.7e-15 (the chain rule sums in another order)
+        np.testing.assert_allclose(b.kn, -a.kn, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(b.kg, -a.kg, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(b.tg, a.tg, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(b.dtg, a.dtg, rtol=0, atol=1e-12)
+
+    @settings(max_examples=20, deadline=None)
+    @given(ORIENTATION_PATHS)
+    def test_reversed_curve_flips_kg_only(self, case):
+        name, *params = case
+        a = _orientation_frames(name, params)
+        b = _orientation_frames(name, params, reversed_=True)
+        assert b.s[-1] == pytest.approx(a.s[-1], rel=1e-12)
+        # measured at most 1.9e-12 (two arclength tables, two inversions)
+        np.testing.assert_allclose(b.kg[::-1], -a.kg, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(b.kn[::-1], a.kn, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(b.tg[::-1], a.tg, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(b.dtg[::-1], -a.dtg, rtol=0, atol=1e-9)
+
+
 class TestUnitSpeedCondition:
     @pytest.mark.parametrize("maker", [make_helix_curve, make_latitude_curve],
                              ids=["helix", "latitude"])

@@ -154,3 +154,33 @@ def test_no_matmul_operator(module):
     found = [node.lineno for node in ast.walk(tree)
              if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)]
     assert found == []
+
+
+# numpy products that send 3-vectors to BLAS (or to SIMD kernels with their
+# own summation order); np.linalg.eigh in classify.recover_axis is not one
+BLAS_PRODUCTS = {("np", "dot"), ("np", "vecdot"), ("np", "inner"), ("np", "einsum"),
+                 ("np", "cross"), ("np", "linalg", "norm")}
+
+
+def _dotted(node) -> tuple:
+    """The name chain of an attribute access, ("np", "linalg", "norm") for
+    np.linalg.norm, or () for anything else."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return (node.id, *reversed(parts)) if isinstance(node, ast.Name) else ()
+
+
+def test_no_blas_products_in_the_package():
+    """The output bytes depend on every 3-vector product being a dot3-style
+    left-to-right sum: no ``@`` and no numpy product call anywhere in the
+    package."""
+    found = []
+    for path in sorted(Path(darboux.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                found.append(f"{path.name}:{node.lineno} @")
+            elif isinstance(node, ast.Call) and _dotted(node.func) in BLAS_PRODUCTS:
+                found.append(f"{path.name}:{node.lineno} {'.'.join(_dotted(node.func))}")
+    assert found == []
