@@ -29,6 +29,24 @@ TRACE_COLUMNS = ("s,x,y,z,u,v,tx,ty,tz,kg,kn,tg,angle_dot,"
 FRAMES_COLUMNS = "s,x,y,z,tx,ty,tz,vx,vy,vz,ux,uy,uz,kg,kn,tg"
 
 
+def _trace_rows(result: _trace.TraceResult):
+    """One list of Python floats per sample in TRACE_COLUMNS order, lazily;
+    u and v are None on an implicit trace."""
+    chart = result.chart.tolist() if result.chart is not None else [(None, None)] * result.n
+    columns = zip(result.s.tolist(), result.points.tolist(), chart, result.tangents.tolist(),
+                  result.kg.tolist(), result.kn.tolist(), result.tg.tolist(),
+                  result.angle_dot.tolist(), result.constraint_residual.tolist(),
+                  result.unit_speed_residual.tolist())
+    return ([s, *p, *uv, *t, *rest] for s, p, uv, t, *rest in columns)
+
+
+def _frames_rows(data: _frames.FrameData):
+    """One list of Python floats per sample in FRAMES_COLUMNS order, lazily."""
+    columns = zip(data.s.tolist(), data.gamma.tolist(), data.T.tolist(), data.V.tolist(),
+                  data.U.tolist(), data.kg.tolist(), data.kn.tolist(), data.tg.tolist())
+    return ([s, *p, *T, *V, *U, *rest] for s, p, T, V, U, *rest in columns)
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -151,49 +169,35 @@ def build_curve(surface, spec: str, resample_n: int = 512):
 # Output writers
 
 
-def trace_csv(result: _trace.TraceResult) -> str:
-    lines = [TRACE_COLUMNS]
-    for i in range(result.n):
-        u, v = ("", "") if result.chart is None else (
-            _fmt(result.chart[i, 0]), _fmt(result.chart[i, 1]))
-        p = result.points[i]
-        t = result.tangents[i]
-        lines.append(",".join([
-            _fmt(result.s[i]), _fmt(p[0]), _fmt(p[1]), _fmt(p[2]), u, v,
-            _fmt(t[0]), _fmt(t[1]), _fmt(t[2]),
-            _fmt(result.kg[i]), _fmt(result.kn[i]), _fmt(result.tg[i]),
-            _fmt(result.angle_dot[i]), _fmt(result.constraint_residual[i]),
-            _fmt(result.unit_speed_residual[i]),
-        ]))
+def _csv(columns: str, rows) -> str:
+    """The header line, then one line per row; None is an empty field."""
+    lines = [columns]
+    lines += [",".join(["" if x is None else _fmt(x) for x in row]) for row in rows]
     return "\n".join(lines) + "\n"
 
 
-def trace_json(result: _trace.TraceResult, surface_name: str) -> str:
-    payload = {
-        "kind": "trace",
-        "surface": surface_name,
-        "axis": [result.d[0], result.d[1], result.d[2]],
-        "angle_deg": math.degrees(result.phi),
-        "termination": result.termination,
-        "columns": TRACE_COLUMNS.split(","),
-        "samples": [
-            [
-                result.s[i],
-                *result.points[i].tolist(),
-                *( result.chart[i].tolist() if result.chart is not None else [None, None]),
-                *result.tangents[i].tolist(),
-                result.kg[i], result.kn[i], result.tg[i],
-                result.angle_dot[i], result.constraint_residual[i],
-                result.unit_speed_residual[i],
-            ]
-            for i in range(result.n)
-        ],
-    }
+def _json(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+def trace_csv(result: _trace.TraceResult) -> str:
+    return _csv(TRACE_COLUMNS, _trace_rows(result))
+
+
+def trace_json(result: _trace.TraceResult, surface_name: str) -> str:
+    return _json({
+        "kind": "trace",
+        "surface": surface_name,
+        "axis": result.d.tolist(),
+        "angle_deg": math.degrees(result.phi),
+        "termination": result.termination,
+        "columns": TRACE_COLUMNS.split(","),
+        "samples": list(_trace_rows(result)),
+    })
+
+
 def trace_obj(result: _trace.TraceResult) -> str:
-    lines = [f"v {_fmt(p[0])} {_fmt(p[1])} {_fmt(p[2])}" for p in result.points]
+    lines = [f"v {_fmt(x)} {_fmt(y)} {_fmt(z)}" for x, y, z in result.points.tolist()]
     indices = list(range(1, result.n + 1))
     if result.closed:
         indices.append(1)
@@ -202,28 +206,15 @@ def trace_obj(result: _trace.TraceResult) -> str:
 
 
 def frames_csv(c, grid) -> str:
-    data = _frames.sample_frames(c, grid)
-    lines = [FRAMES_COLUMNS]
-    for i in range(data.n):
-        row = [data.s[i], *data.gamma[i], *data.T[i], *data.V[i], *data.U[i],
-               data.kg[i], data.kn[i], data.tg[i]]
-        lines.append(",".join(_fmt(x) for x in row))
-    return "\n".join(lines) + "\n"
+    return _csv(FRAMES_COLUMNS, _frames_rows(_frames.sample_frames(c, grid)))
 
 
 def frames_json(c, grid) -> str:
-    data = _frames.sample_frames(c, grid)
-    payload = {
+    return _json({
         "kind": "frames",
         "columns": FRAMES_COLUMNS.split(","),
-        "samples": [
-            [data.s[i], *data.gamma[i].tolist(), *data.T[i].tolist(),
-             *data.V[i].tolist(), *data.U[i].tolist(),
-             data.kg[i], data.kn[i], data.tg[i]]
-            for i in range(data.n)
-        ],
-    }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        "samples": list(_frames_rows(_frames.sample_frames(c, grid))),
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +282,7 @@ def _cmd_classify(args) -> int:
     grid = _grid(curve, args.samples)
     tols = _classify.Tolerances(constancy=args.tol)
     report = _classify.classify_report(curve, grid, tols=tols, c_const=args.c_const)
-    _write(args.out, json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n")
+    _write(args.out, _json(report.as_dict()))
     return 0
 
 

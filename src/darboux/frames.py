@@ -59,7 +59,6 @@ from .surface import (
     _normal_jacobian,
     _normal_partials,
     _normal_second_partials,
-    _unit_normal,
     dot3,
     norm3,
     norm3_rows,
@@ -427,7 +426,7 @@ def _frame_sample(c: CurveOnSurface, s: float, sample=None):
     (_, *d), (jet, w, n), third = sample
     U1, U2 = _chart_chain(d, (_normal_partials(jet, w, n),
                               _normal_second_partials(jet, third, w, n)))
-    return jets, _unit_normal(w, n), U1, U2
+    return jets, _div3(w, n), U1, U2
 
 
 def _darboux_scalars(jets, U, U1, s) -> tuple:

@@ -186,13 +186,6 @@ def _unit_second_derivative(w, n, w_a, w_b, w_ab) -> tuple:
                   for x, a, b, ab in zip(w, w_a, w_b, w_ab)])
 
 
-def _unit_normal(w, n) -> tuple:
-    """U = w/|w| for w = sigma_u x sigma_v with |w| = n."""
-    if n <= EPS_REG_DEFAULT:
-        raise RegularityError(f"|sigma_u x sigma_v| = {n:g} below regularity threshold")
-    return _div3(w, n)
-
-
 def _chart_w(jet) -> tuple:
     """(w, |w|) for w = sigma_u x sigma_v of a chart jet."""
     w = _cross(jet[1], jet[2])
@@ -407,10 +400,12 @@ class ParametricSurface:
         return self._jet3_fn(*self.wrap(u, v))
 
     def first_form(self, u: float, v: float) -> FirstForm:
-        return first_form(self.chart_jet(u, v))
+        return FirstForm(*_first_form(self.chart_point(u, v)[0]))
 
     def unit_normal(self, u: float, v: float) -> np.ndarray:
-        return unit_normal(self.chart_jet(u, v))
+        """U = w/|w| at (u, v); chart_point has checked |w| against eps_reg."""
+        _, w, n = self.chart_point(u, v)
+        return np.array(_div3(w, n))
 
     def normal_derivatives(self, u: float, v: float):
         return normal_derivatives(self, u, v)
@@ -491,13 +486,13 @@ def first_form(jet: ChartJet) -> FirstForm:
 
 
 def unit_normal(jet: ChartJet) -> np.ndarray:
-    """sigma_u x sigma_v, normalized (orientation fixed by chart order)."""
-    return np.array(_unit_normal(*_chart_w(_floats(jet))))
-
-
-def implicit_normal_jacobian(g: np.ndarray, n: float, H: np.ndarray) -> np.ndarray:
-    """d/dp of grad(f)/|grad(f)| from g = grad(f), n = |g| and the Hessian H."""
-    return np.array(_normal_jacobian(_floats(g), float(n), _floats(H)))
+    """sigma_u x sigma_v, normalized (orientation fixed by chart order).  A
+    bare jet has no surface, so the regularity threshold is the default
+    eps_reg."""
+    w, n = _chart_w(_floats(jet))
+    if n <= EPS_REG_DEFAULT:
+        raise RegularityError(f"|sigma_u x sigma_v| = {n:g} below regularity threshold")
+    return np.array(_div3(w, n))
 
 
 def normal_derivatives(surface: ParametricSurface, u: float, v: float):

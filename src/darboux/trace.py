@@ -10,7 +10,10 @@ operations evaluated with the realized direction: along a correct trace
 Delta u' + Delta* v' and Omega . t vanish.
 
 Integration is classical fixed-step RK4.  Branch continuity picks, at every
-field evaluation, the sign that best aligns with the running tangent.
+field evaluation, the sign that best aligns with the running tangent, and a
+sample's own oriented slope is the first stage of the step that leaves it.
+A chart point is evaluated once, and its evaluation carries the field's
+inputs: the first form (E, F, G) and the level partials g_u, g_v.
 Implicit traces are Newton-projected back to f = 0 after every step.  When a
 trace returns to its seed it is closed with one final shortened step landing
 on the seed's transversal plane (the one sample exempt from the fixed-step
@@ -55,7 +58,6 @@ from .surface import (
     _normal_partials,
     _point,
     _project,
-    _unit_normal,
     cross3_rows,
     dot3,
     dot3_rows,
@@ -200,7 +202,7 @@ def snap_seed(surface, d, phi: float, guess, config: TraceConfig):
 
 def _angle_value_parametric(surface, d, u, v):
     _, w, n = surface.chart_point(u, v)
-    return dot3(_unit_normal(w, n), d)
+    return dot3(_div3(w, n), d)
 
 
 def _find_seed_parametric(surface, d, target, guess, tol, max_iter):
@@ -310,10 +312,13 @@ def _find_seed_implicit(surface, d, target, guess, tol, max_iter):
 # them
 
 
-def _chart_evaluation(surface, u, v):
-    """(jet, w, |w|, U_u, U_v) at (u, v), w = sigma_u x sigma_v."""
+def _chart_evaluation(surface, d, u, v):
+    """(jet, U, U_u, U_v, (E, F, G), g_u, g_v) at (u, v): the chart jet, the
+    unit normal and its partials, the first form and the partials of
+    g = <U, d>."""
     jet, w, n = surface.chart_point(u, v)
-    return (jet, w, n, *_normal_partials(jet, w, n))
+    U_u, U_v = _normal_partials(jet, w, n)
+    return jet, _div3(w, n), U_u, U_v, _first_form(jet), dot3(U_u, d), dot3(U_v, d)
 
 
 def isophote_direction_parametric(surface: ParametricSurface, d, u: float, v: float,
@@ -324,23 +329,20 @@ def isophote_direction_parametric(surface: ParametricSurface, d, u: float, v: fl
 
     Raises SingularPointError when both g_u and g_v fall below ``eps_sing``
     (no isophotic curve with this axis exists through the point)."""
-    du, dv = _chart_direction(_chart_evaluation(surface, u, v), _floats(d), eps_sing, u, v)
+    du, dv = _chart_direction(_chart_evaluation(surface, _floats(d), u, v), eps_sing, u, v)
     if branch == "minus":
         du, dv = -du, -dv
     return du, dv
 
 
-def _chart_direction(point, d, eps_sing, u, v):
+def _chart_direction(point, eps_sing, u, v):
     """(u', v') on the plus branch from a chart point's _chart_evaluation."""
-    jet, _, _, U_u, U_v = point
-    g_u = dot3(U_u, d)
-    g_v = dot3(U_v, d)
+    *_, (E, F, G), g_u, g_v = point
     if abs(g_u) <= eps_sing and abs(g_v) <= eps_sing:
         raise SingularPointError(
             "singular point of the isophote field: no isophotic curve with "
             f"this axis/angle at (u, v)=({float(u):g}, {float(v):g})"
         )
-    E, F, G = _first_form(jet)
     W = math.sqrt(E * g_v**2 - 2.0 * F * g_u * g_v + G * g_u**2)
     return -g_v / W, g_u / W
 
@@ -349,8 +351,8 @@ def direction_scalars_parametric(surface: ParametricSurface, d, u: float, v: flo
                                  direction) -> tuple[float, float]:
     """(k_n, tau_g) of a unit chart direction at a point (point functions of
     the direction, no curve needed)."""
-    jet, w, n, U_u, U_v = _chart_evaluation(surface, u, v)
-    return _chart_scalars(jet, _unit_normal(w, n), U_u, U_v, direction)
+    jet, U, U_u, U_v, *_ = _chart_evaluation(surface, _floats(d), u, v)
+    return _chart_scalars(jet, U, U_u, U_v, direction)
 
 
 def _chart_scalars(jet, U, U_u, U_v, direction) -> tuple[float, float]:
@@ -375,9 +377,10 @@ def delta_coefficients(surface: ParametricSurface, d, u: float, v: float,
     Delta  = sqrt(EG - F^2) k_n <sigma_u, d> + E tau_g <sigma_v, d> - F tau_g <sigma_u, d>
     Delta* = sqrt(EG - F^2) k_n <sigma_v, d> + F tau_g <sigma_v, d> - G tau_g <sigma_u, d>
     with k_n, tau_g evaluated for the supplied direction."""
-    jet, w, n, U_u, U_v = _chart_evaluation(surface, u, v)
-    kn, tg = _chart_scalars(jet, _unit_normal(w, n), U_u, U_v, direction)
-    return _delta(jet, _first_form(jet), _floats(d), kn, tg)
+    d = _floats(d)
+    jet, U, U_u, U_v, ff, _, _ = _chart_evaluation(surface, d, u, v)
+    kn, tg = _chart_scalars(jet, U, U_u, U_v, direction)
+    return _delta(jet, ff, d, kn, tg)
 
 
 def _delta(jet, ff, d, kn, tg) -> tuple[float, float]:
@@ -500,14 +503,16 @@ def _integrate(adapter, phi, seed):
     continuity, closure onto the seed and one record per sample.
 
     The adapter (_ChartTrace or _ImplicitTrace) maps the seed to a state,
-    evaluates the point of a state once, turns an evaluation into an RK4
-    slope and a 3-D tangent, fixes up each new state (wrap or
-    reprojection) and records a sample.  States, slopes and tangents are
-    tuples of floats.  The last evaluated point and its evaluation are kept
-    and reused while the requested point repeats: RK4's first stage is the
-    previous post-step point, each sample is recorded at the point its
-    direction was taken from, and stages whose slopes agree land on the
-    same point.
+    evaluates the point of a state once (a chart evaluation carries its
+    first form and level partials), turns an evaluation into an RK4 slope
+    and a 3-D tangent, fixes up each new state (wrap or reprojection) and
+    records a sample.  States, slopes and tangents are tuples of floats.
+    Each sample's oriented slope is passed down as the first RK4 stage of
+    the step that leaves it: the field oriented by that slope's own
+    tangent is the slope again, bit for bit.  The last evaluated point and
+    its evaluation are kept and reused while the requested point repeats:
+    each sample is recorded at the point its direction was taken from, and
+    stages whose slopes agree land on the same point.
     """
     config = adapter.config
     last = [None, None]
@@ -521,8 +526,7 @@ def _integrate(adapter, phi, seed):
     def field(y, ref):
         return adapter.direction(y, at(y), ref)
 
-    def step(y, h, ref):
-        k1, _ = field(y, ref)
+    def step(y, h, k1, ref):
         k2, _ = field(_axpy(y, 0.5 * h, k1), ref)
         k3, _ = field(_axpy(y, 0.5 * h, k2), ref)
         k4, _ = field(_axpy(y, h, k3), ref)
@@ -554,14 +558,14 @@ def _integrate(adapter, phi, seed):
         n_steps = int(math.floor(config.max_length / h + 1e-9))
         s_done = 0.0
         for _ in range(n_steps):
-            y = step(y, h, t3)
+            y = step(y, h, k, t3)
             s_done += h
             k, t3 = field(y, t3)
             record(s_done, y, k, t3)
             delta = _closure_step(*adapter.closure_frame(y, at(y), t3),
                                   seed_point, seed_tan, s_done, config)
             if delta is not None:
-                y = step(y, delta, t3)
+                y = step(y, delta, k, t3)
                 s_done += delta
                 k, t3 = field(y, t3)
                 record(s_done, y, k, t3)
@@ -611,8 +615,7 @@ def _closure_step(p, t, seed_p, seed_t, s_done, config):
 class _ChartTrace:
     """Isophote on a chart.  The state is (u, v), wrapped after each step;
     RK4 slopes are (u', v') and the reference tangent is sigma_u u' + sigma_v v'.
-    A point's evaluation is its _chart_evaluation: the chart jet, w = sigma_u x
-    sigma_v, |w| and the normal's partials."""
+    A point's evaluation is its _chart_evaluation."""
 
     extra = ("chart",)
 
@@ -623,18 +626,17 @@ class _ChartTrace:
         return self.surface.wrap(float(seed[0]), float(seed[1]))
 
     def level(self, y, at):
-        _, w, n, _, _ = at(y)
-        return dot3(_unit_normal(w, n), self.d)
+        return dot3(at(y)[1], self.d)
 
     def key(self, y):
         # the chart point evaluated: wrapping sends equal points to one key
         return self.surface.wrap(y[0], y[1])
 
     def evaluate(self, y):
-        return _chart_evaluation(self.surface, y[0], y[1])
+        return _chart_evaluation(self.surface, self.d, y[0], y[1])
 
     def direction(self, y, point, ref):
-        du, dv = _chart_direction(point, self.d, self.config.eps_sing, y[0], y[1])
+        du, dv = _chart_direction(point, self.config.eps_sing, y[0], y[1])
         jet = point[0]
         t3 = _lincomb(du, jet[1], dv, jet[2])
         if ref is not None and dot3(t3, ref) < 0.0:
@@ -648,10 +650,9 @@ class _ChartTrace:
         return point[0][0], _div3(t3, norm3(t3))
 
     def record(self, y, point, k, t3):
-        jet, w, n, U_u, U_v = point
-        U = _unit_normal(w, n)
+        jet, U, U_u, U_v, ff, _, _ = point
         du, dv = k
-        ff = E, F, G = _first_form(jet)
+        E, F, G = ff
         kn, tg = _chart_scalars(jet, U, U_u, U_v, k)
         delta, delta_star = _delta(jet, ff, self.d, kn, tg)
         return (jet[0], t3, U, dot3(U, self.d), delta * du + delta_star * dv,

@@ -6,11 +6,12 @@ change to a golden file is numeric drift and is listed in CHANGES.md with
 its maximum absolute difference and its reason.
 """
 
+import argparse
 import os
 
 import pytest
 
-from darboux.cli import main
+from darboux.cli import main, make_parser
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -63,6 +64,25 @@ CASES = {
     "ellipsoid_classify.json": [
         "classify", "--surface", "builtin:ellipsoid?a=2&b=1.5&c=1", "--curve",
         "param:u=0.5*s;v=0.3*sin(s);s=0,3", "--samples", "48"],
+    # the closed sphere circuit as a polyline (the closing index 1)
+    "sphere_circuit_step1e-2.obj": [
+        "trace", "--surface", "builtin:sphere?r=1", "--axis", "0,0,1",
+        "--angle", "45", "--seed", "0,0.785398", "--length", "4.5", "--step", "1e-2",
+        "--format", "obj"],
+    # an implicit trace as JSON (u and v are null off a chart)
+    "torus_implicit_length0.2.json": [
+        "trace-implicit", "--surface", "builtin:torus?R=2&r=0.5", "--axis", "0,0,1",
+        "--angle", "60", "--seed", "2.5,0,0.1", "--length", "0.2", "--step", "1e-2",
+        "--format", "json"],
+    # the same implicit trace as a polyline (not closed)
+    "torus_implicit_length0.2.obj": [
+        "trace-implicit", "--surface", "builtin:torus?R=2&r=0.5", "--axis", "0,0,1",
+        "--angle", "60", "--seed", "2.5,0,0.1", "--length", "0.2", "--step", "1e-2",
+        "--format", "obj"],
+    # the frames of torus_frames.csv as JSON
+    "torus_frames.json": [
+        "frames", "--surface", "builtin:torus?R=2&r=0.5", "--curve", "param:u=s;v=2*s",
+        "--samples", "20", "--format", "json"],
 }
 
 
@@ -73,3 +93,30 @@ def test_cli_output_matches_golden_bytes(name, tmp_path):
     with open(os.path.join(GOLDEN, name), "rb") as fh:
         expected = fh.read()
     assert out.read_bytes() == expected
+
+
+def _format_choices():
+    """{command: (--format choices, default)} for every subcommand with a --format."""
+    sub = next(a for a in make_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    out = {}
+    for command, parser in sub.choices.items():
+        for action in parser._actions:
+            if action.dest == "format":
+                out[command] = (action.choices, action.default)
+    return out
+
+
+def test_every_output_format_has_a_golden():
+    formats = _format_choices()
+    assert set(formats) >= {"trace", "trace-implicit", "frames"}
+    covered = set()
+    for argv in CASES.values():
+        command = argv[0]
+        if command in formats:
+            fmt = argv[argv.index("--format") + 1] if "--format" in argv else formats[command][1]
+            covered.add((command, fmt))
+        else:
+            covered.add((command, None))
+    wanted = {(command, fmt) for command, (choices, _) in formats.items() for fmt in choices}
+    wanted.add(("classify", None))
+    assert sorted(wanted - covered, key=str) == []

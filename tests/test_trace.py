@@ -7,7 +7,10 @@ import pytest
 
 import darboux
 import darboux.trace as trace_module
-from darboux.errors import DarbouxError, SeedError, SingularPointError
+from conftest import constant_speed_path
+from darboux.errors import DarbouxError, RegularityError, SeedError, SingularPointError
+from darboux.frames import CurveOnSurface
+from darboux.frames import darboux as darboux_frame
 from darboux.surface import (
     ImplicitSurface,
     ParametricSurface,
@@ -587,3 +590,142 @@ def test_two_constraint_projection_leaves_p_on_a_singular_system():
     out = trace_module._project_two_constraints(darboux.implicit_plane(), (0.0, 0.0, 1.0),
                                                 0.5, p, 1e-12)
     assert out is p
+
+
+class TestFieldSolves:
+    """Work per trace point, counted on the surfaces of TestEvaluationCounts:
+    a sample's own oriented slope is RK4's first stage, and a chart
+    evaluation carries the first form its direction and its record read."""
+
+    @staticmethod
+    def counted(monkeypatch, name, calls):
+        fn = getattr(trace_module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(trace_module, name, wrapper)
+
+    def test_sphere_circuit_direction_solves(self, monkeypatch):
+        calls = {"jet": 0, "_chart_direction": 0, "_first_form": 0}
+        self.counted(monkeypatch, "_chart_direction", calls)
+        self.counted(monkeypatch, "_first_form", calls)
+        surface = TestEvaluationCounts.counting_sphere(calls)
+        res = trace_isophote(surface, EZ, math.pi / 4, (0.0, math.pi / 4),
+                             TraceConfig(step=1e-2, max_length=4.5))
+        assert res.termination == "closed"
+        # RK4 stages 2-4 and the new sample per step, and the seed
+        assert calls["_chart_direction"] <= 4 * (res.n - 1) + 1
+        assert calls["_first_form"] == calls["jet"]
+
+    def test_implicit_torus_direction_solves(self, monkeypatch):
+        calls = {"f": 0, "grad": 0, "hess": 0, "_implicit_direction": 0}
+        surface = TestEvaluationCounts.counting_torus(calls)
+        seed = find_seed(surface, EZ, math.pi / 3, (2.5, 0.0, 0.1))
+        self.counted(monkeypatch, "_implicit_direction", calls)
+        res = trace_isophote(surface, EZ, math.pi / 3, seed,
+                             TraceConfig(step=1e-2, max_length=2.0))
+        assert res.termination == "length reached"
+        assert calls["_implicit_direction"] <= 4 * (res.n - 1) + 1
+
+
+class TestSurfaceRegularityThreshold:
+    """A chart's own eps_reg decides where it is regular: points whose
+    |sigma_u x sigma_v| lies between it and the default 1e-10 have a unit
+    normal, a seed and a trace."""
+
+    def test_unit_normal_below_the_default_threshold(self):
+        sph = darboux.sphere(1e-4, eps_reg=1e-14)
+        _, _, n = sph.chart_point(0.0, 1.565)
+        assert 1e-14 < n < 1e-10
+        U = sph.unit_normal(0.0, 1.565)
+        np.testing.assert_allclose(U, [math.cos(1.565), 0.0, math.sin(1.565)], atol=1e-12)
+        assert math.isclose(sph.first_form(0.0, 1.565).area_element, n, rel_tol=1e-9)
+        # a bare jet carries no surface: the default threshold holds there
+        with pytest.raises(RegularityError):
+            unit_normal(sph.chart_jet(0.0, 1.565))
+
+    def test_seed_and_trace_on_a_tiny_sphere(self):
+        # every point has |w| = 1e-12 cos(v), below the default threshold
+        sph = darboux.sphere(1e-6, eps_reg=1e-20)
+        seed = find_seed(sph, EZ, math.pi / 4, (0.0, 0.7))
+        assert abs(seed[1] - math.pi / 4) <= 1e-9
+        res = trace_isophote(sph, EZ, math.pi / 4, seed,
+                             TraceConfig(step=1e-8, max_length=2e-7))
+        assert res.termination == "length reached"
+        assert res.n == 21
+        assert np.abs(res.angle_dot - math.cos(math.pi / 4)).max() <= 1e-12
+        assert np.abs(res.unit_speed_residual).max() <= 1e-12
+
+    def test_darboux_frame_on_a_tiny_sphere(self):
+        r, v0 = 1e-6, math.pi / 4
+        path = constant_speed_path(0.0, v0, 1.0 / (r * math.cos(v0)), 0.0, (0.0, 1e-7))
+        frame = darboux_frame(CurveOnSurface(darboux.sphere(r, eps_reg=1e-20), chart_path=path), 0.0)
+        np.testing.assert_allclose(frame.U, [math.cos(v0), 0.0, math.sin(v0)], atol=1e-12)
+
+
+class TestProjectIsophoteActs:
+    """At step 0.1 the RK4 drift off the level is large enough for the
+    two-constraint Newton step to move the points."""
+
+    def run(self, flag):
+        itor = darboux.implicit_torus(2.0, 0.5)
+        seed = find_seed(itor, EZ, math.pi / 3, (2.5, 0.0, 0.1))
+        cfg = TraceConfig(step=0.1, max_length=2.0, project_isophote=flag)
+        return trace_isophote(itor, EZ, math.pi / 3, seed, cfg)
+
+    def test_level_holds_with_the_flag_only(self):
+        plain, projected = self.run(False), self.run(True)
+        assert plain.n == projected.n == 21
+        assert np.abs(plain.angle_dot - 0.5).max() > 1e-12
+        assert np.abs(projected.angle_dot - 0.5).max() <= 1e-12
+        assert projected.surface_residual.max() <= 1e-12
+
+
+class TestMidTraceTerminations:
+    """A trace that fails after its first sample keeps its samples and
+    names the failure in ``termination``."""
+
+    def test_singular_point(self):
+        ell = darboux.ellipsoid(2.0, 1.0, 0.5)
+        d = np.array([1.0, 0.0, 1.0]) / SQRT2
+        seed = find_seed(ell, d, math.pi / 3, (0.3, 0.3))
+        # along this closed isophote max(|g_u|, |g_v|) falls from 2.74 at the
+        # seed to 0.43, below eps_sing
+        res = trace_isophote(ell, d, math.pi / 3, seed,
+                             TraceConfig(step=1e-2, eps_sing=1.59))
+        assert res.termination == "singular point"
+        assert res.n == 115
+        assert np.abs(res.angle_dot - 0.5).max() <= 1e-6
+
+    @staticmethod
+    def failing_sphere(exc):
+        """The unit sphere with a jet function that raises ``exc`` past u = 0.5."""
+        base = darboux.sphere(1.0)
+
+        def jet(u, v):
+            if u > 0.5:
+                raise exc
+            j = base.chart_jet(u, v)
+            return j.sigma, j.sigma_u, j.sigma_v, j.sigma_uu, j.sigma_uv, j.sigma_vv
+
+        return ParametricSurface("failing sphere", jet, base.u_range, base.v_range,
+                                 periodic_u=True, jet3_fn=base.jet3)
+
+    @pytest.mark.parametrize("exc, termination", [
+        (DarbouxError("no jet past u = 0.5"), "error: no jet past u = 0.5"),
+        (ZeroDivisionError("float division by zero"),
+         "error: float arithmetic failed: float division by zero"),
+    ])
+    def test_error_keeps_the_samples_before_it(self, exc, termination):
+        # the minus branch runs along the latitude towards increasing u
+        res = trace_isophote(self.failing_sphere(exc), EZ, math.pi / 4, (0.0, math.pi / 4),
+                             TraceConfig(step=1e-2, max_length=4.5, branch="minus"))
+        assert res.termination == termination
+        assert res.n == 36
+        u = res.chart[:, 0]
+        assert np.all(np.diff(u) > 0.0) and u[-1] <= 0.5
+        full = trace_isophote(darboux.sphere(1.0), EZ, math.pi / 4, (0.0, math.pi / 4),
+                              TraceConfig(step=1e-2, max_length=4.5, branch="minus"))
+        assert _hex(res.points) == _hex(full.points[:res.n])
