@@ -8,12 +8,15 @@ frame samples; and test the position-vector identities that hold when the
 curve lies in the moving plane span{T, U} or span{T, V}.
 
 Plane labels: "TU" refers to the span{T, U} family (V-slant measure mu_v),
-"TV" to the span{T, V} family (isophote measure mu_u).
+"TV" to the span{T, V} family (isophote measure mu_u).  The two are one
+statement with U and V exchanged, so each formula, verdict block and
+cross-check is written once and run over the family table ``_FAMILIES``.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -141,36 +144,78 @@ def _edge_mask(data: FrameData) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# The two moving-plane families
+
+
+# A family holds its FrameData divisor ``a`` (derivative ``"d" + a``) and
+# partner ``other``, the sign of its exponential integral, and the names of
+# its series, verdicts, flags, cross-checks and errors; ``off_plane`` is the
+# PositionDecomposition series that vanishes in the plane, ``plane_vector``
+# the FrameData vector that spans it with T.
+_Family = namedtuple("_Family", (
+    "which a other sign degenerate measure verdict position criterion coefficients "
+    "in_plane off_plane plane_vector residual ode_residual loc_check shape_flag shape_check"))
+
+_FAMILIES = (
+    _Family(
+        which="TU", a="kg", other="kn", sign=1.0,
+        degenerate="TU family (relatively normal-slant): |k_g|",
+        measure="mu_v", verdict="rel_normal_slant", position="rel_normal_slant_position",
+        criterion="slant_criterion", coefficients=("lambda1", "lambda2"),
+        in_plane="in_plane_TU", off_plane="dot_V", plane_vector="U",
+        residual="position_residual_TU", ode_residual="plane_ode_residual_TU",
+        loc_check="line_of_curvature_TU_slant_implies_kg_constant",
+        shape_flag="asymptotic", shape_check="asymptotic_TU_slant_iff_frenet_shape_constant"),
+    _Family(
+        which="TV", a="kn", other="kg", sign=-1.0,
+        degenerate="TV family (isophotic): |k_n|",
+        measure="mu_u", verdict="isophotic", position="isophotic_position",
+        criterion="isophote_criterion", coefficients=("mu1", "mu2"),
+        in_plane="in_plane_TV", off_plane="dot_U", plane_vector="V",
+        residual="position_residual_TV", ode_residual="plane_ode_residual_TV",
+        loc_check="line_of_curvature_TV_isophotic_implies_kn_constant",
+        shape_flag="geodesic", shape_check="geodesic_TV_isophotic_iff_frenet_shape_constant"),
+)
+_TU, _TV = _FAMILIES
+
+
+def _family(which) -> _Family:
+    for fam in _FAMILIES:
+        if which == fam.which:
+            return fam
+    raise ValueError(f"which must be 'TU' or 'TV', got {which!r}")
+
+
+# ---------------------------------------------------------------------------
 # Constancy measures
 
 
 def mu_v_series(c, grid=None, eps_pair: float = EPS_PAIR_DEFAULT) -> CharacterizationSeries:
     """V-slant measure: constant iff the curve is a relatively normal-slant
     helix (requires (tau_g, k_g) != (0, 0) pointwise)."""
-    data = _as_data(c, grid)
-    return _pair_measure(data, data.kg, data.dkg, data.kn, eps_pair, "mu_v")
+    return _pair_measure(_as_data(c, grid), _TU, eps_pair)
 
 
 def mu_u_series(c, grid=None, eps_pair: float = EPS_PAIR_DEFAULT) -> CharacterizationSeries:
     """Isophote measure: constant iff the curve is isophotic (requires
     (tau_g, k_n) != (0, 0) pointwise)."""
-    data = _as_data(c, grid)
-    return _pair_measure(data, data.kn, data.dkn, data.kg, eps_pair, "mu_u")
+    return _pair_measure(_as_data(c, grid), _TV, eps_pair)
 
 
-def _pair_measure(data, a, da, other, eps_pair, name):
+def _pair_measure(data, fam, eps_pair):
     # (a tg' - tg a' - other (a^2 + tg^2)) / (a^2 + tg^2)^{3/2}
+    a, da, other = getattr(data, fam.a), getattr(data, "d" + fam.a), getattr(data, fam.other)
     tg, dtg = data.tg, data.dtg
     q = a * a + tg * tg
     mask = (q > eps_pair * eps_pair) & _edge_mask(data)
     if not mask.any():
         raise DegenerateFrameError(
-            f"{name}: degenerate pair everywhere on the grid "
+            f"{fam.measure}: degenerate pair everywhere on the grid "
             f"(a^2 + tau_g^2 <= {eps_pair:g}^2)"
         )
     values = np.full(data.n, np.nan)
     values[mask] = (a * dtg - tg * da - other * q)[mask] / np.power(q[mask], 1.5)
-    return CharacterizationSeries(data.s, values, mask, name)
+    return CharacterizationSeries(data.s, values, mask, fam.measure)
 
 
 def slant_series_from_scalars(grid, kappa, tau, dratio=None,
@@ -250,37 +295,22 @@ def theorem_functions(c, grid=None, c_const: float = 1.0, family: str = "both",
     ones = np.ones(data.n, dtype=bool) & _edge_mask(data)
     out = TheoremFunctions(None, None, None, None, None, None, c_const)
 
-    if family in ("both", "TU"):
-        if np.min(np.abs(data.kg)) <= eps:
-            raise DegenerateFrameError(
-                f"TU family (relatively normal-slant): |k_g| <= {eps:g} on the grid"
-            )
-        integral = _cumulative_integral(data.tg * data.kn / data.kg, s)
-        q = data.kg**2 + data.tg**2
-        out.slant_criterion = CharacterizationSeries(
-            s, data.kg**2 / np.power(q, 1.5) * np.exp(integral), ones.copy(),
-            "slant_criterion",
-        )
-        out.lambda1 = CharacterizationSeries(
-            s, c_const * (data.tg / data.kg) * np.exp(-integral), ones.copy(), "lambda1")
-        out.lambda2 = CharacterizationSeries(
-            s, c_const * np.exp(-integral), ones.copy(), "lambda2")
-
-    if family in ("both", "TV"):
-        if np.min(np.abs(data.kn)) <= eps:
-            raise DegenerateFrameError(
-                f"TV family (isophotic): |k_n| <= {eps:g} on the grid"
-            )
-        integral = _cumulative_integral(data.tg * data.kg / data.kn, s)
-        q = data.kn**2 + data.tg**2
-        out.isophote_criterion = CharacterizationSeries(
-            s, data.kn**2 / np.power(q, 1.5) * np.exp(-integral), ones.copy(),
-            "isophote_criterion",
-        )
-        out.mu1 = CharacterizationSeries(
-            s, -c_const * (data.tg / data.kn) * np.exp(integral), ones.copy(), "mu1")
-        out.mu2 = CharacterizationSeries(
-            s, c_const * np.exp(integral), ones.copy(), "mu2")
+    for fam in _FAMILIES:
+        if family not in ("both", fam.which):
+            continue
+        a, other = getattr(data, fam.a), getattr(data, fam.other)
+        if np.min(np.abs(a)) <= eps:
+            raise DegenerateFrameError(f"{fam.degenerate} <= {eps:g} on the grid")
+        integral = _cumulative_integral(data.tg * other / a, s)
+        q = a**2 + data.tg**2
+        # TU: k_g^2 q^{-3/2} e^{I}, lambda1 = c (tg/kg) e^{-I}, lambda2 = c e^{-I};
+        # TV: k_n^2 q^{-3/2} e^{-J}, mu1 = -c (tg/kn) e^{J}, mu2 = c e^{J}
+        e_pos, e_neg = np.exp(fam.sign * integral), np.exp(-fam.sign * integral)
+        coef1, coef2 = fam.coefficients
+        for name, values in ((fam.criterion, a**2 / np.power(q, 1.5) * e_pos),
+                             (coef1, fam.sign * c_const * (data.tg / a) * e_neg),
+                             (coef2, c_const * e_neg)):
+            setattr(out, name, CharacterizationSeries(s, values, ones.copy(), name))
 
     return out
 
@@ -332,26 +362,18 @@ def position_theorem_residual(c, grid=None, which: str = "TU",
     span{T,U}).  which="TV": |gamma - k_n^2 q^{-3/2} V + (k_n tau_g) q^{-3/2} T|
     with q = k_n^2 + tau_g^2."""
     data = _as_data(c, grid)
-    if which == "TU":
-        a = data.kg
-    elif which == "TV":
-        a = data.kn
-    else:
-        raise ValueError(f"which must be 'TU' or 'TV', got {which!r}")
+    fam = _family(which)
+    a = getattr(data, fam.a)
     mask = (a * a + data.tg**2 > eps_pair * eps_pair) & _edge_mask(data)
     if not mask.any():
         raise DegenerateFrameError(f"position identity {which}: degenerate pair everywhere")
     am, tgm = a[mask], data.tg[mask]
     q = np.power(am * am + tgm * tgm, 1.5)
-    if which == "TU":
-        claimed = ((am * tgm / q)[:, None] * data.T[mask]
-                   + (am * am / q)[:, None] * data.U[mask])
-    else:
-        claimed = ((am * am / q)[:, None] * data.V[mask]
-                   - (am * tgm / q)[:, None] * data.T[mask])
+    claimed = ((fam.sign * (am * tgm / q))[:, None] * data.T[mask]
+               + (am * am / q)[:, None] * getattr(data, fam.plane_vector)[mask])
     res = np.full(data.n, np.nan)
     res[mask] = norm3_rows(data.gamma[mask] - claimed)
-    return CharacterizationSeries(data.s, res, mask, f"position_residual_{which}")
+    return CharacterizationSeries(data.s, res, mask, fam.residual)
 
 
 def plane_ode_residual(c, grid=None, c_const: float = 1.0, which: str = "TU",
@@ -365,24 +387,18 @@ def plane_ode_residual(c, grid=None, c_const: float = 1.0, which: str = "TU",
     if c_const == 0.0:
         raise ValueError("constant c must be nonzero")
     data = _as_data(c, grid)
-    if which == "TU":
-        den, dden, other = data.kg, data.dkg, data.kn
-        sign = 1.0
-    elif which == "TV":
-        den, dden, other = data.kn, data.dkn, data.kg
-        sign = -1.0
-    else:
-        raise ValueError(f"which must be 'TU' or 'TV', got {which!r}")
+    fam = _family(which)
+    den, dden, other = getattr(data, fam.a), getattr(data, "d" + fam.a), getattr(data, fam.other)
     if np.min(np.abs(den)) <= eps:
         raise DegenerateFrameError(f"plane relation {which}: divisor below {eps:g} on the grid")
     ratio = data.tg / den
     dratio = (data.dtg * den - dden * data.tg) / den**2
     integrand = data.tg * other / den
-    integral = _cumulative_integral(sign * integrand, data.s)
+    integral = _cumulative_integral(fam.sign * integrand, data.s)
     lhs = dratio - (ratio**2 + 1.0) * other
-    rhs = sign * (1.0 / c_const) * np.exp(integral)
+    rhs = fam.sign * (1.0 / c_const) * np.exp(integral)
     mask = _edge_mask(data)
-    return CharacterizationSeries(data.s, np.abs(lhs - rhs), mask, f"plane_ode_residual_{which}")
+    return CharacterizationSeries(data.s, np.abs(lhs - rhs), mask, fam.ode_residual)
 
 
 # ---------------------------------------------------------------------------
@@ -544,43 +560,29 @@ def classify_report(c: CurveOnSurface, grid, tols: Tolerances | None = None,
             return None
 
     # constancy measures
-    mu_v = attempt("rel_normal_slant", mu_v_series, data, eps_pair=tols.eps_pair)
-    if mu_v is not None:
-        report.series["mu_v"] = _series_payload(mu_v)
-        report.verdicts["rel_normal_slant"] = _verdict(mu_v, tol_const)
-    mu_u = attempt("isophotic", mu_u_series, data, eps_pair=tols.eps_pair)
-    if mu_u is not None:
-        report.series["mu_u"] = _series_payload(mu_u)
-        report.verdicts["isophotic"] = _verdict(mu_u, tol_const)
+    for fam in _FAMILIES:
+        measure = attempt(fam.verdict, _pair_measure, data, fam, tols.eps_pair)
+        if measure is not None:
+            report.series[fam.measure] = _series_payload(measure)
+            report.verdicts[fam.verdict] = _verdict(measure, tol_const)
 
     # exponential-integral characterizations, one family at a time
-    tu = attempt("rel_normal_slant_position", theorem_functions, data,
-                 c_const=c_const, family="TU")
-    if tu is not None:
-        report.series["slant_criterion"] = _series_payload(tu.slant_criterion)
-        report.series["lambda1"] = _series_payload(tu.lambda1)
-        report.series["lambda2"] = _series_payload(tu.lambda2)
-        report.verdicts["rel_normal_slant_position"] = _verdict(tu.slant_criterion, tol_const)
-    tv = attempt("isophotic_position", theorem_functions, data,
-                 c_const=c_const, family="TV")
-    if tv is not None:
-        report.series["isophote_criterion"] = _series_payload(tv.isophote_criterion)
-        report.series["mu1"] = _series_payload(tv.mu1)
-        report.series["mu2"] = _series_payload(tv.mu2)
-        report.verdicts["isophotic_position"] = _verdict(tv.isophote_criterion, tol_const)
+    for fam in _FAMILIES:
+        tf = attempt(fam.position, theorem_functions, data, c_const=c_const, family=fam.which)
+        if tf is not None:
+            for name in (fam.criterion, *fam.coefficients):
+                report.series[name] = _series_payload(getattr(tf, name))
+            report.verdicts[fam.position] = _verdict(getattr(tf, fam.criterion), tol_const)
 
     # position decomposition and plane membership
     decomp = position_decomposition(data, plane_tol=tols.plane)
     for series in (decomp.dot_T, decomp.dot_V, decomp.dot_U):
         report.series[series.name] = _series_payload(series)
-    report.flags["in_plane_TU"] = _flag(
-        float(np.max(np.abs(decomp.dot_V.values))), decomp.plane_tol)
-    report.flags["in_plane_TV"] = _flag(
-        float(np.max(np.abs(decomp.dot_U.values))), decomp.plane_tol)
-
-    for which in ("TU", "TV"):
-        res = attempt(f"position_residual_{which}", position_theorem_residual,
-                      data, which=which, eps_pair=tols.eps_pair)
+    for fam in _FAMILIES:
+        report.flags[fam.in_plane] = _flag(
+            float(np.max(np.abs(getattr(decomp, fam.off_plane).values))), decomp.plane_tol)
+        res = attempt(fam.residual, position_theorem_residual,
+                      data, which=fam.which, eps_pair=tols.eps_pair)
         if res is not None:
             report.series[res.name] = _series_payload(res)
 
@@ -637,59 +639,34 @@ def _verdict(series: CharacterizationSeries, tol: float) -> dict:
         return {"error": str(exc)}
 
 
-def _constant_dict(values, tol):
-    mean = float(np.mean(values))
-    dev = float(np.max(np.abs(values - mean)))
-    return {"is_constant": bool(dev <= tol * (1.0 + abs(mean))), "mean": mean,
-            "max_abs_dev": dev, "tol": tol}
-
-
 def _cross_checks(report, data: FrameData, decomp, tol_const, frenet_ok) -> list:
     """Corollary-style consistency notes, evaluated only when the combined
-    hypotheses hold."""
-    checks = []
+    hypotheses hold: a line-of-curvature check is consistent when its
+    detail is constant, a Frenet-shape check when the detail's verdict
+    agrees with the family measure's."""
 
     def verdict_true(name):
         v = report.verdicts.get(name)
         return bool(v and v.get("is_constant"))
 
+    def check(name, hypotheses, values, measure_verdict=None):
+        item = {"name": name, "hypotheses_met": bool(hypotheses)}
+        if item["hypotheses_met"]:
+            series = CharacterizationSeries(data.s, values, np.ones(data.n, dtype=bool), name)
+            item["detail"] = is_constant(series, tol_const).as_dict()
+            constant = item["detail"]["is_constant"]
+            item["consistent"] = (constant if measure_verdict is None
+                                  else constant == verdict_true(measure_verdict))
+        return item
+
     loc = report.flags["line_of_curvature"]["value"]
-    geo = report.flags["geodesic"]["value"]
-    asym = report.flags["asymptotic"]["value"]
-
-    item = {"name": "line_of_curvature_TU_slant_implies_kg_constant",
-            "hypotheses_met": bool(loc and decomp.in_plane_TU and verdict_true("rel_normal_slant"))}
-    if item["hypotheses_met"]:
-        item["detail"] = _constant_dict(data.kg, tol_const)
-        item["consistent"] = item["detail"]["is_constant"]
-    checks.append(item)
-
-    item = {"name": "line_of_curvature_TV_isophotic_implies_kn_constant",
-            "hypotheses_met": bool(loc and decomp.in_plane_TV and verdict_true("isophotic"))}
-    if item["hypotheses_met"]:
-        item["detail"] = _constant_dict(data.kn, tol_const)
-        item["consistent"] = item["detail"]["is_constant"]
-    checks.append(item)
-
+    checks = [check(fam.loc_check,
+                    loc and getattr(decomp, fam.in_plane) and verdict_true(fam.verdict),
+                    getattr(data, fam.a)) for fam in _FAMILIES]
     if frenet_ok:
         shape = data.kappa**2 / np.power(data.kappa**2 + data.tau**2, 1.5)
-        item = {"name": "asymptotic_TU_slant_iff_frenet_shape_constant",
-                "hypotheses_met": bool(asym and decomp.in_plane_TU
-                                       and "rel_normal_slant" in report.verdicts
-                                       and "error" not in report.verdicts["rel_normal_slant"])}
-        if item["hypotheses_met"]:
-            item["detail"] = _constant_dict(shape, tol_const)
-            item["consistent"] = (item["detail"]["is_constant"]
-                                  == verdict_true("rel_normal_slant"))
-        checks.append(item)
-
-        item = {"name": "geodesic_TV_isophotic_iff_frenet_shape_constant",
-                "hypotheses_met": bool(geo and decomp.in_plane_TV
-                                       and "isophotic" in report.verdicts
-                                       and "error" not in report.verdicts["isophotic"])}
-        if item["hypotheses_met"]:
-            item["detail"] = _constant_dict(shape, tol_const)
-            item["consistent"] = (item["detail"]["is_constant"] == verdict_true("isophotic"))
-        checks.append(item)
-
+        checks += [check(fam.shape_check,
+                         report.flags[fam.shape_flag]["value"] and getattr(decomp, fam.in_plane)
+                         and "is_constant" in report.verdicts.get(fam.verdict, {}),
+                         shape, fam.verdict) for fam in _FAMILIES]
     return checks

@@ -225,14 +225,16 @@ def _cmd_trace(args, implicit: bool) -> int:
     surface = _surface.parse_surface_spec(args.surface, implicit=implicit)
     d = _axis(args.axis)
     phi = _angle_rad(args.angle)
+    # only trace-implicit projects, so only it takes the projection options
+    projection = ({"projection_tol": args.project_tol,
+                   "project_isophote": args.project_isophote} if implicit else {})
     config = _trace.TraceConfig(
         step=_positive(args.step, "--step"),
         max_length=_positive(args.length, "--length"),
         branch=args.branch,
         closure_tol=args.closure_tol,
         eps_sing=_eps_sing(args.eps_sing),
-        projection_tol=args.project_tol,
-        project_isophote=args.project_isophote,
+        **projection,
     )
     guess = _parse_floats(args.seed, 3 if implicit else 2, "--seed")
 
@@ -334,10 +336,11 @@ def _add_trace_args(p, implicit: bool):
                    help="closure detection radius (default 2*step)")
     p.add_argument("--eps-sing", type=float, default=None,
                    help="singularity threshold (default: env DARBOUX_EPS_SING, else 1e-10)")
-    p.add_argument("--project-tol", type=float, default=1e-12,
-                   help="implicit projection tolerance")
-    p.add_argument("--project-isophote", action="store_true",
-                   help="also Newton-project onto the isophote level each step (implicit)")
+    if implicit:
+        p.add_argument("--project-tol", type=float, default=1e-12,
+                       help="projection tolerance")
+        p.add_argument("--project-isophote", action="store_true",
+                       help="also Newton-project onto the isophote level each step")
     p.add_argument("--family", default=None, metavar="A:B:N",
                    help="sweep N angles from A to B degrees, traced one after another")
     p.add_argument("--format", choices=("csv", "json", "obj"), default="csv")

@@ -343,7 +343,10 @@ class ParametricSurface:
         the six 3-vectors of jet_fn and w = sigma_u x sigma_v.  Raises
         OutOfDomainError off the chart and RegularityError where
         |w| <= eps_reg."""
-        u, v = self.wrap(u, v)
+        return self._chart_point(*self.wrap(u, v))
+
+    def _chart_point(self, u: float, v: float):
+        """chart_point at an already wrapped (u, v)."""
         jet = self._jet_fn(u, v)
         w, n = _chart_w(jet)
         if n <= self.eps_reg:

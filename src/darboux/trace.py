@@ -312,11 +312,11 @@ def _find_seed_implicit(surface, d, target, guess, tol, max_iter):
 # them
 
 
-def _chart_evaluation(surface, d, u, v):
-    """(jet, U, U_u, U_v, (E, F, G), g_u, g_v) at (u, v): the chart jet, the
-    unit normal and its partials, the first form and the partials of
-    g = <U, d>."""
-    jet, w, n = surface.chart_point(u, v)
+def _chart_evaluation(point, d):
+    """(jet, U, U_u, U_v, (E, F, G), g_u, g_v) from a chart point's (jet, w,
+    |w|): the chart jet, the unit normal and its partials, the first form
+    and the partials of g = <U, d>."""
+    jet, w, n = point
     U_u, U_v = _normal_partials(jet, w, n)
     return jet, _div3(w, n), U_u, U_v, _first_form(jet), dot3(U_u, d), dot3(U_v, d)
 
@@ -329,7 +329,8 @@ def isophote_direction_parametric(surface: ParametricSurface, d, u: float, v: fl
 
     Raises SingularPointError when both g_u and g_v fall below ``eps_sing``
     (no isophotic curve with this axis exists through the point)."""
-    du, dv = _chart_direction(_chart_evaluation(surface, _floats(d), u, v), eps_sing, u, v)
+    du, dv = _chart_direction(_chart_evaluation(surface.chart_point(u, v), _floats(d)),
+                              eps_sing, u, v)
     if branch == "minus":
         du, dv = -du, -dv
     return du, dv
@@ -351,7 +352,7 @@ def direction_scalars_parametric(surface: ParametricSurface, d, u: float, v: flo
                                  direction) -> tuple[float, float]:
     """(k_n, tau_g) of a unit chart direction at a point (point functions of
     the direction, no curve needed)."""
-    jet, U, U_u, U_v, *_ = _chart_evaluation(surface, _floats(d), u, v)
+    jet, U, U_u, U_v, *_ = _chart_evaluation(surface.chart_point(u, v), _floats(d))
     return _chart_scalars(jet, U, U_u, U_v, direction)
 
 
@@ -378,7 +379,7 @@ def delta_coefficients(surface: ParametricSurface, d, u: float, v: float,
     Delta* = sqrt(EG - F^2) k_n <sigma_v, d> + F tau_g <sigma_v, d> - G tau_g <sigma_u, d>
     with k_n, tau_g evaluated for the supplied direction."""
     d = _floats(d)
-    jet, U, U_u, U_v, ff, _, _ = _chart_evaluation(surface, d, u, v)
+    jet, U, U_u, U_v, ff, _, _ = _chart_evaluation(surface.chart_point(u, v), d)
     kn, tg = _chart_scalars(jet, U, U_u, U_v, direction)
     return _delta(jet, ff, d, kn, tg)
 
@@ -503,16 +504,17 @@ def _integrate(adapter, phi, seed):
     continuity, closure onto the seed and one record per sample.
 
     The adapter (_ChartTrace or _ImplicitTrace) maps the seed to a state,
-    evaluates the point of a state once (a chart evaluation carries its
-    first form and level partials), turns an evaluation into an RK4 slope
-    and a 3-D tangent, fixes up each new state (wrap or reprojection) and
-    records a sample.  States, slopes and tangents are tuples of floats.
-    Each sample's oriented slope is passed down as the first RK4 stage of
-    the step that leaves it: the field oriented by that slope's own
-    tangent is the slope again, bit for bit.  The last evaluated point and
-    its evaluation are kept and reused while the requested point repeats:
-    each sample is recorded at the point its direction was taken from, and
-    stages whose slopes agree land on the same point.
+    maps a state to the key of its point (a chart state wrapped once),
+    evaluates a key (a chart evaluation carries its first form and level
+    partials), turns an evaluation into an RK4 slope and a 3-D tangent,
+    fixes up each new state (wrap or reprojection) and records a sample.
+    States, slopes and tangents are tuples of floats.  Each sample's
+    oriented slope is passed down as the first RK4 stage of the step that
+    leaves it: the field oriented by that slope's own tangent is the slope
+    again, bit for bit.  The last evaluated key and its evaluation are kept
+    and reused while the requested key repeats: each sample is recorded at
+    the point its direction was taken from, and stages whose slopes agree
+    land on the same point.
     """
     config = adapter.config
     last = [None, None]
@@ -520,7 +522,7 @@ def _integrate(adapter, phi, seed):
     def at(y):
         key = adapter.key(y)
         if key != last[0]:
-            last[:] = key, adapter.evaluate(y)
+            last[:] = key, adapter.evaluate(key)
         return last[1]
 
     def field(y, ref):
@@ -632,8 +634,9 @@ class _ChartTrace:
         # the chart point evaluated: wrapping sends equal points to one key
         return self.surface.wrap(y[0], y[1])
 
-    def evaluate(self, y):
-        return _chart_evaluation(self.surface, self.d, y[0], y[1])
+    def evaluate(self, key):
+        # the key is wrapped already: evaluating it wraps nothing again
+        return _chart_evaluation(self.surface._chart_point(*key), self.d)
 
     def direction(self, y, point, ref):
         du, dv = _chart_direction(point, self.config.eps_sing, y[0], y[1])

@@ -47,7 +47,7 @@ from darboux.frames import (
     uniform_grid,
     unit_speed_chart_curve,
 )
-from darboux.surface import dot3
+from darboux.surface import dot3, parametric_from_expressions
 
 
 class TestMuSeries:
@@ -131,6 +131,24 @@ class TestTheoremFunctions:
         with pytest.raises(ValueError):
             theorem_functions(latitude_curve, latitude_grid, c_const=0.0)
 
+    def test_both_families_match_the_single_family_calls(self, latitude_curve,
+                                                          latitude_grid):
+        data = sample_frames(latitude_curve, latitude_grid)
+        both = theorem_functions(data, c_const=-2.5, family="both")
+        tu = theorem_functions(data, c_const=-2.5, family="TU")
+        tv = theorem_functions(data, c_const=-2.5, family="TV")
+        assert both.c_const == tu.c_const == tv.c_const == -2.5
+        for one, names in ((tu, ("slant_criterion", "lambda1", "lambda2")),
+                           (tv, ("isophote_criterion", "mu1", "mu2"))):
+            for name in names:
+                a, b = getattr(both, name), getattr(one, name)
+                assert a.name == b.name == name
+                assert a.s.tobytes() == b.s.tobytes()
+                assert a.values.tobytes() == b.values.tobytes()
+                assert a.mask.tobytes() == b.mask.tobytes()
+        assert tu.isophote_criterion is tu.mu1 is tu.mu2 is None
+        assert tv.slant_criterion is tv.lambda1 is tv.lambda2 is None
+
 
 class TestPositionDecomposition:
     def test_latitude_equals_normal(self, latitude_curve, latitude_grid):
@@ -167,6 +185,16 @@ class TestPositionTheoremResidual:
                       + (data.kg**2 / q)[:, None] * data.U)
         series = position_theorem_residual(data, which="TU")
         assert series.values[series.mask].max() <= 1e-12
+
+    def test_synthetic_exact_position_tv(self, helix_curve, helix_grid):
+        data = sample_frames(helix_curve, helix_grid)
+        q = (data.kn**2 + data.tg**2) ** 1.5
+        data.gamma = ((data.kn**2 / q)[:, None] * data.V
+                      - (data.kn * data.tg / q)[:, None] * data.T)
+        series = position_theorem_residual(data, which="TV")
+        assert series.name == "position_residual_TV"
+        assert series.mask.all()
+        assert series.values.max() <= 1e-12
 
     def test_degenerate_error(self):
         line = make_line_on_plane()
@@ -476,3 +504,53 @@ class TestClassifyReport:
         report = classify_report(c, grid)
         assert report.tolerances["constancy"] == 1e-3
         assert report.verdicts["isophotic"]["is_constant"]
+
+
+def _chart_curve(x, y, z, u_range, v_range, u_path, v_path, s_range):
+    surface = parametric_from_expressions(x, y, z, u_range, v_range)
+    path = ChartPath.from_expressions(u_path, v_path, s_range)
+    return unit_speed_chart_curve(surface, path)
+
+
+# A curve that meets each cross-check's hypotheses, its place in the list
+# and the mean of the constancy detail.
+CROSS_CHECK_CURVES = {
+    # the circle cut from the unit sphere about (0, 0, 2) by the sphere on
+    # the segment from the origin to (0, 0, 2): a line of curvature of
+    # constant k_n = -1 with <gamma, U> = 0
+    "line_of_curvature_TV_isophotic_implies_kn_constant": (
+        1, -1.0,
+        ("cos(v)*cos(u)", "cos(v)*sin(u)", "2+sin(v)", (-10.0, 10.0), (-1.5, 1.5),
+         "s", repr(-math.pi / 6), (0.0, 6.0))),
+    # the same unit-speed geodesic of the cone z = sqrt(x^2 + y^2) on its
+    # principal normal surface, where it is asymptotic with <gamma, N> = 0
+    "asymptotic_TU_slant_iff_frenet_shape_constant": (
+        2, SQRT2,
+        ("(1/cos(u/sqrt(2))+v/sqrt(2))*cos(u)", "(1/cos(u/sqrt(2))+v/sqrt(2))*sin(u)",
+         "1/cos(u/sqrt(2))-v/sqrt(2)", (-2.0, 2.0), (-1.0, 1.0), "s", "0", (-1.0, 1.0))),
+    # a geodesic of the cone z = sqrt(x^2 + y^2), a straight line of the
+    # unrolled cone; every point of the cone has <gamma, U> = 0
+    "geodesic_TV_isophotic_iff_frenet_shape_constant": (
+        3, SQRT2,
+        ("v*cos(u)", "v*sin(u)", "v", (-3.0, 3.0), (0.1, 5.0),
+         "s", "1/cos(s/sqrt(2))", (-1.0, 1.0))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CROSS_CHECK_CURVES))
+def test_cross_check_with_hypotheses_met(name):
+    index, mean, spec = CROSS_CHECK_CURVES[name]
+    c = _chart_curve(*spec)
+    report = classify_report(c, np.linspace(*c.s_range, 101))
+    checks = report.verdicts["cross_checks"]
+    assert len(checks) == 4
+    item = checks[index]
+    assert item["name"] == name
+    assert item["hypotheses_met"] is True
+    assert item["consistent"] is True
+    detail = item["detail"]
+    assert set(detail) == {"is_constant", "mean", "max_abs_dev", "tol"}
+    assert detail["is_constant"] is True
+    assert detail["mean"] == pytest.approx(mean, abs=1e-12)
+    assert detail["max_abs_dev"] <= 1e-13
+    assert detail["tol"] == 1e-6

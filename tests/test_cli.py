@@ -279,6 +279,20 @@ class TestUsageErrors:
                               "--seed", "0,0.7"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("flag", [["--project-isophote"], ["--project-tol", "1e-10"]],
+                             ids=["project-isophote", "project-tol"])
+    def test_projection_options_only_on_trace_implicit(self, flag, tmp_path, capsys):
+        # a chart trace projects nothing: trace rejects the options as usage
+        with pytest.raises(SystemExit) as exc:
+            main(SPHERE_TRACE + flag)
+        assert exc.value.code == 1
+        assert flag[0] in capsys.readouterr().err
+        out = tmp_path / "torus.csv"
+        code = run(["trace-implicit", "--surface", "builtin:torus?R=2&r=0.5",
+                    "--axis", "0,0,1", "--angle", "60", "--seed", "2.5,0,0.1",
+                    "--length", "0.05", "--step", "0.01", "--out", str(out)] + flag)
+        assert code == 0
+
     def test_bad_surface_spec(self, capsys):
         code, captured = run(["catalog"], capsys)
         assert code == 0
