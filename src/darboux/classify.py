@@ -516,9 +516,12 @@ class ClassificationReport:
         }
 
 
-def _series_payload(series: CharacterizationSeries) -> dict:
-    vals = [None if not m else v for v, m in zip(series.values.tolist(), series.mask.tolist())]
-    return {"s": series.s.tolist(), "values": vals, "mask": series.mask.tolist()}
+def _series_payload(series: CharacterizationSeries, s: list) -> dict:
+    """The series' JSON fields; s is the report grid as one list object,
+    shared by every series so that the CLI's writer formats it once."""
+    mask = series.mask.tolist()
+    vals = [None if not m else v for v, m in zip(series.values.tolist(), mask)]
+    return {"s": s, "values": vals, "mask": mask}
 
 
 @numerical
@@ -532,6 +535,7 @@ def classify_report(c: CurveOnSurface, grid, tols: Tolerances | None = None,
     tols = tols or Tolerances()
     grid = np.asarray(grid, dtype=float)
     data = sample_frames(c, grid, eps_kappa=tols.eps_kappa)
+    s = data.s.tolist()
     tol_const = tols.resolved_constancy(data.analytic)
     report = ClassificationReport()
     report.orientation = (
@@ -550,7 +554,7 @@ def classify_report(c: CurveOnSurface, grid, tols: Tolerances | None = None,
 
     for key in ("kg", "kn", "tg"):
         report.series[key] = _series_payload(
-            CharacterizationSeries(data.s, getattr(data, key), np.ones(data.n, bool), key))
+            CharacterizationSeries(data.s, getattr(data, key), np.ones(data.n, bool), key), s)
 
     def attempt(name, fn, *args, **kwargs):
         try:
@@ -563,7 +567,7 @@ def classify_report(c: CurveOnSurface, grid, tols: Tolerances | None = None,
     for fam in _FAMILIES:
         measure = attempt(fam.verdict, _pair_measure, data, fam, tols.eps_pair)
         if measure is not None:
-            report.series[fam.measure] = _series_payload(measure)
+            report.series[fam.measure] = _series_payload(measure, s)
             report.verdicts[fam.verdict] = _verdict(measure, tol_const)
 
     # exponential-integral characterizations, one family at a time
@@ -571,20 +575,20 @@ def classify_report(c: CurveOnSurface, grid, tols: Tolerances | None = None,
         tf = attempt(fam.position, theorem_functions, data, c_const=c_const, family=fam.which)
         if tf is not None:
             for name in (fam.criterion, *fam.coefficients):
-                report.series[name] = _series_payload(getattr(tf, name))
+                report.series[name] = _series_payload(getattr(tf, name), s)
             report.verdicts[fam.position] = _verdict(getattr(tf, fam.criterion), tol_const)
 
     # position decomposition and plane membership
     decomp = position_decomposition(data, plane_tol=tols.plane)
     for series in (decomp.dot_T, decomp.dot_V, decomp.dot_U):
-        report.series[series.name] = _series_payload(series)
+        report.series[series.name] = _series_payload(series, s)
     for fam in _FAMILIES:
         report.flags[fam.in_plane] = _flag(
             float(np.max(np.abs(getattr(decomp, fam.off_plane).values))), decomp.plane_tol)
         res = attempt(fam.residual, position_theorem_residual,
                       data, which=fam.which, eps_pair=tols.eps_pair)
         if res is not None:
-            report.series[res.name] = _series_payload(res)
+            report.series[res.name] = _series_payload(res, s)
 
     # Frenet-level checks
     frenet_ok = bool(data.frenet_mask.all())
@@ -593,7 +597,7 @@ def classify_report(c: CurveOnSurface, grid, tols: Tolerances | None = None,
         if slant is not None:
             if not data.analytic:
                 slant.mask[:2] = slant.mask[-2:] = False
-            report.series["slant_helix"] = _series_payload(slant)
+            report.series["slant_helix"] = _series_payload(slant, s)
             report.verdicts["slant_helix"] = _verdict(slant, tol_const)
         rect = attempt("rectifying", rectifying_from_scalars, data.s, data.kappa, data.tau,
                        tol=tol_const)

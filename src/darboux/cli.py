@@ -4,13 +4,17 @@ Subcommands: frames, classify, trace, trace-implicit, seed-find, catalog.
 Domain failures (degenerate input, singular points, seeds off-level) exit
 with code 2 and the module error verbatim on stderr; usage errors exit 1.
 Angles are taken in degrees on the command line and converted to radians
-internally.  Output formats are documented bit-exactly in docs/formats.md;
-floats are rendered with %.17g so identical inputs give identical bytes.
+internally.  Output formats are documented bit-exactly in docs/formats.md:
+CSV, OBJ and seed-find fields are rendered with %.17g, each file through
+one row template, and JSON by a dedicated writer that gives the bytes of
+``json.dumps(payload, indent=2, sort_keys=True)`` while formatting each
+list of scalars once, so identical inputs give identical bytes.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -29,22 +33,21 @@ TRACE_COLUMNS = ("s,x,y,z,u,v,tx,ty,tz,kg,kn,tg,angle_dot,"
 FRAMES_COLUMNS = "s,x,y,z,tx,ty,tz,vx,vy,vz,ux,uy,uz,kg,kn,tg"
 
 
-def _trace_rows(result: _trace.TraceResult):
-    """One list of Python floats per sample in TRACE_COLUMNS order, lazily;
-    u and v are None on an implicit trace."""
-    chart = result.chart.tolist() if result.chart is not None else [(None, None)] * result.n
-    columns = zip(result.s.tolist(), result.points.tolist(), chart, result.tangents.tolist(),
-                  result.kg.tolist(), result.kn.tolist(), result.tg.tolist(),
-                  result.angle_dot.tolist(), result.constraint_residual.tolist(),
-                  result.unit_speed_residual.tolist())
-    return ([s, *p, *uv, *t, *rest] for s, p, uv, t, *rest in columns)
+def _trace_table(result: _trace.TraceResult) -> tuple[np.ndarray, tuple[str, ...]]:
+    """Every sample as one row of floats in TRACE_COLUMNS order, and the
+    columns the rows leave out: u and v on an implicit trace, which has no
+    chart."""
+    chart = () if result.chart is None else (result.chart,)
+    table = np.column_stack((result.s, result.points, *chart, result.tangents, result.kg,
+                             result.kn, result.tg, result.angle_dot,
+                             result.constraint_residual, result.unit_speed_residual))
+    return table, () if chart else ("u", "v")
 
 
-def _frames_rows(data: _frames.FrameData):
-    """One list of Python floats per sample in FRAMES_COLUMNS order, lazily."""
-    columns = zip(data.s.tolist(), data.gamma.tolist(), data.T.tolist(), data.V.tolist(),
-                  data.U.tolist(), data.kg.tolist(), data.kn.tolist(), data.tg.tolist())
-    return ([s, *p, *T, *V, *U, *rest] for s, p, T, V, U, *rest in columns)
+def _frames_table(data: _frames.FrameData) -> np.ndarray:
+    """Every sample as one row of floats in FRAMES_COLUMNS order."""
+    return np.column_stack((data.s, data.gamma, data.T, data.V, data.U,
+                            data.kg, data.kn, data.tg))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -52,10 +55,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"{self.prog}: error: {message}\n")
         sys.exit(1)
-
-
-def _fmt(x: float) -> str:
-    return "%.17g" % x
 
 
 def _parse_floats(text: str, n: int, label: str) -> tuple[float, ...]:
@@ -169,22 +168,99 @@ def build_curve(surface, spec: str, resample_n: int = 512):
 # Output writers
 
 
-def _csv(columns: str, rows) -> str:
-    """The header line, then one line per row; None is an empty field."""
-    lines = [columns]
-    lines += [",".join(["" if x is None else _fmt(x) for x in row]) for row in rows]
-    return "\n".join(lines) + "\n"
+def _csv(columns: str, table: np.ndarray, blank: tuple[str, ...] = ()) -> str:
+    """The header line, then one line per row of table through one %.17g
+    row template; the columns named in blank, which table has no column
+    for, are empty fields."""
+    row = ",".join("" if name in blank else "%.17g" for name in columns.split(",")) + "\n"
+    return columns + "\n" + (row * len(table)) % tuple(table.ravel().tolist())
 
 
-def _json(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+_INF = float("inf")
+_quote = json.encoder.encode_basestring_ascii
+_SCALAR_TYPES = frozenset((str, int, float, bool, type(None)))
+
+
+def _float(x: float) -> str:
+    """x as json spells it: float.__repr__, or NaN, Infinity, -Infinity."""
+    if x != x:
+        return "NaN"
+    if x == _INF:
+        return "Infinity"
+    if x == -_INF:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _scalar(x) -> str:
+    """A JSON scalar in json's spelling, checked in json's order; TypeError
+    for a value json cannot serialize."""
+    if isinstance(x, str):
+        return _quote(x)
+    if x is None:
+        return "null"
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if isinstance(x, float):
+        return _float(x)
+    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+
+
+def _value(obj, level: int, memo: dict) -> str:
+    """obj at indent level, in the bytes json.dumps(indent=2, sort_keys=True)
+    writes.  A list or tuple is formatted once per level: memo maps
+    (id, level) to its text, so a list object shared by several keys (the
+    report's s column) is formatted once."""
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = "\n" + "  " * (level + 1)
+        return "{" + inner + ("," + inner).join([
+            _quote(key if isinstance(key, str) else _scalar(key)) + ": "
+            + _value(value, level + 1, memo)
+            for key, value in sorted(obj.items())]) + "\n" + "  " * level + "}"
+    if not isinstance(obj, (list, tuple)):
+        return _scalar(obj)
+    if not obj:
+        return "[]"
+    text = memo.get((id(obj), level))
+    if text is None:
+        inner = "\n" + "  " * (level + 1)
+        sep = "," + inner
+        kinds = set(map(type, obj))
+        if kinds == {float}:
+            body = sep.join(map(float.__repr__, obj))
+            if "n" in body:  # nan or inf, which json spells NaN/Infinity
+                body = sep.join(map(_float, obj))
+        elif kinds == {bool}:
+            body = sep.join(["true" if x else "false" for x in obj])
+        elif kinds <= _SCALAR_TYPES:
+            body = sep.join(map(_scalar, obj))
+        else:
+            body = sep.join([_value(x, level + 1, memo) for x in obj])
+        text = memo[(id(obj), level)] = "[" + inner + body + "\n" + "  " * level + "]"
+    return text
+
+
+def _json(payload) -> str:
+    """json.dumps(payload, indent=2, sort_keys=True) + "\\n", byte for byte."""
+    return _value(payload, 0, {}) + "\n"
 
 
 def trace_csv(result: _trace.TraceResult) -> str:
-    return _csv(TRACE_COLUMNS, _trace_rows(result))
+    return _csv(TRACE_COLUMNS, *_trace_table(result))
 
 
 def trace_json(result: _trace.TraceResult, surface_name: str) -> str:
+    table, blank = _trace_table(result)
+    samples = table.tolist()
+    if blank:  # the implicit trace's u and v, columns 4 and 5, are null
+        for row in samples:
+            row[4:4] = (None, None)
     return _json({
         "kind": "trace",
         "surface": surface_name,
@@ -192,28 +268,27 @@ def trace_json(result: _trace.TraceResult, surface_name: str) -> str:
         "angle_deg": math.degrees(result.phi),
         "termination": result.termination,
         "columns": TRACE_COLUMNS.split(","),
-        "samples": list(_trace_rows(result)),
+        "samples": samples,
     })
 
 
 def trace_obj(result: _trace.TraceResult) -> str:
-    lines = [f"v {_fmt(x)} {_fmt(y)} {_fmt(z)}" for x, y, z in result.points.tolist()]
+    vertices = ("v %.17g %.17g %.17g\n" * result.n) % tuple(result.points.ravel().tolist())
     indices = list(range(1, result.n + 1))
     if result.closed:
         indices.append(1)
-    lines.append("l " + " ".join(str(i) for i in indices))
-    return "\n".join(lines) + "\n"
+    return vertices + "l " + " ".join(map(str, indices)) + "\n"
 
 
 def frames_csv(c, grid) -> str:
-    return _csv(FRAMES_COLUMNS, _frames_rows(_frames.sample_frames(c, grid)))
+    return _csv(FRAMES_COLUMNS, _frames_table(_frames.sample_frames(c, grid)))
 
 
 def frames_json(c, grid) -> str:
     return _json({
         "kind": "frames",
         "columns": FRAMES_COLUMNS.split(","),
-        "samples": list(_frames_rows(_frames.sample_frames(c, grid))),
+        "samples": _frames_table(_frames.sample_frames(c, grid)).tolist(),
     })
 
 
@@ -226,7 +301,7 @@ def _cmd_trace(args, implicit: bool) -> int:
     d = _axis(args.axis)
     phi = _angle_rad(args.angle)
     # only trace-implicit projects, so only it takes the projection options
-    projection = ({"projection_tol": args.project_tol,
+    projection = ({"projection_tol": _positive(args.project_tol, "--project-tol"),
                    "project_isophote": args.project_isophote} if implicit else {})
     config = _trace.TraceConfig(
         step=_positive(args.step, "--step"),
@@ -270,7 +345,8 @@ def _cmd_seed_find(args) -> int:
     n = 3 if isinstance(surface, _surface.ImplicitSurface) else 2
     guess = _parse_floats(args.guess, n, "--guess")
     seed = _trace.find_seed(surface, d, phi, guess)
-    text = " ".join(_fmt(x) for x in np.atleast_1d(np.asarray(seed, dtype=float))) + "\n"
+    values = np.atleast_1d(np.asarray(seed, dtype=float)).tolist()
+    text = " ".join(map("%.17g".__mod__, values)) + "\n"
     _write(args.out, text)
     return 0
 
@@ -347,7 +423,10 @@ def _add_trace_args(p, implicit: bool):
     _add_common_output(p)
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on first use and then shared: parse_args
+    fills a new namespace on each call, so calls do not share state."""
     parser = _Parser(prog="darboux",
                      description="Darboux-frame invariants, curve classification, "
                                  "and isophote tracing on surfaces")

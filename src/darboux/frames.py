@@ -117,7 +117,10 @@ class DarbouxFrame:
 
 
 class ParamCurve:
-    """Regular 3D curve gamma(t) with derivative evaluators to third order."""
+    """Regular 3D curve gamma(t) with derivative evaluators to third order.
+
+    Each evaluator returns a 3-vector as an array or a sequence of floats;
+    ``from_expressions`` gives the compiled expressions' float tuples."""
 
     def __init__(self, c, c1, c2, c3, t_range: tuple[float, float]):
         self.c, self.c1, self.c2, self.c3 = c, c1, c2, c3
@@ -131,11 +134,7 @@ class ParamCurve:
         for _ in range(3):
             jets.append([_expr.differentiate(e, var) for e in jets[-1]])
 
-        def make(level):
-            fn = _expr.compile(jets[level], [var])
-            return lambda t: np.array(fn(t))
-
-        return cls(make(0), make(1), make(2), make(3), t_range)
+        return cls(*(_expr.compile(jet, [var]) for jet in jets), t_range)
 
 
 class UnitSpeedCurve:
@@ -436,7 +435,8 @@ def _darboux_scalars(jets, U, U1, s) -> tuple:
     speed = norm3(d1)
     if abs(speed - 1.0) > UNIT_SPEED_TOL:
         raise DarbouxError(
-            f"curve is not unit speed at s={float(s):g}: |gamma'| = {speed:.6g}")
+            f"curve is not unit speed at s={float(s):g}: |gamma'| - 1 = {speed - 1.0:.3g}, "
+            f"beyond the tolerance {UNIT_SPEED_TOL:g}")
     V = _cross(U, d1)
     return V, dot3(d2, V), dot3(d2, U), -dot3(U1, V)
 
@@ -745,7 +745,8 @@ def _arclength_chain(c1, c2, c3):
 
 def _arclength_rule(x1, x2, x3, tp, tpp, tppp) -> tuple:
     """(x', x'', x''') in s of x(t(s)) from x's derivatives x1, x2, x3 in t
-    and (t', t'', t'''); x is a scalar or an array, taken elementwise."""
+    and (t', t'', t'''), for one float component x of a chart path or of
+    a space curve."""
     return x1 * tp, x2 * tp * tp + x1 * tpp, x3 * tp**3 + 3.0 * x2 * tp * tpp + x1 * tppp
 
 
@@ -779,7 +780,9 @@ class _ResampledCurve(UnitSpeedCurve):
         out = []
         for t in self.amap.t_of_s_many(grid).tolist():
             c1, c2, c3 = raw.c1(t), raw.c2(t), raw.c3(t)
-            g1, g2, g3 = _arclength_rule(c1, c2, c3, *_arclength_chain(*_floats((c1, c2, c3))))
+            chain = _arclength_chain(c1, c2, c3)
+            g1, g2, g3 = zip(*[_arclength_rule(x1, x2, x3, *chain)
+                               for x1, x2, x3 in zip(c1, c2, c3)])
             out.append((raw.c(t), g1, g2, g3))
         return out
 

@@ -301,6 +301,8 @@ class TestUsageErrors:
 
 SPHERE_TRACE = ["trace", "--surface", "builtin:sphere?r=1", "--axis", "0,0,1",
                 "--angle", "45", "--seed", "0,0.7", "--length", "0.1", "--step", "0.01"]
+TORUS_TRACE = ["trace-implicit", "--surface", "builtin:torus?R=2&r=0.5", "--axis", "0,0,1",
+               "--angle", "60", "--seed", "2.5,0,0.1", "--length", "0.05", "--step", "0.01"]
 
 
 def _with(argv, **flags):
@@ -322,6 +324,9 @@ BAD_INPUTS = {
     "builtin-unknown-param": _with(SPHERE_TRACE, surface="builtin:sphere?q=1"),
     "builtin-nonfinite-param": _with(SPHERE_TRACE, surface="builtin:sphere?r=inf"),
     "axis-nan": _with(SPHERE_TRACE, axis="nan,0,1"),
+    "project-tol-zero": _with(TORUS_TRACE, project_tol="0"),
+    "project-tol-negative": _with(TORUS_TRACE, project_tol="-1"),
+    "project-tol-nan": _with(TORUS_TRACE, project_tol="nan"),
     "classify-c-const-zero": ["classify", "--surface", "builtin:cylinder?r=1",
                               "--curve", "param:u=s;v=s", "--samples", "8",
                               "--c-const", "0"],
@@ -357,6 +362,13 @@ class TestBoundaryErrors:
         code, captured = run(BAD_INPUTS["axis-nan"], capsys)
         assert "--axis" in captured.err
         assert "no isophote" not in captured.err
+
+    @pytest.mark.parametrize("value", ["0", "-1", "nan"])
+    def test_project_tol_named_before_the_seed_snap(self, value, capsys):
+        code, captured = run(_with(TORUS_TRACE, project_tol=value), capsys)
+        assert code == 2
+        assert captured.err == (f"--project-tol must be a positive finite number, "
+                                f"got {float(value)!r}\n")
 
     def test_sin_of_infinity_names_the_call(self, capsys):
         code, captured = run(BAD_INPUTS["param-sin-of-infinity"], capsys)

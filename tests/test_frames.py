@@ -138,6 +138,15 @@ class TestDarboux:
         with pytest.raises(DarbouxError, match="unit speed"):
             darboux_frame(c, 0.5)
 
+    def test_non_unit_speed_message_shows_the_deviation(self):
+        # speed 1 + 3e-7, off by 3 tolerances: %.6g of the speed prints 1
+        path = constant_speed_path(0.0, 0.0, 1.0000003, 0.0, (0.0, 2.0))
+        c = CurveOnSurface(darboux.cylinder(1.0), chart_path=path)
+        with pytest.raises(DarbouxError) as exc:
+            darboux_frame(c, 0.5)
+        assert str(exc.value) == ("curve is not unit speed at s=0.5: |gamma'| - 1 = 3e-07, "
+                                  "beyond the tolerance 1e-07")
+
     def test_curve_leaving_implicit_surface_rejected(self):
         line = UnitSpeedCurve(
             lambda s: np.array([1.0 + s, 0.0, 0.0]),
