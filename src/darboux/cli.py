@@ -307,7 +307,8 @@ def _cmd_trace(args, implicit: bool) -> int:
         step=_positive(args.step, "--step"),
         max_length=_positive(args.length, "--length"),
         branch=args.branch,
-        closure_tol=args.closure_tol,
+        closure_tol=(None if args.closure_tol is None
+                     else _positive(args.closure_tol, "--closure-tol")),
         eps_sing=_eps_sing(args.eps_sing),
         **projection,
     )

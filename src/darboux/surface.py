@@ -167,15 +167,6 @@ def _triples(values) -> tuple:
     return tuple(zip(it, it, it))
 
 
-def _unit_derivative(w, n, w_a) -> tuple:
-    """d_a (w/|w|) = w_a/n - w (w . w_a)/n^3 at |w| = n."""
-    k = dot3(w, w_a)
-    n3 = n**3
-    w0, w1, w2 = w
-    a0, a1, a2 = w_a
-    return (a0 / n - w0 * k / n3, a1 / n - w1 * k / n3, a2 / n - w2 * k / n3)
-
-
 def _unit_second_derivative(w, n, w_a, w_b, w_ab) -> tuple:
     """d_b d_a (w/|w|) at |w| = n: the quotient rule expanded once more."""
     na = dot3(w, w_a) / n
@@ -200,10 +191,25 @@ def _first_form(jet) -> tuple:
 
 def _normal_partials(jet, w, n) -> tuple:
     """(U_u, U_v) of U = w/|w|, w = sigma_u x sigma_v with |w| = n: the
-    quotient rule on w."""
-    _, su, sv, suu, suv, svv = jet
-    return (_unit_derivative(w, n, _cross_sum(suu, sv, su, suv)),
-            _unit_derivative(w, n, _cross_sum(suv, sv, su, svv)))
+    quotient rule d_a (w/|w|) = w_a/n - w (w . w_a)/n^3 on
+    w_u = sigma_uu x sigma_v + (sigma_u x sigma_uv) and
+    w_v = sigma_uv x sigma_v + (sigma_u x sigma_vv).
+
+    Straight-line code with the operations of _cross_sum and dot3 in their
+    order, and one Python float power n**3 for both partials."""
+    _, (a0, a1, a2), (b0, b1, b2), (p0, p1, p2), (q0, q1, q2), (r0, r1, r2) = jet
+    w0, w1, w2 = w
+    x0 = p1 * b2 - p2 * b1 + (a1 * q2 - a2 * q1)
+    x1 = p2 * b0 - p0 * b2 + (a2 * q0 - a0 * q2)
+    x2 = p0 * b1 - p1 * b0 + (a0 * q1 - a1 * q0)
+    y0 = q1 * b2 - q2 * b1 + (a1 * r2 - a2 * r1)
+    y1 = q2 * b0 - q0 * b2 + (a2 * r0 - a0 * r2)
+    y2 = q0 * b1 - q1 * b0 + (a0 * r1 - a1 * r0)
+    n3 = n**3
+    k = w0 * x0 + w1 * x1 + w2 * x2
+    m = w0 * y0 + w1 * y1 + w2 * y2
+    return ((x0 / n - w0 * k / n3, x1 / n - w1 * k / n3, x2 / n - w2 * k / n3),
+            (y0 / n - w0 * m / n3, y1 / n - w1 * m / n3, y2 / n - w2 * m / n3))
 
 
 def _normal_second_partials(jet, third, w, n) -> tuple:
@@ -233,20 +239,21 @@ def _normal_jacobian(g, n, H) -> tuple:
 
 
 def _project(surface: "ImplicitSurface", p, tol: float = 1e-12) -> tuple:
-    """project_to_implicit on a 3-tuple of floats."""
+    """project_to_implicit on a 3-tuple of floats: (p, f(p)) for the
+    projected point, with the value of f the last check read there."""
     for _ in range(8):
         f = surface._f(p)
         if abs(f) <= tol:
-            return p
-        g = surface._grad(p)
-        gg = dot3(g, g)
+            return p, f
+        g0, g1, g2 = surface._grad(p)
+        gg = g0 * g0 + g1 * g1 + g2 * g2
         if gg <= surface.eps_reg**2:
             raise RegularityError(f"{surface.name}: vanishing gradient near {p!r}")
         x, y, z = p
-        g0, g1, g2 = g
         p = (x - f * g0 / gg, y - f * g1 / gg, z - f * g2 / gg)
-    if abs(surface._f(p)) <= tol:
-        return p
+    f = surface._f(p)
+    if abs(f) <= tol:
+        return p, f
     raise ProjectionError(
         f"{surface.name}: projection did not reach |f| <= {tol:g} in 8 iterations"
     )
@@ -321,22 +328,24 @@ class ParametricSurface:
         return f"ParametricSurface({self.name!r})"
 
     def wrap(self, u: float, v: float) -> tuple[float, float]:
-        """Wrap periodic parameters into range; raise if outside a
-        non-periodic range."""
-        u = self._wrap1(u, self.u_range, self.periodic_u, "u")
-        v = self._wrap1(v, self.v_range, self.periodic_v, "v")
+        """Wrap periodic parameters into range, (t - lo) % (hi - lo) + lo;
+        raise if outside a non-periodic range (u is checked first)."""
+        lo, hi = self.u_range
+        if self.periodic_u:
+            u = (u - lo) % (hi - lo) + lo
+        elif u < lo or u > hi:
+            raise self._outside("u", u, lo, hi)
+        lo, hi = self.v_range
+        if self.periodic_v:
+            v = (v - lo) % (hi - lo) + lo
+        elif v < lo or v > hi:
+            raise self._outside("v", v, lo, hi)
         return u, v
 
-    def _wrap1(self, t, rng, periodic, label):
-        lo, hi = rng
-        if periodic:
-            period = hi - lo
-            return (t - lo) % period + lo
-        if t < lo or t > hi:
-            raise OutOfDomainError(
-                f"{self.name}: parameter {label}={float(t):g} outside [{lo:g}, {hi:g}]"
-            )
-        return t
+    def _outside(self, label, t, lo, hi) -> OutOfDomainError:
+        return OutOfDomainError(
+            f"{self.name}: parameter {label}={float(t):g} outside [{lo:g}, {hi:g}]"
+        )
 
     def chart_point(self, u: float, v: float):
         """The float kernel of chart_jet: (jet, w, |w|) at (u, v), with jet
@@ -510,7 +519,7 @@ def project_to_implicit(surface: ImplicitSurface, p: np.ndarray, tol: float = 1e
     At most 8 iterations; raises ProjectionError on non-convergence and
     RegularityError on a vanishing gradient.
     """
-    return np.array(_project(surface, _point(p), tol))
+    return np.array(_project(surface, _point(p), tol)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -21,15 +21,22 @@ spacing).
 
 The trace runs on the float kernels of ``surface``: states, RK4 slopes,
 jets, normals and recorded rows are tuples of Python floats, and arrays are
-built only for the columns of the TraceResult.  The public per-point
-functions (directions, scalars, verification coefficients) wrap the same
-kernels.  Where float arithmetic fails (an overflow, a division by zero, a
-math domain error) a NumericalError is raised, or the trace ends with an
+built only for the columns of the TraceResult.  A chart sample records its
+row of diagnostics.  An implicit sample records only what can fail or needs
+a Python float (the point, its tangent, grad f, |grad f|, n**3, H and |f|);
+its diagnostics (U, <U, d>, k_n, tau_g, Omega . t, |t| - 1 and
+grad f . t) are computed column-wise once, after the RK4 loop, by one
+kernel over (N, .) arrays whose lanes have the scalar formulas' bits.  The
+public per-point functions (directions, scalars, verification coefficients)
+wrap the same kernels; the implicit scalars and Omega run the column kernel
+on one row.  Where float arithmetic fails (an overflow, a division by zero,
+a math domain error) a NumericalError is raised, or the trace ends with an
 ``error:`` termination once it has samples.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -53,15 +60,15 @@ from .surface import (
     _first_form,
     _floats,
     _lincomb,
-    _matvec,
-    _normal_jacobian,
     _normal_partials,
     _point,
     _project,
+    _rows,
     cross3_rows,
     dot3,
     dot3_rows,
     norm3,
+    norm3_rows,
     project_to_implicit,
 )
 # bound here by name: the benchmark's per-layer tracer wraps them on this module
@@ -280,7 +287,7 @@ def _bisect_newton(g, a, ga, b, gb, tol, max_iter):
 
 
 def _find_seed_implicit(surface, d, target, guess, tol, max_iter):
-    p = _project(surface, _point(guess), 1e-12)
+    p, _ = _project(surface, _point(guess), 1e-12)
     for _ in range(max_iter):
         grad = surface._grad(p)
         n = norm3(grad)
@@ -303,7 +310,7 @@ def _find_seed_implicit(surface, d, target, guess, tol, max_iter):
         step_len = norm3(step)
         if step_len > limit:
             step = tuple([a * (limit / step_len) for a in step])
-        p = _project(surface, tuple([a + b for a, b in zip(p, step)]), 1e-12)
+        p, _ = _project(surface, tuple([a + b for a, b in zip(p, step)]), 1e-12)
     raise SeedError("no isophote at this level near guess")
 
 
@@ -414,50 +421,83 @@ def isophote_direction_implicit(surface: ImplicitSurface, d, p, branch: str = "p
 
 def _level_gradient(point, d) -> tuple:
     """grad g of g = <grad f, d>/|grad f| from a point's (grad f, |grad f|, H):
-    H d/n - <grad f, d> H grad f/n^3."""
-    grad, n, H = point
-    gd = dot3(grad, d)
+    H d/n - <grad f, d> H grad f/n^3, with dot3's sums written out."""
+    (g0, g1, g2), n, ((a0, a1, a2), (b0, b1, b2), (c0, c1, c2)) = point
+    d0, d1, d2 = d
+    gd = g0 * d0 + g1 * d1 + g2 * d2
     n3 = n**3
-    return tuple([a / n - gd * b / n3 for a, b in zip(_matvec(H, d), _matvec(H, grad))])
+    return ((a0 * d0 + a1 * d1 + a2 * d2) / n - gd * (a0 * g0 + a1 * g1 + a2 * g2) / n3,
+            (b0 * d0 + b1 * d1 + b2 * d2) / n - gd * (b0 * g0 + b1 * g1 + b2 * g2) / n3,
+            (c0 * d0 + c1 * d1 + c2 * d2) / n - gd * (c0 * g0 + c1 * g1 + c2 * g2) / n3)
 
 
 def _implicit_direction(point, d, eps_sing, p) -> tuple:
-    """Unit tangent on the plus branch from a point's (grad f, |grad f|, H)."""
-    w = _cross(point[0], _level_gradient(point, d))
-    wn = norm3(w)
+    """Unit tangent on the plus branch from a point's (grad f, |grad f|, H):
+    grad f x grad g over its norm, written out."""
+    g0, g1, g2 = point[0]
+    l0, l1, l2 = _level_gradient(point, d)
+    w0 = g1 * l2 - g2 * l1
+    w1 = g2 * l0 - g0 * l2
+    w2 = g0 * l1 - g1 * l0
+    wn = math.sqrt(w0 * w0 + w1 * w1 + w2 * w2)
     if wn <= eps_sing:
         raise SingularPointError(
             f"singular isophote point at {np.round(p, 9).tolist()}: "
             "no isophotic curve with this axis/angle"
         )
-    return _div3(w, wn)
+    return (w0 / wn, w1 / wn, w2 / wn)
 
 
 def direction_scalars_implicit(surface: ImplicitSurface, d, p, t) -> tuple[float, float]:
     """(k_n, tau_g) of a unit tangent t at a surface point p."""
-    return _implicit_scalars(surface.level_point(_point(p)), _floats(t))
-
-
-def _implicit_scalars(point, t) -> tuple[float, float]:
-    """(k_n, tau_g) of a unit tangent from the point's (grad f, |grad f|, H)."""
-    grad, n, H = point
-    kn = -dot3(t, _matvec(H, t)) / n
-    V = _cross(_div3(grad, n), t)
-    tg = -dot3(_matvec(_normal_jacobian(grad, n, H), t), V)
-    return kn, tg
+    cols = _implicit_point_columns(surface, d, p, t)
+    return float(cols["kn"][0]), float(cols["tg"][0])
 
 
 def omega_coefficients(surface: ImplicitSurface, d, p, t) -> np.ndarray:
     """Verification triple Omega = k_n d + tau_g (d x grad f); along an
     isophote Omega . t = 0 and t is parallel to grad(f) x Omega."""
-    point = surface.level_point(_point(p))
-    kn, tg = _implicit_scalars(point, _floats(t))
-    return np.array(_omega(_floats(d), point[0], kn, tg))
+    return _implicit_point_columns(surface, d, p, t)["omega"][0]
 
 
-def _omega(d, grad, kn, tg) -> tuple:
-    """Omega from the axis, grad(f) and the direction's (k_n, tau_g)."""
-    return _lincomb(kn, d, tg, _cross(d, grad))
+def _implicit_point_columns(surface, d, p, t) -> dict:
+    """_implicit_columns of one tangent t at one surface point p."""
+    grad, n, H = surface.level_point(_point(p))
+    t = np.array([_floats(t)])
+    return _implicit_columns(_floats(d), np.array([grad], dtype=float), np.array([n]),
+                             np.array([n**3]), np.array([H], dtype=float), t)
+
+
+def _matvec_rows(A: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A x for each of N 3x3 matrices (N, 3, 3) and 3-vectors (N, 3), each
+    row with _matvec's bits."""
+    return _rows(x, dot3_rows(A[:, 0], x), dot3_rows(A[:, 1], x), dot3_rows(A[:, 2], x))
+
+
+def _implicit_columns(d, grad, n, n3, H, t) -> dict:
+    """Diagnostics of N unit tangents t at N points of f = 0, from (N, 3)
+    arrays grad f and t, (N,) |grad f| and n**3 and (N, 3, 3) Hessians.
+
+    Returns the (N, 3) columns U = grad f/n and Omega = k_n d +
+    tau_g (d x grad f), and the (N,) columns <U, d>, k_n = -<t, H t>/n,
+    tau_g = -<J t, U x t> with J = H/n - grad f (H grad f)^T/n^3 (the
+    Jacobian of U), Omega . t, |t| - 1 and grad f . t.  Every lane is the
+    scalar formula's operations in their order (elementwise + - * / and
+    np.sqrt give Python's float bits); n**3 is passed in as the Python
+    float power, which np.power does not reproduce.  Overflows give inf or
+    nan without a warning, as Python float arithmetic does."""
+    D = np.broadcast_to(np.asarray(d, dtype=float), grad.shape)
+    with np.errstate(all="ignore"):
+        U = grad / n[:, None]
+        kn = -dot3_rows(t, _matvec_rows(H, t)) / n
+        Hg = _matvec_rows(H, grad)
+        J = H / n[:, None, None] - grad[:, :, None] * Hg[:, None, :] / n3[:, None, None]
+        tg = -dot3_rows(_matvec_rows(J, t), cross3_rows(U, t))
+        omega = kn[:, None] * D + tg[:, None] * cross3_rows(D, grad)
+        return {"normals": U, "angle_dot": dot3_rows(U, D), "kn": kn, "tg": tg,
+                "omega": omega, "constraint_residual": dot3_rows(omega, t),
+                "unit_speed_residual": norm3_rows(t) - 1.0,
+                "grad_dot_t": dot3_rows(grad, t)}
 
 
 # ---------------------------------------------------------------------------
@@ -488,8 +528,7 @@ def trace_isophote(surface, d, phi: float, seed, config: TraceConfig | None = No
     return _integrate(kind(surface, d, math.cos(phi), config), phi, seed)
 
 
-# TraceResult fields filled from the recorded rows, in row order; each
-# adapter's ``extra`` names the fields that follow them
+# TraceResult fields every trace fills, in the order of a chart record's row
 _ROW_FIELDS = ("s", "points", "tangents", "normals", "angle_dot", "constraint_residual",
                "unit_speed_residual", "kn", "tg")
 
@@ -589,9 +628,19 @@ def _integrate(adapter, phi, seed):
         if not rows:
             raise
         termination = f"error: {NumericalError.of(exc)}"
-    columns = (np.array(column) for column in zip(*rows))
-    return TraceResult(**dict(zip(_ROW_FIELDS + adapter.extra, columns)),
+    return TraceResult(**adapter.columns(*map(_column, zip(*rows))),
                        termination=termination, d=np.array(adapter.d), phi=phi)
+
+
+def _column(values) -> np.ndarray:
+    """np.array(values, dtype=float) for a column of N equally shaped
+    floats or nested sequences of floats, read in one flat pass (np.array's
+    own scan of nested tuples is about 2.5 times slower)."""
+    shape = np.shape(values[0])
+    flat = values
+    for _ in shape:
+        flat = itertools.chain.from_iterable(flat)
+    return np.fromiter(flat, float, len(values) * math.prod(shape)).reshape(-1, *shape)
 
 
 def _negated(x) -> tuple:
@@ -603,12 +652,14 @@ def _closure_step(p, t, seed_p, seed_t, s_done, config):
     None if not closing here."""
     if s_done < 10.0 * config.step:
         return None
-    gap = tuple([a - b for a, b in zip(seed_p, p)])
-    if norm3(gap) > config.closure_radius:
+    p0, p1, p2 = p
+    a0, a1, a2 = seed_p
+    g0, g1, g2 = a0 - p0, a1 - p1, a2 - p2
+    if math.sqrt(g0 * g0 + g1 * g1 + g2 * g2) > config.closure_radius:
         return None
     if dot3(t, seed_t) < 0.5:
         return None
-    delta = dot3(gap, seed_t)
+    delta = dot3((g0, g1, g2), seed_t)
     if not 0.0 < delta <= config.step:
         return None
     return delta
@@ -617,9 +668,8 @@ def _closure_step(p, t, seed_p, seed_t, s_done, config):
 class _ChartTrace:
     """Isophote on a chart.  The state is (u, v), wrapped after each step;
     RK4 slopes are (u', v') and the reference tangent is sigma_u u' + sigma_v v'.
-    A point's evaluation is its _chart_evaluation."""
-
-    extra = ("chart",)
+    A point's evaluation is its _chart_evaluation.  A sample's record is
+    its row of TraceResult fields."""
 
     def __init__(self, surface, d, target, config):
         self.surface, self.d, self.target, self.config = surface, d, target, config
@@ -661,20 +711,30 @@ class _ChartTrace:
         return (jet[0], t3, U, dot3(U, self.d), delta * du + delta_star * dv,
                 E * du * du + 2 * F * du * dv + G * dv * dv - 1.0, kn, tg, y)
 
+    @staticmethod
+    def columns(*columns) -> dict:
+        return dict(zip(_ROW_FIELDS + ("chart",), columns))
+
 
 class _ImplicitTrace:
     """Isophote on f = 0.  The state is the point itself, Newton-projected
     back onto the surface (and optionally the level) after each step; the
     RK4 slope is the unit tangent.  A point's evaluation is
-    (grad f, |grad f|, H)."""
+    (grad f, |grad f|, H).
 
-    extra = ("surface_residual", "grad_dot_t")
+    A sample's record keeps what can fail or needs a Python float: the
+    point, its tangent, grad f, |grad f|, n**3, H and |f|.  f is the value
+    the projection read at the state it returned (the state recorded next),
+    else it is evaluated.  The diagnostic columns are computed from the
+    records once, after the loop (_implicit_columns)."""
 
     def __init__(self, surface, d, target, config):
         self.surface, self.d, self.target, self.config = surface, d, target, config
+        self.f = None  # f at the last state start or fix returned, if known
 
     def start(self, seed):
-        return _project(self.surface, _point(seed), self.config.projection_tol)
+        p, self.f = _project(self.surface, _point(seed), self.config.projection_tol)
+        return p
 
     def level(self, p, at):
         grad, n, _ = at(p)
@@ -693,10 +753,10 @@ class _ImplicitTrace:
         return t, t
 
     def fix(self, q):
-        q = _project(self.surface, q, self.config.projection_tol)
+        q, self.f = _project(self.surface, q, self.config.projection_tol)
         if self.config.project_isophote:
-            q = _project_two_constraints(self.surface, self.d, self.target, q,
-                                         self.config.projection_tol)
+            q, self.f = _project_two_constraints(self.surface, self.d, self.target, q,
+                                                 self.config.projection_tol)
         return q
 
     def closure_frame(self, p, point, t):
@@ -704,31 +764,34 @@ class _ImplicitTrace:
         return p, t
 
     def record(self, q, point, k, t):
-        grad, n, _ = point
-        U = _div3(grad, n)
-        kn, tg = _implicit_scalars(point, t)
-        omega = _omega(self.d, grad, kn, tg)
-        return (q, t, U, dot3(U, self.d), dot3(omega, t), norm3(t) - 1.0, kn, tg,
-                abs(self.surface._f(q)), dot3(grad, t))
+        grad, n, H = point
+        f = self.f if self.f is not None else self.surface._f(q)
+        return q, t, grad, n, n**3, H, abs(f)
+
+    def columns(self, s, q, t, grad, n, n3, H, f) -> dict:
+        cols = _implicit_columns(self.d, grad, n, n3, H, t)
+        del cols["omega"]
+        return {"s": s, "points": q, "tangents": t, "surface_residual": f, **cols}
 
 
 def _project_two_constraints(surface, d, target, p, tol):
     """Newton onto {f = 0} intersected with {<U, d> = cos(phi)}: each step
     solves (J J^T) x = -(f, g) for the 2x3 Jacobian J = (grad f; grad g) in
-    closed form and moves by J^T x.  A singular system leaves p as it is."""
+    closed form and moves by J^T x.  A singular system leaves p as it is.
+    Returns (p, f(p)), with None for f where the last step moved p."""
     for _ in range(8):
         grad = surface._grad(p)
         n = norm3(grad)
         f = surface._f(p)
         g = dot3(grad, d) / n - target
         if abs(f) <= tol and abs(g) <= tol:
-            return p
+            return p, f
         grad_g = _level_gradient((grad, n, surface._hess(p)), d)
         a, b, c = dot3(grad, grad), dot3(grad, grad_g), dot3(grad_g, grad_g)
         det = a * c - b * b
         if det == 0.0:
-            return p
+            return p, f
         x0 = (b * g - c * f) / det
         x1 = (b * f - a * g) / det
         p = tuple([pi + (x0 * ai + x1 * bi) for pi, ai, bi in zip(p, grad, grad_g)])
-    return p
+    return p, None

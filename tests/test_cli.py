@@ -327,6 +327,10 @@ BAD_INPUTS = {
     "project-tol-zero": _with(TORUS_TRACE, project_tol="0"),
     "project-tol-negative": _with(TORUS_TRACE, project_tol="-1"),
     "project-tol-nan": _with(TORUS_TRACE, project_tol="nan"),
+    "closure-tol-zero": _with(SPHERE_TRACE, closure_tol="0"),
+    "closure-tol-negative": _with(SPHERE_TRACE, closure_tol="-1"),
+    "closure-tol-nan": _with(SPHERE_TRACE, closure_tol="nan"),
+    "closure-tol-inf": _with(TORUS_TRACE, closure_tol="inf"),
     "classify-c-const-zero": ["classify", "--surface", "builtin:cylinder?r=1",
                               "--curve", "param:u=s;v=s", "--samples", "8",
                               "--c-const", "0"],
@@ -369,6 +373,24 @@ class TestBoundaryErrors:
         assert code == 2
         assert captured.err == (f"--project-tol must be a positive finite number, "
                                 f"got {float(value)!r}\n")
+
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+    def test_closure_tol_named(self, value, capsys):
+        code, captured = run(_with(SPHERE_TRACE, closure_tol=value), capsys)
+        assert code == 2
+        assert captured.err == (f"--closure-tol must be a positive finite number, "
+                                f"got {float(value)!r}\n")
+
+    def test_closure_tol_of_twice_the_step_is_the_default(self, tmp_path):
+        # the closed sphere circuit: 2 * step is the default closure radius
+        argv = ["trace", "--surface", "builtin:sphere?r=1", "--axis", "0,0,1",
+                "--angle", "45", "--seed", "0,0.785398", "--length", "4.5",
+                "--step", "0.01", "--format", "json"]
+        default, explicit = tmp_path / "default.json", tmp_path / "explicit.json"
+        assert run(argv + ["--out", str(default)]) == 0
+        assert run(argv + ["--closure-tol", "0.02", "--out", str(explicit)]) == 0
+        assert json.loads(default.read_text())["termination"] == "closed"
+        assert explicit.read_bytes() == default.read_bytes()
 
     def test_sin_of_infinity_names_the_call(self, capsys):
         code, captured = run(BAD_INPUTS["param-sin-of-infinity"], capsys)

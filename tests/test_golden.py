@@ -83,6 +83,11 @@ CASES = {
     "torus_frames.json": [
         "frames", "--surface", "builtin:torus?R=2&r=0.5", "--curve", "param:u=s;v=2*s",
         "--samples", "20", "--format", "json"],
+    # a closing oblique isophote on the implicit torus: k_g and tau_g are
+    # both nonzero along it, and the last sample is the closure step
+    "torus_oblique_closed_step2e-2.csv": [
+        "trace-implicit", "--surface", "builtin:torus?R=2&r=0.5", "--axis", "1,0,0.2",
+        "--angle", "50", "--seed", "2.5,0,0.1", "--length", "10", "--step", "2e-2"],
 }
 
 

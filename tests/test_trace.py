@@ -1,6 +1,9 @@
 """Seed finding, isophote direction fields, coefficient checks, and traces."""
 
+import contextlib
+import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ import pytest
 import darboux
 import darboux.trace as trace_module
 from conftest import constant_speed_path
+from darboux.cli import main
 from darboux.errors import DarbouxError, RegularityError, SeedError, SingularPointError
 from darboux.frames import CurveOnSurface
 from darboux.frames import darboux as darboux_frame
@@ -17,6 +21,7 @@ from darboux.surface import (
     dot3,
     first_form,
     norm3,
+    parse_surface_spec,
     unit_normal,
 )
 from darboux.trace import (
@@ -29,6 +34,7 @@ from darboux.trace import (
     isophote_direction_implicit,
     isophote_direction_parametric,
     omega_coefficients,
+    snap_seed,
     trace_isophote,
 )
 
@@ -482,10 +488,10 @@ class TestEvaluationCounts:
                              TraceConfig(step=1e-2, max_length=2.0))
         assert res.termination == "length reached"
         # RK4 stages 2-4 and the new sample take grad and H; the projection
-        # and the |f| column take f
+        # takes f, and the |f| column reads the projection's last value
         assert calls["hess"] <= 4 * res.n + 5
         assert calls["grad"] <= 5 * res.n + 5
-        assert calls["f"] <= 3 * res.n + 5
+        assert calls["f"] <= res.n
 
 
 class TestConvergence:
@@ -583,13 +589,62 @@ class TestRecordedColumnsMatchPublicFunctions:
             grad_t = dot3(itor.gradient(p).tolist(), t.tolist())
             assert _hex([grad_t]) == _hex([res.grad_dot_t[i]])
 
+    @staticmethod
+    def assert_implicit_columns_match(surface, res):
+        """Every recorded column of an implicit trace against the public
+        per-point functions, bit for bit."""
+        assert res.n > 20
+        for i in range(res.n):
+            p, t = res.points[i], res.tangents[i]
+            field = isophote_direction_implicit(surface, res.d, p)
+            assert _hex(t) in (_hex(field), _hex(-field))
+            U = surface.unit_normal(p)
+            assert _hex(U) == _hex(res.normals[i])
+            assert _hex([dot3(U.tolist(), res.d.tolist())]) == _hex([res.angle_dot[i]])
+            kn, tg = direction_scalars_implicit(surface, res.d, p, t)
+            assert _hex([kn, tg]) == _hex([res.kn[i], res.tg[i]])
+            omega = omega_coefficients(surface, res.d, p, t)
+            assert _hex([dot3(omega.tolist(), t.tolist())]) == _hex([res.constraint_residual[i]])
+            assert _hex([norm3(t.tolist()) - 1.0]) == _hex([res.unit_speed_residual[i]])
+            assert _hex([abs(surface.value(p))]) == _hex([res.surface_residual[i]])
+            grad_t = dot3(surface.gradient(p).tolist(), t.tolist())
+            assert _hex([grad_t]) == _hex([res.grad_dot_t[i]])
+
+    def test_expression_torus(self):
+        itor = parse_surface_spec("implicit:f=(x^2+y^2+z^2+3.75)^2-16*(x^2+y^2)",
+                                  implicit=True)
+        d = np.array([1.0, 0.0, 2.0]) / math.sqrt(5.0)
+        phi = math.pi / 3
+        seed = find_seed(itor, d, phi, (2.4, 0.3, 0.2))
+        res = trace_isophote(itor, d, phi, seed, TraceConfig(step=0.05, max_length=2.0))
+        self.assert_implicit_columns_match(itor, res)
+
+    def test_project_isophote(self):
+        itor = darboux.implicit_torus(2.0, 0.5)
+        seed = find_seed(itor, EZ, math.pi / 3, (2.5, 0.0, 0.1))
+        res = trace_isophote(itor, EZ, math.pi / 3, seed,
+                             TraceConfig(step=0.1, max_length=3.0, project_isophote=True))
+        self.assert_implicit_columns_match(itor, res)
+
+    def test_closing_oblique_trace(self):
+        # k_g and tau_g are both far from zero along this closed isophote
+        itor = darboux.implicit_torus(2.0, 0.5)
+        d = np.array([1.0, 0.0, 0.2])
+        phi = math.radians(50.0)
+        seed = find_seed(itor, d, phi, (2.5, 0.0, 0.1))
+        res = trace_isophote(itor, d, phi, seed, TraceConfig(step=0.02, max_length=10.0))
+        assert res.termination == "closed"
+        assert np.abs(res.kg * res.tg).max() > 0.5
+        self.assert_implicit_columns_match(itor, res)
+
 
 def test_two_constraint_projection_leaves_p_on_a_singular_system():
     # on the plane grad g vanishes, so J J^T is singular: no Newton step
     p = (0.1, 0.2, 0.3)
-    out = trace_module._project_two_constraints(darboux.implicit_plane(), (0.0, 0.0, 1.0),
-                                                0.5, p, 1e-12)
+    plane = darboux.implicit_plane()
+    out, f = trace_module._project_two_constraints(plane, (0.0, 0.0, 1.0), 0.5, p, 1e-12)
     assert out is p
+    assert f == plane.value(p)
 
 
 class TestFieldSolves:
@@ -683,6 +738,14 @@ class TestProjectIsophoteActs:
         assert projected.surface_residual.max() <= 1e-12
 
 
+# what the failing sphere's jet raises, and the termination it gives
+MID_TRACE_ERRORS = [
+    (DarbouxError("no jet past u = 0.5"), "error: no jet past u = 0.5"),
+    (ZeroDivisionError("float division by zero"),
+     "error: float arithmetic failed: float division by zero"),
+]
+
+
 class TestMidTraceTerminations:
     """A trace that fails after its first sample keeps its samples and
     names the failure in ``termination``."""
@@ -713,11 +776,7 @@ class TestMidTraceTerminations:
         return ParametricSurface("failing sphere", jet, base.u_range, base.v_range,
                                  periodic_u=True, jet3_fn=base.jet3)
 
-    @pytest.mark.parametrize("exc, termination", [
-        (DarbouxError("no jet past u = 0.5"), "error: no jet past u = 0.5"),
-        (ZeroDivisionError("float division by zero"),
-         "error: float arithmetic failed: float division by zero"),
-    ])
+    @pytest.mark.parametrize("exc, termination", MID_TRACE_ERRORS)
     def test_error_keeps_the_samples_before_it(self, exc, termination):
         # the minus branch runs along the latitude towards increasing u
         res = trace_isophote(self.failing_sphere(exc), EZ, math.pi / 4, (0.0, math.pi / 4),
@@ -729,3 +788,58 @@ class TestMidTraceTerminations:
         full = trace_isophote(darboux.sphere(1.0), EZ, math.pi / 4, (0.0, math.pi / 4),
                               TraceConfig(step=1e-2, max_length=4.5, branch="minus"))
         assert _hex(res.points) == _hex(full.points[:res.n])
+
+
+def _scaled_torus_trace(scale):
+    """(surface, d, phi, seed, config) of a closing oblique isophote on the
+    implicit torus scaled by ``scale``: the seed is the torus point at
+    (u, v) = (0.3, 0.7) and phi its own angle, so the seed needs no search
+    (find_seed projects to an absolute 1e-12)."""
+    R, r, u0, v0 = 2.0 * scale, 0.5 * scale, 0.3, 0.7
+    rho = R + r * math.cos(v0)
+    seed = (rho * math.cos(u0), rho * math.sin(u0), r * math.sin(v0))
+    U = (math.cos(v0) * math.cos(u0), math.cos(v0) * math.sin(u0), math.sin(v0))
+    d = np.array([1.0, 0.0, 0.2]) / math.sqrt(1.04)
+    phi = math.acos(dot3(U, d.tolist()))
+    config = TraceConfig(step=0.02 * scale, max_length=10.0 * scale, eps_sing=1e-300,
+                         projection_tol=1e-12 * scale**4)
+    return darboux.implicit_torus(R, r, eps_reg=1e-300), d, phi, seed, config
+
+
+class TestNoNumpyWarnings:
+    """The implicit diagnostics are numpy columns, and numpy warns on an
+    overflow or an invalid operation where Python float arithmetic is
+    silent: no trace warns, and a CLI run that exits 0 writes nothing to
+    stderr."""
+
+    def test_mid_trace_terminations(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            TestMidTraceTerminations().test_singular_point()
+            for exc, termination in MID_TRACE_ERRORS:
+                TestMidTraceTerminations().test_error_keeps_the_samples_before_it(
+                    exc, termination)
+
+    @pytest.mark.parametrize("scale", [1e30, 1e-30])
+    def test_scaled_implicit_torus(self, scale):
+        surface, d, phi, seed, config = _scaled_torus_trace(scale)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = trace_isophote(surface, d, phi, snap_seed(surface, d, phi, seed, config),
+                                 config)
+        assert res.termination == "closed"
+        assert np.abs(res.angle_dot - math.cos(phi)).max() <= 1e-6
+        assert np.all(np.isfinite(res.kn)) and np.all(np.isfinite(res.tg))
+
+    def test_cli_exit_0_writes_no_stderr(self, tmp_path):
+        _, d, phi, seed, _ = _scaled_torus_trace(1e30)
+        argv = ["trace-implicit", "--surface", "builtin:torus?R=2e30&r=5e29",
+                "--axis", ",".join(map(repr, d.tolist())), "--angle", repr(math.degrees(phi)),
+                "--seed", ",".join(map(repr, seed)), "--step", "2e28", "--length", "1e31",
+                "--project-tol", "1e108", "--format", "json"]
+        err = io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+            warnings.simplefilter("error")
+            assert main(argv + ["--out", str(tmp_path / "torus.json")]) == 0
+        assert err.getvalue() == ""
+        assert '"termination": "closed"' in (tmp_path / "torus.json").read_text()
