@@ -24,18 +24,31 @@ Gauss-Legendre sum) are accumulated left to right as ``surface.dot3`` sums.
 A batch that fails is redone point by point, so errors are the ones a
 point-by-point pass raises first.
 
-The frame sampler runs on the float kernels of ``surface``: each sample
-evaluates the chart (or the level set) once, and its jets, U and the
-normal's derivatives along the curve are tuples of Python floats, with one
-bivariate chain rule (``_chart_chain``) for the curve and for U and one
-univariate chain rule (``_arclength_rule``) through t(s).  Arrays are built
-only for the public results and for the columns of ``FrameData``.
+The per-point functions (``darboux``, ``frenet``, ``gamma_jet``) run the
+float kernels of ``surface`` on tuples of Python floats, with one bivariate
+chain rule (``_chart_chain``) for the curve and for U and one univariate
+chain rule (``_arclength_rule``) through t(s).  The frame sampler runs the
+same kernels once over a grid, on (N,) float64 columns in place of the
+floats: elementwise arithmetic, np.sqrt and the lane-by-lane Python powers
+of ``surface._pow`` give each lane the bits of a point-by-point evaluation.
+The surface is still evaluated once per sample in Python (path or curve
+jets, chart or level point), read into columns in one flat pass; all that
+follows, from the chain rule through t(s) to tau_g', runs on the columns.
+
+Errors follow one rule: a lane is flagged where its evaluation raised (all
+lanes where the batched inversion did), where it fails a check (unit
+speed, on the surface) or where a value it computed is not finite, which
+is how a quotient by zero or an overflowing power, both errors on floats,
+show on a column.  The flagged lanes are evaluated again in grid order on
+floats: the first that raises gives the error a point-by-point pass meets
+first, and the others overwrite their own lane.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable
 
 import numpy as np
@@ -51,6 +64,7 @@ from .errors import (
 from .surface import (
     ImplicitSurface,
     ParametricSurface,
+    _column,
     _cross,
     _div3,
     _floats,
@@ -59,6 +73,8 @@ from .surface import (
     _normal_jacobian,
     _normal_partials,
     _normal_second_partials,
+    _pow,
+    _triples,
     dot3,
     norm3,
     norm3_rows,
@@ -89,8 +105,64 @@ UNIT_SPEED_TOL = 1e-7
 
 # What evaluating a path, a curve or a chart can raise: the domain errors,
 # and ZeroDivisionError/OverflowError/ValueError from float arithmetic and
-# math.  A batch that raises one of these is redone point by point.
+# math.  A batch that raises one of these is redone point by point, and a
+# lane that raises one is flagged.
 _EVALUATION_ERRORS = (DarbouxError, *ARITHMETIC_ERRORS)
+
+# How one evaluated lane is laid out, for _columns: a chart sample is (path
+# jet, (chart jet, w, |w|), third partials), a curve jet is four 3-vectors
+# and a level point is (grad f, |grad f|, H).
+_CHART_SAMPLE = [(4, 2), [(6, 3), (3,), ()], (4, 3)]
+_CURVE_JET = (4, 3)
+_LEVEL_POINT = [(3,), (), (3, 3)]
+
+
+def _columns(values, spec):
+    """N evaluated lanes as (N,) float columns, nested as one lane is.  spec
+    lays a lane out: a shape ((4, 3) for four 3-vectors, () for a float) for
+    a block read in one flat pass, or a list of specs, one per part."""
+    if isinstance(spec, list):
+        return tuple(_columns([v[k] for v in values], part) for k, part in enumerate(spec))
+    return _unstack(np.ascontiguousarray(np.moveaxis(_column(values, spec), 0, -1)))
+
+
+def _unstack(a):
+    """An (..., N) array as nested tuples of its (N,) rows."""
+    return a if a.ndim == 1 else tuple(map(_unstack, a))
+
+
+def _nan_lane(spec):
+    """A lane laid out as spec, every float nan."""
+    if isinstance(spec, list):
+        return tuple(map(_nan_lane, spec))
+    return np.full(spec, np.nan) if spec else math.nan
+
+
+def _lane_columns(evaluate, xs, spec, bad):
+    """evaluate(x) for each lane x of xs, as the columns of _columns.  A lane
+    flagged in bad is not evaluated, and a lane whose evaluation raises is
+    flagged (bad is updated in place); both read nan."""
+    failed = _nan_lane(spec)
+    values = []
+    for i, (skip, x) in enumerate(zip(bad.tolist(), xs)):
+        if not skip:
+            try:
+                values.append(evaluate(x))
+                continue
+            except _EVALUATION_ERRORS:
+                bad[i] = True
+        values.append(failed)
+    return _columns(values, spec)
+
+
+def _inverted(amap, grid):
+    """(t(s) at each s of grid, mask): the mask flags no lane, or every lane
+    when the batched inversion raises; each is then inverted again on its
+    own, so the first lane that fails raises its own error."""
+    try:
+        return amap.t_of_s_many(grid).tolist(), np.zeros(len(grid), dtype=bool)
+    except _EVALUATION_ERRORS:
+        return grid.tolist(), np.ones(len(grid), dtype=bool)
 
 
 @dataclass(frozen=True)
@@ -152,17 +224,15 @@ class UnitSpeedCurve:
     def jet(self, s: float):
         return self.gamma(s), self.d1(s), self.d2(s), self.d3(s)
 
-    def jets(self, grid) -> list:
-        """jet(s) at each s of grid."""
-        return [self.jet(s) for s in grid]
+    def _jet_of(self, s):
+        """The jet at s as lists of Python floats."""
+        return _floats(self.jet(s))
 
-    def _samples(self, grid) -> list:
-        """What the jet at each s of grid is read from: the jet itself."""
-        return self.jets(grid)
-
-    def _jet_of(self, s, sample=None):
-        """The jet at s as lists of Python floats, from its sample if given."""
-        return _floats(self.jet(s) if sample is None else sample)
+    def _jet_columns(self, grid):
+        """(jet at each s of grid as four 3-vectors of (N,) columns, mask of
+        the lanes whose evaluation raised)."""
+        bad = np.zeros(len(grid), dtype=bool)
+        return _lane_columns(self.jet, grid, _CURVE_JET, bad), bad
 
     @classmethod
     def from_polyline(cls, points: np.ndarray, length: float | None = None) -> "UnitSpeedCurve":
@@ -241,20 +311,26 @@ class ChartPath:
         first_order = _expr.compile([exprs[0], exprs[4], exprs[1], exprs[5]], [var])
         return cls(u, v, du, dv, ddu, ddv, dddu, dddv, s_range, first_order=first_order)
 
-    def chart_samples(self, surface: ParametricSurface, grid) -> list:
-        return _chart_samples(self, surface, grid)
+    def _sample(self, surface: ParametricSurface, s):
+        return _chart_sample(self, surface, s)
+
+    def _sample_columns(self, surface: ParametricSurface, grid):
+        bad = np.zeros(len(grid), dtype=bool)
+        return _chart_sample_columns(self, surface, grid, bad), bad
 
 
-def _chart_samples(path, surface: ParametricSurface, grid) -> list:
-    """(path jet, chart point, third partials) at each s of grid, the surface
-    evaluated once per sample at the path's (u, v): chart_point's
-    (jet, w, |w|) and the float third partials."""
-    out = []
-    for s in grid:
-        jet = path.jet(s)
-        u, v = jet[0]
-        out.append((jet, surface.chart_point(u, v), surface._jet3(u, v)))
-    return out
+def _chart_sample(path, surface: ParametricSurface, s):
+    """(path jet, chart point, third partials) at s, the surface evaluated
+    once at the path's (u, v): chart_point's (jet, w, |w|) and the float
+    third partials."""
+    jet = path.jet(s)
+    u, v = jet[0]
+    return jet, surface.chart_point(u, v), surface._jet3(u, v)
+
+
+def _chart_sample_columns(path, surface: ParametricSurface, xs, bad):
+    """_chart_sample at each lane of xs as columns (see _lane_columns)."""
+    return _lane_columns(lambda x: _chart_sample(path, surface, x), xs, _CHART_SAMPLE, bad)
 
 
 class CurveOnSurface:
@@ -288,31 +364,59 @@ class CurveOnSurface:
         """(gamma, gamma', gamma'', gamma''') at arclength s."""
         return tuple(np.array(x) for x in self._jet_of(s))
 
-    def _on_surface(self, s, g):
-        """The space-curve jet g at s, checked against the implicit surface."""
-        f = self.surface.value(g[0])
+    def _on_surface(self, s, p):
+        """Raise where the space-curve point p at s is off the implicit
+        surface."""
+        f = self.surface.value(p)
         if abs(f) > self.on_surface_tol:
             raise DarbouxError(
                 f"curve leaves surface: |f(gamma({float(s):g}))| = "
                 f"{abs(f):g} > {self.on_surface_tol:g}"
             )
-        return g
 
-    def _samples(self, grid) -> list:
-        """What the frame at each s of grid is built from: the space-curve
-        jet (not yet checked against the surface) or the chart sample."""
-        if self.kind == "implicit":
-            return self.curve.jets(grid)
-        return self.path.chart_samples(self.surface, grid)
+    def _level(self, s, p):
+        """level_point at the space-curve point p of s, once p is checked to
+        be on the surface."""
+        self._on_surface(s, p)
+        return self.surface.level_point(p)
 
-    def _jet_of(self, s, sample=None):
-        """The curve jet at s as float 3-vectors, from its sample if given:
-        the space-curve jet checked against the surface, or the chain rule
-        on the chart sample."""
-        if sample is None:
-            sample = self._samples([s])[0]
+    def _jet_of(self, s):
+        """The curve jet at s as float 3-vectors: the space-curve jet checked
+        against the surface, or the chain rule on the chart sample."""
         if self.kind == "implicit":
-            return self._on_surface(s, _floats(sample))
+            jets = self.curve._jet_of(s)
+            self._on_surface(s, jets[0])
+            return jets
+        return self._jets(self._sample(s))
+
+    def _sample(self, s):
+        """What the frame at s is built from, as floats: the chart sample, or
+        the space-curve jet and its level point (grad f, |grad f|, H)."""
+        if self.kind == "implicit":
+            jets = self._jet_of(s)
+            return jets, self.surface.level_point(tuple(jets[0]))
+        return self.path._sample(self.surface, s)
+
+    def _sample_columns(self, grid):
+        """(_sample at each s of grid as (N,) columns, mask of the lanes whose
+        evaluation raised or whose point is off the surface)."""
+        if self.kind == "parametric":
+            return self.path._sample_columns(self.surface, grid)
+        jets, bad = self.curve._jet_columns(grid)
+        points = zip(grid.tolist(), zip(*(x.tolist() for x in jets[0])))
+        return (jets, _lane_columns(lambda sp: self._level(*sp), points, _LEVEL_POINT, bad)), bad
+
+    def _jet_columns(self, grid):
+        """(curve jet at each s of grid as (N,) columns, mask of the lanes
+        _sample_columns flags), read from the frame samples."""
+        sample, bad = self._sample_columns(grid)
+        return self._jets(sample), bad
+
+    def _jets(self, sample):
+        """The curve jet of a sample (floats or columns): the space-curve jet,
+        or the chain rule on the chart sample."""
+        if self.kind == "implicit":
+            return sample[0]
         (_, *d), (jet, _, _), third = sample
         return _chart_rule_jets(jet, third, *d)
 
@@ -327,7 +431,7 @@ def _chart_chain(d, partials) -> list:
     """[x', x''] of x(u(s), v(s)) along a chart path, and x''' when partials
     holds a third entry: d holds the path's (u', v'), (u'', v''),
     (u''', v''') and partials x's (x_u, x_v), (x_uu, x_uv, x_vv),
-    (x_uuu, x_uuv, x_uvv, x_vvv), each a 3-vector."""
+    (x_uuu, x_uuv, x_uvv, x_vvv), each a 3-vector (floats or columns)."""
     (du, dv), (ddu, ddv) = d[0], d[1]
     (x_u, x_v), (x_uu, x_uv, x_vv) = partials[0], partials[1]
     out = [_lincomb(du, x_u, dv, x_v),
@@ -337,7 +441,7 @@ def _chart_chain(d, partials) -> list:
         dddu, dddv = d[2]
         out.append(_weighted_sum(
             (dddu, dddv, 3.0 * du * ddu, 3.0 * (ddu * dv + du * ddv), 3.0 * dv * ddv,
-             du**3, 3.0 * du * du * dv, 3.0 * du * dv * dv, dv**3),
+             _pow(du, 3), 3.0 * du * du * dv, 3.0 * du * dv * dv, _pow(dv, 3)),
             (x_u, x_v, x_uu, x_uv, x_vv, *partials[2])))
     return out
 
@@ -380,23 +484,19 @@ def _triple(a, b, c) -> float:
     return dot3(_cross(a, b), c)
 
 
-def _batched_samples(curve, grid) -> list:
-    """curve._samples(grid), or None for each s if the batch raises: each
-    sample is then evaluated on its own when its turn comes, so the error
-    raised is the first one a pass in grid order meets."""
-    try:
-        return curve._samples(grid)
-    except _EVALUATION_ERRORS:
-        return [None] * len(grid)
-
-
 def _curve_jets(curve, grid):
-    """(s, float curve jet) at each s of grid, in grid order, read from the
-    batched samples sample_frames reads.  A generator: a caller that checks
-    each jet before taking the next keeps the errors of a point-by-point
-    pass."""
-    for s, sample in zip(grid, _batched_samples(curve, grid)):
-        yield s, curve._jet_of(s, sample)
+    """(s, float curve jet) at each s of grid, in grid order, read from one
+    column pass; a flagged lane, or one whose jet is not finite, is
+    evaluated again on its own when its turn comes.  A generator: a caller
+    that checks each jet before taking the next keeps the errors of a
+    point-by-point pass."""
+    grid = np.asarray(grid, dtype=float)
+    with np.errstate(all="ignore"):
+        jets, bad = curve._jet_columns(grid)
+    flat = np.array([x for vector in jets for x in vector]).reshape(12, len(grid))
+    bad |= ~np.isfinite(flat).all(axis=0)
+    for s, redo, lane in zip(grid, bad.tolist(), flat.T.tolist()):
+        yield s, curve._jet_of(s) if redo else _triples(lane)
 
 
 def darboux(c: CurveOnSurface, s: float) -> DarbouxFrame:
@@ -406,39 +506,40 @@ def darboux(c: CurveOnSurface, s: float) -> DarbouxFrame:
     analytically as -U'.V (equal to V'.U by orthonormality), with U' from
     analytic normal derivatives.
     """
-    jets, U, U1, _ = _frame_sample(c, s)
-    V, kg, kn, tg = _darboux_scalars(jets, U, U1, s)
+    jets, U, U1, _ = _frame(c, c._sample(s))
+    V, kg, kn, tg, _ = _darboux_scalars(jets, U, U1, s)
     return DarbouxFrame(np.array(jets[1]), np.array(V), np.array(U), kg, kn, tg)
 
 
-def _frame_sample(c: CurveOnSurface, s: float, sample=None):
-    """(curve jet, U, U', U'') at s as float 3-vectors, primes along the
-    curve, from one evaluation of the surface: the sample of ``c._samples``
-    when it is given.  U'' comes from the chart's third partials and is None
-    on space curves."""
-    if sample is None:
-        sample = c._samples([s])[0]
-    jets = c._jet_of(s, sample)
+def _frame(c: CurveOnSurface, sample):
+    """(curve jet, U, U', U''), primes along the curve, from a sample of c:
+    the floats of one (3-vectors of floats) or the columns of a grid
+    (3-vectors of columns).  U'' comes from the chart's third partials and
+    is None on space curves."""
+    jets = c._jets(sample)
     if c.kind == "implicit":
-        g, n, H = c.surface.level_point(tuple(jets[0]))
+        g, n, H = sample[1]
         return jets, _div3(g, n), _matvec(_normal_jacobian(g, n, H), jets[1]), None
     (_, *d), (jet, w, n), third = sample
-    U1, U2 = _chart_chain(d, (_normal_partials(jet, w, n),
-                              _normal_second_partials(jet, third, w, n)))
+    n3 = _pow(n, 3)
+    U1, U2 = _chart_chain(d, (_normal_partials(jet, w, n, n3),
+                              _normal_second_partials(jet, third, w, n, n3)))
     return jets, _div3(w, n), U1, U2
 
 
 def _darboux_scalars(jets, U, U1, s) -> tuple:
-    """(V, k_g, k_n, tau_g) at s from the curve jet, U and U', with
-    V = U x T and T = gamma'."""
+    """(V, k_g, k_n, tau_g, off) at s from the curve jet, U and U', with
+    V = U x T and T = gamma'.  On floats a sample off unit speed raises
+    DarbouxError (off is then False); on columns off flags those lanes."""
     _, d1, d2, _ = jets
     speed = norm3(d1)
-    if abs(speed - 1.0) > UNIT_SPEED_TOL:
+    off = abs(speed - 1.0) > UNIT_SPEED_TOL
+    if off is True:
         raise DarbouxError(
             f"curve is not unit speed at s={float(s):g}: |gamma'| - 1 = {speed - 1.0:.3g}, "
             f"beyond the tolerance {UNIT_SPEED_TOL:g}")
     V = _cross(U, d1)
-    return V, dot3(d2, V), dot3(d2, U), -dot3(U1, V)
+    return V, dot3(d2, V), dot3(d2, U), -dot3(U1, V), off
 
 
 # ---------------------------------------------------------------------------
@@ -484,31 +585,57 @@ class FrameData:
 @numerical
 def sample_frames(c: CurveOnSurface, grid: np.ndarray,
                   eps_kappa: float = EPS_KAPPA_DEFAULT) -> FrameData:
-    """Evaluate Darboux data over a uniform grid of arclength values: one
-    row of floats per sample, then each column as one array."""
+    """Evaluate Darboux data over a uniform grid of arclength values.
+
+    One pass of the frame kernels over the (N,) columns of the grid's
+    samples gives every column of FrameData.  The lanes it flags (an
+    evaluation that raised, a failed check, a value that is not finite)
+    are evaluated again in grid order on floats: the first one that raises
+    gives the error a point-by-point pass meets first, and the others
+    overwrite their own lane."""
     grid = np.asarray(grid, dtype=float)
     _require_uniform(grid)
-    rows = []
-    for s, sample in zip(grid, _batched_samples(c, grid)):
-        jets, U, U1, U2 = _frame_sample(c, s, sample)
-        g, d1, d2, d3 = jets
-        V, kg, kn, tg = _darboux_scalars(jets, U, U1, s)
-        kap2 = kg**2 + kn**2
-        rows.append((
-            g, d1, V, U, kg, kn, tg,
-            # k_g' = gamma'''.V + tau_g k_n ; k_n' = gamma'''.U - tau_g k_g
-            dot3(d3, V) + tg * kn, dot3(d3, U) - tg * kg,
-            _triple(d1, d2, d3) / kap2 if kap2 > eps_kappa**2 else np.nan,
-            norm3(d2),
-            # tau_g' = -U''.V - k_n k_g (analytic on chart paths only)
-            np.nan if U2 is None else -dot3(U2, V) - kn * kg,
-        ))
-    gam, T, V, U, kg, kn, tg, dkg, dkn, tau, accel, dtg = (
-        np.array(column, dtype=float) for column in zip(*rows))
+    with np.errstate(all="ignore"):
+        sample, bad = c._sample_columns(grid)
+        values, kap2, off = _frame_values(c, grid, sample, eps_kappa)
+        columns = [np.column_stack(x) if isinstance(x, tuple) else x for x in values]
+        gam, T, V, U, kg, kn, tg, dkg, dkn, tau, accel, dtg = columns
+        # tau is nan wherever kappa <= eps_kappa, and so is tau_g' on space
+        # curves; every other value of a lane that raises on floats is not
+        # finite on the columns
+        finite = [gam, T, V, U, kg, kn, tg, dkg, dkn, accel, kap2]
+        if c.kind == "parametric":
+            finite.append(dtg)
+        bad |= off
+        for x in finite:
+            bad |= ~np.isfinite(x.reshape(len(grid), -1)).all(axis=1)
+        for i in np.flatnonzero(bad).tolist():
+            row, _, _ = _frame_values(c, grid[i], c._sample(grid[i]), eps_kappa)
+            for column, value in zip(columns, row):
+                column[i] = value
     if c.kind == "implicit":
         dtg = deriv_uniform(tg, grid[1] - grid[0])
     return FrameData(grid, gam, T, V, U, kg, kn, tg, dkg, dkn, dtg, np.hypot(kg, kn), tau,
                      analytic=c.analytic, eps_kappa=eps_kappa, accel=accel)
+
+
+def _frame_values(c: CurveOnSurface, s, sample, eps_kappa) -> tuple:
+    """((gamma, T, V, U, k_g, k_n, tau_g, k_g', k_n', tau, |gamma''|,
+    tau_g'), k_g^2 + k_n^2, off) at s from a sample of c: the floats of one
+    sample, where a failing check or float operation raises, or the columns
+    of a grid (s a column too), where off flags the lanes off unit speed."""
+    jets, U, U1, U2 = _frame(c, sample)
+    g, d1, d2, d3 = jets
+    V, kg, kn, tg, off = _darboux_scalars(jets, U, U1, s)
+    kap2 = _pow(kg, 2) + _pow(kn, 2)
+    tau = np.divide(_triple(d1, d2, d3), kap2, out=np.full(np.shape(kap2), np.nan),
+                    where=kap2 > eps_kappa**2)
+    # tau_g' = -U''.V - k_n k_g (analytic on chart paths only)
+    dtg = np.full(np.shape(tg), np.nan) if U2 is None else -dot3(U2, V) - kn * kg
+    return (g, d1, V, U, kg, kn, tg,
+            # k_g' = gamma'''.V + tau_g k_n ; k_n' = gamma'''.U - tau_g k_g
+            dot3(d3, V) + tg * kn, dot3(d3, U) - tg * kg,
+            tau, norm3(d2), dtg), kap2, off
 
 
 @dataclass
@@ -733,27 +860,28 @@ class ArclengthMap:
 
 def _arclength_chain(c1, c2, c3):
     """(t', t'', t''') of t(s), the inverse of arclength, from the curve's
-    raw derivatives c1, c2, c3 in t, float 3-vectors."""
+    raw derivatives c1, c2, c3 in t, 3-vectors of floats or of columns."""
     v = norm3(c1)
     vd = dot3(c1, c2) / v
     vdd = (dot3(c2, c2) + dot3(c1, c3) - vd * vd) / v
     tp = 1.0 / v
-    tpp = -vd / v**3
-    tppp = (3.0 * vd * vd - v * vdd) / v**5
+    tpp = -vd / _pow(v, 3)
+    tppp = (3.0 * vd * vd - v * vdd) / _pow(v, 5)
     return tp, tpp, tppp
 
 
 def _arclength_rule(x1, x2, x3, tp, tpp, tppp) -> tuple:
     """(x', x'', x''') in s of x(t(s)) from x's derivatives x1, x2, x3 in t
-    and (t', t'', t'''), for one float component x of a chart path or of
-    a space curve."""
-    return x1 * tp, x2 * tp * tp + x1 * tpp, x3 * tp**3 + 3.0 * x2 * tp * tpp + x1 * tppp
+    and (t', t'', t'''), for one component x (a float or a column) of a
+    chart path or of a space curve."""
+    return (x1 * tp, x2 * tp * tp + x1 * tpp,
+            x3 * _pow(tp, 3) + 3.0 * x2 * tp * tpp + x1 * tppp)
 
 
 class _ResampledCurve(UnitSpeedCurve):
-    """A regular ParamCurve reparametrized by arclength.  Its samples come
-    from one batched inversion; ``gamma``/``d1``/``d2``/``d3`` each take the
-    whole jet at s."""
+    """A regular ParamCurve reparametrized by arclength.  A grid's jets come
+    from one batched inversion and one chain rule on columns;
+    ``gamma``/``d1``/``d2``/``d3`` each take the whole jet at s."""
 
     def __init__(self, raw: ParamCurve, amap: ArclengthMap):
         self.raw, self.amap = raw, amap
@@ -773,18 +901,28 @@ class _ResampledCurve(UnitSpeedCurve):
         return self.jet(s)[3]
 
     def jet(self, s: float):
-        return self.jets([s])[0]
+        t, = self.amap.t_of_s_many([s]).tolist()
+        return self._reparametrized(self._raw_jet(t))
 
-    def jets(self, grid) -> list:
+    def _jet_columns(self, grid):
+        ts, bad = _inverted(self.amap, grid)
+        return self._reparametrized(_lane_columns(self._raw_jet, ts, _CURVE_JET, bad)), bad
+
+    def _raw_jet(self, t):
+        """(c, c1, c2, c3) at t, evaluated c1, c2, c3 and then c: a lane
+        where several fail raises the error of the chain rule's inputs."""
         raw = self.raw
-        out = []
-        for t in self.amap.t_of_s_many(grid).tolist():
-            c1, c2, c3 = raw.c1(t), raw.c2(t), raw.c3(t)
-            chain = _arclength_chain(c1, c2, c3)
-            g1, g2, g3 = zip(*[_arclength_rule(x1, x2, x3, *chain)
-                               for x1, x2, x3 in zip(c1, c2, c3)])
-            out.append((raw.c(t), g1, g2, g3))
-        return out
+        c1, c2, c3 = raw.c1(t), raw.c2(t), raw.c3(t)
+        return raw.c(t), c1, c2, c3
+
+    @staticmethod
+    def _reparametrized(raw_jet) -> tuple:
+        """(gamma, gamma', gamma'', gamma''') in s from the raw jet in t at
+        t(s), floats or columns: the chain rule through t(s)."""
+        c, c1, c2, c3 = raw_jet
+        rule = _arclength_chain(c1, c2, c3)
+        g1, g2, g3 = zip(*[_arclength_rule(x1, x2, x3, *rule) for x1, x2, x3 in zip(c1, c2, c3)])
+        return c, g1, g2, g3
 
 
 def resample_unit_speed(raw: ParamCurve, n: int = 512) -> UnitSpeedCurve:
@@ -792,7 +930,9 @@ def resample_unit_speed(raw: ParamCurve, n: int = 512) -> UnitSpeedCurve:
     through third order."""
 
     def speed(ts):
-        return norm3_rows(np.array([raw.c1(t) for t in ts.tolist()]).reshape(-1, 3))
+        lanes = ts.tolist()
+        c1 = np.fromiter(chain.from_iterable(map(raw.c1, lanes)), float, 3 * len(lanes))
+        return norm3_rows(c1.reshape(-1, 3))
 
     return _ResampledCurve(raw, ArclengthMap(speed, raw.t_range, n))
 
@@ -825,22 +965,33 @@ class _UnitSpeedChartPath:
         return u, v, du, dv
 
     def jet(self, s: float):
-        return self.chart_samples(self.surface, [s])[0][0]
+        return self._sample(self.surface, s)[0]
 
-    def chart_samples(self, surface: ParametricSurface, grid) -> list:
-        """One t_of_s_many call, then per sample the chain rule through
-        t(s); the chart point and third partials it evaluates at (u, v)
-        come along for the frame."""
+    def _sample(self, surface: ParametricSurface, s):
+        """The chart sample at s: t(s), the raw path and the chart at t, then
+        the chain rule through t(s); the chart point and third partials come
+        along for the frame."""
         if surface is not self.surface:
-            return _chart_samples(self, surface, grid)
-        out = []
-        for t in self.amap.t_of_s_many(grid).tolist():
-            (u, v), *d = self.raw.jet(t)
-            point, third = surface.chart_point(u, v), surface._jet3(u, v)
-            chain = _arclength_chain(*_chart_rule_jets(point[0], third, *d)[1:])
-            u_jet, v_jet = (_arclength_rule(*x, *chain) for x in zip(*d))
-            out.append((((u, v), *zip(u_jet, v_jet)), point, third))
-        return out
+            return _chart_sample(self, surface, s)
+        t, = self.amap.t_of_s_many([s]).tolist()
+        return self._reparametrized(_chart_sample(self.raw, surface, t))
+
+    def _sample_columns(self, surface: ParametricSurface, grid):
+        """_sample at each s of grid as columns: one t_of_s_many call, the
+        chart once per lane, and one chain rule on the columns."""
+        if surface is not self.surface:
+            return ChartPath._sample_columns(self, surface, grid)
+        ts, bad = _inverted(self.amap, grid)
+        return self._reparametrized(_chart_sample_columns(self.raw, surface, ts, bad)), bad
+
+    @staticmethod
+    def _reparametrized(sample) -> tuple:
+        """A raw chart sample at t(s), floats or columns, with its path jet in
+        t replaced by the unit-speed path jet in s."""
+        ((u, v), *d), point, third = sample
+        rule = _arclength_chain(*_chart_rule_jets(point[0], third, *d)[1:])
+        u_jet, v_jet = (_arclength_rule(*x, *rule) for x in zip(*d))
+        return ((u, v), *zip(u_jet, v_jet)), point, third
 
 
 def unit_speed_chart_curve(surface: ParametricSurface, path: ChartPath,
@@ -857,8 +1008,10 @@ def unit_speed_chart_curve(surface: ParametricSurface, path: ChartPath,
     def speed(ts):
         # speed_at on every lane, the path read on all lanes before the chart
         try:
-            rows = [path.first_order(t) for t in ts.tolist()]
-            u, v, du, dv = np.array(rows, dtype=float).reshape(-1, 4).T
+            lanes = ts.tolist()
+            rows = np.fromiter(chain.from_iterable(map(path.first_order, lanes)), float,
+                               4 * len(lanes))
+            u, v, du, dv = rows.reshape(-1, 4).T
             sigma_u, sigma_v = surface.tangents_many(u, v)
             return norm3_rows(du[:, None] * sigma_u + dv[:, None] * sigma_v)
         except _EVALUATION_ERRORS:

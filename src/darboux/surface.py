@@ -19,6 +19,7 @@ quantities (normal curvature, geodesic torsion) inherit these choices.
 from __future__ import annotations
 
 import inspect
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -69,6 +70,12 @@ POLE_MARGIN = 1e-6
 # or the list an array's tolist() gives); a 3x3 matrix is three such rows.
 # Every inner product is dot3's left-to-right sum, so the bits depend on
 # neither the numpy build nor the BLAS kernel the CPU selects.
+#
+# The kernels the frame sampler runs also take (N,) float64 columns in
+# place of the floats: elementwise + - * / and np.sqrt round as Python's
+# float operations do, and their powers go through _pow (or come from the
+# caller, as n**3 does into _normal_partials), which keeps Python's float
+# power lane by lane.
 
 
 def dot3(a, b) -> float:
@@ -80,8 +87,48 @@ def dot3(a, b) -> float:
 
 
 def norm3(a) -> float:
-    """|a| of a 3-vector: the square root of dot3(a, a)."""
-    return math.sqrt(dot3(a, a))
+    """|a| of a 3-vector: the square root of dot3(a, a).  On a 3-vector of
+    columns math.sqrt raises TypeError and np.sqrt takes them (both are
+    correctly rounded); the float path pays nothing for the try."""
+    aa = dot3(a, a)
+    try:
+        return math.sqrt(aa)
+    except TypeError:
+        return np.sqrt(aa)
+
+
+def _pow(x, k: int):
+    """x**k with Python's float power, on an (N,) column lane by lane
+    (np.power differs from it on some lanes).  A column lane whose power
+    overflows, where Python raises OverflowError, is nan: every later
+    product, sum and quotient keeps a nan, so the lane stays visible."""
+    if not isinstance(x, np.ndarray):
+        return x**k
+    lanes = x.tolist()
+    try:
+        return np.fromiter(map(pow, lanes, itertools.repeat(k)), float, len(lanes))
+    except OverflowError:
+        return np.array([_pow_or_nan(a, k) for a in lanes], dtype=float)
+
+
+def _pow_or_nan(a: float, k: int) -> float:
+    try:
+        return a**k
+    except OverflowError:
+        return math.nan
+
+
+def _column(values, shape=None) -> np.ndarray:
+    """np.array(values, dtype=float) for a column of N equally shaped
+    floats or nested sequences of floats (of the given shape, else the
+    first one's), read in one flat pass (np.array's own scan of nested
+    tuples is about 2.5 times slower)."""
+    if shape is None:
+        shape = np.shape(values[0])
+    flat = values
+    for _ in shape:
+        flat = itertools.chain.from_iterable(flat)
+    return np.fromiter(flat, float, len(values) * math.prod(shape)).reshape(-1, *shape)
 
 
 def dot3_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -167,12 +214,12 @@ def _triples(values) -> tuple:
     return tuple(zip(it, it, it))
 
 
-def _unit_second_derivative(w, n, w_a, w_b, w_ab) -> tuple:
-    """d_b d_a (w/|w|) at |w| = n: the quotient rule expanded once more."""
+def _unit_second_derivative(w, n, n2, n3, w_a, w_b, w_ab) -> tuple:
+    """d_b d_a (w/|w|) at |w| = n, with n2 = n**2 and n3 = n**3: the
+    quotient rule expanded once more."""
     na = dot3(w, w_a) / n
     nb = dot3(w, w_b) / n
     nab = (dot3(w_b, w_a) + dot3(w, w_ab) - na * nb) / n
-    n2, n3 = n**2, n**3
     return tuple([ab / n - (a * nb + b * na + x * nab) / n2 + 2.0 * x * na * nb / n3
                   for x, a, b, ab in zip(w, w_a, w_b, w_ab)])
 
@@ -189,14 +236,15 @@ def _first_form(jet) -> tuple:
     return dot3(su, su), dot3(su, sv), dot3(sv, sv)
 
 
-def _normal_partials(jet, w, n) -> tuple:
-    """(U_u, U_v) of U = w/|w|, w = sigma_u x sigma_v with |w| = n: the
-    quotient rule d_a (w/|w|) = w_a/n - w (w . w_a)/n^3 on
+def _normal_partials(jet, w, n, n3) -> tuple:
+    """(U_u, U_v) of U = w/|w|, w = sigma_u x sigma_v with |w| = n and
+    n3 = n**3: the quotient rule d_a (w/|w|) = w_a/n - w (w . w_a)/n^3 on
     w_u = sigma_uu x sigma_v + (sigma_u x sigma_uv) and
     w_v = sigma_uv x sigma_v + (sigma_u x sigma_vv).
 
     Straight-line code with the operations of _cross_sum and dot3 in their
-    order, and one Python float power n**3 for both partials."""
+    order.  The caller passes the power in, so the trace's hot path takes
+    no type test for it."""
     _, (a0, a1, a2), (b0, b1, b2), (p0, p1, p2), (q0, q1, q2), (r0, r1, r2) = jet
     w0, w1, w2 = w
     x0 = p1 * b2 - p2 * b1 + (a1 * q2 - a2 * q1)
@@ -205,16 +253,16 @@ def _normal_partials(jet, w, n) -> tuple:
     y0 = q1 * b2 - q2 * b1 + (a1 * r2 - a2 * r1)
     y1 = q2 * b0 - q0 * b2 + (a2 * r0 - a0 * r2)
     y2 = q0 * b1 - q1 * b0 + (a0 * r1 - a1 * r0)
-    n3 = n**3
     k = w0 * x0 + w1 * x1 + w2 * x2
     m = w0 * y0 + w1 * y1 + w2 * y2
     return ((x0 / n - w0 * k / n3, x1 / n - w1 * k / n3, x2 / n - w2 * k / n3),
             (y0 / n - w0 * m / n3, y1 / n - w1 * m / n3, y2 / n - w2 * m / n3))
 
 
-def _normal_second_partials(jet, third, w, n) -> tuple:
+def _normal_second_partials(jet, third, w, n, n3) -> tuple:
     """(U_uu, U_uv, U_vv): the quotient rule applied twice to
-    w = sigma_u x sigma_v, |w| = n, with the third partials of the chart."""
+    w = sigma_u x sigma_v, |w| = n, n3 = n**3, with the third partials of
+    the chart."""
     _, su, sv, suu, suv, svv = jet
     suuu, suuv, suvv, svvv = third
     c = _cross
@@ -224,16 +272,17 @@ def _normal_second_partials(jet, third, w, n) -> tuple:
     w_uv = [a + b + d + e for a, b, d, e in zip(c(suuv, sv), c(suu, svv), c(suv, suv),
                                                 c(su, suvv))]
     w_vv = [a + 2.0 * b + d for a, b, d in zip(c(suvv, sv), c(suv, svv), c(su, svvv))]
-    return (_unit_second_derivative(w, n, w_u, w_u, w_uu),
-            _unit_second_derivative(w, n, w_u, w_v, w_uv),
-            _unit_second_derivative(w, n, w_v, w_v, w_vv))
+    n2 = _pow(n, 2)
+    return (_unit_second_derivative(w, n, n2, n3, w_u, w_u, w_uu),
+            _unit_second_derivative(w, n, n2, n3, w_u, w_v, w_uv),
+            _unit_second_derivative(w, n, n2, n3, w_v, w_v, w_vv))
 
 
 def _normal_jacobian(g, n, H) -> tuple:
     """Rows of d/dp (g/|g|) = H/n - g (H g)^T/n^3 from g = grad f, n = |g|
     and the (symmetric) Hessian H given by its rows."""
     Hg = _matvec(H, g)
-    n3 = n**3
+    n3 = _pow(n, 3)
     return tuple(tuple([h / n - gi * k / n3 for h, k in zip(row, Hg)])
                  for gi, row in zip(g, H))
 
@@ -427,7 +476,7 @@ class ParametricSurface:
         quotient rule applied twice to w = sigma_u x sigma_v."""
         third = self._jet3(u, v)
         jet, w, n = self.chart_point(u, v)
-        return tuple(np.array(a) for a in _normal_second_partials(jet, third, w, n))
+        return tuple(np.array(a) for a in _normal_second_partials(jet, third, w, n, n**3))
 
 
 class ImplicitSurface:
@@ -510,7 +559,8 @@ def unit_normal(jet: ChartJet) -> np.ndarray:
 def normal_derivatives(surface: ParametricSurface, u: float, v: float):
     """Analytic partials (U_u, U_v) of the unit normal at (u, v): the
     quotient rule on w = sigma_u x sigma_v."""
-    return tuple(np.array(a) for a in _normal_partials(*surface.chart_point(u, v)))
+    jet, w, n = surface.chart_point(u, v)
+    return tuple(np.array(a) for a in _normal_partials(jet, w, n, n**3))
 
 
 def project_to_implicit(surface: ImplicitSurface, p: np.ndarray, tol: float = 1e-12) -> np.ndarray:

@@ -36,7 +36,6 @@ a math domain error) a NumericalError is raised, or the trace ends with an
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -55,6 +54,7 @@ from .frames import deriv_uniform
 from .surface import (
     ImplicitSurface,
     ParametricSurface,
+    _column,
     _cross,
     _div3,
     _first_form,
@@ -173,12 +173,13 @@ class TraceResult:
 
 @numerical
 def find_seed(surface, d, phi: float, guess, tol: float = 1e-12,
-              max_iter: int = 100):
+              max_iter: int = 100, projection_tol: float = 1e-12):
     """Locate a point on the level set <U, d> = cos(phi) near ``guess``.
 
     Parametric surfaces: 1-D bracket-and-bisect (with Newton polish) along
     the coordinate lines through the guess.  Implicit surfaces: projected
-    Newton descent of <U, d> - cos(phi) in the tangent plane.  Raises
+    Newton descent of <U, d> - cos(phi) in the tangent plane, each point
+    projected onto f = 0 to ``projection_tol``.  Raises
     SeedError("no isophote at this level near guess") when no crossing is
     found.
     """
@@ -186,7 +187,8 @@ def find_seed(surface, d, phi: float, guess, tol: float = 1e-12,
     target = math.cos(phi)
     if isinstance(surface, ParametricSurface):
         return _find_seed_parametric(surface, d, target, guess, tol, max_iter)
-    return np.array(_find_seed_implicit(surface, d, target, guess, tol, max_iter))
+    return np.array(_find_seed_implicit(surface, d, target, guess, tol, max_iter,
+                                        projection_tol))
 
 
 @numerical
@@ -204,7 +206,7 @@ def snap_seed(surface, d, phi: float, guess, config: TraceConfig):
         level = dot3(surface.unit_normal(seed).tolist(), _floats(d))
     if abs(level - target) <= config.seed_tol:
         return seed
-    return find_seed(surface, d, phi, guess)
+    return find_seed(surface, d, phi, guess, projection_tol=config.projection_tol)
 
 
 def _angle_value_parametric(surface, d, u, v):
@@ -286,8 +288,8 @@ def _bisect_newton(g, a, ga, b, gb, tol, max_iter):
     return t if abs(g(t)) <= tol else None
 
 
-def _find_seed_implicit(surface, d, target, guess, tol, max_iter):
-    p, _ = _project(surface, _point(guess), 1e-12)
+def _find_seed_implicit(surface, d, target, guess, tol, max_iter, projection_tol):
+    p, _ = _project(surface, _point(guess), projection_tol)
     for _ in range(max_iter):
         grad = surface._grad(p)
         n = norm3(grad)
@@ -301,16 +303,18 @@ def _find_seed_implicit(surface, d, target, guess, tol, max_iter):
         k = dot3(grad_g, nhat)
         gt = tuple([a - k * b for a, b in zip(grad_g, nhat)])
         gt2 = dot3(gt, gt)
-        if gt2 <= 1e-30:
+        # the point's length scale: gt2 is a squared inverse length
+        size = 1.0 + norm3(p)
+        if gt2 * (size * size) <= 1e-30:
             break
         scale = -g / gt2
         step = tuple([scale * a for a in gt])
         # damp long steps; Newton is only trusted locally
-        limit = 0.5 * (1.0 + norm3(p))
+        limit = 0.5 * size
         step_len = norm3(step)
         if step_len > limit:
             step = tuple([a * (limit / step_len) for a in step])
-        p, _ = _project(surface, tuple([a + b for a, b in zip(p, step)]), 1e-12)
+        p, _ = _project(surface, tuple([a + b for a, b in zip(p, step)]), projection_tol)
     raise SeedError("no isophote at this level near guess")
 
 
@@ -324,7 +328,7 @@ def _chart_evaluation(point, d):
     |w|): the chart jet, the unit normal and its partials, the first form
     and the partials of g = <U, d>."""
     jet, w, n = point
-    U_u, U_v = _normal_partials(jet, w, n)
+    U_u, U_v = _normal_partials(jet, w, n, n**3)
     return jet, _div3(w, n), U_u, U_v, _first_form(jet), dot3(U_u, d), dot3(U_v, d)
 
 
@@ -630,17 +634,6 @@ def _integrate(adapter, phi, seed):
         termination = f"error: {NumericalError.of(exc)}"
     return TraceResult(**adapter.columns(*map(_column, zip(*rows))),
                        termination=termination, d=np.array(adapter.d), phi=phi)
-
-
-def _column(values) -> np.ndarray:
-    """np.array(values, dtype=float) for a column of N equally shaped
-    floats or nested sequences of floats, read in one flat pass (np.array's
-    own scan of nested tuples is about 2.5 times slower)."""
-    shape = np.shape(values[0])
-    flat = values
-    for _ in shape:
-        flat = itertools.chain.from_iterable(flat)
-    return np.fromiter(flat, float, len(values) * math.prod(shape)).reshape(-1, *shape)
 
 
 def _negated(x) -> tuple:

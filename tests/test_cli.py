@@ -147,6 +147,19 @@ class TestTraceImplicit:
                     "--step", "0.01", "--out", str(out)])
         assert code == 0
 
+    def test_seed_search_projects_to_project_tol(self, tmp_path, capsys):
+        # the guess is off the 60-degree level, so the seed snap falls back
+        # to the seed search; at this scale |f| cannot reach 1e-12
+        out = tmp_path / "torus.csv"
+        code, captured = run(["trace-implicit", "--surface", "builtin:torus?R=2e30&r=5e29",
+                              "--axis", "0,0,1", "--angle", "60", "--seed", "2.5e30,0,1e29",
+                              "--step", "2e28", "--length", "1e30", "--project-tol", "1e108",
+                              "--out", str(out)], capsys)
+        assert (code, captured.err) == (0, "")
+        seed = out.read_text().splitlines()[1].split(",")
+        # angle_dot = <U, d> = cos 60 degrees at the snapped seed
+        assert float(seed[12]) == pytest.approx(0.5, abs=1e-9)
+
     def test_implicit_plane_exit_2(self, capsys):
         code, captured = run(["trace-implicit", "--surface", "implicit:f=z",
                               "--axis", "0,0,1", "--angle", "0",

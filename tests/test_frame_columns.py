@@ -1,0 +1,198 @@
+"""The column pass of sample_frames: every FrameData column has the bits
+of the per-point functions and float kernels at each s, and its mask rule
+raises the error a point-by-point pass meets first."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import darboux
+from darboux.cli import main
+from darboux.errors import DarbouxError, NumericalError
+from darboux.frames import (
+    ChartPath,
+    CurveOnSurface,
+    ParamCurve,
+    _chart_chain,
+    _triple,
+    darboux as darboux_frame,
+    deriv_uniform,
+    resample_unit_speed,
+    sample_frames,
+    uniform_grid,
+    unit_speed_chart_curve,
+)
+from darboux.surface import dot3, norm3, parse_surface_spec
+
+EPS_KAPPA = 1e-9
+COEF = st.floats(0.1, 1.0).map(lambda x: round(x, 6))
+GRID_SIZES = st.sampled_from([2, 5, 20, 200])
+
+
+# Oblique chart paths (k_g and tau_g both nonzero along them) and space
+# curves on implicit surfaces, each drawn from two coefficients in [0.1, 1].
+CURVES = {
+    "torus": lambda a, b: unit_speed_chart_curve(
+        darboux.torus(2.0, 0.5),
+        ChartPath.from_expressions("s", f"{3 * a!r}*s+{b!r}*sin(s)", (0.0, 3.0))),
+    "ellipsoid": lambda a, b: unit_speed_chart_curve(
+        darboux.ellipsoid(),
+        ChartPath.from_expressions("s", f"{b!r}*sin({2 * a!r}*s)", (0.0, 3.0))),
+    "helicoid": lambda a, b: unit_speed_chart_curve(
+        darboux.helicoid(1.0),
+        ChartPath.from_expressions(f"{a!r}*s", f"0.5+{b!r}*s", (0.0, 3.0))),
+    "param surface": lambda a, b: unit_speed_chart_curve(
+        parse_surface_spec("param:x=u;y=v;z=0.3*u*u-0.2*v*v+0.1*u*v;u=-3,3;v=-3,3"),
+        ChartPath.from_expressions(f"{0.7 * a!r}*s", f"{b!r}*sin(2*s)", (0.0, 4.0))),
+    "torus knot": lambda a, b: CurveOnSurface(
+        darboux.implicit_torus(2.0, 0.5),
+        space_curve=resample_unit_speed(ParamCurve.from_expressions(
+            f"(2+0.5*cos(2*s+{a!r}))*cos(s)", f"(2+0.5*cos(2*s+{a!r}))*sin(s)",
+            f"0.5*sin(2*s+{a!r})", (0.0, 1.0 + 2.0 * b)))),
+    "cylinder helix": lambda a, b: CurveOnSurface(
+        darboux.implicit_cylinder(1.0),
+        space_curve=resample_unit_speed(ParamCurve.from_expressions(
+            f"cos({a!r}*s)", f"sin({a!r}*s)", f"{b!r}*s", (0.0, 3.0)))),
+}
+
+
+def _reference(c, s):
+    """sample_frames' values at s from darboux(), gamma_jet() and the float
+    kernels, one point at a time."""
+    g, d1, d2, d3 = (x.tolist() for x in c.gamma_jet(s))
+    fr = darboux_frame(c, s)
+    V, U = fr.V.tolist(), fr.U.tolist()
+    kg, kn, tg = fr.kg, fr.kn, fr.tg
+    kap2 = kg**2 + kn**2
+    row = {"gamma": g, "T": fr.T.tolist(), "V": V, "U": U, "kg": kg, "kn": kn, "tg": tg,
+           "dkg": dot3(d3, V) + tg * kn, "dkn": dot3(d3, U) - tg * kg,
+           "tau": _triple(d1, d2, d3) / kap2 if kap2 > EPS_KAPPA**2 else math.nan,
+           "accel": norm3(d2), "kappa": np.hypot(kg, kn)}
+    if c.kind == "parametric":
+        (u, v), *d = c.path.jet(s)
+        U_1 = tuple(x.tolist() for x in c.surface.normal_derivatives(u, v))
+        U_2 = tuple(x.tolist() for x in c.surface.normal_second_derivatives(u, v))
+        row["dtg"] = -dot3(_chart_chain(d, (U_1, U_2))[1], V) - kn * kg
+    return row
+
+
+def _assert_same(column, values, name):
+    """Equal bits lane by lane, nan in the same places."""
+    a, b = np.asarray(column, dtype=float), np.asarray(values, dtype=float)
+    assert a.shape == b.shape, name
+    nan = np.isnan(a)
+    assert (nan == np.isnan(b)).all(), name
+    assert a[~nan].tobytes() == b[~nan].tobytes(), name
+
+
+class TestColumnBits:
+    @pytest.mark.parametrize("name", sorted(CURVES))
+    @settings(max_examples=6, deadline=None)
+    @given(a=COEF, b=COEF, n=GRID_SIZES)
+    def test_columns_match_the_per_point_values(self, name, a, b, n):
+        c = CURVES[name](a, b)
+        grid = uniform_grid(*c.s_range, n)
+        data = sample_frames(c, grid)
+        rows = [_reference(c, s) for s in grid.tolist()]
+        for key in rows[0]:
+            _assert_same(getattr(data, key), [row[key] for row in rows], key)
+        if c.kind == "implicit":
+            _assert_same(data.dtg, deriv_uniform(data.tg, grid[1] - grid[0]), "dtg")
+
+
+def _run(argv, capsys):
+    code = main(argv)
+    return code, capsys.readouterr().err
+
+
+class TestMaskErrorOrder:
+    """Each case raises the error (class and message) the point-by-point
+    sampler raised before the column pass."""
+
+    def test_power_overflow(self, capsys):
+        # |sigma_u x sigma_v| = 1e110, whose cube overflows on every lane
+        argv = ["frames", "--surface", "builtin:cylinder?r=1e110",
+                "--curve", "param:u=s*1e-110;v=0.5*s", "--samples", "50"]
+        assert _run(argv, capsys) == (
+            2, "float arithmetic failed: Numerical result out of range\n")
+
+    def test_power_overflow_from_a_middle_lane(self):
+        # |w| = r (R + r cos v) crosses the cube's overflow edge (about
+        # 5.6e102) as v winds from pi: the lanes before it are finite
+        c = unit_speed_chart_curve(darboux.torus(4.8e51, 1e51),
+                                   ChartPath.from_expressions("s", f"{math.pi!r}+s", (0.0, 6.0)))
+        grid = uniform_grid(*c.s_range, 40)
+        first = next(i for i, s in enumerate(grid.tolist()) if _overflows(c, s))
+        assert 0 < first < 39
+        with pytest.raises(NumericalError, match="^float arithmetic failed: Numerical result "
+                                                 "out of range$"):
+            sample_frames(c, grid)
+        assert np.isfinite(sample_frames(c, grid[:first]).tg).all()
+
+    def test_path_leaving_the_chart(self, capsys):
+        argv = ["frames", "--surface", "builtin:sphere?r=1",
+                "--curve", "param:u=s;v=0.2*s;s=0,9", "--samples", "40"]
+        assert _run(argv, capsys) == (
+            2, "sphere(r=1): parameter v=1.57148 outside [-1.5708, 1.5708]\n")
+
+    def test_space_curve_leaving_the_surface_mid_grid(self, capsys):
+        argv = ["classify", "--surface", "builtin:sphere?r=1",
+                "--curve", "space:x=cos(s);y=sin(s);z=0.01*s", "--samples", "40"]
+        assert _run(argv, capsys) == (
+            2, "curve leaves surface: |f(gamma(0.161115))| = 2.59556e-06 > 1e-09\n")
+
+    @pytest.mark.parametrize("k", [0, 15, 30])
+    def test_unit_speed_check_first_middle_and_last_lane(self, k):
+        # the plane line u = s at speed 1.5 from lane k on, leaving the chart
+        # (u <= 20) on every lane after k: lane k's unit-speed check comes
+        # first in grid order, before the later lanes' domain errors
+        grid = uniform_grid(0.0, 3.0, 31)
+        sk = grid[k]
+        path = ChartPath(lambda s: s + 100.0 * (s > sk), lambda s: 0.0,
+                         lambda s: 1.5 if s >= sk else 1.0, lambda s: 0.0,
+                         lambda s: 0.0, lambda s: 0.0, lambda s: 0.0, lambda s: 0.0,
+                         (0.0, 3.0))
+        c = CurveOnSurface(darboux.plane(), chart_path=path)
+        with pytest.raises(DarbouxError) as excinfo:
+            sample_frames(c, grid)
+        assert type(excinfo.value) is DarbouxError
+        assert str(excinfo.value) == (
+            f"curve is not unit speed at s={sk:g}: |gamma'| - 1 = 0.5, beyond the tolerance 1e-07")
+        assert str(excinfo.value) == _point_by_point_error(c, grid)
+
+    def test_zero_curvature_is_not_flagged(self, monkeypatch, tmp_path):
+        # kappa = 0 on every lane: tau is nan there, a value, not a failure,
+        # so no lane is evaluated again
+        c = unit_speed_chart_curve(darboux.plane(),
+                                   ChartPath.from_expressions("s", "0*s", (0.0, 2.0)))
+        rerun = []
+        sample = CurveOnSurface._sample
+        monkeypatch.setattr(CurveOnSurface, "_sample",
+                            lambda self, s: rerun.append(s) or sample(self, s))
+        data = sample_frames(c, uniform_grid(*c.s_range, 30))
+        assert rerun == []
+        assert np.isnan(data.tau).all() and (data.kappa == 0.0).all()
+        monkeypatch.undo()
+        for command in ("frames", "classify"):
+            assert main([command, "--surface", "builtin:plane", "--curve", "param:u=s;v=0*s",
+                         "--samples", "30", "--out", str(tmp_path / command)]) == 0
+
+
+def _overflows(c, s):
+    try:
+        darboux_frame(c, s)
+    except OverflowError:
+        return True
+    return False
+
+
+def _point_by_point_error(c, grid):
+    for s in grid.tolist():
+        try:
+            darboux_frame(c, s)
+        except DarbouxError as exc:
+            return str(exc)
+    return None

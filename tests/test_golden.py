@@ -79,6 +79,11 @@ CASES = {
         "trace-implicit", "--surface", "builtin:torus?R=2&r=0.5", "--axis", "0,0,1",
         "--angle", "60", "--seed", "2.5,0,0.1", "--length", "0.2", "--step", "1e-2",
         "--format", "obj"],
+    # an oblique frame series on the ellipsoid: |k_n| 0.36-0.93, |tau_g| up to
+    # 0.21, |k_g| up to 0.107 and zero only at its symmetric points
+    "ellipsoid_oblique_frames.csv": [
+        "frames", "--surface", "builtin:ellipsoid", "--curve", "param:u=s;v=0.3*sin(s)",
+        "--samples", "300"],
     # the frames of torus_frames.csv as JSON
     "torus_frames.json": [
         "frames", "--surface", "builtin:torus?R=2&r=0.5", "--curve", "param:u=s;v=2*s",

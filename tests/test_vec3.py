@@ -3,7 +3,8 @@ float64 arrays; dot3, norm3, norm3_rows and the Gauss-Legendre row sum are
 left-to-right sums, pinned against exact rational arithmetic rounded once
 per operation in that order.  The straight-line trace kernels, and the
 column kernel of the implicit diagnostics, give the bits of the same
-formulas composed from those helpers."""
+formulas composed from those helpers; norm3 and _pow on (N,) columns give
+each lane the bits of the float call."""
 
 import ast
 import itertools
@@ -27,6 +28,7 @@ from darboux.surface import (
     _matvec,
     _normal_jacobian,
     _normal_partials,
+    _pow,
     cross3,
     dot3,
     norm3,
@@ -122,6 +124,28 @@ def test_norm3_rows_matches_exact_left_to_right(rows):
     with np.errstate(all="ignore"):
         many = norm3_rows(rows)
     assert _same_bits(many, [reference_norm(r) for r in rows.tolist()])
+
+
+@settings(max_examples=100, deadline=None)
+@given(arrays(np.float64, st.tuples(st.integers(1, 6), st.just(3)), elements=FINITE))
+def test_norm3_on_columns_matches_each_lane(rows):
+    # the frame sampler's 3-vectors of (N,) columns, N = 1 included
+    with np.errstate(all="ignore"):
+        many = norm3(tuple(rows.T))
+    assert _same_bits(many, [norm3(r) for r in rows.tolist()])
+
+
+@settings(max_examples=200, deadline=None)
+@given(arrays(np.float64, st.integers(0, 8), elements=st.floats()), st.sampled_from([2, 3, 5]))
+def test_pow_on_a_column_is_python_power_lane_by_lane(column, k):
+    # Python raises OverflowError where the column reads nan
+    expected = []
+    for x in column.tolist():
+        try:
+            expected.append(x**k)
+        except OverflowError:
+            expected.append(math.nan)
+    assert _same_bits(_pow(column, k), expected)
 
 
 @settings(max_examples=100, deadline=None)
@@ -253,7 +277,7 @@ def test_normal_partials_compose_cross_sum_and_dot3(jet):
     w = _cross(jet[1], jet[2])
     n = norm3(w)
     assume(n > 1e-100)
-    assert _same_bits(_normal_partials(jet, w, n), _composed_normal_partials(jet, w, n))
+    assert _same_bits(_normal_partials(jet, w, n, n**3), _composed_normal_partials(jet, w, n))
 
 
 @settings(max_examples=300, deadline=None)
