@@ -49,6 +49,11 @@ class VanishingSpeedError(DarbouxError):
     """Curve speed fell below tolerance during reparametrization."""
 
 
+class ArclengthTableError(DarbouxError):
+    """The arclength table does not settle: adaptive Simpson keeps splitting
+    on an interval where every speed is finite, as near a pole of the path."""
+
+
 class FrenetUndefinedError(DarbouxError):
     """Frenet frame undefined: curvature below eps_kappa (straight segment)."""
 

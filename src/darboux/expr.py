@@ -8,6 +8,16 @@ algebraic simplification) so chart jets and gradients stay analytic.
 with the same operations, so hot callers skip the tree walk; the tree walk
 (``evaluate``) stays the reference and reports domain errors.
 
+The same generated source, from the same ``exec``, is bound a second time
+for (N,) float64 columns and attached as ``fn.columns``: elementwise
+``+ - * /``, negation, ``np.abs``, ``np.sqrt``, ``np.sin`` and ``np.cos``
+round as the float code does, and ``^``, tan, exp, ln, sinh, cosh and sign
+stay ``math``'s, lane by lane.  The columns decline (return None) rather
+than raise: wherever a constant or an input lane is not finite, a numpy
+operation signals under ``np.errstate(all="raise", under="ignore")``, a
+lane-wise function raises, or an output lane is not finite.  A caller then
+evaluates lane by lane, which raises the float code's error in its order.
+
 Grammar (whitespace insignificant, implicit multiplication NOT allowed):
 
     expr   := term (('+' | '-') term)*
@@ -23,11 +33,14 @@ derivatives re-parse.  Constants: pi, e.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 import struct
 from dataclasses import dataclass
 from typing import Mapping
+
+import numpy as np
 
 from .errors import EvalDomainError, ParseError
 
@@ -329,6 +342,31 @@ _HELPERS = {
 }
 
 
+def _lanes(fn):
+    """fn on (N,) columns lane by lane, Python floats in and out, so each
+    lane has fn's bits and raises fn's error; on scalars it is fn itself."""
+
+    def column(*args):
+        if all(np.ndim(a) == 0 for a in args):
+            return fn(*args)
+        args = np.broadcast_arrays(*args)
+        return np.fromiter(map(fn, *(a.tolist() for a in args)), float, args[0].size)
+
+    return column
+
+
+# the same names bound for (N,) float64 columns: elementwise + - * / and
+# these four numpy functions round as Python's floats and math's do (sin
+# and cos on this platform, as the catalog tangents_fn already assume);
+# every other function keeps math's, lane by lane
+_COLUMN_HELPERS = {
+    "_float": functools.partial(np.array, dtype=np.float64), "_pow": _lanes(math.pow),
+    "_abs": np.abs, "_sign": _lanes(_sign), "_sin": np.sin, "_cos": np.cos,
+    "_tan": _lanes(math.tan), "_exp": _lanes(math.exp), "_ln": _lanes(math.log),
+    "_sqrt": np.sqrt, "_sinh": _lanes(math.sinh), "_cosh": _lanes(math.cosh),
+}
+
+
 class _Emitter:
     """Straight-line source for a list of trees: one local per distinct
     subtree, assigned where the tree walk first reaches it.  Each node's
@@ -390,6 +428,11 @@ def compile(exprs, variables):
     it fails with ArithmeticError or ValueError it re-runs ``evaluate``
     over the same expressions in the same order, which raises the
     EvalDomainError the tree walk raises.
+
+    ``fn.columns(*columns)`` runs the same generated code once on (N,)
+    float64 columns, one per variable (see ``_columns``): a tuple of (N,)
+    columns with the bits of ``fn`` lane by lane, or None where it
+    declines.
     """
     exprs = tuple(exprs)
     variables = tuple(variables)
@@ -415,7 +458,44 @@ def compile(exprs, variables):
 
     namespace: dict = {}
     exec(source, namespace)
-    return namespace["_make"](fallback, *_HELPERS.values(), *emitter.consts)
+    make = namespace["_make"]
+    compiled = make(fallback, *_HELPERS.values(), *emitter.consts)
+    compiled.columns = _columns(make, emitter.consts)
+    return compiled
+
+
+def _decline(*values):
+    return None
+
+
+def _columns(make, consts):
+    """``fn.columns``: the generated code of ``make`` bound to
+    ``_COLUMN_HELPERS``, with the decline rule of the module docstring and
+    the constants as numpy float64 scalars, so that an operation on
+    constants alone signals too.  Declining is enough: from finite
+    constants and inputs, an operation that neither signals nor raises
+    gives a finite value, so where the columns return, no lane raised on
+    floats and each lane's operations are the float code's, correctly
+    rounded alike.  Constant outputs are broadcast to the inputs' shape,
+    and no output shares memory with an input."""
+    if not all(map(math.isfinite, consts)):
+        return _decline
+    evaluate = make(_decline, *(_COLUMN_HELPERS[name] for name in _HELPERS),
+                    *map(np.float64, consts))
+
+    def columns(*values):
+        values = [np.asarray(x, dtype=np.float64) for x in values]
+        if not all(np.isfinite(x).all() for x in values):
+            return None
+        shape = values[0].shape if values else ()
+        with np.errstate(all="raise", under="ignore"):
+            out = evaluate(*values)
+        if out is None:
+            return None
+        out = tuple(np.full(shape, x) if np.ndim(x) == 0 else x for x in out)
+        return out if all(np.isfinite(x).all() for x in out) else None
+
+    return columns
 
 
 # ---------------------------------------------------------------------------

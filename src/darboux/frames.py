@@ -22,7 +22,19 @@ the bits of a point-by-point evaluation: the operations are elementwise in
 the same order, and the sums of a row (the |gamma'| dot product and the
 Gauss-Legendre sum) are accumulated left to right as ``surface.dot3`` sums.
 A batch that fails is redone point by point, so errors are the ones a
-point-by-point pass raises first.
+point-by-point pass raises first.  A table whose Simpson level outgrows
+its lane cap while every speed is finite (a pole of the path) raises
+ArclengthTableError, naming the interval, instead.
+
+The speed reads the path first: for paths and curves from expressions,
+one pass of the compiled function's columns (``expr.compile``'s
+``fn.columns``, the same generated code on (N,) columns), else lane by
+lane.  Where the columns decline, the lane pass runs and raises the first
+failing lane's error.  ``ChartPath.from_expressions`` compiles two
+functions, its jet (in the order jet reads it) and the first-order
+(u, v, u', v') the speed reads, so a path whose higher derivatives fail
+where its first-order ones do not (u = s^2.5 at s = 0) still has a speed;
+``ParamCurve.from_expressions`` compiles c, c1, c2 and c3 once each.
 
 The per-point functions (``darboux``, ``frenet``, ``gamma_jet``) run the
 float kernels of ``surface`` on tuples of Python floats, with one bivariate
@@ -56,6 +68,7 @@ import numpy as np
 from . import expr as _expr
 from .errors import (
     ARITHMETIC_ERRORS,
+    ArclengthTableError,
     DarbouxError,
     FrenetUndefinedError,
     VanishingSpeedError,
@@ -153,6 +166,14 @@ def _lane_columns(evaluate, xs, spec, bad):
                 bad[i] = True
         values.append(failed)
     return _columns(values, spec)
+
+
+def _compiled_columns(fn, *columns):
+    """fn at each lane of the (N,) columns in one pass, as a tuple of (N,)
+    columns with its bits, when fn is a compiled expression function whose
+    columns do not decline (see expr.compile); else None."""
+    evaluate = getattr(fn, "columns", None)
+    return None if evaluate is None else evaluate(*columns)
 
 
 def _inverted(amap, grid):
@@ -301,15 +322,15 @@ class ChartPath:
     @classmethod
     def from_expressions(cls, u_src: str, v_src: str, s_range: tuple[float, float],
                          var: str = "s") -> "ChartPath":
-        exprs = []
-        for src in (u_src, v_src):
-            exprs.append(_expr.parse(src, [var]))
-            for _ in range(3):
-                exprs.append(_expr.differentiate(exprs[-1], var))
-        fns = [lambda t, _fn=_expr.compile([e], [var]): _fn(t)[0] for e in exprs]
-        u, du, ddu, dddu, v, dv, ddv, dddv = fns
-        first_order = _expr.compile([exprs[0], exprs[4], exprs[1], exprs[5]], [var])
-        return cls(u, v, du, dv, ddu, ddv, dddu, dddv, s_range, first_order=first_order)
+        """The path (u(s), v(s)) of two expressions in var, compiled twice:
+        its jet, in the order jet reads it (u, v, u', v', u'', v'', u''',
+        v'''), and first_order's (u, v, u', v'), which reads no higher
+        derivative (u = s^2.5 has a first_order at s = 0 but no jet)."""
+        jet = [_expr.parse(src, [var]) for src in (u_src, v_src)]
+        for _ in range(3):
+            jet += [_expr.differentiate(e, var) for e in jet[-2:]]
+        return _CompiledChartPath(_expr.compile(jet, [var]), _expr.compile(jet[:4], [var]),
+                                  s_range)
 
     def _sample(self, surface: ParametricSurface, s):
         return _chart_sample(self, surface, s)
@@ -331,6 +352,30 @@ def _chart_sample(path, surface: ParametricSurface, s):
 def _chart_sample_columns(path, surface: ParametricSurface, xs, bad):
     """_chart_sample at each lane of xs as columns (see _lane_columns)."""
     return _lane_columns(lambda x: _chart_sample(path, surface, x), xs, _CHART_SAMPLE, bad)
+
+
+def _jet_entry(order: int, axis: int):
+    """Accessor reading entry [order][axis] of a path's jet at s."""
+    return lambda path, s: path.jet(s)[order][axis]
+
+
+class _CompiledChartPath(ChartPath):
+    """ChartPath.from_expressions' path: the jet and first_order are one
+    compiled function each, and each component accessor reads the jet."""
+
+    u, v = _jet_entry(0, 0), _jet_entry(0, 1)
+    du, dv = _jet_entry(1, 0), _jet_entry(1, 1)
+    ddu, ddv = _jet_entry(2, 0), _jet_entry(2, 1)
+    dddu, dddv = _jet_entry(3, 0), _jet_entry(3, 1)
+
+    def __init__(self, jet, first_order, s_range: tuple[float, float]):
+        self._jet = jet
+        self._first_order = first_order
+        self.s_range = (float(s_range[0]), float(s_range[1]))
+
+    def jet(self, s: float):
+        u, v, du, dv, ddu, ddv, dddu, dddv = self._jet(s)
+        return (u, v), (du, dv), (ddu, ddv), (dddu, dddv)
 
 
 class CurveOnSurface:
@@ -703,8 +748,9 @@ def _adaptive_simpson(f, a, b, fa, fm, fb, whole, tol, depth):
             + _adaptive_simpson(f, m, b, fm, frm, fb, right, half, depth - 1))
 
 
-# Lanes one level of the breadth-first Simpson may hold before the table is
-# built depth-first instead (memory stays bounded on pathological speeds).
+# Lanes one level of the breadth-first Simpson may hold: a table that needs
+# more, on finite speeds, raises ArclengthTableError (memory and time stay
+# bounded where the speed blows up, as near a pole of tan).
 _MAX_SIMPSON_LANES = 1 << 16
 
 
@@ -713,7 +759,9 @@ def _adaptive_simpson_many(f_many, a, b, fa, fm, fb, whole, tol, depth):
     intervals at one recursion depth evaluate f in one array call, and the
     results are summed back pair by pair as the recursion sums them, so each
     value has the recursion's bits.  Raises ArithmeticError if a lane would
-    split on a non-finite error estimate or a level outgrows the lane cap."""
+    split on a non-finite error estimate, and ArclengthTableError, naming
+    the span of the splitting intervals, if a level of finite estimates
+    outgrows the lane cap."""
     levels = []
     while len(a):
         m = 0.5 * (a + b)
@@ -729,8 +777,13 @@ def _adaptive_simpson_many(f_many, a, b, fa, fm, fb, whole, tol, depth):
                                             & (abs_err <= _SIMPSON_ROUNDING * np.abs(whole)))
         split = np.flatnonzero(~settled) if depth > 0 else np.empty(0, dtype=int)
         levels.append((split, left + right + err / 15.0))
-        if not (np.isfinite(err[split]).all() and 2 * len(split) <= _MAX_SIMPSON_LANES):
+        if not np.isfinite(err[split]).all():
             raise ArithmeticError("breadth-first Simpson cannot finish this table")
+        if 2 * len(split) > _MAX_SIMPSON_LANES:
+            raise ArclengthTableError(
+                f"arclength table does not settle: {len(split)} intervals of t in "
+                f"[{a[split].min():g}, {b[split].max():g}] still split after {len(levels)} "
+                "Simpson levels (the speed may blow up there)")
         a, b = np.concatenate([a[split], m[split]]), np.concatenate([m[split], b[split]])
         fa, fm, fb = (np.concatenate([fa[split], fm[split]]),
                       np.concatenate([flm[split], frm[split]]),
@@ -786,6 +839,8 @@ class ArclengthMap:
         self.t_nodes = np.linspace(t0, t1, max(int(n), 8) + 1)
         try:
             increments = self._increments_by_level(tol, eps_speed)
+        except ArclengthTableError:
+            raise  # no lane failed, and depth first would split for minutes
         except _EVALUATION_ERRORS:
             # a lane failed: the depth-first build raises the error (or
             # takes the path) that a point-by-point build meets first
@@ -930,16 +985,16 @@ def resample_unit_speed(raw: ParamCurve, n: int = 512) -> UnitSpeedCurve:
     through third order."""
 
     def speed(ts):
+        # the columns of a compiled c1, or c1 lane by lane, which raises the
+        # first failing lane's error
+        c1 = _compiled_columns(raw.c1, ts)
+        if c1 is not None:
+            return norm3(c1)
         lanes = ts.tolist()
         c1 = np.fromiter(chain.from_iterable(map(raw.c1, lanes)), float, 3 * len(lanes))
         return norm3_rows(c1.reshape(-1, 3))
 
     return _ResampledCurve(raw, ArclengthMap(speed, raw.t_range, n))
-
-
-def _jet_entry(order: int, axis: int):
-    """Accessor reading entry [order][axis] of a path's jet at s."""
-    return lambda path, s: path.jet(s)[order][axis]
 
 
 class _UnitSpeedChartPath:
@@ -1006,12 +1061,16 @@ def unit_speed_chart_curve(surface: ParametricSurface, path: ChartPath,
         return norm3(_lincomb(du, su, dv, sv))
 
     def speed(ts):
-        # speed_at on every lane, the path read on all lanes before the chart
+        # speed_at on every lane, the path read on all lanes before the chart:
+        # the columns of a compiled first_order, else lane by lane
         try:
-            lanes = ts.tolist()
-            rows = np.fromiter(chain.from_iterable(map(path.first_order, lanes)), float,
-                               4 * len(lanes))
-            u, v, du, dv = rows.reshape(-1, 4).T
+            first = _compiled_columns(path._first_order, ts)
+            if first is None:
+                lanes = ts.tolist()
+                rows = np.fromiter(chain.from_iterable(map(path.first_order, lanes)), float,
+                                   4 * len(lanes))
+                first = rows.reshape(-1, 4).T
+            u, v, du, dv = first
             sigma_u, sigma_v = surface.tangents_many(u, v)
             return norm3_rows(du[:, None] * sigma_u + dv[:, None] * sigma_v)
         except _EVALUATION_ERRORS:

@@ -7,9 +7,11 @@ functions below), which is what the isophote tracer and the frame sampler
 run on.
 
 Catalog surfaces (sphere, cylinder, plane, torus, helicoid, ellipsoid,
-monkey saddle) carry hand-written jets; surfaces built from expression text
-get exact jets from symbolic differentiation, which keeps the two routes
-independent for testing.
+monkey saddle) carry hand-written jets, and array tangents for the
+arclength speeds written with the jet's operations in its order (np.sin and
+np.cos give math's bits); surfaces built from expression text get exact
+jets from symbolic differentiation, which keeps the two routes independent
+for testing.
 
 Orientation conventions: the parametric unit normal is sigma_u x sigma_v
 normalized; the implicit unit normal is grad(f)/|grad(f)|.  Sign-sensitive
@@ -600,10 +602,15 @@ def sphere(r: float = 1.0, eps_reg: float = EPS_REG_DEFAULT) -> ParametricSurfac
             (r * sv * cu, r * sv * su, -r * cv),
         )
 
+    def tangents(u, v):
+        cu, su, cv, sv = np.cos(u), np.sin(u), np.cos(v), np.sin(v)
+        return (_rows(u, -r * cv * su, r * cv * cu, 0.0),
+                _rows(u, -r * sv * cu, -r * sv * su, r * cv))
+
     half = math.pi / 2 - POLE_MARGIN
     return ParametricSurface(
         f"sphere(r={r:g})", jet, (-math.pi, math.pi), (-half, half),
-        periodic_u=True, jet3_fn=jet3, eps_reg=eps_reg,
+        periodic_u=True, jet3_fn=jet3, tangents_fn=tangents, eps_reg=eps_reg,
     )
 
 
@@ -649,7 +656,11 @@ def plane(u_range=(-20.0, 20.0), v_range=(-20.0, 20.0),
     def jet3(u, v):
         return (zero, zero, zero, zero)
 
-    return ParametricSurface("plane", jet, u_range, v_range, jet3_fn=jet3, eps_reg=eps_reg)
+    def tangents(u, v):
+        return _rows(u, 1.0, 0.0, 0.0), _rows(u, 0.0, 1.0, 0.0)
+
+    return ParametricSurface("plane", jet, u_range, v_range, jet3_fn=jet3, tangents_fn=tangents,
+                             eps_reg=eps_reg)
 
 
 def torus(R: float = 2.0, r: float = 0.5, eps_reg: float = EPS_REG_DEFAULT) -> ParametricSurface:
@@ -715,8 +726,13 @@ def helicoid(a: float = 1.0, u_range=(-2 * math.pi, 2 * math.pi), v_range=(-5.0,
         cu, su = math.cos(u), math.sin(u)
         return ((v * su, -v * cu, 0.0), (-cu, -su, 0.0), zero, zero)
 
+    def tangents(u, v):
+        cu, su = np.cos(u), np.sin(u)
+        return _rows(u, -v * su, v * cu, a), _rows(u, cu, su, 0.0)
+
     return ParametricSurface(
-        f"helicoid(a={a:g})", jet, u_range, v_range, jet3_fn=jet3, eps_reg=eps_reg,
+        f"helicoid(a={a:g})", jet, u_range, v_range, jet3_fn=jet3, tangents_fn=tangents,
+        eps_reg=eps_reg,
     )
 
 
@@ -735,10 +751,14 @@ def ellipsoid(a: float = 2.0, b: float = 1.5, c: float = 1.0,
     def jet3(u, v):
         return scaled(base._jet3_fn(u, v))
 
+    def tangents(u, v):
+        return tuple(_rows(u, sa * t[:, 0], sb * t[:, 1], sc * t[:, 2])
+                     for t in base._tangents_fn(u, v))
+
     half = math.pi / 2 - POLE_MARGIN
     return ParametricSurface(
         f"ellipsoid(a={a:g},b={b:g},c={c:g})", jet, (-math.pi, math.pi), (-half, half),
-        periodic_u=True, jet3_fn=jet3, eps_reg=eps_reg,
+        periodic_u=True, jet3_fn=jet3, tangents_fn=tangents, eps_reg=eps_reg,
     )
 
 
@@ -760,7 +780,12 @@ def monkey_saddle(u_range=(-2.0, 2.0), v_range=(-2.0, 2.0),
     def jet3(u, v):
         return ((0.0, 0.0, 6.0), zero, (0.0, 0.0, -6.0), zero)
 
-    return ParametricSurface("monkey_saddle", jet, u_range, v_range, jet3_fn=jet3, eps_reg=eps_reg)
+    def tangents(u, v):
+        return (_rows(u, 1.0, 0.0, 3.0 * u * u - 3.0 * v * v),
+                _rows(u, 0.0, 1.0, -6.0 * u * v))
+
+    return ParametricSurface("monkey_saddle", jet, u_range, v_range, jet3_fn=jet3,
+                             tangents_fn=tangents, eps_reg=eps_reg)
 
 
 # ---------------------------------------------------------------------------

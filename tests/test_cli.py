@@ -538,3 +538,20 @@ def test_curve_commands_on_huge_scales_finish(argv, tmp_path, capsys):
     code, captured = run(argv + ["--out", str(tmp_path / "out")], capsys)
     assert code in (0, 1, 2)
     assert "Traceback" not in captured.err
+
+
+def test_path_through_a_pole_exits_2_within_seconds():
+    """u = tan(0.3 s) has a pole at s = 5.236, inside [0, 2 pi]: the
+    arclength table never settles there, and the CLI reports that (exit 2,
+    the interval named) instead of splitting depth first for minutes."""
+    src = os.path.dirname(os.path.dirname(darboux.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    argv = ["frames", "--surface", "builtin:cylinder?r=1", "--curve",
+            "param:u=tan(0.3*s);v=sqrt(2+s)", "--samples", "64"]
+    out = subprocess.run([sys.executable, "-m", "darboux.cli", *argv], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 2
+    assert "Traceback" not in out.stderr
+    assert "arclength table does not settle" in out.stderr
+    assert "t in [5.23" in out.stderr

@@ -453,3 +453,114 @@ def test_unparse_parse_gives_an_equal_tree(root):
     # the parser makes only finite nonnegative numbers; a minus is a Neg node
     e = Expression(root, VARIABLES)
     assert parse(unparse(e), VARIABLES) == e
+
+
+# ---------------------------------------------------------------------------
+# The column form of a compiled function
+
+
+def _lanes_of(fn, us, vs):
+    """fn at each lane, or None for a lane where it raises."""
+    out = []
+    for u, v in zip(us, vs):
+        try:
+            out.append(fn(u, v))
+        except EvalDomainError:
+            out.append(None)
+    return out
+
+
+def assert_columns_match_lanes(fn, us, vs):
+    """fn.columns gives each lane fn's bits, and declines wherever a lane
+    raises.  Returns whether the columns declined."""
+    columns = fn.columns(np.array(us, dtype=float), np.array(vs, dtype=float))
+    lanes = _lanes_of(fn, us, vs)
+    if columns is None:
+        return True
+    assert None not in lanes
+    assert all(c.shape == (len(us),) for c in columns)
+    for i, values in enumerate(lanes):
+        assert [bits(c[i]) for c in columns] == [bits(x) for x in values]
+    return False
+
+
+# lanes mostly inside every function's domain, some at its edges
+_LANE = st.one_of(st.floats(-4.0, 4.0), st.sampled_from([0.0, -0.0, 1.0, 710.0, 1e308]),
+                  _FLOATS)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_trees(st.floats(-4.0, 4.0)), min_size=1, max_size=3),
+       st.lists(st.tuples(_LANE, _LANE), min_size=1, max_size=6), st.booleans())
+def test_columns_equal_the_compiled_function_lane_by_lane(roots, lanes, with_derivatives):
+    exprs = [Expression(root, VARIABLES) for root in roots]
+    if with_derivatives:
+        exprs += [differentiate(e, w) for e in exprs for w in VARIABLES]
+    us, vs = [u for u, _ in lanes], [v for _, v in lanes]
+    assert_columns_match_lanes(compile(exprs, VARIABLES), us, vs)
+
+
+@pytest.mark.parametrize("root", [
+    *(BinOp(op, Var("u"), Var("v")) for op in "+-*/^"),
+    Neg(Var("u")),
+    *(Call(fn, Var("u")) for fn in FUNCTIONS),
+], ids=lambda root: unparse(Expression(root, VARIABLES)))
+def test_each_operation_has_columns_inside_its_domain(root):
+    # u, v in [0.25, 2.5]: every operation is defined and finite on each lane
+    rng = np.random.default_rng(7)
+    us, vs = rng.uniform(0.25, 2.5, (2, 64)).tolist()
+    fn = compile([Expression(root, VARIABLES)], VARIABLES)
+    assert not assert_columns_match_lanes(fn, us, vs)
+    # a lane at a domain edge: the columns decline where it raises (and on
+    # any lane that is not finite)
+    for bad in (-1.0, 0.0, 1e308, math.inf, math.nan):
+        declined = assert_columns_match_lanes(fn, us + [bad], vs + [bad])
+        assert declined or math.isfinite(bad)
+
+
+class TestColumns:
+    def test_constant_outputs_are_broadcast(self):
+        fn = compile([parse(src, ["s"]) for src in ("s", "2", "-pi", "s - s")], ["s"])
+        s = np.linspace(0.0, 1.0, 5)
+        u, two, minus_pi, zero = fn.columns(s)
+        assert [x.shape for x in (u, two, minus_pi, zero)] == [(5,)] * 4
+        assert two.tolist() == [2.0] * 5 and minus_pi.tolist() == [-math.pi] * 5
+        # no output shares memory with the input
+        assert not np.shares_memory(u, s)
+        u[0] = 7.0
+        assert s[0] == 0.0
+
+    def test_non_finite_constant_declines(self):
+        fn = compile([Expression(BinOp("*", Num(math.inf), Var("u")), ("u",))], ["u"])
+        assert fn.columns(np.array([1.0, 2.0])) is None
+        assert fn(1.0) == (math.inf,)
+
+    def test_overflow_declines_where_floats_give_inf(self):
+        # Python's float product overflows to inf without raising; the
+        # columns raise under np.errstate and decline
+        fn = compile([parse("u*1e300", ["u"])], ["u"])
+        assert fn(1e10) == (math.inf,)
+        assert fn.columns(np.array([1.0, 1e10])) is None
+        assert fn.columns(np.array([1.0, 2.0]))[0].tolist() == [1e300, 2e300]
+
+    def test_quotient_by_zero_declines(self):
+        fn = compile([parse("1/u", ["u"]), parse("(u - u)/(u - u)", ["u"])], ["u"])
+        assert fn.columns(np.array([1.0, -0.0])) is None
+        assert fn.columns(np.array([1.0, 2.0])) is None
+
+    def test_one_exec_per_compile(self, monkeypatch):
+        import builtins
+
+        calls = []
+        real = builtins.exec
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(builtins, "exec", counted)
+        fn = compile([parse("sin(u)^2", ["u"])], ["u"])
+        assert len(calls) == 1
+        fn.columns(np.array([0.5, 1.5]))
+        fn(0.5)
+        assert len(calls) == 1

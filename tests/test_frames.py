@@ -23,7 +23,9 @@ from conftest import (
     make_line_on_plane,
     make_unit_helix_space_curve,
 )
+from darboux import frames as _frames
 from darboux.errors import (
+    ArclengthTableError,
     DarbouxError,
     EvalDomainError,
     FrenetUndefinedError,
@@ -662,6 +664,14 @@ class TestArclengthErrorParity:
         assert error == _raised(point_by_point)
         assert error[0] is DarbouxError and "not unit speed at s=0:" in error[1]
 
+    def test_speed_blowing_up_raises_a_typed_error(self):
+        # u = tan(0.3 s) has a pole at s = 5.236: every speed lane is finite,
+        # but Simpson would split forever there, so the table stops at the
+        # lane cap and names the interval instead of going depth first
+        path = ChartPath.from_expressions("tan(0.3*s)", "sqrt(2+s)", (0.0, 2 * math.pi))
+        with pytest.raises(ArclengthTableError, match=r"t in \[5\.2\d*, 5\.2\d*\]"):
+            unit_speed_chart_curve(darboux.cylinder(1.0), path, 64)
+
     def test_non_finite_speed_raises(self):
         # a nan speed inside the table used to split Simpson to full depth
         def speed(ts):
@@ -757,3 +767,80 @@ class TestPolyline:
     def test_rejects_too_few_samples(self):
         with pytest.raises(DarbouxError):
             UnitSpeedCurve.from_polyline(np.zeros((3, 3)))
+
+
+class TestCompiledPaths:
+    """Expression paths and curves: one compile per function they keep,
+    and arclength speeds from the compiled functions' columns with the bits
+    of their lanes."""
+
+    def test_first_order_reads_no_higher_derivative(self):
+        # u = s^2.5 has u' = 0 at s = 0, but its third derivative 1.875 s^-0.5 fails there
+        path = ChartPath.from_expressions("s^2.5", "s", (0.0, 1.0))
+        assert path.first_order(0.0) == (0.0, 0.0, 0.0, 1.0)
+        with pytest.raises(EvalDomainError, match="pow domain error"):
+            path.jet(0.0)
+        assert path.first_order(0.25) == (*path.jet(0.25)[0], *path.jet(0.25)[1])
+
+    def test_jet_raises_the_first_failing_component(self):
+        # u'' = -1/(4 s^1.5) fails at s = 0 before v = ln(s) is read;
+        # v fails first where both u and v are defined but v' is not
+        path = ChartPath.from_expressions("sqrt(s)", "ln(s)", (0.0, 1.0))
+        with pytest.raises(EvalDomainError, match="ln of nonpositive"):
+            path.jet(0.0)
+        path = ChartPath.from_expressions("s", "sqrt(s)", (0.0, 1.0))
+        with pytest.raises(EvalDomainError, match="division by zero"):
+            path.jet(0.0)
+
+    def test_one_compile_per_kept_function(self, monkeypatch):
+        calls = []
+        compile_ = darboux.expr.compile
+
+        def counted(exprs, variables):
+            calls.append(len(exprs))
+            return compile_(exprs, variables)
+
+        monkeypatch.setattr(darboux.expr, "compile", counted)
+        ChartPath.from_expressions("s", "2*s", (0.0, 1.0))
+        assert calls == [8, 4]  # the jet and first_order
+        calls.clear()
+        ParamCurve.from_expressions("cos(s)", "sin(s)", "s", (0.0, 1.0))
+        assert calls == [3, 3, 3, 3]  # c, c1, c2, c3
+
+    PATHS = [("s", "2*s"), ("0.4*(1+s)^1.5", "exp(0.3*s)-sqrt(1+s)"),
+             ("s+0.2*tan(0.3*s)", "ln(2+s)*cosh(0.2*s)"), ("abs(s+1)^2", "sinh(0.5*s)")]
+
+    @staticmethod
+    def lane_by_lane(monkeypatch):
+        monkeypatch.setattr(_frames, "_compiled_columns", lambda fn, *columns: None)
+
+    @pytest.mark.parametrize("u_src,v_src", PATHS)
+    def test_chart_speed_columns_match_lanes(self, u_src, v_src, monkeypatch):
+        surface = darboux.torus(2.0, 0.5)
+        path = ChartPath.from_expressions(u_src, v_src, (0.0, 2.0))
+        assert path._first_order.columns(np.linspace(0.0, 2.0, 9)) is not None
+        by_columns = unit_speed_chart_curve(surface, path, 64).path.amap
+        self.lane_by_lane(monkeypatch)
+        by_lanes = unit_speed_chart_curve(surface, path, 64).path.amap
+        s = uniform_grid(0.0, by_lanes.length, 101)
+        assert by_columns.s_nodes.tobytes() == by_lanes.s_nodes.tobytes()
+        assert by_columns.t_of_s_many(s).tobytes() == by_lanes.t_of_s_many(s).tobytes()
+
+    @pytest.mark.parametrize("z_src", ["s*tan(0.3*s)", "0.3*s^1.5", "exp(0.2*s)-sqrt(1+s)"])
+    def test_space_curve_speed_columns_match_lanes(self, z_src, monkeypatch):
+        raw = ParamCurve.from_expressions("cos(s)", "sin(s)", z_src, (0.0, 3.0))
+        by_columns = resample_unit_speed(raw, 64).amap
+        self.lane_by_lane(monkeypatch)
+        by_lanes = resample_unit_speed(raw, 64).amap
+        s = uniform_grid(0.0, by_lanes.length, 101)
+        assert by_columns.s_nodes.tobytes() == by_lanes.s_nodes.tobytes()
+        assert by_columns.t_of_s_many(s).tobytes() == by_lanes.t_of_s_many(s).tobytes()
+
+    def test_declining_columns_fall_back_to_lanes(self):
+        # ln(2-s) fails on the lane s = 2.5: the columns decline and the
+        # lane path raises that lane's error
+        path = ChartPath.from_expressions("ln(2-s)", "s", (0.0, 0.1))
+        c = unit_speed_chart_curve(darboux.plane(), path, 8)
+        assert path._first_order.columns(np.array([0.5, 2.5])) is None
+        with pytest.raises(EvalDomainError, match="ln of nonpositive"):
+            c.path.amap.speed(np.array([0.5, 2.5]))

@@ -93,6 +93,15 @@ CASES = {
     "torus_oblique_closed_step2e-2.csv": [
         "trace-implicit", "--surface", "builtin:torus?R=2&r=0.5", "--axis", "1,0,0.2",
         "--angle", "50", "--seed", "2.5,0,0.1", "--length", "10", "--step", "2e-2"],
+    # a torus chart path whose first-order speed reads ^, exp and sqrt, the
+    # first evaluated lane by lane with Python's power and the others not
+    "torus_pow_exp_sqrt_frames.csv": [
+        "frames", "--surface", "builtin:torus?R=2&r=0.5", "--curve",
+        "param:u=0.4*(1+s)^1.5;v=exp(0.3*s)-sqrt(1+s)", "--samples", "40"],
+    # a space curve on the cylinder whose raw speed reads tan (lane by lane)
+    "cylinder_tan_space_classify.json": [
+        "classify", "--surface", "builtin:cylinder?r=1", "--curve",
+        "space:x=cos(s);y=sin(s);z=s*tan(0.3*s);s=0,3", "--samples", "40"],
 }
 
 

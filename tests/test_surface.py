@@ -198,6 +198,41 @@ class TestTangentsMany:
         su, sv = darboux.torus().tangents_many([], [])
         assert su.shape == sv.shape == (0, 3)
 
+    @staticmethod
+    def edge_lanes(surface):
+        """Lanes on the edges of the chart: wrapped several periods, on the
+        range ends (the sphere and ellipsoid pole margins among them), and
+        just outside a non-periodic range."""
+        (ulo, uhi), (vlo, vhi) = surface.u_range, surface.v_range
+        us, vs = [0.3, ulo, uhi], [0.2, vlo, vhi]
+        if surface.periodic_u:
+            us += [0.3 + 4 * math.pi, -0.3 - 6 * math.pi, uhi + 1e-9]
+        if surface.periodic_v:
+            vs += [0.2 + 4 * math.pi, vhi + 1e-9]
+        inside = [(u, v) for u in us for v in vs]
+        outside = [] if surface.periodic_v else [(0.3, math.nextafter(vhi, math.inf)),
+                                                  (0.3, math.nextafter(vlo, -math.inf))]
+        if not surface.periodic_u:
+            outside.append((math.nextafter(uhi, math.inf), 0.2))
+        return inside, outside
+
+    @pytest.mark.parametrize("surface", [twin[0] for twin in CATALOG_WITH_TWINS], ids=repr)
+    def test_catalog_array_tangents_on_the_chart_edges(self, surface):
+        # every catalog chart has array tangents (np.sin/np.cos, the jet's
+        # operations in its order), bit-equal to chart_point lane by lane
+        assert surface._tangents_fn is not None
+        inside, outside = self.edge_lanes(surface)
+        us, vs = [p[0] for p in inside], [p[1] for p in inside]
+        su, sv = surface.tangents_many(us, vs)
+        jets = [surface.chart_point(u, v)[0] for u, v in inside]
+        assert _bits(su) == _bits([j[1] for j in jets])
+        assert _bits(sv) == _bits([j[2] for j in jets])
+        # a lane outside the range: chart_point's error for it
+        for u, v in outside:
+            error, _ = _raised(surface.tangents_many, us + [u], vs + [v])
+            assert error == _raised(surface.chart_point, u, v)[0]
+            assert error[0] is OutOfDomainError
+
 
 class TestFirstForm:
     def test_sphere(self):

@@ -313,3 +313,31 @@ def test_implicit_columns_match_the_scalar_formulas(rows, d):
                     "unit_speed_residual": norm3(ti) - 1.0, "grad_dot_t": dot3(gi, ti)}
         for name, value in expected.items():
             assert _same_bits(cols[name][i], value), name
+
+
+# numpy functions that give math's bits on an (N,) float64 column (sin and
+# cos on this platform; abs and sqrt are exact or correctly rounded); tan,
+# exp, log and power are numpy SIMD kernels that differ on some lanes
+COLUMN_UFUNCS = {"abs", "sqrt", "sin", "cos"}
+
+
+def test_column_bindings_use_no_other_numpy_ufunc():
+    """expr.compile's column form binds the generated code's helper names
+    in ``_COLUMN_HELPERS``, with ``_lanes`` running a math function lane by
+    lane: no numpy ufunc there but the four above, in the source and in the
+    bound values."""
+    from darboux import expr
+
+    tree = ast.parse(Path(expr.__file__).read_text())
+    bindings = [node for node in tree.body
+                if isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "_COLUMN_HELPERS" for t in node.targets)
+                or isinstance(node, ast.FunctionDef) and node.name == "_lanes"]
+    assert len(bindings) == 2
+    names = {_dotted(node)[1] for binding in bindings for node in ast.walk(binding)
+             if isinstance(node, ast.Attribute) and _dotted(node)[:1] == ("np",)}
+    assert {name for name in names if isinstance(getattr(np, name), np.ufunc)} <= COLUMN_UFUNCS
+    bound = {value.__name__ for value in expr._COLUMN_HELPERS.values()
+             if isinstance(value, np.ufunc)}
+    assert bound == {"absolute", "sqrt", "sin", "cos"}
+    assert set(expr._COLUMN_HELPERS) == set(expr._HELPERS)
