@@ -270,10 +270,38 @@ class TheoremFunctions:
     c_const: float
 
 
-def _cumulative_integral(y, s):
-    from scipy.integrate import cumulative_simpson  # deferred: scipy is slow to import
+def _simpson_pieces(y, dx):
+    """scipy's _cumulative_simpson_unequal_intervals: the Simpson integral
+    over the first interval of each pair (dx[i], dx[i + 1])."""
+    x21, x32 = dx[:-1], dx[1:]
+    f1, f2, f3 = y[:-2], y[1:-1], y[2:]
+    x31 = x21 + x32
+    x21_x31 = x21 / x31
+    x21x21_x31x32 = x21_x31 * (x21 / x32)
+    coeff1 = 3 - x21_x31
+    coeff2 = 3 + x21x21_x31x32 + x21_x31
+    coeff3 = -x21x21_x31x32
+    return x21 / 6 * (coeff1 * f1 + coeff2 * f2 + coeff3 * f3)
 
-    return np.concatenate([[0.0], cumulative_simpson(y, x=s)])
+
+def _cumulative_integral(y, s):
+    """0 followed by scipy.integrate.cumulative_simpson(y, x=s), with its
+    bits: the unequal-interval Simpson pieces of the forward and of the
+    flipped pass, interleaved and summed by np.cumsum; below 3 samples the
+    cumulative trapezoid rule, as scipy falls back to."""
+    dx = s[1:] - s[:-1]
+    if len(y) < 3:
+        pieces = dx * (y[1:] + y[:-1]) / 2.0
+    else:
+        if (dx <= 0).any():
+            raise ValueError("Input x must be strictly increasing.")
+        forward = _simpson_pieces(y, dx)
+        backward = _simpson_pieces(y[::-1], dx[::-1])[::-1]
+        pieces = np.empty(len(dx))
+        pieces[:-1:2] = forward[::2]
+        pieces[1::2] = backward[::2]
+        pieces[-1] = backward[-1]
+    return np.concatenate([[0.0], np.cumsum(pieces)])
 
 
 def theorem_functions(c, grid=None, c_const: float = 1.0, family: str = "both",

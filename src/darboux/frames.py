@@ -817,6 +817,55 @@ def _clip(x: np.ndarray, lo, hi) -> np.ndarray:
     return np.where(hi < x, hi, x)
 
 
+def _pchip_end_slope(h0, h1, m0, m1):
+    """PchipInterpolator._edge_case on numpy scalars: the one-sided
+    three-point slope, zeroed or limited to 3 m0 to keep the shape."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+class _Pchip:
+    """scipy.interpolate.PchipInterpolator(x, y) for a strictly increasing
+    finite x, with its bits: the slopes of ``_find_derivatives`` and
+    ``_edge_case`` and the coefficients of ``CubicHermiteSpline``, in their
+    operations and order; a call evaluates as PPoly's compiled loop does.
+    Built without numpy warnings, where scipy warns on an overflowing slope."""
+
+    def __init__(self, x: np.ndarray, y: np.ndarray):
+        self.x = x
+        with np.errstate(all="ignore"):
+            h = x[1:] - x[:-1]
+            m = (y[1:] - y[:-1]) / h
+            if len(m) == 1:
+                d = np.concatenate([m, m])
+            else:
+                w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
+                sign = np.sign(m)
+                flat = (sign[1:] != sign[:-1]) | (m[1:] == 0) | (m[:-1] == 0)
+                inner = np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
+                d = np.concatenate([[_pchip_end_slope(h[0], h[1], m[0], m[1])], inner,
+                                    [_pchip_end_slope(h[-1], h[-2], m[-1], m[-2])]])
+            self.slopes = d
+            t = (d[:-1] + d[1:] - 2 * m) / h
+            self.c = (t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1])
+
+    def __call__(self, s: np.ndarray) -> np.ndarray:
+        """The interpolant at each lane of s: the interval x[i] <= s < x[i+1]
+        (the first or last one outside), its cubic in z = s - x[i] summed
+        from the constant term up, and nan on nan lanes."""
+        i = np.clip(np.searchsorted(self.x, s, side="right") - 1, 0, len(self.x) - 2)
+        c0, c1, c2, c3 = (c[i] for c in self.c)
+        with np.errstate(all="ignore"):
+            z = s - self.x[i]
+            zz = z * z
+            value = 0.0 + c3 + c2 * z + c1 * zz + c0 * (zz * z)
+        return np.where(np.isnan(s), np.nan, value)
+
+
 class ArclengthMap:
     """Invertible map between a raw parameter t and arclength s.
 
@@ -824,10 +873,12 @@ class ArclengthMap:
     each lane with the bits of a one-lane call.  Table built with adaptive
     Simpson (tol 1e-10) at n+1 uniform t-nodes, starting from the speeds
     already taken at the nodes and midpoints for the vanishing-speed check,
-    one speed call per recursion depth.  Inverted by monotone cubic (PCHIP)
-    interpolation and polished with up to three Newton steps against
-    locally Gauss-Legendre-integrated arclength, each lane stopping at its
-    own fixed point.
+    one speed call per recursion depth; a table whose arclengths are not
+    finite and strictly increasing raises ArclengthTableError.  Inverted by
+    monotone cubic (PCHIP) interpolation, ``_Pchip``, which reproduces the
+    arithmetic of scipy.interpolate.PchipInterpolator, and polished with up
+    to three Newton steps against locally Gauss-Legendre-integrated
+    arclength, each lane stopping at its own fixed point.
     """
 
     def __init__(self, speed: Callable, t_range: tuple[float, float], n: int,
@@ -847,9 +898,16 @@ class ArclengthMap:
             increments = self._increments_depth_first(tol, eps_speed)
         self.s_nodes = np.concatenate([[0.0], np.cumsum(increments)])
         self.length = float(self.s_nodes[-1])
-        from scipy.interpolate import PchipInterpolator  # deferred: scipy is slow to import
-
-        self._inverse = PchipInterpolator(self.s_nodes, self.t_nodes)
+        self._inverse = _Pchip(self.s_nodes, self.t_nodes)
+        # the tables PchipInterpolator refuses: nodes or slopes not finite,
+        # arclengths not strictly increasing
+        if not (np.isfinite(self.s_nodes).all() and np.isfinite(self.t_nodes).all()
+                and (self.s_nodes[1:] > self.s_nodes[:-1]).all()
+                and np.isfinite(self._inverse.slopes).all()):
+            raise ArclengthTableError(
+                f"arclength table for t in [{float(t0):g}, {float(t1):g}] cannot be inverted: "
+                "its arclengths are not finite and strictly increasing, or their slopes are "
+                "not finite (the range may be too short or too long for float arclengths)")
 
     def _increments_by_level(self, tol, eps_speed):
         nodes = self.t_nodes

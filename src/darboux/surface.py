@@ -347,9 +347,10 @@ class ParametricSurface:
     derivatives of frame scalars, each a 3-vector (a tuple of floats, the
     form the float kernels read, or an array).  The optional
     ``tangents_fn(u, v)`` takes (N,) arrays and returns (sigma_u, sigma_v)
-    as (N, 3) arrays with the bits of ``jet_fn``'s; without it
-    ``tangents_many`` evaluates the scalar jet once per lane.  Domain is a
-    rectangle with optional periodic wrapping per parameter.
+    as (N, 3) arrays with the bits of ``jet_fn``'s, or None to decline;
+    without it, or where it declines, ``tangents_many`` evaluates the
+    scalar jet once per lane.  Domain is a rectangle with optional
+    periodic wrapping per parameter.
     """
 
     def __init__(
@@ -430,10 +431,11 @@ class ParametricSurface:
             # the domain); such lanes are redone by chart_point below
             with np.errstate(all="ignore"):
                 uw, vw, outside = self._wrap_many(u, v)
-                su, sv = self._tangents_fn(uw, vw)
-                bad = outside | (norm3_rows(cross3_rows(su, sv)) <= self.eps_reg)
-            if not bad.any():
-                return su, sv
+                tangents = self._tangents_fn(uw, vw)
+                bad = tangents is None or (
+                    outside | (norm3_rows(cross3_rows(*tangents)) <= self.eps_reg)).any()
+            if not bad:
+                return tangents
         # lane by lane: chart_point raises the first failing lane's own error
         jets = [self.chart_point(a, b)[0] for a, b in zip(u.tolist(), v.tolist())]
         return (np.array([j[1] for j in jets], dtype=float).reshape(-1, 3),
@@ -877,15 +879,21 @@ def parametric_from_expressions(
         return e
 
     def compiled(orders):
-        fn = _expr.compile([d(e, *order) for order in orders for e in comps], ["u", "v"])
-        return lambda u, v: _triples(fn(u, v))
+        return _expr.compile([d(e, *order) for order in orders for e in comps], ["u", "v"])
 
-    jet = compiled(["", "u", "v", "uu", "uv", "vv"])
-    jet3 = compiled(["uuu", "uuv", "uvv", "vvv"])
+    jet_fn = compiled(["", "u", "v", "uu", "uv", "vv"])
+    jet3_fn = compiled(["uuu", "uuv", "uvv", "vvv"])
+
+    def tangents(u, v):
+        # sigma_u and sigma_v from one pass of the whole jet's columns, which
+        # decline wherever a lane of the jet would raise or not be finite
+        jet = jet_fn.columns(u, v)
+        return None if jet is None else (_rows(u, *jet[3:6]), _rows(u, *jet[6:9]))
 
     return ParametricSurface(
-        name, jet, u_range, v_range,
-        periodic_u=periodic_u, periodic_v=periodic_v, jet3_fn=jet3, eps_reg=eps_reg,
+        name, lambda u, v: _triples(jet_fn(u, v)), u_range, v_range,
+        periodic_u=periodic_u, periodic_v=periodic_v,
+        jet3_fn=lambda u, v: _triples(jet3_fn(u, v)), tangents_fn=tangents, eps_reg=eps_reg,
     )
 
 

@@ -5,6 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import cumulative_simpson
 
 import darboux
 from conftest import (
@@ -18,6 +21,7 @@ from conftest import (
 )
 from darboux.classify import (
     CharacterizationSeries,
+    _cumulative_integral,
     Tolerances,
     classify_report,
     is_constant,
@@ -554,3 +558,27 @@ def test_cross_check_with_hypotheses_met(name):
     assert detail["mean"] == pytest.approx(mean, abs=1e-12)
     assert detail["max_abs_dev"] <= 1e-13
     assert detail["tol"] == 1e-6
+
+
+@st.composite
+def _simpson_samples(draw):
+    """(y, s): n = 2 to 5 (the trapezoid fallback below 3) or an odd or even
+    n up to 41, strictly increasing unequal s, y with nan and inf lanes."""
+    n = draw(st.sampled_from([2, 3, 4, 5]) | st.integers(6, 41))
+    gaps = draw(st.lists(st.floats(1e-3, 10.0), min_size=n - 1, max_size=n - 1))
+    s = draw(st.floats(-10.0, 10.0)) + np.concatenate([[0.0], np.cumsum(gaps)])
+    values = st.floats(-1e6, 1e6) | st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -0.0])
+    y = np.array(draw(st.lists(values, min_size=n, max_size=n)))
+    return y, s
+
+
+@settings(max_examples=300, deadline=None)
+@given(samples=_simpson_samples())
+def test_cumulative_integral_matches_scipy_bits(samples):
+    """classify's cumulative Simpson is scipy's cumulative_simpson(y, x=s)
+    after a leading 0, bit for bit, nan and inf lanes included."""
+    y, s = samples
+    with np.errstate(all="ignore"):
+        reference = np.concatenate([[0.0], cumulative_simpson(y, x=s)])
+        port = _cumulative_integral(y, s)
+    assert port.view(np.int64).tolist() == reference.view(np.int64).tolist()

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import jsonschema
 import numpy as np
@@ -450,17 +451,71 @@ def test_curve_commands_never_trace_back(argv, tmp_path_factory):
     assert "Traceback" not in err.getvalue()
 
 
-def test_import_loads_no_scipy():
-    """scipy is imported by the functions that use it, so starting the CLI
-    does not pay for it."""
+# A parameter range so short that the arclength increments underflow to 0
+TINY_RANGE_ARGV = ["frames", "--surface", "builtin:plane", "--curve",
+                   "param:u=s;v=s;s=0,1e-320", "--samples", "5"]
+
+
+def test_tiny_parameter_range_exits_2_with_a_typed_error(tmp_path):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(TINY_RANGE_ARGV + ["--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "arclength table for t in [0, 9.99989e-321] cannot be inverted" in err.getvalue()
+    assert "Traceback" not in err.getvalue()
+
+
+def test_subnormal_parameter_range_writes_no_stderr(tmp_path):
+    """s = 0..1e-310 builds a table whose PCHIP coefficients overflow: no
+    numpy warning reaches stderr, and the run still exits 0."""
+    argv = ["frames", "--surface", "builtin:plane", "--curve", "param:u=s;v=s;s=0,1e-310",
+            "--samples", "5", "--out", str(tmp_path / "out.csv")]
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        assert main(argv) == 0
+    assert err.getvalue() == ""
+    assert len((tmp_path / "out.csv").read_text().splitlines()) == 6
+
+
+def _fresh_interpreter(probe: str) -> str:
+    """stdout of ``python -c probe`` with this checkout's package first."""
     src = os.path.dirname(os.path.dirname(darboux.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    return subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, check=True, timeout=120).stdout
+
+
+def test_import_loads_no_scipy():
+    """scipy is imported by the functions that use it, so starting the CLI
+    does not pay for it."""
     probe = ("import sys, darboux, darboux.cli; "
              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    assert _fresh_interpreter(probe).strip() == "[]"
+
+
+def test_classify_and_frames_load_no_scipy_interpolate_or_integrate(tmp_path):
+    """classify on a chart path and on a space curve, and frames, invert
+    arclength and integrate with numpy alone: scipy's interpolate and
+    integrate never load."""
+    calls = [
+        ["classify", "--surface", "builtin:cylinder?r=1", "--curve", "param:u=s;v=0.9*s",
+         "--samples", "50"],
+        ["classify", "--surface", "builtin:sphere?r=1", "--curve",
+         "space:x=cos(s)*cos(0.4);y=sin(s)*cos(0.4);z=sin(0.4)", "--samples", "30"],
+        ["frames", "--surface", "builtin:torus?R=2&r=0.5", "--curve", "param:u=s;v=2*s",
+         "--samples", "50"],
+    ]
+    probe = "\n".join([
+        "import sys",
+        "from darboux.cli import main",
+        *(f"assert main({argv + ['--out', str(tmp_path / f'out{k}')]!r}) == 0"
+          for k, argv in enumerate(calls)),
+        "print(sorted(m for m in sys.modules",
+        "             if m.startswith(('scipy.interpolate', 'scipy.integrate'))))",
+    ])
+    assert _fresh_interpreter(probe).strip() == "[]"
 
 
 class TestCatalog:

@@ -681,6 +681,74 @@ class TestArclengthErrorParity:
             ArclengthMap(speed, (0.0, 1.0), 8)
 
 
+    def test_range_below_float_arclengths_raises_a_typed_error(self):
+        # the increments underflow to 0: the table is not strictly
+        # increasing, and the error names the range
+        with pytest.raises(ArclengthTableError, match=r"t in \[0, 9\.88131e-323\]"):
+            ArclengthMap(lambda ts: np.full(len(ts), SQRT2), (0.0, 1e-322), 8)
+
+    def test_overflowing_arclength_raises_a_typed_error(self):
+        # each increment is 1.25e308: the second node's arclength is inf
+        with pytest.raises(ArclengthTableError, match="cannot be inverted"), \
+                np.errstate(over="ignore"):
+            ArclengthMap(lambda ts: np.full(len(ts), 1e300), (0.0, 1e9), 8)
+
+
+def _bit_list(values):
+    return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
+
+
+@st.composite
+def _pchip_table(draw):
+    """A strictly increasing table of n >= 2 nodes at a scale from 1e-300
+    to 1e300, y with plateaus, sign changes and monotone runs, and queries
+    at the knots, at and beyond both ends, between knots and on nan lanes."""
+    n = draw(st.integers(2, 40))
+    scale = 10.0 ** draw(st.integers(-300, 300))
+    gaps = draw(st.lists(st.floats(0.01, 100.0), min_size=n - 1, max_size=n - 1))
+    x = (draw(st.floats(-100.0, 100.0)) + np.concatenate([[0.0], np.cumsum(gaps)])) * scale
+    # y on x's scale (moderate slopes) or on its own (slopes may overflow)
+    k = round(math.log10(scale))
+    y_scale = 10.0 ** draw(st.integers(max(k - 5, -300), min(k + 5, 300))
+                           | st.integers(-300, 300))
+    levels = st.floats(-100.0, 100.0) | st.sampled_from([0.0, -0.0, 1.0])
+    y = np.array(draw(st.lists(levels, min_size=n, max_size=n))) * y_scale
+    if draw(st.booleans()):
+        y = np.sort(y)
+    fractions = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n - 1, max_size=n - 1)))
+    queries = np.concatenate([
+        x, x[:-1] + fractions * (x[1:] - x[:-1]),
+        [x[0] - scale, x[-1] + scale, np.nan, -np.nan, np.inf, -np.inf]])
+    return x, y, queries
+
+
+class TestPchipPort:
+    """frames._Pchip against scipy's PchipInterpolator, which it replaces:
+    the same bits on every query lane, and non-finite slopes exactly where
+    scipy refuses the table."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(table=_pchip_table())
+    def test_bits_match_scipy(self, table):
+        x, y, queries = table
+        assert (x[1:] > x[:-1]).all() and np.isfinite(x).all()
+        port = _frames._Pchip(x, y)
+        try:
+            with np.errstate(all="ignore"):
+                reference = PchipInterpolator(x, y)
+        except ValueError as exc:
+            assert "finite" in str(exc)
+            assert not np.isfinite(port.slopes).all()
+            return
+        assert np.isfinite(port.slopes).all()
+        assert _bit_list(port(queries)) == _bit_list(reference(queries))
+
+    def test_two_nodes_are_linear(self):
+        x, y = np.array([1.0, 3.0]), np.array([2.0, -2.0])
+        q = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
+        assert _bit_list(_frames._Pchip(x, y)(q)) == _bit_list(PchipInterpolator(x, y)(q))
+
+
 class TestScaledArclength:
     """Arclengths far above the absolute Simpson tolerance: both table
     builds stop splitting where the error estimate is rounding noise of the

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import darboux
 from darboux.errors import (
     DarbouxError,
+    EvalDomainError,
     OutOfDomainError,
     ProjectionError,
     RegularityError,
@@ -61,7 +62,7 @@ def regular_points(surface, n=30):
     for u, v in interior_points(surface, 4 * n):
         try:
             surface.chart_jet(u, v)
-        except (RegularityError, OutOfDomainError):
+        except (RegularityError, OutOfDomainError, EvalDomainError):
             continue
         pts.append((u, v))
         if len(pts) == n:
@@ -138,6 +139,23 @@ class TestChartJet:
 # cos(v) <= 0 (array tangents).
 TANGENT_CHARTS = [twin[0] for twin in CATALOG_WITH_TWINS] + [
     darboux.sphere(1.2e-5), darboux.torus(2.0, 0.5, eps_reg=1.0)]
+
+# Charts from expressions, whose tangents come from one pass of the compiled
+# jet's columns: a periodic torus; a cap whose jet fails (sqrt of a negative)
+# off the unit disc; and a chart whose 1e300*u*u overflows to an infinite
+# float without raising for |u| above about 1.8e8.  The columns decline on
+# the last two and on nan lanes, and tangents_many then runs chart_point.
+PARAM_TANGENT_CHARTS = [
+    parametric_from_expressions(
+        "(2+0.5*cos(v))*cos(u)", "(2+0.5*cos(v))*sin(u)", "0.5*sin(v)",
+        (-math.pi, math.pi), (-math.pi, math.pi), periodic_u=True, periodic_v=True,
+        name="torus_expr"),
+    parametric_from_expressions("u", "v", "sqrt(1-u^2-v^2)+u*v", (-0.9, 0.9), (-0.9, 0.9),
+                                name="cap_expr"),
+    parametric_from_expressions("u", "v", "1e300*u*u+tan(v)", (-1e150, 1e150), (-1.0, 1.0),
+                                name="overflow_expr"),
+]
+TANGENT_CHARTS += PARAM_TANGENT_CHARTS
 
 
 def _bits(values):
@@ -232,6 +250,44 @@ class TestTangentsMany:
             error, _ = _raised(surface.tangents_many, us + [u], vs + [v])
             assert error == _raised(surface.chart_point, u, v)[0]
             assert error[0] is OutOfDomainError
+
+    @pytest.mark.parametrize("surface", PARAM_TANGENT_CHARTS, ids=repr)
+    def test_expression_charts_read_the_jet_columns(self, surface):
+        """A chart from expressions takes sigma_u and sigma_v from its jet's
+        columns; where they decline, tangents_many evaluates chart_point
+        lane by lane and returns its values or raises its error."""
+        us, vs = [0.3, 0.1, -0.2], [0.2, -0.4, 0.5]
+        assert surface._tangents_fn(np.array(us), np.array(vs)) is not None
+        inside, outside = self.edge_lanes(surface)
+        for lanes in (list(zip(us, vs)), inside, inside + outside[:1],
+                      [(0.3, math.nan)] + inside, [(math.nan, 0.2)]):
+            lu, lv = [p[0] for p in lanes], [p[1] for p in lanes]
+            error, many = _raised(surface.tangents_many, lu, lv)
+            ref_error, ref = _raised(self.scalar_tangents, surface, lu, lv)
+            assert error == ref_error
+            if ref is not None:
+                assert _bits(many[0]) == _bits(ref[0])
+                assert _bits(many[1]) == _bits(ref[1])
+
+    def test_declining_columns_keep_chart_point(self):
+        torus, cap, overflow = PARAM_TANGENT_CHARTS
+        # sqrt of a negative: the columns decline, chart_point's error
+        assert cap._tangents_fn(np.array([0.3, 0.8]), np.array([0.2, 0.8])) is None
+        error, _ = _raised(cap.tangents_many, [0.3, 0.8], [0.2, 0.8])
+        assert error == _raised(cap.chart_point, 0.8, 0.8)[0]
+        assert error[0] is EvalDomainError
+        # an infinite jet with no error: the columns decline, chart_point's values
+        us, vs = [0.3, 1e149], [0.2, -0.5]
+        assert overflow._tangents_fn(np.array(us), np.array(vs)) is None
+        su, sv = overflow.tangents_many(us, vs)
+        jets = [overflow.chart_point(u, v)[0] for u, v in zip(us, vs)]
+        assert _bits(su) == _bits([j[1] for j in jets])
+        assert _bits(sv) == _bits([j[2] for j in jets])
+        assert math.isinf(su[1, 2])
+        # a nan lane: the columns decline, chart_point's nan lane
+        su, sv = torus.tangents_many([0.3, math.nan], [0.2, 0.2])
+        assert _bits(su) == _bits([torus.chart_point(u, 0.2)[0][1] for u in (0.3, math.nan)])
+        assert np.isnan(su[1, :2]).all()
 
 
 class TestFirstForm:

@@ -225,6 +225,30 @@ def test_no_blas_products_in_the_package():
     assert found == []
 
 
+def test_scipy_only_in_from_polyline():
+    """The one scipy import in the package is the deferred CubicSpline of
+    UnitSpeedCurve.from_polyline (its spline solve goes through LAPACK, so a
+    numpy port would not have its bits).  The arclength inverse and the
+    cumulative Simpson integral are numpy ports, so classify and frames
+    never pay for importing scipy."""
+    found = []
+    for path in sorted(Path(darboux.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m.split(".")[0] == "scipy" for m in modules):
+                inside = [f.name for f in functions if f.lineno <= node.lineno <= f.end_lineno]
+                names = [alias.name for alias in getattr(node, "names", [])]
+                found.append((path.name, inside, modules, names))
+    assert found == [("frames.py", ["from_polyline"], ["scipy.interpolate"], ["CubicSpline"])]
+
+
 POWER_CALLS = {("np", "power"), ("np", "float_power")}
 
 
