@@ -31,8 +31,7 @@ from .frames import (
     EPS_KAPPA_DEFAULT,
     CurveOnSurface,
     FrameData,
-    _curve_jets,
-    _frenet,
+    _frenet_columns,
     deriv_uniform,
     sample_frames,
 )
@@ -238,18 +237,11 @@ def slant_helix_series(c, grid, eps_kappa: float = EPS_KAPPA_DEFAULT) -> Charact
     """Slant-helix measure along a curve; constant iff the principal normal
     keeps a constant angle with a fixed direction."""
     grid = np.asarray(grid, dtype=float)
-    kappa, tau = _kappa_tau(c, grid, eps_kappa)
+    *_, kappa, tau = _frenet_columns(c, grid, eps_kappa)
     series = slant_series_from_scalars(grid, kappa, tau)
     if isinstance(c, CurveOnSurface) and not c.analytic:
         series.mask[:2] = series.mask[-2:] = False
     return series
-
-
-def _kappa_tau(c, grid, eps_kappa):
-    """(kappa, tau) of the Frenet frame at each s of grid, the jets read in
-    one batch."""
-    rows = [_frenet(jets, s, eps_kappa)[3:] for s, jets in _curve_jets(c, grid)]
-    return np.array(rows, dtype=float).reshape(len(grid), 2).T
 
 
 # ---------------------------------------------------------------------------
@@ -509,14 +501,10 @@ def rectifying_check(c, grid, tol: float = 1e-6, eps: float = 1e-9,
     """Rectifying test for a curve: <gamma, N> residual series plus the
     linear fit of tau/kappa."""
     grid = np.asarray(grid, dtype=float)
-    rows = []
-    for s, jets in _curve_jets(c, grid):
-        _, N, _, kappa, tau = _frenet(jets, s, eps_kappa)
-        rows.append((kappa, tau, dot3(jets[0], N)))
-    kappa, tau, dot_n = np.array(rows, dtype=float).reshape(len(grid), 3).T
+    gamma, _, N, _, kappa, tau = _frenet_columns(c, grid, eps_kappa)
     check = rectifying_from_scalars(grid, kappa, tau, tol=tol, eps=eps)
     check.gamma_dot_N = CharacterizationSeries(
-        grid, dot_n, np.ones(len(grid), dtype=bool), "gamma_dot_N")
+        grid, dot3_rows(gamma, N), np.ones(len(grid), dtype=bool), "gamma_dot_N")
     return check
 
 

@@ -21,20 +21,23 @@ the Newton polish runs on all samples of a grid at once.  Each lane keeps
 the bits of a point-by-point evaluation: the operations are elementwise in
 the same order, and the sums of a row (the |gamma'| dot product and the
 Gauss-Legendre sum) are accumulated left to right as ``surface.dot3`` sums.
-A batch that fails is redone point by point, so errors are the ones a
-point-by-point pass raises first.  A table whose Simpson level outgrows
-its lane cap while every speed is finite (a pole of the path) raises
-ArclengthTableError, naming the interval, instead.
+
+Every batched path keeps one error rule: it records which lanes failed
+and raises the failure a point-by-point pass meets first, with that pass's
+type and message.  First is grid order on a grid, and in the arclength
+table the nodes, then the midpoints, then the pre-order of the depth-first
+Simpson recursion.  A table whose Simpson level outgrows its lane cap (a
+pole of the path) raises ArclengthTableError, naming the interval, instead.
 
 The speed reads the path first: for paths and curves from expressions,
 one pass of the compiled function's columns (``expr.compile``'s
 ``fn.columns``, the same generated code on (N,) columns), else lane by
-lane.  Where the columns decline, the lane pass runs and raises the first
-failing lane's error.  ``ChartPath.from_expressions`` compiles two
-functions, its jet (in the order jet reads it) and the first-order
-(u, v, u', v') the speed reads, so a path whose higher derivatives fail
-where its first-order ones do not (u = s^2.5 at s = 0) still has a speed;
-``ParamCurve.from_expressions`` compiles c, c1, c2 and c3 once each.
+lane, also where the columns decline.  ``ChartPath.from_expressions``
+compiles two functions, its jet (in the order jet reads it) and the
+first-order (u, v, u', v') the speed reads, so a path whose higher
+derivatives fail where its first-order ones do not (u = s^2.5 at s = 0)
+still has a speed; ``ParamCurve.from_expressions`` compiles c, c1, c2 and
+c3 once each.
 
 The per-point functions (``darboux``, ``frenet``, ``gamma_jet``) run the
 float kernels of ``surface`` on tuples of Python floats, with one bivariate
@@ -47,13 +50,13 @@ The surface is still evaluated once per sample in Python (path or curve
 jets, chart or level point), read into columns in one flat pass; all that
 follows, from the chain rule through t(s) to tau_g', runs on the columns.
 
-Errors follow one rule: a lane is flagged where its evaluation raised (all
-lanes where the batched inversion did), where it fails a check (unit
-speed, on the surface) or where a value it computed is not finite, which
-is how a quotient by zero or an overflowing power, both errors on floats,
-show on a column.  The flagged lanes are evaluated again in grid order on
-floats: the first that raises gives the error a point-by-point pass meets
-first, and the others overwrite their own lane.
+On the columns of the frame sampler and of the Frenet pass a lane fails
+where its evaluation raised (all lanes where the batched inversion did),
+where it fails a check (unit speed, on the surface, kappa > eps) or where
+a value it computed is not finite, which is how a quotient by zero or an
+overflowing power, both errors on floats, show on a column.  ``_redo``
+evaluates those lanes again in grid order on floats: the first that
+raises gives the error, and the others overwrite their own lane.
 """
 
 from __future__ import annotations
@@ -87,7 +90,6 @@ from .surface import (
     _normal_partials,
     _normal_second_partials,
     _pow,
-    _triples,
     dot3,
     norm3,
     norm3_rows,
@@ -354,8 +356,10 @@ def _chart_sample_columns(path, surface: ParametricSurface, xs, bad):
     return _lane_columns(lambda x: _chart_sample(path, surface, x), xs, _CHART_SAMPLE, bad)
 
 
-def _jet_entry(order: int, axis: int):
-    """Accessor reading entry [order][axis] of a path's jet at s."""
+def _jet_entry(order: int, axis: int | None = None):
+    """Accessor reading entry [order], or [order][axis], of a jet at s."""
+    if axis is None:
+        return lambda curve, s: curve.jet(s)[order]
     return lambda path, s: path.jet(s)[order][axis]
 
 
@@ -508,20 +512,23 @@ def _weighted_sum(coefs, vectors) -> tuple:
 def frenet(curve, s: float, eps_kappa: float = EPS_KAPPA_DEFAULT) -> FrenetFrame:
     """Frenet frame at s: T = gamma', kappa = |gamma''|, N = gamma''/kappa,
     B = T x N, tau = (gamma' x gamma'').gamma''' / kappa^2."""
-    T, N, B, kappa, tau = _frenet(curve._jet_of(s), s, eps_kappa)
+    T, N, B, kappa, tau, _ = _frenet(curve._jet_of(s), s, eps_kappa)
     return FrenetFrame(np.array(T), np.array(N), np.array(B), kappa, tau)
 
 
 def _frenet(jets, s, eps_kappa) -> tuple:
-    """frenet's (T, N, B, kappa, tau) from the float curve jet at s."""
+    """frenet's (T, N, B, kappa, tau) and the undefined mask from the curve
+    jet at s.  On floats kappa <= eps_kappa raises FrenetUndefinedError (the
+    mask is then False); on columns the mask flags those lanes."""
     _, d1, d2, d3 = jets
     kappa = norm3(d2)
-    if kappa <= eps_kappa:
+    undefined = kappa <= eps_kappa
+    if undefined is True:
         raise FrenetUndefinedError(
             f"Frenet frame undefined: curvature {kappa:g} <= {eps_kappa:g} at s={float(s):g}"
         )
     N = _div3(d2, kappa)
-    return d1, N, _cross(d1, N), kappa, _triple(d1, d2, d3) / kappa**2
+    return d1, N, _cross(d1, N), kappa, _triple(d1, d2, d3) / _pow(kappa, 2), undefined
 
 
 def _triple(a, b, c) -> float:
@@ -529,19 +536,35 @@ def _triple(a, b, c) -> float:
     return dot3(_cross(a, b), c)
 
 
-def _curve_jets(curve, grid):
-    """(s, float curve jet) at each s of grid, in grid order, read from one
-    column pass; a flagged lane, or one whose jet is not finite, is
-    evaluated again on its own when its turn comes.  A generator: a caller
-    that checks each jet before taking the next keeps the errors of a
-    point-by-point pass."""
+def _frenet_columns(curve, grid, eps_kappa) -> list:
+    """[gamma, T, N, B, kappa, tau] at each s of grid, vectors (N, 3): _frenet
+    on the jet columns, the lanes it flags (an evaluation that raised, kappa
+    <= eps_kappa, a value not finite) evaluated again by _redo."""
     grid = np.asarray(grid, dtype=float)
     with np.errstate(all="ignore"):
         jets, bad = curve._jet_columns(grid)
-    flat = np.array([x for vector in jets for x in vector]).reshape(12, len(grid))
-    bad |= ~np.isfinite(flat).all(axis=0)
-    for s, redo, lane in zip(grid, bad.tolist(), flat.T.tolist()):
-        yield s, curve._jet_of(s) if redo else _triples(lane)
+        *values, undefined = _frenet(jets, grid, eps_kappa)
+
+        def row(i):
+            jet = curve._jet_of(grid[i])
+            return jet[0], *_frenet(jet, grid[i], eps_kappa)[:-1]
+
+        return _redo((jets[0], *values), bad | undefined, row)
+
+
+def _redo(values, bad, row, unchecked=()) -> list:
+    """values as arrays (3-vectors of columns stacked to (N, 3)), the lanes
+    flagged in bad or not finite in a value outside unchecked evaluated
+    again on floats, in order: row(i) raises lane i's error (the first a
+    point-by-point pass meets) or gives its values, written over the lane."""
+    columns = [np.column_stack(x) if isinstance(x, tuple) else x for x in values]
+    for k, x in enumerate(columns):
+        if k not in unchecked:
+            bad = bad | ~np.isfinite(x.reshape(len(bad), -1)).all(axis=1)
+    for i in np.flatnonzero(bad).tolist():
+        for column, value in zip(columns, row(i)):
+            column[i] = value
+    return columns
 
 
 def darboux(c: CurveOnSurface, s: float) -> DarbouxFrame:
@@ -635,29 +658,19 @@ def sample_frames(c: CurveOnSurface, grid: np.ndarray,
     One pass of the frame kernels over the (N,) columns of the grid's
     samples gives every column of FrameData.  The lanes it flags (an
     evaluation that raised, a failed check, a value that is not finite)
-    are evaluated again in grid order on floats: the first one that raises
-    gives the error a point-by-point pass meets first, and the others
-    overwrite their own lane."""
+    are evaluated again in grid order by _redo."""
     grid = np.asarray(grid, dtype=float)
     _require_uniform(grid)
     with np.errstate(all="ignore"):
         sample, bad = c._sample_columns(grid)
         values, kap2, off = _frame_values(c, grid, sample, eps_kappa)
-        columns = [np.column_stack(x) if isinstance(x, tuple) else x for x in values]
-        gam, T, V, U, kg, kn, tg, dkg, dkn, tau, accel, dtg = columns
-        # tau is nan wherever kappa <= eps_kappa, and so is tau_g' on space
-        # curves; every other value of a lane that raises on floats is not
-        # finite on the columns
-        finite = [gam, T, V, U, kg, kn, tg, dkg, dkn, accel, kap2]
-        if c.kind == "parametric":
-            finite.append(dtg)
-        bad |= off
-        for x in finite:
-            bad |= ~np.isfinite(x.reshape(len(grid), -1)).all(axis=1)
-        for i in np.flatnonzero(bad).tolist():
-            row, _, _ = _frame_values(c, grid[i], c._sample(grid[i]), eps_kappa)
-            for column, value in zip(columns, row):
-                column[i] = value
+        # tau (9) is nan wherever kappa <= eps_kappa, and so is tau_g' (11) on
+        # space curves; every other value of a lane that raises on floats is
+        # not finite on the columns
+        gam, T, V, U, kg, kn, tg, dkg, dkn, tau, accel, dtg = _redo(
+            values, bad | off | ~np.isfinite(kap2),
+            lambda i: _frame_values(c, grid[i], c._sample(grid[i]), eps_kappa)[0],
+            unchecked=(9,) if c.kind == "parametric" else (9, 11))
     if c.kind == "implicit":
         dtg = deriv_uniform(tg, grid[1] - grid[0])
     return FrameData(grid, gam, T, V, U, kg, kn, tg, dkg, dkn, dtg, np.hypot(kg, kn), tau,
@@ -725,60 +738,84 @@ def normal_angle_series(c: CurveOnSurface, grid: np.ndarray,
 # noise, which splitting does not shrink, and on arclengths far above the
 # absolute tolerance (curves scaled to 1e60) it would split to full depth.
 _SIMPSON_ROUNDING = 8.0 * 2.0**-52
-
-
-def _adaptive_simpson(f, a, b, fa, fm, fb, whole, tol, depth):
-    """Adaptive Simpson on [a, b] from f at a, the midpoint and b and the
-    Simpson estimate `whole` built from them."""
-    m = 0.5 * (a + b)
-    lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-    flm, frm = f(lm), f(rm)
-    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    err = left + right - whole
-    if depth <= 0 or abs(err) <= 15.0 * tol:
-        return left + right + err / 15.0
-    if not math.isfinite(err):
-        # a nan or infinite estimate would split down to full depth
-        raise DarbouxError(f"speed not finite for t in [{float(a):g}, {float(b):g}]")
-    if abs(err) <= _SIMPSON_ROUNDING * abs(whole):
-        return left + right + err / 15.0
-    half = 0.5 * tol
-    return (_adaptive_simpson(f, a, m, fa, flm, fm, left, half, depth - 1)
-            + _adaptive_simpson(f, m, b, fm, frm, fb, right, half, depth - 1))
-
+# Or once it is a few dozen ulps wide: at a kink of the speed, splitting on
+# would land a point on the kink, where the path has no derivative.
+_SIMPSON_WIDTH = 2.0**-46
 
 # Lanes one level of the breadth-first Simpson may hold: a table that needs
-# more, on finite speeds, raises ArclengthTableError (memory and time stay
-# bounded where the speed blows up, as near a pole of tan).
+# more raises ArclengthTableError (memory and time stay bounded where the
+# speed blows up, as near a pole of tan).
 _MAX_SIMPSON_LANES = 1 << 16
 
 
-def _adaptive_simpson_many(f_many, a, b, fa, fm, fb, whole, tol, depth):
-    """_adaptive_simpson on each interval [a_i, b_i], breadth first: the
-    intervals at one recursion depth evaluate f in one array call, and the
-    results are summed back pair by pair as the recursion sums them, so each
-    value has the recursion's bits.  Raises ArithmeticError if a lane would
-    split on a non-finite error estimate, and ArclengthTableError, naming
-    the span of the splitting intervals, if a level of finite estimates
-    outgrows the lane cap."""
-    levels = []
+def _speeds(speed, ts):
+    """(speed at each lane of ts, {lane: error}): one call for all lanes,
+    or, where that call raises, one call per lane, a lane that raises
+    keeping its own error and reading nan."""
+    try:
+        return speed(ts), {}
+    except _EVALUATION_ERRORS:
+        values, errors = np.full(len(ts), np.nan), {}
+    for i in range(len(ts)):
+        try:
+            values[i] = speed(ts[i:i + 1])[0]
+        except _EVALUATION_ERRORS as exc:
+            errors[i] = exc
+    return values, errors
+
+
+def _preorder(levels, count):
+    """(table interval, path from it as a binary integer, left 0 and right 1)
+    of the count lanes after levels; sorted by both, they are in pre-order."""
+    lanes, path = np.arange(count), np.zeros(count, dtype=np.int64)
+    for bit, (split, _) in enumerate(reversed(levels)):
+        right = lanes >= len(split)
+        path |= right.astype(np.int64) << bit
+        lanes = split[lanes - len(split) * right]
+    return lanes, path
+
+
+def _adaptive_simpson_many(speed, a, b, fa, fm, fb, whole, tol, depth):
+    """Adaptive Simpson on each [a_i, b_i], breadth first: one speed call per
+    recursion depth, the values summed back pair by pair as the depth-first
+    recursion sums them, with its bits.  A lane fails where its speed raised
+    (at lm, then rm) or where it would split on an estimate that is not
+    finite, and then does not split; once one has failed, only lanes before
+    it in pre-order split on (so a later failure comes before it).  The
+    failure recorded last is raised after the last level, and a level beyond
+    the lane cap raises ArclengthTableError."""
+    levels, first = [], None  # first: (interval, path, level, error)
     while len(a):
+        count = len(a)
         m = 0.5 * (a + b)
-        f_new = f_many(np.concatenate([0.5 * (a + m), 0.5 * (m + b)]))
-        flm, frm = f_new[:len(a)], f_new[len(a):]
+        f_new, errors = _speeds(speed, np.concatenate([0.5 * (a + m), 0.5 * (m + b)]))
+        flm, frm = f_new[:count], f_new[count:]
         left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
         right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
         err = left + right - whole
-        # _adaptive_simpson's tests in its order: within tol, not finite
-        # (split, then raise below), within rounding of whole
-        abs_err = np.abs(err)
-        settled = (abs_err <= 15.0 * tol) | (np.isfinite(err)
-                                            & (abs_err <= _SIMPSON_ROUNDING * np.abs(whole)))
-        split = np.flatnonzero(~settled) if depth > 0 else np.empty(0, dtype=int)
+        # the recursion's tests in its order: within tol (or at depth 0), not
+        # finite (a failure), within rounding of whole or narrow
+        abs_err, finite = np.abs(err), np.isfinite(err)
+        settled = (abs_err <= 15.0 * tol) | (finite & (
+            (abs_err <= _SIMPSON_ROUNDING * np.abs(whole))
+            | (b - a <= _SIMPSON_WIDTH * np.maximum(np.abs(a), np.abs(b)))))
+        split = ~settled if depth > 0 else np.zeros(count, dtype=bool)
+        failed = split & ~finite
+        failed[[i % count for i in errors]] = True
+        split &= ~failed
+        if first is not None or failed.any():
+            interval, path = _preorder(levels, count)
+            if failed.any():
+                lanes = np.flatnonzero(failed)
+                j = int(lanes[np.lexsort((path[lanes], interval[lanes]))[0]])
+                error = errors.get(j) or errors.get(j + count) or DarbouxError(
+                    f"speed not finite for t in [{float(a[j]):g}, {float(b[j]):g}]")
+                first = (interval[j], path[j], len(levels), error)
+            k, p, level, _ = first
+            p <<= len(levels) - level
+            split &= (interval < k) | ((interval == k) & (path < p))
+        split = np.flatnonzero(split)
         levels.append((split, left + right + err / 15.0))
-        if not np.isfinite(err[split]).all():
-            raise ArithmeticError("breadth-first Simpson cannot finish this table")
         if 2 * len(split) > _MAX_SIMPSON_LANES:
             raise ArclengthTableError(
                 f"arclength table does not settle: {len(split)} intervals of t in "
@@ -791,6 +828,8 @@ def _adaptive_simpson_many(f_many, a, b, fa, fm, fb, whole, tol, depth):
         whole = np.concatenate([left[split], right[split]])
         tol = 0.5 * tol
         depth -= 1
+    if first is not None:
+        raise first[-1]
     values = None
     for split, value in reversed(levels):
         if len(split):
@@ -871,13 +910,16 @@ class ArclengthMap:
 
     ``speed`` maps an (N,) array of parameters to the (N,) speeds |gamma'(t)|,
     each lane with the bits of a one-lane call.  Table built with adaptive
-    Simpson (tol 1e-10) at n+1 uniform t-nodes, starting from the speeds
-    already taken at the nodes and midpoints for the vanishing-speed check,
-    one speed call per recursion depth; a table whose arclengths are not
-    finite and strictly increasing raises ArclengthTableError.  Inverted by
-    monotone cubic (PCHIP) interpolation, ``_Pchip``, which reproduces the
-    arithmetic of scipy.interpolate.PchipInterpolator, and polished with up
-    to three Newton steps against locally Gauss-Legendre-integrated
+    Simpson (tol 1e-10) at n+1 uniform t-nodes, from the speeds taken at the
+    nodes and midpoints for the vanishing-speed check, one speed call per
+    recursion depth.  A call that raises is made again lane by lane, and the
+    error is the one a point-by-point build meets first: the first node's
+    or midpoint's (its own or VanishingSpeedError), else the first Simpson
+    failure in pre-order.  A table whose arclengths are not finite and
+    strictly increasing, or whose coefficients are not finite, raises
+    ArclengthTableError.  Inverted by monotone cubic interpolation
+    (``_Pchip``, scipy's PchipInterpolator with its bits) and polished with
+    up to three Newton steps against locally Gauss-Legendre-integrated
     arclength, each lane stopping at its own fixed point.
     """
 
@@ -888,57 +930,30 @@ class ArclengthMap:
             raise DarbouxError("empty parameter range")
         self.speed = speed
         self.t_nodes = np.linspace(t0, t1, max(int(n), 8) + 1)
-        try:
-            increments = self._increments_by_level(tol, eps_speed)
-        except ArclengthTableError:
-            raise  # no lane failed, and depth first would split for minutes
-        except _EVALUATION_ERRORS:
-            # a lane failed: the depth-first build raises the error (or
-            # takes the path) that a point-by-point build meets first
-            increments = self._increments_depth_first(tol, eps_speed)
-        self.s_nodes = np.concatenate([[0.0], np.cumsum(increments)])
+        self.s_nodes = np.concatenate([[0.0], np.cumsum(self._increments(tol, eps_speed))])
         self.length = float(self.s_nodes[-1])
         self._inverse = _Pchip(self.s_nodes, self.t_nodes)
-        # the tables PchipInterpolator refuses: nodes or slopes not finite,
-        # arclengths not strictly increasing
-        if not (np.isfinite(self.s_nodes).all() and np.isfinite(self.t_nodes).all()
-                and (self.s_nodes[1:] > self.s_nodes[:-1]).all()
-                and np.isfinite(self._inverse.slopes).all()):
+        # the tables PchipInterpolator refuses, and those whose cubics overflow
+        if not (np.isfinite(self.s_nodes).all() and (self.s_nodes[1:] > self.s_nodes[:-1]).all()
+                and np.isfinite(self._inverse.c).all()):
             raise ArclengthTableError(
                 f"arclength table for t in [{float(t0):g}, {float(t1):g}] cannot be inverted: "
                 "its arclengths are not finite and strictly increasing, or their slopes are "
                 "not finite (the range may be too short or too long for float arclengths)")
 
-    def _increments_by_level(self, tol, eps_speed):
+    def _increments(self, tol, eps_speed):
+        """The arclength of each table interval."""
         nodes = self.t_nodes
         n = len(nodes) - 1
-        speeds = self.speed(np.concatenate([nodes, 0.5 * (nodes[:-1] + nodes[1:])]))
-        if not (speeds > eps_speed).all():
-            raise VanishingSpeedError("vanishing speed in the table")
-        f_nodes, fm = speeds[:n + 1], speeds[n + 1:]
-        a, b, fa, fb = nodes[:-1], nodes[1:], f_nodes[:-1], f_nodes[1:]
+        ts = np.concatenate([nodes, 0.5 * (nodes[:-1] + nodes[1:])])
+        speeds, errors = _speeds(self.speed, ts)
+        failing = [*errors, *np.flatnonzero(speeds <= eps_speed).tolist()]
+        if failing:
+            i = min(failing)
+            raise errors.get(i) or VanishingSpeedError(f"vanishing speed at t={float(ts[i]):g}")
+        a, b, fa, fb, fm = nodes[:-1], nodes[1:], speeds[:n], speeds[1:n + 1], speeds[n + 1:]
         whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
         return _adaptive_simpson_many(self.speed, a, b, fa, fm, fb, whole, tol, 50)
-
-    def _increments_depth_first(self, tol, eps_speed):
-        def speed(t):
-            return self.speed(np.array([t]))[0]
-
-        def checked(t):
-            value = speed(t)
-            if value <= eps_speed:
-                raise VanishingSpeedError(f"vanishing speed at t={float(t):g}")
-            return value
-
-        mids = 0.5 * (self.t_nodes[:-1] + self.t_nodes[1:])
-        node_speeds = [checked(t) for t in self.t_nodes]
-        mid_speeds = [checked(t) for t in mids]
-        increments = []
-        for k, (a, b) in enumerate(zip(self.t_nodes[:-1], self.t_nodes[1:])):
-            fa, fm, fb = node_speeds[k], mid_speeds[k], node_speeds[k + 1]
-            whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-            increments.append(_adaptive_simpson(speed, a, b, fa, fm, fb, whole, tol, 50))
-        return increments
 
     def t_of_s(self, s: float) -> float:
         return float(self.t_of_s_many([s])[0])
@@ -1001,17 +1016,7 @@ class _ResampledCurve(UnitSpeedCurve):
         self.length = amap.length
         self.analytic = True
 
-    def gamma(self, s):
-        return self.jet(s)[0]
-
-    def d1(self, s):
-        return self.jet(s)[1]
-
-    def d2(self, s):
-        return self.jet(s)[2]
-
-    def d3(self, s):
-        return self.jet(s)[3]
+    gamma, d1, d2, d3 = _jet_entry(0), _jet_entry(1), _jet_entry(2), _jet_entry(3)
 
     def jet(self, s: float):
         t, = self.amap.t_of_s_many([s]).tolist()
@@ -1043,8 +1048,7 @@ def resample_unit_speed(raw: ParamCurve, n: int = 512) -> UnitSpeedCurve:
     through third order."""
 
     def speed(ts):
-        # the columns of a compiled c1, or c1 lane by lane, which raises the
-        # first failing lane's error
+        # the columns of a compiled c1, or c1 lane by lane
         c1 = _compiled_columns(raw.c1, ts)
         if c1 is not None:
             return norm3(c1)
@@ -1112,31 +1116,18 @@ def unit_speed_chart_curve(surface: ParametricSurface, path: ChartPath,
     """Reparametrize a chart path to unit (metric) speed and wrap it as a
     CurveOnSurface."""
 
-    def speed_at(t):
-        # |gamma'| = |u' sigma_u + v' sigma_v|, the g1 of _chart_rule_jets
-        u, v, du, dv = path.first_order(t)
-        _, su, sv = surface.chart_point(u, v)[0][:3]
-        return norm3(_lincomb(du, su, dv, sv))
-
     def speed(ts):
-        # speed_at on every lane, the path read on all lanes before the chart:
-        # the columns of a compiled first_order, else lane by lane
-        try:
-            first = _compiled_columns(path._first_order, ts)
-            if first is None:
-                lanes = ts.tolist()
-                rows = np.fromiter(chain.from_iterable(map(path.first_order, lanes)), float,
-                                   4 * len(lanes))
-                first = rows.reshape(-1, 4).T
-            u, v, du, dv = first
-            sigma_u, sigma_v = surface.tangents_many(u, v)
-            return norm3_rows(du[:, None] * sigma_u + dv[:, None] * sigma_v)
-        except _EVALUATION_ERRORS:
-            # lane by lane, path then chart, the first error is the one a
-            # point-by-point pass meets
-            for t in ts.tolist():
-                speed_at(t)
-            raise
+        # |gamma'| = |u' sigma_u + v' sigma_v|, the path read on all lanes
+        # before the chart: the columns of a compiled first_order, else lanes
+        first = _compiled_columns(path._first_order, ts)
+        if first is None:
+            lanes = ts.tolist()
+            rows = np.fromiter(chain.from_iterable(map(path.first_order, lanes)), float,
+                               4 * len(lanes))
+            first = rows.reshape(-1, 4).T
+        u, v, du, dv = first
+        sigma_u, sigma_v = surface.tangents_many(u, v)
+        return norm3_rows(du[:, None] * sigma_u + dv[:, None] * sigma_v)
 
     amap = ArclengthMap(speed, path.s_range, n)
     return CurveOnSurface(surface, chart_path=_UnitSpeedChartPath(surface, path, amap))

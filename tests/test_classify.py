@@ -390,6 +390,33 @@ class TestFrenetSeriesInversions:
                            match="d2 undefined" if raising else "leaves surface"):
             fn(c, np.linspace(1.5, 2.0, 11))
 
+    @pytest.mark.parametrize("fn", [slant_helix_series, darboux.rectifying_check],
+                             ids=["slant_helix_series", "rectifying_check"])
+    def test_zero_curvature_before_a_later_jet_failure(self, fn):
+        # kappa = |s - 1| vanishes on the middle lane s = 1, and gamma''
+        # raises on every lane past s = 1.5: the column pass flags both,
+        # and the middle lane's Frenet error comes first in grid order
+        def d2(s):
+            if s > 1.5:
+                raise OutOfDomainError(f"d2 undefined at s={s:g}")
+            return np.array([0.0, s - 1.0, 0.0])
+
+        curve = darboux.UnitSpeedCurve(lambda s: np.array([s, 0.0, 0.0]),
+                                       lambda s: np.array([1.0, 0.0, 0.0]), d2,
+                                       lambda s: np.array([0.0, 1.0, 0.0]), 2.0)
+        grid = np.linspace(0.0, 2.0, 21)
+
+        def point_by_point():
+            for s in grid:
+                frenet(curve, s)
+
+        with pytest.raises(FrenetUndefinedError) as by_columns:
+            fn(curve, grid)
+        with pytest.raises(FrenetUndefinedError) as by_point:
+            point_by_point()
+        assert str(by_columns.value) == str(by_point.value) == (
+            "Frenet frame undefined: curvature 0 <= 1e-09 at s=1")
+
 
 class TestAlgebraicIdentities:
     """The exponential-integral characterizations and the mu measures are the

@@ -465,17 +465,37 @@ def test_tiny_parameter_range_exits_2_with_a_typed_error(tmp_path):
     assert "Traceback" not in err.getvalue()
 
 
-def test_subnormal_parameter_range_writes_no_stderr(tmp_path):
-    """s = 0..1e-310 builds a table whose PCHIP coefficients overflow: no
-    numpy warning reaches stderr, and the run still exits 0."""
+def test_subnormal_parameter_range_exits_2_with_a_typed_error(tmp_path):
+    """s = 0..1e-310 builds a table whose PCHIP coefficients overflow, which
+    would invert every sample to nan: the run exits 2 with the typed
+    message, no numpy warning and no stack trace."""
     argv = ["frames", "--surface", "builtin:plane", "--curve", "param:u=s;v=s;s=0,1e-310",
             "--samples", "5", "--out", str(tmp_path / "out.csv")]
     err = io.StringIO()
     with warnings.catch_warnings(), contextlib.redirect_stderr(err):
         warnings.simplefilter("error")
-        assert main(argv) == 0
+        assert main(argv) == 2
+    assert err.getvalue() == (
+        "arclength table for t in [0, 1e-310] cannot be inverted: its arclengths are not "
+        "finite and strictly increasing, or their slopes are not finite (the range may be "
+        "too short or too long for float arclengths)\n")
+
+
+# A torus path whose speed jumps at s = 1.05 (the kink of abs): Simpson
+# stops splitting a few dozen ulps short of the kink instead of landing on it
+KINK_ARGV = ["frames", "--surface", "builtin:torus?R=2&r=0.5", "--curve",
+             "param:u=abs(s-1.05)+s;v=sinh(0.5*s);s=0,2", "--samples", "20"]
+
+
+def test_speed_kink_is_integrated_across(tmp_path):
+    out = tmp_path / "out.csv"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert main(KINK_ARGV + ["--out", str(out)]) == 0
     assert err.getvalue() == ""
-    assert len((tmp_path / "out.csv").read_text().splitlines()) == 6
+    rows = out.read_text().splitlines()
+    assert len(rows) == 21
+    assert all(math.isfinite(float(x)) for row in rows[1:] for x in row.split(","))
 
 
 def _fresh_interpreter(probe: str) -> str:

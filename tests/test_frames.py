@@ -38,7 +38,6 @@ from darboux.frames import (
     CurveOnSurface,
     ParamCurve,
     UnitSpeedCurve,
-    _adaptive_simpson,
     _chart_rule_jets,
     darboux as darboux_frame,
     deriv_uniform,
@@ -423,6 +422,28 @@ def _helix_param_curve():
     )
 
 
+def _adaptive_simpson(f, a, b, fa, fm, fb, whole, tol, depth):
+    """Adaptive Simpson on [a, b] from f at a, the midpoint and b and the
+    Simpson estimate `whole` built from them, depth first: the recursion
+    whose bits and first error the breadth-first arclength table keeps."""
+    m = 0.5 * (a + b)
+    lm, rm = 0.5 * (a + m), 0.5 * (m + b)
+    flm, frm = f(lm), f(rm)
+    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
+    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
+    err = left + right - whole
+    if depth <= 0 or abs(err) <= 15.0 * tol:
+        return left + right + err / 15.0
+    if not math.isfinite(err):
+        raise DarbouxError(f"speed not finite for t in [{float(a):g}, {float(b):g}]")
+    # the estimate is rounding noise, or [a, b] is a few dozen ulps wide
+    if abs(err) <= 8.0 * 2.0**-52 * abs(whole) or b - a <= 2.0**-46 * max(abs(a), abs(b)):
+        return left + right + err / 15.0
+    half = 0.5 * tol
+    return (_adaptive_simpson(f, a, m, fa, flm, fm, left, half, depth - 1)
+            + _adaptive_simpson(f, m, b, fm, frm, fb, right, half, depth - 1))
+
+
 def _third_order_chart_speed(surface, path):
     """|gamma'(t)| read off the full third-order chain, as the chart speed
     was first computed."""
@@ -598,14 +619,17 @@ def _raised(fn, *args):
 
 
 class TestArclengthErrorParity:
-    """A failing lane in a table batch rebuilds the table depth first, and
-    a failing frame-input batch evaluates sample by sample: either way the
-    error is the one a point-by-point pass meets first."""
+    """A table batch records the lanes that fail and raises the failure a
+    depth-first build meets first (nodes, midpoints, then the recursion's
+    pre-order), and a failing frame-input batch evaluates the flagged
+    samples in grid order: either way the error is the one a point-by-point
+    pass meets first."""
 
     def assert_same_error(self, surface, path, n, expected):
         error = _raised(unit_speed_chart_curve, surface, path, n)
         assert error == _raised(_depth_first_chart_table, surface, path, n)
         assert error is not None and error[0] is expected
+        return error
 
     # per-lane chart jets on the helicoid, array tangents on the cylinder
     @pytest.mark.parametrize("surface", [darboux.helicoid(1.0),
@@ -618,20 +642,40 @@ class TestArclengthErrorParity:
         self.assert_same_error(surface, path, n, OutOfDomainError)
 
     def test_speed_batch_keeps_lane_order(self):
-        # lane 0 leaves the chart (v = 9), lane 1 fails in the path (ln of
-        # -0.5): the batch reads the path on every lane before the chart
+        # the first node leaves the chart (v = 9), and the path fails from
+        # s = 2 on (ln of -0.5 at the last node): the batch reads the path on
+        # every lane before the chart, so it raises the path's error, and the
+        # table raises the first node's
         surface = darboux.cylinder(1.0, v_range=(-5.0, 5.0))
-        path = ChartPath.from_expressions("ln(2-s)", "10*s", (0.0, 0.1))
-        c = unit_speed_chart_curve(surface, path, 8)
+        path = ChartPath.from_expressions("ln(2-s)", "10*s", (0.9, 2.5))
+        self.assert_same_error(surface, path, 8, OutOfDomainError)
 
-        def point_by_point(ts):
-            for t in ts:
-                u, v, _, _ = path.first_order(t)
-                surface.chart_jet(u, v)
+    # The kink at 5/32 is a Simpson point of the first level (interval 1),
+    # the one at 1/256 of the fourth (interval 0): the breadth-first table
+    # evaluates 5/32 first, but 1/256 comes first in pre-order.  5/64 and
+    # 9/64 are both points of the second level, in the right half of
+    # interval 0 and the left half of interval 1: that level holds the left
+    # halves first, so its lane order puts 9/64 first, pre-order 5/64.
+    @pytest.mark.parametrize("first,second", [("0.00390625", "0.15625"),
+                                              ("0.078125", "0.140625")])
+    def test_two_kinks_raise_the_first_in_pre_order(self, first, second):
+        path = ChartPath.from_expressions(f"abs(s-{first})+abs(s-{second})+3*s", "s",
+                                          (0.0, 1.0))
+        error = self.assert_same_error(darboux.plane(), path, 8, EvalDomainError)
+        assert f"'sign(s - {first})'" in error[1]
 
-        error = _raised(c.path.amap.speed, np.array([0.9, 2.5]))
-        assert error == _raised(point_by_point, [0.9, 2.5])
-        assert error[0] is OutOfDomainError
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_dyadic_kinks_at_different_levels(self, data):
+        # each kink c = k/8 + (2j+1)/(32 2^L) is first evaluated at Simpson
+        # level L of table interval k (n = 8 on [0, 1])
+        intervals = data.draw(st.lists(st.integers(0, 7), min_size=2, max_size=2, unique=True))
+        levels = data.draw(st.lists(st.integers(0, 6), min_size=2, max_size=2, unique=True))
+        kinks = [k / 8 + (2 * data.draw(st.integers(0, 2 ** (level + 1) - 1)) + 1)
+                 / (32 * 2**level) for k, level in zip(intervals, levels)]
+        path = ChartPath.from_expressions(
+            f"abs(s-{kinks[0]!r})+abs(s-{kinks[1]!r})+3*s", "s", (0.0, 1.0))
+        self.assert_same_error(darboux.plane(), path, 8, EvalDomainError)
 
     @settings(max_examples=20, deadline=None)
     @given(data=st.data())
@@ -667,7 +711,7 @@ class TestArclengthErrorParity:
     def test_speed_blowing_up_raises_a_typed_error(self):
         # u = tan(0.3 s) has a pole at s = 5.236: every speed lane is finite,
         # but Simpson would split forever there, so the table stops at the
-        # lane cap and names the interval instead of going depth first
+        # lane cap and names the interval
         path = ChartPath.from_expressions("tan(0.3*s)", "sqrt(2+s)", (0.0, 2 * math.pi))
         with pytest.raises(ArclengthTableError, match=r"t in \[5\.2\d*, 5\.2\d*\]"):
             unit_speed_chart_curve(darboux.cylinder(1.0), path, 64)
@@ -750,9 +794,9 @@ class TestPchipPort:
 
 
 class TestScaledArclength:
-    """Arclengths far above the absolute Simpson tolerance: both table
-    builds stop splitting where the error estimate is rounding noise of the
-    interval's arclength, and agree bit for bit."""
+    """Arclengths far above the absolute Simpson tolerance: the table stops
+    splitting where the error estimate is rounding noise of the interval's
+    arclength, and agrees bit for bit with the depth-first build."""
 
     @pytest.mark.parametrize("surface", [darboux.cylinder(1e60), darboux.torus(1e60, 1e59)],
                              ids=repr)
@@ -767,9 +811,9 @@ class TestScaledArclength:
             return speed(ts)
 
         amap.speed = counted
-        by_level = amap._increments_by_level(1e-10, 1e-12)
+        by_level = amap._increments(1e-10, 1e-12)
         assert 2 * 64 + 1 < lanes[0] < 50_000  # measured 257 and 12637 lanes
-        depth_first = amap._increments_depth_first(1e-10, 1e-12)
+        depth_first = _depth_first_chart_table(surface, path, 64)
         assert [float(x).hex() for x in by_level] == [float(x).hex() for x in depth_first]
         assert math.isfinite(amap.length) and amap.length > 6e60
 

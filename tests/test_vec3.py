@@ -276,6 +276,31 @@ def test_no_numpy_power_in_the_package():
     assert found == {"classify.py": 5}
 
 
+def _except_clause_calls(source: str) -> list:
+    """Calls made inside an except clause of source to a function or method
+    that source defines (by name, at any depth), as "line name"."""
+    tree = ast.parse(source)
+    defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    found = []
+    for handler in ast.walk(tree):
+        if isinstance(handler, ast.ExceptHandler):
+            for node in ast.walk(handler):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                    if name in defined:
+                        found.append(f"{node.lineno} {name}")
+    return found
+
+
+def test_no_frames_function_runs_only_from_an_except_clause():
+    """The batched frame and arclength paths raise the error a point-by-point
+    pass meets first by one rule: record the failing lanes, then raise the
+    first one or evaluate the flagged lanes again in order.  A point-by-point
+    twin run from an except clause to pick the error is a second copy of the
+    path, so no except clause of frames.py calls a function of frames.py."""
+    assert _except_clause_calls((Path(darboux.__file__).parent / "frames.py").read_text()) == []
+
+
 # Moderate magnitudes: n**3 of a norm above 1e-100 is finite and nonzero,
 # as at every point a trace records (its field solve divided by n**3).
 MODERATE = st.floats(-1e3, 1e3)
