@@ -4,9 +4,10 @@ Surfaces and curves can be supplied as text like ``"cos(v)*cos(u)"``; this
 module turns such text into an immutable AST, evaluates it in binary64, and
 produces exact symbolic partial derivatives (with constant folding, no
 algebraic simplification) so chart jets and gradients stay analytic.
-``compile`` turns a list of expressions into one generated Python function
-with the same operations, so hot callers skip the tree walk; the tree walk
-(``evaluate``) stays the reference and reports domain errors.
+``compile`` turns a (nested) list of expressions into one generated Python
+function with the same operations, returning nested tuples, so hot callers
+skip the tree walk; the tree walk (``evaluate``) stays the reference and
+reports domain errors.
 
 The same generated source, from the same ``exec``, is bound a second time
 for (N,) float64 columns and attached as ``fn.columns``: elementwise
@@ -14,9 +15,10 @@ for (N,) float64 columns and attached as ``fn.columns``: elementwise
 round as the float code does, and ``^``, tan, exp, ln, sinh, cosh and sign
 stay ``math``'s, lane by lane.  The columns decline (return None) rather
 than raise: wherever a constant or an input lane is not finite, a numpy
-operation signals under ``np.errstate(all="raise", under="ignore")``, a
-lane-wise function raises, or an output lane is not finite.  A caller then
-evaluates lane by lane, which raises the float code's error in its order.
+operation signals under ``np.errstate(all="raise", under="ignore")`` or a
+lane-wise function raises (which is also where an output lane would not be
+finite).  A caller then evaluates lane by lane, which raises the float
+code's error in its order.
 
 Grammar (whitespace insignificant, implicit multiplication NOT allowed):
 
@@ -344,11 +346,12 @@ _HELPERS = {
 
 def _lanes(fn):
     """fn on (N,) columns lane by lane, Python floats in and out, so each
-    lane has fn's bits and raises fn's error; on scalars it is fn itself."""
+    lane has fn's bits and raises fn's error; on scalars, fn's value as a
+    float64 scalar, whose arithmetic signals as a column's does."""
 
     def column(*args):
         if all(np.ndim(a) == 0 for a in args):
-            return fn(*args)
+            return np.float64(fn(*args))
         args = np.broadcast_arrays(*args)
         return np.fromiter(map(fn, *(a.tolist() for a in args)), float, args[0].size)
 
@@ -357,8 +360,9 @@ def _lanes(fn):
 
 # the same names bound for (N,) float64 columns: elementwise + - * / and
 # these four numpy functions round as Python's floats and math's do (sin
-# and cos on this platform, as the catalog tangents_fn already assume);
-# every other function keeps math's, lane by lane
+# and cos on this platform; tests/test_expr.py checks each operation's
+# columns against its floats); every other function keeps math's, lane by
+# lane
 _COLUMN_HELPERS = {
     "_float": functools.partial(np.array, dtype=np.float64), "_pow": _lanes(math.pow),
     "_abs": np.abs, "_sign": _lanes(_sign), "_sin": np.sin, "_cos": np.cos,
@@ -417,31 +421,54 @@ class _Emitter:
         return name
 
 
+def _leaves(tree) -> list:
+    """The expressions of a nested list of expressions, depth first."""
+    if isinstance(tree, Expression):
+        return [tree]
+    return [e for part in tree for e in _leaves(part)]
+
+
+def _nested(tree, values):
+    """The next values of the iterator ``values`` nested as ``tree`` is:
+    a value for an expression, a tuple for a list."""
+    if isinstance(tree, Expression):
+        return next(values)
+    return tuple([_nested(part, values) for part in tree])
+
+
 def compile(exprs, variables):
-    """One function ``fn(*values)`` returning the tuple of ``exprs``' values
-    at ``variables`` bound positionally to ``values``.
+    """One function ``fn(*values)`` returning the values of ``exprs`` at
+    ``variables`` bound positionally to ``values``.  ``exprs`` is an
+    Expression or a (nested) list of them, and the result nests alike: a
+    float for an Expression, a tuple for a list.
 
     The generated code makes the tree walk's operations in its order
     (``math.pow`` for ``^``, the same ``math`` functions, ``float()`` of
     each variable), computing a repeated subtree once, so every value has
     the bits ``evaluate`` gives.  When
     it fails with ArithmeticError or ValueError it re-runs ``evaluate``
-    over the same expressions in the same order, which raises the
-    EvalDomainError the tree walk raises.
+    over the same expressions in the same order (depth first), which
+    raises the EvalDomainError the tree walk raises.
 
     ``fn.columns(*columns)`` runs the same generated code once on (N,)
-    float64 columns, one per variable (see ``_columns``): a tuple of (N,)
-    columns with the bits of ``fn`` lane by lane, or None where it
-    declines.
+    float64 columns, one per variable (see ``_columns``): the (N,) column
+    of each expression, with the bits of ``fn`` lane by lane, as one flat
+    tuple in depth-first order, or None where it declines.
     """
-    exprs = tuple(exprs)
+    if not isinstance(exprs, Expression):
+        exprs = list(exprs)
     variables = tuple(variables)
+    leaves = _leaves(exprs)
     emitter = _Emitter(variables)
-    results = [emitter.emit(e.root) for e in exprs]
+    results = [emitter.emit(e.root) for e in leaves]
     args = [f"a{i}" for i in range(len(variables))]
     entry = [f"x{i} = _float(a{i})" for i in sorted(emitter.used)]
-    cells = ["_fallback", *_HELPERS, *(f"k{i}" for i in range(len(emitter.consts)))]
-    body = entry + emitter.lines + [f"return ({''.join(r + ', ' for r in results)})"]
+    cells = ["_fallback", "_flat", *_HELPERS, *(f"k{i}" for i in range(len(emitter.consts)))]
+    # the columns take the values flat, the float code nested (the repr of
+    # a nest of local names, unquoted, is its display)
+    nested = repr(_nested(exprs, iter(results))).replace("'", "")
+    flat = repr(tuple(results)).replace("'", "")
+    body = entry + emitter.lines + ["if _flat:", f"    return {flat}", f"return {nested}"]
     source = "\n".join([
         f"def _make({', '.join(cells)}):",
         f"    def compiled({', '.join(args)}):",
@@ -454,12 +481,12 @@ def compile(exprs, variables):
 
     def fallback(*values):
         env = dict(zip(variables, values))
-        return tuple(_eval(e.root, env) for e in exprs)
+        return _nested(exprs, (_eval(e.root, env) for e in leaves))
 
-    namespace: dict = {}
+    namespace: dict = {"__name__": __name__}
     exec(source, namespace)
     make = namespace["_make"]
-    compiled = make(fallback, *_HELPERS.values(), *emitter.consts)
+    compiled = make(fallback, False, *_HELPERS.values(), *emitter.consts)
     compiled.columns = _columns(make, emitter.consts)
     return compiled
 
@@ -471,29 +498,29 @@ def _decline(*values):
 def _columns(make, consts):
     """``fn.columns``: the generated code of ``make`` bound to
     ``_COLUMN_HELPERS``, with the decline rule of the module docstring and
-    the constants as numpy float64 scalars, so that an operation on
-    constants alone signals too.  Declining is enough: from finite
+    the constants as numpy float64 scalars.  Every operation is then a
+    numpy one (on columns or on float64 scalars, which the lane-wise
+    functions also return) or a ``math`` call that raises: from finite
     constants and inputs, an operation that neither signals nor raises
     gives a finite value, so where the columns return, no lane raised on
-    floats and each lane's operations are the float code's, correctly
-    rounded alike.  Constant outputs are broadcast to the inputs' shape,
-    and no output shares memory with an input."""
+    floats, every lane is finite, and each lane's operations are the float
+    code's, correctly rounded alike.  Constant outputs are broadcast to the
+    inputs' shape, and no output shares memory with an input."""
     if not all(map(math.isfinite, consts)):
         return _decline
-    evaluate = make(_decline, *(_COLUMN_HELPERS[name] for name in _HELPERS),
+    evaluate = make(_decline, True, *(_COLUMN_HELPERS[name] for name in _HELPERS),
                     *map(np.float64, consts))
 
     def columns(*values):
         values = [np.asarray(x, dtype=np.float64) for x in values]
         if not all(np.isfinite(x).all() for x in values):
             return None
-        shape = values[0].shape if values else ()
         with np.errstate(all="raise", under="ignore"):
             out = evaluate(*values)
         if out is None:
             return None
-        out = tuple(np.full(shape, x) if np.ndim(x) == 0 else x for x in out)
-        return out if all(np.isfinite(x).all() for x in out) else None
+        shape = values[0].shape if values else ()
+        return tuple(x if type(x) is np.ndarray else np.full(shape, x) for x in out)
 
     return columns
 
@@ -527,6 +554,8 @@ def _sub(a: Node, b: Node) -> Node:
 
 
 def _neg(a: Node) -> Node:
+    if _is_num(a, 0.0):
+        return Num(0.0)
     if _is_num(a):
         return Num(-a.value)
     if isinstance(a, Neg):

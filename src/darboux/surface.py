@@ -6,12 +6,13 @@ Python floats (``chart_point``, ``level_point`` and the ``_``-prefixed
 functions below), which is what the isophote tracer and the frame sampler
 run on.
 
-Catalog surfaces (sphere, cylinder, plane, torus, helicoid, ellipsoid,
-monkey saddle) carry hand-written jets, and array tangents for the
-arclength speeds written with the jet's operations in its order (np.sin and
-np.cos give math's bits); surfaces built from expression text get exact
-jets from symbolic differentiation, which keeps the two routes independent
-for testing.
+Every surface the package builds is defined once, as expression text:
+the catalog (sphere, cylinder, plane, torus, helicoid, ellipsoid, monkey
+saddle; implicit sphere, cylinder, plane, torus) fills its parameters into
+templates, and ``param:``/``implicit:`` specs give the text directly.  Its
+jets come from symbolic differentiation, compiled once per distinct text
+and process (``expr.compile``), and the compiled jet's columns give the
+array tangents of the arclength speeds.
 
 Orientation conventions: the parametric unit normal is sigma_u x sigma_v
 normalized; the implicit unit normal is grad(f)/|grad(f)|.  Sign-sensitive
@@ -20,12 +21,13 @@ quantities (normal curvature, geodesic torsion) inherit these choices.
 
 from __future__ import annotations
 
+import functools
 import inspect
 import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
-from urllib.parse import parse_qsl
+from urllib.parse import unquote
 
 import numpy as np
 
@@ -210,12 +212,6 @@ def _point(p) -> tuple:
     return tuple(_floats(p))
 
 
-def _triples(values) -> tuple:
-    """(a, b, c, d, e, f, ...) as ((a, b, c), (d, e, f), ...)."""
-    it = iter(values)
-    return tuple(zip(it, it, it))
-
-
 def _unit_second_derivative(w, n, n2, n3, w_a, w_b, w_ab) -> tuple:
     """d_b d_a (w/|w|) at |w| = n, with n2 = n**2 and n3 = n**3: the
     quotient rule expanded once more."""
@@ -293,16 +289,16 @@ def _project(surface: "ImplicitSurface", p, tol: float = 1e-12) -> tuple:
     """project_to_implicit on a 3-tuple of floats: (p, f(p)) for the
     projected point, with the value of f the last check read there."""
     for _ in range(8):
-        f = surface._f(p)
+        f = surface._f(*p)
         if abs(f) <= tol:
             return p, f
-        g0, g1, g2 = surface._grad(p)
+        g0, g1, g2 = surface._grad(*p)
         gg = g0 * g0 + g1 * g1 + g2 * g2
         if gg <= surface.eps_reg**2:
             raise RegularityError(f"{surface.name}: vanishing gradient near {p!r}")
         x, y, z = p
         p = (x - f * g0 / gg, y - f * g1 / gg, z - f * g2 / gg)
-    f = surface._f(p)
+    f = surface._f(*p)
     if abs(f) <= tol:
         return p, f
     raise ProjectionError(
@@ -345,12 +341,11 @@ class ParametricSurface:
     ``jet_fn(u, v)`` returns the six ChartJet vectors and ``jet3_fn(u, v)``
     the four third partials (uuu, uuv, uvv, vvv) used for analytic
     derivatives of frame scalars, each a 3-vector (a tuple of floats, the
-    form the float kernels read, or an array).  The optional
-    ``tangents_fn(u, v)`` takes (N,) arrays and returns (sigma_u, sigma_v)
-    as (N, 3) arrays with the bits of ``jet_fn``'s, or None to decline;
-    without it, or where it declines, ``tangents_many`` evaluates the
-    scalar jet once per lane.  Domain is a rectangle with optional
-    periodic wrapping per parameter.
+    form the float kernels read, or an array).  Where ``jet_fn`` has the
+    ``columns`` of an ``expr.compile`` function, ``tangents_many`` reads
+    sigma_u and sigma_v from one pass of them; otherwise, and where they
+    decline, it evaluates the jet once per lane.  Domain is a rectangle
+    with optional periodic wrapping per parameter.
     """
 
     def __init__(
@@ -363,13 +358,11 @@ class ParametricSurface:
         periodic_v: bool = False,
         *,
         jet3_fn: Callable,
-        tangents_fn: Callable | None = None,
         eps_reg: float = EPS_REG_DEFAULT,
     ):
         self.name = name
         self._jet_fn = jet_fn
         self._jet3_fn = jet3_fn
-        self._tangents_fn = tangents_fn
         self.u_range = (float(u_range[0]), float(u_range[1]))
         self.v_range = (float(v_range[0]), float(v_range[1]))
         self.periodic_u = bool(periodic_u)
@@ -426,16 +419,18 @@ class ParametricSurface:
         the first lane that chart_jet would reject."""
         u = np.asarray(u, dtype=float)
         v = np.asarray(v, dtype=float)
-        if self._tangents_fn is not None:
+        columns = getattr(self._jet_fn, "columns", None)
+        if columns is not None:
             # numpy warns where Python floats do not (nan wraps, lanes outside
             # the domain); such lanes are redone by chart_point below
             with np.errstate(all="ignore"):
                 uw, vw, outside = self._wrap_many(u, v)
-                tangents = self._tangents_fn(uw, vw)
-                bad = tangents is None or (
-                    outside | (norm3_rows(cross3_rows(*tangents)) <= self.eps_reg)).any()
-            if not bad:
-                return tangents
+                jet = columns(uw, vw)
+                if jet is not None:
+                    su, sv = jet[3:6], jet[6:9]
+                    w = _cross(su, sv)
+                    if not (outside | (np.sqrt(dot3(w, w)) <= self.eps_reg)).any():
+                        return _rows(u, *su), _rows(u, *sv)
         # lane by lane: chart_point raises the first failing lane's own error
         jets = [self.chart_point(a, b)[0] for a, b in zip(u.tolist(), v.tolist())]
         return (np.array([j[1] for j in jets], dtype=float).reshape(-1, 3),
@@ -486,35 +481,35 @@ class ParametricSurface:
 class ImplicitSurface:
     """Level set f(x, y, z) = 0 with analytic gradient and Hessian.
 
-    ``f``, ``grad`` and ``hess`` take the point as a 3-tuple of Python floats
-    and return f, the gradient as a 3-vector and the Hessian as three rows
-    (tuples of floats, the form the float kernels read, or arrays)."""
+    ``f(x, y, z)``, ``grad(x, y, z)`` and ``level(x, y, z)`` return f, the
+    gradient as a 3-vector and (gradient, Hessian by rows), in Python floats
+    (the form the float kernels read) or arrays."""
 
     def __init__(
         self,
         name: str,
         f: Callable,
         grad: Callable,
-        hess: Callable,
+        level: Callable,
         eps_reg: float = EPS_REG_DEFAULT,
     ):
         self.name = name
         self._f = f
         self._grad = grad
-        self._hess = hess
+        self._level = level
         self.eps_reg = float(eps_reg)
 
     def __repr__(self):
         return f"ImplicitSurface({self.name!r})"
 
     def value(self, p: np.ndarray) -> float:
-        return float(self._f(_point(p)))
+        return float(self._f(*_point(p)))
 
     def gradient(self, p: np.ndarray) -> np.ndarray:
-        return np.array(self._grad(_point(p)), dtype=float)
+        return np.array(self._grad(*_point(p)), dtype=float)
 
     def hessian(self, p: np.ndarray) -> np.ndarray:
-        return np.array(self._hess(_point(p)), dtype=float)
+        return np.array(self._level(*_point(p))[1], dtype=float)
 
     def jet(self, p: np.ndarray):
         return self.value(p), self.gradient(p), self.hessian(p)
@@ -522,11 +517,11 @@ class ImplicitSurface:
     def level_point(self, p):
         """The float kernel of the normal: (grad f, |grad f|, H) at the
         3-tuple p.  Raises RegularityError where |grad f| <= eps_reg."""
-        g = self._grad(p)
+        g, H = self._level(*p)
         n = norm3(g)
         if n <= self.eps_reg:
             raise RegularityError(f"{self.name}: |grad f| <= {self.eps_reg:g} at {p!r}")
-        return g, n, self._hess(p)
+        return g, n, H
 
     def unit_normal(self, p: np.ndarray) -> np.ndarray:
         g = self.gradient(p)
@@ -577,286 +572,43 @@ def project_to_implicit(surface: ImplicitSurface, p: np.ndarray, tol: float = 1e
 
 
 # ---------------------------------------------------------------------------
-# Catalog surfaces (hand-written analytic jets)
-
-
-def sphere(r: float = 1.0, eps_reg: float = EPS_REG_DEFAULT) -> ParametricSurface:
-    """sigma = r (cos v cos u, cos v sin u, sin v); poles excluded."""
-    r = float(r)
-
-    def jet(u, v):
-        cu, su, cv, sv = math.cos(u), math.sin(u), math.cos(v), math.sin(v)
-        return (
-            (r * cv * cu, r * cv * su, r * sv),
-            (-r * cv * su, r * cv * cu, 0.0),
-            (-r * sv * cu, -r * sv * su, r * cv),
-            (-r * cv * cu, -r * cv * su, 0.0),
-            (r * sv * su, -r * sv * cu, 0.0),
-            (-r * cv * cu, -r * cv * su, -r * sv),
-        )
-
-    def jet3(u, v):
-        cu, su, cv, sv = math.cos(u), math.sin(u), math.cos(v), math.sin(v)
-        return (
-            (r * cv * su, -r * cv * cu, 0.0),
-            (r * sv * cu, r * sv * su, 0.0),
-            (r * cv * su, -r * cv * cu, 0.0),
-            (r * sv * cu, r * sv * su, -r * cv),
-        )
-
-    def tangents(u, v):
-        cu, su, cv, sv = np.cos(u), np.sin(u), np.cos(v), np.sin(v)
-        return (_rows(u, -r * cv * su, r * cv * cu, 0.0),
-                _rows(u, -r * sv * cu, -r * sv * su, r * cv))
-
-    half = math.pi / 2 - POLE_MARGIN
-    return ParametricSurface(
-        f"sphere(r={r:g})", jet, (-math.pi, math.pi), (-half, half),
-        periodic_u=True, jet3_fn=jet3, tangents_fn=tangents, eps_reg=eps_reg,
-    )
-
-
-def cylinder(r: float = 1.0, v_range: tuple[float, float] = (-20.0, 20.0),
-             eps_reg: float = EPS_REG_DEFAULT) -> ParametricSurface:
-    """sigma = (r cos u, r sin u, v)."""
-    r = float(r)
-    zero = (0.0, 0.0, 0.0)
-
-    def jet(u, v):
-        cu, su = math.cos(u), math.sin(u)
-        return (
-            (r * cu, r * su, v),
-            (-r * su, r * cu, 0.0),
-            (0.0, 0.0, 1.0),
-            (-r * cu, -r * su, 0.0),
-            zero,
-            zero,
-        )
-
-    def jet3(u, v):
-        cu, su = math.cos(u), math.sin(u)
-        return ((r * su, -r * cu, 0.0), zero, zero, zero)
-
-    def tangents(u, v):
-        cu, su = np.cos(u), np.sin(u)
-        return _rows(u, -r * su, r * cu, 0.0), _rows(u, 0.0, 0.0, 1.0)
-
-    return ParametricSurface(
-        f"cylinder(r={r:g})", jet, (-math.pi, math.pi), v_range,
-        periodic_u=True, jet3_fn=jet3, tangents_fn=tangents, eps_reg=eps_reg,
-    )
-
-
-def plane(u_range=(-20.0, 20.0), v_range=(-20.0, 20.0),
-          eps_reg: float = EPS_REG_DEFAULT) -> ParametricSurface:
-    """sigma = (u, v, 0)."""
-    zero = (0.0, 0.0, 0.0)
-
-    def jet(u, v):
-        return ((u, v, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), zero, zero, zero)
-
-    def jet3(u, v):
-        return (zero, zero, zero, zero)
-
-    def tangents(u, v):
-        return _rows(u, 1.0, 0.0, 0.0), _rows(u, 0.0, 1.0, 0.0)
-
-    return ParametricSurface("plane", jet, u_range, v_range, jet3_fn=jet3, tangents_fn=tangents,
-                             eps_reg=eps_reg)
-
-
-def torus(R: float = 2.0, r: float = 0.5, eps_reg: float = EPS_REG_DEFAULT) -> ParametricSurface:
-    """sigma = ((R + r cos v) cos u, (R + r cos v) sin u, r sin v)."""
-    R, r = float(R), float(r)
-
-    def jet(u, v):
-        cu, su, cv, sv = math.cos(u), math.sin(u), math.cos(v), math.sin(v)
-        rho = R + r * cv
-        rho_v = -r * sv
-        return (
-            (rho * cu, rho * su, r * sv),
-            (-rho * su, rho * cu, 0.0),
-            (rho_v * cu, rho_v * su, r * cv),
-            (-rho * cu, -rho * su, 0.0),
-            (-rho_v * su, rho_v * cu, 0.0),
-            (-r * cv * cu, -r * cv * su, -r * sv),
-        )
-
-    def jet3(u, v):
-        cu, su, cv, sv = math.cos(u), math.sin(u), math.cos(v), math.sin(v)
-        rho = R + r * cv
-        rho_v = -r * sv
-        rho_vv = -r * cv
-        rho_vvv = r * sv
-        return (
-            (rho * su, -rho * cu, 0.0),
-            (-rho_v * cu, -rho_v * su, 0.0),
-            (-rho_vv * su, rho_vv * cu, 0.0),
-            (rho_vvv * cu, rho_vvv * su, -r * cv),
-        )
-
-    def tangents(u, v):
-        cu, su, cv, sv = np.cos(u), np.sin(u), np.cos(v), np.sin(v)
-        rho = R + r * cv
-        rho_v = -r * sv
-        return _rows(u, -rho * su, rho * cu, 0.0), _rows(u, rho_v * cu, rho_v * su, r * cv)
-
-    return ParametricSurface(
-        f"torus(R={R:g},r={r:g})", jet, (-math.pi, math.pi), (-math.pi, math.pi),
-        periodic_u=True, periodic_v=True, jet3_fn=jet3, tangents_fn=tangents, eps_reg=eps_reg,
-    )
-
-
-def helicoid(a: float = 1.0, u_range=(-2 * math.pi, 2 * math.pi), v_range=(-5.0, 5.0),
-             eps_reg: float = EPS_REG_DEFAULT) -> ParametricSurface:
-    """sigma = (v cos u, v sin u, a u)."""
-    a = float(a)
-    zero = (0.0, 0.0, 0.0)
-
-    def jet(u, v):
-        cu, su = math.cos(u), math.sin(u)
-        return (
-            (v * cu, v * su, a * u),
-            (-v * su, v * cu, a),
-            (cu, su, 0.0),
-            (-v * cu, -v * su, 0.0),
-            (-su, cu, 0.0),
-            zero,
-        )
-
-    def jet3(u, v):
-        cu, su = math.cos(u), math.sin(u)
-        return ((v * su, -v * cu, 0.0), (-cu, -su, 0.0), zero, zero)
-
-    def tangents(u, v):
-        cu, su = np.cos(u), np.sin(u)
-        return _rows(u, -v * su, v * cu, a), _rows(u, cu, su, 0.0)
-
-    return ParametricSurface(
-        f"helicoid(a={a:g})", jet, u_range, v_range, jet3_fn=jet3, tangents_fn=tangents,
-        eps_reg=eps_reg,
-    )
-
-
-def ellipsoid(a: float = 2.0, b: float = 1.5, c: float = 1.0,
-              eps_reg: float = EPS_REG_DEFAULT) -> ParametricSurface:
-    """sigma = (a cos v cos u, b cos v sin u, c sin v); poles excluded."""
-    sa, sb, sc = float(a), float(b), float(c)
-    base = sphere(1.0, eps_reg=eps_reg)
-
-    def scaled(vectors):
-        return tuple((sa * x, sb * y, sc * z) for x, y, z in vectors)
-
-    def jet(u, v):
-        return scaled(base._jet_fn(u, v))
-
-    def jet3(u, v):
-        return scaled(base._jet3_fn(u, v))
-
-    def tangents(u, v):
-        return tuple(_rows(u, sa * t[:, 0], sb * t[:, 1], sc * t[:, 2])
-                     for t in base._tangents_fn(u, v))
-
-    half = math.pi / 2 - POLE_MARGIN
-    return ParametricSurface(
-        f"ellipsoid(a={a:g},b={b:g},c={c:g})", jet, (-math.pi, math.pi), (-half, half),
-        periodic_u=True, jet3_fn=jet3, tangents_fn=tangents, eps_reg=eps_reg,
-    )
-
-
-def monkey_saddle(u_range=(-2.0, 2.0), v_range=(-2.0, 2.0),
-                  eps_reg: float = EPS_REG_DEFAULT) -> ParametricSurface:
-    """sigma = (u, v, u^3 - 3 u v^2)."""
-    zero = (0.0, 0.0, 0.0)
-
-    def jet(u, v):
-        return (
-            (u, v, u**3 - 3.0 * u * v * v),
-            (1.0, 0.0, 3.0 * u * u - 3.0 * v * v),
-            (0.0, 1.0, -6.0 * u * v),
-            (0.0, 0.0, 6.0 * u),
-            (0.0, 0.0, -6.0 * v),
-            (0.0, 0.0, -6.0 * u),
-        )
-
-    def jet3(u, v):
-        return ((0.0, 0.0, 6.0), zero, (0.0, 0.0, -6.0), zero)
-
-    def tangents(u, v):
-        return (_rows(u, 1.0, 0.0, 3.0 * u * u - 3.0 * v * v),
-                _rows(u, 0.0, 1.0, -6.0 * u * v))
-
-    return ParametricSurface("monkey_saddle", jet, u_range, v_range, jet3_fn=jet3,
-                             tangents_fn=tangents, eps_reg=eps_reg)
-
-
-# ---------------------------------------------------------------------------
-# Catalog implicit surfaces
-
-
-def implicit_sphere(r: float = 1.0, eps_reg: float = EPS_REG_DEFAULT) -> ImplicitSurface:
-    """f = x^2 + y^2 + z^2 - r^2 (outward normal)."""
-    r2 = float(r) ** 2
-    return ImplicitSurface(
-        f"implicit_sphere(r={r:g})",
-        lambda p: dot3(p, p) - r2,
-        lambda p: (2.0 * p[0], 2.0 * p[1], 2.0 * p[2]),
-        lambda p: ((2.0, 0.0, 0.0), (0.0, 2.0, 0.0), (0.0, 0.0, 2.0)),
-        eps_reg=eps_reg,
-    )
-
-
-def implicit_cylinder(r: float = 1.0, eps_reg: float = EPS_REG_DEFAULT) -> ImplicitSurface:
-    """f = x^2 + y^2 - r^2."""
-    r2 = float(r) ** 2
-    return ImplicitSurface(
-        f"implicit_cylinder(r={r:g})",
-        lambda p: p[0] ** 2 + p[1] ** 2 - r2,
-        lambda p: (2.0 * p[0], 2.0 * p[1], 0.0),
-        lambda p: ((2.0, 0.0, 0.0), (0.0, 2.0, 0.0), (0.0, 0.0, 0.0)),
-        eps_reg=eps_reg,
-    )
-
-
-def implicit_plane(eps_reg: float = EPS_REG_DEFAULT) -> ImplicitSurface:
-    """f = z."""
-    return ImplicitSurface(
-        "implicit_plane",
-        lambda p: p[2],
-        lambda p: (0.0, 0.0, 1.0),
-        lambda p: ((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0)),
-        eps_reg=eps_reg,
-    )
-
-
-def implicit_torus(R: float = 2.0, r: float = 0.5, eps_reg: float = EPS_REG_DEFAULT) -> ImplicitSurface:
-    """f = (x^2 + y^2 + z^2 + R^2 - r^2)^2 - 4 R^2 (x^2 + y^2)."""
-    R, r = float(R), float(r)
-    A = R * R - r * r
-    fourR2 = 4.0 * R * R
-
-    def f(p):
-        x, y, z = p
-        return (dot3(p, p) + A) ** 2 - fourR2 * (x**2 + y**2)
-
-    def grad(p):
-        x, y, z = p
-        c = 4.0 * (dot3(p, p) + A)
-        return (c * x - 2.0 * fourR2 * x, c * y - 2.0 * fourR2 * y, c * z)
-
-    def hess(p):
-        x, y, z = p
-        c = 4.0 * (dot3(p, p) + A)
-        xy, xz, yz = 8.0 * (x * y), 8.0 * (x * z), 8.0 * (y * z)
-        return ((8.0 * (x * x) + c - 2.0 * fourR2, xy, xz),
-                (xy, 8.0 * (y * y) + c - 2.0 * fourR2, yz),
-                (xz, yz, 8.0 * (z * z) + c))
-
-    return ImplicitSurface(f"implicit_torus(R={R:g},r={r:g})", f, grad, hess, eps_reg=eps_reg)
-
-
-# ---------------------------------------------------------------------------
 # Expression-backed surfaces (jets from symbolic differentiation)
+
+# Distinct expression texts (charts, level sets, paths, curves) whose
+# compiled functions a process keeps: a process that runs the CLI again and
+# again rebuilds the same surfaces and curves from the same texts.
+COMPILED_TEXTS = 64
+
+
+@functools.lru_cache(maxsize=COMPILED_TEXTS)
+def _chart_functions(x_src: str, y_src: str, z_src: str) -> tuple:
+    """(jet_fn, jet3_fn) of the chart (x, y, z)(u, v), compiled once per
+    text: the jet as six 3-vectors (sigma and its partials u, v, uu, uv,
+    vv), the third partials as four (uuu, uuv, uvv, vvv), each order
+    differentiated from the one before it."""
+    sigma = [_expr.parse(src, ["u", "v"]) for src in (x_src, y_src, z_src)]
+
+    def d(vectors, var):
+        return [_expr.differentiate(e, var) for e in vectors]
+
+    su, sv = d(sigma, "u"), d(sigma, "v")
+    suu, suv, svv = d(su, "u"), d(su, "v"), d(sv, "v")
+    return (_expr.compile([sigma, su, sv, suu, suv, svv], ["u", "v"]),
+            _expr.compile([d(suu, "u"), d(suu, "v"), d(suv, "v"), d(svv, "v")], ["u", "v"]))
+
+
+@functools.lru_cache(maxsize=COMPILED_TEXTS)
+def _level_functions(f_src: str) -> tuple:
+    """(f, grad, level) of the level set f(x, y, z) = 0, compiled once per
+    text: f, grad f as a 3-vector, and level's (grad f, Hessian by rows).
+    An entry below the Hessian's diagonal is its mirror's tree, which the
+    compiled code computes once."""
+    xyz = ["x", "y", "z"]
+    f = _expr.parse(f_src, xyz)
+    grad = [_expr.differentiate(f, w) for w in xyz]
+    hess = [[_expr.differentiate(grad[min(i, j)], xyz[max(i, j)]) for j in range(3)]
+            for i in range(3)]
+    return _expr.compile(f, xyz), _expr.compile(grad, xyz), _expr.compile([grad, hess], xyz)
 
 
 def parametric_from_expressions(
@@ -871,59 +623,119 @@ def parametric_from_expressions(
     name: str = "param_expr",
 ) -> ParametricSurface:
     """Build a ParametricSurface from component expressions in (u, v)."""
-    comps = [_expr.parse(src, ["u", "v"]) for src in (x_src, y_src, z_src)]
-
-    def d(e, *vars_):
-        for w in vars_:
-            e = _expr.differentiate(e, w)
-        return e
-
-    def compiled(orders):
-        return _expr.compile([d(e, *order) for order in orders for e in comps], ["u", "v"])
-
-    jet_fn = compiled(["", "u", "v", "uu", "uv", "vv"])
-    jet3_fn = compiled(["uuu", "uuv", "uvv", "vvv"])
-
-    def tangents(u, v):
-        # sigma_u and sigma_v from one pass of the whole jet's columns, which
-        # decline wherever a lane of the jet would raise or not be finite
-        jet = jet_fn.columns(u, v)
-        return None if jet is None else (_rows(u, *jet[3:6]), _rows(u, *jet[6:9]))
-
-    return ParametricSurface(
-        name, lambda u, v: _triples(jet_fn(u, v)), u_range, v_range,
-        periodic_u=periodic_u, periodic_v=periodic_v,
-        jet3_fn=lambda u, v: _triples(jet3_fn(u, v)), tangents_fn=tangents, eps_reg=eps_reg,
-    )
+    jet_fn, jet3_fn = _chart_functions(x_src, y_src, z_src)
+    return ParametricSurface(name, jet_fn, u_range, v_range, periodic_u=periodic_u,
+                             periodic_v=periodic_v, jet3_fn=jet3_fn, eps_reg=eps_reg)
 
 
 def implicit_from_expression(f_src: str, eps_reg: float = EPS_REG_DEFAULT,
                              name: str = "implicit_expr") -> ImplicitSurface:
-    """Build an ImplicitSurface from an expression in (x, y, z).
+    """Build an ImplicitSurface from an expression in (x, y, z)."""
+    return ImplicitSurface(name, *_level_functions(f_src), eps_reg=eps_reg)
 
-    The Hessian is assembled from its six independent entries (symbolic
-    second partials of f), mirrored into the symmetric 3x3.
-    """
-    xyz = ["x", "y", "z"]
-    f = _expr.parse(f_src, xyz)
-    grads = [_expr.differentiate(f, w) for w in xyz]
-    upper = [_expr.differentiate(grads[i], xyz[j]) for i in range(3) for j in range(i, 3)]
 
-    f_fn = _expr.compile([f], xyz)
-    grad_fn = _expr.compile(grads, xyz)
-    upper_fn = _expr.compile(upper, xyz)
+# ---------------------------------------------------------------------------
+# Catalog surfaces: expression templates whose {key} fields a constructor
+# fills with the repr of its float parameters (repr parses back to the same
+# float).  The spellings keep the bits the catalog has always had: the
+# ellipsoid's a*cos(v)*cos(u) without the exact 1.0* factor, or the implicit
+# torus's x^2+y^2 written x*x+y*y, changes them on some points.
 
-    def hess(p):
-        xx, xy, xz, yy, yz, zz = upper_fn(*p)
-        return ((xx, xy, xz), (xy, yy, yz), (xz, yz, zz))
+_ANGLE = (-math.pi, math.pi)
+_POLAR_V = (-(math.pi / 2 - POLE_MARGIN), math.pi / 2 - POLE_MARGIN)
 
-    return ImplicitSurface(
-        name,
-        lambda p: f_fn(*p)[0],
-        lambda p: grad_fn(*p),
-        hess,
-        eps_reg=eps_reg,
-    )
+
+def _filled(name: str, template: str, params: dict) -> str:
+    """template with each {key} replaced by (repr(float(params[key])))."""
+    values = {key: float(value) for key, value in params.items()}
+    for key, value in values.items():
+        if not math.isfinite(value):
+            raise DarbouxError(f"{name}: template parameter {key}={value!r} is not finite")
+    return template.format(**{key: f"({value!r})" for key, value in values.items()})
+
+
+def _catalog_chart(name: str, templates, u_range, v_range, periodic_u=False, periodic_v=False,
+                   eps_reg=EPS_REG_DEFAULT, **params) -> ParametricSurface:
+    return parametric_from_expressions(
+        *(_filled(name, t, params) for t in templates), u_range, v_range,
+        periodic_u=periodic_u, periodic_v=periodic_v, eps_reg=eps_reg, name=name)
+
+
+def sphere(r: float = 1.0, eps_reg: float = EPS_REG_DEFAULT) -> ParametricSurface:
+    """sigma = r (cos v cos u, cos v sin u, sin v); poles excluded."""
+    xyz = ("{r}*cos(v)*cos(u)", "{r}*cos(v)*sin(u)", "{r}*sin(v)")
+    return _catalog_chart(f"sphere(r={float(r):g})", xyz, _ANGLE, _POLAR_V, periodic_u=True,
+                          eps_reg=eps_reg, r=r)
+
+
+def cylinder(r: float = 1.0, v_range: tuple[float, float] = (-20.0, 20.0),
+             eps_reg: float = EPS_REG_DEFAULT) -> ParametricSurface:
+    """sigma = (r cos u, r sin u, v)."""
+    return _catalog_chart(f"cylinder(r={float(r):g})", ("{r}*cos(u)", "{r}*sin(u)", "v"), _ANGLE,
+                          v_range, periodic_u=True, eps_reg=eps_reg, r=r)
+
+
+def plane(u_range=(-20.0, 20.0), v_range=(-20.0, 20.0),
+          eps_reg: float = EPS_REG_DEFAULT) -> ParametricSurface:
+    """sigma = (u, v, 0)."""
+    return _catalog_chart("plane", ("u", "v", "0"), u_range, v_range, eps_reg=eps_reg)
+
+
+def torus(R: float = 2.0, r: float = 0.5, eps_reg: float = EPS_REG_DEFAULT) -> ParametricSurface:
+    """sigma = ((R + r cos v) cos u, (R + r cos v) sin u, r sin v)."""
+    xyz = ("({R}+{r}*cos(v))*cos(u)", "({R}+{r}*cos(v))*sin(u)", "{r}*sin(v)")
+    return _catalog_chart(f"torus(R={float(R):g},r={float(r):g})", xyz, _ANGLE, _ANGLE,
+                          periodic_u=True, periodic_v=True, eps_reg=eps_reg, R=R, r=r)
+
+
+def helicoid(a: float = 1.0, u_range=(-2 * math.pi, 2 * math.pi), v_range=(-5.0, 5.0),
+             eps_reg: float = EPS_REG_DEFAULT) -> ParametricSurface:
+    """sigma = (v cos u, v sin u, a u)."""
+    return _catalog_chart(f"helicoid(a={float(a):g})", ("v*cos(u)", "v*sin(u)", "{a}*u"),
+                          u_range, v_range, eps_reg=eps_reg, a=a)
+
+
+def ellipsoid(a: float = 2.0, b: float = 1.5, c: float = 1.0,
+              eps_reg: float = EPS_REG_DEFAULT) -> ParametricSurface:
+    """sigma = (a cos v cos u, b cos v sin u, c sin v); poles excluded."""
+    xyz = ("{a}*(1.0*cos(v)*cos(u))", "{b}*(1.0*cos(v)*sin(u))", "{c}*(1.0*sin(v))")
+    return _catalog_chart(f"ellipsoid(a={a:g},b={b:g},c={c:g})", xyz, _ANGLE, _POLAR_V,
+                          periodic_u=True, eps_reg=eps_reg, a=a, b=b, c=c)
+
+
+def monkey_saddle(u_range=(-2.0, 2.0), v_range=(-2.0, 2.0),
+                  eps_reg: float = EPS_REG_DEFAULT) -> ParametricSurface:
+    """sigma = (u, v, u^3 - 3 u v^2)."""
+    return _catalog_chart("monkey_saddle", ("u", "v", "u^3-3.0*u*v*v"), u_range, v_range,
+                          eps_reg=eps_reg)
+
+
+def implicit_sphere(r: float = 1.0, eps_reg: float = EPS_REG_DEFAULT) -> ImplicitSurface:
+    """f = x^2 + y^2 + z^2 - r^2 (outward normal)."""
+    name = f"implicit_sphere(r={r:g})"
+    return implicit_from_expression(_filled(name, "x*x+y*y+z*z-{r2}", {"r2": float(r) ** 2}),
+                                    eps_reg, name)
+
+
+def implicit_cylinder(r: float = 1.0, eps_reg: float = EPS_REG_DEFAULT) -> ImplicitSurface:
+    """f = x^2 + y^2 - r^2."""
+    name = f"implicit_cylinder(r={r:g})"
+    return implicit_from_expression(_filled(name, "x^2+y^2-{r2}", {"r2": float(r) ** 2}),
+                                    eps_reg, name)
+
+
+def implicit_plane(eps_reg: float = EPS_REG_DEFAULT) -> ImplicitSurface:
+    """f = z."""
+    return implicit_from_expression("z", eps_reg, "implicit_plane")
+
+
+def implicit_torus(R: float = 2.0, r: float = 0.5, eps_reg: float = EPS_REG_DEFAULT) -> ImplicitSurface:
+    """f = (x^2 + y^2 + z^2 + R^2 - r^2)^2 - 4 R^2 (x^2 + y^2)."""
+    R, r = float(R), float(r)
+    name = f"implicit_torus(R={R:g},r={r:g})"
+    params = {"A": R * R - r * r, "F": 4.0 * R * R}
+    return implicit_from_expression(_filled(name, "(x*x+y*y+z*z+{A})^2-{F}*(x^2+y^2)", params),
+                                    eps_reg, name)
 
 
 # ---------------------------------------------------------------------------
@@ -988,7 +800,9 @@ def _builtin_params(name: str, ctor: Callable, query: str) -> dict[str, float]:
         if key != "eps_reg" and isinstance(param.default, (int, float))
     ]
     params = {}
-    for key, value in parse_qsl(query, keep_blank_values=True):
+    # split and %-decoded by hand: form decoding (parse_qsl) would read the
+    # "+" of "1e+60" as a space
+    for key, _, value in (map(unquote, pair.partition("=")) for pair in query.split("&") if pair):
         if key not in allowed:
             expected = ", ".join(allowed) or "none"
             raise DarbouxError(f"builtin {name!r} has no parameter {key!r} (parameters: {expected})")

@@ -291,7 +291,7 @@ def _bisect_newton(g, a, ga, b, gb, tol, max_iter):
 def _find_seed_implicit(surface, d, target, guess, tol, max_iter, projection_tol):
     p, _ = _project(surface, _point(guess), projection_tol)
     for _ in range(max_iter):
-        grad = surface._grad(p)
+        grad = surface._grad(*p)
         n = norm3(grad)
         if n <= surface.eps_reg:
             raise SeedError("no isophote at this level near guess")
@@ -299,7 +299,7 @@ def _find_seed_implicit(surface, d, target, guess, tol, max_iter, projection_tol
         g = dot3(nhat, d) - target
         if abs(g) <= tol:
             return p
-        grad_g = _level_gradient((grad, n, surface._hess(p)), d)
+        grad_g = _level_gradient((grad, n, surface._level(*p)[1]), d)
         k = dot3(grad_g, nhat)
         gt = tuple([a - k * b for a, b in zip(grad_g, nhat)])
         gt2 = dot3(gt, gt)
@@ -416,7 +416,7 @@ def isophote_direction_implicit(surface: ImplicitSurface, d, p, branch: str = "p
     Raises SingularPointError when the two gradients are parallel or grad(g)
     vanishes (the level set degenerates; no isophotic curve exists)."""
     p = _point(p)
-    f = surface._f(p)
+    f = surface._f(*p)
     if abs(f) > on_surface_tol:
         raise DarbouxError(f"point is not on the surface: |f| = {abs(f):g} > {on_surface_tol:g}")
     t = np.array(_implicit_direction(surface.level_point(p), _floats(d), eps_sing, p))
@@ -758,7 +758,7 @@ class _ImplicitTrace:
 
     def record(self, q, point, k, t):
         grad, n, H = point
-        f = self.f if self.f is not None else self.surface._f(q)
+        f = self.f if self.f is not None else self.surface._f(*q)
         return q, t, grad, n, n**3, H, abs(f)
 
     def columns(self, s, q, t, grad, n, n3, H, f) -> dict:
@@ -773,13 +773,13 @@ def _project_two_constraints(surface, d, target, p, tol):
     closed form and moves by J^T x.  A singular system leaves p as it is.
     Returns (p, f(p)), with None for f where the last step moved p."""
     for _ in range(8):
-        grad = surface._grad(p)
+        grad = surface._grad(*p)
         n = norm3(grad)
-        f = surface._f(p)
+        f = surface._f(*p)
         g = dot3(grad, d) / n - target
         if abs(f) <= tol and abs(g) <= tol:
             return p, f
-        grad_g = _level_gradient((grad, n, surface._hess(p)), d)
+        grad_g = _level_gradient((grad, n, surface._level(*p)[1]), d)
         a, b, c = dot3(grad, grad), dot3(grad, grad_g), dot3(grad_g, grad_g)
         det = a * c - b * b
         if det == 0.0:

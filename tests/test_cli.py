@@ -192,6 +192,27 @@ class TestSeedFind:
                               "--guess", "0,0"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("query", ["r=1e+0", "r=1e0", "r=%31", "r=1&"])
+    def test_builtin_parameter_spellings(self, query, capsys):
+        # the "+" of an exponent is the number's own, not a form-encoded space
+        code, captured = run(["seed-find", "--surface", f"builtin:sphere?{query}",
+                              "--axis", "0,0,1", "--angle", "60",
+                              "--guess", "0,0.4"], capsys)
+        assert (code, captured.err) == (0, "")
+        assert float(captured.out.split()[1]) == pytest.approx(math.pi / 6, abs=1e-11)
+
+    @pytest.mark.parametrize("query, message", [
+        ("r=1e 0", "bad number for builtin parameter r='1e 0'"),
+        ("r=", "bad number for builtin parameter r=''"),
+        ("q=1", "builtin 'sphere' has no parameter 'q' (parameters: r)"),
+    ])
+    def test_bad_builtin_parameters_exit_2(self, query, message, capsys):
+        code, captured = run(["seed-find", "--surface", f"builtin:sphere?{query}",
+                              "--axis", "0,0,1", "--angle", "60",
+                              "--guess", "0,0.4"], capsys)
+        assert code == 2
+        assert message in captured.err
+
 
 class TestClassify:
     def test_helix_on_cylinder_report(self, tmp_path):
@@ -564,9 +585,7 @@ def _trace_argv(draw):
     if not implicit:
         names[2:2] = ["ellipsoid", "helicoid", "monkey_saddle"]
     name = draw(st.sampled_from(names))
-    # no "+" in a query: parse_qsl reads "1e+60" as "1e 60"
-    big, mid, small = (repr(x).replace("e+", "e") for x in (scale, scale * ratio,
-                                                            scale * ratio * ratio))
+    big, mid, small = (repr(x) for x in (scale, scale * ratio, scale * ratio * ratio))
     query = {"sphere": f"r={big}", "cylinder": f"r={big}", "torus": f"R={big}&r={mid}",
              "helicoid": f"a={big}", "ellipsoid": f"a={big}&b={mid}&c={small}",
              "plane": "", "monkey_saddle": ""}[name]

@@ -59,8 +59,7 @@ CASES = {
     "sphere_latitude_space_classify.json": [
         "classify", "--surface", "builtin:sphere?r=1", "--curve",
         "space:x=cos(s)*cos(0.5);y=sin(s)*cos(0.5);z=sin(0.5)", "--samples", "100"],
-    # a wavy chart path on the ellipsoid, a chart without array tangents
-    # (tangents_many goes lane by lane), with the analytic tau_g'
+    # a wavy chart path on the ellipsoid, with the analytic tau_g'
     "ellipsoid_classify.json": [
         "classify", "--surface", "builtin:ellipsoid?a=2&b=1.5&c=1", "--curve",
         "param:u=0.5*s;v=0.3*sin(s);s=0,3", "--samples", "48"],

@@ -1,5 +1,5 @@
-"""Surfaces: catalog jets against the symbolic-differentiation oracle,
-fundamental forms, normals, implicit jets, and projection."""
+"""Surfaces: catalog jets against sympy's derivatives, fundamental forms,
+normals, implicit jets, and projection."""
 
 import math
 import struct
@@ -29,24 +29,50 @@ from darboux.surface import (
 
 RNG = np.random.default_rng(11)
 
-# (catalog surface, expression twin) pairs: the twin's jets come from
-# symbolic differentiation, independent of the hand-written ones.
-CATALOG_WITH_TWINS = [
-    (darboux.sphere(1.0),
-     ("cos(v)*cos(u)", "cos(v)*sin(u)", "sin(v)")),
-    (darboux.cylinder(1.0),
-     ("cos(u)", "sin(u)", "v")),
-    (darboux.plane(),
-     ("u", "v", "0")),
-    (darboux.torus(2.0, 0.5),
-     ("(2+0.5*cos(v))*cos(u)", "(2+0.5*cos(v))*sin(u)", "0.5*sin(v)")),
-    (darboux.helicoid(1.0),
-     ("v*cos(u)", "v*sin(u)", "u")),
-    (darboux.ellipsoid(2.0, 1.5, 1.0),
-     ("2*cos(v)*cos(u)", "1.5*cos(v)*sin(u)", "sin(v)")),
-    (darboux.monkey_saddle(),
-     ("u", "v", "u^3-3*u*v^2")),
+CATALOG_CHARTS = [
+    darboux.sphere(1.0),
+    darboux.cylinder(1.0),
+    darboux.plane(),
+    darboux.torus(2.0, 0.5),
+    darboux.helicoid(1.0),
+    darboux.ellipsoid(2.0, 1.5, 1.0),
+    darboux.monkey_saddle(),
 ]
+
+CATALOG_LEVELS = [
+    darboux.implicit_sphere(1.0),
+    darboux.implicit_cylinder(1.0),
+    darboux.implicit_plane(),
+    darboux.implicit_torus(2.0, 0.5),
+]
+
+
+def sympy_charts(sp, u, v):
+    """The catalog charts of CATALOG_CHARTS written in sympy, from the
+    formulas of their docstrings, by name."""
+    return {
+        "sphere(r=1)": (sp.cos(v) * sp.cos(u), sp.cos(v) * sp.sin(u), sp.sin(v)),
+        "cylinder(r=1)": (sp.cos(u), sp.sin(u), v),
+        "plane": (u, v, sp.Integer(0)),
+        "torus(R=2,r=0.5)": ((2 + sp.Rational(1, 2) * sp.cos(v)) * sp.cos(u),
+                             (2 + sp.Rational(1, 2) * sp.cos(v)) * sp.sin(u),
+                             sp.Rational(1, 2) * sp.sin(v)),
+        "helicoid(a=1)": (v * sp.cos(u), v * sp.sin(u), u),
+        "ellipsoid(a=2,b=1.5,c=1)": (2 * sp.cos(v) * sp.cos(u),
+                                     sp.Rational(3, 2) * sp.cos(v) * sp.sin(u), sp.sin(v)),
+        "monkey_saddle": (u, v, u**3 - 3 * u * v**2),
+    }
+
+
+def sympy_levels(sp, x, y, z):
+    """The implicit catalog surfaces of CATALOG_LEVELS in sympy, by name."""
+    return {
+        "implicit_sphere(r=1)": x**2 + y**2 + z**2 - 1,
+        "implicit_cylinder(r=1)": x**2 + y**2 - 1,
+        "implicit_plane": z,
+        "implicit_torus(R=2,r=0.5)": (x**2 + y**2 + z**2 + sp.Rational(15, 4))**2
+        - 16 * (x**2 + y**2),
+    }
 
 
 def interior_points(surface, n=30):
@@ -80,21 +106,39 @@ def test_vector_lagrange_identity():
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
 
 
-@pytest.mark.parametrize("surface,exprs", CATALOG_WITH_TWINS,
-                         ids=[s.name for s, _ in CATALOG_WITH_TWINS])
-def test_catalog_jets_match_symbolic_oracle(surface, exprs):
-    twin = parametric_from_expressions(*exprs, surface.u_range, surface.v_range)
-    for u, v in regular_points(surface, 15):
-        jet = surface.chart_jet(u, v)
-        oracle = twin.chart_jet(u, v)
-        for got, want in zip(
-            (jet.sigma, jet.sigma_u, jet.sigma_v, jet.sigma_uu, jet.sigma_uv, jet.sigma_vv),
-            (oracle.sigma, oracle.sigma_u, oracle.sigma_v,
-             oracle.sigma_uu, oracle.sigma_uv, oracle.sigma_vv),
-        ):
-            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
-        for got, want in zip(surface.jet3(u, v), twin.jet3(u, v)):
-            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+@pytest.mark.parametrize("surface", CATALOG_CHARTS, ids=[s.name for s in CATALOG_CHARTS])
+def test_catalog_jets_match_symbolic_oracle(surface):
+    """Each catalog jet to third order against sympy.diff of the chart."""
+    sp = pytest.importorskip("sympy")
+    u, v = sp.symbols("u v")
+    sigma = sympy_charts(sp, u, v)[surface.name]
+    orders = [(u,), (v,), (u, u), (u, v), (v, v), (u, u, u), (u, u, v), (u, v, v), (v, v, v)]
+    oracle = [sp.lambdify((u, v), sigma, "math")] + [
+        sp.lambdify((u, v), [sp.diff(c, *order) for c in sigma], "math") for order in orders]
+    for a, b in regular_points(surface, 15):
+        jet = surface.chart_jet(a, b)
+        for got, want in zip([*jet, *surface.jet3(a, b)], oracle):
+            np.testing.assert_allclose(got, np.array(want(a, b), dtype=float),
+                                       rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("surface", CATALOG_LEVELS, ids=[s.name for s in CATALOG_LEVELS])
+def test_catalog_level_jets_match_symbolic_oracle(surface):
+    """Each implicit catalog surface's f, gradient and Hessian against
+    sympy.diff of f."""
+    sp = pytest.importorskip("sympy")
+    xyz = sp.symbols("x y z")
+    f = sympy_levels(sp, *xyz)[surface.name]
+    value = sp.lambdify(xyz, f, "math")
+    grad = sp.lambdify(xyz, [sp.diff(f, w) for w in xyz], "math")
+    hess = sp.lambdify(xyz, [[sp.diff(f, a, b) for b in xyz] for a in xyz], "math")
+    for p in RNG.uniform(-2.0, 2.0, (30, 3)):
+        got_f, got_g, got_H = surface.jet(p)
+        np.testing.assert_allclose(got_f, value(*p), rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(got_g, np.array(grad(*p), dtype=float),
+                                   rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(got_H, np.array(hess(*p), dtype=float),
+                                   rtol=1e-12, atol=1e-12)
 
 
 class TestChartJet:
@@ -137,7 +181,7 @@ class TestChartJet:
 # eps_reg = 1e-10 for |v| > 0.80 (per-lane tangents), and a torus whose
 # |sigma_u x sigma_v| = r (R + r cos(v)) is at most eps_reg = 1 where
 # cos(v) <= 0 (array tangents).
-TANGENT_CHARTS = [twin[0] for twin in CATALOG_WITH_TWINS] + [
+TANGENT_CHARTS = CATALOG_CHARTS + [
     darboux.sphere(1.2e-5), darboux.torus(2.0, 0.5, eps_reg=1.0)]
 
 # Charts from expressions, whose tangents come from one pass of the compiled
@@ -234,13 +278,13 @@ class TestTangentsMany:
             outside.append((math.nextafter(uhi, math.inf), 0.2))
         return inside, outside
 
-    @pytest.mark.parametrize("surface", [twin[0] for twin in CATALOG_WITH_TWINS], ids=repr)
+    @pytest.mark.parametrize("surface", CATALOG_CHARTS, ids=repr)
     def test_catalog_array_tangents_on_the_chart_edges(self, surface):
-        # every catalog chart has array tangents (np.sin/np.cos, the jet's
-        # operations in its order), bit-equal to chart_point lane by lane
-        assert surface._tangents_fn is not None
+        # every catalog chart has array tangents (its compiled jet's columns,
+        # which take these lanes), bit-equal to chart_point lane by lane
         inside, outside = self.edge_lanes(surface)
         us, vs = [p[0] for p in inside], [p[1] for p in inside]
+        assert surface._jet_fn.columns(np.array(us), np.array(vs)) is not None
         su, sv = surface.tangents_many(us, vs)
         jets = [surface.chart_point(u, v)[0] for u, v in inside]
         assert _bits(su) == _bits([j[1] for j in jets])
@@ -257,7 +301,7 @@ class TestTangentsMany:
         columns; where they decline, tangents_many evaluates chart_point
         lane by lane and returns its values or raises its error."""
         us, vs = [0.3, 0.1, -0.2], [0.2, -0.4, 0.5]
-        assert surface._tangents_fn(np.array(us), np.array(vs)) is not None
+        assert surface._jet_fn.columns(np.array(us), np.array(vs)) is not None
         inside, outside = self.edge_lanes(surface)
         for lanes in (list(zip(us, vs)), inside, inside + outside[:1],
                       [(0.3, math.nan)] + inside, [(math.nan, 0.2)]):
@@ -272,13 +316,13 @@ class TestTangentsMany:
     def test_declining_columns_keep_chart_point(self):
         torus, cap, overflow = PARAM_TANGENT_CHARTS
         # sqrt of a negative: the columns decline, chart_point's error
-        assert cap._tangents_fn(np.array([0.3, 0.8]), np.array([0.2, 0.8])) is None
+        assert cap._jet_fn.columns(np.array([0.3, 0.8]), np.array([0.2, 0.8])) is None
         error, _ = _raised(cap.tangents_many, [0.3, 0.8], [0.2, 0.8])
         assert error == _raised(cap.chart_point, 0.8, 0.8)[0]
         assert error[0] is EvalDomainError
         # an infinite jet with no error: the columns decline, chart_point's values
         us, vs = [0.3, 1e149], [0.2, -0.5]
-        assert overflow._tangents_fn(np.array(us), np.array(vs)) is None
+        assert overflow._jet_fn.columns(np.array(us), np.array(vs)) is None
         su, sv = overflow.tangents_many(us, vs)
         jets = [overflow.chart_point(u, v)[0] for u, v in zip(us, vs)]
         assert _bits(su) == _bits([j[1] for j in jets])
@@ -307,9 +351,8 @@ class TestFirstForm:
         ff = first_form(darboux.cylinder(1.0).chart_jet(0.5, 2.0))
         assert (ff.E, ff.F, ff.G) == pytest.approx((1.0, 0.0, 1.0), abs=1e-15)
 
-    @pytest.mark.parametrize("surface,_", CATALOG_WITH_TWINS,
-                             ids=[s.name for s, _ in CATALOG_WITH_TWINS])
-    def test_positive_definite_everywhere(self, surface, _):
+    @pytest.mark.parametrize("surface", CATALOG_CHARTS, ids=[s.name for s in CATALOG_CHARTS])
+    def test_positive_definite_everywhere(self, surface):
         for u, v in regular_points(surface, 100):
             ff = first_form(surface.chart_jet(u, v))
             assert ff.E > 0 and ff.G > 0 and ff.det > 0
@@ -328,9 +371,8 @@ class TestUnitNormal:
         np.testing.assert_allclose(
             unit_normal(darboux.cylinder(1.0).chart_jet(0.0, 0.0)), [1, 0, 0], atol=1e-15)
 
-    @pytest.mark.parametrize("surface,_", CATALOG_WITH_TWINS,
-                             ids=[s.name for s, _ in CATALOG_WITH_TWINS])
-    def test_unit_and_orthogonal(self, surface, _):
+    @pytest.mark.parametrize("surface", CATALOG_CHARTS, ids=[s.name for s in CATALOG_CHARTS])
+    def test_unit_and_orthogonal(self, surface):
         for u, v in regular_points(surface, 100):
             jet = surface.chart_jet(u, v)
             U = unit_normal(jet)
@@ -358,9 +400,8 @@ class TestNormalDerivatives:
         np.testing.assert_allclose(U_u, [0, 1, 0], atol=1e-14)
         np.testing.assert_allclose(U_v, [0, 0, 0], atol=1e-14)
 
-    @pytest.mark.parametrize("surface,_", CATALOG_WITH_TWINS,
-                             ids=[s.name for s, _ in CATALOG_WITH_TWINS])
-    def test_tangency_and_fd_agreement(self, surface, _):
+    @pytest.mark.parametrize("surface", CATALOG_CHARTS, ids=[s.name for s in CATALOG_CHARTS])
+    def test_tangency_and_fd_agreement(self, surface):
         h = 1e-6
         for u, v in regular_points(surface, 25):
             U_u, U_v = normal_derivatives(surface, u, v)
@@ -491,6 +532,14 @@ class TestSurfaceSpecStrings:
     def test_missing_prefix(self):
         with pytest.raises(DarbouxError):
             parse_surface_spec("sphere")
+
+    def test_non_finite_template_parameter_is_a_typed_error(self):
+        # a catalog surface is expression text, which has no inf or nan
+        with pytest.raises(DarbouxError, match=r"template parameter r=inf is not finite"):
+            darboux.sphere(math.inf)
+        with pytest.raises(DarbouxError, match=r"implicit_torus\(R=1e\+200,r=1e\+199\): "
+                                               r"template parameter A=nan is not finite"):
+            parse_surface_spec("builtin:torus?R=1e200&r=1e199", implicit=True)
 
     def test_helicoid_has_no_implicit_form(self):
         with pytest.raises(DarbouxError, match="no implicit form"):

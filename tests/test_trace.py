@@ -461,13 +461,14 @@ class TestEvaluationCounts:
         base = darboux.implicit_torus(2.0, 0.5)
 
         def counted(name, fn):
-            def wrapper(p):
+            def wrapper(*p):
                 calls[name] += 1
                 return fn(p)
             return wrapper
 
         return ImplicitSurface("counted torus", counted("f", base.value),
-                               counted("grad", base.gradient), counted("hess", base.hessian))
+                               counted("grad", base.gradient),
+                               counted("level", lambda p: (base.gradient(p), base.hessian(p))))
 
     def test_sphere_circuit_jets(self):
         calls = {"jet": 0}
@@ -479,7 +480,7 @@ class TestEvaluationCounts:
         assert calls["jet"] <= 2 * (res.n - 1) + 1
 
     def test_implicit_torus_evaluations(self):
-        calls = {"f": 0, "grad": 0, "hess": 0}
+        calls = {"f": 0, "grad": 0, "level": 0}
         surface = self.counting_torus(calls)
         seed = find_seed(surface, EZ, math.pi / 3, (2.5, 0.0, 0.1))
         for name in calls:
@@ -487,10 +488,11 @@ class TestEvaluationCounts:
         res = trace_isophote(surface, EZ, math.pi / 3, seed,
                              TraceConfig(step=1e-2, max_length=2.0))
         assert res.termination == "length reached"
-        # RK4 stages 2-4 and the new sample take grad and H; the projection
-        # takes f, and the |f| column reads the projection's last value
-        assert calls["hess"] <= 4 * res.n + 5
-        assert calls["grad"] <= 5 * res.n + 5
+        # RK4 stages 2-4 and the new sample take grad and H in one level
+        # call; the projection takes f (and grad), and the |f| column reads
+        # the projection's last value
+        assert calls["level"] <= 4 * res.n + 5
+        assert calls["grad"] + calls["level"] <= 5 * res.n + 5
         assert calls["f"] <= res.n
 
 
@@ -675,7 +677,7 @@ class TestFieldSolves:
         assert calls["_first_form"] == calls["jet"]
 
     def test_implicit_torus_direction_solves(self, monkeypatch):
-        calls = {"f": 0, "grad": 0, "hess": 0, "_implicit_direction": 0}
+        calls = {"f": 0, "grad": 0, "level": 0, "_implicit_direction": 0}
         surface = TestEvaluationCounts.counting_torus(calls)
         seed = find_seed(surface, EZ, math.pi / 3, (2.5, 0.0, 0.1))
         self.counted(monkeypatch, "_implicit_direction", calls)

@@ -390,3 +390,34 @@ def test_column_bindings_use_no_other_numpy_ufunc():
              if isinstance(value, np.ufunc)}
     assert bound == {"absolute", "sqrt", "sin", "cos"}
     assert set(expr._COLUMN_HELPERS) == set(expr._HELPERS)
+
+
+def _is_compiled(fn) -> bool:
+    """Whether fn is a function generated by expr.compile."""
+    return ((fn.__module__, fn.__name__) == ("darboux.expr", "compiled")
+            and callable(getattr(fn, "columns", None)))
+
+
+@pytest.mark.parametrize("name", sorted(darboux.surface.CATALOG))
+def test_catalog_surfaces_are_compiled_expressions(name):
+    """Each catalog surface is one chart (or level) definition: expression
+    text whose jets expr.compile derives, not formulas written out by hand."""
+    parametric, implicit = darboux.surface.CATALOG[name]
+    chart = parametric()
+    assert _is_compiled(chart._jet_fn) and _is_compiled(chart._jet3_fn)
+    if implicit is not None:
+        level = implicit()
+        assert all(map(_is_compiled, (level._f, level._grad, level._level)))
+
+
+TRANSCENDENTAL_CALLS = {(module, fn) for module in ("math", "np")
+                        for fn in ("sin", "cos", "tan", "exp", "log", "sinh", "cosh")}
+
+
+def test_surface_module_writes_no_chart_formula():
+    """surface.py evaluates no sin, cos or other transcendental function
+    itself: chart and level formulas live in expression text only."""
+    tree = ast.parse((Path(darboux.__file__).parent / "surface.py").read_text())
+    found = [f"{node.lineno} {'.'.join(_dotted(node.func))}" for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and _dotted(node.func) in TRANSCENDENTAL_CALLS]
+    assert found == []
