@@ -421,13 +421,6 @@ class _Emitter:
         return name
 
 
-def _leaves(tree) -> list:
-    """The expressions of a nested list of expressions, depth first."""
-    if isinstance(tree, Expression):
-        return [tree]
-    return [e for part in tree for e in _leaves(part)]
-
-
 def _nested(tree, values):
     """The next values of the iterator ``values`` nested as ``tree`` is:
     a value for an expression, a tuple for a list."""
@@ -458,17 +451,16 @@ def compile(exprs, variables):
     if not isinstance(exprs, Expression):
         exprs = list(exprs)
     variables = tuple(variables)
-    leaves = _leaves(exprs)
+    flat = _flattener(exprs)
+    leaves = flat(exprs)  # the expressions, depth first
     emitter = _Emitter(variables)
     results = [emitter.emit(e.root) for e in leaves]
     args = [f"a{i}" for i in range(len(variables))]
     entry = [f"x{i} = _float(a{i})" for i in sorted(emitter.used)]
-    cells = ["_fallback", "_flat", *_HELPERS, *(f"k{i}" for i in range(len(emitter.consts)))]
-    # the columns take the values flat, the float code nested (the repr of
-    # a nest of local names, unquoted, is its display)
+    cells = ["_fallback", *_HELPERS, *(f"k{i}" for i in range(len(emitter.consts)))]
+    # the repr of a nest of local names, unquoted, is its display
     nested = repr(_nested(exprs, iter(results))).replace("'", "")
-    flat = repr(tuple(results)).replace("'", "")
-    body = entry + emitter.lines + ["if _flat:", f"    return {flat}", f"return {nested}"]
+    body = entry + emitter.lines + [f"return {nested}"]
     source = "\n".join([
         f"def _make({', '.join(cells)}):",
         f"    def compiled({', '.join(args)}):",
@@ -483,32 +475,45 @@ def compile(exprs, variables):
         env = dict(zip(variables, values))
         return _nested(exprs, (_eval(e.root, env) for e in leaves))
 
-    namespace: dict = {"__name__": __name__}
+    namespace: dict = {}
     exec(source, namespace)
     make = namespace["_make"]
-    compiled = make(fallback, False, *_HELPERS.values(), *emitter.consts)
-    compiled.columns = _columns(make, emitter.consts)
+    compiled = make(fallback, *_HELPERS.values(), *emitter.consts)
+    compiled.columns = _columns(make, emitter.consts, flat)
     return compiled
+
+
+def _flattener(tree):
+    """The function taking a value nested as ``tree`` (tuples or lists) to
+    the tuple of its leaves' values, depth first."""
+    if isinstance(tree, Expression):
+        return lambda value: (value,)
+    if all(isinstance(part, Expression) for part in tree):
+        return tuple
+    parts = [_flattener(part) for part in tree]
+    return lambda value: tuple([x for f, part in zip(parts, value) for x in f(part)])
 
 
 def _decline(*values):
     return None
 
 
-def _columns(make, consts):
+def _columns(make, consts, flat):
     """``fn.columns``: the generated code of ``make`` bound to
     ``_COLUMN_HELPERS``, with the decline rule of the module docstring and
-    the constants as numpy float64 scalars.  Every operation is then a
-    numpy one (on columns or on float64 scalars, which the lane-wise
-    functions also return) or a ``math`` call that raises: from finite
+    the constants as numpy float64 scalars, its nested value read flat by
+    ``flat``.  Every operation is then a numpy one (on columns or on
+    float64 scalars, which the lane-wise functions also return) or a
+    ``math`` call that raises: from finite
     constants and inputs, an operation that neither signals nor raises
     gives a finite value, so where the columns return, no lane raised on
     floats, every lane is finite, and each lane's operations are the float
     code's, correctly rounded alike.  Constant outputs are broadcast to the
-    inputs' shape, and no output shares memory with an input."""
+    inputs' shape as the rows of one block (one np.full each cost more than
+    a short pass), and no output shares memory with an input."""
     if not all(map(math.isfinite, consts)):
         return _decline
-    evaluate = make(_decline, True, *(_COLUMN_HELPERS[name] for name in _HELPERS),
+    evaluate = make(_decline, *(_COLUMN_HELPERS[name] for name in _HELPERS),
                     *map(np.float64, consts))
 
     def columns(*values):
@@ -519,8 +524,12 @@ def _columns(make, consts):
             out = evaluate(*values)
         if out is None:
             return None
-        shape = values[0].shape if values else ()
-        return tuple(x if type(x) is np.ndarray else np.full(shape, x) for x in out)
+        out = flat(out)
+        constant = [k for k, x in enumerate(out) if type(x) is not np.ndarray]
+        block = np.empty((len(constant), *(values[0].shape if values else ())))
+        block.T[...] = [out[k] for k in constant]
+        rows = dict(zip(constant, block))
+        return tuple([rows.get(k, x) for k, x in enumerate(out)])
 
     return columns
 

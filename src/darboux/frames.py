@@ -37,7 +37,7 @@ compiles two functions, its jet (nested as jet returns it) and the
 first-order (u, v, u', v') the speed reads, so a path whose higher
 derivatives fail where its first-order ones do not (u = s^2.5 at s = 0)
 still has a speed; ``ParamCurve.from_expressions`` compiles c, c1, c2 and
-c3.  Each is compiled once per process and text, as surfaces are.
+c3 once each.
 
 The per-point functions (``darboux``, ``frenet``, ``gamma_jet``) run the
 float kernels of ``surface`` on tuples of Python floats, with one bivariate
@@ -61,7 +61,6 @@ raises gives the error, and the others overwrite their own lane.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from itertools import chain
@@ -79,7 +78,6 @@ from .errors import (
     numerical,
 )
 from .surface import (
-    COMPILED_TEXTS,
     ImplicitSurface,
     ParametricSurface,
     _column,
@@ -226,7 +224,10 @@ class ParamCurve:
     @classmethod
     def from_expressions(cls, x_src: str, y_src: str, z_src: str,
                          t_range: tuple[float, float], var: str = "s") -> "ParamCurve":
-        return cls(*_curve_functions(x_src, y_src, z_src, var), t_range)
+        jets = [[_expr.parse(src, [var]) for src in (x_src, y_src, z_src)]]
+        for _ in range(3):
+            jets.append([_expr.differentiate(e, var) for e in jets[-1]])
+        return cls(*(_expr.compile(jet, [var]) for jet in jets), t_range)
 
 
 class UnitSpeedCurve:
@@ -321,11 +322,15 @@ class ChartPath:
     @classmethod
     def from_expressions(cls, u_src: str, v_src: str, s_range: tuple[float, float],
                          var: str = "s") -> "ChartPath":
-        """The path (u(s), v(s)) of two expressions in var, compiled twice
-        (once per process and text): its jet, nested as jet returns it, and
-        first_order's (u, v, u', v'), which reads no higher derivative
-        (u = s^2.5 has a first_order at s = 0 but no jet)."""
-        return _CompiledChartPath(*_path_functions(u_src, v_src, var), s_range)
+        """The path (u(s), v(s)) of two expressions in var, compiled twice:
+        its jet, nested as jet returns it, and first_order's (u, v, u', v'),
+        which reads no higher derivative (u = s^2.5 has a first_order at
+        s = 0 but no jet)."""
+        jet = [[_expr.parse(src, [var]) for src in (u_src, v_src)]]
+        for _ in range(3):
+            jet.append([_expr.differentiate(e, var) for e in jet[-1]])
+        return _CompiledChartPath(_expr.compile(jet, [var]),
+                                  _expr.compile([*jet[0], *jet[1]], [var]), s_range)
 
     def _sample(self, surface: ParametricSurface, s):
         return _chart_sample(self, surface, s)
@@ -369,24 +374,6 @@ class _CompiledChartPath(ChartPath):
         self.jet = jet  # nested as ChartPath.jet returns it
         self._first_order = first_order
         self.s_range = (float(s_range[0]), float(s_range[1]))
-
-
-@functools.lru_cache(maxsize=COMPILED_TEXTS)
-def _curve_functions(x_src: str, y_src: str, z_src: str, var: str) -> tuple:
-    """The compiled c, c1, c2, c3 of ParamCurve.from_expressions."""
-    jets = [[_expr.parse(src, [var]) for src in (x_src, y_src, z_src)]]
-    for _ in range(3):
-        jets.append([_expr.differentiate(e, var) for e in jets[-1]])
-    return tuple(_expr.compile(jet, [var]) for jet in jets)
-
-
-@functools.lru_cache(maxsize=COMPILED_TEXTS)
-def _path_functions(u_src: str, v_src: str, var: str) -> tuple:
-    """The compiled jet and first_order of ChartPath.from_expressions."""
-    jet = [[_expr.parse(src, [var]) for src in (u_src, v_src)]]
-    for _ in range(3):
-        jet.append([_expr.differentiate(e, var) for e in jet[-1]])
-    return _expr.compile(jet, [var]), _expr.compile([*jet[0], *jet[1]], [var])
 
 
 class CurveOnSurface:

@@ -574,9 +574,10 @@ def project_to_implicit(surface: ImplicitSurface, p: np.ndarray, tol: float = 1e
 # ---------------------------------------------------------------------------
 # Expression-backed surfaces (jets from symbolic differentiation)
 
-# Distinct expression texts (charts, level sets, paths, curves) whose
-# compiled functions a process keeps: a process that runs the CLI again and
-# again rebuilds the same surfaces and curves from the same texts.
+# Distinct chart and level texts whose compiled functions a process keeps.
+# It pays only where one process builds the same text again (a catalog
+# surface in a library loop, or cli.main called in a loop, each call
+# rebuilding its surface); a one-command CLI process builds each once.
 COMPILED_TEXTS = 64
 
 

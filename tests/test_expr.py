@@ -1,5 +1,6 @@
 """Parser, evaluator, and symbolic differentiation."""
 
+import itertools
 import math
 import struct
 
@@ -525,8 +526,10 @@ class TestColumns:
         u, two, minus_pi, zero = fn.columns(s)
         assert [x.shape for x in (u, two, minus_pi, zero)] == [(5,)] * 4
         assert two.tolist() == [2.0] * 5 and minus_pi.tolist() == [-math.pi] * 5
-        # no output shares memory with the input
+        # no output shares memory with the input or with another output
         assert not np.shares_memory(u, s)
+        assert not any(np.shares_memory(a, b) for a, b in
+                       itertools.combinations((u, two, minus_pi, zero), 2))
         u[0] = 7.0
         assert s[0] == 0.0
 

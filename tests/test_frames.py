@@ -909,22 +909,15 @@ class TestCompiledPaths:
         compile_ = darboux.expr.compile
 
         def counted(exprs, variables):
-            calls.append(len(darboux.expr._leaves(exprs)))
+            calls.append(len(darboux.expr._flattener(exprs)(exprs)))  # leaves
             return compile_(exprs, variables)
 
         monkeypatch.setattr(darboux.expr, "compile", counted)
-        _frames._path_functions.cache_clear()
-        _frames._curve_functions.cache_clear()
         ChartPath.from_expressions("s", "2*s", (0.0, 1.0))
         assert calls == [8, 4]  # the jet and first_order
         calls.clear()
         ParamCurve.from_expressions("cos(s)", "sin(s)", "s", (0.0, 1.0))
         assert calls == [3, 3, 3, 3]  # c, c1, c2, c3
-        # the same texts again: compiled once per process
-        calls.clear()
-        ChartPath.from_expressions("s", "2*s", (0.0, 2.0))
-        ParamCurve.from_expressions("cos(s)", "sin(s)", "s", (0.0, 2.0))
-        assert calls == []
 
     PATHS = [("s", "2*s"), ("0.4*(1+s)^1.5", "exp(0.3*s)-sqrt(1+s)"),
              ("s+0.2*tan(0.3*s)", "ln(2+s)*cosh(0.2*s)"), ("abs(s+1)^2", "sinh(0.5*s)")]

@@ -393,8 +393,9 @@ def test_column_bindings_use_no_other_numpy_ufunc():
 
 
 def _is_compiled(fn) -> bool:
-    """Whether fn is a function generated by expr.compile."""
-    return ((fn.__module__, fn.__name__) == ("darboux.expr", "compiled")
+    """Whether fn is a function generated by expr.compile: the generated
+    code's function, carrying the columns that compile attaches."""
+    return (fn.__qualname__ == "_make.<locals>.compiled"
             and callable(getattr(fn, "columns", None)))
 
 
