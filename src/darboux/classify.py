@@ -35,7 +35,7 @@ from .frames import (
     deriv_uniform,
     sample_frames,
 )
-from .surface import dot3, dot3_rows, norm3, norm3_rows
+from .surface import dot3, norm3
 
 __all__ = [
     "CharacterizationSeries",
@@ -357,11 +357,11 @@ def position_decomposition(c, grid=None, plane_tol: float | None = None) -> Posi
     requires max |<gamma,U>| below it.  Default tolerance is
     1e-8 * (1 + max |gamma|)."""
     data = _as_data(c, grid)
-    dt = dot3_rows(data.gamma, data.T)
-    dv = dot3_rows(data.gamma, data.V)
-    du = dot3_rows(data.gamma, data.U)
+    dt = dot3(data.gamma.T, data.T.T)
+    dv = dot3(data.gamma.T, data.V.T)
+    du = dot3(data.gamma.T, data.U.T)
     if plane_tol is None:
-        plane_tol = 1e-8 * (1.0 + float(np.max(norm3_rows(data.gamma))))
+        plane_tol = 1e-8 * (1.0 + float(np.max(norm3(data.gamma.T))))
     mask = np.ones(data.n, dtype=bool)
     return PositionDecomposition(
         CharacterizationSeries(data.s, dt, mask.copy(), "gamma_dot_T"),
@@ -392,7 +392,7 @@ def position_theorem_residual(c, grid=None, which: str = "TU",
     claimed = ((fam.sign * (am * tgm / q))[:, None] * data.T[mask]
                + (am * am / q)[:, None] * getattr(data, fam.plane_vector)[mask])
     res = np.full(data.n, np.nan)
-    res[mask] = norm3_rows(data.gamma[mask] - claimed)
+    res[mask] = norm3((data.gamma[mask] - claimed).T)
     return CharacterizationSeries(data.s, res, mask, fam.residual)
 
 
@@ -504,7 +504,7 @@ def rectifying_check(c, grid, tol: float = 1e-6, eps: float = 1e-9,
     gamma, _, N, _, kappa, tau = _frenet_columns(c, grid, eps_kappa)
     check = rectifying_from_scalars(grid, kappa, tau, tol=tol, eps=eps)
     check.gamma_dot_N = CharacterizationSeries(
-        grid, dot3_rows(gamma, N), np.ones(len(grid), dtype=bool), "gamma_dot_N")
+        grid, dot3(gamma.T, N.T), np.ones(len(grid), dtype=bool), "gamma_dot_N")
     return check
 
 

@@ -92,7 +92,6 @@ from .surface import (
     _pow,
     dot3,
     norm3,
-    norm3_rows,
 )
 
 __all__ = [
@@ -269,7 +268,7 @@ class UnitSpeedCurve:
         if n < 5:
             raise DarbouxError("polyline needs at least 5 samples")
         if length is None:
-            length = float(np.sum(norm3_rows(np.diff(points, axis=0))))
+            length = float(np.sum(norm3(np.diff(points, axis=0).T)))
         s = np.linspace(0.0, length, n)
         h = s[1] - s[0]
         d1 = deriv_uniform(points, h)
@@ -1048,7 +1047,7 @@ def resample_unit_speed(raw: ParamCurve, n: int = 512) -> UnitSpeedCurve:
             return norm3(c1)
         lanes = ts.tolist()
         c1 = np.fromiter(chain.from_iterable(map(raw.c1, lanes)), float, 3 * len(lanes))
-        return norm3_rows(c1.reshape(-1, 3))
+        return norm3(c1.reshape(-1, 3).T)
 
     return _ResampledCurve(raw, ArclengthMap(speed, raw.t_range, n))
 
@@ -1121,7 +1120,7 @@ def unit_speed_chart_curve(surface: ParametricSurface, path: ChartPath,
             first = rows.reshape(-1, 4).T
         u, v, du, dv = first
         sigma_u, sigma_v = surface.tangents_many(u, v)
-        return norm3_rows(du[:, None] * sigma_u + dv[:, None] * sigma_v)
+        return norm3(_lincomb(du, sigma_u.T, dv, sigma_v.T))
 
     amap = ArclengthMap(speed, path.s_range, n)
     return CurveOnSurface(surface, chart_path=_UnitSpeedChartPath(surface, path, amap))

@@ -75,11 +75,13 @@ POLE_MARGIN = 1e-6
 # Every inner product is dot3's left-to-right sum, so the bits depend on
 # neither the numpy build nor the BLAS kernel the CPU selects.
 #
-# The kernels the frame sampler runs also take (N,) float64 columns in
-# place of the floats: elementwise + - * / and np.sqrt round as Python's
-# float operations do, and their powers go through _pow (or come from the
-# caller, as n**3 does into _normal_partials), which keeps Python's float
-# power lane by lane.
+# The same kernels are the package's only arithmetic on columns: they take
+# (N,) float64 columns in place of the floats (the frame sampler, the
+# implicit trace diagnostics, the arclength speeds), and an (N, 3) array
+# passes as its .T view, three columns.  Elementwise + - * / and np.sqrt
+# round as Python's float operations do, and their powers go through _pow
+# (or come from the caller, as n**3 does into _normal_partials), which
+# keeps Python's float power lane by lane.
 
 
 def dot3(a, b) -> float:
@@ -135,40 +137,11 @@ def _column(values, shape=None) -> np.ndarray:
     return np.fromiter(flat, float, len(values) * math.prod(shape)).reshape(-1, *shape)
 
 
-def dot3_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """dot3 of each pair of rows of two (N, 3) arrays: the same sum on the
-    columns, elementwise in the same order, so each lane has dot3's bits."""
-    return a[:, 0] * b[:, 0] + a[:, 1] * b[:, 1] + a[:, 2] * b[:, 2]
-
-
-def norm3_rows(a: np.ndarray) -> np.ndarray:
-    """norm3 of each row of an (N, 3) array, with its bits."""
-    return np.sqrt(dot3_rows(a, a))
-
-
 def _cross(a, b) -> tuple:
     """a x b of two 3-vectors, with np.cross's products in its order."""
     a0, a1, a2 = a
     b0, b1, b2 = b
     return (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
-
-
-def cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.cross of two shape-(3,) arrays, with its bits."""
-    return np.array(_cross(a.tolist(), b.tolist()))
-
-
-def cross3_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """cross3 of each pair of rows of two (N, 3) arrays, with its bits."""
-    return _rows(a, a[:, 1] * b[:, 2] - a[:, 2] * b[:, 1],
-                 a[:, 2] * b[:, 0] - a[:, 0] * b[:, 2], a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0])
-
-
-def _rows(like: np.ndarray, x, y, z) -> np.ndarray:
-    """(N, 3) array, N = len(like), with columns x, y, z (arrays or scalars)."""
-    out = np.empty((len(like), 3))
-    out[:, 0], out[:, 1], out[:, 2] = x, y, z
-    return out
 
 
 def _cross_sum(a, b, c, d) -> tuple:
@@ -430,7 +403,7 @@ class ParametricSurface:
                     su, sv = jet[3:6], jet[6:9]
                     w = _cross(su, sv)
                     if not (outside | (np.sqrt(dot3(w, w)) <= self.eps_reg)).any():
-                        return _rows(u, *su), _rows(u, *sv)
+                        return np.column_stack(su), np.column_stack(sv)
         # lane by lane: chart_point raises the first failing lane's own error
         jets = [self.chart_point(a, b)[0] for a, b in zip(u.tolist(), v.tolist())]
         return (np.array([j[1] for j in jets], dtype=float).reshape(-1, 3),

@@ -23,15 +23,15 @@ The trace runs on the float kernels of ``surface``: states, RK4 slopes,
 jets, normals and recorded rows are tuples of Python floats, and arrays are
 built only for the columns of the TraceResult.  A chart sample records its
 row of diagnostics.  An implicit sample records only what can fail or needs
-a Python float (the point, its tangent, grad f, |grad f|, n**3, H and |f|);
-its diagnostics (U, <U, d>, k_n, tau_g, Omega . t, |t| - 1 and
-grad f . t) are computed column-wise once, after the RK4 loop, by one
-kernel over (N, .) arrays whose lanes have the scalar formulas' bits.  The
-public per-point functions (directions, scalars, verification coefficients)
-wrap the same kernels; the implicit scalars and Omega run the column kernel
-on one row.  Where float arithmetic fails (an overflow, a division by zero,
-a math domain error) a NumericalError is raised, or the trace ends with an
-``error:`` termination once it has samples.
+a Python float (the point, its tangent, grad f, |grad f|, H and |f|); its
+diagnostics (U, <U, d>, k_n, tau_g, Omega . t, |t| - 1 and grad f . t) are
+computed once, after the RK4 loop, by the same float kernels run on the
+samples' (N,) columns (the kernels ``frames`` runs for a space curve's
+U and U'), so each lane has the bits of the per-point functions.  Those
+public functions (directions, scalars, verification coefficients) run the
+kernels on floats.  Where float arithmetic fails (an overflow, a division
+by zero, a math domain error) a NumericalError is raised, or the trace ends
+with an ``error:`` termination once it has samples.
 """
 
 from __future__ import annotations
@@ -60,15 +60,13 @@ from .surface import (
     _first_form,
     _floats,
     _lincomb,
+    _matvec,
+    _normal_jacobian,
     _normal_partials,
     _point,
     _project,
-    _rows,
-    cross3_rows,
     dot3,
-    dot3_rows,
     norm3,
-    norm3_rows,
     project_to_implicit,
 )
 # bound here by name: the benchmark's per-layer tracer wraps them on this module
@@ -154,12 +152,12 @@ class TraceResult:
         n = len(self.s)
         if n < 5:
             return np.full(n, np.nan)
-        V = cross3_rows(self.normals, self.tangents)
+        V = np.column_stack(_cross(self.normals.T, self.tangents.T))
         h = self.s[1] - self.s[0]
         uniform = n if self.termination != "closed" else n - 1
         kg = np.empty(n)
         dT = deriv_uniform(self.tangents[:uniform], h)
-        kg[:uniform] = dot3_rows(dT, V[:uniform])
+        kg[:uniform] = dot3(dT.T, V[:uniform].T)
         if uniform < n:
             ds = self.s[-1] - self.s[-2]
             dT_last = (self.tangents[-1] - self.tangents[-2]) / ds if ds > 0 else dT[-1]
@@ -455,53 +453,41 @@ def _implicit_direction(point, d, eps_sing, p) -> tuple:
 def direction_scalars_implicit(surface: ImplicitSurface, d, p, t) -> tuple[float, float]:
     """(k_n, tau_g) of a unit tangent t at a surface point p."""
     cols = _implicit_point_columns(surface, d, p, t)
-    return float(cols["kn"][0]), float(cols["tg"][0])
+    return cols["kn"], cols["tg"]
 
 
 def omega_coefficients(surface: ImplicitSurface, d, p, t) -> np.ndarray:
     """Verification triple Omega = k_n d + tau_g (d x grad f); along an
     isophote Omega . t = 0 and t is parallel to grad(f) x Omega."""
-    return _implicit_point_columns(surface, d, p, t)["omega"][0]
+    return np.array(_implicit_point_columns(surface, d, p, t)["omega"])
 
 
 def _implicit_point_columns(surface, d, p, t) -> dict:
-    """_implicit_columns of one tangent t at one surface point p."""
+    """_implicit_columns of one tangent t at one surface point p, on floats."""
     grad, n, H = surface.level_point(_point(p))
-    t = np.array([_floats(t)])
-    return _implicit_columns(_floats(d), np.array([grad], dtype=float), np.array([n]),
-                             np.array([n**3]), np.array([H], dtype=float), t)
+    return _implicit_columns(_floats(d), _floats(grad), n, _floats(H), _floats(t))
 
 
-def _matvec_rows(A: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """A x for each of N 3x3 matrices (N, 3, 3) and 3-vectors (N, 3), each
-    row with _matvec's bits."""
-    return _rows(x, dot3_rows(A[:, 0], x), dot3_rows(A[:, 1], x), dot3_rows(A[:, 2], x))
+def _implicit_columns(d, g, n, H, t) -> dict:
+    """Diagnostics of unit tangents t at points of f = 0 from g = grad f,
+    n = |g| and the Hessian H by rows: the float kernels on floats (one
+    point) or on (N,) columns (a trace's samples), each lane with the bits
+    of the float evaluation.
 
-
-def _implicit_columns(d, grad, n, n3, H, t) -> dict:
-    """Diagnostics of N unit tangents t at N points of f = 0, from (N, 3)
-    arrays grad f and t, (N,) |grad f| and n**3 and (N, 3, 3) Hessians.
-
-    Returns the (N, 3) columns U = grad f/n and Omega = k_n d +
-    tau_g (d x grad f), and the (N,) columns <U, d>, k_n = -<t, H t>/n,
-    tau_g = -<J t, U x t> with J = H/n - grad f (H grad f)^T/n^3 (the
-    Jacobian of U), Omega . t, |t| - 1 and grad f . t.  Every lane is the
-    scalar formula's operations in their order (elementwise + - * / and
-    np.sqrt give Python's float bits); n**3 is passed in as the Python
-    float power, which np.power does not reproduce.  Overflows give inf or
-    nan without a warning, as Python float arithmetic does."""
-    D = np.broadcast_to(np.asarray(d, dtype=float), grad.shape)
+    Returns the 3-vectors U = g/n and Omega = k_n d + tau_g (d x grad f),
+    and the scalars <U, d>, k_n = -<t, H t>/n, tau_g = -<J t, U x t> with J
+    the Jacobian of U (_normal_jacobian), Omega . t, |t| - 1 and
+    grad f . t.  On columns an overflow gives inf or nan without a warning,
+    as Python float arithmetic does; on floats the power n**3 raises
+    OverflowError where it overflows."""
     with np.errstate(all="ignore"):
-        U = grad / n[:, None]
-        kn = -dot3_rows(t, _matvec_rows(H, t)) / n
-        Hg = _matvec_rows(H, grad)
-        J = H / n[:, None, None] - grad[:, :, None] * Hg[:, None, :] / n3[:, None, None]
-        tg = -dot3_rows(_matvec_rows(J, t), cross3_rows(U, t))
-        omega = kn[:, None] * D + tg[:, None] * cross3_rows(D, grad)
-        return {"normals": U, "angle_dot": dot3_rows(U, D), "kn": kn, "tg": tg,
-                "omega": omega, "constraint_residual": dot3_rows(omega, t),
-                "unit_speed_residual": norm3_rows(t) - 1.0,
-                "grad_dot_t": dot3_rows(grad, t)}
+        U = _div3(g, n)
+        kn = -dot3(t, _matvec(H, t)) / n
+        tg = -dot3(_matvec(_normal_jacobian(g, n, H), t), _cross(U, t))
+        omega = _lincomb(kn, d, tg, _cross(d, g))
+        return {"normals": U, "angle_dot": dot3(U, d), "kn": kn, "tg": tg,
+                "omega": omega, "constraint_residual": dot3(omega, t),
+                "unit_speed_residual": norm3(t) - 1.0, "grad_dot_t": dot3(g, t)}
 
 
 # ---------------------------------------------------------------------------
@@ -716,7 +702,7 @@ class _ImplicitTrace:
     (grad f, |grad f|, H).
 
     A sample's record keeps what can fail or needs a Python float: the
-    point, its tangent, grad f, |grad f|, n**3, H and |f|.  f is the value
+    point, its tangent, grad f, |grad f|, H and |f|.  f is the value
     the projection read at the state it returned (the state recorded next),
     else it is evaluated.  The diagnostic columns are computed from the
     records once, after the loop (_implicit_columns)."""
@@ -759,11 +745,12 @@ class _ImplicitTrace:
     def record(self, q, point, k, t):
         grad, n, H = point
         f = self.f if self.f is not None else self.surface._f(*q)
-        return q, t, grad, n, n**3, H, abs(f)
+        return q, t, grad, n, H, abs(f)
 
-    def columns(self, s, q, t, grad, n, n3, H, f) -> dict:
-        cols = _implicit_columns(self.d, grad, n, n3, H, t)
+    def columns(self, s, q, t, grad, n, H, f) -> dict:
+        cols = _implicit_columns(self.d, grad.T, n, H.transpose(1, 2, 0), t.T)
         del cols["omega"]
+        cols["normals"] = np.column_stack(cols["normals"])
         return {"s": s, "points": q, "tangents": t, "surface_residual": f, **cols}
 
 

@@ -321,6 +321,16 @@ class TestOmegaCoefficients:
         omega = omega_coefficients(s, d, p, t)
         np.testing.assert_allclose(omega, -d, atol=1e-12)  # k_n = -1
 
+    def test_overflowing_cube_of_the_gradient_norm_raises(self):
+        # |grad f| = 1e120: the Jacobian of U divides by |grad f|^3, which
+        # overflows, and the per-point functions raise as float powers do
+        s = parse_surface_spec("implicit:f=1e120*z+1e120*x*x", implicit=True)
+        p, t = np.zeros(3), np.array([1.0, 0.0, 0.0])
+        with pytest.raises(OverflowError):
+            direction_scalars_implicit(s, EZ, p, t)
+        with pytest.raises(OverflowError):
+            omega_coefficients(s, EZ, p, t)
+
 
 @pytest.fixture(scope="module")
 def sphere_circuit():

@@ -1,10 +1,10 @@
-"""Scalar 3-vector helpers: cross3 gives the bits of np.cross on shape-(3,)
-float64 arrays; dot3, norm3, norm3_rows and the Gauss-Legendre row sum are
+"""Scalar 3-vector helpers: _cross gives the bits of np.cross on floats and
+on (N,) columns; dot3, norm3 and the Gauss-Legendre row sum are
 left-to-right sums, pinned against exact rational arithmetic rounded once
-per operation in that order.  The straight-line trace kernels, and the
-column kernel of the implicit diagnostics, give the bits of the same
-formulas composed from those helpers; norm3 and _pow on (N,) columns give
-each lane the bits of the float call."""
+per operation in that order.  The straight-line trace kernels give the bits
+of the same formulas composed from those helpers; norm3, _pow and the
+implicit diagnostics on (N,) columns give each lane the bits of the float
+call."""
 
 import ast
 import itertools
@@ -24,15 +24,11 @@ from darboux.surface import (
     _cross,
     _cross_sum,
     _div3,
-    _lincomb,
     _matvec,
-    _normal_jacobian,
     _normal_partials,
     _pow,
-    cross3,
     dot3,
     norm3,
-    norm3_rows,
 )
 from darboux.trace import _implicit_columns, _implicit_direction, _level_gradient
 
@@ -99,11 +95,25 @@ def reference_norm(a) -> float:
     return math.sqrt(reference_dot(a, a))
 
 
+def _cross_of(a, b) -> np.ndarray:
+    """_cross of two shape-(3,) arrays, on their floats."""
+    return np.array(_cross(a.tolist(), b.tolist()))
+
+
+ROWS3 = arrays(np.float64, st.tuples(st.integers(0, 6), st.just(3)), elements=FINITE)
+
+
 @settings(max_examples=300, deadline=None)
-@given(VEC3, VEC3)
-def test_cross3_matches_np_cross(a, b):
+@given(arrays(np.float64, st.tuples(st.integers(0, 6), st.just(2), st.just(3)),
+              elements=FINITE))
+def test_cross_matches_np_cross(pairs):
+    # on each pair of rows' floats, and on their columns, N = 0 included
+    a, b = pairs[:, 0], pairs[:, 1]
     with np.errstate(all="ignore"):
-        assert _same_bits(cross3(a, b), np.cross(a, b))
+        expected = np.cross(a, b).reshape(-1, 3)
+        for x, y, row in zip(a, b, expected):
+            assert _same_bits(_cross_of(x, y), row)
+        assert _same_bits(np.column_stack(_cross(a.T, b.T)), expected)
 
 
 @settings(max_examples=300, deadline=None)
@@ -119,20 +129,13 @@ def test_norm3_matches_exact_left_to_right(a):
 
 
 @settings(max_examples=100, deadline=None)
-@given(arrays(np.float64, st.tuples(st.integers(0, 6), st.just(3)), elements=FINITE))
-def test_norm3_rows_matches_exact_left_to_right(rows):
-    with np.errstate(all="ignore"):
-        many = norm3_rows(rows)
-    assert _same_bits(many, [reference_norm(r) for r in rows.tolist()])
-
-
-@settings(max_examples=100, deadline=None)
-@given(arrays(np.float64, st.tuples(st.integers(1, 6), st.just(3)), elements=FINITE))
+@given(ROWS3)
 def test_norm3_on_columns_matches_each_lane(rows):
-    # the frame sampler's 3-vectors of (N,) columns, N = 1 included
+    # an (N, 3) array's .T view, three (N,) columns, N = 0 and 1 included
     with np.errstate(all="ignore"):
-        many = norm3(tuple(rows.T))
-    assert _same_bits(many, [norm3(r) for r in rows.tolist()])
+        many = norm3(rows.T)
+    assert isinstance(many, np.ndarray)
+    assert _same_bits(many, [reference_norm(r) for r in rows.tolist()])
 
 
 @settings(max_examples=200, deadline=None)
@@ -160,8 +163,8 @@ def test_gauss_legendre_row_sum_matches_exact_left_to_right(speeds):
 @pytest.mark.parametrize("a, b", EXPLICIT)
 def test_explicit_cases(a, b):
     with np.errstate(all="ignore"):
-        assert _same_bits(cross3(a, b), np.cross(a, b))
-        assert _same_bits(cross3(b, a), np.cross(b, a))
+        assert _same_bits(_cross_of(a, b), np.cross(a, b))
+        assert _same_bits(_cross_of(b, a), np.cross(b, a))
     for x, y in ((a, b), (b, a), (a, a)):
         assert _same_bits(dot3(x.tolist(), y.tolist()), reference_dot(x.tolist(), y.tolist()))
     assert _same_bits(norm3(a.tolist()), reference_norm(a.tolist()))
@@ -172,14 +175,14 @@ def test_signed_zero_combinations():
     zeros = (0.0, -0.0)
     vectors = [np.array(v) for v in itertools.product(zeros, repeat=3)]
     for a, b in itertools.product(vectors, repeat=2):
-        assert _same_bits(cross3(a, b), np.cross(a, b))
+        assert _same_bits(_cross_of(a, b), np.cross(a, b))
         assert _same_bits(dot3(a.tolist(), b.tolist()), reference_dot(a.tolist(), b.tolist()))
         assert _same_bits(norm3(a.tolist()), reference_norm(a.tolist()))
 
 
 def test_types():
     a, b = np.array([1.0, 2.0, 3.0]), np.array([-1.0, 0.5, 2.0])
-    assert cross3(a, b).shape == (3,) and cross3(a, b).dtype == np.float64
+    assert all(isinstance(x, float) for x in _cross(a.tolist(), b.tolist()))
     assert isinstance(norm3(a.tolist()), float)
     assert isinstance(dot3(a.tolist(), b.tolist()), float)
 
@@ -347,21 +350,18 @@ def test_level_gradient_and_direction_compose_matvec_and_dot3(g, H, d):
 @given(st.lists(st.tuples(TRIPLE, st.tuples(TRIPLE, TRIPLE, TRIPLE), TRIPLE),
                 min_size=1, max_size=6), TRIPLE)
 def test_implicit_columns_match_the_scalar_formulas(rows, d):
+    # the trace's columns, (N, 3) and (N, 3, 3) arrays passed as .T views,
+    # against the float evaluation of each lane
     rows = [(g, H, t) for g, H, t in rows if norm3(g) > 1e-100]
     assume(rows)
     g, H, t = (np.array(c, dtype=float) for c in zip(*rows))
-    n = [norm3(r[0]) for r in rows]
-    cols = _implicit_columns(d, g, np.array(n), np.array([x**3 for x in n]), H, t)
+    n = np.array([norm3(r[0]) for r in rows])
+    cols = _implicit_columns(d, g.T, n, H.transpose(1, 2, 0), t.T)
     for i, (gi, Hi, ti) in enumerate(rows):
-        U = _div3(gi, n[i])
-        kn = -dot3(ti, _matvec(Hi, ti)) / n[i]
-        tg = -dot3(_matvec(_normal_jacobian(gi, n[i], Hi), ti), _cross(U, ti))
-        omega = _lincomb(kn, d, tg, _cross(d, gi))
-        expected = {"normals": U, "angle_dot": dot3(U, d), "kn": kn, "tg": tg,
-                    "omega": omega, "constraint_residual": dot3(omega, ti),
-                    "unit_speed_residual": norm3(ti) - 1.0, "grad_dot_t": dot3(gi, ti)}
+        expected = _implicit_columns(d, gi, float(n[i]), Hi, ti)
         for name, value in expected.items():
-            assert _same_bits(cols[name][i], value), name
+            lane = [c[i] for c in cols[name]] if isinstance(value, tuple) else cols[name][i]
+            assert _same_bits(lane, value), name
 
 
 # numpy functions that give math's bits on an (N,) float64 column (sin and
