@@ -8,9 +8,13 @@ frame samples; and test the position-vector identities that hold when the
 curve lies in the moving plane span{T, U} or span{T, V}.
 
 Plane labels: "TU" refers to the span{T, U} family (V-slant measure mu_v),
-"TV" to the span{T, V} family (isophote measure mu_u).  The two are one
-statement with U and V exchanged, so each formula, verdict block and
-cross-check is written once and run over the family table ``_FAMILIES``.
+"TV" to the span{T, V} family (isophote measure mu_u).  Each formula,
+verdict block and cross-check is written once and run over the family
+table ``_FAMILIES``.  The two families are not one statement with U and V
+exchanged: with V = U x T the frame equations are T' = k_g V + k_n U,
+V' = -k_g T + tau_g U and U' = -k_n T - tau_g V, and exchanging U and V
+reverses the frame's orientation.  A family's ``sign`` carries the
+difference, as in the measures (see ``mu_v_series`` and ``mu_u_series``).
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from .frames import (
     deriv_uniform,
     sample_frames,
 )
-from .surface import dot3, norm3
+from .surface import _pow, dot3, norm3
 
 __all__ = [
     "CharacterizationSeries",
@@ -147,10 +151,11 @@ def _edge_mask(data: FrameData) -> np.ndarray:
 
 
 # A family holds its FrameData divisor ``a`` (derivative ``"d" + a``) and
-# partner ``other``, the sign of its exponential integral, and the names of
-# its series, verdicts, flags, cross-checks and errors; ``off_plane`` is the
-# PositionDecomposition series that vanishes in the plane, ``plane_vector``
-# the FrameData vector that spans it with T.
+# partner ``other``, the sign of its exponential integral and of its
+# measure's ``other`` q term, and the names of its series, verdicts, flags,
+# cross-checks and errors; ``off_plane`` is the PositionDecomposition series
+# that vanishes in the plane, ``plane_vector`` the FrameData vector that
+# spans it with T.
 _Family = namedtuple("_Family", (
     "which a other sign degenerate measure verdict position criterion coefficients "
     "in_plane off_plane plane_vector residual ode_residual loc_check shape_flag shape_check"))
@@ -190,19 +195,31 @@ def _family(which) -> _Family:
 
 
 def mu_v_series(c, grid=None, eps_pair: float = EPS_PAIR_DEFAULT) -> CharacterizationSeries:
-    """V-slant measure: constant iff the curve is a relatively normal-slant
-    helix (requires (tau_g, k_g) != (0, 0) pointwise)."""
+    """V-slant measure (k_g tau_g' - tau_g k_g' - k_n q)/q^{3/2} with
+    q = k_g^2 + tau_g^2: constant iff the curve is a relatively
+    normal-slant helix (requires (tau_g, k_g) != (0, 0) pointwise).
+
+    Where <V, d> = cos(phi), V' = -k_g T + tau_g U gives <T, d> = l tau_g
+    and <U, d> = l k_g with l sqrt(q) = +-sin(phi); differentiating both
+    once more, the measure is cos(phi)/(l sqrt(q)) = +-cot(phi), with the
+    sign of l."""
     return _pair_measure(_as_data(c, grid), _TU, eps_pair)
 
 
 def mu_u_series(c, grid=None, eps_pair: float = EPS_PAIR_DEFAULT) -> CharacterizationSeries:
-    """Isophote measure: constant iff the curve is isophotic (requires
-    (tau_g, k_n) != (0, 0) pointwise)."""
+    """Isophote measure (k_n tau_g' - tau_g k_n' + k_g q)/q^{3/2} with
+    q = k_n^2 + tau_g^2: constant iff the curve is isophotic (requires
+    (tau_g, k_n) != (0, 0) pointwise).
+
+    Where <U, d> = cos(phi), U' = -k_n T - tau_g V gives <T, d> = l tau_g
+    and <V, d> = -l k_n with l sqrt(q) = +-sin(phi); differentiating both
+    once more, the measure is cos(phi)/(l sqrt(q)) = +-cot(phi), with the
+    sign of l = <T, d>/tau_g."""
     return _pair_measure(_as_data(c, grid), _TV, eps_pair)
 
 
 def _pair_measure(data, fam, eps_pair):
-    # (a tg' - tg a' - other (a^2 + tg^2)) / (a^2 + tg^2)^{3/2}
+    # (a tg' - tg a' - sign other (a^2 + tg^2)) / (a^2 + tg^2)^{3/2}
     a, da, other = getattr(data, fam.a), getattr(data, "d" + fam.a), getattr(data, fam.other)
     tg, dtg = data.tg, data.dtg
     q = a * a + tg * tg
@@ -213,7 +230,7 @@ def _pair_measure(data, fam, eps_pair):
             f"(a^2 + tau_g^2 <= {eps_pair:g}^2)"
         )
     values = np.full(data.n, np.nan)
-    values[mask] = (a * dtg - tg * da - other * q)[mask] / np.power(q[mask], 1.5)
+    values[mask] = (a * dtg - tg * da - fam.sign * other * q)[mask] / _pow(q[mask], 1.5, math.inf)
     return CharacterizationSeries(data.s, values, mask, fam.measure)
 
 
@@ -229,7 +246,7 @@ def slant_series_from_scalars(grid, kappa, tau, dratio=None,
     ratio = tau / kappa
     if dratio is None:
         dratio = deriv_uniform(ratio, grid[1] - grid[0])
-    values = kappa**2 / np.power(kappa**2 + tau**2, 1.5) * dratio
+    values = kappa**2 / _pow(kappa**2 + tau**2, 1.5, math.inf) * dratio
     return CharacterizationSeries(grid, values, np.ones(len(grid), dtype=bool), name)
 
 
@@ -327,7 +344,7 @@ def theorem_functions(c, grid=None, c_const: float = 1.0, family: str = "both",
         # TV: k_n^2 q^{-3/2} e^{-J}, mu1 = -c (tg/kn) e^{J}, mu2 = c e^{J}
         e_pos, e_neg = np.exp(fam.sign * integral), np.exp(-fam.sign * integral)
         coef1, coef2 = fam.coefficients
-        for name, values in ((fam.criterion, a**2 / np.power(q, 1.5) * e_pos),
+        for name, values in ((fam.criterion, a**2 / _pow(q, 1.5, math.inf) * e_pos),
                              (coef1, fam.sign * c_const * (data.tg / a) * e_neg),
                              (coef2, c_const * e_neg)):
             setattr(out, name, CharacterizationSeries(s, values, ones.copy(), name))
@@ -388,7 +405,7 @@ def position_theorem_residual(c, grid=None, which: str = "TU",
     if not mask.any():
         raise DegenerateFrameError(f"position identity {which}: degenerate pair everywhere")
     am, tgm = a[mask], data.tg[mask]
-    q = np.power(am * am + tgm * tgm, 1.5)
+    q = _pow(am * am + tgm * tgm, 1.5, math.inf)
     claimed = ((fam.sign * (am * tgm / q))[:, None] * data.T[mask]
                + (am * am / q)[:, None] * getattr(data, fam.plane_vector)[mask])
     res = np.full(data.n, np.nan)
@@ -684,7 +701,7 @@ def _cross_checks(report, data: FrameData, decomp, tol_const, frenet_ok) -> list
                     loc and getattr(decomp, fam.in_plane) and verdict_true(fam.verdict),
                     getattr(data, fam.a)) for fam in _FAMILIES]
     if frenet_ok:
-        shape = data.kappa**2 / np.power(data.kappa**2 + data.tau**2, 1.5)
+        shape = data.kappa**2 / _pow(data.kappa**2 + data.tau**2, 1.5, math.inf)
         checks += [check(fam.shape_check,
                          report.flags[fam.shape_flag]["value"] and getattr(decomp, fam.in_plane)
                          and "is_constant" in report.verdicts.get(fam.verdict, {}),

@@ -103,25 +103,26 @@ def norm3(a) -> float:
         return np.sqrt(aa)
 
 
-def _pow(x, k: int):
+def _pow(x, k, overflow: float = math.nan):
     """x**k with Python's float power, on an (N,) column lane by lane
     (np.power differs from it on some lanes).  A column lane whose power
-    overflows, where Python raises OverflowError, is nan: every later
-    product, sum and quotient keeps a nan, so the lane stays visible."""
+    overflows, where Python raises OverflowError, reads ``overflow``: nan
+    by default, which every later product, sum and quotient keeps, so the
+    lane stays visible."""
     if not isinstance(x, np.ndarray):
         return x**k
     lanes = x.tolist()
     try:
         return np.fromiter(map(pow, lanes, itertools.repeat(k)), float, len(lanes))
     except OverflowError:
-        return np.array([_pow_or_nan(a, k) for a in lanes], dtype=float)
+        return np.array([_pow_or(a, k, overflow) for a in lanes], dtype=float)
 
 
-def _pow_or_nan(a: float, k: int) -> float:
+def _pow_or(a: float, k, overflow: float) -> float:
     try:
         return a**k
     except OverflowError:
-        return math.nan
+        return overflow
 
 
 def _column(values, shape=None) -> np.ndarray:

@@ -117,7 +117,7 @@ def test_c02_characterizations(helix, latitude):
     assert np.abs(mu_v_series(hdata).values - 1.0).max() <= 1e-8
     assert np.abs(mu_u_series(hdata).values).max() <= 1e-9
     assert np.abs(mu_v_series(ldata).values - 1.0).max() <= 1e-8
-    assert np.abs(mu_u_series(ldata).values - (-1.0)).max() <= 1e-8
+    assert np.abs(mu_u_series(ldata).values - 1.0).max() <= 1e-8
     line = make_line_on_plane()
     with pytest.raises(DegenerateFrameError):
         mu_v_series(line, np.linspace(0.0, 2.0, 33))

@@ -46,12 +46,14 @@ from darboux.errors import (
 from darboux.frames import (
     ChartPath,
     CurveOnSurface,
+    UnitSpeedCurve,
     frenet,
     sample_frames,
     uniform_grid,
     unit_speed_chart_curve,
 )
 from darboux.surface import dot3, parametric_from_expressions
+from darboux.trace import TraceConfig, find_seed, trace_isophote
 
 
 class TestMuSeries:
@@ -67,9 +69,10 @@ class TestMuSeries:
         np.testing.assert_allclose(
             mu_v_series(latitude_curve, latitude_grid).values, 1.0, atol=1e-12)
 
-    def test_latitude_mu_u_is_minus_one(self, latitude_curve, latitude_grid):
+    def test_latitude_mu_u_is_plus_one(self, latitude_curve, latitude_grid):
+        # tau_g = 0 on a sphere, so mu_u = k_g q / q^{3/2} = k_g/|k_n| = +1
         np.testing.assert_allclose(
-            mu_u_series(latitude_curve, latitude_grid).values, -1.0, atol=1e-12)
+            mu_u_series(latitude_curve, latitude_grid).values, 1.0, atol=1e-12)
 
     def test_straight_line_degenerate(self):
         line = make_line_on_plane()
@@ -84,6 +87,24 @@ class TestMuSeries:
         a = mu_u_series(latitude_curve, latitude_grid).values
         b = mu_u_series(imp, latitude_grid).values
         np.testing.assert_allclose(a, b, atol=1e-9)
+
+    def test_traced_oblique_isophote_is_isophotic(self):
+        # k_g, k_n and tau_g are all nonzero along this isophote, so the sign
+        # of mu_u's k_g q term decides the verdict: with U' = -k_n T - tau_g V,
+        # <U, d> = cos(phi) gives (k_n tau_g' - tau_g k_n' + k_g q)/q^{3/2}
+        # = +-cot(phi), here -cot(70 degrees)
+        itor = darboux.implicit_torus(2.0, 0.5)
+        d = np.array([0.3, 0.1, 1.0]) / math.sqrt(1.1)
+        phi = math.radians(70.0)
+        seed = find_seed(itor, d, phi, (2.5, 0.0, 0.1))
+        res = trace_isophote(itor, d, phi, seed, TraceConfig(step=1e-3, max_length=3.0))
+        curve = CurveOnSurface(itor, space_curve=UnitSpeedCurve.from_polyline(res.points))
+        report = classify_report(curve, np.linspace(0.0, curve.curve.length, 101))
+        verdict = report.verdicts["isophotic"]
+        assert verdict["is_constant"], verdict
+        assert verdict["mean"] == pytest.approx(-1.0 / math.tan(phi), abs=1e-6)
+        assert report.axes["U_axis"]["angle_deg"] == pytest.approx(70.0, abs=1e-6)
+        np.testing.assert_allclose(report.axes["U_axis"]["d"], d, atol=1e-9)
 
 
 class TestSlantHelixSeries:

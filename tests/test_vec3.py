@@ -257,26 +257,21 @@ POWER_CALLS = {("np", "power"), ("np", "float_power")}
 
 def test_no_numpy_power_in_the_package():
     """A numpy column that reproduces a Python float formula takes its
-    powers from Python (the trace passes n**3 in as a column) or as
-    products, never from np.power or np.float_power.  On an AVX-512 host
-    with numpy 2.4.6, np.power(a, 3) differed from Python's x**3 on 21591
-    of 400000 lanes drawn uniformly from [0, 1) (default_rng(0)), and
-    np.power(a, 1.5) from x**1.5 on about 5 % of lanes: numpy computes
-    powers with its own vectorised kernel, not the C library's pow.
-    np.float_power agreed with Python there; it is rejected as another
-    route to a power ufunc.
-
-    classify.py still calls np.power(x, 1.5) five times, on arrays that
-    have no scalar twin.  Those calls make the classify report depend on
-    numpy's power kernel; replacing them with Python powers changes two
-    classify goldens, so they are pinned here until those goldens are
-    re-recorded, and no other call may be added."""
+    powers from Python (surface._pow, lane by lane) or as products, never
+    from np.power or np.float_power.  On an AVX-512 host with numpy 2.4.6,
+    np.power(a, 3) differed from Python's x**3 on 21591 of 400000 lanes
+    drawn uniformly from [0, 1) (default_rng(0)), and np.power(a, 1.5)
+    from x**1.5 on about 5 % of lanes: numpy computes powers with its own
+    vectorised kernel, not the C library's pow.  np.float_power agreed with
+    Python there; it is rejected as another route to a power ufunc.  The
+    classify measures' q^{3/2} go through _pow too, so no report depends on
+    numpy's power kernel."""
     found = {}
     for path in sorted(Path(darboux.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Call) and _dotted(node.func) in POWER_CALLS:
                 found[path.name] = found.get(path.name, 0) + 1
-    assert found == {"classify.py": 5}
+    assert found == {}
 
 
 def _except_clause_calls(source: str) -> list:
