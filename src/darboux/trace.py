@@ -115,7 +115,8 @@ class TraceResult:
 
     All samples are spaced ``step`` apart in arclength except a final
     closure sample.  ``constraint_residual`` is Delta u' + Delta* v' for
-    chart traces and Omega . t for implicit ones; ``angle_dot`` is <U, d>.
+    chart traces and Omega . t, Omega = k_n d + tau_g (d x U), for implicit
+    ones; ``angle_dot`` is <U, d>.
     """
 
     s: np.ndarray
@@ -457,8 +458,10 @@ def direction_scalars_implicit(surface: ImplicitSurface, d, p, t) -> tuple[float
 
 
 def omega_coefficients(surface: ImplicitSurface, d, p, t) -> np.ndarray:
-    """Verification triple Omega = k_n d + tau_g (d x grad f); along an
-    isophote Omega . t = 0 and t is parallel to grad(f) x Omega."""
+    """Verification triple Omega = k_n d + tau_g (d x U), U the unit normal.
+    Differentiating <U, d> = cos(phi) with U' = -k_n T - tau_g V gives
+    k_n <t, d> + tau_g <t, d x U> = 0: along an isophote Omega . t = 0 and t
+    is parallel to grad(f) x Omega."""
     return np.array(_implicit_point_columns(surface, d, p, t)["omega"])
 
 
@@ -474,7 +477,7 @@ def _implicit_columns(d, g, n, H, t) -> dict:
     point) or on (N,) columns (a trace's samples), each lane with the bits
     of the float evaluation.
 
-    Returns the 3-vectors U = g/n and Omega = k_n d + tau_g (d x grad f),
+    Returns the 3-vectors U = g/n and Omega = k_n d + tau_g (d x U),
     and the scalars <U, d>, k_n = -<t, H t>/n, tau_g = -<J t, U x t> with J
     the Jacobian of U (_normal_jacobian), Omega . t, |t| - 1 and
     grad f . t.  On columns an overflow gives inf or nan without a warning,
@@ -484,7 +487,7 @@ def _implicit_columns(d, g, n, H, t) -> dict:
         U = _div3(g, n)
         kn = -dot3(t, _matvec(H, t)) / n
         tg = -dot3(_matvec(_normal_jacobian(g, n, H), t), _cross(U, t))
-        omega = _lincomb(kn, d, tg, _cross(d, g))
+        omega = _lincomb(kn, d, tg, _cross(d, U))
         return {"normals": U, "angle_dot": dot3(U, d), "kn": kn, "tg": tg,
                 "omega": omega, "constraint_residual": dot3(omega, t),
                 "unit_speed_residual": norm3(t) - 1.0, "grad_dot_t": dot3(g, t)}

@@ -647,6 +647,8 @@ class TestRecordedColumnsMatchPublicFunctions:
         res = trace_isophote(itor, d, phi, seed, TraceConfig(step=0.02, max_length=10.0))
         assert res.termination == "closed"
         assert np.abs(res.kg * res.tg).max() > 0.5
+        # Omega = k_n d + tau_g (d x U) is orthogonal to every traced tangent
+        assert np.abs(res.constraint_residual).max() <= 1e-12
         self.assert_implicit_columns_match(itor, res)
 
 
