@@ -289,7 +289,8 @@ class ChartPath:
     """Chart path (u(s), v(s)) with derivatives to third order.
 
     ``first_order(s)``, if given, returns (u, v, u', v') at s in one call
-    with the bits of the four component functions."""
+    with the bits of the four component functions, and takes the place of
+    the method of that name."""
 
     def __init__(self, u, v, du, dv, ddu, ddv, dddu, dddv, s_range: tuple[float, float],
                  first_order=None):
@@ -298,15 +299,14 @@ class ChartPath:
         self.ddu, self.ddv = ddu, ddv
         self.dddu, self.dddv = dddu, dddv
         self.s_range = (float(s_range[0]), float(s_range[1]))
-        self._first_order = first_order
+        if first_order is not None:
+            self.first_order = first_order
 
     def point(self, s: float) -> tuple[float, float]:
         return self.u(s), self.v(s)
 
     def first_order(self, s: float):
         """(u, v, u', v') at s: what the arclength speed reads."""
-        if self._first_order is not None:
-            return self._first_order(s)
         return self.u(s), self.v(s), self.du(s), self.dv(s)
 
     def jet(self, s: float):
@@ -371,7 +371,7 @@ class _CompiledChartPath(ChartPath):
 
     def __init__(self, jet, first_order, s_range: tuple[float, float]):
         self.jet = jet  # nested as ChartPath.jet returns it
-        self._first_order = first_order
+        self.first_order = first_order
         self.s_range = (float(s_range[0]), float(s_range[1]))
 
 
@@ -1112,7 +1112,7 @@ def unit_speed_chart_curve(surface: ParametricSurface, path: ChartPath,
     def speed(ts):
         # |gamma'| = |u' sigma_u + v' sigma_v|, the path read on all lanes
         # before the chart: the columns of a compiled first_order, else lanes
-        first = _compiled_columns(path._first_order, ts)
+        first = _compiled_columns(path.first_order, ts)
         if first is None:
             lanes = ts.tolist()
             rows = np.fromiter(chain.from_iterable(map(path.first_order, lanes)), float,

@@ -411,6 +411,15 @@ class TestResample:
         g, d1, d2, d3 = c.gamma_jet(2.0)
         assert np.linalg.norm(d1) == pytest.approx(1.0, abs=1e-11)
 
+    def test_unit_speed_path_reparametrizes_to_itself(self):
+        # the unit-speed path's speed reads its first_order lane by lane
+        torus = darboux.torus(2.0, 0.5)
+        c = unit_speed_chart_curve(torus, ChartPath.from_expressions("s", "2*s", (0.0, 1.0)), 64)
+        again = unit_speed_chart_curve(torus, c.path, 64)
+        assert again.s_range[1] == pytest.approx(c.s_range[1], rel=1e-10)
+        for s in (0.1, 0.9, 1.7):
+            np.testing.assert_allclose(again.gamma_jet(s), c.gamma_jet(s), atol=1e-8)
+
 
 def _helix_param_curve():
     return ParamCurve(
@@ -708,6 +717,29 @@ class TestArclengthErrorParity:
         assert error == _raised(point_by_point)
         assert error[0] is DarbouxError and "not unit speed at s=0:" in error[1]
 
+    def test_hole_between_the_points_the_table_reads(self):
+        # u fails on (0.2972, 0.3005), between the table's nodes, midpoints
+        # and quarter points (k/256): the table is built, the batched
+        # inversion of the grid raises, every sample is inverted again on
+        # its own, and the first whose Newton step reads the hole raises
+        def u(s):
+            if 0.2972 < s < 0.3005:
+                raise DarbouxError(f"no path point at s={s:g}")
+            return s
+
+        zero = lambda s: 0.0  # noqa: E731
+        path = ChartPath(u, zero, lambda s: 1.0, zero, zero, zero, zero, zero, (0.0, 1.0))
+        c = unit_speed_chart_curve(darboux.plane(), path, 64)
+        grid = uniform_grid(0.0, c.s_range[1], 11)
+
+        def point_by_point():
+            for s in grid:
+                darboux_frame(c, s)
+
+        error = _raised(sample_frames, c, grid)
+        assert error == _raised(point_by_point)
+        assert error[0] is DarbouxError and "no path point" in error[1]
+
     def test_speed_blowing_up_raises_a_typed_error(self):
         # u = tan(0.3 s) has a pole at s = 5.236: every speed lane is finite,
         # but Simpson would split forever there, so the table stops at the
@@ -930,7 +962,7 @@ class TestCompiledPaths:
     def test_chart_speed_columns_match_lanes(self, u_src, v_src, monkeypatch):
         surface = darboux.torus(2.0, 0.5)
         path = ChartPath.from_expressions(u_src, v_src, (0.0, 2.0))
-        assert path._first_order.columns(np.linspace(0.0, 2.0, 9)) is not None
+        assert path.first_order.columns(np.linspace(0.0, 2.0, 9)) is not None
         by_columns = unit_speed_chart_curve(surface, path, 64).path.amap
         self.lane_by_lane(monkeypatch)
         by_lanes = unit_speed_chart_curve(surface, path, 64).path.amap
@@ -953,6 +985,6 @@ class TestCompiledPaths:
         # lane path raises that lane's error
         path = ChartPath.from_expressions("ln(2-s)", "s", (0.0, 0.1))
         c = unit_speed_chart_curve(darboux.plane(), path, 8)
-        assert path._first_order.columns(np.array([0.5, 2.5])) is None
+        assert path.first_order.columns(np.array([0.5, 2.5])) is None
         with pytest.raises(EvalDomainError, match="ln of nonpositive"):
             c.path.amap.speed(np.array([0.5, 2.5]))
