@@ -28,7 +28,7 @@ print("max angle drift  :", np.abs(res.angle_dot - math.cos(phi)).max())
 print("max |grad f . t| :", np.abs(res.grad_dot_t).max())
 print("max |Omega . t|  :", np.abs(res.constraint_residual).max())
 
-# The verification triple Omega = k_n d + tau_g (d x grad f) is orthogonal
+# The verification triple Omega = k_n d + tau_g (d x U) is orthogonal
 # to the tangent along a correct isophote.
 p, t = res.points[100], res.tangents[100]
 print("Omega . t at a sample:", omega_coefficients(torus, d, p, t) @ t)

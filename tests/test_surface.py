@@ -474,6 +474,22 @@ class TestImplicitJet:
                 np.testing.assert_allclose(H[:, i], fd_H, rtol=1e-5,
                                            atol=1e-6 * (1 + np.abs(fd_H).max()))
 
+    def test_sphere_normal_jacobian(self):
+        # U = p on the unit sphere, so dU/dp = (I - U U^T) with |p| = 1
+        p = np.array([0.6, 0.0, 0.8])
+        J = darboux.implicit_sphere(1.0).normal_jacobian(p)
+        np.testing.assert_allclose(J, np.eye(3) - np.outer(p, p), atol=1e-15)
+
+    def test_cone_apex_has_no_normal(self):
+        # the apex of x^2 + y^2 - z^2 = 0 lies on the surface with grad f = 0
+        cone = implicit_from_expression("x^2+y^2-z^2")
+        apex = np.zeros(3)
+        assert cone.value(apex) == 0.0
+        with pytest.raises(RegularityError, match="grad f"):
+            cone.normal_jacobian(apex)
+        with pytest.raises(RegularityError, match="grad f"):
+            darboux.trace.isophote_direction_implicit(cone, [0.0, 0.0, 1.0], apex)
+
     def test_torus_implicit_matches_parametric_points(self):
         tor = darboux.torus(2.0, 0.5)
         itor = darboux.implicit_torus(2.0, 0.5)

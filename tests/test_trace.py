@@ -12,7 +12,13 @@ import darboux
 import darboux.trace as trace_module
 from conftest import constant_speed_path
 from darboux.cli import main
-from darboux.errors import DarbouxError, RegularityError, SeedError, SingularPointError
+from darboux.errors import (
+    DarbouxError,
+    NumericalError,
+    RegularityError,
+    SeedError,
+    SingularPointError,
+)
 from darboux.frames import CurveOnSurface
 from darboux.frames import darboux as darboux_frame
 from darboux.surface import (
@@ -659,6 +665,29 @@ def test_two_constraint_projection_leaves_p_on_a_singular_system():
     out, f = trace_module._project_two_constraints(plane, (0.0, 0.0, 1.0), 0.5, p, 1e-12)
     assert out is p
     assert f == plane.value(p)
+
+
+def test_two_constraint_projection_keeps_its_last_point():
+    # 1e-14 lies below the torus's rounding of f near |p| = 2.5 (2^-46): the
+    # two-constraint Newton stops after 8 steps at its last point, whose |f|
+    # the sample records, until a plain projection cannot reach the tolerance
+    itor = darboux.implicit_torus(2.0, 0.5)
+    d, phi = [1.0, 0.0, 0.2], math.radians(60.0)
+    seed = find_seed(itor, d, phi, (2.5, 0.0, 0.1))
+    res = trace_isophote(itor, d, phi, seed, TraceConfig(
+        step=0.1, max_length=1.0, project_isophote=True, projection_tol=1e-14))
+    assert res.termination.startswith("error: ")
+    assert "projection did not reach |f| <= 1e-14" in res.termination
+    assert (res.surface_residual > 1e-14).any()
+    assert _hex(res.surface_residual) == _hex([abs(itor.value(p)) for p in res.points])
+
+
+def test_arithmetic_error_at_the_seed_raises():
+    # |grad f| = 1e120: the seed's direction solve divides by |grad f|^3,
+    # which overflows before the trace has a sample
+    plane = parse_surface_spec("implicit:f=1e120*z", implicit=True)
+    with pytest.raises(NumericalError, match="out of range"):
+        trace_isophote(plane, [0.6, 0.0, 0.8], math.acos(0.8), (0.0, 0.0, 0.0))
 
 
 class TestFieldSolves:
