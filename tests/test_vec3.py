@@ -151,6 +151,13 @@ def test_pow_on_a_column_is_python_power_lane_by_lane(column, k):
     assert _same_bits(_pow(column, k), expected)
 
 
+def test_pow_fills_overflowing_lanes():
+    # classify's q^{3/2} reads inf where the power overflows, as np.power did
+    q = np.array([4.0, 1e300, 0.0, math.inf, math.nan])
+    np.testing.assert_array_equal(_pow(q, 1.5, math.inf), [8.0, math.inf, 0.0, math.inf, math.nan])
+    np.testing.assert_array_equal(_pow(q, 1.5), [8.0, math.nan, 0.0, math.inf, math.nan])
+
+
 @settings(max_examples=100, deadline=None)
 @given(arrays(np.float64, st.tuples(st.integers(1, 6), st.just(12)),
               elements=st.floats(0.0, 1e6)))
