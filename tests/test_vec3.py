@@ -130,12 +130,21 @@ def test_norm3_matches_exact_left_to_right(a):
 
 @settings(max_examples=100, deadline=None)
 @given(ROWS3)
-def test_norm3_on_columns_matches_each_lane(rows):
-    # an (N, 3) array's .T view, three (N,) columns, N = 0 and 1 included
+def test_norm3_rows_matches_exact_left_to_right(rows):
+    # the norm of each row of an (N, 3) array, through its .T view, N = 0 included
     with np.errstate(all="ignore"):
         many = norm3(rows.T)
     assert isinstance(many, np.ndarray)
     assert _same_bits(many, [reference_norm(r) for r in rows.tolist()])
+
+
+@settings(max_examples=100, deadline=None)
+@given(ROWS3)
+def test_norm3_on_columns_matches_each_lane(rows):
+    # the frame sampler's 3-tuples of (N,) columns, N = 0 and 1 included
+    with np.errstate(all="ignore"):
+        many = norm3(tuple(rows.T))
+    assert _same_bits(many, [norm3(r) for r in rows.tolist()])
 
 
 @settings(max_examples=200, deadline=None)
