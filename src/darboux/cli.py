@@ -472,8 +472,7 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    args = make_parser().parse_args(argv)
     try:
         if args.command == "trace":
             return _cmd_trace(args, implicit=False)
@@ -485,13 +484,10 @@ def main(argv=None) -> int:
             return _cmd_classify(args)
         if args.command == "frames":
             return _cmd_frames(args)
-        if args.command == "catalog":
-            return _cmd_catalog(args)
-        parser.error(f"unknown command {args.command!r}")
+        return _cmd_catalog(args)  # the parser admits no other command
     except DarbouxError as exc:
         sys.stderr.write(f"{exc}\n")
         return 2
-    return 0
 
 
 if __name__ == "__main__":

@@ -26,8 +26,9 @@ Every batched path keeps one error rule: it records which lanes failed
 and raises the failure a point-by-point pass meets first, with that pass's
 type and message.  First is grid order on a grid, and in the arclength
 table the nodes, then the midpoints, then the pre-order of the depth-first
-Simpson recursion.  A table whose Simpson level outgrows its lane cap (a
-pole of the path) raises ArclengthTableError, naming the interval, instead.
+Simpson recursion, which is the order of the intervals' left endpoints.  A
+table whose Simpson level outgrows its lane cap (a pole of the path) raises
+ArclengthTableError, naming the interval, instead.
 
 The speed reads the path first: for paths and curves from expressions,
 one pass of the compiled function's columns (``expr.compile``'s
@@ -286,21 +287,14 @@ class UnitSpeedCurve:
 
 
 class ChartPath:
-    """Chart path (u(s), v(s)) with derivatives to third order.
+    """Chart path (u(s), v(s)) with derivatives to third order."""
 
-    ``first_order(s)``, if given, returns (u, v, u', v') at s in one call
-    with the bits of the four component functions, and takes the place of
-    the method of that name."""
-
-    def __init__(self, u, v, du, dv, ddu, ddv, dddu, dddv, s_range: tuple[float, float],
-                 first_order=None):
+    def __init__(self, u, v, du, dv, ddu, ddv, dddu, dddv, s_range: tuple[float, float]):
         self.u, self.v = u, v
         self.du, self.dv = du, dv
         self.ddu, self.ddv = ddu, ddv
         self.dddu, self.dddv = dddu, dddv
         self.s_range = (float(s_range[0]), float(s_range[1]))
-        if first_order is not None:
-            self.first_order = first_order
 
     def point(self, s: float) -> tuple[float, float]:
         return self.u(s), self.v(s)
@@ -360,14 +354,26 @@ def _jet_entry(order: int, axis: int | None = None):
     return lambda path, s: path.jet(s)[order][axis]
 
 
-class _CompiledChartPath(ChartPath):
-    """ChartPath.from_expressions' path: the jet and first_order are one
-    compiled function each, and each component accessor reads the jet."""
+class _JetChartPath(ChartPath):
+    """A ChartPath defined by its jet: the component accessors, point and
+    first_order read jet(s)."""
 
     u, v = _jet_entry(0, 0), _jet_entry(0, 1)
     du, dv = _jet_entry(1, 0), _jet_entry(1, 1)
     ddu, ddv = _jet_entry(2, 0), _jet_entry(2, 1)
     dddu, dddv = _jet_entry(3, 0), _jet_entry(3, 1)
+
+    def point(self, s: float) -> tuple[float, float]:
+        return self.jet(s)[0]
+
+    def first_order(self, s: float):
+        (u, v), (du, dv), _, _ = self.jet(s)
+        return u, v, du, dv
+
+
+class _CompiledChartPath(_JetChartPath):
+    """ChartPath.from_expressions' path: the jet and first_order are one
+    compiled function each."""
 
     def __init__(self, jet, first_order, s_range: tuple[float, float]):
         self.jet = jet  # nested as ChartPath.jet returns it
@@ -757,27 +763,20 @@ def _speeds(speed, ts):
     return values, errors
 
 
-def _preorder(levels, count):
-    """(table interval, path from it as a binary integer, left 0 and right 1)
-    of the count lanes after levels; sorted by both, they are in pre-order."""
-    lanes, path = np.arange(count), np.zeros(count, dtype=np.int64)
-    for bit, (split, _) in enumerate(reversed(levels)):
-        right = lanes >= len(split)
-        path |= right.astype(np.int64) << bit
-        lanes = split[lanes - len(split) * right]
-    return lanes, path
-
-
 def _adaptive_simpson_many(speed, a, b, fa, fm, fb, whole, tol, depth):
     """Adaptive Simpson on each [a_i, b_i], breadth first: one speed call per
     recursion depth, the values summed back pair by pair as the depth-first
     recursion sums them, with its bits.  A lane fails where its speed raised
     (at lm, then rm) or where it would split on an estimate that is not
-    finite, and then does not split; once one has failed, only lanes before
-    it in pre-order split on (so a later failure comes before it).  The
-    failure recorded last is raised after the last level, and a level beyond
-    the lane cap raises ArclengthTableError."""
-    levels, first = [], None  # first: (interval, path, level, error)
+    finite, and then does not split.  The recursion's pre-order is the order
+    of left endpoints: a node comes before its descendants and everything to
+    its right, a failed node has no descendants, and the live lanes of one
+    level never share a left endpoint.  So where lanes fail, only the lanes
+    left of the leftmost one split on, and so do all their descendants: a
+    later failure comes before it.  The failure recorded last is raised
+    after the last level, and a level beyond the lane cap raises
+    ArclengthTableError."""
+    levels, first = [], None  # first: the error first in pre-order so far
     while len(a):
         count = len(a)
         m = 0.5 * (a + b)
@@ -796,17 +795,12 @@ def _adaptive_simpson_many(speed, a, b, fa, fm, fb, whole, tol, depth):
         failed = split & ~finite
         failed[[i % count for i in errors]] = True
         split &= ~failed
-        if first is not None or failed.any():
-            interval, path = _preorder(levels, count)
-            if failed.any():
-                lanes = np.flatnonzero(failed)
-                j = int(lanes[np.lexsort((path[lanes], interval[lanes]))[0]])
-                error = errors.get(j) or errors.get(j + count) or DarbouxError(
-                    f"speed not finite for t in [{float(a[j]):g}, {float(b[j]):g}]")
-                first = (interval[j], path[j], len(levels), error)
-            k, p, level, _ = first
-            p <<= len(levels) - level
-            split &= (interval < k) | ((interval == k) & (path < p))
+        if failed.any():
+            lanes = np.flatnonzero(failed)
+            j = int(lanes[np.argmin(a[lanes])])
+            first = errors.get(j) or errors.get(j + count) or DarbouxError(
+                f"speed not finite for t in [{float(a[j]):g}, {float(b[j]):g}]")
+            split &= a < a[j]
         split = np.flatnonzero(split)
         levels.append((split, left + right + err / 15.0))
         if 2 * len(split) > _MAX_SIMPSON_LANES:
@@ -822,7 +816,7 @@ def _adaptive_simpson_many(speed, a, b, fa, fm, fb, whole, tol, depth):
         tol = 0.5 * tol
         depth -= 1
     if first is not None:
-        raise first[-1]
+        raise first
     values = None
     for split, value in reversed(levels):
         if len(split):
@@ -1036,43 +1030,31 @@ class _ResampledCurve(UnitSpeedCurve):
         return c, g1, g2, g3
 
 
+def _speed_inputs(fn, ts, width):
+    """fn at each lane of ts as width (N,) columns, for a speed: the columns
+    of a compiled fn, else fn lane by lane."""
+    columns = _compiled_columns(fn, ts)
+    if columns is not None:
+        return columns
+    lanes = ts.tolist()
+    rows = np.fromiter(chain.from_iterable(map(fn, lanes)), float, width * len(lanes))
+    return rows.reshape(-1, width).T
+
+
 def resample_unit_speed(raw: ParamCurve, n: int = 512) -> UnitSpeedCurve:
     """Arclength reparametrization of a regular curve, derivatives chained
     through third order."""
-
-    def speed(ts):
-        # the columns of a compiled c1, or c1 lane by lane
-        c1 = _compiled_columns(raw.c1, ts)
-        if c1 is not None:
-            return norm3(c1)
-        lanes = ts.tolist()
-        c1 = np.fromiter(chain.from_iterable(map(raw.c1, lanes)), float, 3 * len(lanes))
-        return norm3(c1.reshape(-1, 3).T)
-
-    return _ResampledCurve(raw, ArclengthMap(speed, raw.t_range, n))
+    amap = ArclengthMap(lambda ts: norm3(_speed_inputs(raw.c1, ts, 3)), raw.t_range, n)
+    return _ResampledCurve(raw, amap)
 
 
-class _UnitSpeedChartPath:
-    """A chart path reparametrized to unit metric speed on one surface.
-
-    Its (u, v) and derivatives come together from one arclength inversion;
-    ChartPath's per-component accessors read the jet at s."""
-
-    u, v = _jet_entry(0, 0), _jet_entry(0, 1)
-    du, dv = _jet_entry(1, 0), _jet_entry(1, 1)
-    ddu, ddv = _jet_entry(2, 0), _jet_entry(2, 1)
-    dddu, dddv = _jet_entry(3, 0), _jet_entry(3, 1)
+class _UnitSpeedChartPath(_JetChartPath):
+    """A chart path reparametrized to unit metric speed on one surface: its
+    (u, v) and derivatives come together from one arclength inversion."""
 
     def __init__(self, surface: ParametricSurface, raw: ChartPath, amap: ArclengthMap):
         self.surface, self.raw, self.amap = surface, raw, amap
         self.s_range = (0.0, amap.length)
-
-    def point(self, s: float) -> tuple[float, float]:
-        return self.jet(s)[0]
-
-    def first_order(self, s: float):
-        (u, v), (du, dv), _, _ = self.jet(s)
-        return u, v, du, dv
 
     def jet(self, s: float):
         return self._sample(self.surface, s)[0]
@@ -1082,7 +1064,7 @@ class _UnitSpeedChartPath:
         the chain rule through t(s); the chart point and third partials come
         along for the frame."""
         if surface is not self.surface:
-            return _chart_sample(self, surface, s)
+            return super()._sample(surface, s)
         t, = self.amap.t_of_s_many([s]).tolist()
         return self._reparametrized(_chart_sample(self.raw, surface, t))
 
@@ -1090,7 +1072,7 @@ class _UnitSpeedChartPath:
         """_sample at each s of grid as columns: one t_of_s_many call, the
         chart once per lane, and one chain rule on the columns."""
         if surface is not self.surface:
-            return ChartPath._sample_columns(self, surface, grid)
+            return super()._sample_columns(surface, grid)
         ts, bad = _inverted(self.amap, grid)
         return self._reparametrized(_chart_sample_columns(self.raw, surface, ts, bad)), bad
 
@@ -1111,14 +1093,8 @@ def unit_speed_chart_curve(surface: ParametricSurface, path: ChartPath,
 
     def speed(ts):
         # |gamma'| = |u' sigma_u + v' sigma_v|, the path read on all lanes
-        # before the chart: the columns of a compiled first_order, else lanes
-        first = _compiled_columns(path.first_order, ts)
-        if first is None:
-            lanes = ts.tolist()
-            rows = np.fromiter(chain.from_iterable(map(path.first_order, lanes)), float,
-                               4 * len(lanes))
-            first = rows.reshape(-1, 4).T
-        u, v, du, dv = first
+        # before the chart
+        u, v, du, dv = _speed_inputs(path.first_order, ts, 4)
         sigma_u, sigma_v = surface.tangents_many(u, v)
         return norm3(_lincomb(du, sigma_u.T, dv, sigma_v.T))
 

@@ -809,4 +809,6 @@ def _parse_range(text: str) -> tuple[float, float]:
         lo, hi = (float(t) for t in text.split(","))
     except ValueError:
         raise DarbouxError(f"bad range {text!r} (expected lo,hi)") from None
+    if not math.isfinite(hi - lo):  # nan or inf in either bound, or an overflowing width
+        raise DarbouxError(f"range {text!r} is not finite (need finite lo, hi and hi - lo)")
     return lo, hi

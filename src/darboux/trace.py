@@ -581,14 +581,14 @@ def _integrate(adapter, phi, seed):
             f"{abs(level - adapter.target):g} > {config.seed_tol:g}; use find_seed"
         )
 
+    k, t3 = field(y, None)
+    if config.branch == "minus":
+        k, t3 = _negated(k), _negated(t3)
+    seed_point, seed_tan = adapter.closure_frame(y, at(y), t3)
+    record(0.0, y, k, t3)
     h = config.step
     termination = "length reached"
     try:
-        k, t3 = field(y, None)
-        if config.branch == "minus":
-            k, t3 = _negated(k), _negated(t3)
-        seed_point, seed_tan = adapter.closure_frame(y, at(y), t3)
-        record(0.0, y, k, t3)
         n_steps = int(math.floor(config.max_length / h + 1e-9))
         s_done = 0.0
         for _ in range(n_steps):
@@ -606,20 +606,12 @@ def _integrate(adapter, phi, seed):
                 termination = "closed"
                 break
     except OutOfDomainError:
-        if not rows:
-            raise
         termination = "left domain"
     except SingularPointError:
-        if not rows:
-            raise
         termination = "singular point"
     except DarbouxError as exc:
-        if not rows:
-            raise
         termination = f"error: {exc}"
     except ARITHMETIC_ERRORS as exc:
-        if not rows:
-            raise
         termination = f"error: {NumericalError.of(exc)}"
     return TraceResult(**adapter.columns(*map(_column, zip(*rows))),
                        termination=termination, d=np.array(adapter.d), phi=phi)

@@ -265,6 +265,17 @@ class TestClassify:
         schema = json.load(open(os.path.join(DOCS, "report.schema.json")))
         jsonschema.validate(report, schema)
 
+    def test_too_few_samples_report_verdict_errors(self, tmp_path):
+        # 5 samples are fewer than a constancy verdict needs: the run still
+        # exits 0, and each measure's verdict is its error
+        out = tmp_path / "few.json"
+        assert run(["classify", "--surface", "builtin:cylinder?r=1", "--curve",
+                    "param:u=s;v=s", "--samples", "5", "--out", str(out)]) == 0
+        verdicts = json.loads(out.read_text())["verdicts"]
+        for name in ("rel_normal_slant", "isophotic", "slant_helix"):
+            assert list(verdicts[name]) == ["error"]
+            assert "5 unmasked samples < 8" in verdicts[name]["error"]
+
 
 class TestFrames:
     def test_csv_columns(self, capsys):
@@ -340,6 +351,14 @@ TORUS_TRACE = ["trace-implicit", "--surface", "builtin:torus?R=2&r=0.5", "--axis
                "--angle", "60", "--seed", "2.5,0,0.1", "--length", "0.05", "--step", "0.01"]
 
 
+PARAM_TRACE = ["trace", "--surface", "param:x=u;y=v;z=u*v;u=0,1;v=0,1", "--axis", "0,0,1",
+               "--angle", "45", "--seed", "0.5,0.5", "--length", "0.01"]
+
+
+def _frames_argv(surface, curve):
+    return ["frames", "--surface", surface, "--curve", curve, "--samples", "8"]
+
+
 def _with(argv, **flags):
     argv = list(argv)
     for flag, value in flags.items():
@@ -375,6 +394,33 @@ BAD_INPUTS = {
                               "param:x=sin(u*1e300*1e300);y=v;z=u;u=0,1;v=0,1",
                               "--axis", "0,0,1", "--angle", "45", "--seed", "0.5,0.5",
                               "--length", "0.01"],
+    # ranges that are not finite: a nan bound, an infinite one, a width
+    # that overflows
+    "range-nan": _with(PARAM_TRACE, surface="param:x=u;y=v;z=u*v;u=0,nan;v=0,1"),
+    "range-inf": _with(PARAM_TRACE, surface="param:x=u;y=v;z=u*v;u=0,inf;v=0,1"),
+    "curve-range-inf": _frames_argv("builtin:cylinder?r=1", "param:u=s;v=s;s=0,inf"),
+    "curve-range-overflows": _frames_argv("builtin:cylinder?r=1",
+                                          "param:u=s;v=s;s=-1e308,1e308"),
+    "space-curve-range-inf": _frames_argv("builtin:sphere?r=1",
+                                          "space:x=cos(s);y=sin(s);z=0;s=0,inf"),
+    # curve specs
+    "curve-no-prefix": _frames_argv("builtin:cylinder?r=1", "u=s;v=s"),
+    "curve-unknown-kind": _frames_argv("builtin:cylinder?r=1", "foo:u=s;v=s"),
+    "param-curve-missing-v": _frames_argv("builtin:cylinder?r=1", "param:u=s"),
+    "param-curve-on-implicit": _frames_argv("implicit:f=z", "param:u=s;v=s"),
+    "space-curve-on-param": _frames_argv("param:x=u;y=v;z=0;u=0,1;v=0,1",
+                                         "space:x=s;y=0;z=0"),
+    # surface specs
+    "param-surface-missing-z": _with(PARAM_TRACE, surface="param:x=u;y=v;u=0,1;v=0,1"),
+    "surface-unknown-kind": _with(PARAM_TRACE, surface="foo:x=u"),
+    "spec-field-without-equals": _with(PARAM_TRACE,
+                                       surface="param:x=u;y=v;z=u*v;u=0,1;v=0,1;junk"),
+    "range-one-number": _with(PARAM_TRACE, surface="param:x=u;y=v;z=u*v;u=0,1;v=0"),
+    "implicit-missing-f": _with(TORUS_TRACE, surface="implicit:g=z"),
+    # trace options
+    "seed-three-numbers-on-a-chart": _with(SPHERE_TRACE, seed="0.5,0.5,1"),
+    "seed-not-a-number": _with(SPHERE_TRACE, seed="0.5,a"),
+    "family-bad-number": _with(SPHERE_TRACE, family="30:x:4"),
 }
 
 
@@ -431,6 +477,34 @@ class TestBoundaryErrors:
         code, captured = run(BAD_INPUTS["param-sin-of-infinity"], capsys)
         assert code == 2
         assert "sin of infinite value in 'sin(u*1e+300*1e+300)'" in captured.err
+
+    @pytest.mark.parametrize("case,text", [
+        ("range-nan", "0,nan"), ("range-inf", "0,inf"), ("curve-range-inf", "0,inf"),
+        ("curve-range-overflows", "-1e308,1e308"), ("space-curve-range-inf", "0,inf")])
+    def test_range_not_finite_named_before_any_warning(self, case, text, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, captured = run(BAD_INPUTS[case], capsys)
+        assert code == 2
+        assert captured.err == (f"range {text!r} is not finite "
+                                "(need finite lo, hi and hi - lo)\n")
+
+    def test_family_without_out_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        code, captured = run(_with(SPHERE_TRACE, family="30:60:3"), capsys)
+        assert code == 2
+        assert captured.err == "--family requires --out (one file per angle)\n"
+        assert captured.out == ""
+        assert not list(tmp_path.iterdir())
+
+    def test_eps_sing_flag_wins_over_the_environment(self, tmp_path, monkeypatch):
+        # DARBOUX_EPS_SING = 1e6 alone makes every point singular (exit 2)
+        default, flagged = tmp_path / "default.csv", tmp_path / "flagged.csv"
+        assert run(SPHERE_TRACE + ["--out", str(default)]) == 0
+        monkeypatch.setenv("DARBOUX_EPS_SING", "1e6")
+        eps = repr(darboux.trace.EPS_SING_DEFAULT)
+        assert run(SPHERE_TRACE + ["--eps-sing", eps, "--out", str(flagged)]) == 0
+        assert flagged.read_bytes() == default.read_bytes()
 
 
 # Path coefficients: zero (a zero-speed path), small values, and offsets

@@ -420,6 +420,22 @@ class TestResample:
         for s in (0.1, 0.9, 1.7):
             np.testing.assert_allclose(again.gamma_jet(s), c.gamma_jet(s), atol=1e-8)
 
+    def test_unit_speed_path_on_another_surface_object(self):
+        # an equal torus that is not the path's own: each sample is read
+        # through the path's jet, with the bits of the curve on its own torus
+        c = unit_speed_chart_curve(darboux.torus(2.0, 0.5),
+                                   ChartPath.from_expressions("s", "2*s", (0.0, 1.0)), 128)
+        other = CurveOnSurface(darboux.torus(2.0, 0.5), chart_path=c.path)
+        assert other.surface is not c.surface
+        grid = uniform_grid(0.0, c.s_range[1], 21)
+        mine, theirs = sample_frames(c, grid), sample_frames(other, grid)
+        for name in ("gamma", "T", "V", "U", "kg", "kn", "tg", "dkg", "dkn", "dtg", "tau"):
+            assert getattr(mine, name).tobytes() == getattr(theirs, name).tobytes()
+        for s in (0.0, 0.4, c.s_range[1]):
+            a, b = darboux_frame(c, s), darboux_frame(other, s)
+            for name in ("T", "V", "U", "kg", "kn", "tg"):
+                assert np.array_equal(getattr(a, name), getattr(b, name))
+
 
 def _helix_param_curve():
     return ParamCurve(
@@ -677,13 +693,17 @@ class TestArclengthErrorParity:
     @given(data=st.data())
     def test_dyadic_kinks_at_different_levels(self, data):
         # each kink c = k/8 + (2j+1)/(32 2^L) is first evaluated at Simpson
-        # level L of table interval k (n = 8 on [0, 1])
-        intervals = data.draw(st.lists(st.integers(0, 7), min_size=2, max_size=2, unique=True))
-        levels = data.draw(st.lists(st.integers(0, 6), min_size=2, max_size=2, unique=True))
+        # level L of table interval k (n = 8 on [0, 1]); with 3 or 4 kinks,
+        # failures on three or four levels must still raise in pre-order
+        count = data.draw(st.integers(2, 4))
+        intervals = data.draw(st.lists(st.integers(0, 7), min_size=count, max_size=count,
+                                       unique=True))
+        levels = data.draw(st.lists(st.integers(0, 6), min_size=count, max_size=count,
+                                    unique=True))
         kinks = [k / 8 + (2 * data.draw(st.integers(0, 2 ** (level + 1) - 1)) + 1)
                  / (32 * 2**level) for k, level in zip(intervals, levels)]
         path = ChartPath.from_expressions(
-            f"abs(s-{kinks[0]!r})+abs(s-{kinks[1]!r})+3*s", "s", (0.0, 1.0))
+            "".join(f"abs(s-{kink!r})+" for kink in kinks) + "3*s", "s", (0.0, 1.0))
         self.assert_same_error(darboux.plane(), path, 8, EvalDomainError)
 
     @settings(max_examples=20, deadline=None)
