@@ -811,4 +811,6 @@ def _parse_range(text: str) -> tuple[float, float]:
         raise DarbouxError(f"bad range {text!r} (expected lo,hi)") from None
     if not math.isfinite(hi - lo):  # nan or inf in either bound, or an overflowing width
         raise DarbouxError(f"range {text!r} is not finite (need finite lo, hi and hi - lo)")
+    if not lo < hi:
+        raise DarbouxError(f"range {text!r} is empty or reversed (need lo < hi)")
     return lo, hi

@@ -12,8 +12,9 @@ Delta u' + Delta* v' and Omega . t vanish.
 Integration is classical fixed-step RK4.  Branch continuity picks, at every
 field evaluation, the sign that best aligns with the running tangent, and a
 sample's own oriented slope is the first stage of the step that leaves it.
-A chart point is evaluated once, and its evaluation carries the field's
-inputs: the first form (E, F, G) and the level partials g_u, g_v.
+Each point is evaluated once, by one straight-line stage kernel per surface
+kind, with the field's plus-branch slope or the error its solve raised (met
+where the slope is read); a sample's evaluation is passed to its record.
 Implicit traces are Newton-projected back to f = 0 after every step.  When a
 trace returns to its seed it is closed with one final shortened step landing
 on the seed's transversal plane (the one sample exempt from the fixed-step
@@ -57,7 +58,6 @@ from .surface import (
     _column,
     _cross,
     _div3,
-    _first_form,
     _floats,
     _lincomb,
     _matvec,
@@ -322,13 +322,43 @@ def _find_seed_implicit(surface, d, target, guess, tol, max_iter, projection_tol
 # them
 
 
-def _chart_evaluation(point, d):
-    """(jet, U, U_u, U_v, (E, F, G), g_u, g_v) from a chart point's (jet, w,
-    |w|): the chart jet, the unit normal and its partials, the first form
-    and the partials of g = <U, d>."""
+def _chart_stage(point, d, eps_sing: float = EPS_SING_DEFAULT) -> tuple:
+    """A chart point's evaluation from its (jet, w, |w|) and the axis d:
+    (jet, U, U_u, U_v, (E, F, G), g_u, g_v, k, t3): U = w/|w| and its
+    partials, the first form, the partials of g = <U, d> and the field's
+    plus-branch slope k = (u', v') (g_u u' + g_v v' = 0 at unit metric
+    speed) with its tangent t3 = sigma_u u' + sigma_v v'.  Where that solve
+    fails, k is None and t3 holds its arithmetic error, or None at a
+    singular point (|g_u|, |g_v| <= eps_sing).  Straight-line code with
+    the operations of _div3, _first_form, dot3 and _lincomb in their order."""
     jet, w, n = point
-    U_u, U_v = _normal_partials(jet, w, n, n**3)
-    return jet, _div3(w, n), U_u, U_v, _first_form(jet), dot3(U_u, d), dot3(U_v, d)
+    (x0, x1, x2), (y0, y1, y2) = U_u, U_v = _normal_partials(jet, w, n, n**3)
+    a0, a1, a2 = jet[1]
+    b0, b1, b2 = jet[2]
+    d0, d1, d2 = d
+    E = a0 * a0 + a1 * a1 + a2 * a2
+    F = a0 * b0 + a1 * b1 + a2 * b2
+    G = b0 * b0 + b1 * b1 + b2 * b2
+    g_u = x0 * d0 + x1 * d1 + x2 * d2
+    g_v = y0 * d0 + y1 * d1 + y2 * d2
+    k = t3 = None
+    if not (abs(g_u) <= eps_sing and abs(g_v) <= eps_sing):
+        try:
+            W = math.sqrt(E * g_v**2 - 2.0 * F * g_u * g_v + G * g_u**2)
+            du, dv = -g_v / W, g_u / W
+            k, t3 = (du, dv), (du * a0 + dv * b0, du * a1 + dv * b1, du * a2 + dv * b2)
+        except ARITHMETIC_ERRORS as exc:
+            t3 = exc
+    return (jet, (w[0] / n, w[1] / n, w[2] / n), U_u, U_v, (E, F, G), g_u, g_v, k, t3)
+
+
+def _chart_solve_error(error, u, v) -> Exception:
+    """The error a failed chart solve raises: its arithmetic error, else a
+    singular point named at the state (u, v) the field was asked at."""
+    return error or SingularPointError(
+        "singular point of the isophote field: no isophotic curve with "
+        f"this axis/angle at (u, v)=({float(u):g}, {float(v):g})"
+    )
 
 
 def isophote_direction_parametric(surface: ParametricSurface, d, u: float, v: float,
@@ -339,30 +369,17 @@ def isophote_direction_parametric(surface: ParametricSurface, d, u: float, v: fl
 
     Raises SingularPointError when both g_u and g_v fall below ``eps_sing``
     (no isophotic curve with this axis exists through the point)."""
-    du, dv = _chart_direction(_chart_evaluation(surface.chart_point(u, v), _floats(d)),
-                              eps_sing, u, v)
-    if branch == "minus":
-        du, dv = -du, -dv
-    return du, dv
-
-
-def _chart_direction(point, eps_sing, u, v):
-    """(u', v') on the plus branch from a chart point's _chart_evaluation."""
-    *_, (E, F, G), g_u, g_v = point
-    if abs(g_u) <= eps_sing and abs(g_v) <= eps_sing:
-        raise SingularPointError(
-            "singular point of the isophote field: no isophotic curve with "
-            f"this axis/angle at (u, v)=({float(u):g}, {float(v):g})"
-        )
-    W = math.sqrt(E * g_v**2 - 2.0 * F * g_u * g_v + G * g_u**2)
-    return -g_v / W, g_u / W
+    *_, k, t3 = _chart_stage(surface.chart_point(u, v), _floats(d), eps_sing)
+    if k is None:
+        raise _chart_solve_error(t3, u, v)
+    return (-k[0], -k[1]) if branch == "minus" else k
 
 
 def direction_scalars_parametric(surface: ParametricSurface, d, u: float, v: float,
                                  direction) -> tuple[float, float]:
     """(k_n, tau_g) of a unit chart direction at a point (point functions of
     the direction, no curve needed)."""
-    jet, U, U_u, U_v, *_ = _chart_evaluation(surface.chart_point(u, v), _floats(d))
+    jet, U, U_u, U_v, *_ = _chart_stage(surface.chart_point(u, v), _floats(d))
     return _chart_scalars(jet, U, U_u, U_v, direction)
 
 
@@ -389,7 +406,7 @@ def delta_coefficients(surface: ParametricSurface, d, u: float, v: float,
     Delta* = sqrt(EG - F^2) k_n <sigma_v, d> + F tau_g <sigma_v, d> - G tau_g <sigma_u, d>
     with k_n, tau_g evaluated for the supplied direction."""
     d = _floats(d)
-    jet, U, U_u, U_v, ff, _, _ = _chart_evaluation(surface.chart_point(u, v), d)
+    jet, U, U_u, U_v, ff, *_ = _chart_stage(surface.chart_point(u, v), d)
     kn, tg = _chart_scalars(jet, U, U_u, U_v, direction)
     return _delta(jet, ff, d, kn, tg)
 
@@ -418,8 +435,10 @@ def isophote_direction_implicit(surface: ImplicitSurface, d, p, branch: str = "p
     f = surface._f(*p)
     if abs(f) > on_surface_tol:
         raise DarbouxError(f"point is not on the surface: |f| = {abs(f):g} > {on_surface_tol:g}")
-    t = np.array(_implicit_direction(surface.level_point(p), _floats(d), eps_sing, p))
-    return -t if branch == "minus" else t
+    *_, t, error = _implicit_stage(surface.level_point(p), _floats(d), eps_sing)
+    if t is None:
+        raise _implicit_solve_error(error, p)
+    return np.array(_negated(t) if branch == "minus" else t)
 
 
 def _level_gradient(point, d) -> tuple:
@@ -434,21 +453,34 @@ def _level_gradient(point, d) -> tuple:
             (c0 * d0 + c1 * d1 + c2 * d2) / n - gd * (c0 * g0 + c1 * g1 + c2 * g2) / n3)
 
 
-def _implicit_direction(point, d, eps_sing, p) -> tuple:
-    """Unit tangent on the plus branch from a point's (grad f, |grad f|, H):
-    grad f x grad g over its norm, written out."""
-    g0, g1, g2 = point[0]
-    l0, l1, l2 = _level_gradient(point, d)
-    w0 = g1 * l2 - g2 * l1
-    w1 = g2 * l0 - g0 * l2
-    w2 = g0 * l1 - g1 * l0
-    wn = math.sqrt(w0 * w0 + w1 * w1 + w2 * w2)
-    if wn <= eps_sing:
-        raise SingularPointError(
-            f"singular isophote point at {np.round(p, 9).tolist()}: "
-            "no isophotic curve with this axis/angle"
-        )
-    return (w0 / wn, w1 / wn, w2 / wn)
+def _implicit_stage(point, d, eps_sing: float) -> tuple:
+    """A surface point's evaluation from its (grad f, |grad f|, H) and the
+    axis d: (grad f, |grad f|, H, t, error), t the plus unit tangent
+    grad f x grad g over its norm, written out.  Where that solve fails, t
+    is None and error holds its arithmetic error, or None at a singular
+    point (the norm within ``eps_sing`` of 0)."""
+    grad, n, H = point
+    try:
+        g0, g1, g2 = grad
+        l0, l1, l2 = _level_gradient(point, d)
+        w0 = g1 * l2 - g2 * l1
+        w1 = g2 * l0 - g0 * l2
+        w2 = g0 * l1 - g1 * l0
+        wn = math.sqrt(w0 * w0 + w1 * w1 + w2 * w2)
+        if wn <= eps_sing:
+            return grad, n, H, None, None
+        return grad, n, H, (w0 / wn, w1 / wn, w2 / wn), None
+    except ARITHMETIC_ERRORS as exc:
+        return grad, n, H, None, exc
+
+
+def _implicit_solve_error(error, p) -> Exception:
+    """The error a failed implicit solve raises: its arithmetic error, else
+    a singular point named at the state p."""
+    return error or SingularPointError(
+        f"singular isophote point at {np.round(p, 9).tolist()}: "
+        "no isophotic curve with this axis/angle"
+    )
 
 
 def direction_scalars_implicit(surface: ImplicitSurface, d, p, t) -> tuple[float, float]:
@@ -527,26 +559,29 @@ _ROW_FIELDS = ("s", "points", "tangents", "normals", "angle_dot", "constraint_re
 
 
 def _axpy(y, a, k) -> tuple:
-    """y + a k for a state y and slope k."""
-    return tuple([yi + a * ki for yi, ki in zip(y, k)])
+    """y + a k for a state y and slope k of 2 or 3 components, written out."""
+    if len(y) == 2:
+        return (y[0] + a * k[0], y[1] + a * k[1])
+    return (y[0] + a * k[0], y[1] + a * k[1], y[2] + a * k[2])
 
 
 def _integrate(adapter, phi, seed):
     """Fixed-step RK4 along an adapter's direction field, with branch
     continuity, closure onto the seed and one record per sample.
 
-    The adapter (_ChartTrace or _ImplicitTrace) maps the seed to a state,
-    maps a state to the key of its point (a chart state wrapped once),
-    evaluates a key (a chart evaluation carries its first form and level
-    partials), turns an evaluation into an RK4 slope and a 3-D tangent,
-    fixes up each new state (wrap or reprojection) and records a sample.
-    States, slopes and tangents are tuples of floats.  Each sample's
-    oriented slope is passed down as the first RK4 stage of the step that
-    leaves it: the field oriented by that slope's own tangent is the slope
-    again, bit for bit.  The last evaluated key and its evaluation are kept
-    and reused while the requested key repeats: each sample is recorded at
-    the point its direction was taken from, and stages whose slopes agree
-    land on the same point.
+    The adapter (_ChartTrace or _ImplicitTrace) maps the seed to a state, a
+    state to the key of its point (a chart state wrapped once) and a key to
+    its evaluation, which carries the field's plus-branch slope or the error
+    its solve raised.  It orients that slope into an RK4 slope and a 3-D
+    tangent, returned with the evaluation (raising the error there, so a
+    seed off its level is reported first), fixes up each new state (wrap or
+    reprojection) and records a sample.  States, slopes and tangents are
+    tuples of floats.  Each sample's oriented slope is the first RK4 stage
+    of the step that leaves it (the field oriented by its own tangent is the
+    slope again, bit for bit), and its evaluation is passed to its record
+    and closure test.  The last evaluated key and its evaluation are kept
+    while the requested key repeats, so stages whose slopes agree share one
+    evaluation.
     """
     config = adapter.config
     last = [None, None]
@@ -561,31 +596,31 @@ def _integrate(adapter, phi, seed):
         return adapter.direction(y, at(y), ref)
 
     def step(y, h, k1, ref):
-        k2, _ = field(_axpy(y, 0.5 * h, k1), ref)
-        k3, _ = field(_axpy(y, 0.5 * h, k2), ref)
-        k4, _ = field(_axpy(y, h, k3), ref)
-        sixth = h / 6.0
-        return adapter.fix(tuple([yi + sixth * (a + 2.0 * b + 2.0 * c + e)
-                                  for yi, a, b, c, e in zip(y, k1, k2, k3, k4)]))
+        k2 = field(_axpy(y, 0.5 * h, k1), ref)[0]
+        k3 = field(_axpy(y, 0.5 * h, k2), ref)[0]
+        k4 = field(_axpy(y, h, k3), ref)[0]
+        # y + h/6 (k1 + 2 k2 + 2 k3 + k4), summed left to right (1.0 k4 is k4)
+        return adapter.fix(_axpy(y, h / 6.0, _axpy(_axpy(_axpy(k1, 2.0, k2), 2.0, k3), 1.0, k4)))
 
     rows = []
 
-    def record(s, y, k, t3):
-        rows.append((s, *adapter.record(y, at(y), k, t3)))
+    def record(s, y, point, k, t3):
+        rows.append((s, *adapter.record(y, point, k, t3)))
 
     y = adapter.start(seed)
-    level = adapter.level(y, at)
+    point = at(y)
+    level = adapter.level(point)
     if abs(level - adapter.target) > config.seed_tol:
         raise SeedError(
             f"seed is not on the isophote level: |<U,d> - cos(phi)| = "
             f"{abs(level - adapter.target):g} > {config.seed_tol:g}; use find_seed"
         )
 
-    k, t3 = field(y, None)
+    k, t3, _ = adapter.direction(y, point, None)
     if config.branch == "minus":
         k, t3 = _negated(k), _negated(t3)
-    seed_point, seed_tan = adapter.closure_frame(y, at(y), t3)
-    record(0.0, y, k, t3)
+    seed_point, seed_tan = adapter.closure_frame(y, point, t3)
+    record(0.0, y, point, k, t3)
     h = config.step
     termination = "length reached"
     try:
@@ -594,15 +629,15 @@ def _integrate(adapter, phi, seed):
         for _ in range(n_steps):
             y = step(y, h, k, t3)
             s_done += h
-            k, t3 = field(y, t3)
-            record(s_done, y, k, t3)
-            delta = _closure_step(*adapter.closure_frame(y, at(y), t3),
+            k, t3, point = field(y, t3)
+            record(s_done, y, point, k, t3)
+            delta = _closure_step(*adapter.closure_frame(y, point, t3),
                                   seed_point, seed_tan, s_done, config)
             if delta is not None:
                 y = step(y, delta, k, t3)
                 s_done += delta
-                k, t3 = field(y, t3)
-                record(s_done, y, k, t3)
+                k, t3, point = field(y, t3)
+                record(s_done, y, point, k, t3)
                 termination = "closed"
                 break
     except OutOfDomainError:
@@ -642,8 +677,8 @@ def _closure_step(p, t, seed_p, seed_t, s_done, config):
 class _ChartTrace:
     """Isophote on a chart.  The state is (u, v), wrapped after each step;
     RK4 slopes are (u', v') and the reference tangent is sigma_u u' + sigma_v v'.
-    A point's evaluation is its _chart_evaluation.  A sample's record is
-    its row of TraceResult fields."""
+    A point's evaluation is its _chart_stage.  A sample's record is its row
+    of TraceResult fields."""
 
     def __init__(self, surface, d, target, config):
         self.surface, self.d, self.target, self.config = surface, d, target, config
@@ -651,8 +686,8 @@ class _ChartTrace:
     def start(self, seed):
         return self.surface.wrap(float(seed[0]), float(seed[1]))
 
-    def level(self, y, at):
-        return dot3(at(y)[1], self.d)
+    def level(self, point):
+        return dot3(point[1], self.d)
 
     def key(self, y):
         # the chart point evaluated: wrapping sends equal points to one key
@@ -660,15 +695,15 @@ class _ChartTrace:
 
     def evaluate(self, key):
         # the key is wrapped already: evaluating it wraps nothing again
-        return _chart_evaluation(self.surface._chart_point(*key), self.d)
+        return _chart_stage(self.surface._chart_point(*key), self.d, self.config.eps_sing)
 
     def direction(self, y, point, ref):
-        du, dv = _chart_direction(point, self.config.eps_sing, y[0], y[1])
-        jet = point[0]
-        t3 = _lincomb(du, jet[1], dv, jet[2])
+        k, t3 = point[7], point[8]
+        if k is None:
+            raise _chart_solve_error(t3, y[0], y[1])
         if ref is not None and dot3(t3, ref) < 0.0:
-            return (-du, -dv), _negated(t3)
-        return (du, dv), t3
+            return (-k[0], -k[1]), _negated(t3), point
+        return k, t3, point
 
     def fix(self, y):
         return self.surface.wrap(y[0], y[1])
@@ -677,7 +712,7 @@ class _ChartTrace:
         return point[0][0], _div3(t3, norm3(t3))
 
     def record(self, y, point, k, t3):
-        jet, U, U_u, U_v, ff, _, _ = point
+        jet, U, U_u, U_v, ff, _, _, _, _ = point
         du, dv = k
         E, F, G = ff
         kn, tg = _chart_scalars(jet, U, U_u, U_v, k)
@@ -693,8 +728,8 @@ class _ChartTrace:
 class _ImplicitTrace:
     """Isophote on f = 0.  The state is the point itself, Newton-projected
     back onto the surface (and optionally the level) after each step; the
-    RK4 slope is the unit tangent.  A point's evaluation is
-    (grad f, |grad f|, H).
+    RK4 slope is the unit tangent.  A point's evaluation is its
+    _implicit_stage.
 
     A sample's record keeps what can fail or needs a Python float: the
     point, its tangent, grad f, |grad f|, H and |f|.  f is the value
@@ -710,21 +745,22 @@ class _ImplicitTrace:
         p, self.f = _project(self.surface, _point(seed), self.config.projection_tol)
         return p
 
-    def level(self, p, at):
-        grad, n, _ = at(p)
-        return dot3(_div3(grad, n), self.d)
+    def level(self, point):
+        return dot3(_div3(point[0], point[1]), self.d)
 
     def key(self, p):
         return p
 
     def evaluate(self, p):
-        return self.surface.level_point(p)
+        return _implicit_stage(self.surface.level_point(p), self.d, self.config.eps_sing)
 
     def direction(self, p, point, ref):
-        t = _implicit_direction(point, self.d, self.config.eps_sing, p)
+        t = point[3]
+        if t is None:
+            raise _implicit_solve_error(point[4], p)
         if ref is not None and dot3(t, ref) < 0.0:
             t = _negated(t)
-        return t, t
+        return t, t, point
 
     def fix(self, q):
         q, self.f = _project(self.surface, q, self.config.projection_tol)
@@ -738,7 +774,7 @@ class _ImplicitTrace:
         return p, t
 
     def record(self, q, point, k, t):
-        grad, n, H = point
+        grad, n, H, _, _ = point
         f = self.f if self.f is not None else self.surface._f(*q)
         return q, t, grad, n, H, abs(f)
 

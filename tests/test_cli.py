@@ -403,6 +403,10 @@ BAD_INPUTS = {
                                           "param:u=s;v=s;s=-1e308,1e308"),
     "space-curve-range-inf": _frames_argv("builtin:sphere?r=1",
                                           "space:x=cos(s);y=sin(s);z=0;s=0,inf"),
+    # ranges that are reversed or empty
+    "range-reversed": _with(PARAM_TRACE, surface="param:x=u;y=v;z=u*v;u=1,0;v=0,1"),
+    "range-empty": _with(PARAM_TRACE, surface="param:x=u;y=v;z=u*v;u=0.5,0.5;v=0,1"),
+    "curve-range-empty": _frames_argv("builtin:cylinder?r=1", "param:u=s;v=s;s=1,1"),
     # curve specs
     "curve-no-prefix": _frames_argv("builtin:cylinder?r=1", "u=s;v=s"),
     "curve-unknown-kind": _frames_argv("builtin:cylinder?r=1", "foo:u=s;v=s"),
@@ -427,6 +431,8 @@ BAD_INPUTS = {
 class TestBoundaryErrors:
     """Values that parse but cannot be used: exit 2 with a one-line message."""
 
+    # a numpy warning must fail the row: pytest's capture would keep it off stderr
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
     def test_exit_2_one_line_no_traceback(self, case, tmp_path, capsys):
         out = tmp_path / "out.csv"
@@ -488,6 +494,13 @@ class TestBoundaryErrors:
         assert code == 2
         assert captured.err == (f"range {text!r} is not finite "
                                 "(need finite lo, hi and hi - lo)\n")
+
+    @pytest.mark.parametrize("case,text", [
+        ("range-reversed", "1,0"), ("range-empty", "0.5,0.5"), ("curve-range-empty", "1,1")])
+    def test_range_reversed_or_empty_named(self, case, text, capsys):
+        code, captured = run(BAD_INPUTS[case], capsys)
+        assert code == 2
+        assert captured.err == f"range {text!r} is empty or reversed (need lo < hi)\n"
 
     def test_family_without_out_writes_nothing(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

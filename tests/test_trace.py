@@ -692,8 +692,9 @@ def test_arithmetic_error_at_the_seed_raises():
 
 class TestFieldSolves:
     """Work per trace point, counted on the surfaces of TestEvaluationCounts:
-    a sample's own oriented slope is RK4's first stage, and a chart
-    evaluation carries the first form its direction and its record read."""
+    the field is solved once per evaluated point (the stage kernel runs once
+    per jet or level call), and a sample's own oriented slope is RK4's first
+    stage."""
 
     @staticmethod
     def counted(monkeypatch, name, calls):
@@ -706,26 +707,79 @@ class TestFieldSolves:
         monkeypatch.setattr(trace_module, name, wrapper)
 
     def test_sphere_circuit_direction_solves(self, monkeypatch):
-        calls = {"jet": 0, "_chart_direction": 0, "_first_form": 0}
-        self.counted(monkeypatch, "_chart_direction", calls)
-        self.counted(monkeypatch, "_first_form", calls)
+        calls = {"jet": 0, "_chart_stage": 0}
+        self.counted(monkeypatch, "_chart_stage", calls)
         surface = TestEvaluationCounts.counting_sphere(calls)
         res = trace_isophote(surface, EZ, math.pi / 4, (0.0, math.pi / 4),
                              TraceConfig(step=1e-2, max_length=4.5))
         assert res.termination == "closed"
-        # RK4 stages 2-4 and the new sample per step, and the seed
-        assert calls["_chart_direction"] <= 4 * (res.n - 1) + 1
-        assert calls["_first_form"] == calls["jet"]
+        # on a latitude RK4 stages 2 and 3 share a point and stage 4 lands
+        # on the next sample: two solves per step, one at the seed
+        assert calls["_chart_stage"] == calls["jet"] == 2 * (res.n - 1) + 1
 
     def test_implicit_torus_direction_solves(self, monkeypatch):
-        calls = {"f": 0, "grad": 0, "level": 0, "_implicit_direction": 0}
+        calls = {"f": 0, "grad": 0, "level": 0, "_implicit_stage": 0}
         surface = TestEvaluationCounts.counting_torus(calls)
         seed = find_seed(surface, EZ, math.pi / 3, (2.5, 0.0, 0.1))
-        self.counted(monkeypatch, "_implicit_direction", calls)
+        calls["level"] = 0
+        self.counted(monkeypatch, "_implicit_stage", calls)
         res = trace_isophote(surface, EZ, math.pi / 3, seed,
                              TraceConfig(step=1e-2, max_length=2.0))
         assert res.termination == "length reached"
-        assert calls["_implicit_direction"] <= 4 * (res.n - 1) + 1
+        # RK4 stages 2-4 and the new sample each evaluate a new point
+        assert calls["_implicit_stage"] == calls["level"] == 4 * (res.n - 1) + 1
+
+
+class TestDeferredSolveErrors:
+    """An evaluation keeps the error of its field solve, raised where its
+    slope is read: the seed's level is checked first, and a singular point
+    is named at the state the field was asked at."""
+
+    def test_off_level_singular_seed_raises_seed_error(self):
+        # on the plane every point is singular, and <U, e_z> = 1 != cos 45
+        with pytest.raises(SeedError, match="seed is not on the isophote level"):
+            trace_isophote(darboux.plane(), EZ, math.pi / 4, (0.5, 0.25), TraceConfig())
+        with pytest.raises(SeedError, match="seed is not on the isophote level"):
+            trace_isophote(darboux.implicit_plane(), EZ, math.pi / 4, (0.5, 0.25, 0.0),
+                           TraceConfig())
+
+    @pytest.mark.parametrize("surface, seed, where", [
+        (darboux.plane(), (0.5, 0.25), "(0.5, 0.25)"),
+        # the seed state is wrapped into the cylinder's periodic u range first
+        (darboux.cylinder(1.0), (7.0, 1.0), f"({7.0 - 2.0 * math.pi:g}, 1)"),
+    ], ids=["plane", "cylinder-wrapped"])
+    def test_on_level_singular_seed_names_its_state(self, surface, seed, where):
+        phi = 0.0 if surface.name == "plane" else math.pi / 2
+        with pytest.raises(SingularPointError) as err:
+            trace_isophote(surface, EZ, phi, seed, TraceConfig())
+        assert str(err.value) == ("singular point of the isophote field: no isophotic "
+                                  f"curve with this axis/angle at (u, v)={where}")
+
+    def test_on_level_singular_implicit_seed(self):
+        with pytest.raises(SingularPointError) as err:
+            trace_isophote(darboux.implicit_plane(), EZ, 0.0, (0.5, 0.25, 0.0),
+                           TraceConfig())
+        assert str(err.value) == ("singular isophote point at [0.5, 0.25, 0.0]: "
+                                  "no isophotic curve with this axis/angle")
+
+    @pytest.mark.parametrize("implicit", [False, True])
+    def test_mid_trace_singular_point_keeps_the_samples(self, implicit):
+        # an oblique axis: the field's norm varies along the isophote, and
+        # a threshold inside its range stops the trace part way
+        d = np.array([1.0, 0.0, 2.0]) / math.sqrt(5.0)
+        if implicit:
+            surface, guess, eps = darboux.implicit_torus(2.0, 0.5), (2.5, 0.0, 0.1), 32.0
+        else:
+            surface, guess, eps = darboux.ellipsoid(2.0, 1.0, 0.5), (0.3, 0.3), 2.0
+        seed = find_seed(surface, d, math.pi / 3, guess)
+        full = trace_isophote(surface, d, math.pi / 3, seed,
+                              TraceConfig(step=1e-2, max_length=3.0))
+        res = trace_isophote(surface, d, math.pi / 3, seed,
+                             TraceConfig(step=1e-2, max_length=3.0, eps_sing=eps))
+        assert res.termination == "singular point"
+        assert 1 < res.n < full.n
+        assert _hex(res.points) == _hex(full.points[:res.n])
+        assert _hex(res.tangents) == _hex(full.tangents[:res.n])
 
 
 class TestSurfaceRegularityThreshold:

@@ -14,23 +14,27 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import darboux
+from darboux.errors import ARITHMETIC_ERRORS
 from darboux.frames import _GL_WEIGHTS, _gl_sum
 from darboux.surface import (
+    _chart_w,
     _cross,
     _cross_sum,
     _div3,
+    _first_form,
+    _lincomb,
     _matvec,
     _normal_partials,
     _pow,
     dot3,
     norm3,
 )
-from darboux.trace import _implicit_columns, _implicit_direction, _level_gradient
+from darboux.trace import _chart_stage, _implicit_columns, _implicit_stage, _level_gradient
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 VEC3 = arrays(np.float64, 3, elements=FINITE)
@@ -354,7 +358,80 @@ def test_level_gradient_and_direction_compose_matvec_and_dot3(g, H, d):
     assert _same_bits(_level_gradient(point, d), composed)
     w = _cross(g, composed)
     if norm3(w) > 1e-10:
-        assert _same_bits(_implicit_direction(point, d, 1e-10, g), _div3(w, norm3(w)))
+        assert _same_bits(_implicit_stage(point, d, 1e-10)[3], _div3(w, norm3(w)))
+
+
+def _plus_solve(solve):
+    """(plus, None) from solve(), or (None, the error type) where it raises an
+    arithmetic error."""
+    try:
+        return solve(), None
+    except ARITHMETIC_ERRORS as exc:
+        return None, type(exc)
+
+
+def _same_solve(stage_plus, stage_error, plus, error):
+    """A stage kernel's (plus, error) against the composed solve's: the same
+    bits, the same error type, or both None at a singular point."""
+    if plus is not None:
+        return stage_error is None and _same_bits(stage_plus, plus)
+    if error is not None:
+        return stage_plus is None and type(stage_error) is error
+    return stage_plus is None and stage_error is None
+
+
+# the field's solve: 0 keeps exact zeros singular, 1e300 makes every point so
+EPS_SING = st.sampled_from([0.0, 1e-10, 1e300])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(*[TRIPLE] * 6), TRIPLE, EPS_SING)
+# a plane: g_u = g_v = 0 exactly; sigma_vv = 1e200 e_z: g_v**2 overflows
+@example(((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)) + ((0.0, 0.0, 0.0),) * 3,
+         (0.0, 0.0, 1.0), 0.0)
+@example(((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 0.0),
+          (0.0, 0.0, 0.0), (0.0, 0.0, 1e200)), (0.0, 1.0, 0.0), 1e-10)
+def test_chart_stage_composes_normal_partials_first_form_and_dot3(jet, d, eps_sing):
+    w, n = _chart_w(jet)
+    assume(n > 1e-100)
+    stage = _chart_stage((jet, w, n), d, eps_sing)
+    U_u, U_v = _normal_partials(jet, w, n, n**3)
+    E, F, G = _first_form(jet)
+    g_u, g_v = dot3(U_u, d), dot3(U_v, d)
+    assert stage[0] is jet
+    for got, want in zip(stage[1:7], (_div3(w, n), U_u, U_v, (E, F, G), g_u, g_v)):
+        assert _same_bits(got, want)
+
+    def solve():
+        # the reference solve: unit metric speed, then sigma_u u' + sigma_v v'
+        W = math.sqrt(E * g_v**2 - 2.0 * F * g_u * g_v + G * g_u**2)
+        du, dv = -g_v / W, g_u / W
+        return (du, dv) + _lincomb(du, jet[1], dv, jet[2])
+
+    singular = abs(g_u) <= eps_sing and abs(g_v) <= eps_sing
+    plus, error = (None, None) if singular else _plus_solve(solve)
+    k, t3 = stage[7], stage[8]
+    if k is None:
+        assert _same_solve(None, t3, plus, error)
+    else:
+        assert _same_solve(k + t3, None, plus, error)
+
+
+@settings(max_examples=300, deadline=None)
+@given(TRIPLE, st.tuples(TRIPLE, TRIPLE, TRIPLE), TRIPLE, EPS_SING)
+# |grad f| = 1e120: n**3 overflows in the level gradient
+@example((0.0, 0.0, 1e120), ((0.0,) * 3,) * 3, (0.6, 0.0, 0.8), 1e-10)
+def test_implicit_stage_composes_level_gradient_cross_and_norm3(g, H, d, eps_sing):
+    n = norm3(g)
+    assume(n > 1e-100)
+    point = (g, n, H)
+    stage = _implicit_stage(point, d, eps_sing)
+    assert stage[0] is g and stage[1] == n and stage[2] is H
+    plus, error = _plus_solve(lambda: _cross(g, _level_gradient(point, d)))
+    if plus is not None:
+        wn = norm3(plus)
+        plus = None if wn <= eps_sing else _div3(plus, wn)
+    assert _same_solve(stage[3], stage[4], plus, error)
 
 
 @settings(max_examples=100, deadline=None)
