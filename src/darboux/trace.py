@@ -12,9 +12,9 @@ Delta u' + Delta* v' and Omega . t vanish.
 Integration is classical fixed-step RK4.  Branch continuity picks, at every
 field evaluation, the sign that best aligns with the running tangent, and a
 sample's own oriented slope is the first stage of the step that leaves it.
-Each point is evaluated once, by one straight-line stage kernel per surface
-kind, with the field's plus-branch slope or the error its solve raised (met
-where the slope is read); a sample's evaluation is passed to its record.
+Each point is evaluated once, by straight-line kernels per surface kind,
+with the field's plus-branch slope or the error its solve raised (met where
+the slope is read); a sample's evaluation is passed to its record.
 Implicit traces are Newton-projected back to f = 0 after every step.  When a
 trace returns to its seed it is closed with one final shortened step landing
 on the seed's transversal plane (the one sample exempt from the fixed-step
@@ -322,43 +322,44 @@ def _find_seed_implicit(surface, d, target, guess, tol, max_iter, projection_tol
 # them
 
 
-def _chart_stage(point, d, eps_sing: float = EPS_SING_DEFAULT) -> tuple:
-    """A chart point's evaluation from its (jet, w, |w|) and the axis d:
-    (jet, U, U_u, U_v, (E, F, G), g_u, g_v, k, t3): U = w/|w| and its
-    partials, the first form, the partials of g = <U, d> and the field's
-    plus-branch slope k = (u', v') (g_u u' + g_v v' = 0 at unit metric
-    speed) with its tangent t3 = sigma_u u' + sigma_v v'.  Where that solve
-    fails, k is None and t3 holds its arithmetic error, or None at a
-    singular point (|g_u|, |g_v| <= eps_sing).  Straight-line code with
-    the operations of _div3, _first_form, dot3 and _lincomb in their order."""
+def _chart_stage(point, d) -> tuple:
+    """A chart point's (jet, U, U_u, U_v, (E, F, G), g_u, g_v) from its
+    (jet, w, |w|) and the axis d: U = w/|w| and its partials, the first
+    form and the partials of g = <U, d>.  Straight-line code with the
+    operations of _div3, _first_form and dot3 in their order."""
     jet, w, n = point
     (x0, x1, x2), (y0, y1, y2) = U_u, U_v = _normal_partials(jet, w, n, n**3)
     a0, a1, a2 = jet[1]
     b0, b1, b2 = jet[2]
     d0, d1, d2 = d
-    E = a0 * a0 + a1 * a1 + a2 * a2
-    F = a0 * b0 + a1 * b1 + a2 * b2
-    G = b0 * b0 + b1 * b1 + b2 * b2
-    g_u = x0 * d0 + x1 * d1 + x2 * d2
-    g_v = y0 * d0 + y1 * d1 + y2 * d2
-    k = t3 = None
-    if not (abs(g_u) <= eps_sing and abs(g_v) <= eps_sing):
-        try:
-            W = math.sqrt(E * g_v**2 - 2.0 * F * g_u * g_v + G * g_u**2)
-            du, dv = -g_v / W, g_u / W
-            k, t3 = (du, dv), (du * a0 + dv * b0, du * a1 + dv * b1, du * a2 + dv * b2)
-        except ARITHMETIC_ERRORS as exc:
-            t3 = exc
-    return (jet, (w[0] / n, w[1] / n, w[2] / n), U_u, U_v, (E, F, G), g_u, g_v, k, t3)
+    return (jet, (w[0] / n, w[1] / n, w[2] / n), U_u, U_v,
+            (a0 * a0 + a1 * a1 + a2 * a2, a0 * b0 + a1 * b1 + a2 * b2,
+             b0 * b0 + b1 * b1 + b2 * b2),
+            x0 * d0 + x1 * d1 + x2 * d2, y0 * d0 + y1 * d1 + y2 * d2)
 
 
-def _chart_solve_error(error, u, v) -> Exception:
-    """The error a failed chart solve raises: its arithmetic error, else a
-    singular point named at the state (u, v) the field was asked at."""
-    return error or SingularPointError(
-        "singular point of the isophote field: no isophotic curve with "
-        f"this axis/angle at (u, v)=({float(u):g}, {float(v):g})"
-    )
+def _chart_solve(stage, eps_sing: float) -> tuple:
+    """(k, t3, error) at a _chart_stage: the field's plus-branch slope
+    k = (u', v') (g_u u' + g_v v' = 0 at unit metric speed) and its tangent
+    t3 = sigma_u u' + sigma_v v', with _lincomb's operations.  Where the
+    solve fails, k and t3 are None and error is its arithmetic error, or
+    None at a singular point (|g_u|, |g_v| <= eps_sing)."""
+    jet, _, _, _, (E, F, G), g_u, g_v = stage
+    if abs(g_u) <= eps_sing and abs(g_v) <= eps_sing:
+        return None, None, None
+    try:
+        W = math.sqrt(E * g_v**2 - 2.0 * F * g_u * g_v + G * g_u**2)
+        du, dv = -g_v / W, g_u / W
+    except ARITHMETIC_ERRORS as exc:
+        return None, None, exc
+    (a0, a1, a2), (b0, b1, b2) = jet[1], jet[2]
+    return (du, dv), (du * a0 + dv * b0, du * a1 + dv * b1, du * a2 + dv * b2), None
+
+
+def _chart_singular(u, v) -> SingularPointError:
+    """A singular chart point, named at the state (u, v) asked for."""
+    return SingularPointError("singular point of the isophote field: no isophotic curve with "
+                              f"this axis/angle at (u, v)=({float(u):g}, {float(v):g})")
 
 
 def isophote_direction_parametric(surface: ParametricSurface, d, u: float, v: float,
@@ -369,9 +370,9 @@ def isophote_direction_parametric(surface: ParametricSurface, d, u: float, v: fl
 
     Raises SingularPointError when both g_u and g_v fall below ``eps_sing``
     (no isophotic curve with this axis exists through the point)."""
-    *_, k, t3 = _chart_stage(surface.chart_point(u, v), _floats(d), eps_sing)
+    k, _, error = _chart_solve(_chart_stage(surface.chart_point(u, v), _floats(d)), eps_sing)
     if k is None:
-        raise _chart_solve_error(t3, u, v)
+        raise error or _chart_singular(u, v)
     return (-k[0], -k[1]) if branch == "minus" else k
 
 
@@ -437,7 +438,7 @@ def isophote_direction_implicit(surface: ImplicitSurface, d, p, branch: str = "p
         raise DarbouxError(f"point is not on the surface: |f| = {abs(f):g} > {on_surface_tol:g}")
     *_, t, error = _implicit_stage(surface.level_point(p), _floats(d), eps_sing)
     if t is None:
-        raise _implicit_solve_error(error, p)
+        raise error or _implicit_singular(p)
     return np.array(_negated(t) if branch == "minus" else t)
 
 
@@ -474,13 +475,10 @@ def _implicit_stage(point, d, eps_sing: float) -> tuple:
         return grad, n, H, None, exc
 
 
-def _implicit_solve_error(error, p) -> Exception:
-    """The error a failed implicit solve raises: its arithmetic error, else
-    a singular point named at the state p."""
-    return error or SingularPointError(
-        f"singular isophote point at {np.round(p, 9).tolist()}: "
-        "no isophotic curve with this axis/angle"
-    )
+def _implicit_singular(p) -> SingularPointError:
+    """A singular surface point, named at the state p asked for."""
+    return SingularPointError(f"singular isophote point at {np.round(p, 9).tolist()}: "
+                              "no isophotic curve with this axis/angle")
 
 
 def direction_scalars_implicit(surface: ImplicitSurface, d, p, t) -> tuple[float, float]:
@@ -573,15 +571,14 @@ def _integrate(adapter, phi, seed):
     state to the key of its point (a chart state wrapped once) and a key to
     its evaluation, which carries the field's plus-branch slope or the error
     its solve raised.  It orients that slope into an RK4 slope and a 3-D
-    tangent, returned with the evaluation (raising the error there, so a
-    seed off its level is reported first), fixes up each new state (wrap or
-    reprojection) and records a sample.  States, slopes and tangents are
-    tuples of floats.  Each sample's oriented slope is the first RK4 stage
-    of the step that leaves it (the field oriented by its own tangent is the
-    slope again, bit for bit), and its evaluation is passed to its record
-    and closure test.  The last evaluated key and its evaluation are kept
-    while the requested key repeats, so stages whose slopes agree share one
-    evaluation.
+    tangent (raising the error there, so a seed off its level is reported
+    first), fixes up each new state (wrap or reprojection) and records a
+    sample.  States, slopes and tangents are tuples of floats.  Each
+    sample's oriented slope is the first RK4 stage of the step that leaves
+    it (the field oriented by its own tangent is the slope again, bit for
+    bit), and its evaluation is passed to its record and closure test.  The
+    last evaluated key and its evaluation are kept while the requested key
+    repeats, so stages whose slopes agree share one evaluation.
     """
     config = adapter.config
     last = [None, None]
@@ -593,12 +590,12 @@ def _integrate(adapter, phi, seed):
         return last[1]
 
     def field(y, ref):
-        return adapter.direction(y, at(y), ref)
+        return adapter.direction(y, at(y), ref)[0]
 
     def step(y, h, k1, ref):
-        k2 = field(_axpy(y, 0.5 * h, k1), ref)[0]
-        k3 = field(_axpy(y, 0.5 * h, k2), ref)[0]
-        k4 = field(_axpy(y, h, k3), ref)[0]
+        k2 = field(_axpy(y, 0.5 * h, k1), ref)
+        k3 = field(_axpy(y, 0.5 * h, k2), ref)
+        k4 = field(_axpy(y, h, k3), ref)
         # y + h/6 (k1 + 2 k2 + 2 k3 + k4), summed left to right (1.0 k4 is k4)
         return adapter.fix(_axpy(y, h / 6.0, _axpy(_axpy(_axpy(k1, 2.0, k2), 2.0, k3), 1.0, k4)))
 
@@ -616,7 +613,7 @@ def _integrate(adapter, phi, seed):
             f"{abs(level - adapter.target):g} > {config.seed_tol:g}; use find_seed"
         )
 
-    k, t3, _ = adapter.direction(y, point, None)
+    k, t3 = adapter.direction(y, point, None)
     if config.branch == "minus":
         k, t3 = _negated(k), _negated(t3)
     seed_point, seed_tan = adapter.closure_frame(y, point, t3)
@@ -629,14 +626,16 @@ def _integrate(adapter, phi, seed):
         for _ in range(n_steps):
             y = step(y, h, k, t3)
             s_done += h
-            k, t3, point = field(y, t3)
+            point = at(y)
+            k, t3 = adapter.direction(y, point, t3)
             record(s_done, y, point, k, t3)
             delta = _closure_step(*adapter.closure_frame(y, point, t3),
                                   seed_point, seed_tan, s_done, config)
             if delta is not None:
                 y = step(y, delta, k, t3)
                 s_done += delta
-                k, t3, point = field(y, t3)
+                point = at(y)
+                k, t3 = adapter.direction(y, point, t3)
                 record(s_done, y, point, k, t3)
                 termination = "closed"
                 break
@@ -677,8 +676,8 @@ def _closure_step(p, t, seed_p, seed_t, s_done, config):
 class _ChartTrace:
     """Isophote on a chart.  The state is (u, v), wrapped after each step;
     RK4 slopes are (u', v') and the reference tangent is sigma_u u' + sigma_v v'.
-    A point's evaluation is its _chart_stage.  A sample's record is its row
-    of TraceResult fields."""
+    A point's evaluation is its _chart_stage and _chart_solve.  A sample's
+    record is its row of TraceResult fields."""
 
     def __init__(self, surface, d, target, config):
         self.surface, self.d, self.target, self.config = surface, d, target, config
@@ -695,15 +694,16 @@ class _ChartTrace:
 
     def evaluate(self, key):
         # the key is wrapped already: evaluating it wraps nothing again
-        return _chart_stage(self.surface._chart_point(*key), self.d, self.config.eps_sing)
+        stage = _chart_stage(self.surface._chart_point(*key), self.d)
+        return stage + _chart_solve(stage, self.config.eps_sing)
 
     def direction(self, y, point, ref):
         k, t3 = point[7], point[8]
         if k is None:
-            raise _chart_solve_error(t3, y[0], y[1])
+            raise point[-1] or _chart_singular(y[0], y[1])
         if ref is not None and dot3(t3, ref) < 0.0:
-            return (-k[0], -k[1]), _negated(t3), point
-        return k, t3, point
+            return (-k[0], -k[1]), _negated(t3)
+        return k, t3
 
     def fix(self, y):
         return self.surface.wrap(y[0], y[1])
@@ -712,7 +712,7 @@ class _ChartTrace:
         return point[0][0], _div3(t3, norm3(t3))
 
     def record(self, y, point, k, t3):
-        jet, U, U_u, U_v, ff, _, _, _, _ = point
+        jet, U, U_u, U_v, ff, *_ = point
         du, dv = k
         E, F, G = ff
         kn, tg = _chart_scalars(jet, U, U_u, U_v, k)
@@ -757,10 +757,10 @@ class _ImplicitTrace:
     def direction(self, p, point, ref):
         t = point[3]
         if t is None:
-            raise _implicit_solve_error(point[4], p)
+            raise point[-1] or _implicit_singular(p)
         if ref is not None and dot3(t, ref) < 0.0:
             t = _negated(t)
-        return t, t, point
+        return t, t
 
     def fix(self, q):
         q, self.f = _project(self.surface, q, self.config.projection_tol)

@@ -484,23 +484,22 @@ class TestBoundaryErrors:
         assert code == 2
         assert "sin of infinite value in 'sin(u*1e+300*1e+300)'" in captured.err
 
-    @pytest.mark.parametrize("case,text", [
-        ("range-nan", "0,nan"), ("range-inf", "0,inf"), ("curve-range-inf", "0,inf"),
-        ("curve-range-overflows", "-1e308,1e308"), ("space-curve-range-inf", "0,inf")])
-    def test_range_not_finite_named_before_any_warning(self, case, text, capsys):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code, captured = run(BAD_INPUTS[case], capsys)
-        assert code == 2
-        assert captured.err == (f"range {text!r} is not finite "
-                                "(need finite lo, hi and hi - lo)\n")
+    NOT_FINITE = "is not finite (need finite lo, hi and hi - lo)"
+    EMPTY = "is empty or reversed (need lo < hi)"
+    RANGES = [("range-nan", "0,nan", NOT_FINITE), ("range-inf", "0,inf", NOT_FINITE),
+              ("curve-range-inf", "0,inf", NOT_FINITE),
+              ("curve-range-overflows", "-1e308,1e308", NOT_FINITE),
+              ("space-curve-range-inf", "0,inf", NOT_FINITE),
+              ("range-reversed", "1,0", EMPTY), ("range-empty", "0.5,0.5", EMPTY),
+              ("curve-range-empty", "1,1", EMPTY)]
 
-    @pytest.mark.parametrize("case,text", [
-        ("range-reversed", "1,0"), ("range-empty", "0.5,0.5"), ("curve-range-empty", "1,1")])
-    def test_range_reversed_or_empty_named(self, case, text, capsys):
+    # a range that is not finite, empty or reversed is named before it is used
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("case,text,why", RANGES, ids=[f"{c}-{t}" for c, t, _ in RANGES])
+    def test_range_not_finite_named_before_any_warning(self, case, text, why, capsys):
         code, captured = run(BAD_INPUTS[case], capsys)
         assert code == 2
-        assert captured.err == f"range {text!r} is empty or reversed (need lo < hi)\n"
+        assert captured.err == f"range {text!r} {why}\n"
 
     def test_family_without_out_writes_nothing(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

@@ -707,15 +707,15 @@ class TestFieldSolves:
         monkeypatch.setattr(trace_module, name, wrapper)
 
     def test_sphere_circuit_direction_solves(self, monkeypatch):
-        calls = {"jet": 0, "_chart_stage": 0}
-        self.counted(monkeypatch, "_chart_stage", calls)
+        calls = {"jet": 0, "_chart_solve": 0}
+        self.counted(monkeypatch, "_chart_solve", calls)
         surface = TestEvaluationCounts.counting_sphere(calls)
         res = trace_isophote(surface, EZ, math.pi / 4, (0.0, math.pi / 4),
                              TraceConfig(step=1e-2, max_length=4.5))
         assert res.termination == "closed"
         # on a latitude RK4 stages 2 and 3 share a point and stage 4 lands
         # on the next sample: two solves per step, one at the seed
-        assert calls["_chart_stage"] == calls["jet"] == 2 * (res.n - 1) + 1
+        assert calls["_chart_solve"] == calls["jet"] == 2 * (res.n - 1) + 1
 
     def test_implicit_torus_direction_solves(self, monkeypatch):
         calls = {"f": 0, "grad": 0, "level": 0, "_implicit_stage": 0}

@@ -34,7 +34,13 @@ from darboux.surface import (
     dot3,
     norm3,
 )
-from darboux.trace import _chart_stage, _implicit_columns, _implicit_stage, _level_gradient
+from darboux.trace import (
+    _chart_solve,
+    _chart_stage,
+    _implicit_columns,
+    _implicit_stage,
+    _level_gradient,
+)
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 VEC3 = arrays(np.float64, 3, elements=FINITE)
@@ -394,12 +400,12 @@ EPS_SING = st.sampled_from([0.0, 1e-10, 1e300])
 def test_chart_stage_composes_normal_partials_first_form_and_dot3(jet, d, eps_sing):
     w, n = _chart_w(jet)
     assume(n > 1e-100)
-    stage = _chart_stage((jet, w, n), d, eps_sing)
+    stage = _chart_stage((jet, w, n), d)
     U_u, U_v = _normal_partials(jet, w, n, n**3)
     E, F, G = _first_form(jet)
     g_u, g_v = dot3(U_u, d), dot3(U_v, d)
-    assert stage[0] is jet
-    for got, want in zip(stage[1:7], (_div3(w, n), U_u, U_v, (E, F, G), g_u, g_v)):
+    assert len(stage) == 7 and stage[0] is jet
+    for got, want in zip(stage[1:], (_div3(w, n), U_u, U_v, (E, F, G), g_u, g_v)):
         assert _same_bits(got, want)
 
     def solve():
@@ -410,11 +416,9 @@ def test_chart_stage_composes_normal_partials_first_form_and_dot3(jet, d, eps_si
 
     singular = abs(g_u) <= eps_sing and abs(g_v) <= eps_sing
     plus, error = (None, None) if singular else _plus_solve(solve)
-    k, t3 = stage[7], stage[8]
-    if k is None:
-        assert _same_solve(None, t3, plus, error)
-    else:
-        assert _same_solve(k + t3, None, plus, error)
+    k, t3, stage_error = _chart_solve(stage, eps_sing)
+    assert (k is None) == (t3 is None)
+    assert _same_solve(None if k is None else k + t3, stage_error, plus, error)
 
 
 @settings(max_examples=300, deadline=None)

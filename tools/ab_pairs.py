@@ -1,20 +1,20 @@
 """Compare a git revision with the working tree: alternating benchmark pairs
 and the output digests of every benchmark input.
 
-    python tools/ab_pairs.py [--rev HEAD] [--pairs 5] [--seconds 15]
-                             [--workloads NAME,...] [--seed 1]
-                             [--no-bench] [--no-digests]
+    python tools/ab_pairs.py [--rev HEAD] [--pairs 5] [--workloads NAME,...]
+                             [--seed 1] [--no-bench] [--no-digests]
 
 Run from the repository root.  The revision is extracted with
 ``git archive`` into a temporary directory; the working tree is run as it
 stands, uncommitted edits included.
 
-Benchmark: for each workload, ``perfbench/run.py --trace 0`` runs in the
-revision's checkout and in the working tree, one after the other, for
-``--pairs`` pairs (pair i uses seed ``--seed`` + i, and the side that runs
-first alternates).  Printed per end-to-end metric of ``BENCHMARK.json``:
-each side's values, their medians, the revision's quartiles, the median
-ratio (tree / revision) and the pairs the tree won.
+Benchmark: for each workload (default: every workload ``perfbench``
+defines), ``perfbench/run.py --trace 0`` runs for ``BENCHMARK.json``'s
+``run_seconds`` in the revision's checkout and in the working tree, one
+after the other, for ``--pairs`` pairs (pair i uses seed ``--seed`` + i,
+and the side that runs first alternates).  Printed per end-to-end metric
+of ``BENCHMARK.json``: each side's values, their medians, the revision's
+quartiles, the median ratio (tree / revision) and the pairs the tree won.
 
 Digests: every ``workloads.all_calls`` argv of the working tree's
 ``perfbench``, full and smoke size, runs in-process through
@@ -43,6 +43,9 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+sys.path.insert(0, str(ROOT / "perfbench"))
+import workloads as wl  # noqa: E402  (perfbench's call lists)
 
 
 def extract(rev: str, dest: Path) -> Path:
@@ -71,9 +74,9 @@ def quartiles(values):
     return q[0], q[2]
 
 
-def bench(base: Path, workloads, pairs: int, seconds: float, seed: int) -> bool:
+def bench(base: Path, workloads, pairs: int, seed: int) -> bool:
     """Run and print the alternating pairs; False if a call failed."""
-    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    seconds = BENCHMARK["run_seconds"]
     clean = True
     for workload in workloads:
         runs = {"rev": [], "tree": []}
@@ -84,7 +87,7 @@ def bench(base: Path, workloads, pairs: int, seconds: float, seed: int) -> bool:
                 clean &= out["failed"] == 0
                 runs[side].append({k: v["value"] for k, v in out["metrics"].items()})
         print(f"{workload}: {pairs} pairs of {seconds:g} s, seeds {seed}-{seed + pairs - 1}")
-        for m in metrics:
+        for m in BENCHMARK["end_to_end"]:
             name, higher = m["name"], m["better"] == "higher"
             a = [r[name] for r in runs["rev"]]
             b = [r[name] for r in runs["tree"]]
@@ -123,9 +126,6 @@ def digest_worker(root: str) -> None:
 
 def digests(base: Path, workloads) -> bool:
     """Compare every benchmark argv's exit code and digest; True if equal."""
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    import workloads as wl
-
     argvs = [list(call.argv) for w in workloads for size in ("full", "smoke")
              for call in wl.all_calls(w, size)]
     sides = {}
@@ -147,8 +147,7 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--rev", default="HEAD")
     p.add_argument("--pairs", type=int, default=5)
-    p.add_argument("--seconds", type=float, default=15.0)
-    p.add_argument("--workloads", default="trace-catalog,trace-expr,classify-frames,family")
+    p.add_argument("--workloads", default=",".join(wl.BUILDERS))
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--no-bench", action="store_true")
     p.add_argument("--no-digests", action="store_true")
@@ -164,7 +163,7 @@ def main(argv=None) -> int:
         if not args.no_digests:
             ok &= digests(base, workloads)
         if not args.no_bench:
-            ok &= bench(base, workloads, args.pairs, args.seconds, args.seed)
+            ok &= bench(base, workloads, args.pairs, args.seed)
     return 0 if ok else 1
 
 
