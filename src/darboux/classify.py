@@ -419,8 +419,9 @@ def plane_ode_residual(c, grid=None, c_const: float = 1.0, which: str = "TU",
     exponential integral, for a supplied nonzero constant c.
 
     which="TU": |(tg/kg)' - ((tg/kg)^2 + 1) kn - (1/c) exp(I)| with
-    I = integral of tg kn / kg.  which="TV": |(tg/kn)' - ((tg/kn)^2 + 1) kg
-    + (1/c) exp(-J)| with J = integral of tg kg / kn."""
+    I = integral of tg kn / kg.  which="TV": |(tg/kn)' + ((tg/kn)^2 + 1) kg
+    + (1/c) exp(-J)| with J = integral of tg kg / kn (the T component of
+    gamma' = T for gamma = -(tg/kn) mu2 T + mu2 V, mu2 = c exp(J))."""
     if c_const == 0.0:
         raise ValueError("constant c must be nonzero")
     data = _as_data(c, grid)
@@ -432,7 +433,7 @@ def plane_ode_residual(c, grid=None, c_const: float = 1.0, which: str = "TU",
     dratio = (data.dtg * den - dden * data.tg) / den**2
     integrand = data.tg * other / den
     integral = _cumulative_integral(fam.sign * integrand, data.s)
-    lhs = dratio - (ratio**2 + 1.0) * other
+    lhs = dratio - fam.sign * (ratio**2 + 1.0) * other
     rhs = fam.sign * (1.0 / c_const) * np.exp(integral)
     mask = _edge_mask(data)
     return CharacterizationSeries(data.s, np.abs(lhs - rhs), mask, fam.ode_residual)

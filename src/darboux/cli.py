@@ -31,6 +31,7 @@ from .errors import DarbouxError
 TRACE_COLUMNS = ("s,x,y,z,u,v,tx,ty,tz,kg,kn,tg,angle_dot,"
                  "res_constraint,res_unit_speed")
 FRAMES_COLUMNS = "s,x,y,z,tx,ty,tz,vx,vy,vz,ux,uy,uz,kg,kn,tg"
+RESAMPLE_N = 512  # arclength table intervals of a curve spec's unit-speed form
 
 
 def _trace_table(result: _trace.TraceResult) -> tuple[np.ndarray, tuple[str, ...]]:
@@ -111,19 +112,6 @@ def _family_angles(text: str) -> np.ndarray:
     return np.linspace(lo, hi, count)
 
 
-def _eps_sing(flag: float | None) -> float:
-    """--eps-sing, else DARBOUX_EPS_SING, else the library default."""
-    if flag is not None:
-        return flag
-    env = os.environ.get("DARBOUX_EPS_SING")
-    if not env:
-        return _trace.EPS_SING_DEFAULT
-    try:
-        return float(env)
-    except ValueError:
-        raise DarbouxError(f"DARBOUX_EPS_SING is not a number: {env!r}") from None
-
-
 def _write(path: str | None, text: str):
     if path is None:
         sys.stdout.write(text)
@@ -137,7 +125,7 @@ def _write(path: str | None, text: str):
 #              space:x=..;y=..;z=..[;s=<lo>,<hi>]
 
 
-def build_curve(surface, spec: str, resample_n: int = 512):
+def build_curve(surface, spec: str):
     if ":" not in spec:
         raise DarbouxError(f"curve spec needs a 'param:' or 'space:' prefix: {spec!r}")
     kind, rest = spec.split(":", 1)
@@ -150,7 +138,7 @@ def build_curve(surface, spec: str, resample_n: int = 512):
         if not isinstance(surface, _surface.ParametricSurface):
             raise DarbouxError("param: curves need a parametric surface")
         path = _frames.ChartPath.from_expressions(fields["u"], fields["v"], s_range)
-        return _frames.unit_speed_chart_curve(surface, path, n=resample_n)
+        return _frames.unit_speed_chart_curve(surface, path, n=RESAMPLE_N)
     if kind == "space":
         for key in ("x", "y", "z"):
             if key not in fields:
@@ -159,7 +147,7 @@ def build_curve(surface, spec: str, resample_n: int = 512):
             raise DarbouxError("space: curves need an implicit surface")
         raw = _frames.ParamCurve.from_expressions(
             fields["x"], fields["y"], fields["z"], s_range)
-        curve = _frames.resample_unit_speed(raw, n=resample_n)
+        curve = _frames.resample_unit_speed(raw, n=RESAMPLE_N)
         return _frames.CurveOnSurface(surface, space_curve=curve)
     raise DarbouxError(f"unknown curve spec kind {kind!r}")
 
@@ -309,7 +297,7 @@ def _cmd_trace(args, implicit: bool) -> int:
         branch=args.branch,
         closure_tol=(None if args.closure_tol is None
                      else _positive(args.closure_tol, "--closure-tol")),
-        eps_sing=_eps_sing(args.eps_sing),
+        eps_sing=args.eps_sing,
         **projection,
     )
     guess = _parse_floats(args.seed, 3 if implicit else 2, "--seed")
@@ -411,8 +399,8 @@ def _add_trace_args(p, implicit: bool):
     p.add_argument("--branch", choices=("plus", "minus"), default="plus")
     p.add_argument("--closure-tol", type=float, default=None,
                    help="closure detection radius (default 2*step)")
-    p.add_argument("--eps-sing", type=float, default=None,
-                   help="singularity threshold (default: env DARBOUX_EPS_SING, else 1e-10)")
+    p.add_argument("--eps-sing", type=float, default=_trace.EPS_SING_DEFAULT,
+                   help="singularity threshold (default 1e-10)")
     if implicit:
         p.add_argument("--project-tol", type=float, default=1e-12,
                        help="projection tolerance")

@@ -261,29 +261,24 @@ class UnitSpeedCurve:
 
         Derivatives come from 5-point central stencils at interior nodes
         (O(h^4)) and one-sided stencils at the ends; values between nodes are
-        cubic-spline interpolated.  Marked non-analytic so downstream
-        constancy statistics use the looser tolerance and drop endpoints.
+        cubic Hermite interpolated, with the next derivative as slopes.  Marked
+        non-analytic so downstream constancy statistics use the looser
+        tolerance and drop endpoints.
         """
         points = np.asarray(points, dtype=float)
         n = len(points)
         if n < 5:
             raise DarbouxError("polyline needs at least 5 samples")
+        if not np.isfinite(points).all():
+            raise DarbouxError("polyline samples must be finite")
         if length is None:
             length = float(np.sum(norm3(np.diff(points, axis=0).T)))
         s = np.linspace(0.0, length, n)
         h = s[1] - s[0]
-        d1 = deriv_uniform(points, h)
-        d2 = deriv_uniform(d1, h)
-        d3 = deriv_uniform(d2, h)
-        from scipy.interpolate import CubicSpline  # deferred: scipy is slow to import
-
-        splines = [CubicSpline(s, arr) for arr in (points, d1, d2, d3)]
-
-        def ev(spl):
-            return lambda t: np.asarray(spl(t), dtype=float)
-
-        return cls(ev(splines[0]), ev(splines[1]), ev(splines[2]), ev(splines[3]),
-                   length, analytic=False)
+        jets = [points]
+        for _ in range(4):
+            jets.append(deriv_uniform(jets[-1], h))
+        return cls(*map(_Hermite, [s] * 4, jets, jets[1:]), length, analytic=False)
 
 
 class ChartPath:
@@ -854,15 +849,44 @@ def _pchip_end_slope(h0, h1, m0, m1):
     return d
 
 
-class _Pchip:
-    """scipy.interpolate.PchipInterpolator(x, y) for a strictly increasing
-    finite x, with its bits: the slopes of ``_find_derivatives`` and
-    ``_edge_case`` and the coefficients of ``CubicHermiteSpline``, in their
+class _Hermite:
+    """scipy.interpolate.CubicHermiteSpline(x, y, slopes) for a strictly
+    increasing finite x, with its bits: the coefficients in scipy's
     operations and order; a call evaluates as PPoly's compiled loop does.
-    Built without numpy warnings, where scipy warns on an overflowing slope."""
+    y and slopes are (n,) or (n, k); a query of shape Q gives shape
+    Q + y.shape[1:].  Built without numpy warnings."""
+
+    def __init__(self, x: np.ndarray, y: np.ndarray, slopes: np.ndarray):
+        self.x, self.slopes = x, slopes
+        with np.errstate(all="ignore"):
+            h = (x[1:] - x[:-1]).reshape(-1, *(1,) * (y.ndim - 1))
+            m = (y[1:] - y[:-1]) / h
+            t = (slopes[:-1] + slopes[1:] - 2 * m) / h
+            self.c = (t / h, (m - slopes[:-1]) / h - t, slopes[:-1], y[:-1])
+
+    def __call__(self, s) -> np.ndarray:
+        """The interpolant at each lane of s: the interval x[i] <= s < x[i+1]
+        (the first or last one outside), its cubic in z = s - x[i] summed
+        from the constant term up, and nan on nan lanes."""
+        s = np.asarray(s, dtype=float)
+        i = np.clip(np.searchsorted(self.x, s, side="right") - 1, 0, len(self.x) - 2)
+        c0, c1, c2, c3 = (c[i] for c in self.c)
+        lanes = (..., *(None,) * (c3.ndim - s.ndim))  # z and the nan mask per lane
+        with np.errstate(all="ignore"):
+            z = (s - self.x[i])[lanes]
+            zz = z * z
+            value = 0.0 + c3 + c2 * z + c1 * zz + c0 * (zz * z)
+        return np.where(np.isnan(s)[lanes], np.nan, value)
+
+
+class _Pchip(_Hermite):
+    """scipy.interpolate.PchipInterpolator(x, y) for a strictly increasing
+    finite x and an (n,) y, with its bits: the slopes of
+    ``_find_derivatives`` and ``_edge_case`` in their operations and order,
+    on ``_Hermite``.  Built without numpy warnings, where scipy warns on an
+    overflowing slope."""
 
     def __init__(self, x: np.ndarray, y: np.ndarray):
-        self.x = x
         with np.errstate(all="ignore"):
             h = x[1:] - x[:-1]
             m = (y[1:] - y[:-1]) / h
@@ -875,21 +899,7 @@ class _Pchip:
                 inner = np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
                 d = np.concatenate([[_pchip_end_slope(h[0], h[1], m[0], m[1])], inner,
                                     [_pchip_end_slope(h[-1], h[-2], m[-1], m[-2])]])
-            self.slopes = d
-            t = (d[:-1] + d[1:] - 2 * m) / h
-            self.c = (t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1])
-
-    def __call__(self, s: np.ndarray) -> np.ndarray:
-        """The interpolant at each lane of s: the interval x[i] <= s < x[i+1]
-        (the first or last one outside), its cubic in z = s - x[i] summed
-        from the constant term up, and nan on nan lanes."""
-        i = np.clip(np.searchsorted(self.x, s, side="right") - 1, 0, len(self.x) - 2)
-        c0, c1, c2, c3 = (c[i] for c in self.c)
-        with np.errstate(all="ignore"):
-            z = s - self.x[i]
-            zz = z * z
-            value = 0.0 + c3 + c2 * z + c1 * zz + c0 * (zz * z)
-        return np.where(np.isnan(s), np.nan, value)
+        super().__init__(x, y, d)
 
 
 class ArclengthMap:
@@ -905,9 +915,10 @@ class ArclengthMap:
     failure in pre-order.  A table whose arclengths are not finite and
     strictly increasing, or whose coefficients are not finite, raises
     ArclengthTableError.  Inverted by monotone cubic interpolation
-    (``_Pchip``, scipy's PchipInterpolator with its bits) and polished with
-    up to three Newton steps against locally Gauss-Legendre-integrated
-    arclength, each lane stopping at its own fixed point.
+    (``_Pchip``: PCHIP slopes on the package's cubic Hermite, with the bits
+    of scipy's PchipInterpolator) and polished with up to three Newton
+    steps against locally Gauss-Legendre-integrated arclength, each lane
+    stopping at its own fixed point.
     """
 
     def __init__(self, speed: Callable, t_range: tuple[float, float], n: int,

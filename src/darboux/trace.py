@@ -567,30 +567,30 @@ def _integrate(adapter, phi, seed):
     """Fixed-step RK4 along an adapter's direction field, with branch
     continuity, closure onto the seed and one record per sample.
 
-    The adapter (_ChartTrace or _ImplicitTrace) maps the seed to a state, a
-    state to the key of its point (a chart state wrapped once) and a key to
-    its evaluation, which carries the field's plus-branch slope or the error
-    its solve raised.  It orients that slope into an RK4 slope and a 3-D
-    tangent (raising the error there, so a seed off its level is reported
-    first), fixes up each new state (wrap or reprojection) and records a
-    sample.  States, slopes and tangents are tuples of floats.  Each
-    sample's oriented slope is the first RK4 stage of the step that leaves
-    it (the field oriented by its own tangent is the slope again, bit for
-    bit), and its evaluation is passed to its record and closure test.  The
-    last evaluated key and its evaluation are kept while the requested key
-    repeats, so stages whose slopes agree share one evaluation.
+    The adapter (_ChartTrace or _ImplicitTrace) maps the seed to a state, an
+    RK4 stage point to the key of its point (a chart point wrapped once; a
+    state, wrapped or reprojected already, is its own key) and a key to its
+    evaluation, which carries the field's plus-branch slope or the error its
+    solve raised.  It orients that slope into an RK4 slope and a 3-D tangent
+    (raising the error there, so a seed off its level is reported first), fixes
+    up each new state (wrap or reprojection) and records a sample.  States,
+    slopes and tangents are tuples of floats.  Each sample's oriented slope is
+    the first RK4 stage of the step that leaves it (the field oriented by its
+    own tangent is the slope again, bit for bit), and its evaluation is passed
+    to its record and closure test.  The last evaluated key and its evaluation
+    are kept while the requested key repeats, so stages whose slopes agree
+    share one evaluation.
     """
     config = adapter.config
     last = [None, None]
 
-    def at(y):
-        key = adapter.key(y)
+    def at(key):
         if key != last[0]:
             last[:] = key, adapter.evaluate(key)
         return last[1]
 
     def field(y, ref):
-        return adapter.direction(y, at(y), ref)[0]
+        return adapter.direction(y, at(adapter.key(y)), ref)[0]
 
     def step(y, h, k1, ref):
         k2 = field(_axpy(y, 0.5 * h, k1), ref)
@@ -689,7 +689,7 @@ class _ChartTrace:
         return dot3(point[1], self.d)
 
     def key(self, y):
-        # the chart point evaluated: wrapping sends equal points to one key
+        # an RK4 stage point: wrapping sends equal points to one key
         return self.surface.wrap(y[0], y[1])
 
     def evaluate(self, key):

@@ -7,6 +7,12 @@ kappa = tau = 1/2, V = (sin(u), -cos(u), 1)/sqrt(2).
 latitude_curve: the latitude circle v0 = pi/4 on the unit sphere, u = s/cos(v0).
 Closed forms: k_g = tan(v0) = 1, k_n = -1, tau_g = 0, kappa = sqrt(2), tau = 0,
 U = gamma (outward).
+
+cone_curve: the chart path u = 1 + 0.3 t + 0.1 t^2, v = 0.7 t (t in [0, 2])
+on the cone x = u cos(v), y = u sin(v), z = u, brought to unit speed.  The
+cone's normal keeps 45 degrees to e_z and its position vector lies in the
+tangent plane, so the curve is isophotic (mu_u = +1) and lies in span{T, V},
+with k_g, k_n and tau_g all at least 0.16 in absolute value.
 """
 
 import math
@@ -15,7 +21,8 @@ import numpy as np
 import pytest
 
 import darboux
-from darboux.frames import ChartPath, CurveOnSurface
+from darboux.frames import ChartPath, CurveOnSurface, unit_speed_chart_curve
+from darboux.surface import parametric_from_expressions
 
 SQRT2 = math.sqrt(2.0)
 V0 = math.pi / 4
@@ -81,6 +88,13 @@ def make_latitude_on_implicit_sphere():
     return CurveOnSurface(darboux.implicit_sphere(1.0), space_curve=curve)
 
 
+def make_cone_curve():
+    cone = parametric_from_expressions("u*cos(v)", "u*sin(v)", "u", (0.1, 10.0),
+                                       (-math.pi, math.pi), periodic_v=True)
+    path = ChartPath.from_expressions("1+0.3*s+0.1*s*s", "0.7*s", (0.0, 2.0))
+    return unit_speed_chart_curve(cone, path, 512)
+
+
 def make_unit_helix_space_curve(s_max=4 * math.pi):
     """The b=1 helix as a bare unit-speed space curve."""
 
@@ -121,3 +135,8 @@ def helix_grid():
 @pytest.fixture
 def latitude_grid():
     return np.linspace(0.0, 2 * math.pi * math.cos(V0), 201)
+
+
+@pytest.fixture
+def cone_curve():
+    return make_cone_curve()

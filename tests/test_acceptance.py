@@ -137,15 +137,17 @@ def test_c03_identities():
             vals.append(np.sum(coeffs[i][:, None] * np.sin(arg), axis=0))
             ders.append(np.sum(coeffs[i][:, None] * freqs[i][:, None] * np.cos(arg), axis=0))
         (kg, kn, tg), (dkg, dkn, dtg) = vals, ders
-        for a, da, other, ok in ((kg, dkg, kn, np.abs(kg) > 1e-6),
-                                 (kn, dkn, kg, np.abs(kn) > 1e-6)):
+        # TU: -k_n q in mu_v, -(r^2 + 1) k_n in the bridge; TV: +k_g q in
+        # mu_u, +(r^2 + 1) k_g in the bridge
+        for a, da, other, sign, ok in ((kg, dkg, kn, 1.0, np.abs(kg) > 1e-6),
+                                       (kn, dkn, kg, -1.0, np.abs(kn) > 1e-6)):
             if not ok.any():
                 continue
             q = a**2 + tg**2
-            mu = (a * dtg - tg * da - other * q) / q**1.5
+            mu = (a * dtg - tg * da - sign * other * q) / q**1.5
             ratio = tg / a
             dratio = (dtg * a - da * tg) / a**2
-            bridge = a**2 / q**1.5 * (dratio - (ratio**2 + 1.0) * other)
+            bridge = a**2 / q**1.5 * (dratio - sign * (ratio**2 + 1.0) * other)
             err = np.abs(bridge - mu)[ok]
             assert (err <= 1e-9 * (1.0 + np.abs(mu[ok]))).all()
 

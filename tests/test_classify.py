@@ -120,6 +120,17 @@ class TestSlantHelixSeries:
         series = slant_helix_series(c, grid)
         np.testing.assert_allclose(series.values, 0.0, atol=1e-9)
 
+    def test_polyline_drops_the_stencil_ends(self):
+        # a sampled curve's ends are one-sided stencils: masked, as in mu_u
+        circle = make_latitude_on_implicit_sphere()
+        length = circle.s_range[1]
+        points = [circle.gamma_jet(t)[0] for t in np.linspace(0.0, length, 201)]
+        poly = CurveOnSurface(darboux.implicit_sphere(1.0), on_surface_tol=1e-6,
+                              space_curve=UnitSpeedCurve.from_polyline(points, length))
+        series = slant_helix_series(poly, np.linspace(0.0, length, 41))
+        assert series.mask.tolist() == [False] * 2 + [True] * 37 + [False] * 2
+        np.testing.assert_allclose(series.values[series.mask], 0.0, atol=1e-6)
+
     def test_synthetic_linear_torsion(self):
         # kappa = 1, tau = s: value kappa^2/(kappa^2+tau^2)^{3/2} * 1, so 1 at s=0
         grid = np.linspace(-1.0, 1.0, 41)
@@ -155,6 +166,10 @@ class TestTheoremFunctions:
     def test_zero_constant_rejected(self, latitude_curve, latitude_grid):
         with pytest.raises(ValueError):
             theorem_functions(latitude_curve, latitude_grid, c_const=0.0)
+
+    def test_unknown_family_rejected(self, latitude_curve, latitude_grid):
+        with pytest.raises(ValueError, match="unknown family 'UV'"):
+            theorem_functions(latitude_curve, latitude_grid, family="UV")
 
     def test_both_families_match_the_single_family_calls(self, latitude_curve,
                                                           latitude_grid):
@@ -246,6 +261,22 @@ class TestPlaneOdeResidual:
         with pytest.raises(ValueError):
             plane_ode_residual(helix_curve, helix_grid, c_const=0.0, which="TV")
 
+    def test_vanishing_divisor_rejected(self, helix_curve, helix_grid):
+        # k_g = 0 on the cylinder helix: the TU ratio tau_g/k_g is undefined
+        with pytest.raises(DegenerateFrameError, match="plane relation TU: divisor below"):
+            plane_ode_residual(helix_curve, helix_grid, which="TU")
+
+    def test_cone_tv_relation_with_its_constant(self, cone_curve):
+        # k_g, k_n and tau_g are all nonzero on this path, so the sign of the
+        # (r^2 + 1) k_g term matters: r' + (r^2 + 1) k_g = -(1/c) e^{-J}
+        # with c = <gamma, V> at s = 0
+        data = sample_frames(cone_curve, np.linspace(*cone_curve.s_range, 201))
+        c_const = dot3(data.gamma[0].tolist(), data.V[0].tolist())
+        series = plane_ode_residual(data, c_const=c_const, which="TV")
+        assert series.values[series.mask].max() <= 1e-8
+        assert position_decomposition(data).in_plane_TV
+        np.testing.assert_allclose(mu_u_series(data).values, 1.0, atol=1e-12)
+
 
 class TestIsConstant:
     def test_helix_mu_u_constant_zero_mean(self, helix_curve, helix_grid):
@@ -302,6 +333,18 @@ class TestRecoverAxis:
         assert est.ambiguous
         np.testing.assert_allclose(est.d, [0, 0.6, 0.8], atol=1e-12)
         assert est.angle == pytest.approx(0.0, abs=1e-12)
+
+    def test_two_equal_variances_report_both_candidates(self):
+        # +-e_x and 0: every axis orthogonal to e_x has projection variance 0
+        est = recover_axis(np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
+        assert est.ambiguous
+        assert est.angle == pytest.approx(math.pi / 2, abs=1e-12)
+        candidates = est.as_dict()["candidates"]
+        assert len(candidates) == 2
+        for c in candidates:
+            assert c[0] == pytest.approx(0.0, abs=1e-12)
+            assert dot3(c, c) == pytest.approx(1.0, abs=1e-12)
+        assert dot3(*candidates) == pytest.approx(0.0, abs=1e-12)
 
     def test_exact_cone_recovery(self):
         # w_i = cos(phi) d + sin(phi)(cos(a_i) e1 + sin(a_i) e2)

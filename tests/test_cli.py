@@ -117,13 +117,12 @@ class TestTrace:
             assert run(args + ["--out", str(single)]) == 0
             assert (tmp_path / f"fam_deg{angle}.csv").read_bytes() == single.read_bytes()
 
-    def test_eps_sing_env_override(self, tmp_path, monkeypatch, capsys):
+    def test_eps_sing_flag_sets_the_threshold(self, capsys):
         # an absurdly large threshold makes every point look singular
-        monkeypatch.setenv("DARBOUX_EPS_SING", "1e6")
         code, captured = run(["trace", "--surface", "builtin:sphere?r=1",
                               "--axis", "0,0,1", "--angle", "45",
                               "--seed", "0,0.785398", "--length", "0.5",
-                              "--step", "0.01"], capsys)
+                              "--step", "0.01", "--eps-sing", "1e6"], capsys)
         assert code == 2
         assert "singular" in captured.err
 
@@ -232,6 +231,17 @@ class TestClassify:
              "--curve", "param:u=s;v=s", "--samples", "64", "--out", str(out)])
         schema = json.load(open(os.path.join(DOCS, "report.schema.json")))
         jsonschema.validate(json.loads(out.read_text()), schema)
+
+    def test_tol_sets_the_constancy_tolerance(self, tmp_path):
+        out = tmp_path / "report.json"
+        assert run(["classify", "--surface", "builtin:cylinder?r=1", "--curve",
+                    "param:u=s;v=s", "--samples", "64", "--tol", "0.25",
+                    "--out", str(out)]) == 0
+        verdicts = json.loads(out.read_text())["verdicts"]
+        # every verdict judged, all but the TU position one (k_g = 0 here)
+        assert {name: v["tol"] for name, v in verdicts.items() if "tol" in v} == dict.fromkeys(
+            ["isophotic", "isophotic_position", "rectifying", "rel_normal_slant",
+             "slant_helix"], 0.25)
 
     def test_space_curve_on_implicit_surface(self, tmp_path):
         out = tmp_path / "report.json"
@@ -412,6 +422,7 @@ BAD_INPUTS = {
     "curve-unknown-kind": _frames_argv("builtin:cylinder?r=1", "foo:u=s;v=s"),
     "param-curve-missing-v": _frames_argv("builtin:cylinder?r=1", "param:u=s"),
     "param-curve-on-implicit": _frames_argv("implicit:f=z", "param:u=s;v=s"),
+    "space-curve-missing-z": _frames_argv("builtin:sphere?r=1", "space:x=cos(s);y=sin(s)"),
     "space-curve-on-param": _frames_argv("param:x=u;y=v;z=0;u=0,1;v=0,1",
                                          "space:x=s;y=0;z=0"),
     # surface specs
@@ -441,13 +452,6 @@ class TestBoundaryErrors:
         assert "Traceback" not in captured.err
         assert len(captured.err.splitlines()) == 1
         assert not list(tmp_path.iterdir())
-
-    def test_bad_eps_sing_env(self, monkeypatch, capsys):
-        monkeypatch.setenv("DARBOUX_EPS_SING", "abc")
-        code, captured = run(SPHERE_TRACE, capsys)
-        assert code == 2
-        assert "DARBOUX_EPS_SING" in captured.err
-        assert "Traceback" not in captured.err
 
     def test_axis_nan_named_as_axis(self, capsys):
         code, captured = run(BAD_INPUTS["axis-nan"], capsys)
@@ -508,15 +512,6 @@ class TestBoundaryErrors:
         assert captured.err == "--family requires --out (one file per angle)\n"
         assert captured.out == ""
         assert not list(tmp_path.iterdir())
-
-    def test_eps_sing_flag_wins_over_the_environment(self, tmp_path, monkeypatch):
-        # DARBOUX_EPS_SING = 1e6 alone makes every point singular (exit 2)
-        default, flagged = tmp_path / "default.csv", tmp_path / "flagged.csv"
-        assert run(SPHERE_TRACE + ["--out", str(default)]) == 0
-        monkeypatch.setenv("DARBOUX_EPS_SING", "1e6")
-        eps = repr(darboux.trace.EPS_SING_DEFAULT)
-        assert run(SPHERE_TRACE + ["--eps-sing", eps, "--out", str(flagged)]) == 0
-        assert flagged.read_bytes() == default.read_bytes()
 
 
 # Path coefficients: zero (a zero-speed path), small values, and offsets
@@ -615,8 +610,8 @@ def _fresh_interpreter(probe: str) -> str:
 
 
 def test_import_loads_no_scipy():
-    """scipy is imported by the functions that use it, so starting the CLI
-    does not pay for it."""
+    """The package imports no scipy, so starting the CLI does not pay for
+    it."""
     probe = ("import sys, darboux, darboux.cli; "
              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     assert _fresh_interpreter(probe).strip() == "[]"

@@ -7,9 +7,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.interpolate import PchipInterpolator
+from scipy.interpolate import CubicHermiteSpline, PchipInterpolator
 
 import darboux
 from conftest import (
@@ -845,6 +845,34 @@ class TestPchipPort:
         assert _bit_list(_frames._Pchip(x, y)(q)) == _bit_list(PchipInterpolator(x, y)(q))
 
 
+class TestHermitePort:
+    """frames._Hermite against scipy's CubicHermiteSpline, which it
+    replaces (from_polyline's interpolants, and _Pchip's cubics): the same
+    bits on every query lane, for (n,) and (n, 3) values and for array and
+    scalar queries, nan lanes included."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(table=_pchip_table(), seed=st.integers(0, 2**32 - 1),
+           width=st.sampled_from([None, 3]))
+    def test_bits_match_scipy(self, table, seed, width):
+        x, y, queries = table
+        rng = np.random.default_rng(seed)
+        with np.errstate(all="ignore"):
+            if width:
+                y = y[:, None] * rng.uniform(-2.0, 2.0, width)
+            # slopes on the secants' scale, finite as scipy requires
+            slopes = rng.uniform(-2.0, 2.0, y.shape) * (np.max(np.abs(y)) / (x[-1] - x[0]))
+        assume(np.isfinite(y).all() and np.isfinite(slopes).all())
+        port = _frames._Hermite(x, y, slopes)
+        with np.errstate(all="ignore"):
+            reference = CubicHermiteSpline(x, y, slopes)
+        assert _bit_list(port(queries)) == _bit_list(reference(queries))
+        for q in queries.tolist():
+            value = port(q)
+            assert value.shape == y.shape[1:]
+            assert _bit_list(value) == _bit_list(reference(q))
+
+
 class TestScaledArclength:
     """Arclengths far above the absolute Simpson tolerance: the table stops
     splitting where the error estimate is rounding noise of the interval's
@@ -931,6 +959,45 @@ class TestPolyline:
     def test_rejects_too_few_samples(self):
         with pytest.raises(DarbouxError):
             UnitSpeedCurve.from_polyline(np.zeros((3, 3)))
+
+
+class TestTypedInputErrors:
+    """Inputs the public constructors and samplers refuse, each with a
+    DarbouxError that names what is wrong."""
+
+    def test_polyline_with_a_non_finite_sample(self):
+        points = np.zeros((8, 3))
+        points[3, 1] = math.nan
+        with pytest.raises(DarbouxError, match="polyline samples must be finite"):
+            UnitSpeedCurve.from_polyline(points)
+
+    def test_curve_on_surface_takes_exactly_one_curve(self):
+        helix = make_helix_curve()
+        with pytest.raises(DarbouxError, match="exactly one"):
+            CurveOnSurface(darboux.cylinder(1.0))
+        with pytest.raises(DarbouxError, match="exactly one"):
+            CurveOnSurface(darboux.cylinder(1.0), chart_path=helix.path,
+                           space_curve=make_unit_helix_space_curve())
+
+    def test_curve_kind_must_match_the_surface(self):
+        with pytest.raises(DarbouxError, match="chart paths require a parametric surface"):
+            CurveOnSurface(darboux.implicit_sphere(1.0), chart_path=make_helix_curve().path)
+        with pytest.raises(DarbouxError, match="space curves require an implicit surface"):
+            CurveOnSurface(darboux.cylinder(1.0), space_curve=make_unit_helix_space_curve())
+
+    def test_empty_parameter_range(self):
+        path = ChartPath.from_expressions("s", "s", (1.0, 1.0))
+        with pytest.raises(DarbouxError, match="empty parameter range"):
+            unit_speed_chart_curve(darboux.cylinder(1.0), path)
+
+    @pytest.mark.parametrize("grid,why", [
+        ([0.5], "at least 2 samples"),
+        ([0.0, 0.1, 0.3], "uniformly spaced and increasing"),
+        ([0.2, 0.1, 0.0], "uniformly spaced and increasing"),
+    ])
+    def test_sample_frames_grid(self, grid, why):
+        with pytest.raises(DarbouxError, match=why):
+            sample_frames(make_helix_curve(), np.array(grid))
 
 
 class TestCompiledPaths:

@@ -537,6 +537,10 @@ class TestSurfaceSpecStrings:
         s = parse_surface_spec("param:x=cos(u);y=sin(u);z=v;u=-3,3;v=-1,1")
         np.testing.assert_allclose(s.chart_jet(0.0, 0.5).sigma, [1, 0, 0.5], atol=1e-15)
 
+    def test_empty_fields_are_skipped(self):
+        s = parse_surface_spec("param:;x=cos(u); ;y=sin(u);;z=v;u=-3,3;v=-1,1;")
+        np.testing.assert_allclose(s.chart_jet(0.0, 0.5).sigma, [1, 0, 0.5], atol=1e-15)
+
     def test_implicit_spec(self):
         s = parse_surface_spec("implicit:f=x^2+y^2+z^2-4")
         assert s.value(np.array([2.0, 0.0, 0.0])) == 0.0

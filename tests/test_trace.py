@@ -277,6 +277,11 @@ class TestImplicitDirection:
         t = isophote_direction_implicit(s, EZ, p)
         np.testing.assert_allclose(np.abs(t), [0, 1, 0], atol=1e-14)
 
+    def test_point_off_the_surface(self):
+        with pytest.raises(DarbouxError, match="point is not on the surface"):
+            isophote_direction_implicit(darboux.implicit_sphere(1.0), EZ,
+                                        np.array([0.0, 0.0, 1.5]))
+
     def test_implicit_plane_singular(self):
         with pytest.raises(SingularPointError):
             isophote_direction_implicit(darboux.implicit_plane(), EZ,
@@ -375,6 +380,20 @@ class TestTraceParametric:
     def test_unit_tangents(self, sphere_circuit):
         norms = np.linalg.norm(sphere_circuit.tangents, axis=1)
         assert np.abs(norms - 1.0).max() <= 1e-9
+
+    def test_closure_radius_beyond_the_circuit(self, sphere_circuit):
+        # every sample lies within 3 of the seed (the circuit's diameter is
+        # sqrt(2)): the heading test passes over the far side, and the trace
+        # closes at the seed as it does with the default radius
+        cfg = TraceConfig(step=1e-3, max_length=4.45, closure_tol=3.0)
+        res = trace_isophote(darboux.sphere(1.0), EZ, math.pi / 4, (0.0, math.pi / 4), cfg)
+        assert res.termination == "closed"
+        assert res.s.tolist() == sphere_circuit.s.tolist()
+
+    def test_zero_axis_rejected(self):
+        with pytest.raises(DarbouxError, match="axis must be a nonzero vector"):
+            trace_isophote(darboux.sphere(1.0), (0.0, 0.0, 0.0), math.pi / 4,
+                           (0.0, math.pi / 4))
 
     def test_seed_off_level_rejected(self):
         with pytest.raises(SeedError, match="find_seed"):

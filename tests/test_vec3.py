@@ -9,6 +9,7 @@ call."""
 import ast
 import itertools
 import math
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -254,28 +255,24 @@ def test_no_blas_products_in_the_package():
     assert found == []
 
 
-def test_scipy_only_in_from_polyline():
-    """The one scipy import in the package is the deferred CubicSpline of
-    UnitSpeedCurve.from_polyline (its spline solve goes through LAPACK, so a
-    numpy port would not have its bits).  The arclength inverse and the
-    cumulative Simpson integral are numpy ports, so classify and frames
-    never pay for importing scipy."""
+def test_package_imports_only_the_standard_library_and_numpy():
+    """numpy is the package's one run-time dependency: every import in the
+    package is relative (the package itself), from the standard library or
+    from numpy.  scipy stays a test dependency, the reference for the bits
+    of the numpy ports (PCHIP, the cubic Hermite, the cumulative Simpson
+    integral)."""
     found = []
     for path in sorted(Path(darboux.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text())
-        functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
-        for node in ast.walk(tree):
+        for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Import):
                 modules = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                modules = [node.module or ""]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module]
             else:
                 continue
-            if any(m.split(".")[0] == "scipy" for m in modules):
-                inside = [f.name for f in functions if f.lineno <= node.lineno <= f.end_lineno]
-                names = [alias.name for alias in getattr(node, "names", [])]
-                found.append((path.name, inside, modules, names))
-    assert found == [("frames.py", ["from_polyline"], ["scipy.interpolate"], ["CubicSpline"])]
+            found += [f"{path.name}:{node.lineno} {m}" for m in modules
+                      if m.split(".")[0] not in (*sys.stdlib_module_names, "numpy")]
+    assert found == []
 
 
 POWER_CALLS = {("np", "power"), ("np", "float_power")}

@@ -34,7 +34,6 @@ import contextlib
 import hashlib
 import io
 import json
-import os
 import statistics
 import subprocess
 import sys
@@ -105,7 +104,6 @@ def digest_worker(root: str) -> None:
     """Run the argv lists read from stdin with ``root``'s darboux and print
     one [exit code, sha256] per call as JSON."""
     sys.path.insert(0, str(Path(root) / "src"))
-    os.environ.pop("DARBOUX_EPS_SING", None)
     import darboux.cli
 
     results = []
