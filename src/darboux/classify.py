@@ -138,10 +138,10 @@ def _as_data(c, grid, eps_kappa=EPS_KAPPA_DEFAULT) -> FrameData:
     return sample_frames(c, np.asarray(grid, dtype=float), eps_kappa=eps_kappa)
 
 
-def _edge_mask(data: FrameData) -> np.ndarray:
+def _edge_mask(n: int, sampled: bool) -> np.ndarray:
     # sampled-polyline input: stencil edges are excluded from statistics
-    mask = np.ones(data.n, dtype=bool)
-    if not data.analytic and data.n > 4:
+    mask = np.ones(n, dtype=bool)
+    if sampled and n > 4:
         mask[:2] = mask[-2:] = False
     return mask
 
@@ -223,7 +223,7 @@ def _pair_measure(data, fam, eps_pair):
     a, da, other = getattr(data, fam.a), getattr(data, "d" + fam.a), getattr(data, fam.other)
     tg, dtg = data.tg, data.dtg
     q = a * a + tg * tg
-    mask = (q > eps_pair * eps_pair) & _edge_mask(data)
+    mask = (q > eps_pair * eps_pair) & _edge_mask(data.n, not data.analytic)
     if not mask.any():
         raise DegenerateFrameError(
             f"{fam.measure}: degenerate pair everywhere on the grid "
@@ -256,8 +256,7 @@ def slant_helix_series(c, grid, eps_kappa: float = EPS_KAPPA_DEFAULT) -> Charact
     grid = np.asarray(grid, dtype=float)
     *_, kappa, tau = _frenet_columns(c, grid, eps_kappa)
     series = slant_series_from_scalars(grid, kappa, tau)
-    if isinstance(c, CurveOnSurface) and not c.analytic:
-        series.mask[:2] = series.mask[-2:] = False
+    series.mask = _edge_mask(len(grid), isinstance(c, CurveOnSurface) and not c.analytic)
     return series
 
 
@@ -329,7 +328,7 @@ def theorem_functions(c, grid=None, c_const: float = 1.0, family: str = "both",
         raise ValueError(f"unknown family {family!r}")
     data = _as_data(c, grid)
     s = data.s
-    ones = np.ones(data.n, dtype=bool) & _edge_mask(data)
+    mask = _edge_mask(data.n, not data.analytic)
     out = TheoremFunctions(None, None, None, None, None, None, c_const)
 
     for fam in _FAMILIES:
@@ -338,16 +337,17 @@ def theorem_functions(c, grid=None, c_const: float = 1.0, family: str = "both",
         a, other = getattr(data, fam.a), getattr(data, fam.other)
         if np.min(np.abs(a)) <= eps:
             raise DegenerateFrameError(f"{fam.degenerate} <= {eps:g} on the grid")
-        integral = _cumulative_integral(data.tg * other / a, s)
-        q = a**2 + data.tg**2
-        # TU: k_g^2 q^{-3/2} e^{I}, lambda1 = c (tg/kg) e^{-I}, lambda2 = c e^{-I};
-        # TV: k_n^2 q^{-3/2} e^{-J}, mu1 = -c (tg/kn) e^{J}, mu2 = c e^{J}
-        e_pos, e_neg = np.exp(fam.sign * integral), np.exp(-fam.sign * integral)
-        coef1, coef2 = fam.coefficients
-        for name, values in ((fam.criterion, a**2 / _pow(q, 1.5, math.inf) * e_pos),
-                             (coef1, fam.sign * c_const * (data.tg / a) * e_neg),
-                             (coef2, c_const * e_neg)):
-            setattr(out, name, CharacterizationSeries(s, values, ones.copy(), name))
+        with np.errstate(all="ignore"):  # an overflowing e^I is inf, its products inf or nan
+            integral = _cumulative_integral(data.tg * other / a, s)
+            q = a**2 + data.tg**2
+            # TU: k_g^2 q^{-3/2} e^{I}, lambda1 = c (tg/kg) e^{-I}, lambda2 = c e^{-I};
+            # TV: k_n^2 q^{-3/2} e^{-J}, mu1 = -c (tg/kn) e^{J}, mu2 = c e^{J}
+            e_pos, e_neg = np.exp(fam.sign * integral), np.exp(-fam.sign * integral)
+            coef1, coef2 = fam.coefficients
+            for name, values in ((fam.criterion, a**2 / _pow(q, 1.5, math.inf) * e_pos),
+                                 (coef1, fam.sign * c_const * (data.tg / a) * e_neg),
+                                 (coef2, c_const * e_neg)):
+                setattr(out, name, CharacterizationSeries(s, values, mask.copy(), name))
 
     return out
 
@@ -401,7 +401,7 @@ def position_theorem_residual(c, grid=None, which: str = "TU",
     data = _as_data(c, grid)
     fam = _family(which)
     a = getattr(data, fam.a)
-    mask = (a * a + data.tg**2 > eps_pair * eps_pair) & _edge_mask(data)
+    mask = (a * a + data.tg**2 > eps_pair * eps_pair) & _edge_mask(data.n, not data.analytic)
     if not mask.any():
         raise DegenerateFrameError(f"position identity {which}: degenerate pair everywhere")
     am, tgm = a[mask], data.tg[mask]
@@ -435,7 +435,7 @@ def plane_ode_residual(c, grid=None, c_const: float = 1.0, which: str = "TU",
     integral = _cumulative_integral(fam.sign * integrand, data.s)
     lhs = dratio - fam.sign * (ratio**2 + 1.0) * other
     rhs = fam.sign * (1.0 / c_const) * np.exp(integral)
-    mask = _edge_mask(data)
+    mask = _edge_mask(data.n, not data.analytic)
     return CharacterizationSeries(data.s, np.abs(lhs - rhs), mask, fam.ode_residual)
 
 
@@ -450,8 +450,9 @@ def is_constant(series: CharacterizationSeries, tol: float) -> ConstancyVerdict:
         raise InsufficientSamplesError(
             f"{series.name}: {len(vals)} unmasked samples < 8"
         )
-    mean = float(np.mean(vals))
-    dev = float(np.max(np.abs(vals - mean)))
+    with np.errstate(all="ignore"):  # a series with inf or nan gives a nan deviation
+        mean = float(np.mean(vals))
+        dev = float(np.max(np.abs(vals - mean)))
     return ConstancyVerdict(dev <= tol * (1.0 + abs(mean)), mean, dev, tol)
 
 
@@ -629,8 +630,7 @@ def classify_report(c: CurveOnSurface, grid, tols: Tolerances | None = None,
     if frenet_ok:
         slant = attempt("slant_helix", slant_series_from_scalars, data.s, data.kappa, data.tau)
         if slant is not None:
-            if not data.analytic:
-                slant.mask[:2] = slant.mask[-2:] = False
+            slant.mask = _edge_mask(data.n, not data.analytic)
             report.series["slant_helix"] = _series_payload(slant, s)
             report.verdicts["slant_helix"] = _verdict(slant, tol_const)
         rect = attempt("rectifying", rectifying_from_scalars, data.s, data.kappa, data.tau,

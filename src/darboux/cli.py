@@ -96,6 +96,13 @@ def _grid(curve, samples: int) -> np.ndarray:
     return _frames.uniform_grid(*curve.s_range, samples)
 
 
+def _curve_and_grid(args):
+    """--curve on --surface (a space: curve on its implicit form) and its --samples grid."""
+    surface = _surface.parse_surface_spec(args.surface, implicit=args.curve.startswith("space:"))
+    curve = build_curve(surface, args.curve)
+    return curve, _grid(curve, args.samples)
+
+
 def _family_angles(text: str) -> np.ndarray:
     """Degrees of ``--family A:B:N``: N >= 1 angles from A to B, each in [0, 180]."""
     parts = text.split(":")
@@ -300,6 +307,8 @@ def _cmd_trace(args, implicit: bool) -> int:
         eps_sing=args.eps_sing,
         **projection,
     )
+    if not (math.isfinite(args.eps_sing) and args.eps_sing >= 0.0):
+        raise DarbouxError(f"--eps-sing must be a finite number >= 0, got {args.eps_sing!r}")
     guess = _parse_floats(args.seed, 3 if implicit else 2, "--seed")
 
     def run_one(phi_k: float, out_path: str | None):
@@ -343,10 +352,7 @@ def _cmd_seed_find(args) -> int:
 def _cmd_classify(args) -> int:
     if not (math.isfinite(args.c_const) and args.c_const != 0.0):
         raise DarbouxError(f"--c-const must be finite and nonzero, got {args.c_const!r}")
-    implicit = args.curve.startswith("space:")
-    surface = _surface.parse_surface_spec(args.surface, implicit=implicit)
-    curve = build_curve(surface, args.curve)
-    grid = _grid(curve, args.samples)
+    curve, grid = _curve_and_grid(args)
     tols = _classify.Tolerances(constancy=args.tol)
     report = _classify.classify_report(curve, grid, tols=tols, c_const=args.c_const)
     _write(args.out, _json(report.as_dict()))
@@ -354,10 +360,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_frames(args) -> int:
-    implicit = args.curve.startswith("space:")
-    surface = _surface.parse_surface_spec(args.surface, implicit=implicit)
-    curve = build_curve(surface, args.curve)
-    grid = _grid(curve, args.samples)
+    curve, grid = _curve_and_grid(args)
     if args.format == "json":
         _write(args.out, frames_json(curve, grid))
     else:

@@ -49,7 +49,26 @@ from .errors import EvalDomainError, ParseError
 __all__ = ["Expression", "parse", "differentiate", "evaluate", "compile", "unparse"]
 
 CONSTANTS = {"pi": math.pi, "e": math.e}
-FUNCTIONS = ("sin", "cos", "tan", "exp", "ln", "sqrt", "sinh", "cosh", "abs", "sign")
+
+
+def _sign(x: float) -> float:
+    # a ValueError at 0, as math's functions raise out of their domain
+    if x == 0.0:
+        raise ValueError("sign undefined at 0")
+    return math.copysign(1.0, x)
+
+
+# Each function's Python function: the tree walk calls it and the compiled
+# code binds it.  A ValueError from it is a domain error, reported with its
+# message here; sin, cos and tan raise one only at +-inf, and no other
+# function raises one.
+_FUNCTIONS = {
+    "sin": math.sin, "cos": math.cos, "tan": math.tan, "exp": math.exp, "ln": math.log,
+    "sqrt": math.sqrt, "sinh": math.sinh, "cosh": math.cosh, "abs": abs, "sign": _sign,
+}
+_DOMAIN_ERRORS = {"ln": "ln of nonpositive value", "sqrt": "sqrt of negative value",
+                  "sign": "sign undefined at 0 (abs has no derivative there)"}
+FUNCTIONS = tuple(_FUNCTIONS)
 
 
 # ---------------------------------------------------------------------------
@@ -281,39 +300,13 @@ def _eval(node: Node, env: Mapping[str, float]) -> float:
             raise EvalDomainError(f"pow domain error ({a!r}^{b!r})", _unparse(node)) from None
     # Call
     x = _eval(node.arg, env)
-    fn = node.fn
     try:
-        if fn == "sin":
-            return math.sin(x)
-        if fn == "cos":
-            return math.cos(x)
-        if fn == "tan":
-            return math.tan(x)
-        if fn == "exp":
-            return math.exp(x)
-        if fn == "ln":
-            if x <= 0.0:
-                raise EvalDomainError("ln of nonpositive value", _unparse(node))
-            return math.log(x)
-        if fn == "sqrt":
-            if x < 0.0:
-                raise EvalDomainError("sqrt of negative value", _unparse(node))
-            return math.sqrt(x)
-        if fn == "sinh":
-            return math.sinh(x)
-        if fn == "cosh":
-            return math.cosh(x)
-        if fn == "abs":
-            return abs(x)
-        # sign: the derivative of abs; deliberately undefined at the corner
-        if x == 0.0:
-            raise EvalDomainError("sign undefined at 0 (abs has no derivative there)", _unparse(node))
-        return math.copysign(1.0, x)
+        return _FUNCTIONS[node.fn](x)
     except OverflowError:
         raise EvalDomainError("overflow", _unparse(node)) from None
     except ValueError:
-        # the one case left once ln/sqrt are checked: sin, cos, tan of +-inf
-        raise EvalDomainError(f"{fn} of infinite value", _unparse(node)) from None
+        message = _DOMAIN_ERRORS.get(node.fn, f"{node.fn} of infinite value")
+        raise EvalDomainError(message, _unparse(node)) from None
 
 
 def evaluate(e: Expression, bindings: Mapping[str, float]) -> float:
@@ -329,19 +322,8 @@ def evaluate(e: Expression, bindings: Mapping[str, float]) -> float:
 # Compilation (one generated function per list of expressions)
 
 
-def _sign(x: float) -> float:
-    # fails where the tree walk fails, which then reports the error
-    if x == 0.0:
-        raise ValueError("sign undefined at 0")
-    return math.copysign(1.0, x)
-
-
 # names the generated code calls, bound as closure cells of the function
-_HELPERS = {
-    "_float": float, "_pow": math.pow, "_abs": abs, "_sign": _sign,
-    "_sin": math.sin, "_cos": math.cos, "_tan": math.tan, "_exp": math.exp,
-    "_ln": math.log, "_sqrt": math.sqrt, "_sinh": math.sinh, "_cosh": math.cosh,
-}
+_HELPERS = {"_float": float, "_pow": math.pow, **{f"_{name}": fn for name, fn in _FUNCTIONS.items()}}
 
 
 def _lanes(fn):

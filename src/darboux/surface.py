@@ -498,11 +498,8 @@ class ImplicitSurface:
         return g, n, H
 
     def unit_normal(self, p: np.ndarray) -> np.ndarray:
-        g = self.gradient(p)
-        n = norm3(g.tolist())
-        if n <= self.eps_reg:
-            raise RegularityError(f"{self.name}: |grad f| <= {self.eps_reg:g} at {p!r}")
-        return g / n
+        g, n, _ = self.level_point(_point(p))
+        return np.array(_div3(g, n))
 
     def normal_jacobian(self, p: np.ndarray) -> np.ndarray:
         """d/dp of grad(f)/|grad(f)| as a 3x3 matrix."""

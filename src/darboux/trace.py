@@ -67,10 +67,9 @@ from .surface import (
     _project,
     dot3,
     norm3,
-    project_to_implicit,
 )
 # bound here by name: the benchmark's per-layer tracer wraps them on this module
-from .surface import first_form, unit_normal  # noqa: F401
+from .surface import first_form, project_to_implicit, unit_normal  # noqa: F401
 
 __all__ = [
     "TraceConfig",
@@ -134,11 +133,10 @@ class TraceResult:
     chart: np.ndarray | None = None            # (n, 2) for parametric traces
     surface_residual: np.ndarray | None = None  # |f| for implicit traces
     grad_dot_t: np.ndarray | None = None        # grad(f) . t for implicit traces
-    kg: np.ndarray = field(default=None)
+    kg: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if self.kg is None:
-            self.kg = self._estimate_kg()
+        self.kg = self._estimate_kg()
 
     @property
     def closed(self) -> bool:
@@ -193,18 +191,13 @@ def find_seed(surface, d, phi: float, guess, tol: float = 1e-12,
 @numerical
 def snap_seed(surface, d, phi: float, guess, config: TraceConfig):
     """The seed a trace from ``guess`` starts at: the guess itself (projected
-    onto f = 0 on an implicit surface) where it is on the level
-    <U, d> = cos(phi) to ``config.seed_tol``, else find_seed's point."""
-    target = math.cos(phi)
-    if isinstance(surface, ParametricSurface):
-        seed = guess
-        level = _angle_value_parametric(surface, _floats(d), guess[0], guess[1])
-    else:
-        seed = project_to_implicit(surface, np.asarray(guess, dtype=float),
-                                   config.projection_tol)
-        level = dot3(surface.unit_normal(seed).tolist(), _floats(d))
-    if abs(level - target) <= config.seed_tol:
-        return seed
+    onto f = 0 on an implicit surface, as an array) where it is on the level
+    <U, d> = cos(phi) to ``config.seed_tol``, else find_seed's point.  The
+    level is read as trace_isophote's seed check reads it."""
+    adapter = _adapter(surface, d, phi, config)
+    seed = adapter.start(guess)
+    if abs(adapter.level(adapter.evaluate(seed)) - adapter.target) <= config.seed_tol:
+        return guess if isinstance(surface, ParametricSurface) else np.array(seed)
     return find_seed(surface, d, phi, guess, projection_tol=config.projection_tol)
 
 
@@ -218,21 +211,13 @@ def _find_seed_parametric(surface, d, target, guess, tol, max_iter):
     if abs(_angle_value_parametric(surface, d, u0, v0) - target) <= tol:
         return (u0, v0)
 
-    for coord in ("v", "u"):
-        if coord == "v":
-            lo, hi = surface.v_range
-            g = lambda t: _angle_value_parametric(surface, d, u0, t) - target
-            center = v0
-        else:
-            lo, hi = surface.u_range
-            g = lambda t: _angle_value_parametric(surface, d, t, v0) - target
-            center = u0
+    on_v = lambda t: _angle_value_parametric(surface, d, u0, t) - target
+    on_u = lambda t: _angle_value_parametric(surface, d, t, v0) - target
+    for g, (lo, hi), center in ((on_v, surface.v_range, v0), (on_u, surface.u_range, u0)):
         bracket = _nearest_bracket(g, lo, hi, center)
-        if bracket is None:
-            continue
-        t = _bisect_newton(g, *bracket, tol, max_iter)
+        t = None if bracket is None else _bisect_newton(g, *bracket, tol, max_iter)
         if t is not None:
-            return (u0, t) if coord == "v" else (t, v0)
+            return (u0, t) if g is on_v else (t, v0)
     raise SeedError("no isophote at this level near guess")
 
 
@@ -530,9 +515,15 @@ def _implicit_columns(d, g, n, H, t) -> dict:
 def _unit(d) -> np.ndarray:
     d = np.asarray(d, dtype=float)
     n = norm3(d.tolist())
-    if n == 0.0:
-        raise DarbouxError("axis must be a nonzero vector")
+    if not 0.0 < n < math.inf:  # also a nan or inf entry, or an overflowing length
+        raise DarbouxError("axis must be a nonzero vector of finite length")
     return d / n
+
+
+def _adapter(surface, d, phi, config):
+    """The trace adapter of the isophote <U, d> = cos(phi), d normalized."""
+    kind = _ChartTrace if isinstance(surface, ParametricSurface) else _ImplicitTrace
+    return kind(surface, _floats(_unit(d)), math.cos(phi), config)
 
 
 @numerical
@@ -545,10 +536,8 @@ def trace_isophote(surface, d, phi: float, seed, config: TraceConfig | None = No
     transversal plane), leaving the chart domain, or a singular point.
     """
     config = config or TraceConfig()
-    d = _floats(_unit(d))
     phi = float(phi)
-    kind = _ChartTrace if isinstance(surface, ParametricSurface) else _ImplicitTrace
-    return _integrate(kind(surface, d, math.cos(phi), config), phi, seed)
+    return _integrate(_adapter(surface, d, phi, config), phi, seed)
 
 
 # TraceResult fields every trace fills, in the order of a chart record's row
@@ -607,7 +596,7 @@ def _integrate(adapter, phi, seed):
     y = adapter.start(seed)
     point = at(y)
     level = adapter.level(point)
-    if abs(level - adapter.target) > config.seed_tol:
+    if not abs(level - adapter.target) <= config.seed_tol:
         raise SeedError(
             f"seed is not on the isophote level: |<U,d> - cos(phi)| = "
             f"{abs(level - adapter.target):g} > {config.seed_tol:g}; use find_seed"
@@ -688,10 +677,6 @@ class _ChartTrace:
     def level(self, point):
         return dot3(point[1], self.d)
 
-    def key(self, y):
-        # an RK4 stage point: wrapping sends equal points to one key
-        return self.surface.wrap(y[0], y[1])
-
     def evaluate(self, key):
         # the key is wrapped already: evaluating it wraps nothing again
         stage = _chart_stage(self.surface._chart_point(*key), self.d)
@@ -707,6 +692,9 @@ class _ChartTrace:
 
     def fix(self, y):
         return self.surface.wrap(y[0], y[1])
+
+    # an RK4 stage point: wrapping sends equal points to one key
+    key = fix
 
     def closure_frame(self, y, point, t3):
         return point[0][0], _div3(t3, norm3(t3))

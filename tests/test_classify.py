@@ -46,6 +46,7 @@ from darboux.errors import (
 from darboux.frames import (
     ChartPath,
     CurveOnSurface,
+    FrameData,
     UnitSpeedCurve,
     frenet,
     sample_frames,
@@ -130,6 +131,8 @@ class TestSlantHelixSeries:
         series = slant_helix_series(poly, np.linspace(0.0, length, 41))
         assert series.mask.tolist() == [False] * 2 + [True] * 37 + [False] * 2
         np.testing.assert_allclose(series.values[series.mask], 0.0, atol=1e-6)
+        # a grid of at most 4 samples keeps every sample, as the measures do
+        assert slant_helix_series(poly, np.linspace(0.0, length, 4)).mask.tolist() == [True] * 4
 
     def test_synthetic_linear_torsion(self):
         # kappa = 1, tau = s: value kappa^2/(kappa^2+tau^2)^{3/2} * 1, so 1 at s=0
@@ -148,6 +151,14 @@ class TestTheoremFunctions:
     def test_helix_tv_function_is_inv_sqrt2(self, helix_curve, helix_grid):
         tf = theorem_functions(helix_curve, helix_grid, family="TV")
         np.testing.assert_allclose(tf.isophote_criterion.values, 1 / SQRT2, atol=1e-12)
+
+    def test_grid_must_increase(self):
+        # a hand-built FrameData whose s repeats a value
+        ones, rows = np.ones(5), np.zeros((5, 3))
+        data = FrameData(np.array([0.0, 0.1, 0.1, 0.3, 0.4]), rows, rows, rows, rows,
+                         ones, ones, ones, 0 * ones, 0 * ones, 0 * ones, ones, ones, True)
+        with pytest.raises(ValueError, match="Input x must be strictly increasing"):
+            theorem_functions(data, family="TU")
 
     def test_helix_tu_family_degenerate(self, helix_curve, helix_grid):
         with pytest.raises(DegenerateFrameError, match="TU"):
@@ -367,6 +378,15 @@ class TestRecoverAxis:
     def test_too_few_vectors(self):
         with pytest.raises(Exception):
             recover_axis(np.zeros((2, 3)))
+
+    def test_second_candidate_faces_the_mean(self):
+        # +-e_x, +-e_y, +-e_z about a mean: three equal variances, and each
+        # candidate axis is oriented to a nonnegative projection of the mean
+        mean = np.array([0.1, -0.5, 0.2])
+        est = recover_axis(mean + np.vstack([np.eye(3), -np.eye(3)]))
+        assert est.ambiguous and est.variance == pytest.approx(1.0 / 3.0, abs=1e-15)
+        for c in est.candidates:
+            assert dot3(mean.tolist(), c.tolist()) >= 0.0
 
 
 class TestRectifying:

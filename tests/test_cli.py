@@ -126,6 +126,15 @@ class TestTrace:
         assert code == 2
         assert "singular" in captured.err
 
+    @pytest.mark.parametrize("value", ["nan", "-1", "inf"])
+    def test_eps_sing_named(self, value, capsys):
+        # every point of the plane z = 0 is singular for e_z: with a
+        # threshold no norm is within (nan, -1) the solve would divide by 0
+        code, captured = run(["trace-implicit", "--surface", "implicit:f=z", "--axis", "0,0,1",
+                              "--angle", "0", "--seed", "0,0,0", "--eps-sing", value], capsys)
+        assert code == 2
+        assert captured.err == f"--eps-sing must be a finite number >= 0, got {float(value)!r}\n"
+
 
 class TestTraceImplicit:
     def test_torus_csv_has_empty_chart_columns(self, tmp_path):
@@ -159,6 +168,12 @@ class TestTraceImplicit:
         seed = out.read_text().splitlines()[1].split(",")
         # angle_dot = <U, d> = cos 60 degrees at the snapped seed
         assert float(seed[12]) == pytest.approx(0.5, abs=1e-9)
+
+    def test_singular_seed_named_as_a_point(self, capsys):
+        code, captured = run(["trace-implicit", "--surface", "implicit:f=x^2+y^2+z^2",
+                              "--axis", "0,0,1", "--angle", "45", "--seed", "0,0,0"], capsys)
+        assert code == 2
+        assert captured.err == "implicit_expr: |grad f| <= 1e-10 at (0.0, 0.0, 0.0)\n"
 
     def test_implicit_plane_exit_2(self, capsys):
         code, captured = run(["trace-implicit", "--surface", "implicit:f=z",
@@ -274,6 +289,21 @@ class TestClassify:
         assert report["flags"]["geodesic"]["value"] is True
         schema = json.load(open(os.path.join(DOCS, "report.schema.json")))
         jsonschema.validate(report, schema)
+
+    # a torus curve whose exponential integral overflows
+    OVERFLOW_ARGV = ["classify", "--surface", "builtin:torus", "--curve",
+                     "param:u=(-1.428)+(-0.355)*s;v=(-1.409)+(-30.0)*s+(0.453)*sin(s);s=0,2.0",
+                     "--samples", "15"]
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_integral_writes_no_warning(self, tmp_path, capsys):
+        out = tmp_path / "overflow.json"
+        code, captured = run(self.OVERFLOW_ARGV + ["--out", str(out)], capsys)
+        assert code == 0
+        assert captured.err == ""
+        # the overflow stays in the report as Infinity
+        values = json.loads(out.read_text())["series"]["lambda1"]["values"]
+        assert math.inf in [abs(x) for x in values if x is not None]
 
     def test_too_few_samples_report_verdict_errors(self, tmp_path):
         # 5 samples are fewer than a constancy verdict needs: the run still
@@ -436,6 +466,9 @@ BAD_INPUTS = {
     "seed-three-numbers-on-a-chart": _with(SPHERE_TRACE, seed="0.5,0.5,1"),
     "seed-not-a-number": _with(SPHERE_TRACE, seed="0.5,a"),
     "family-bad-number": _with(SPHERE_TRACE, family="30:x:4"),
+    "eps-sing-nan": _with(TORUS_TRACE, eps_sing="nan"),
+    "eps-sing-negative": _with(TORUS_TRACE, eps_sing="-1"),
+    "eps-sing-inf": _with(TORUS_TRACE, eps_sing="inf"),
 }
 
 
@@ -540,6 +573,8 @@ def _curve_argv(draw):
             "--samples", str(samples)]
 
 
+# a numpy warning fails the run too: the CLI writes none on these inputs
+@pytest.mark.filterwarnings("error")
 @settings(max_examples=40, deadline=None)
 @given(argv=_curve_argv())
 def test_curve_commands_never_trace_back(argv, tmp_path_factory):

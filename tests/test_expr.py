@@ -174,6 +174,25 @@ class TestDifferentiate:
         assert evaluate(differentiate(e, "u"), env) == pytest.approx(
             fd_derivative(e, "u", env), rel=1e-9)
 
+    @pytest.mark.parametrize("source, derivative", [
+        ("u/1", "1.0"),  # the quotient rule's division by 1^2 folds away
+        ("u^1", "1.0"),  # the power rule's u^0 folds to 1
+        # 1e200^2 overflows, so it stays symbolic and evaluating it raises
+        ("u/1e200", "1e+200/1e+200^2.0"),
+    ])
+    def test_constant_folds(self, source, derivative):
+        d = differentiate(parse(source, ["u"]), "u")
+        assert unparse(d) == derivative
+        if "^" in derivative:
+            with pytest.raises(EvalDomainError, match=r"pow domain error \(1e\+200\^2.0\)"):
+                evaluate(d, {"u": 1.0})
+
+    def test_expression_methods(self):
+        e = parse("u*v", ["u", "v"])
+        assert str(e) == unparse(e) == "u*v"
+        assert e(u=2.0, v=3.0) == 6.0
+        assert e.diff("u") == differentiate(e, "u")
+
 
 # ---------------------------------------------------------------------------
 # Random-expression properties

@@ -435,6 +435,9 @@ class TestNormalDerivatives:
 
 
 class TestImplicitJet:
+    def test_repr_names_the_surface(self):
+        assert repr(darboux.implicit_sphere(1.0)) == "ImplicitSurface('implicit_sphere(r=1)')"
+
     def test_unit_sphere(self):
         f, g, H = darboux.implicit_sphere(1.0).jet(np.array([1.0, 0.0, 0.0]))
         assert f == 0.0
@@ -518,6 +521,15 @@ class TestProjectToImplicit:
         s = darboux.implicit_sphere(1.0)
         with pytest.raises(ProjectionError):
             project_to_implicit(s, np.array([25.0, 0.0, 0.0]), 1e-15)
+
+    def test_reached_by_the_eighth_step(self):
+        # Newton on x^3 = 1 from x = 100 shrinks x by about 2/3 per step:
+        # |f| is 200 after 7 steps and 59 after 8, the last one checked
+        s = implicit_from_expression("x^3-1")
+        p = project_to_implicit(s, np.array([100.0, 0.0, 0.0]), 60.0)
+        assert p[0] == pytest.approx(3.9156492831183054, rel=1e-12)
+        with pytest.raises(ProjectionError):
+            project_to_implicit(s, np.array([100.0, 0.0, 0.0]), 58.0)
 
 
 class TestSurfaceSpecStrings:

@@ -88,6 +88,49 @@ class TestFindSeed:
                          math.pi / 3, (0.0, 0.4))
         assert seed[1] == pytest.approx(math.pi / 6, abs=1e-11)
 
+    @pytest.mark.parametrize("guess", [(0.3, 0.0), (-0.3, 0.0)], ids=["low-end", "high-end"])
+    def test_level_exactly_at_a_bracket_end(self, guess):
+        # cos(u) = cos(0) on the cylinder: g is exactly 0 at the grid point
+        # u = 0, the lower end of the bracket nearest 0.3 and the upper end
+        # of the one nearest -0.3
+        seed = find_seed(darboux.cylinder(1.0), (1.0, 0.0, 0.0), 0.0, guess)
+        assert seed == (0.0, 0.0)
+
+    def test_bisection_out_of_iterations_finds_nothing(self):
+        # no bisection step: the v-line's bracket gives no root, and the
+        # u-line of the sphere has no sign change
+        with pytest.raises(SeedError, match="no isophote at this level near guess"):
+            find_seed(darboux.sphere(1.0), EZ, math.pi / 3, (0.0, 0.4), max_iter=0)
+
+
+class TestSnapSeed:
+    """snap_seed reads the guess's level as trace_isophote reads its seed's:
+    through the trace's adapter, with the axis normalized."""
+
+    AXIS = (0.0, 0.0, 2.0)
+
+    def test_on_level_guess_is_kept(self):
+        guess = (0.3, math.pi / 4)
+        assert snap_seed(darboux.sphere(1.0), self.AXIS, math.pi / 4, guess,
+                         TraceConfig()) is guess
+
+    def test_level_of_the_unnormalized_axis_is_searched(self, monkeypatch):
+        # <U, (0, 0, 2)> = cos(pi/4) here, but <U, e_z> is half that
+        sphere, phi, guess = darboux.sphere(1.0), math.pi / 4, (0.3, 0.361367123906708)
+        config = TraceConfig(step=1e-2, max_length=0.1)
+        searched = []
+
+        def counted(*args, **kwargs):
+            searched.append(args)
+            return find_seed(*args, **kwargs)
+
+        monkeypatch.setattr(trace_module, "find_seed", counted)
+        seed = snap_seed(sphere, self.AXIS, phi, guess, config)
+        assert searched == [(sphere, self.AXIS, phi, guess)]
+        assert seed[1] == pytest.approx(math.pi / 4, abs=1e-9)
+        res = trace_isophote(sphere, self.AXIS, phi, seed, config)
+        assert res.termination == "length reached"
+
 
 def _nearest_bracket_full_scan(g, lo, hi, center, n=256):
     """The bracket scan as first written: g at every grid point, then the
@@ -395,6 +438,27 @@ class TestTraceParametric:
             trace_isophote(darboux.sphere(1.0), (0.0, 0.0, 0.0), math.pi / 4,
                            (0.0, math.pi / 4))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("axis", [(math.nan, 0.0, 1.0), (math.inf, 0.0, 1.0),
+                                      (1e200, 0.0, 1e200)], ids=["nan", "inf", "overflow"])
+    @pytest.mark.parametrize("call", [
+        lambda s, d, phi, p: find_seed(s, d, phi, p),
+        lambda s, d, phi, p: snap_seed(s, d, phi, p, TraceConfig()),
+        lambda s, d, phi, p: trace_isophote(s, d, phi, p),
+    ], ids=["find_seed", "snap_seed", "trace_isophote"])
+    def test_axis_of_no_finite_length_rejected(self, axis, call):
+        with pytest.raises(DarbouxError, match="axis must be a nonzero vector of finite length"):
+            call(darboux.sphere(1.0), axis, math.pi / 4, (0.3, math.pi / 4))
+
+    @pytest.mark.parametrize("spec, seed", [
+        ("param:x=u;y=v;z=u*1e308*10;u=0,1;v=0,1", (0.5, 0.5)),
+        ("implicit:f=z*1e308*10", (0.5, 0.5, 0.0)),
+    ], ids=["chart", "implicit"])
+    def test_seed_of_nan_level_rejected(self, spec, seed):
+        # the normal's norm is inf or nan there, so <U, d> is nan
+        with pytest.raises(SeedError, match=r"= nan > 1e-09; use find_seed"):
+            trace_isophote(parse_surface_spec(spec), EZ, math.pi / 4, seed, TraceConfig())
+
     def test_seed_off_level_rejected(self):
         with pytest.raises(SeedError, match="find_seed"):
             trace_isophote(darboux.sphere(1.0), EZ, math.pi / 4, (0.0, 0.6),
@@ -428,6 +492,12 @@ class TestTraceParametric:
                              TraceConfig(step=1e-2, max_length=50.0))
         assert res.termination == "left domain"
         assert abs(res.chart[-1, 0]) > 5.0  # got close to u = +-2*pi
+
+    def test_short_trace_has_no_kg_estimate(self):
+        # k_g is differenced over 5 samples: fewer give nan
+        res = trace_isophote(darboux.sphere(1.0), EZ, math.pi / 4, (0.0, math.pi / 4),
+                             TraceConfig(step=1e-2, max_length=0.03))
+        assert res.n == 4 and np.isnan(res.kg).all()
 
     def test_max_length_termination(self):
         cfg = TraceConfig(step=1e-3, max_length=1.0)
