@@ -91,6 +91,7 @@ from .surface import (
     _normal_partials,
     _normal_second_partials,
     _pow,
+    _unit_second_derivative,
     dot3,
     norm3,
 )
@@ -126,10 +127,10 @@ _EVALUATION_ERRORS = (DarbouxError, *ARITHMETIC_ERRORS)
 
 # How one evaluated lane is laid out, for _columns: a chart sample is (path
 # jet, (chart jet, w, |w|), third partials), a curve jet is four 3-vectors
-# and a level point is (grad f, |grad f|, H).
+# and a level point is ((grad f, |grad f|, H), third partials).
 _CHART_SAMPLE = [(4, 2), [(6, 3), (3,), ()], (4, 3)]
 _CURVE_JET = (4, 3)
-_LEVEL_POINT = [(3,), (), (3, 3)]
+_LEVEL_POINT = [[(3,), (), (3, 3)], (3, 3, 3)]
 
 
 def _columns(values, spec):
@@ -263,7 +264,9 @@ class UnitSpeedCurve:
         (O(h^4)) and one-sided stencils at the ends; values between nodes are
         cubic Hermite interpolated, with the next derivative as slopes.  Marked
         non-analytic so downstream constancy statistics use the looser
-        tolerance and drop endpoints.
+        tolerance and drop endpoints.  ``length`` defaults to the chord sum,
+        short of a curved polyline's arclength by enough to fail the unit-speed
+        check (UNIT_SPEED_TOL): pass the arclength where known (a trace's s[-1]).
         """
         points = np.asarray(points, dtype=float)
         n = len(points)
@@ -321,25 +324,18 @@ class ChartPath:
                                   _expr.compile([*jet[0], *jet[1]], [var]), s_range)
 
     def _sample(self, surface: ParametricSurface, s):
-        return _chart_sample(self, surface, s)
+        """(path jet, chart point, third partials) at s, the surface evaluated
+        once at the path's (u, v): chart_point's (jet, w, |w|) and the float
+        third partials."""
+        jet = self.jet(s)
+        u, v = jet[0]
+        return jet, surface.chart_point(u, v), surface._jet3(u, v)
 
-    def _sample_columns(self, surface: ParametricSurface, grid):
-        bad = np.zeros(len(grid), dtype=bool)
-        return _chart_sample_columns(self, surface, grid, bad), bad
-
-
-def _chart_sample(path, surface: ParametricSurface, s):
-    """(path jet, chart point, third partials) at s, the surface evaluated
-    once at the path's (u, v): chart_point's (jet, w, |w|) and the float
-    third partials."""
-    jet = path.jet(s)
-    u, v = jet[0]
-    return jet, surface.chart_point(u, v), surface._jet3(u, v)
-
-
-def _chart_sample_columns(path, surface: ParametricSurface, xs, bad):
-    """_chart_sample at each lane of xs as columns (see _lane_columns)."""
-    return _lane_columns(lambda x: _chart_sample(path, surface, x), xs, _CHART_SAMPLE, bad)
+    def _sample_columns(self, surface: ParametricSurface, xs, bad=None):
+        """(_sample at each lane of xs as columns, mask of the lanes flagged
+        in bad or whose evaluation raised; see _lane_columns)."""
+        bad = np.zeros(len(xs), dtype=bool) if bad is None else bad
+        return _lane_columns(lambda x: self._sample(surface, x), xs, _CHART_SAMPLE, bad), bad
 
 
 def _jet_entry(order: int, axis: int | None = None):
@@ -418,10 +414,11 @@ class CurveOnSurface:
             )
 
     def _level(self, s, p):
-        """level_point at the space-curve point p of s, once p is checked to
-        be on the surface."""
+        """(level_point, third partials) at the space-curve point p of s, once
+        p is checked to be on the surface."""
         self._on_surface(s, p)
-        return self.surface.level_point(p)
+        p = tuple(p)
+        return self.surface.level_point(p), self.surface._third(*p)
 
     def _jet_of(self, s):
         """The curve jet at s as float 3-vectors: the space-curve jet checked
@@ -434,10 +431,11 @@ class CurveOnSurface:
 
     def _sample(self, s):
         """What the frame at s is built from, as floats: the chart sample, or
-        the space-curve jet and its level point (grad f, |grad f|, H)."""
+        the space-curve jet, its level point (grad f, |grad f|, H) and the
+        third partials of f."""
         if self.kind == "implicit":
-            jets = self._jet_of(s)
-            return jets, self.surface.level_point(tuple(jets[0]))
+            jets = self.curve._jet_of(s)
+            return (jets, *self._level(s, jets[0]))
         return self.path._sample(self.surface, s)
 
     def _sample_columns(self, grid):
@@ -447,7 +445,7 @@ class CurveOnSurface:
             return self.path._sample_columns(self.surface, grid)
         jets, bad = self.curve._jet_columns(grid)
         points = zip(grid.tolist(), zip(*(x.tolist() for x in jets[0])))
-        return (jets, _lane_columns(lambda sp: self._level(*sp), points, _LEVEL_POINT, bad)), bad
+        return (jets, *_lane_columns(lambda sp: self._level(*sp), points, _LEVEL_POINT, bad)), bad
 
     def _jet_columns(self, grid):
         """(curve jet at each s of grid as (N,) columns, mask of the lanes
@@ -576,12 +574,17 @@ def darboux(c: CurveOnSurface, s: float) -> DarbouxFrame:
 def _frame(c: CurveOnSurface, sample):
     """(curve jet, U, U', U''), primes along the curve, from a sample of c:
     the floats of one (3-vectors of floats) or the columns of a grid
-    (3-vectors of columns).  U'' comes from the chart's third partials and
-    is None on space curves."""
+    (3-vectors of columns).  U'' comes from the surface's third partials: on
+    a space curve, U = w/|w| with w = grad f, w' = H gamma' and
+    w'' = T[gamma', gamma'] + H gamma'', T the third partials of f."""
     jets = c._jets(sample)
     if c.kind == "implicit":
-        g, n, H = sample[1]
-        return jets, _div3(g, n), _matvec(_normal_jacobian(g, n, H), jets[1]), None
+        (g, n, H), third = sample[1:]
+        _, d1, d2, _ = jets
+        w1 = _matvec(H, d1)
+        w2 = [a + b for a, b in zip(_matvec([_matvec(t, d1) for t in third], d1), _matvec(H, d2))]
+        return (jets, _div3(g, n), _matvec(_normal_jacobian(g, n, H), d1),
+                _unit_second_derivative(g, n, _pow(n, 2), _pow(n, 3), w1, w1, w2))
     (_, *d), (jet, w, n), third = sample
     n3 = _pow(n, 3)
     U1, U2 = _chart_chain(d, (_normal_partials(jet, w, n, n3),
@@ -612,10 +615,9 @@ def _darboux_scalars(jets, U, U1, s) -> tuple:
 class FrameData:
     """Frame samples over a uniform arclength grid.
 
-    dkg/dkn are always analytic (third-order curve jets); dtg is analytic
-    on chart paths (third-order chart jets) and a 5-point central difference
-    of tg on space curves.  ``kappa`` is hypot(kg, kn) and ``accel`` is
-    |gamma''| read off the curve jet, independent of the frame.
+    dkg, dkn and dtg are analytic (third-order curve and surface jets).
+    ``kappa`` is hypot(kg, kn) and ``accel`` is |gamma''| read off the curve
+    jet, independent of the frame.
     """
 
     s: np.ndarray
@@ -658,15 +660,11 @@ def sample_frames(c: CurveOnSurface, grid: np.ndarray,
     with np.errstate(all="ignore"):
         sample, bad = c._sample_columns(grid)
         values, kap2, off = _frame_values(c, grid, sample, eps_kappa)
-        # tau (9) is nan wherever kappa <= eps_kappa, and so is tau_g' (11) on
-        # space curves; every other value of a lane that raises on floats is
-        # not finite on the columns
+        # tau (9) is nan wherever kappa <= eps_kappa; every other value of a
+        # lane that raises on floats is not finite on the columns
         gam, T, V, U, kg, kn, tg, dkg, dkn, tau, accel, dtg = _redo(
             values, bad | off | ~np.isfinite(kap2),
-            lambda i: _frame_values(c, grid[i], c._sample(grid[i]), eps_kappa)[0],
-            unchecked=(9,) if c.kind == "parametric" else (9, 11))
-    if c.kind == "implicit":
-        dtg = deriv_uniform(tg, grid[1] - grid[0])
+            lambda i: _frame_values(c, grid[i], c._sample(grid[i]), eps_kappa)[0], unchecked=(9,))
     return FrameData(grid, gam, T, V, U, kg, kn, tg, dkg, dkn, dtg, np.hypot(kg, kn), tau,
                      analytic=c.analytic, eps_kappa=eps_kappa, accel=accel)
 
@@ -682,12 +680,11 @@ def _frame_values(c: CurveOnSurface, s, sample, eps_kappa) -> tuple:
     kap2 = _pow(kg, 2) + _pow(kn, 2)
     tau = np.divide(_triple(d1, d2, d3), kap2, out=np.full(np.shape(kap2), np.nan),
                     where=kap2 > eps_kappa**2)
-    # tau_g' = -U''.V - k_n k_g (analytic on chart paths only)
-    dtg = np.full(np.shape(tg), np.nan) if U2 is None else -dot3(U2, V) - kn * kg
     return (g, d1, V, U, kg, kn, tg,
             # k_g' = gamma'''.V + tau_g k_n ; k_n' = gamma'''.U - tau_g k_g
             dot3(d3, V) + tg * kn, dot3(d3, U) - tg * kg,
-            tau, norm3(d2), dtg), kap2, off
+            # tau_g' = -U''.V - k_n k_g
+            tau, norm3(d2), -dot3(U2, V) - kn * kg), kap2, off
 
 
 @dataclass
@@ -1077,7 +1074,7 @@ class _UnitSpeedChartPath(_JetChartPath):
         if surface is not self.surface:
             return super()._sample(surface, s)
         t, = self.amap.t_of_s_many([s]).tolist()
-        return self._reparametrized(_chart_sample(self.raw, surface, t))
+        return self._reparametrized(self.raw._sample(surface, t))
 
     def _sample_columns(self, surface: ParametricSurface, grid):
         """_sample at each s of grid as columns: one t_of_s_many call, the
@@ -1085,7 +1082,8 @@ class _UnitSpeedChartPath(_JetChartPath):
         if surface is not self.surface:
             return super()._sample_columns(surface, grid)
         ts, bad = _inverted(self.amap, grid)
-        return self._reparametrized(_chart_sample_columns(self.raw, surface, ts, bad)), bad
+        sample, bad = ChartPath._sample_columns(self.raw, surface, ts, bad)
+        return self._reparametrized(sample), bad
 
     @staticmethod
     def _reparametrized(sample) -> tuple:

@@ -266,7 +266,7 @@ def _project(surface: "ImplicitSurface", p, tol: float = 1e-12) -> tuple:
         f = surface._f(*p)
         if abs(f) <= tol:
             return p, f
-        g0, g1, g2 = surface._grad(*p)
+        g0, g1, g2 = surface._level(*p)[0]
         gg = g0 * g0 + g1 * g1 + g2 * g2
         if gg <= surface.eps_reg**2:
             raise RegularityError(f"{surface.name}: vanishing gradient near {p!r}")
@@ -453,24 +453,25 @@ class ParametricSurface:
 
 
 class ImplicitSurface:
-    """Level set f(x, y, z) = 0 with analytic gradient and Hessian.
+    """Level set f(x, y, z) = 0 with analytic partials to third order.
 
-    ``f(x, y, z)``, ``grad(x, y, z)`` and ``level(x, y, z)`` return f, the
-    gradient as a 3-vector and (gradient, Hessian by rows), in Python floats
-    (the form the float kernels read) or arrays."""
+    ``f(x, y, z)``, ``level(x, y, z)`` and ``third(x, y, z)`` return f,
+    (gradient, Hessian by rows) and the Hessians of df/dx, df/dy, df/dz, in
+    Python floats (the form the float kernels read) or arrays."""
 
     def __init__(
         self,
         name: str,
         f: Callable,
-        grad: Callable,
         level: Callable,
         eps_reg: float = EPS_REG_DEFAULT,
+        *,
+        third: Callable,
     ):
         self.name = name
         self._f = f
-        self._grad = grad
         self._level = level
+        self._third = third
         self.eps_reg = float(eps_reg)
 
     def __repr__(self):
@@ -480,7 +481,7 @@ class ImplicitSurface:
         return float(self._f(*_point(p)))
 
     def gradient(self, p: np.ndarray) -> np.ndarray:
-        return np.array(self._grad(*_point(p)), dtype=float)
+        return np.array(self._level(*_point(p))[0], dtype=float)
 
     def hessian(self, p: np.ndarray) -> np.ndarray:
         return np.array(self._level(*_point(p))[1], dtype=float)
@@ -571,16 +572,18 @@ def _chart_functions(x_src: str, y_src: str, z_src: str) -> tuple:
 
 @functools.lru_cache(maxsize=COMPILED_TEXTS)
 def _level_functions(f_src: str) -> tuple:
-    """(f, grad, level) of the level set f(x, y, z) = 0, compiled once per
-    text: f, grad f as a 3-vector, and level's (grad f, Hessian by rows).
-    An entry below the Hessian's diagonal is its mirror's tree, which the
-    compiled code computes once."""
+    """(f, level, third) of the level set f(x, y, z) = 0, compiled once per
+    text: f, level's (grad f, Hessian by rows) and the third partials
+    d_i d_j d_k f nested [i][j][k].  A mirror of a partial (indices permuted)
+    is its sorted twin's tree, differentiated once and computed once."""
     xyz = ["x", "y", "z"]
     f = _expr.parse(f_src, xyz)
     grad = [_expr.differentiate(f, w) for w in xyz]
     hess = [[_expr.differentiate(grad[min(i, j)], xyz[max(i, j)]) for j in range(3)]
             for i in range(3)]
-    return _expr.compile(f, xyz), _expr.compile(grad, xyz), _expr.compile([grad, hess], xyz)
+    d3 = functools.cache(lambda i, j, k: _expr.differentiate(hess[i][j], xyz[k]))
+    third = [[[d3(*sorted((i, j, k))) for k in range(3)] for j in range(3)] for i in range(3)]
+    return _expr.compile(f, xyz), _expr.compile([grad, hess], xyz), _expr.compile(third, xyz)
 
 
 def parametric_from_expressions(
@@ -603,7 +606,8 @@ def parametric_from_expressions(
 def implicit_from_expression(f_src: str, eps_reg: float = EPS_REG_DEFAULT,
                              name: str = "implicit_expr") -> ImplicitSurface:
     """Build an ImplicitSurface from an expression in (x, y, z)."""
-    return ImplicitSurface(name, *_level_functions(f_src), eps_reg=eps_reg)
+    f, level, third = _level_functions(f_src)
+    return ImplicitSurface(name, f, level, eps_reg, third=third)
 
 
 # ---------------------------------------------------------------------------

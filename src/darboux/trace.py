@@ -275,7 +275,7 @@ def _bisect_newton(g, a, ga, b, gb, tol, max_iter):
 def _find_seed_implicit(surface, d, target, guess, tol, max_iter, projection_tol):
     p, _ = _project(surface, _point(guess), projection_tol)
     for _ in range(max_iter):
-        grad = surface._grad(*p)
+        grad, H = surface._level(*p)
         n = norm3(grad)
         if n <= surface.eps_reg:
             raise SeedError("no isophote at this level near guess")
@@ -283,7 +283,7 @@ def _find_seed_implicit(surface, d, target, guess, tol, max_iter, projection_tol
         g = dot3(nhat, d) - target
         if abs(g) <= tol:
             return p
-        grad_g = _level_gradient((grad, n, surface._level(*p)[1]), d)
+        grad_g = _level_gradient((grad, n, H), d)
         k = dot3(grad_g, nhat)
         gt = tuple([a - k * b for a, b in zip(grad_g, nhat)])
         gt2 = dot3(gt, gt)
@@ -779,13 +779,13 @@ def _project_two_constraints(surface, d, target, p, tol):
     closed form and moves by J^T x.  A singular system leaves p as it is.
     Returns (p, f(p)), with None for f where the last step moved p."""
     for _ in range(8):
-        grad = surface._grad(*p)
+        grad, H = surface._level(*p)
         n = norm3(grad)
         f = surface._f(*p)
         g = dot3(grad, d) / n - target
         if abs(f) <= tol and abs(g) <= tol:
             return p, f
-        grad_g = _level_gradient((grad, n, surface._level(*p)[1]), d)
+        grad_g = _level_gradient((grad, n, H), d)
         a, b, c = dot3(grad, grad), dot3(grad, grad_g), dot3(grad_g, grad_g)
         det = a * c - b * b
         if det == 0.0:

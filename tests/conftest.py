@@ -13,6 +13,9 @@ on the cone x = u cos(v), y = u sin(v), z = u, brought to unit speed.  The
 cone's normal keeps 45 degrees to e_z and its position vector lies in the
 tangent plane, so the curve is isophotic (mu_u = +1) and lies in span{T, V},
 with k_g, k_n and tau_g all at least 0.16 in absolute value.
+``make_space_cone_curve`` gives the same curve as a space curve on the
+implicit cone x^2 + y^2 - z^2 = 0, whose normal grad f/|grad f| is the
+chart's negated, so there mu_u = -1.
 """
 
 import math
@@ -21,8 +24,14 @@ import numpy as np
 import pytest
 
 import darboux
-from darboux.frames import ChartPath, CurveOnSurface, unit_speed_chart_curve
-from darboux.surface import parametric_from_expressions
+from darboux.frames import (
+    ChartPath,
+    CurveOnSurface,
+    ParamCurve,
+    resample_unit_speed,
+    unit_speed_chart_curve,
+)
+from darboux.surface import implicit_from_expression, parametric_from_expressions
 
 SQRT2 = math.sqrt(2.0)
 V0 = math.pi / 4
@@ -93,6 +102,13 @@ def make_cone_curve():
                                        (-math.pi, math.pi), periodic_v=True)
     path = ChartPath.from_expressions("1+0.3*s+0.1*s*s", "0.7*s", (0.0, 2.0))
     return unit_speed_chart_curve(cone, path, 512)
+
+
+def make_space_cone_curve():
+    r = "(1+0.3*s+0.1*s*s)"
+    raw = ParamCurve.from_expressions(f"{r}*cos(0.7*s)", f"{r}*sin(0.7*s)", r, (0.0, 2.0))
+    return CurveOnSurface(implicit_from_expression("x^2+y^2-z^2"),
+                          space_curve=resample_unit_speed(raw))
 
 
 def make_unit_helix_space_curve(s_max=4 * math.pi):

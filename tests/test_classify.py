@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import cumulative_simpson
 
@@ -17,6 +17,7 @@ from conftest import (
     make_latitude_curve,
     make_latitude_on_implicit_sphere,
     make_line_on_plane,
+    make_space_cone_curve,
     make_unit_helix_space_curve,
 )
 from darboux.classify import (
@@ -42,6 +43,8 @@ from darboux.errors import (
     FrenetUndefinedError,
     InsufficientSamplesError,
     OutOfDomainError,
+    ProjectionError,
+    SeedError,
 )
 from darboux.frames import (
     ChartPath,
@@ -53,7 +56,7 @@ from darboux.frames import (
     uniform_grid,
     unit_speed_chart_curve,
 )
-from darboux.surface import dot3, parametric_from_expressions
+from darboux.surface import dot3, implicit_from_expression, parametric_from_expressions
 from darboux.trace import TraceConfig, find_seed, trace_isophote
 
 
@@ -106,6 +109,54 @@ class TestMuSeries:
         assert verdict["mean"] == pytest.approx(-1.0 / math.tan(phi), abs=1e-6)
         assert report.axes["U_axis"]["angle_deg"] == pytest.approx(70.0, abs=1e-6)
         np.testing.assert_allclose(report.axes["U_axis"]["d"], d, atol=1e-9)
+
+
+# Implicit surfaces for the isophote round trip, each with a map from two
+# angles to a point near it (find_seed's guess)
+ROUND_TRIP_SURFACES = {
+    "torus": (darboux.implicit_torus(2.0, 0.5), lambda a, b: (
+        (2.0 + 0.5 * math.cos(b)) * math.cos(a), (2.0 + 0.5 * math.cos(b)) * math.sin(a),
+        0.5 * math.sin(b))),
+    "ellipsoid": (implicit_from_expression("x^2/4+y^2/2.25+z^2-1"), lambda a, b: (
+        2.0 * math.cos(b / 2) * math.cos(a), 1.5 * math.cos(b / 2) * math.sin(a),
+        math.sin(b / 2))),
+    # x = v cos(u), y = v sin(u), z = u
+    "helicoid": (implicit_from_expression("x*sin(z)-y*cos(z)"), lambda a, b: (
+        (1.0 + 0.3 * b) * math.cos(a / 3), (1.0 + 0.3 * b) * math.sin(a / 3), a / 3)),
+}
+_ANGLES = st.floats(-math.pi, math.pi)
+
+
+@settings(max_examples=30, deadline=None)
+@given(name=st.sampled_from(sorted(ROUND_TRIP_SURFACES)),
+       axis=st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: math.hypot(*v) > 0.2),
+       phi_deg=st.floats(30.0, 75.0), a=_ANGLES, b=_ANGLES)
+def test_traced_isophote_round_trip(name, axis, phi_deg, a, b):
+    """trace, then polyline, then classify gives back the isophote: the
+    isophotic verdict, the axis and angle, and |mean mu_u| = cot(phi)."""
+    surface, guess = ROUND_TRIP_SURFACES[name]
+    d = np.array(axis) / math.hypot(*axis)
+    phi = math.radians(phi_deg)
+    try:
+        seed = find_seed(surface, d, phi, guess(a, b))
+    except (SeedError, ProjectionError):  # the seed search found no point
+        assume(False)
+    res = trace_isophote(surface, d, phi, seed, TraceConfig(step=1e-3, max_length=3.0))
+    assume(res.termination == "length reached")
+    # the polyline's end stencils resolve the curve to the unit-speed
+    # tolerance only while kappa h stays small, and U must turn along it:
+    # where |U'|^2 = k_n^2 + tau_g^2 nearly vanishes, mu_u is a quotient of
+    # the polyline's difference noise and the U samples span no cone
+    assume(np.hypot(res.kg, res.kn).max() <= 10.0)
+    assume((res.kn**2 + res.tg**2).min() >= 1e-3)
+    curve = CurveOnSurface(surface, space_curve=UnitSpeedCurve.from_polyline(res.points, res.s[-1]))
+    report = classify_report(curve, np.linspace(0.0, curve.curve.length, 101))
+    verdict = report.verdicts["isophotic"]
+    assert verdict["is_constant"], verdict
+    assert abs(verdict["mean"]) == pytest.approx(1.0 / math.tan(phi), abs=1e-5)
+    axis_estimate = report.axes["U_axis"]
+    assert axis_estimate["angle_deg"] == pytest.approx(phi_deg, abs=1e-6)
+    assert abs(np.dot(axis_estimate["d"], d)) == pytest.approx(1.0, abs=1e-9)
 
 
 class TestSlantHelixSeries:
@@ -287,6 +338,22 @@ class TestPlaneOdeResidual:
         assert series.values[series.mask].max() <= 1e-8
         assert position_decomposition(data).in_plane_TV
         np.testing.assert_allclose(mu_u_series(data).values, 1.0, atol=1e-12)
+
+    def test_space_cone_is_isophotic_and_in_plane_tv(self):
+        # the cone curve as a space curve: tau_g' comes from the implicit
+        # surface's third partials, so mu_u and the TV relation (which reads
+        # tau_g') hold to the analytic tolerances, as on the chart path
+        curve = make_space_cone_curve()
+        grid = np.linspace(*curve.s_range, 201)
+        report = classify_report(curve, grid)
+        verdict = report.verdicts["isophotic"]
+        assert verdict["is_constant"], verdict
+        assert abs(verdict["mean"]) == pytest.approx(1.0, abs=1e-9)
+        assert report.flags["in_plane_TV"]["value"]
+        data = sample_frames(curve, grid)
+        c_const = dot3(data.gamma[0].tolist(), data.V[0].tolist())
+        series = plane_ode_residual(data, c_const=c_const, which="TV")
+        assert series.values[series.mask].max() <= 1e-8
 
 
 class TestIsConstant:

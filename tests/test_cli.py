@@ -12,7 +12,7 @@ import warnings
 import jsonschema
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import darboux
@@ -573,10 +573,18 @@ def _curve_argv(draw):
             "--samples", str(samples)]
 
 
-# a numpy warning fails the run too: the CLI writes none on these inputs
+# a numpy warning fails the run too: the CLI writes none on these inputs.
+# The examples run on every pass: a torus path whose classify once warned,
+# and a ruling of a cylinder scaled so far that |grad f|^3 overflows in the
+# column pass of U' and U'' (the ruling lies on the level set exactly)
 @pytest.mark.filterwarnings("error")
 @settings(max_examples=40, deadline=None)
 @given(argv=_curve_argv())
+@example(argv=["classify", "--surface", "builtin:torus", "--curve",
+               "param:u=(-1.428)+(-0.355)*s;v=(-1.409)+(-30.0)*s+(0.453)*sin(s);s=0,2.0",
+               "--samples", "15"])
+@example(argv=["classify", "--surface", "builtin:cylinder?r=1e110", "--curve",
+               "space:x=1e110;y=0*s;z=s;s=0,2", "--samples", "15"])
 def test_curve_commands_never_trace_back(argv, tmp_path_factory):
     """Any catalog surface and curve spec ends in exit 0, 1 or 2 and never
     in a stack trace, whichever stage (table, inversion, frames) fails."""

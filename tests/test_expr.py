@@ -586,3 +586,45 @@ class TestColumns:
         fn.columns(np.array([0.5, 1.5]))
         fn(0.5)
         assert len(calls) == 1
+
+
+# Random expression text in u and v over the grammar's operators and the
+# functions whose derivatives differentiate writes out
+_LEAVES = st.one_of(st.sampled_from(["u", "v", "pi", "e"]),
+                    st.floats(0.2, 3.0).map(lambda x: f"{x:.4f}"))
+
+
+def _compound(children):
+    return st.one_of(
+        st.tuples(children, st.sampled_from("+-*/"), children).map(
+            lambda t: f"({t[0]}){t[1]}({t[2]})"),
+        st.tuples(children, st.sampled_from(["2", "3", "0.5", "(u)"])).map(
+            lambda t: f"({t[0]})^{t[1]}"),
+        st.tuples(st.sampled_from(SAFE_FUNCTIONS), children).map(lambda t: f"{t[0]}({t[1]})"))
+
+
+EXPRESSIONS = st.recursive(_LEAVES, _compound, max_leaves=6)
+
+
+def test_random_derivatives_match_sympy_diff():
+    """differentiate of random expressions against sympy.diff of the same
+    text, both evaluated at random points (sympy to 30 digits)."""
+    sp = pytest.importorskip("sympy")
+    u, v = sp.symbols("u v", real=True)
+    names = {"u": u, "v": v, "pi": sp.pi, "e": sp.E, "ln": sp.log, "abs": sp.Abs}
+
+    @settings(max_examples=100, deadline=None)
+    @given(src=EXPRESSIONS, var=st.sampled_from(["u", "v"]),
+           point=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)))
+    def check(src, var, point):
+        env = dict(zip(["u", "v"], point))
+        try:
+            got = evaluate(differentiate(parse(src, ["u", "v"]), var), env)
+        except EvalDomainError:
+            assume(False)
+        assume(math.isfinite(got) and abs(got) < 1e6)
+        oracle = sp.diff(sp.parse_expr(src.replace("^", "**"), local_dict=names), names[var])
+        want = complex(oracle.evalf(30, subs={u: point[0], v: point[1]}))
+        assert abs(got - want) <= 1e-8 * (1.0 + abs(want)), (src, var, point, got, want)
+
+    check()

@@ -101,6 +101,16 @@ CASES = {
     "cylinder_tan_space_classify.json": [
         "classify", "--surface", "builtin:cylinder?r=1", "--curve",
         "space:x=cos(s);y=sin(s);z=s*tan(0.3*s);s=0,3", "--samples", "40"],
+    # a chart path on the cone x^2 + y^2 = z^2, on which every curve is
+    # isophotic (mu_u = 1) and lies in span{T, V}
+    "cone_classify.json": [
+        "classify", "--surface", "param:x=u*cos(v);y=u*sin(v);z=u;u=0.5,5;v=-10,10",
+        "--curve", "param:u=1+0.3*s+0.1*s*s;v=0.7*s;s=0,2", "--samples", "64"],
+    # the same curve as a space curve on the implicit cone (analytic tau_g')
+    "cone_space_classify.json": [
+        "classify", "--surface", "implicit:f=x^2+y^2-z^2", "--curve",
+        "space:x=(1+0.3*s+0.1*s*s)*cos(0.7*s);y=(1+0.3*s+0.1*s*s)*sin(0.7*s);"
+        "z=1+0.3*s+0.1*s*s;s=0,2", "--samples", "64"],
 }
 
 

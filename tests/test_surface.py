@@ -124,15 +124,19 @@ def test_catalog_jets_match_symbolic_oracle(surface):
 
 @pytest.mark.parametrize("surface", CATALOG_LEVELS, ids=[s.name for s in CATALOG_LEVELS])
 def test_catalog_level_jets_match_symbolic_oracle(surface):
-    """Each implicit catalog surface's f, gradient and Hessian against
-    sympy.diff of f."""
+    """Each implicit catalog surface's f, gradient, Hessian and third
+    partials against sympy.diff of f."""
     sp = pytest.importorskip("sympy")
     xyz = sp.symbols("x y z")
     f = sympy_levels(sp, *xyz)[surface.name]
     value = sp.lambdify(xyz, f, "math")
     grad = sp.lambdify(xyz, [sp.diff(f, w) for w in xyz], "math")
     hess = sp.lambdify(xyz, [[sp.diff(f, a, b) for b in xyz] for a in xyz], "math")
+    third = sp.lambdify(xyz, [[[sp.diff(f, a, b, c) for c in xyz] for b in xyz] for a in xyz],
+                        "math")
     for p in RNG.uniform(-2.0, 2.0, (30, 3)):
+        np.testing.assert_allclose(np.array(surface._third(*p.tolist())),
+                                   np.array(third(*p), dtype=float), rtol=1e-12, atol=1e-12)
         got_f, got_g, got_H = surface.jet(p)
         np.testing.assert_allclose(got_f, value(*p), rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(got_g, np.array(grad(*p), dtype=float),

@@ -7,10 +7,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import darboux
 import darboux.trace as trace_module
 from conftest import constant_speed_path
+from darboux.classify import classify_report
 from darboux.cli import main
 from darboux.errors import (
     DarbouxError,
@@ -19,7 +22,7 @@ from darboux.errors import (
     SeedError,
     SingularPointError,
 )
-from darboux.frames import CurveOnSurface
+from darboux.frames import ChartPath, CurveOnSurface, unit_speed_chart_curve
 from darboux.frames import darboux as darboux_frame
 from darboux.surface import (
     ImplicitSurface,
@@ -78,6 +81,12 @@ class TestFindSeed:
         p = find_seed(darboux.implicit_sphere(1.0), EZ, math.pi / 4, (0.6, 0.0, 0.8))
         assert p[2] == pytest.approx(SQRT2 / 2, abs=1e-12)
         assert abs(np.linalg.norm(p) - 1.0) <= 1e-12
+
+    def test_implicit_vanishing_gradient_finds_nothing(self):
+        # the guess is the cone's apex, on f = 0, where grad f = 0
+        cone = parse_surface_spec("implicit:f=x^2+y^2-z^2")
+        with pytest.raises(SeedError, match="no isophote at this level near guess"):
+            find_seed(cone, EZ, math.pi / 4, (0.0, 0.0, 0.0))
 
     def test_already_on_level_returns_guess(self):
         seed = find_seed(darboux.sphere(1.0), EZ, math.pi / 4, (0.3, math.pi / 4))
@@ -572,8 +581,8 @@ class TestEvaluationCounts:
             return wrapper
 
         return ImplicitSurface("counted torus", counted("f", base.value),
-                               counted("grad", base.gradient),
-                               counted("level", lambda p: (base.gradient(p), base.hessian(p))))
+                               counted("level", lambda p: (base.gradient(p), base.hessian(p))),
+                               third=base._third)
 
     def test_sphere_circuit_jets(self):
         calls = {"jet": 0}
@@ -585,7 +594,7 @@ class TestEvaluationCounts:
         assert calls["jet"] <= 2 * (res.n - 1) + 1
 
     def test_implicit_torus_evaluations(self):
-        calls = {"f": 0, "grad": 0, "level": 0}
+        calls = {"f": 0, "level": 0}
         surface = self.counting_torus(calls)
         seed = find_seed(surface, EZ, math.pi / 3, (2.5, 0.0, 0.1))
         for name in calls:
@@ -594,10 +603,9 @@ class TestEvaluationCounts:
                              TraceConfig(step=1e-2, max_length=2.0))
         assert res.termination == "length reached"
         # RK4 stages 2-4 and the new sample take grad and H in one level
-        # call; the projection takes f (and grad), and the |f| column reads
-        # the projection's last value
+        # call, and so does a projection step; the projection takes f, and
+        # the |f| column reads the projection's last value
         assert calls["level"] <= 4 * res.n + 5
-        assert calls["grad"] + calls["level"] <= 5 * res.n + 5
         assert calls["f"] <= res.n
 
 
@@ -807,7 +815,7 @@ class TestFieldSolves:
         assert calls["_chart_solve"] == calls["jet"] == 2 * (res.n - 1) + 1
 
     def test_implicit_torus_direction_solves(self, monkeypatch):
-        calls = {"f": 0, "grad": 0, "level": 0, "_implicit_stage": 0}
+        calls = {"f": 0, "level": 0, "_implicit_stage": 0}
         surface = TestEvaluationCounts.counting_torus(calls)
         seed = find_seed(surface, EZ, math.pi / 3, (2.5, 0.0, 0.1))
         calls["level"] = 0
@@ -1029,3 +1037,73 @@ class TestNoNumpyWarnings:
             assert main(argv + ["--out", str(tmp_path / "torus.json")]) == 0
         assert err.getvalue() == ""
         assert '"termination": "closed"' in (tmp_path / "torus.json").read_text()
+
+
+# The torus (R, r) = (2, 0.5) as chart text, and its image under a rotation
+TORUS_XYZ = ("(2+0.5*cos(v))*cos(u)", "(2+0.5*cos(v))*sin(u)", "0.5*sin(v)")
+_PERIODIC = "u=-3.141592653589793,3.141592653589793;v=-3.141592653589793,3.141592653589793"
+
+
+def _rotated_torus(R):
+    """The param: torus whose chart is R sigma, written out as text."""
+    rows = [" + ".join(f"({a!r})*({c})" for a, c in zip(row, TORUS_XYZ)) for row in R.tolist()]
+    return parse_surface_spec(f"param:x={rows[0]};y={rows[1]};z={rows[2]};{_PERIODIC};periodic=uv")
+
+
+def _rotation(a, b, c):
+    """R_z(a) R_y(b) R_z(c)."""
+    def rz(t):
+        return np.array([[math.cos(t), -math.sin(t), 0.0], [math.sin(t), math.cos(t), 0.0],
+                         [0.0, 0.0, 1.0]])
+    ry = np.array([[math.cos(b), 0.0, math.sin(b)], [0.0, 1.0, 0.0],
+                   [-math.sin(b), 0.0, math.cos(b)]])
+    return rz(a) @ ry @ rz(c)
+
+
+_EULER = st.tuples(*[st.floats(-math.pi, math.pi)] * 3)
+
+
+class TestRigidMotionInvariance:
+    """Rotating the surface and the axis rotates the trace and the report's
+    axes and leaves the Darboux scalars and the verdicts as they are, up to
+    the rounding of the rotated chart's arithmetic (1e-9)."""
+
+    D = np.array([1.0, 0.0, 0.2]) / math.sqrt(1.04)
+
+    @settings(max_examples=8, deadline=None)
+    @given(euler=_EULER)
+    def test_trace_rotates_with_the_surface(self, euler):
+        R = _rotation(*euler)
+        torus = parse_surface_spec(f"param:x={TORUS_XYZ[0]};y={TORUS_XYZ[1]};z={TORUS_XYZ[2]};"
+                                   f"{_PERIODIC};periodic=uv")
+        phi = math.radians(50.0)
+        seed = find_seed(torus, self.D, phi, (0.0, 0.5))
+        config = TraceConfig(step=1e-2, max_length=3.0)
+        res = trace_isophote(torus, self.D, phi, seed, config)
+        moved = trace_isophote(_rotated_torus(R), R @ self.D, phi, seed, config)
+        assert (moved.termination, moved.n) == (res.termination, res.n)
+        np.testing.assert_allclose(moved.points, res.points @ R.T, rtol=0, atol=1e-9)
+        for name in ("kn", "tg", "kg", "angle_dot"):
+            np.testing.assert_allclose(getattr(moved, name), getattr(res, name),
+                                       rtol=0, atol=1e-9, err_msg=name)
+
+    @pytest.mark.parametrize("v_src", ["0.7", "0.7+0.3*sin(2*s)"])
+    @settings(max_examples=4, deadline=None)
+    @given(euler=_EULER)
+    def test_report_rotates_with_the_surface(self, v_src, euler):
+        # v = 0.7 is a latitude, isophotic for the torus axis e_z
+        R = _rotation(*euler)
+        path = ChartPath.from_expressions("s", v_src, (0.0, 3.0))
+        reports = [classify_report(unit_speed_chart_curve(surface, path), np.linspace(0, 3, 64))
+                   for surface in (_rotated_torus(np.eye(3)), _rotated_torus(R))]
+        for name, verdict in reports[0].verdicts.items():
+            moved = reports[1].verdicts[name]
+            if isinstance(verdict, dict) and "mean" in verdict:
+                assert moved["is_constant"] == verdict["is_constant"], name
+                assert moved["mean"] == pytest.approx(verdict["mean"], abs=1e-9), name
+        assert {k: f["value"] for k, f in reports[1].flags.items()} == {
+            k: f["value"] for k, f in reports[0].flags.items()}
+        assert reports[0].verdicts["isophotic"]["is_constant"] == (v_src == "0.7")
+        for name in ("U_axis", "V_axis"):
+            d0, d1 = (np.array(report.axes[name]["d"]) for report in reports)
+            np.testing.assert_allclose(d1, R @ d0, rtol=0, atol=1e-9, err_msg=name)

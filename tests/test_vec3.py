@@ -497,7 +497,7 @@ def test_catalog_surfaces_are_compiled_expressions(name):
     assert _is_compiled(chart._jet_fn) and _is_compiled(chart._jet3_fn)
     if implicit is not None:
         level = implicit()
-        assert all(map(_is_compiled, (level._f, level._grad, level._level)))
+        assert all(map(_is_compiled, (level._f, level._level, level._third)))
 
 
 TRANSCENDENTAL_CALLS = {(module, fn) for module in ("math", "np")
