@@ -81,7 +81,8 @@ from .errors import (
 from .surface import (
     ImplicitSurface,
     ParametricSurface,
-    _column,
+    _columns,
+    _compiled_columns,
     _cross,
     _div3,
     _floats,
@@ -133,20 +134,6 @@ _CURVE_JET = (4, 3)
 _LEVEL_POINT = [[(3,), (), (3, 3)], (3, 3, 3)]
 
 
-def _columns(values, spec):
-    """N evaluated lanes as (N,) float columns, nested as one lane is.  spec
-    lays a lane out: a shape ((4, 3) for four 3-vectors, () for a float) for
-    a block read in one flat pass, or a list of specs, one per part."""
-    if isinstance(spec, list):
-        return tuple(_columns([v[k] for v in values], part) for k, part in enumerate(spec))
-    return _unstack(np.ascontiguousarray(np.moveaxis(_column(values, spec), 0, -1)))
-
-
-def _unstack(a):
-    """An (..., N) array as nested tuples of its (N,) rows."""
-    return a if a.ndim == 1 else tuple(map(_unstack, a))
-
-
 def _nan_lane(spec):
     """A lane laid out as spec, every float nan."""
     if isinstance(spec, list):
@@ -169,14 +156,6 @@ def _lane_columns(evaluate, xs, spec, bad):
                 bad[i] = True
         values.append(failed)
     return _columns(values, spec)
-
-
-def _compiled_columns(fn, *columns):
-    """fn at each lane of the (N,) columns in one pass, as a tuple of (N,)
-    columns with its bits, when fn is a compiled expression function whose
-    columns do not decline (see expr.compile); else None."""
-    evaluate = getattr(fn, "columns", None)
-    return None if evaluate is None else evaluate(*columns)
 
 
 def _inverted(amap, grid):

@@ -12,7 +12,8 @@ saddle; implicit sphere, cylinder, plane, torus) fills its parameters into
 templates, and ``param:``/``implicit:`` specs give the text directly.  Its
 jets come from symbolic differentiation, compiled once per distinct text
 and process (``expr.compile``), and the compiled jet's columns give the
-array tangents of the arclength speeds.
+array tangents of the arclength speeds and the jets of a chart trace's
+samples.
 
 Orientation conventions: the parametric unit normal is sigma_u x sigma_v
 normalized; the implicit unit normal is grad(f)/|grad(f)|.  Sign-sensitive
@@ -77,7 +78,7 @@ POLE_MARGIN = 1e-6
 #
 # The same kernels are the package's only arithmetic on columns: they take
 # (N,) float64 columns in place of the floats (the frame sampler, the
-# implicit trace diagnostics, the arclength speeds), and an (N, 3) array
+# trace diagnostics, the arclength speeds), and an (N, 3) array
 # passes as its .T view, three columns.  Elementwise + - * / and np.sqrt
 # round as Python's float operations do, and their powers go through _pow
 # (or come from the caller, as n**3 does into _normal_partials), which
@@ -93,14 +94,18 @@ def dot3(a, b) -> float:
 
 
 def norm3(a) -> float:
-    """|a| of a 3-vector: the square root of dot3(a, a).  On a 3-vector of
-    columns math.sqrt raises TypeError and np.sqrt takes them (both are
-    correctly rounded); the float path pays nothing for the try."""
-    aa = dot3(a, a)
+    """|a| of a 3-vector: the _sqrt of dot3(a, a)."""
+    return _sqrt(dot3(a, a))
+
+
+def _sqrt(x):
+    """The square root of a float, by math.sqrt (ValueError where negative),
+    or of an (N,) column, where math.sqrt raises TypeError, by np.sqrt (nan
+    where negative); both are correctly rounded."""
     try:
-        return math.sqrt(aa)
+        return math.sqrt(x)
     except TypeError:
-        return np.sqrt(aa)
+        return np.sqrt(x)
 
 
 def _pow(x, k, overflow: float = math.nan):
@@ -136,6 +141,28 @@ def _column(values, shape=None) -> np.ndarray:
     for _ in shape:
         flat = itertools.chain.from_iterable(flat)
     return np.fromiter(flat, float, len(values) * math.prod(shape)).reshape(-1, *shape)
+
+
+def _columns(values, spec):
+    """N evaluated lanes as (N,) float columns, nested as one lane is.  spec
+    lays a lane out: a shape ((4, 3) for four 3-vectors, () for a float) for
+    a block read in one flat pass, or a list of specs, one per part."""
+    if isinstance(spec, list):
+        return tuple(_columns([v[k] for v in values], part) for k, part in enumerate(spec))
+    return _unstack(np.ascontiguousarray(np.moveaxis(_column(values, spec), 0, -1)))
+
+
+def _unstack(a):
+    """An (..., N) array as nested tuples of its (N,) rows."""
+    return a if a.ndim == 1 else tuple(map(_unstack, a))
+
+
+def _compiled_columns(fn, *columns):
+    """fn at each lane of the (N,) columns in one pass, as a tuple of (N,)
+    columns with its bits, when fn is a compiled expression function whose
+    columns do not decline (see expr.compile); else None."""
+    evaluate = getattr(fn, "columns", None)
+    return None if evaluate is None else evaluate(*columns)
 
 
 def _cross(a, b) -> tuple:
@@ -316,10 +343,11 @@ class ParametricSurface:
     the four third partials (uuu, uuv, uvv, vvv) used for analytic
     derivatives of frame scalars, each a 3-vector (a tuple of floats, the
     form the float kernels read, or an array).  Where ``jet_fn`` has the
-    ``columns`` of an ``expr.compile`` function, ``tangents_many`` reads
-    sigma_u and sigma_v from one pass of them; otherwise, and where they
-    decline, it evaluates the jet once per lane.  Domain is a rectangle
-    with optional periodic wrapping per parameter.
+    ``columns`` of an ``expr.compile`` function, ``tangents_many`` and a
+    chart trace's diagnostics read the jets of many lanes from one pass of
+    them; otherwise, and where they decline, the jet is evaluated once per
+    lane.  Domain is a rectangle with optional periodic wrapping per
+    parameter.
     """
 
     def __init__(
@@ -393,22 +421,26 @@ class ParametricSurface:
         the first lane that chart_jet would reject."""
         u = np.asarray(u, dtype=float)
         v = np.asarray(v, dtype=float)
-        columns = getattr(self._jet_fn, "columns", None)
-        if columns is not None:
-            # numpy warns where Python floats do not (nan wraps, lanes outside
-            # the domain); such lanes are redone by chart_point below
-            with np.errstate(all="ignore"):
-                uw, vw, outside = self._wrap_many(u, v)
-                jet = columns(uw, vw)
-                if jet is not None:
-                    su, sv = jet[3:6], jet[6:9]
-                    w = _cross(su, sv)
-                    if not (outside | (np.sqrt(dot3(w, w)) <= self.eps_reg)).any():
-                        return np.column_stack(su), np.column_stack(sv)
-        # lane by lane: chart_point raises the first failing lane's own error
-        jets = [self.chart_point(a, b)[0] for a, b in zip(u.tolist(), v.tolist())]
-        return (np.array([j[1] for j in jets], dtype=float).reshape(-1, 3),
-                np.array([j[2] for j in jets], dtype=float).reshape(-1, 3))
+        with np.errstate(all="ignore"):  # numpy warns on nan and infinite lanes
+            uw, vw, outside = self._wrap_many(u, v)
+            jet = None if outside.any() else self._jets_many(uw, vw)
+            if jet is None or (norm3(_cross(jet[1], jet[2])) <= self.eps_reg).any():
+                # chart_point raises the first failing lane's own error
+                for a, b in zip(u.tolist(), v.tolist()):
+                    self.chart_point(a, b)
+        return np.column_stack(jet[1]), np.column_stack(jet[2])
+
+    def _jets_many(self, u, v):
+        """_chart_point's jets at each lane of the wrapped (N,) arrays u, v,
+        as six 3-vectors of (N,) columns with its bits: one pass of the
+        compiled jet's columns, else (where they are missing or decline)
+        _chart_point lane by lane, which raises the first failing lane's own
+        error.  The columns leave the regularity check to the caller."""
+        flat = _compiled_columns(self._jet_fn, u, v)
+        if flat is None:
+            return _columns([self._chart_point(a, b)[0] for a, b in zip(u.tolist(), v.tolist())],
+                            (6, 3))
+        return tuple([flat[k:k + 3] for k in range(0, 18, 3)])
 
     def _wrap_many(self, u: np.ndarray, v: np.ndarray):
         """wrap for (N,) arrays, with a mask of the lanes outside a

@@ -22,17 +22,17 @@ spacing).
 
 The trace runs on the float kernels of ``surface``: states, RK4 slopes,
 jets, normals and recorded rows are tuples of Python floats, and arrays are
-built only for the columns of the TraceResult.  A chart sample records its
-row of diagnostics.  An implicit sample records only what can fail or needs
-a Python float (the point, its tangent, grad f, |grad f|, H and |f|); its
-diagnostics (U, <U, d>, k_n, tau_g, Omega . t, |t| - 1 and grad f . t) are
-computed once, after the RK4 loop, by the same float kernels run on the
-samples' (N,) columns (the kernels ``frames`` runs for a space curve's
-U and U'), so each lane has the bits of the per-point functions.  Those
-public functions (directions, scalars, verification coefficients) run the
-kernels on floats.  Where float arithmetic fails (an overflow, a division
-by zero, a math domain error) a NumericalError is raised, or the trace ends
-with an ``error:`` termination once it has samples.
+built only for the columns of the TraceResult.  A sample records only its
+raw state: a chart sample its (u, v) and oriented slope, an implicit one
+what can fail or needs a Python float (the point, its tangent, grad f,
+|grad f|, H and |f|).  Its diagnostics (U, <U, d>, k_n, tau_g, the
+verification residual and the speed residual) are computed once, after the
+RK4 loop, by one kernel per surface kind run on the samples' (N,) columns
+(a chart's jets from one pass of its compiled columns), so each lane has
+the bits of the public per-point functions, which run the same kernel on
+floats.  Where float arithmetic fails (an overflow, a division by zero, a
+math domain error) a NumericalError is raised, or the trace ends with an
+``error:`` termination once it has samples.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ from .errors import (
     DarbouxError,
     NumericalError,
     OutOfDomainError,
+    ProjectionError,
     SeedError,
     SingularPointError,
     numerical,
@@ -55,16 +56,20 @@ from .frames import deriv_uniform
 from .surface import (
     ImplicitSurface,
     ParametricSurface,
+    _chart_w,
     _column,
     _cross,
     _div3,
+    _first_form,
     _floats,
     _lincomb,
     _matvec,
     _normal_jacobian,
     _normal_partials,
     _point,
+    _pow,
     _project,
+    _sqrt,
     dot3,
     norm3,
 )
@@ -298,7 +303,10 @@ def _find_seed_implicit(surface, d, target, guess, tol, max_iter, projection_tol
         step_len = norm3(step)
         if step_len > limit:
             step = tuple([a * (limit / step_len) for a in step])
-        p, _ = _project(surface, tuple([a + b for a, b in zip(p, step)]), projection_tol)
+        try:
+            p, _ = _project(surface, tuple([a + b for a, b in zip(p, step)]), projection_tol)
+        except ProjectionError:  # no seed where a Newton step lands beyond its reach
+            break
     raise SeedError("no isophote at this level near guess")
 
 
@@ -308,16 +316,16 @@ def _find_seed_implicit(surface, d, target, guess, tol, max_iter, projection_tol
 
 
 def _chart_stage(point, d) -> tuple:
-    """A chart point's (jet, U, U_u, U_v, (E, F, G), g_u, g_v) from its
-    (jet, w, |w|) and the axis d: U = w/|w| and its partials, the first
-    form and the partials of g = <U, d>.  Straight-line code with the
-    operations of _div3, _first_form and dot3 in their order."""
+    """A chart point's (jet, w, |w|, (E, F, G), g_u, g_v) from its (jet, w,
+    |w|) and the axis d: the first form and the partials of g = <U, d>,
+    U = w/|w|.  Straight-line code with the operations of _first_form and
+    dot3 in their order."""
     jet, w, n = point
-    (x0, x1, x2), (y0, y1, y2) = U_u, U_v = _normal_partials(jet, w, n, n**3)
+    (x0, x1, x2), (y0, y1, y2) = _normal_partials(jet, w, n, n**3)
     a0, a1, a2 = jet[1]
     b0, b1, b2 = jet[2]
     d0, d1, d2 = d
-    return (jet, (w[0] / n, w[1] / n, w[2] / n), U_u, U_v,
+    return (jet, w, n,
             (a0 * a0 + a1 * a1 + a2 * a2, a0 * b0 + a1 * b1 + a2 * b2,
              b0 * b0 + b1 * b1 + b2 * b2),
             x0 * d0 + x1 * d1 + x2 * d2, y0 * d0 + y1 * d1 + y2 * d2)
@@ -329,7 +337,7 @@ def _chart_solve(stage, eps_sing: float) -> tuple:
     t3 = sigma_u u' + sigma_v v', with _lincomb's operations.  Where the
     solve fails, k and t3 are None and error is its arithmetic error, or
     None at a singular point (|g_u|, |g_v| <= eps_sing)."""
-    jet, _, _, _, (E, F, G), g_u, g_v = stage
+    jet, _, _, (E, F, G), g_u, g_v = stage
     if abs(g_u) <= eps_sing and abs(g_v) <= eps_sing:
         return None, None, None
     try:
@@ -365,22 +373,8 @@ def direction_scalars_parametric(surface: ParametricSurface, d, u: float, v: flo
                                  direction) -> tuple[float, float]:
     """(k_n, tau_g) of a unit chart direction at a point (point functions of
     the direction, no curve needed)."""
-    jet, U, U_u, U_v, *_ = _chart_stage(surface.chart_point(u, v), _floats(d))
-    return _chart_scalars(jet, U, U_u, U_v, direction)
-
-
-def _chart_scalars(jet, U, U_u, U_v, direction) -> tuple[float, float]:
-    """(k_n, tau_g) of a chart direction from the point's jet, unit normal
-    and normal partials."""
-    du, dv = direction
-    _, su, sv, suu, suv, svv = jet
-    L = dot3(suu, U)
-    M = dot3(suv, U)
-    N = dot3(svv, U)
-    kn = L * du * du + 2.0 * M * du * dv + N * dv * dv
-    V = _cross(U, _lincomb(du, su, dv, sv))
-    tg = -dot3(_lincomb(du, U_u, dv, U_v), V)
-    return kn, tg
+    cols = _chart_columns(surface.chart_point(u, v)[0], _floats(d), *direction, 1.0)
+    return cols["kn"], cols["tg"]
 
 
 def delta_coefficients(surface: ParametricSurface, d, u: float, v: float,
@@ -391,22 +385,36 @@ def delta_coefficients(surface: ParametricSurface, d, u: float, v: float,
     Delta  = sqrt(EG - F^2) k_n <sigma_u, d> + E tau_g <sigma_v, d> - F tau_g <sigma_u, d>
     Delta* = sqrt(EG - F^2) k_n <sigma_v, d> + F tau_g <sigma_v, d> - G tau_g <sigma_u, d>
     with k_n, tau_g evaluated for the supplied direction."""
-    d = _floats(d)
-    jet, U, U_u, U_v, ff, *_ = _chart_stage(surface.chart_point(u, v), d)
-    kn, tg = _chart_scalars(jet, U, U_u, U_v, direction)
-    return _delta(jet, ff, d, kn, tg)
+    return _chart_columns(surface.chart_point(u, v)[0], _floats(d), *direction, 1.0)["delta"]
 
 
-def _delta(jet, ff, d, kn, tg) -> tuple[float, float]:
-    """(Delta, Delta*) from the point's jet and first form (E, F, G) and the
-    direction's (k_n, tau_g)."""
-    E, F, G = ff
-    su_d = dot3(jet[1], d)
-    sv_d = dot3(jet[2], d)
-    root = math.sqrt(E * G - F * F)
-    delta = root * kn * su_d + E * tg * sv_d - F * tg * su_d
-    delta_star = root * kn * sv_d + F * tg * sv_d - G * tg * su_d
-    return delta, delta_star
+def _chart_columns(jet, d, du, dv, sign) -> dict:
+    """Diagnostics of chart directions (u', v') = (du, dv) from the jets at
+    their points: the float kernels on floats (one point) or on (N,) columns
+    (a trace's samples), each lane with the bits of the float evaluation.
+    Returns sigma, U, <U, d>, k_n, tau_g, (Delta, Delta*), Delta u' +
+    Delta* v', E u'^2 + 2 F u' v' + G v'^2 - 1 and the tangent: sign (1.0
+    or -1.0) times the tangent of sign (u', v'), as a trace negates the
+    plus-branch tangent where it reverses the field (a zero keeps its sign).
+    Where EG - F^2 < 0, Delta's _sqrt raises math's ValueError on floats and
+    reads nan on a column lane."""
+    with np.errstate(all="ignore"):
+        sigma, su, sv, suu, suv, svv = jet
+        w, n = _chart_w(jet)
+        U = _div3(w, n)
+        U_u, U_v = _normal_partials(jet, w, n, _pow(n, 3))
+        E, F, G = _first_form(jet)
+        t = _lincomb(du, su, dv, sv)
+        kn = dot3(suu, U) * du * du + 2.0 * dot3(suv, U) * du * dv + dot3(svv, U) * dv * dv
+        tg = -dot3(_lincomb(du, U_u, dv, U_v), _cross(U, t))
+        su_d, sv_d = dot3(su, d), dot3(sv, d)
+        root = _sqrt(E * G - F * F)
+        delta = root * kn * su_d + E * tg * sv_d - F * tg * su_d
+        delta_star = root * kn * sv_d + F * tg * sv_d - G * tg * su_d
+        return {"points": sigma, "normals": U, "angle_dot": dot3(U, d), "kn": kn, "tg": tg,
+                "tangents": tuple([sign * x for x in _lincomb(sign * du, su, sign * dv, sv)]),
+                "delta": (delta, delta_star), "constraint_residual": delta * du + delta_star * dv,
+                "unit_speed_residual": E * du * du + 2.0 * F * du * dv + G * dv * dv - 1.0}
 
 
 def isophote_direction_implicit(surface: ImplicitSurface, d, p, branch: str = "plus",
@@ -540,11 +548,6 @@ def trace_isophote(surface, d, phi: float, seed, config: TraceConfig | None = No
     return _integrate(_adapter(surface, d, phi, config), phi, seed)
 
 
-# TraceResult fields every trace fills, in the order of a chart record's row
-_ROW_FIELDS = ("s", "points", "tangents", "normals", "angle_dot", "constraint_residual",
-               "unit_speed_residual", "kn", "tg")
-
-
 def _axpy(y, a, k) -> tuple:
     """y + a k for a state y and slope k of 2 or 3 components, written out."""
     if len(y) == 2:
@@ -636,8 +639,10 @@ def _integrate(adapter, phi, seed):
         termination = f"error: {exc}"
     except ARITHMETIC_ERRORS as exc:
         termination = f"error: {NumericalError.of(exc)}"
-    return TraceResult(**adapter.columns(*map(_column, zip(*rows))),
-                       termination=termination, d=np.array(adapter.d), phi=phi)
+    columns, error = adapter.columns(*map(_column, zip(*rows)))
+    if error is not None:
+        termination = f"error: {NumericalError.of(error)}"
+    return TraceResult(**columns, termination=termination, d=np.array(adapter.d), phi=phi)
 
 
 def _negated(x) -> tuple:
@@ -666,7 +671,9 @@ class _ChartTrace:
     """Isophote on a chart.  The state is (u, v), wrapped after each step;
     RK4 slopes are (u', v') and the reference tangent is sigma_u u' + sigma_v v'.
     A point's evaluation is its _chart_stage and _chart_solve.  A sample's
-    record is its row of TraceResult fields."""
+    record is its state, its oriented slope and the slope's sign against the
+    plus branch; the diagnostic columns are computed from the records once,
+    after the loop, by _chart_columns on the surface's _jets_many."""
 
     def __init__(self, surface, d, target, config):
         self.surface, self.d, self.target, self.config = surface, d, target, config
@@ -675,7 +682,7 @@ class _ChartTrace:
         return self.surface.wrap(float(seed[0]), float(seed[1]))
 
     def level(self, point):
-        return dot3(point[1], self.d)
+        return dot3(_div3(point[1], point[2]), self.d)
 
     def evaluate(self, key):
         # the key is wrapped already: evaluating it wraps nothing again
@@ -683,7 +690,7 @@ class _ChartTrace:
         return stage + _chart_solve(stage, self.config.eps_sing)
 
     def direction(self, y, point, ref):
-        k, t3 = point[7], point[8]
+        k, t3 = point[6], point[7]
         if k is None:
             raise point[-1] or _chart_singular(y[0], y[1])
         if ref is not None and dot3(t3, ref) < 0.0:
@@ -700,17 +707,26 @@ class _ChartTrace:
         return point[0][0], _div3(t3, norm3(t3))
 
     def record(self, y, point, k, t3):
-        jet, U, U_u, U_v, ff, *_ = point
-        du, dv = k
-        E, F, G = ff
-        kn, tg = _chart_scalars(jet, U, U_u, U_v, k)
-        delta, delta_star = _delta(jet, ff, self.d, kn, tg)
-        return (jet[0], t3, U, dot3(U, self.d), delta * du + delta_star * dv,
-                E * du * du + 2 * F * du * dv + G * dv * dv - 1.0, kn, tg, y)
+        return y, k, 1.0 if k is point[6] else -1.0
 
-    @staticmethod
-    def columns(*columns) -> dict:
-        return dict(zip(_ROW_FIELDS + ("chart",), columns))
+    def columns(self, s, y, k, sign) -> tuple:
+        cols = _chart_columns(self.surface._jets_many(*y.T), self.d, *k.T, sign)
+        del cols["delta"]
+        n, error = len(s), None
+        # a lane that raises on floats (a negative EG - F^2) reads nan: the
+        # first ends the trace, as its record would have, or raises at the seed
+        for i in np.flatnonzero(np.isnan(cols["constraint_residual"])).tolist():
+            try:
+                jet = self.surface._chart_point(*y[i].tolist())[0]
+                _chart_columns(jet, self.d, *k[i].tolist(), sign[i])
+            except ARITHMETIC_ERRORS as exc:
+                if i == 0:
+                    raise
+                n, error = i, exc
+                break
+        cols = {name: (np.column_stack(x) if isinstance(x, tuple) else x)[:n]
+                for name, x in cols.items()}
+        return {"s": s[:n], "chart": y[:n], **cols}, error
 
 
 class _ImplicitTrace:
@@ -766,11 +782,11 @@ class _ImplicitTrace:
         f = self.f if self.f is not None else self.surface._f(*q)
         return q, t, grad, n, H, abs(f)
 
-    def columns(self, s, q, t, grad, n, H, f) -> dict:
+    def columns(self, s, q, t, grad, n, H, f) -> tuple:
         cols = _implicit_columns(self.d, grad.T, n, H.transpose(1, 2, 0), t.T)
         del cols["omega"]
         cols["normals"] = np.column_stack(cols["normals"])
-        return {"s": s, "points": q, "tangents": t, "surface_residual": f, **cols}
+        return {"s": s, "points": q, "tangents": t, "surface_residual": f, **cols}, None
 
 
 def _project_two_constraints(surface, d, target, p, tol):

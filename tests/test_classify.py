@@ -43,7 +43,6 @@ from darboux.errors import (
     FrenetUndefinedError,
     InsufficientSamplesError,
     OutOfDomainError,
-    ProjectionError,
     SeedError,
 )
 from darboux.frames import (
@@ -139,7 +138,7 @@ def test_traced_isophote_round_trip(name, axis, phi_deg, a, b):
     phi = math.radians(phi_deg)
     try:
         seed = find_seed(surface, d, phi, guess(a, b))
-    except (SeedError, ProjectionError):  # the seed search found no point
+    except SeedError:  # the seed search found no point
         assume(False)
     res = trace_isophote(surface, d, phi, seed, TraceConfig(step=1e-3, max_length=3.0))
     assume(res.termination == "length reached")

@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import darboux
@@ -87,6 +87,12 @@ class TestFindSeed:
         cone = parse_surface_spec("implicit:f=x^2+y^2-z^2")
         with pytest.raises(SeedError, match="no isophote at this level near guess"):
             find_seed(cone, EZ, math.pi / 4, (0.0, 0.0, 0.0))
+
+    def test_implicit_newton_step_beyond_projection_finds_nothing(self):
+        # a damped Newton step lands where 8 projection steps do not reach f = 0
+        helicoid = parse_surface_spec("implicit:f=x*sin(z)-y*cos(z)")
+        with pytest.raises(SeedError, match="no isophote at this level near guess"):
+            find_seed(helicoid, (1e-8, 0.923, 7.4e-177), math.radians(30.0), (1.0, 3.3e-9, 3.3e-9))
 
     def test_already_on_level_returns_guess(self):
         seed = find_seed(darboux.sphere(1.0), EZ, math.pi / 4, (0.3, math.pi / 4))
@@ -556,10 +562,15 @@ class TestTraceImplicit:
 
 class TestEvaluationCounts:
     """Raw surface evaluations per trace, counted through the public
-    constructors: each point a trace visits is evaluated once."""
+    constructors: each point a trace visits is evaluated once, and a chart
+    trace's diagnostics evaluate the jets of all its samples in one column
+    pass."""
 
     @staticmethod
     def counting_sphere(calls):
+        """The unit sphere with a jet function that counts its calls in
+        calls["jet"], and the sphere's compiled columns, counting their
+        calls and lanes in calls["columns"] and calls["lanes"]."""
         base = darboux.sphere(1.0)
 
         def jet(u, v):
@@ -567,6 +578,12 @@ class TestEvaluationCounts:
             j = base.chart_jet(u, v)
             return j.sigma, j.sigma_u, j.sigma_v, j.sigma_uu, j.sigma_uv, j.sigma_vv
 
+        def columns(u, v):
+            calls["columns"] += 1
+            calls["lanes"] += len(u)
+            return base._jet_fn.columns(u, v)
+
+        jet.columns = columns
         return ParametricSurface("counted sphere", jet, base.u_range, base.v_range,
                                  periodic_u=True, jet3_fn=base.jet3)
 
@@ -585,13 +602,14 @@ class TestEvaluationCounts:
                                third=base._third)
 
     def test_sphere_circuit_jets(self):
-        calls = {"jet": 0}
+        calls = {"jet": 0, "columns": 0, "lanes": 0}
         res = trace_isophote(self.counting_sphere(calls), EZ, math.pi / 4,
                              (0.0, math.pi / 4), TraceConfig(step=1e-2, max_length=4.5))
         assert res.termination == "closed"
         # on a latitude the four RK4 slopes agree, so k2 and k3 share a point
         # and k4 lands on the next sample: two jets per step, one at the seed
         assert calls["jet"] <= 2 * (res.n - 1) + 1
+        assert (calls["columns"], calls["lanes"]) == (1, res.n)
 
     def test_implicit_torus_evaluations(self):
         calls = {"f": 0, "level": 0}
@@ -646,25 +664,59 @@ class TestTraceConfig:
         assert TraceConfig(step=0.5).closure_radius == 1.0
 
 
+def _without_columns(surface):
+    """surface with a jet function that has no columns: a trace's
+    diagnostics evaluate its jets lane by lane."""
+    fn = surface._jet_fn
+    return ParametricSurface(surface.name, lambda u, v: fn(u, v), surface.u_range,
+                             surface.v_range, surface.periodic_u, surface.periodic_v,
+                             jet3_fn=surface._jet3_fn)
+
+
+def _declining_columns(surface):
+    """surface with compiled columns that decline wherever a lane has u > 0."""
+    fn = surface._jet_fn
+
+    def jet(u, v):
+        return fn(u, v)
+
+    jet.columns = lambda u, v: None if (u > 0.0).any() else fn.columns(u, v)
+    return ParametricSurface(surface.name, jet, surface.u_range, surface.v_range,
+                             surface.periodic_u, surface.periodic_v, jet3_fn=surface._jet3_fn)
+
+
+# Chart surfaces whose traces' columns are checked against the public
+# per-point functions: the compiled columns of a catalog chart, of the monkey
+# saddle (its power runs through math lane by lane) and of a param: spec, and
+# the jets lane by lane where a jet function has no columns or they decline
+COLUMN_SURFACES = {
+    "torus": lambda: darboux.torus(2.0, 0.5),
+    "monkey_saddle": darboux.monkey_saddle,
+    "param_sphere": lambda: parse_surface_spec(
+        "param:x=cos(v)*cos(u);y=cos(v)*sin(u);z=sin(v);u=-3.141592653589793,3.141592653589793;"
+        "v=-1.5,1.5;periodic=u"),
+    "torus_without_columns": lambda: _without_columns(darboux.torus(2.0, 0.5)),
+    "torus_declining_columns": lambda: _declining_columns(darboux.torus(2.0, 0.5)),
+}
+
+
 def _hex(values):
     return [float(x).hex() for x in np.asarray(values, dtype=float).ravel().tolist()]
 
 
 class TestRecordedColumnsMatchPublicFunctions:
-    """A trace records each sample with the float kernels that the public
-    per-point functions wrap, so every recorded column has their bits."""
+    """A trace's columns come from the diagnostics kernel that the public
+    per-point functions run on floats, so every recorded column has their
+    bits."""
 
-    def test_sphere_chart(self):
-        sph = darboux.sphere(1.0)
-        d = np.array([1.0, 0.0, 1.0]) / SQRT2
-        phi = math.pi / 4
-        seed = find_seed(sph, d, phi, (0.9, 0.1))
-        res = trace_isophote(sph, d, phi, seed, TraceConfig(step=0.05, max_length=2.0))
-        assert res.n > 20
+    @staticmethod
+    def assert_chart_columns_match(surface, res):
+        """Every recorded column of a chart trace against the public
+        per-point functions, bit for bit."""
         for i in range(res.n):
             u, v = res.chart[i].tolist()
-            jet = sph.chart_jet(u, v)
-            du, dv = isophote_direction_parametric(sph, res.d, u, v)
+            jet = surface.chart_jet(u, v)
+            du, dv = isophote_direction_parametric(surface, res.d, u, v)
             t3 = du * jet.sigma_u + dv * jet.sigma_v
             if dot3(t3.tolist(), res.tangents[i].tolist()) < 0.0:
                 du, dv, t3 = -du, -dv, -t3
@@ -673,13 +725,39 @@ class TestRecordedColumnsMatchPublicFunctions:
             U = unit_normal(jet)
             assert _hex(U) == _hex(res.normals[i])
             assert _hex([dot3(U.tolist(), res.d.tolist())]) == _hex([res.angle_dot[i]])
-            kn, tg = direction_scalars_parametric(sph, res.d, u, v, (du, dv))
+            kn, tg = direction_scalars_parametric(surface, res.d, u, v, (du, dv))
             assert _hex([kn, tg]) == _hex([res.kn[i], res.tg[i]])
-            delta, delta_star = delta_coefficients(sph, res.d, u, v, (du, dv))
+            delta, delta_star = delta_coefficients(surface, res.d, u, v, (du, dv))
             assert _hex([delta * du + delta_star * dv]) == _hex([res.constraint_residual[i]])
             ff = first_form(jet)
             speed = ff.E * du * du + 2 * ff.F * du * dv + ff.G * dv * dv - 1.0
             assert _hex([speed]) == _hex([res.unit_speed_residual[i]])
+
+    def test_sphere_chart(self):
+        sph = darboux.sphere(1.0)
+        d = np.array([1.0, 0.0, 1.0]) / SQRT2
+        phi = math.pi / 4
+        seed = find_seed(sph, d, phi, (0.9, 0.1))
+        res = trace_isophote(sph, d, phi, seed, TraceConfig(step=0.05, max_length=2.0))
+        assert res.n > 20
+        self.assert_chart_columns_match(sph, res)
+
+    @pytest.mark.parametrize("name", sorted(COLUMN_SURFACES))
+    @settings(max_examples=12, deadline=None)
+    @given(axis=st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: math.hypot(*v) > 0.2),
+           phi_deg=st.floats(20.0, 80.0), a=st.floats(0.0, 1.0), b=st.floats(0.0, 1.0),
+           branch=st.sampled_from(["plus", "minus"]))
+    def test_chart_surfaces(self, name, axis, phi_deg, a, b, branch):
+        surface = COLUMN_SURFACES[name]()
+        (u0, u1), (v0, v1) = surface.u_range, surface.v_range
+        d, phi = np.array(axis) / math.hypot(*axis), math.radians(phi_deg)
+        try:
+            seed = find_seed(surface, d, phi, (u0 + a * (u1 - u0), v0 + b * (v1 - v0)))
+        except SeedError:
+            assume(False)
+        res = trace_isophote(surface, d, phi, seed,
+                             TraceConfig(step=0.05, max_length=2.0, branch=branch))
+        self.assert_chart_columns_match(surface, res)
 
     def test_implicit_torus(self):
         itor = darboux.implicit_torus(2.0, 0.5)
@@ -804,7 +882,7 @@ class TestFieldSolves:
         monkeypatch.setattr(trace_module, name, wrapper)
 
     def test_sphere_circuit_direction_solves(self, monkeypatch):
-        calls = {"jet": 0, "_chart_solve": 0}
+        calls = {"jet": 0, "_chart_solve": 0, "columns": 0, "lanes": 0}
         self.counted(monkeypatch, "_chart_solve", calls)
         surface = TestEvaluationCounts.counting_sphere(calls)
         res = trace_isophote(surface, EZ, math.pi / 4, (0.0, math.pi / 4),
@@ -982,6 +1060,48 @@ class TestMidTraceTerminations:
         full = trace_isophote(darboux.sphere(1.0), EZ, math.pi / 4, (0.0, math.pi / 4),
                               TraceConfig(step=1e-2, max_length=4.5, branch="minus"))
         assert _hex(res.points) == _hex(full.points[:res.n])
+
+
+def _sheared_sphere(u0, lam=1e9):
+    """The unit sphere whose jet, past u = u0, is the jet of the sheared
+    chart sigma(u + lam v, v) at the same point: sigma_v + lam sigma_u is
+    nearly parallel to sigma_u, so E G - F^2 (about lam^2 E^2) rounds to
+    either sign while |sigma_u x sigma_v| stays near its value on the
+    sphere, far above eps_reg."""
+    base = darboux.sphere(1.0)
+
+    def jet(u, v):
+        s, su, sv, suu, suv, svv = base._jet_fn(u, v)
+        if u > u0:
+            sv = tuple(b + lam * a for a, b in zip(su, sv))
+            svv = tuple(c + 2.0 * lam * b + lam * lam * a for a, b, c in zip(suu, suv, svv))
+            suv = tuple(b + lam * a for a, b in zip(suu, suv))
+        return s, su, sv, suu, suv, svv
+
+    return ParametricSurface("sheared sphere", jet, base.u_range, base.v_range,
+                             periodic_u=True, jet3_fn=base.jet3)
+
+
+class TestNegativeFirstFormDeterminant:
+    """Where E G - F^2 rounds below 0, the sample's sqrt(E G - F^2) (in
+    Delta) raises math's ValueError: the trace ends before that sample, or
+    raises at the seed."""
+
+    def test_mid_trace_sample_ends_the_trace(self):
+        # the minus branch runs along the latitude towards increasing u
+        res = trace_isophote(_sheared_sphere(0.5), EZ, math.pi / 4, (0.0, math.pi / 4),
+                             TraceConfig(step=1e-2, max_length=1.5, branch="minus"))
+        assert res.termination == "error: float arithmetic failed: math domain error"
+        assert res.n == 38
+        full = trace_isophote(darboux.sphere(1.0), EZ, math.pi / 4, (0.0, math.pi / 4),
+                              TraceConfig(step=1e-2, max_length=1.5, branch="minus"))
+        assert _hex(res.points[:36]) == _hex(full.points[:36])
+
+    def test_seed_sample_raises(self):
+        # the sheared jet's |<U, d> - cos(phi)| is 2.6e-9 at this seed
+        with pytest.raises(NumericalError, match="float arithmetic failed: math domain error"):
+            trace_isophote(_sheared_sphere(-10.0), EZ, math.pi / 4, (0.04, math.pi / 4),
+                           TraceConfig(step=1e-2, max_length=0.1, seed_tol=1e-6))
 
 
 def _scaled_torus_trace(scale):
