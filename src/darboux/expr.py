@@ -427,8 +427,8 @@ def compile(exprs, variables):
 
     ``fn.columns(*columns)`` runs the same generated code once on (N,)
     float64 columns, one per variable (see ``_columns``): the (N,) column
-    of each expression, with the bits of ``fn`` lane by lane, as one flat
-    tuple in depth-first order, or None where it declines.
+    of each expression, with the bits of ``fn`` lane by lane, nested as
+    ``fn``'s value is, or None where it declines.
     """
     if not isinstance(exprs, Expression):
         exprs = list(exprs)
@@ -461,7 +461,7 @@ def compile(exprs, variables):
     exec(source, namespace)
     make = namespace["_make"]
     compiled = make(fallback, *_HELPERS.values(), *emitter.consts)
-    compiled.columns = _columns(make, emitter.consts, flat)
+    compiled.columns = _columns(make, emitter.consts, exprs, flat)
     return compiled
 
 
@@ -480,13 +480,13 @@ def _decline(*values):
     return None
 
 
-def _columns(make, consts, flat):
+def _columns(make, consts, exprs, flat):
     """``fn.columns``: the generated code of ``make`` bound to
     ``_COLUMN_HELPERS``, with the decline rule of the module docstring and
     the constants as numpy float64 scalars, its nested value read flat by
-    ``flat``.  Every operation is then a numpy one (on columns or on
-    float64 scalars, which the lane-wise functions also return) or a
-    ``math`` call that raises: from finite
+    ``flat`` and returned nested as ``exprs`` is.  Every operation is then
+    a numpy one (on columns or on float64 scalars, which the lane-wise
+    functions also return) or a ``math`` call that raises: from finite
     constants and inputs, an operation that neither signals nor raises
     gives a finite value, so where the columns return, no lane raised on
     floats, every lane is finite, and each lane's operations are the float
@@ -511,7 +511,7 @@ def _columns(make, consts, flat):
         block = np.empty((len(constant), *(values[0].shape if values else ())))
         block.T[...] = [out[k] for k in constant]
         rows = dict(zip(constant, block))
-        return tuple([rows.get(k, x) for k, x in enumerate(out)])
+        return _nested(exprs, (rows.get(k, x) for k, x in enumerate(out)))
 
     return columns
 

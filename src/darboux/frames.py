@@ -47,8 +47,12 @@ chain rule (``_arclength_rule``) through t(s).  The frame sampler runs the
 same kernels once over a grid, on (N,) float64 columns in place of the
 floats: elementwise arithmetic, np.sqrt and the lane-by-lane Python powers
 of ``surface._pow`` give each lane the bits of a point-by-point evaluation.
-The surface is still evaluated once per sample in Python (path or curve
-jets, chart or level point), read into columns in one flat pass; all that
+Its samples (path or curve jets, chart or level point) come from one pass
+of each compiled function's columns: the path jet, or c, c1, c2 and c3, at
+the inverted t, and the chart's or the level set's functions at the
+samples' points.  A grid is evaluated lane by lane (``_lane_columns``)
+only where a function has no columns or they decline, a lane lies outside
+a non-periodic chart range, or the inversion flagged lanes.  All that
 follows, from the chain rule through t(s) to tau_g', runs on the columns.
 
 On the columns of the frame sampler and of the Frenet pass a lane fails
@@ -126,9 +130,10 @@ UNIT_SPEED_TOL = 1e-7
 # lane that raises one is flagged.
 _EVALUATION_ERRORS = (DarbouxError, *ARITHMETIC_ERRORS)
 
-# How one evaluated lane is laid out, for _columns: a chart sample is (path
-# jet, (chart jet, w, |w|), third partials), a curve jet is four 3-vectors
-# and a level point is ((grad f, |grad f|, H), third partials).
+# How one evaluated lane is laid out, for _columns in the lane-by-lane
+# fallback: a chart sample is (path jet, (chart jet, w, |w|), third
+# partials), a curve jet is four 3-vectors and a level point is ((grad f,
+# |grad f|, H), third partials).
 _CHART_SAMPLE = [(4, 2), [(6, 3), (3,), ()], (4, 3)]
 _CURVE_JET = (4, 3)
 _LEVEL_POINT = [[(3,), (), (3, 3)], (3, 3, 3)]
@@ -142,9 +147,10 @@ def _nan_lane(spec):
 
 
 def _lane_columns(evaluate, xs, spec, bad):
-    """evaluate(x) for each lane x of xs, as the columns of _columns.  A lane
-    flagged in bad is not evaluated, and a lane whose evaluation raises is
-    flagged (bad is updated in place); both read nan."""
+    """evaluate(x) for each lane x of xs, as the columns of _columns: the
+    fallback of a grid whose samples the compiled columns cannot give.  A
+    lane flagged in bad is not evaluated, and a lane whose evaluation
+    raises is flagged (bad is updated in place); both read nan."""
     failed = _nan_lane(spec)
     values = []
     for i, (skip, x) in enumerate(zip(bad.tolist(), xs)):
@@ -231,7 +237,8 @@ class UnitSpeedCurve:
 
     def _jet_columns(self, grid):
         """(jet at each s of grid as four 3-vectors of (N,) columns, mask of
-        the lanes whose evaluation raised)."""
+        the lanes whose evaluation raised), evaluated lane by lane (the
+        Hermite interpolants of from_polyline have no compiled columns)."""
         bad = np.zeros(len(grid), dtype=bool)
         return _lane_columns(self.jet, grid, _CURVE_JET, bad), bad
 
@@ -312,9 +319,16 @@ class ChartPath:
 
     def _sample_columns(self, surface: ParametricSurface, xs, bad=None):
         """(_sample at each lane of xs as columns, mask of the lanes flagged
-        in bad or whose evaluation raised; see _lane_columns)."""
+        in bad, whose evaluation raised or where |w| <= eps_reg): the path
+        jet's compiled columns and ParametricSurface._point_columns, else
+        (see the module docstring) _lane_columns."""
         bad = np.zeros(len(xs), dtype=bool) if bad is None else bad
-        return _lane_columns(lambda x: self._sample(surface, x), xs, _CHART_SAMPLE, bad), bad
+        jet = None if bad.any() else _compiled_columns([np.asarray(xs, dtype=float)], self.jet)
+        point = None if jet is None else surface._point_columns(*jet[0][0])
+        if point is None:
+            return _lane_columns(lambda x: self._sample(surface, x), xs, _CHART_SAMPLE, bad), bad
+        chart, third, irregular = point
+        return (jet[0], chart, third), irregular
 
 
 def _jet_entry(order: int, axis: int | None = None):
@@ -419,12 +433,19 @@ class CurveOnSurface:
 
     def _sample_columns(self, grid):
         """(_sample at each s of grid as (N,) columns, mask of the lanes whose
-        evaluation raised or whose point is off the surface)."""
+        evaluation raised, whose point is off the surface or fails a
+        regularity check); a space curve's level points come from
+        ImplicitSurface._level_columns, else _lane_columns."""
         if self.kind == "parametric":
             return self.path._sample_columns(self.surface, grid)
         jets, bad = self.curve._jet_columns(grid)
-        points = zip(grid.tolist(), zip(*(x.tolist() for x in jets[0])))
-        return (jets, *_lane_columns(lambda sp: self._level(*sp), points, _LEVEL_POINT, bad)), bad
+        level = None if bad.any() else self.surface._level_columns(*jets[0])
+        if level is None:
+            points = zip(grid.tolist(), zip(*(x.tolist() for x in jets[0])))
+            return (jets, *_lane_columns(lambda sp: self._level(*sp), points, _LEVEL_POINT,
+                                         bad)), bad
+        f, point, third, irregular = level
+        return (jets, point, third), irregular | (abs(f) > self.on_surface_tol)
 
     def _jet_columns(self, grid):
         """(curve jet at each s of grid as (N,) columns, mask of the lanes
@@ -630,10 +651,12 @@ def sample_frames(c: CurveOnSurface, grid: np.ndarray,
                   eps_kappa: float = EPS_KAPPA_DEFAULT) -> FrameData:
     """Evaluate Darboux data over a uniform grid of arclength values.
 
-    One pass of the frame kernels over the (N,) columns of the grid's
-    samples gives every column of FrameData.  The lanes it flags (an
-    evaluation that raised, a failed check, a value that is not finite)
-    are evaluated again in grid order by _redo."""
+    The grid's samples come from one pass of the compiled functions'
+    columns (CurveOnSurface._sample_columns), and one pass of the frame
+    kernels over them gives every column of FrameData.  The lanes flagged
+    (an evaluation that raised, a failed regularity, on-surface or
+    unit-speed check, a value that is not finite) are evaluated again in
+    grid order by _redo: the first raises its own error."""
     grid = np.asarray(grid, dtype=float)
     _require_uniform(grid)
     with np.errstate(all="ignore"):
@@ -982,7 +1005,8 @@ def _arclength_rule(x1, x2, x3, tp, tpp, tppp) -> tuple:
 
 class _ResampledCurve(UnitSpeedCurve):
     """A regular ParamCurve reparametrized by arclength.  A grid's jets come
-    from one batched inversion and one chain rule on columns;
+    from one batched inversion, one pass of the compiled curve functions'
+    columns and one chain rule on columns;
     ``gamma``/``d1``/``d2``/``d3`` each take the whole jet at s."""
 
     def __init__(self, raw: ParamCurve, amap: ArclengthMap):
@@ -997,8 +1021,16 @@ class _ResampledCurve(UnitSpeedCurve):
         return self._reparametrized(self._raw_jet(t))
 
     def _jet_columns(self, grid):
+        """(jet at each s of grid as columns, mask of the lanes the inversion
+        flagged): the compiled columns of c, c1, c2 and c3 at t(s), else
+        _raw_jet lane by lane, then the chain rule."""
         ts, bad = _inverted(self.amap, grid)
-        return self._reparametrized(_lane_columns(self._raw_jet, ts, _CURVE_JET, bad)), bad
+        raw = self.raw
+        jet = None if bad.any() else _compiled_columns([np.asarray(ts)], raw.c, raw.c1, raw.c2,
+                                                       raw.c3)
+        if jet is None:
+            jet = _lane_columns(self._raw_jet, ts, _CURVE_JET, bad)
+        return self._reparametrized(jet), bad
 
     def _raw_jet(self, t):
         """(c, c1, c2, c3) at t, evaluated c1, c2, c3 and then c: a lane
@@ -1020,9 +1052,9 @@ class _ResampledCurve(UnitSpeedCurve):
 def _speed_inputs(fn, ts, width):
     """fn at each lane of ts as width (N,) columns, for a speed: the columns
     of a compiled fn, else fn lane by lane."""
-    columns = _compiled_columns(fn, ts)
+    columns = _compiled_columns([ts], fn)
     if columns is not None:
-        return columns
+        return columns[0]
     lanes = ts.tolist()
     rows = np.fromiter(chain.from_iterable(map(fn, lanes)), float, width * len(lanes))
     return rows.reshape(-1, width).T
@@ -1057,7 +1089,8 @@ class _UnitSpeedChartPath(_JetChartPath):
 
     def _sample_columns(self, surface: ParametricSurface, grid):
         """_sample at each s of grid as columns: one t_of_s_many call, the
-        chart once per lane, and one chain rule on the columns."""
+        raw path's ChartPath._sample_columns at t(s) (the compiled columns,
+        else lane by lane) and one chain rule on the columns."""
         if surface is not self.surface:
             return super()._sample_columns(surface, grid)
         ts, bad = _inverted(self.amap, grid)

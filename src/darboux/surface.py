@@ -11,9 +11,9 @@ the catalog (sphere, cylinder, plane, torus, helicoid, ellipsoid, monkey
 saddle; implicit sphere, cylinder, plane, torus) fills its parameters into
 templates, and ``param:``/``implicit:`` specs give the text directly.  Its
 jets come from symbolic differentiation, compiled once per distinct text
-and process (``expr.compile``), and the compiled jet's columns give the
-array tangents of the arclength speeds and the jets of a chart trace's
-samples.
+and process (``expr.compile``), and the compiled functions' columns give
+the array tangents of the arclength speeds, the jets of a chart trace's
+samples and the chart and level points of a frame grid.
 
 Orientation conventions: the parametric unit normal is sigma_u x sigma_v
 normalized; the implicit unit normal is grad(f)/|grad(f)|.  Sign-sensitive
@@ -157,12 +157,19 @@ def _unstack(a):
     return a if a.ndim == 1 else tuple(map(_unstack, a))
 
 
-def _compiled_columns(fn, *columns):
-    """fn at each lane of the (N,) columns in one pass, as a tuple of (N,)
-    columns with its bits, when fn is a compiled expression function whose
-    columns do not decline (see expr.compile); else None."""
-    evaluate = getattr(fn, "columns", None)
-    return None if evaluate is None else evaluate(*columns)
+def _compiled_columns(columns, *fns):
+    """[fn at each lane of the (N,) columns, for each fn of fns]: one pass
+    of each compiled expression function's columns, in order, nested as
+    fn's value is and with its bits lane by lane (see expr.compile).  None
+    from the first fn that has no columns or whose columns decline."""
+    out = []
+    for fn in fns:
+        evaluate = getattr(fn, "columns", None)
+        value = None if evaluate is None else evaluate(*columns)
+        if value is None:
+            return None
+        out.append(value)
+    return out
 
 
 def _cross(a, b) -> tuple:
@@ -343,11 +350,11 @@ class ParametricSurface:
     the four third partials (uuu, uuv, uvv, vvv) used for analytic
     derivatives of frame scalars, each a 3-vector (a tuple of floats, the
     form the float kernels read, or an array).  Where ``jet_fn`` has the
-    ``columns`` of an ``expr.compile`` function, ``tangents_many`` and a
-    chart trace's diagnostics read the jets of many lanes from one pass of
-    them; otherwise, and where they decline, the jet is evaluated once per
-    lane.  Domain is a rectangle with optional periodic wrapping per
-    parameter.
+    ``columns`` of an ``expr.compile`` function, ``tangents_many``, a chart
+    trace's diagnostics and the frame sampler (with ``jet3_fn``'s) read the
+    jets of many lanes from one pass of them; otherwise, and where they
+    decline, the jet is evaluated once per lane.  Domain is a rectangle
+    with optional periodic wrapping per parameter.
     """
 
     def __init__(
@@ -436,11 +443,25 @@ class ParametricSurface:
         compiled jet's columns, else (where they are missing or decline)
         _chart_point lane by lane, which raises the first failing lane's own
         error.  The columns leave the regularity check to the caller."""
-        flat = _compiled_columns(self._jet_fn, u, v)
-        if flat is None:
+        jet = _compiled_columns((u, v), self._jet_fn)
+        if jet is None:
             return _columns([self._chart_point(a, b)[0] for a, b in zip(u.tolist(), v.tolist())],
                             (6, 3))
-        return tuple([flat[k:k + 3] for k in range(0, 18, 3)])
+        return jet[0]
+
+    def _point_columns(self, u, v):
+        """(chart_point's (jet, w, |w|), _jet3's partials, mask of the lanes
+        where |w| <= eps_reg) at each lane of the (N,) arrays u, v, from the
+        compiled columns; None where a lane lies outside a non-periodic
+        range or the columns are missing or decline."""
+        uw, vw, outside = self._wrap_many(u, v)
+        columns = None if outside.any() else _compiled_columns((uw, vw), self._jet_fn,
+                                                                self._jet3_fn)
+        if columns is None:
+            return None
+        jet, third = columns
+        w, n = _chart_w(jet)
+        return (jet, w, n), third, n <= self.eps_reg
 
     def _wrap_many(self, u: np.ndarray, v: np.ndarray):
         """wrap for (N,) arrays, with a mask of the lanes outside a
@@ -489,7 +510,9 @@ class ImplicitSurface:
 
     ``f(x, y, z)``, ``level(x, y, z)`` and ``third(x, y, z)`` return f,
     (gradient, Hessian by rows) and the Hessians of df/dx, df/dy, df/dz, in
-    Python floats (the form the float kernels read) or arrays."""
+    Python floats (the form the float kernels read) or arrays.  The frame
+    sampler reads a grid's level points from one pass of their ``columns``
+    where all three are ``expr.compile`` functions, else lane by lane."""
 
     def __init__(
         self,
@@ -529,6 +552,18 @@ class ImplicitSurface:
         if n <= self.eps_reg:
             raise RegularityError(f"{self.name}: |grad f| <= {self.eps_reg:g} at {p!r}")
         return g, n, H
+
+    def _level_columns(self, x, y, z):
+        """(f, level_point's (grad f, |grad f|, H), third partials, mask of
+        the lanes where |grad f| <= eps_reg) at each lane of the (N,) arrays
+        x, y, z, from the compiled columns; None where they are missing or
+        decline."""
+        columns = _compiled_columns((x, y, z), self._f, self._level, self._third)
+        if columns is None:
+            return None
+        f, (g, H), third = columns
+        n = norm3(g)
+        return f, (g, n, H), third, n <= self.eps_reg
 
     def unit_normal(self, p: np.ndarray) -> np.ndarray:
         g, n, _ = self.level_point(_point(p))

@@ -552,6 +552,15 @@ class TestColumns:
         u[0] = 7.0
         assert s[0] == 0.0
 
+    def test_columns_nest_as_the_value(self):
+        u, two_u, square = (parse(src, ["u"]) for src in ("u", "2*u", "u*u"))
+        fn = compile([[u, two_u], square, [[square]]], ["u"])
+        assert fn(3.0) == ((3.0, 6.0), 9.0, ((9.0,),))
+        (a, b), c, ((d,),) = fn.columns(np.array([3.0, 4.0]))
+        assert [x.tolist() for x in (a, b, c, d)] == [[3.0, 4.0], [6.0, 8.0], [9.0, 16.0],
+                                                      [9.0, 16.0]]
+        assert compile(square, ["u"]).columns(np.array([3.0])).tolist() == [9.0]
+
     def test_non_finite_constant_declines(self):
         fn = compile([Expression(BinOp("*", Num(math.inf), Var("u")), ("u",))], ["u"])
         assert fn.columns(np.array([1.0, 2.0])) is None

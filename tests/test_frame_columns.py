@@ -10,9 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import darboux
+import darboux.frames as frames
 from darboux.cli import main
-from darboux.errors import DarbouxError, NumericalError
+from darboux.errors import DarbouxError, NumericalError, OutOfDomainError, RegularityError
 from darboux.frames import (
+    ArclengthMap,
     ChartPath,
     CurveOnSurface,
     ParamCurve,
@@ -24,11 +26,52 @@ from darboux.frames import (
     uniform_grid,
     unit_speed_chart_curve,
 )
-from darboux.surface import _matvec, _unit_second_derivative, dot3, norm3, parse_surface_spec
+from darboux.surface import (
+    ImplicitSurface,
+    ParametricSurface,
+    _matvec,
+    _unit_second_derivative,
+    dot3,
+    implicit_from_expression,
+    norm3,
+    parse_surface_spec,
+)
 
 EPS_KAPPA = 1e-9
 COEF = st.floats(0.1, 1.0).map(lambda x: round(x, 6))
 GRID_SIZES = st.sampled_from([2, 5, 20, 200])
+
+
+def _without_columns(fn):
+    """fn as a Python function: no columns, so a grid reads it lane by lane."""
+    return lambda *args: fn(*args)
+
+
+def _declining(fn, limit):
+    """fn, with columns that decline on a batch holding a lane whose first
+    variable exceeds limit."""
+
+    def wrapped(*args):
+        return fn(*args)
+
+    wrapped.columns = lambda x, *rest: None if (x > limit).any() else fn.columns(x, *rest)
+    return wrapped
+
+
+def _chart_with(surface, wrap):
+    """surface with its jet and third-partial functions passed through wrap."""
+    return ParametricSurface(surface.name, wrap(surface._jet_fn), surface.u_range,
+                             surface.v_range, surface.periodic_u, surface.periodic_v,
+                             jet3_fn=wrap(surface._jet3_fn))
+
+
+def _level_with(surface, wrap):
+    """surface with its f, level and third-partial functions passed through wrap."""
+    return ImplicitSurface(surface.name, wrap(surface._f), wrap(surface._level),
+                           third=wrap(surface._third))
+
+
+PARAM_SURFACE = "param:x=u;y=v;z=0.3*u*u-0.2*v*v+0.1*u*v;u=-3,3;v=-3,3"
 
 
 # Oblique chart paths (k_g and tau_g both nonzero along them) and space
@@ -44,8 +87,23 @@ CURVES = {
         darboux.helicoid(1.0),
         ChartPath.from_expressions(f"{a!r}*s", f"0.5+{b!r}*s", (0.0, 3.0))),
     "param surface": lambda a, b: unit_speed_chart_curve(
-        parse_surface_spec("param:x=u;y=v;z=0.3*u*u-0.2*v*v+0.1*u*v;u=-3,3;v=-3,3"),
+        parse_surface_spec(PARAM_SURFACE),
         ChartPath.from_expressions(f"{0.7 * a!r}*s", f"{b!r}*sin(2*s)", (0.0, 4.0))),
+    # u^3 is math.pow lane by lane on the columns
+    "monkey saddle": lambda a, b: unit_speed_chart_curve(
+        darboux.monkey_saddle(),
+        ChartPath.from_expressions(f"{a!r}*s-0.5", f"{b!r}*sin(s)-0.3", (0.0, 1.5))),
+    # exp and tan are math's lane by lane on the columns
+    "param exp tan": lambda a, b: unit_speed_chart_curve(
+        parse_surface_spec("param:x=u;y=v;z=0.3*exp(0.5*u)*tan(0.4*v);u=-3,3;v=-2,2"),
+        ChartPath.from_expressions(f"{a!r}*s-1", f"{b!r}*cos(s)", (0.0, 3.0))),
+    "jet_fn without columns": lambda a, b: unit_speed_chart_curve(
+        _chart_with(darboux.torus(2.0, 0.5), _without_columns),
+        ChartPath.from_expressions("s", f"{3 * a!r}*s+{b!r}*sin(s)", (0.0, 3.0))),
+    # u reaches 4a - 1: the chart's columns decline where a > 0.5
+    "chart columns declining": lambda a, b: unit_speed_chart_curve(
+        _chart_with(parse_surface_spec(PARAM_SURFACE), lambda fn: _declining(fn, 1.0)),
+        ChartPath.from_expressions(f"{2 * a!r}*s-1", f"{b!r}*sin(2*s)", (0.0, 2.0))),
     "torus knot": lambda a, b: CurveOnSurface(
         darboux.implicit_torus(2.0, 0.5),
         space_curve=resample_unit_speed(ParamCurve.from_expressions(
@@ -55,6 +113,18 @@ CURVES = {
         darboux.implicit_cylinder(1.0),
         space_curve=resample_unit_speed(ParamCurve.from_expressions(
             f"cos({a!r}*s)", f"sin({a!r}*s)", f"{b!r}*s", (0.0, 3.0)))),
+    # a tilted circle on the ellipsoid (x/2)^2 + y^2 + (2z)^2 = 1
+    "ellipsoid with ^": lambda a, b: CurveOnSurface(
+        implicit_from_expression("(0.5*x)^2+y^2+(2*z)^2-1"),
+        space_curve=resample_unit_speed(ParamCurve.from_expressions(
+            f"2*cos(s)*cos({a!r})", "sin(s)", f"0.5*cos(s)*sin({a!r})", (0.0, 1.0 + 3.0 * b)))),
+    # x starts at (2 + 0.5 cos(2a + b)) cos(a): the level functions'
+    # columns decline where it exceeds 2 (a small a)
+    "level columns declining": lambda a, b: CurveOnSurface(
+        _level_with(darboux.implicit_torus(2.0, 0.5), lambda fn: _declining(fn, 2.0)),
+        space_curve=resample_unit_speed(ParamCurve.from_expressions(
+            f"(2+0.5*cos(2*s+{b!r}))*cos(s)", f"(2+0.5*cos(2*s+{b!r}))*sin(s)",
+            f"0.5*sin(2*s+{b!r})", (a, 3.0)))),
 }
 
 
@@ -109,6 +179,116 @@ class TestColumnBits:
             _assert_same(getattr(data, key), [row[key] for row in rows], key)
 
 
+@pytest.fixture
+def lane_calls(monkeypatch):
+    """The lanes each _lane_columns call evaluates, one entry per call."""
+    calls = []
+    lane_columns = frames._lane_columns
+
+    def counted(evaluate, xs, spec, bad):
+        calls.append(0)
+
+        def counted_evaluate(x):
+            calls[-1] += 1
+            return evaluate(x)
+
+        return lane_columns(counted_evaluate, xs, spec, bad)
+
+    monkeypatch.setattr(frames, "_lane_columns", counted)
+    return calls
+
+
+def _sphere_latitude():
+    """The latitude circle at 0.3 rad on the implicit unit sphere."""
+    return CurveOnSurface(darboux.implicit_sphere(1.0), space_curve=resample_unit_speed(
+        ParamCurve.from_expressions("cos(s)*cos(0.3)", "sin(s)*cos(0.3)", "sin(0.3)",
+                                    (0.0, 2 * math.pi))))
+
+
+def _assert_same_frames(data, expected):
+    for key in ("gamma", "T", "V", "U", "kg", "kn", "tg", "dkg", "dkn", "dtg", "tau", "accel"):
+        _assert_same(getattr(data, key), getattr(expected, key), key)
+
+
+class TestColumnPath:
+    """Which path reads a grid's samples: the compiled columns, or
+    _lane_columns lane by lane where they cannot."""
+
+    @pytest.mark.parametrize("make", [lambda: CURVES["torus"](0.5, 0.5), _sphere_latitude],
+                             ids=["catalog chart path", "sphere latitude"])
+    def test_compiled_functions_evaluate_no_lane(self, make, lane_calls):
+        c = make()
+        sample_frames(c, uniform_grid(*c.s_range, 200))
+        assert sum(lane_calls) == 0
+
+    def test_jet_fn_without_columns_evaluates_every_lane(self, lane_calls):
+        c = CURVES["jet_fn without columns"](0.5, 0.5)
+        sample_frames(c, uniform_grid(*c.s_range, 200))
+        assert lane_calls == [200]
+
+    def test_declining_chart_columns_evaluate_every_lane(self, lane_calls):
+        c = CURVES["chart columns declining"](0.8, 0.5)
+        grid = uniform_grid(*c.s_range, 50)
+        data = sample_frames(c, grid)
+        assert lane_calls == [50]
+        lane_calls.clear()
+        compiled = unit_speed_chart_curve(parse_surface_spec(PARAM_SURFACE), c.path.raw)
+        _assert_same_frames(data, sample_frames(compiled, grid))
+        assert lane_calls == []
+
+    def test_declining_space_curve_columns(self, lane_calls):
+        # the curve functions decline past s = 2 and the level functions
+        # where x > 0.5: each falls back on its own
+        raw = ParamCurve.from_expressions("cos(s)*cos(0.3)", "sin(s)*cos(0.3)", "sin(0.3)",
+                                          (0.0, 3.0))
+        declining = ParamCurve(*(_declining(fn, 2.0) for fn in (raw.c, raw.c1, raw.c2, raw.c3)),
+                               raw.t_range)
+        sphere = darboux.implicit_sphere(1.0)
+        compiled = CurveOnSurface(sphere, space_curve=resample_unit_speed(raw))
+        grid = uniform_grid(*compiled.s_range, 40)
+        expected = sample_frames(compiled, grid)
+        for curve, surface, lanes in [
+                (declining, sphere, [40]),
+                (raw, _level_with(sphere, lambda fn: _declining(fn, 0.5)), [40]),
+                (declining, _level_with(sphere, lambda fn: _declining(fn, 0.5)), [40, 40])]:
+            lane_calls.clear()
+            c = CurveOnSurface(surface, space_curve=resample_unit_speed(curve))
+            _assert_same_frames(sample_frames(c, grid), expected)
+            assert lane_calls == lanes
+
+    @pytest.mark.parametrize("name,lanes", [("torus", [0]), ("torus knot", [0, 0])])
+    def test_flagged_inversion_evaluates_lanes_again_on_floats(self, name, lanes, monkeypatch,
+                                                               lane_calls):
+        # a batched inversion that raises flags every lane: _lane_columns
+        # skips them all and each is sampled again on its own
+        c = CURVES[name](0.5, 0.5)
+        grid = uniform_grid(*c.s_range, 20)
+        expected = sample_frames(c, grid)
+        t_of_s_many = ArclengthMap.t_of_s_many
+
+        def one_lane_only(amap, s):
+            if len(s) > 1:
+                raise DarbouxError("batched inversion failed")
+            return t_of_s_many(amap, s)
+
+        monkeypatch.setattr(ArclengthMap, "t_of_s_many", one_lane_only)
+        lane_calls.clear()
+        _assert_same_frames(sample_frames(c, grid), expected)
+        assert lane_calls == lanes
+
+    def test_lane_outside_a_non_periodic_range(self, lane_calls):
+        # the unit-speed plane line u = s + 19 leaves u <= 20 from s = 1 on:
+        # the grid is read lane by lane, and the first lane outside raises
+        c = CurveOnSurface(darboux.plane(),
+                           chart_path=ChartPath.from_expressions("s+19", "0.5", (0.0, 2.0)))
+        grid = uniform_grid(0.0, 2.0, 21)
+        with pytest.raises(OutOfDomainError) as excinfo:
+            sample_frames(c, grid)
+        assert str(excinfo.value) == "plane: parameter u=20.1 outside [-20, 20]"
+        assert str(excinfo.value) == _point_by_point_error(c, grid)
+        assert lane_calls == [21]
+
+
 def _run(argv, capsys):
     code = main(argv)
     return code, capsys.readouterr().err
@@ -149,6 +329,35 @@ class TestMaskErrorOrder:
                 "--curve", "space:x=cos(s);y=sin(s);z=0.01*s", "--samples", "40"]
         assert _run(argv, capsys) == (
             2, "curve leaves surface: |f(gamma(0.161115))| = 2.59556e-06 > 1e-09\n")
+
+    def test_chart_regularity_mid_grid(self, capsys):
+        argv = ["classify", "--surface", "param:x=u*cos(v);y=u*sin(v);z=u;u=-2,2;v=-4,4",
+                "--curve", "param:u=s-1;v=0.5*s;s=0,2", "--samples", "21"]
+        assert _run(argv, capsys) == (
+            2, "param_expr: |sigma_u x sigma_v| <= 1e-10 at (u, v)=(0, 0.5)\n")
+
+    def test_level_regularity_mid_grid(self, capsys):
+        argv = ["classify", "--surface", "implicit:f=x^2+y^2-z^2",
+                "--curve", "space:x=s-1;y=0;z=s-1;s=0,2", "--samples", "21"]
+        assert _run(argv, capsys) == (
+            2, "implicit_expr: |grad f| <= 1e-10 at "
+               "(1.5543122344752192e-15, 0.0, 1.5543122344752192e-15)\n")
+
+    def test_chart_regularity_of_a_finite_lane(self):
+        # a unit-speed generator of the cone passes 1e-12 from its apex at
+        # s = 1: |w| is tiny there but every value is finite, so only the
+        # regularity check flags the lane
+        cone = parse_surface_spec("param:x=u*cos(v)*0.7071067811865476;"
+                                  "y=u*sin(v)*0.7071067811865476;z=u*0.7071067811865476;"
+                                  "u=-2,2;v=-4,4")
+        c = CurveOnSurface(cone, chart_path=ChartPath.from_expressions(
+            "s-1+1e-12", "0.5", (0.0, 2.0)))
+        grid = uniform_grid(0.0, 2.0, 21)
+        with pytest.raises(RegularityError) as excinfo:
+            sample_frames(c, grid)
+        assert str(excinfo.value) == _point_by_point_error(c, grid)
+        assert str(excinfo.value) == (
+            "param_expr: |sigma_u x sigma_v| <= 1e-10 at (u, v)=(1e-12, 0.5)")
 
     @pytest.mark.parametrize("k", [0, 15, 30])
     def test_unit_speed_check_first_middle_and_last_lane(self, k):
