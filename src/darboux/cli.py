@@ -298,17 +298,14 @@ def _cmd_trace(args, implicit: bool) -> int:
     # only trace-implicit projects, so only it takes the projection options
     projection = ({"projection_tol": _positive(args.project_tol, "--project-tol"),
                    "project_isophote": args.project_isophote} if implicit else {})
-    config = _trace.TraceConfig(
-        step=_positive(args.step, "--step"),
-        max_length=_positive(args.length, "--length"),
-        branch=args.branch,
-        closure_tol=(None if args.closure_tol is None
-                     else _positive(args.closure_tol, "--closure-tol")),
-        eps_sing=args.eps_sing,
-        **projection,
-    )
+    step, length = _positive(args.step, "--step"), _positive(args.length, "--length")
+    closure_tol = (None if args.closure_tol is None
+                   else _positive(args.closure_tol, "--closure-tol"))
+    # checked before TraceConfig, whose own check raises ValueError
     if not (math.isfinite(args.eps_sing) and args.eps_sing >= 0.0):
         raise DarbouxError(f"--eps-sing must be a finite number >= 0, got {args.eps_sing!r}")
+    config = _trace.TraceConfig(step=step, max_length=length, branch=args.branch,
+                                closure_tol=closure_tol, eps_sing=args.eps_sing, **projection)
     guess = _parse_floats(args.seed, 3 if implicit else 2, "--seed")
 
     def run_one(phi_k: float, out_path: str | None):

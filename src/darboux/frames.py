@@ -150,9 +150,11 @@ def _lane_columns(evaluate, xs, spec, bad):
     """evaluate(x) for each lane x of xs, as the columns of _columns: the
     fallback of a grid whose samples the compiled columns cannot give.  A
     lane flagged in bad is not evaluated, and a lane whose evaluation
-    raises is flagged (bad is updated in place); both read nan."""
+    raises is flagged (bad is updated in place); both read nan.  A grid's
+    lanes are Python floats, on which a Python callable raises (not nan)."""
     failed = _nan_lane(spec)
     values = []
+    xs = xs.tolist() if isinstance(xs, np.ndarray) else xs
     for i, (skip, x) in enumerate(zip(bad.tolist(), xs)):
         if not skip:
             try:
@@ -538,7 +540,7 @@ def _frenet_columns(curve, grid, eps_kappa) -> list:
         *values, undefined = _frenet(jets, grid, eps_kappa)
 
         def row(i):
-            jet = curve._jet_of(grid[i])
+            jet = curve._jet_of(float(grid[i]))
             return jet[0], *_frenet(jet, grid[i], eps_kappa)[:-1]
 
         return _redo((jets[0], *values), bad | undefined, row)
@@ -666,7 +668,8 @@ def sample_frames(c: CurveOnSurface, grid: np.ndarray,
         # lane that raises on floats is not finite on the columns
         gam, T, V, U, kg, kn, tg, dkg, dkn, tau, accel, dtg = _redo(
             values, bad | off | ~np.isfinite(kap2),
-            lambda i: _frame_values(c, grid[i], c._sample(grid[i]), eps_kappa)[0], unchecked=(9,))
+            lambda i: _frame_values(c, float(grid[i]), c._sample(float(grid[i])), eps_kappa)[0],
+            unchecked=(9,))
     return FrameData(grid, gam, T, V, U, kg, kn, tg, dkg, dkn, dtg, np.hypot(kg, kn), tau,
                      analytic=c.analytic, eps_kappa=eps_kappa, accel=accel)
 

@@ -413,11 +413,13 @@ class ParametricSurface:
         jet = self._jet_fn(u, v)
         w, n = _chart_w(jet)
         if n <= self.eps_reg:
-            raise RegularityError(
-                f"{self.name}: |sigma_u x sigma_v| <= {self.eps_reg:g} "
-                f"at (u, v)=({float(u):g}, {float(v):g})"
-            )
+            raise self._irregular(u, v)
         return jet, w, n
+
+    def _irregular(self, u, v) -> RegularityError:
+        """The error of a point where |sigma_u x sigma_v| <= eps_reg."""
+        return RegularityError(f"{self.name}: |sigma_u x sigma_v| <= {self.eps_reg:g} "
+                               f"at (u, v)=({float(u):g}, {float(v):g})")
 
     def chart_jet(self, u: float, v: float) -> ChartJet:
         return ChartJet(*(np.array(a, dtype=float) for a in self.chart_point(u, v)[0]))
@@ -550,8 +552,12 @@ class ImplicitSurface:
         g, H = self._level(*p)
         n = norm3(g)
         if n <= self.eps_reg:
-            raise RegularityError(f"{self.name}: |grad f| <= {self.eps_reg:g} at {p!r}")
+            raise self._irregular(p)
         return g, n, H
+
+    def _irregular(self, p) -> RegularityError:
+        """The error of a point where |grad f| <= eps_reg."""
+        return RegularityError(f"{self.name}: |grad f| <= {self.eps_reg:g} at {p!r}")
 
     def _level_columns(self, x, y, z):
         """(f, level_point's (grad f, |grad f|, H), third partials, mask of

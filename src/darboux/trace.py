@@ -12,13 +12,13 @@ Delta u' + Delta* v' and Omega . t vanish.
 Integration is classical fixed-step RK4.  Branch continuity picks, at every
 field evaluation, the sign that best aligns with the running tangent, and a
 sample's own oriented slope is the first stage of the step that leaves it.
-Each point is evaluated once, by straight-line kernels per surface kind,
-with the field's plus-branch slope or the error its solve raised (met where
-the slope is read); a sample's evaluation is passed to its record.
-Implicit traces are Newton-projected back to f = 0 after every step.  When a
-trace returns to its seed it is closed with one final shortened step landing
-on the seed's transversal plane (the one sample exempt from the fixed-step
-spacing).
+Each point is evaluated once, by one straight-line stage kernel per surface
+kind (_chart_eval, _implicit_eval), with the field's plus-branch slope or
+the error its solve raised (met where the slope is read).  Implicit traces
+are Newton-projected back to f = 0 after every step.  When a trace returns
+within the closure radius of its seed it is closed with one final
+shortened step landing on the seed's transversal plane (the one sample
+exempt from the fixed-step spacing).
 
 The trace runs on the float kernels of ``surface``: states, RK4 slopes,
 jets, normals and recorded rows are tuples of Python floats, and arrays are
@@ -37,6 +37,7 @@ math domain error) a NumericalError is raised, or the trace ends with an
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -103,10 +104,14 @@ class TraceConfig:
     seed_tol: float = 1e-9
 
     def __post_init__(self):
-        if self.step <= 0 or self.max_length <= 0:
-            raise ValueError("step and max_length must be positive")
+        if not (0.0 < self.step < math.inf and 0.0 < self.max_length < math.inf):
+            raise ValueError("step and max_length must be positive and finite")
         if self.branch not in ("plus", "minus"):
             raise ValueError(f"branch must be 'plus' or 'minus', got {self.branch!r}")
+        if self.closure_tol is not None and not 0.0 < self.closure_tol < math.inf:
+            raise ValueError(f"closure_tol must be positive and finite, got {self.closure_tol!r}")
+        if not 0.0 <= self.eps_sing < math.inf:
+            raise ValueError(f"eps_sing must be a finite number >= 0, got {self.eps_sing!r}")
 
     @property
     def closure_radius(self) -> float:
@@ -201,7 +206,7 @@ def snap_seed(surface, d, phi: float, guess, config: TraceConfig):
     level is read as trace_isophote's seed check reads it."""
     adapter = _adapter(surface, d, phi, config)
     seed = adapter.start(guess)
-    if abs(adapter.level(adapter.evaluate(seed)) - adapter.target) <= config.seed_tol:
+    if abs(_angle_dot(adapter.evaluate(seed), adapter.d) - adapter.target) <= config.seed_tol:
         return guess if isinstance(surface, ParametricSurface) else np.array(seed)
     return find_seed(surface, d, phi, guess, projection_tol=config.projection_tol)
 
@@ -315,38 +320,36 @@ def _find_seed_implicit(surface, d, target, guess, tol, max_iter, projection_tol
 # them
 
 
-def _chart_stage(point, d) -> tuple:
-    """A chart point's (jet, w, |w|, (E, F, G), g_u, g_v) from its (jet, w,
-    |w|) and the axis d: the first form and the partials of g = <U, d>,
-    U = w/|w|.  Straight-line code with the operations of _first_form and
-    dot3 in their order."""
-    jet, w, n = point
+def _chart_eval(surface, d, eps_sing: float, key) -> tuple:
+    """A chart point's evaluation at its wrapped key (u, v): (k, t3, error,
+    sigma, w, |w|), w = sigma_u x sigma_v, with k = (u', v') the field's
+    plus-branch slope (g_u u' + g_v v' = 0 at unit metric speed, g = <U, d>)
+    and t3 = sigma_u u' + sigma_v v'.  Where the solve fails, k and t3 are
+    None and error is its arithmetic error, or None at a singular point
+    (|g_u|, |g_v| <= eps_sing).  Raises _chart_point's RegularityError where
+    |w| <= eps_reg.  The operations of _chart_w, _first_form, dot3 and
+    _lincomb in their order, written out."""
+    jet = surface._jet_fn(*key)
+    (a0, a1, a2), (b0, b1, b2) = jet[1], jet[2]
+    w0, w1, w2 = w = (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
+    n = math.sqrt(w0 * w0 + w1 * w1 + w2 * w2)
+    if n <= surface.eps_reg:
+        raise surface._irregular(*key)
     (x0, x1, x2), (y0, y1, y2) = _normal_partials(jet, w, n, n**3)
-    a0, a1, a2 = jet[1]
-    b0, b1, b2 = jet[2]
     d0, d1, d2 = d
-    return (jet, w, n,
-            (a0 * a0 + a1 * a1 + a2 * a2, a0 * b0 + a1 * b1 + a2 * b2,
-             b0 * b0 + b1 * b1 + b2 * b2),
-            x0 * d0 + x1 * d1 + x2 * d2, y0 * d0 + y1 * d1 + y2 * d2)
-
-
-def _chart_solve(stage, eps_sing: float) -> tuple:
-    """(k, t3, error) at a _chart_stage: the field's plus-branch slope
-    k = (u', v') (g_u u' + g_v v' = 0 at unit metric speed) and its tangent
-    t3 = sigma_u u' + sigma_v v', with _lincomb's operations.  Where the
-    solve fails, k and t3 are None and error is its arithmetic error, or
-    None at a singular point (|g_u|, |g_v| <= eps_sing)."""
-    jet, _, _, (E, F, G), g_u, g_v = stage
+    g_u = x0 * d0 + x1 * d1 + x2 * d2
+    g_v = y0 * d0 + y1 * d1 + y2 * d2
     if abs(g_u) <= eps_sing and abs(g_v) <= eps_sing:
-        return None, None, None
+        return None, None, None, jet[0], w, n
+    E, F, G = (a0 * a0 + a1 * a1 + a2 * a2, a0 * b0 + a1 * b1 + a2 * b2,
+               b0 * b0 + b1 * b1 + b2 * b2)
     try:
         W = math.sqrt(E * g_v**2 - 2.0 * F * g_u * g_v + G * g_u**2)
         du, dv = -g_v / W, g_u / W
     except ARITHMETIC_ERRORS as exc:
-        return None, None, exc
-    (a0, a1, a2), (b0, b1, b2) = jet[1], jet[2]
-    return (du, dv), (du * a0 + dv * b0, du * a1 + dv * b1, du * a2 + dv * b2), None
+        return None, None, exc, jet[0], w, n
+    return ((du, dv), (du * a0 + dv * b0, du * a1 + dv * b1, du * a2 + dv * b2), None,
+            jet[0], w, n)
 
 
 def _chart_singular(u, v) -> SingularPointError:
@@ -363,7 +366,7 @@ def isophote_direction_parametric(surface: ParametricSurface, d, u: float, v: fl
 
     Raises SingularPointError when both g_u and g_v fall below ``eps_sing``
     (no isophotic curve with this axis exists through the point)."""
-    k, _, error = _chart_solve(_chart_stage(surface.chart_point(u, v), _floats(d)), eps_sing)
+    k, _, error = _chart_eval(surface, _floats(d), eps_sing, surface.wrap(u, v))[:3]
     if k is None:
         raise error or _chart_singular(u, v)
     return (-k[0], -k[1]) if branch == "minus" else k
@@ -429,7 +432,7 @@ def isophote_direction_implicit(surface: ImplicitSurface, d, p, branch: str = "p
     f = surface._f(*p)
     if abs(f) > on_surface_tol:
         raise DarbouxError(f"point is not on the surface: |f| = {abs(f):g} > {on_surface_tol:g}")
-    *_, t, error = _implicit_stage(surface.level_point(p), _floats(d), eps_sing)
+    t, _, error = _implicit_eval(surface, _floats(d), eps_sing, p)[:3]
     if t is None:
         raise error or _implicit_singular(p)
     return np.array(_negated(t) if branch == "minus" else t)
@@ -447,12 +450,23 @@ def _level_gradient(point, d) -> tuple:
             (c0 * d0 + c1 * d1 + c2 * d2) / n - gd * (c0 * g0 + c1 * g1 + c2 * g2) / n3)
 
 
-def _implicit_stage(point, d, eps_sing: float) -> tuple:
-    """A surface point's evaluation from its (grad f, |grad f|, H) and the
-    axis d: (grad f, |grad f|, H, t, error), t the plus unit tangent
-    grad f x grad g over its norm, written out.  Where that solve fails, t
-    is None and error holds its arithmetic error, or None at a singular
-    point (the norm within ``eps_sing`` of 0)."""
+def _implicit_eval(surface, d, eps_sing: float, p) -> tuple:
+    """The evaluation of the surface point p: _implicit_stage of its
+    (grad f, |grad f|, H), with level_point's check written out."""
+    grad, H = surface._level(*p)
+    g0, g1, g2 = grad
+    n = math.sqrt(g0 * g0 + g1 * g1 + g2 * g2)
+    if n <= surface.eps_reg:
+        raise surface._irregular(p)
+    return _implicit_stage(p, (grad, n, H), d, eps_sing)
+
+
+def _implicit_stage(p, point, d, eps_sing: float) -> tuple:
+    """The evaluation of the surface point p from its (grad f, |grad f|, H)
+    and the axis d, laid out as _chart_eval's: (t, t, error, p, grad f,
+    |grad f|, H), t the plus unit tangent grad f x grad g over its norm,
+    written out.  Where that solve fails, t is None and error holds its
+    arithmetic error, or None at a singular point (the norm <= eps_sing)."""
     grad, n, H = point
     try:
         g0, g1, g2 = grad
@@ -462,10 +476,11 @@ def _implicit_stage(point, d, eps_sing: float) -> tuple:
         w2 = g0 * l1 - g1 * l0
         wn = math.sqrt(w0 * w0 + w1 * w1 + w2 * w2)
         if wn <= eps_sing:
-            return grad, n, H, None, None
-        return grad, n, H, (w0 / wn, w1 / wn, w2 / wn), None
+            return None, None, None, p, grad, n, H
+        t = (w0 / wn, w1 / wn, w2 / wn)
+        return t, t, None, p, grad, n, H
     except ARITHMETIC_ERRORS as exc:
-        return grad, n, H, None, exc
+        return None, None, exc, p, grad, n, H
 
 
 def _implicit_singular(p) -> SingularPointError:
@@ -548,11 +563,30 @@ def trace_isophote(surface, d, phi: float, seed, config: TraceConfig | None = No
     return _integrate(_adapter(surface, d, phi, config), phi, seed)
 
 
-def _axpy(y, a, k) -> tuple:
-    """y + a k for a state y and slope k of 2 or 3 components, written out."""
-    if len(y) == 2:
-        return (y[0] + a * k[0], y[1] + a * k[1])
+def _axpy2(y, a, k) -> tuple:
+    """y + a k for a state y and a slope k of 2 components."""
+    return (y[0] + a * k[0], y[1] + a * k[1])
+
+
+def _axpy3(y, a, k) -> tuple:
+    """y + a k for a state y and a slope k of 3 components."""
     return (y[0] + a * k[0], y[1] + a * k[1], y[2] + a * k[2])
+
+
+def _rk4_sum(y, a, k1, k2, k3, k4) -> tuple:
+    """y + a (k1 + 2 k2 + 2 k3 + k4) for a state of 2 or 3 components, the
+    slopes summed left to right per component (1.0 k4 is k4 bit for bit)."""
+    if len(y) == 2:
+        return (y[0] + a * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]),
+                y[1] + a * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]))
+    return (y[0] + a * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]),
+            y[1] + a * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]),
+            y[2] + a * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2]))
+
+
+def _angle_dot(point, d) -> float:
+    """<U, d> at an evaluated point, U its normal w/|w| or grad f/|grad f|."""
+    return dot3(_div3(point[4], point[5]), d)
 
 
 def _integrate(adapter, phi, seed):
@@ -562,73 +596,73 @@ def _integrate(adapter, phi, seed):
     The adapter (_ChartTrace or _ImplicitTrace) maps the seed to a state, an
     RK4 stage point to the key of its point (a chart point wrapped once; a
     state, wrapped or reprojected already, is its own key) and a key to its
-    evaluation, which carries the field's plus-branch slope or the error its
-    solve raised.  It orients that slope into an RK4 slope and a 3-D tangent
-    (raising the error there, so a seed off its level is reported first), fixes
-    up each new state (wrap or reprojection) and records a sample.  States,
-    slopes and tangents are tuples of floats.  Each sample's oriented slope is
-    the first RK4 stage of the step that leaves it (the field oriented by its
-    own tangent is the slope again, bit for bit), and its evaluation is passed
-    to its record and closure test.  The last evaluated key and its evaluation
-    are kept while the requested key repeats, so stages whose slopes agree
-    share one evaluation.
+    evaluation by its surface kind's stage kernel (_chart_eval or
+    _implicit_eval), which carries the field's plus-branch slope or the error
+    its solve raised.  It orients that slope into an RK4 slope and a 3-D
+    tangent (raising the error there, so a seed off its level is reported
+    first), fixes up each new state (wrap or reprojection) and records a
+    sample.  States, slopes and tangents are tuples of floats.  Each sample's
+    oriented slope is the first RK4 stage of the step that leaves it, and
+    stages whose key repeats the last one share its evaluation.  A sample's
+    tangent is normalized for the closure test only within the closure
+    radius of the seed.
     """
     config = adapter.config
-    last = [None, None]
+    key, evaluate, direction, fix = adapter.key, adapter.evaluate, adapter.direction, adapter.fix
+    record = adapter.record
 
-    def at(key):
-        if key != last[0]:
-            last[:] = key, adapter.evaluate(key)
-        return last[1]
+    def slope(q, ref):
+        # the field at the RK4 stage point q, oriented by ref
+        nonlocal last_key, last
+        c = key(q)
+        if c != last_key:
+            last_key, last = c, evaluate(c)
+        return direction(q, last, ref)[0]
 
-    def field(y, ref):
-        return adapter.direction(y, at(adapter.key(y)), ref)[0]
-
-    def step(y, h, k1, ref):
-        k2 = field(_axpy(y, 0.5 * h, k1), ref)
-        k3 = field(_axpy(y, 0.5 * h, k2), ref)
-        k4 = field(_axpy(y, h, k3), ref)
-        # y + h/6 (k1 + 2 k2 + 2 k3 + k4), summed left to right (1.0 k4 is k4)
-        return adapter.fix(_axpy(y, h / 6.0, _axpy(_axpy(_axpy(k1, 2.0, k2), 2.0, k3), 1.0, k4)))
-
-    rows = []
-
-    def record(s, y, point, k, t3):
-        rows.append((s, *adapter.record(y, point, k, t3)))
+    def step(y, h, k1, ref, s):
+        # one RK4 step from the sample y with its oriented slope k1 and
+        # tangent ref, and the new sample's (state, evaluation, slope,
+        # tangent), recorded at arclength s
+        nonlocal last_key, last
+        k2 = slope(axpy(y, 0.5 * h, k1), ref)
+        k3 = slope(axpy(y, 0.5 * h, k2), ref)
+        k4 = slope(axpy(y, h, k3), ref)
+        y = fix(_rk4_sum(y, h / 6.0, k1, k2, k3, k4))
+        if y != last_key:
+            last_key, last = y, evaluate(y)
+        k, t3 = direction(y, last, ref)
+        rows.append(record(s, y, last, k, t3))
+        return y, last, k, t3
 
     y = adapter.start(seed)
-    point = at(y)
-    level = adapter.level(point)
+    axpy = _axpy2 if len(y) == 2 else _axpy3
+    last_key, last = y, evaluate(y)
+    level = _angle_dot(last, adapter.d)
     if not abs(level - adapter.target) <= config.seed_tol:
         raise SeedError(
             f"seed is not on the isophote level: |<U,d> - cos(phi)| = "
             f"{abs(level - adapter.target):g} > {config.seed_tol:g}; use find_seed"
         )
 
-    k, t3 = adapter.direction(y, point, None)
+    k, t3 = direction(y, last, None)
     if config.branch == "minus":
         k, t3 = _negated(k), _negated(t3)
-    seed_point, seed_tan = adapter.closure_frame(y, point, t3)
-    record(0.0, y, point, k, t3)
+    seed_point, seed_tan = last[3], adapter.unit(t3)
+    rows = [record(0.0, y, last, k, t3)]
     h = config.step
+    radius, s_closing = config.closure_radius, 10.0 * h
     termination = "length reached"
     try:
         n_steps = int(math.floor(config.max_length / h + 1e-9))
         s_done = 0.0
         for _ in range(n_steps):
-            y = step(y, h, k, t3)
             s_done += h
-            point = at(y)
-            k, t3 = adapter.direction(y, point, t3)
-            record(s_done, y, point, k, t3)
-            delta = _closure_step(*adapter.closure_frame(y, point, t3),
-                                  seed_point, seed_tan, s_done, config)
+            y, point, k, t3 = step(y, h, k, t3, s_done)
+            if s_done < s_closing:
+                continue
+            delta = _closure_step(point[3], t3, adapter.unit, seed_point, seed_tan, radius, h)
             if delta is not None:
-                y = step(y, delta, k, t3)
-                s_done += delta
-                point = at(y)
-                k, t3 = adapter.direction(y, point, t3)
-                record(s_done, y, point, k, t3)
+                step(y, delta, k, t3, s_done + delta)
                 termination = "closed"
                 break
     except OutOfDomainError:
@@ -649,20 +683,19 @@ def _negated(x) -> tuple:
     return tuple([-a for a in x])
 
 
-def _closure_step(p, t, seed_p, seed_t, s_done, config):
-    """Length of a final step landing on the seed's transversal plane, or
-    None if not closing here."""
-    if s_done < 10.0 * config.step:
-        return None
+def _closure_step(p, t3, unit, seed_p, seed_t, radius, step):
+    """Length of a final step from the sample at p with tangent t3 landing
+    on the seed's transversal plane, or None if not closing here.  The unit
+    tangent unit(t3) is computed only within ``radius`` of the seed."""
     p0, p1, p2 = p
     a0, a1, a2 = seed_p
     g0, g1, g2 = a0 - p0, a1 - p1, a2 - p2
-    if math.sqrt(g0 * g0 + g1 * g1 + g2 * g2) > config.closure_radius:
+    if math.sqrt(g0 * g0 + g1 * g1 + g2 * g2) > radius:
         return None
-    if dot3(t, seed_t) < 0.5:
+    if dot3(unit(t3), seed_t) < 0.5:
         return None
     delta = dot3((g0, g1, g2), seed_t)
-    if not 0.0 < delta <= config.step:
+    if not 0.0 < delta <= step:
         return None
     return delta
 
@@ -670,31 +703,24 @@ def _closure_step(p, t, seed_p, seed_t, s_done, config):
 class _ChartTrace:
     """Isophote on a chart.  The state is (u, v), wrapped after each step;
     RK4 slopes are (u', v') and the reference tangent is sigma_u u' + sigma_v v'.
-    A point's evaluation is its _chart_stage and _chart_solve.  A sample's
-    record is its state, its oriented slope and the slope's sign against the
-    plus branch; the diagnostic columns are computed from the records once,
-    after the loop, by _chart_columns on the surface's _jets_many."""
+    A point's evaluation is _chart_eval's.  A sample's record is its state,
+    its oriented slope and the slope's sign against the plus branch; the
+    diagnostic columns are computed from the records once, after the loop,
+    by _chart_columns on the surface's _jets_many."""
 
     def __init__(self, surface, d, target, config):
         self.surface, self.d, self.target, self.config = surface, d, target, config
+        self.evaluate = functools.partial(_chart_eval, surface, d, config.eps_sing)
 
     def start(self, seed):
         return self.surface.wrap(float(seed[0]), float(seed[1]))
 
-    def level(self, point):
-        return dot3(_div3(point[1], point[2]), self.d)
-
-    def evaluate(self, key):
-        # the key is wrapped already: evaluating it wraps nothing again
-        stage = _chart_stage(self.surface._chart_point(*key), self.d)
-        return stage + _chart_solve(stage, self.config.eps_sing)
-
     def direction(self, y, point, ref):
-        k, t3 = point[6], point[7]
+        k, t3 = point[0], point[1]
         if k is None:
-            raise point[-1] or _chart_singular(y[0], y[1])
-        if ref is not None and dot3(t3, ref) < 0.0:
-            return (-k[0], -k[1]), _negated(t3)
+            raise point[2] or _chart_singular(y[0], y[1])
+        if ref is not None and t3[0] * ref[0] + t3[1] * ref[1] + t3[2] * ref[2] < 0.0:
+            return (-k[0], -k[1]), (-t3[0], -t3[1], -t3[2])
         return k, t3
 
     def fix(self, y):
@@ -702,12 +728,10 @@ class _ChartTrace:
 
     # an RK4 stage point: wrapping sends equal points to one key
     key = fix
+    unit = staticmethod(lambda t3: _div3(t3, norm3(t3)))
 
-    def closure_frame(self, y, point, t3):
-        return point[0][0], _div3(t3, norm3(t3))
-
-    def record(self, y, point, k, t3):
-        return y, k, 1.0 if k is point[6] else -1.0
+    def record(self, s, y, point, k, t3):
+        return s, y, k, 1.0 if k is point[0] else -1.0
 
     def columns(self, s, y, k, sign) -> tuple:
         cols = _chart_columns(self.surface._jets_many(*y.T), self.d, *k.T, sign)
@@ -732,8 +756,8 @@ class _ChartTrace:
 class _ImplicitTrace:
     """Isophote on f = 0.  The state is the point itself, Newton-projected
     back onto the surface (and optionally the level) after each step; the
-    RK4 slope is the unit tangent.  A point's evaluation is its
-    _implicit_stage.
+    RK4 slope is the unit tangent.  A point's evaluation is
+    _implicit_eval's.
 
     A sample's record keeps what can fail or needs a Python float: the
     point, its tangent, grad f, |grad f|, H and |f|.  f is the value
@@ -743,27 +767,22 @@ class _ImplicitTrace:
 
     def __init__(self, surface, d, target, config):
         self.surface, self.d, self.target, self.config = surface, d, target, config
+        self.evaluate = functools.partial(_implicit_eval, surface, d, config.eps_sing)
         self.f = None  # f at the last state start or fix returned, if known
 
     def start(self, seed):
         p, self.f = _project(self.surface, _point(seed), self.config.projection_tol)
         return p
 
-    def level(self, point):
-        return dot3(_div3(point[0], point[1]), self.d)
-
-    def key(self, p):
-        return p
-
-    def evaluate(self, p):
-        return _implicit_stage(self.surface.level_point(p), self.d, self.config.eps_sing)
+    # a state is its own key, and the field's tangent is unit already
+    key = unit = staticmethod(lambda x: x)
 
     def direction(self, p, point, ref):
-        t = point[3]
+        t = point[0]
         if t is None:
-            raise point[-1] or _implicit_singular(p)
-        if ref is not None and dot3(t, ref) < 0.0:
-            t = _negated(t)
+            raise point[2] or _implicit_singular(p)
+        if ref is not None and t[0] * ref[0] + t[1] * ref[1] + t[2] * ref[2] < 0.0:
+            t = (-t[0], -t[1], -t[2])
         return t, t
 
     def fix(self, q):
@@ -773,14 +792,9 @@ class _ImplicitTrace:
                                                  self.config.projection_tol)
         return q
 
-    def closure_frame(self, p, point, t):
-        # the field's tangent is unit already
-        return p, t
-
-    def record(self, q, point, k, t):
-        grad, n, H, _, _ = point
+    def record(self, s, q, point, k, t):
         f = self.f if self.f is not None else self.surface._f(*q)
-        return q, t, grad, n, H, abs(f)
+        return s, q, t, point[4], point[5], point[6], abs(f)
 
     def columns(self, s, q, t, grad, n, H, f) -> tuple:
         cols = _implicit_columns(self.d, grad.T, n, H.transpose(1, 2, 0), t.T)

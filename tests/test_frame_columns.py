@@ -378,6 +378,20 @@ class TestMaskErrorOrder:
             f"curve is not unit speed at s={sk:g}: |gamma'| - 1 = 0.5, beyond the tolerance 1e-07")
         assert str(excinfo.value) == _point_by_point_error(c, grid)
 
+    def test_python_callable_path_raises_on_floats(self):
+        # v = 0*(1/(s-1)) divides by zero at s = 1 on Python floats; numpy
+        # float64 lanes would read nan there instead of raising
+        one, zero = (lambda s: 1.0), (lambda s: 0.0)
+        path = ChartPath(lambda s: s, lambda s: 0 * (1 / (s - 1)), one, zero, zero, zero,
+                         zero, zero, (0.0, 2.0))
+        c = CurveOnSurface(darboux.plane(), chart_path=path)
+        with pytest.raises(ZeroDivisionError):
+            darboux_frame(c, 1.0)
+        with pytest.raises(NumericalError, match="^float arithmetic failed: float division "
+                                                 "by zero$"):
+            sample_frames(c, uniform_grid(0.0, 2.0, 21))
+        assert np.isfinite(sample_frames(c, uniform_grid(0.0, 0.9, 10)).gamma).all()
+
     def test_zero_curvature_is_not_flagged(self, monkeypatch, tmp_path):
         # kappa = 0 on every lane: tau is nan there, a value, not a failure,
         # so no lane is evaluated again

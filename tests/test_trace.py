@@ -608,7 +608,8 @@ class TestEvaluationCounts:
         assert res.termination == "closed"
         # on a latitude the four RK4 slopes agree, so k2 and k3 share a point
         # and k4 lands on the next sample: two jets per step, one at the seed
-        assert calls["jet"] <= 2 * (res.n - 1) + 1
+        assert res.n == 446
+        assert calls["jet"] == 2 * (res.n - 1) + 1
         assert (calls["columns"], calls["lanes"]) == (1, res.n)
 
     def test_implicit_torus_evaluations(self):
@@ -621,10 +622,11 @@ class TestEvaluationCounts:
                              TraceConfig(step=1e-2, max_length=2.0))
         assert res.termination == "length reached"
         # RK4 stages 2-4 and the new sample take grad and H in one level
-        # call, and so does a projection step; the projection takes f, and
-        # the |f| column reads the projection's last value
-        assert calls["level"] <= 4 * res.n + 5
-        assert calls["f"] <= res.n
+        # call (the projection, already within its tolerance, takes none);
+        # the projection takes f, and the |f| column reads its last value
+        assert res.n == 201
+        assert calls["level"] == 4 * (res.n - 1) + 1
+        assert calls["f"] == res.n
 
 
 class TestConvergence:
@@ -662,6 +664,28 @@ class TestTraceConfig:
 
     def test_closure_radius_default(self):
         assert TraceConfig(step=0.5).closure_radius == 1.0
+
+    @pytest.mark.parametrize("field", ["step", "max_length"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+    def test_rejects_a_step_or_length_not_positive_and_finite(self, field, value):
+        # a nan step or an infinite length would give a one-sample trace
+        # ending in "cannot convert float NaN to integer"
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            TraceConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", [-1.0, 0.0, math.nan, math.inf])
+    def test_rejects_a_closure_tol_not_positive_and_finite(self, value):
+        # a negative or nan radius would silently never close
+        with pytest.raises(ValueError, match="closure_tol must be positive and finite"):
+            TraceConfig(closure_tol=value)
+
+    @pytest.mark.parametrize("value", [-1.0, math.nan, math.inf])
+    def test_rejects_an_eps_sing_not_finite_and_non_negative(self, value):
+        with pytest.raises(ValueError, match="eps_sing must be a finite number >= 0"):
+            TraceConfig(eps_sing=value)
+
+    def test_accepts_the_edge_values(self):
+        assert TraceConfig(eps_sing=0.0, closure_tol=1e-300).closure_radius == 1e-300
 
 
 def _without_columns(surface):
@@ -882,15 +906,15 @@ class TestFieldSolves:
         monkeypatch.setattr(trace_module, name, wrapper)
 
     def test_sphere_circuit_direction_solves(self, monkeypatch):
-        calls = {"jet": 0, "_chart_solve": 0, "columns": 0, "lanes": 0}
-        self.counted(monkeypatch, "_chart_solve", calls)
+        calls = {"jet": 0, "_chart_eval": 0, "columns": 0, "lanes": 0}
+        self.counted(monkeypatch, "_chart_eval", calls)
         surface = TestEvaluationCounts.counting_sphere(calls)
         res = trace_isophote(surface, EZ, math.pi / 4, (0.0, math.pi / 4),
                              TraceConfig(step=1e-2, max_length=4.5))
         assert res.termination == "closed"
         # on a latitude RK4 stages 2 and 3 share a point and stage 4 lands
         # on the next sample: two solves per step, one at the seed
-        assert calls["_chart_solve"] == calls["jet"] == 2 * (res.n - 1) + 1
+        assert calls["_chart_eval"] == calls["jet"] == 2 * (res.n - 1) + 1
 
     def test_implicit_torus_direction_solves(self, monkeypatch):
         calls = {"f": 0, "level": 0, "_implicit_stage": 0}
@@ -984,6 +1008,29 @@ class TestSurfaceRegularityThreshold:
         assert res.n == 21
         assert np.abs(res.angle_dot - math.cos(math.pi / 4)).max() <= 1e-12
         assert np.abs(res.unit_speed_residual).max() <= 1e-12
+
+    @pytest.mark.parametrize("implicit", [False, True])
+    def test_mid_trace_regularity_error_keeps_the_samples(self, implicit):
+        # eps_reg lies between |w| (|grad f|) at the seed, 0.566 (19.99),
+        # and its minimum along the trace, 0.501 (19.68): the stage kernel
+        # raises the surface's own RegularityError part way
+        d = np.array([1.0, 0.0, 2.0]) / math.sqrt(5.0)
+        if implicit:
+            make, guess, eps = (lambda e: darboux.implicit_torus(2.0, 0.5, eps_reg=e),
+                                (2.5, 0.0, 0.1), 19.8)
+            message = "error: implicit_torus(R=2,r=0.5): |grad f| <= 19.8 at ("
+        else:
+            make, guess, eps = (lambda e: darboux.ellipsoid(2.0, 1.0, 0.5, eps_reg=e),
+                                (0.3, 0.3), 0.53)
+            message = "error: ellipsoid(a=2,b=1,c=0.5): |sigma_u x sigma_v| <= 0.53 at (u, v)=("
+        config = TraceConfig(step=1e-2, max_length=3.0)
+        seed = find_seed(make(1e-10), d, math.pi / 3, guess)
+        full = trace_isophote(make(1e-10), d, math.pi / 3, seed, config)
+        res = trace_isophote(make(eps), d, math.pi / 3, seed, config)
+        assert res.termination.startswith(message)
+        assert 1 < res.n < full.n
+        assert _hex(res.points) == _hex(full.points[:res.n])
+        assert _hex(res.tangents) == _hex(full.tangents[:res.n])
 
     def test_darboux_frame_on_a_tiny_sphere(self):
         r, v0 = 1e-6, math.pi / 4
@@ -1170,6 +1217,17 @@ def _rotated_torus(R):
     return parse_surface_spec(f"param:x={rows[0]};y={rows[1]};z={rows[2]};{_PERIODIC};periodic=uv")
 
 
+TORUS_F = "(X*X+Y*Y+Z*Z+3.75)^2-16*(X^2+Y^2)"   # implicit_torus(2, 0.5) in X, Y, Z
+
+
+def _rotated_implicit_torus(R):
+    """The implicit: torus f(R^T p), the entries of R^T p written out as text."""
+    f = TORUS_F
+    for name, column in zip("XYZ", R.T.tolist()):
+        f = f.replace(name, "(" + " + ".join(f"({a!r})*{x}" for a, x in zip(column, "xyz")) + ")")
+    return parse_surface_spec(f"implicit:f={f}", implicit=True)
+
+
 def _rotation(a, b, c):
     """R_z(a) R_y(b) R_z(c)."""
     def rz(t):
@@ -1202,6 +1260,23 @@ class TestRigidMotionInvariance:
         res = trace_isophote(torus, self.D, phi, seed, config)
         moved = trace_isophote(_rotated_torus(R), R @ self.D, phi, seed, config)
         assert (moved.termination, moved.n) == (res.termination, res.n)
+        np.testing.assert_allclose(moved.points, res.points @ R.T, rtol=0, atol=1e-9)
+        for name in ("kn", "tg", "kg", "angle_dot"):
+            np.testing.assert_allclose(getattr(moved, name), getattr(res, name),
+                                       rtol=0, atol=1e-9, err_msg=name)
+
+    @settings(max_examples=8, deadline=None)
+    @given(euler=_EULER)
+    def test_implicit_trace_rotates_with_the_surface(self, euler):
+        R = _rotation(*euler)
+        torus = parse_surface_spec("implicit:f=" + TORUS_F.replace("X", "x").replace("Y", "y")
+                                   .replace("Z", "z"), implicit=True)
+        phi = math.radians(50.0)
+        seed = find_seed(torus, self.D, phi, (2.5, 0.0, 0.1))
+        config = TraceConfig(step=1e-2, max_length=3.0)
+        res = trace_isophote(torus, self.D, phi, seed, config)
+        moved = trace_isophote(_rotated_implicit_torus(R), R @ self.D, phi, R @ seed, config)
+        assert (moved.termination, moved.n) == (res.termination, res.n) == ("length reached", 301)
         np.testing.assert_allclose(moved.points, res.points @ R.T, rtol=0, atol=1e-9)
         for name in ("kn", "tg", "kg", "angle_dot"):
             np.testing.assert_allclose(getattr(moved, name), getattr(res, name),

@@ -35,10 +35,12 @@ from darboux.surface import (
     dot3,
     norm3,
 )
+from darboux.errors import RegularityError
+from darboux.surface import ImplicitSurface, ParametricSurface
 from darboux.trace import (
-    _chart_solve,
-    _chart_stage,
+    _chart_eval,
     _implicit_columns,
+    _implicit_eval,
     _implicit_stage,
     _level_gradient,
 )
@@ -361,7 +363,8 @@ def test_level_gradient_and_direction_compose_matvec_and_dot3(g, H, d):
     assert _same_bits(_level_gradient(point, d), composed)
     w = _cross(g, composed)
     if norm3(w) > 1e-10:
-        assert _same_bits(_implicit_stage(point, d, 1e-10)[3], _div3(w, norm3(w)))
+        assert _same_bits(_implicit_stage((0.0, 0.0, 0.0), point, d, 1e-10)[0],
+                          _div3(w, norm3(w)))
 
 
 def _plus_solve(solve):
@@ -397,13 +400,15 @@ EPS_SING = st.sampled_from([0.0, 1e-10, 1e300])
 def test_chart_stage_composes_normal_partials_first_form_and_dot3(jet, d, eps_sing):
     w, n = _chart_w(jet)
     assume(n > 1e-100)
-    stage = _chart_stage((jet, w, n), d)
+    # the chart kernel evaluates the jet itself: a surface whose jet is jet
+    surface = ParametricSurface("fixed jet", lambda u, v: jet, (-1.0, 1.0), (-1.0, 1.0),
+                                jet3_fn=None, eps_reg=0.0)
+    stage = _chart_eval(surface, d, eps_sing, (0.0, 0.0))
     U_u, U_v = _normal_partials(jet, w, n, n**3)
     E, F, G = _first_form(jet)
     g_u, g_v = dot3(U_u, d), dot3(U_v, d)
-    assert len(stage) == 6 and stage[:3] == (jet, w, n)
-    for got, want in zip(stage[3:], ((E, F, G), g_u, g_v)):
-        assert _same_bits(got, want)
+    assert len(stage) == 6 and stage[3] is jet[0]
+    assert _same_bits(stage[4], w) and _same_bits(stage[5], n)
 
     def solve():
         # the reference solve: unit metric speed, then sigma_u u' + sigma_v v'
@@ -413,7 +418,7 @@ def test_chart_stage_composes_normal_partials_first_form_and_dot3(jet, d, eps_si
 
     singular = abs(g_u) <= eps_sing and abs(g_v) <= eps_sing
     plus, error = (None, None) if singular else _plus_solve(solve)
-    k, t3, stage_error = _chart_solve(stage, eps_sing)
+    k, t3, stage_error = stage[:3]
     assert (k is None) == (t3 is None)
     assert _same_solve(None if k is None else k + t3, stage_error, plus, error)
 
@@ -426,13 +431,40 @@ def test_implicit_stage_composes_level_gradient_cross_and_norm3(g, H, d, eps_sin
     n = norm3(g)
     assume(n > 1e-100)
     point = (g, n, H)
-    stage = _implicit_stage(point, d, eps_sing)
-    assert stage[0] is g and stage[1] == n and stage[2] is H
+    p = (0.5, -0.25, 2.0)
+    stage = _implicit_stage(p, point, d, eps_sing)
+    assert stage[1] is stage[0] and stage[3] is p
+    assert stage[4] is g and stage[5] == n and stage[6] is H
     plus, error = _plus_solve(lambda: _cross(g, _level_gradient(point, d)))
     if plus is not None:
         wn = norm3(plus)
         plus = None if wn <= eps_sing else _div3(plus, wn)
-    assert _same_solve(stage[3], stage[4], plus, error)
+    assert _same_solve(stage[0], stage[2], plus, error)
+    # the kernel reads grad f and H from the surface and |grad f| by norm3
+    surface = ImplicitSurface("fixed level", None, lambda *q: (g, H), 0.0, third=None)
+    evaluated = _implicit_eval(surface, d, eps_sing, p)
+    assert evaluated[3:] == stage[3:] and _same_bits(evaluated[5], n)
+    assert _same_solve(evaluated[0], evaluated[2], plus, error)
+
+
+def test_stage_kernels_raise_the_surfaces_regularity_errors():
+    # at |w| or |grad f| <= eps_reg the kernels raise chart_point's and
+    # level_point's own errors before any solve
+    jet = ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (2.0, 0.0, 0.0)) + ((0.0, 0.0, 0.0),) * 3
+    chart = ParametricSurface("folded", lambda u, v: jet, (-1.0, 1.0), (-1.0, 1.0),
+                              jet3_fn=None)
+    with pytest.raises(RegularityError) as want:
+        chart.chart_point(0.5, 0.25)
+    with pytest.raises(RegularityError) as got:
+        _chart_eval(chart, (0.0, 0.0, 1.0), 1e-10, (0.5, 0.25))
+    assert str(got.value) == str(want.value)
+    level = ImplicitSurface("flat", None, lambda *q: ((0.0, 0.0, 0.0), ((0.0,) * 3,) * 3),
+                            third=None)
+    with pytest.raises(RegularityError) as want:
+        level.level_point((0.5, 0.25, 0.0))
+    with pytest.raises(RegularityError) as got:
+        _implicit_eval(level, (0.0, 0.0, 1.0), 1e-10, (0.5, 0.25, 0.0))
+    assert str(got.value) == str(want.value)
 
 
 @settings(max_examples=100, deadline=None)
