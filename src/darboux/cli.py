@@ -308,28 +308,25 @@ def _cmd_trace(args, implicit: bool) -> int:
                                 closure_tol=closure_tol, eps_sing=args.eps_sing, **projection)
     guess = _parse_floats(args.seed, 3 if implicit else 2, "--seed")
 
-    def run_one(phi_k: float, out_path: str | None):
-        # the CLI treats --seed as a guess: snap it onto the exact level
-        seed = _trace.snap_seed(surface, d, phi_k, guess, config)
-        result = _trace.trace_isophote(surface, d, phi_k, seed, config)
-        if args.format == "csv":
-            _write(out_path, trace_csv(result))
-        elif args.format == "json":
-            _write(out_path, trace_json(result, surface.name))
-        else:
-            _write(out_path, trace_obj(result))
-        return result
-
     if args.family:
         angles = _family_angles(args.family)
         if args.out is None:
             raise DarbouxError("--family requires --out (one file per angle)")
         root, ext = os.path.splitext(args.out)
-        for a in angles:
-            run_one(math.radians(a), f"{root}_deg{a:g}{ext}")
-        return 0
-
-    run_one(phi, args.out)
+        phis, paths = [math.radians(a) for a in angles], [f"{root}_deg{a:g}{ext}" for a in angles]
+    else:
+        phis, paths = [phi], [args.out]
+    # the CLI treats --seed as a guess: each angle snaps it onto its exact level
+    results, error = _trace._sweep(surface, d, phis, guess, config, snap=True)
+    for result, path in zip(results, paths):
+        if args.format == "csv":
+            _write(path, trace_csv(result))
+        elif args.format == "json":
+            _write(path, trace_json(result, surface.name))
+        else:
+            _write(path, trace_obj(result))
+    if error is not None:
+        raise error
     return 0
 
 

@@ -503,6 +503,7 @@ def _weighted_sum(coefs, vectors) -> tuple:
 # Frames
 
 
+@numerical
 def frenet(curve, s: float, eps_kappa: float = EPS_KAPPA_DEFAULT) -> FrenetFrame:
     """Frenet frame at s: T = gamma', kappa = |gamma''|, N = gamma''/kappa,
     B = T x N, tau = (gamma' x gamma'').gamma''' / kappa^2."""
@@ -561,6 +562,7 @@ def _redo(values, bad, row, unchecked=()) -> list:
     return columns
 
 
+@numerical
 def darboux(c: CurveOnSurface, s: float) -> DarbouxFrame:
     """Darboux frame {T, V, U} and scalars (k_g, k_n, tau_g) at s.
 

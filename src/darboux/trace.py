@@ -33,6 +33,10 @@ the bits of the public per-point functions, which run the same kernel on
 floats.  Where float arithmetic fails (an overflow, a division by zero, a
 math domain error) a NumericalError is raised, or the trace ends with an
 ``error:`` termination once it has samples.
+
+A trace is one angle of a sweep (_sweep) of one surface, axis and seed:
+each angle runs its own RK4 loop, then one column pass computes the
+diagnostics, which do not depend on the angle, of all their samples.
 """
 
 from __future__ import annotations
@@ -180,7 +184,7 @@ class TraceResult:
 
 @numerical
 def find_seed(surface, d, phi: float, guess, tol: float = 1e-12,
-              max_iter: int = 100, projection_tol: float = 1e-12):
+              max_iter: int = 100, projection_tol: float = 1e-12, lines: dict | None = None):
     """Locate a point on the level set <U, d> = cos(phi) near ``guess``.
 
     Parametric surfaces: 1-D bracket-and-bisect (with Newton polish) along
@@ -188,27 +192,30 @@ def find_seed(surface, d, phi: float, guess, tol: float = 1e-12,
     Newton descent of <U, d> - cos(phi) in the tangent plane, each point
     projected onto f = 0 to ``projection_tol``.  Raises
     SeedError("no isophote at this level near guess") when no crossing is
-    found.
+    found.  ``lines`` keeps the <U, d> values read on a parametric guess's
+    coordinate lines, for searches from the same guess, surface and axis.
     """
     d = _floats(_unit(d))
     target = math.cos(phi)
     if isinstance(surface, ParametricSurface):
-        return _find_seed_parametric(surface, d, target, guess, tol, max_iter)
+        return _find_seed_parametric(surface, d, target, guess, tol, max_iter,
+                                     {} if lines is None else lines)
     return np.array(_find_seed_implicit(surface, d, target, guess, tol, max_iter,
                                         projection_tol))
 
 
 @numerical
-def snap_seed(surface, d, phi: float, guess, config: TraceConfig):
+def snap_seed(surface, d, phi: float, guess, config: TraceConfig, lines: dict | None = None):
     """The seed a trace from ``guess`` starts at: the guess itself (projected
     onto f = 0 on an implicit surface, as an array) where it is on the level
-    <U, d> = cos(phi) to ``config.seed_tol``, else find_seed's point.  The
-    level is read as trace_isophote's seed check reads it."""
+    <U, d> = cos(phi) to ``config.seed_tol``, else find_seed's point (with
+    ``lines`` passed on).  The level is read as trace_isophote's seed check
+    reads it."""
     adapter = _adapter(surface, d, phi, config)
     seed = adapter.start(guess)
     if abs(_angle_dot(adapter.evaluate(seed), adapter.d) - adapter.target) <= config.seed_tol:
         return guess if isinstance(surface, ParametricSurface) else np.array(seed)
-    return find_seed(surface, d, phi, guess, projection_tol=config.projection_tol)
+    return find_seed(surface, d, phi, guess, projection_tol=config.projection_tol, lines=lines)
 
 
 def _angle_value_parametric(surface, d, u, v):
@@ -216,44 +223,46 @@ def _angle_value_parametric(surface, d, u, v):
     return dot3(_div3(w, n), d)
 
 
-def _find_seed_parametric(surface, d, target, guess, tol, max_iter):
+def _find_seed_parametric(surface, d, target, guess, tol, max_iter, lines):
     u0, v0 = float(guess[0]), float(guess[1])
     if abs(_angle_value_parametric(surface, d, u0, v0) - target) <= tol:
         return (u0, v0)
 
-    on_v = lambda t: _angle_value_parametric(surface, d, u0, t) - target
-    on_u = lambda t: _angle_value_parametric(surface, d, t, v0) - target
-    for g, (lo, hi), center in ((on_v, surface.v_range, v0), (on_u, surface.u_range, u0)):
-        bracket = _nearest_bracket(g, lo, hi, center)
-        t = None if bracket is None else _bisect_newton(g, *bracket, tol, max_iter)
+    on_v = lambda t: _angle_value_parametric(surface, d, u0, t)
+    on_u = lambda t: _angle_value_parametric(surface, d, t, v0)
+    for line, value, (lo, hi), center in (("v", on_v, surface.v_range, v0),
+                                          ("u", on_u, surface.u_range, u0)):
+        bracket = _nearest_bracket(value, target, lo, hi, center, lines.setdefault(line, {}))
+        t = (None if bracket is None
+             else _bisect_newton(lambda t: value(t) - target, *bracket, tol, max_iter))
         if t is not None:
-            return (u0, t) if g is on_v else (t, v0)
+            return (u0, t) if line == "v" else (t, v0)
     raise SeedError("no isophote at this level near guess")
 
 
-def _nearest_bracket(g, lo, hi, center, n: int = 256):
-    """The cell of the n-cell grid on [lo, hi] whose ends g does not give
-    the same sign and whose midpoint is nearest ``center`` (the lower index
-    on a tie), as (a, g(a), b, g(b)), or None.  Cells are visited nearest
-    first, so g is evaluated only at the ends of the cells up to the chosen
-    one; a point where g raises a DarbouxError has no sign."""
+def _nearest_bracket(value, target, lo, hi, center, values: dict, n: int = 256):
+    """The cell of the n-cell grid on [lo, hi] whose ends g = value - target
+    does not give the same sign and whose midpoint is nearest ``center`` (the
+    lower index on a tie), as (a, g(a), b, g(b)), or None.  Cells are visited
+    nearest first, so value is read only at the ends of the cells up to the
+    chosen one and not again where ``values`` (grid index -> value, nan
+    where value raised a DarbouxError: no sign) holds it already."""
     grid = np.linspace(lo, hi, n + 1)
     dists = np.abs(0.5 * (grid[:-1] + grid[1:]) - center)
     ts = grid.tolist()
-    vals = {}
 
-    def value(i):
-        if i not in vals:
+    def g(i):
+        if i not in values:
             try:
-                vals[i] = g(ts[i])
+                values[i] = value(ts[i])
             except DarbouxError:
-                vals[i] = math.nan
-        return vals[i]
+                values[i] = math.nan
+        return values[i] - target
 
     for i in np.argsort(dists, kind="stable").tolist():
         if not dists[i] < np.inf:  # only inf and nan distances are left
             return None
-        a, b = value(i), value(i + 1)
+        a, b = g(i), g(i + 1)
         if math.isnan(a) or math.isnan(b) or a * b > 0:
             continue
         return ts[i], a, ts[i + 1], b
@@ -557,10 +566,50 @@ def trace_isophote(surface, d, phi: float, seed, config: TraceConfig | None = No
     snap a guess).  Samples are ``config.step`` apart; the trace stops on
     max length, closure (one final shortened step onto the seed's
     transversal plane), leaving the chart domain, or a singular point.
+    This is the one-angle sweep (_sweep).
     """
-    config = config or TraceConfig()
-    phi = float(phi)
-    return _integrate(_adapter(surface, d, phi, config), phi, seed)
+    results, error = _sweep(surface, d, (phi,), seed, config or TraceConfig(), snap=False)
+    if error is not None:
+        raise error
+    return results[0]
+
+
+def _sweep(surface, d, phis, seed, config: TraceConfig, snap: bool) -> tuple:
+    """The traces of <U, d> = cos(phi) for phi in phis, in order, from
+    ``seed``, or (snap) from snap_seed's seed for it as a guess, the guess's
+    coordinate lines scanned once for all angles.  Each angle runs its own
+    RK4 loop (_integrate); one column pass then computes the diagnostics of
+    all their samples, and a trace ends at its first lane that raises on
+    floats.  Returns the results of the angles before the first that fails
+    (its snap, seed or seed lane raises; no later angle is traced after a
+    failed snap or seed) and that failure, else None."""
+    lines, traces, blocks, error = {}, [], [], None
+    for phi in phis:
+        try:
+            phi = float(phi)
+            adapter = _adapter(surface, d, phi, config)
+            start = snap_seed(surface, d, phi, seed, config, lines) if snap else seed
+            rows, termination = _integrate(adapter, start)
+            blocks.append([_column(x) for x in zip(*rows)])  # rows are not kept as tuples
+            traces.append((adapter, phi, len(rows), termination))
+        except (DarbouxError, *ARITHMETIC_ERRORS) as exc:
+            error = exc if isinstance(exc, DarbouxError) else NumericalError.of(exc)
+            break
+    if not traces:
+        return [], error
+    arrays = blocks[0] if len(blocks) == 1 else [np.concatenate(x) for x in zip(*blocks)]
+    columns, failures = traces[0][0].columns(*arrays)
+    results, hi = [], 0
+    for adapter, phi, n_rows, termination in traces:
+        lo, hi = hi, hi + n_rows
+        n, exc = next(((i, e) for i, e in failures if lo <= i < hi), (hi, None))
+        if n == lo:
+            return results, NumericalError.of(exc)
+        if exc is not None:
+            termination = f"error: {NumericalError.of(exc)}"
+        results.append(TraceResult(**{name: x[lo:n] for name, x in columns.items()},
+                                   termination=termination, d=np.array(adapter.d), phi=phi))
+    return results, error
 
 
 def _axpy2(y, a, k) -> tuple:
@@ -589,9 +638,10 @@ def _angle_dot(point, d) -> float:
     return dot3(_div3(point[4], point[5]), d)
 
 
-def _integrate(adapter, phi, seed):
+def _integrate(adapter, seed) -> tuple:
     """Fixed-step RK4 along an adapter's direction field, with branch
-    continuity, closure onto the seed and one record per sample.
+    continuity and closure onto the seed: the rows the adapter records, one
+    per sample, and the termination.
 
     The adapter (_ChartTrace or _ImplicitTrace) maps the seed to a state, an
     RK4 stage point to the key of its point (a chart point wrapped once; a
@@ -614,7 +664,7 @@ def _integrate(adapter, phi, seed):
     def slope(q, ref):
         # the field at the RK4 stage point q, oriented by ref
         nonlocal last_key, last
-        c = key(q)
+        c = key(*q)
         if c != last_key:
             last_key, last = c, evaluate(c)
         return direction(q, last, ref)[0]
@@ -627,7 +677,7 @@ def _integrate(adapter, phi, seed):
         k2 = slope(axpy(y, 0.5 * h, k1), ref)
         k3 = slope(axpy(y, 0.5 * h, k2), ref)
         k4 = slope(axpy(y, h, k3), ref)
-        y = fix(_rk4_sum(y, h / 6.0, k1, k2, k3, k4))
+        y = fix(*_rk4_sum(y, h / 6.0, k1, k2, k3, k4))
         if y != last_key:
             last_key, last = y, evaluate(y)
         k, t3 = direction(y, last, ref)
@@ -673,10 +723,7 @@ def _integrate(adapter, phi, seed):
         termination = f"error: {exc}"
     except ARITHMETIC_ERRORS as exc:
         termination = f"error: {NumericalError.of(exc)}"
-    columns, error = adapter.columns(*map(_column, zip(*rows)))
-    if error is not None:
-        termination = f"error: {NumericalError.of(error)}"
-    return TraceResult(**columns, termination=termination, d=np.array(adapter.d), phi=phi)
+    return rows, termination
 
 
 def _negated(x) -> tuple:
@@ -705,12 +752,13 @@ class _ChartTrace:
     RK4 slopes are (u', v') and the reference tangent is sigma_u u' + sigma_v v'.
     A point's evaluation is _chart_eval's.  A sample's record is its state,
     its oriented slope and the slope's sign against the plus branch; the
-    diagnostic columns are computed from the records once, after the loop,
-    by _chart_columns on the surface's _jets_many."""
+    diagnostic columns of a sweep's records are computed once, after their
+    loops, by _chart_columns on the surface's _jets_many."""
 
     def __init__(self, surface, d, target, config):
         self.surface, self.d, self.target, self.config = surface, d, target, config
         self.evaluate = functools.partial(_chart_eval, surface, d, config.eps_sing)
+        self.key = self.fix = surface.wrap  # wrapping sends equal stage points to one key
 
     def start(self, seed):
         return self.surface.wrap(float(seed[0]), float(seed[1]))
@@ -723,11 +771,6 @@ class _ChartTrace:
             return (-k[0], -k[1]), (-t3[0], -t3[1], -t3[2])
         return k, t3
 
-    def fix(self, y):
-        return self.surface.wrap(y[0], y[1])
-
-    # an RK4 stage point: wrapping sends equal points to one key
-    key = fix
     unit = staticmethod(lambda t3: _div3(t3, norm3(t3)))
 
     def record(self, s, y, point, k, t3):
@@ -736,21 +779,18 @@ class _ChartTrace:
     def columns(self, s, y, k, sign) -> tuple:
         cols = _chart_columns(self.surface._jets_many(*y.T), self.d, *k.T, sign)
         del cols["delta"]
-        n, error = len(s), None
-        # a lane that raises on floats (a negative EG - F^2) reads nan: the
-        # first ends the trace, as its record would have, or raises at the seed
+        # a lane that raises on floats (a negative EG - F^2) reads nan: each
+        # such lane, in order, with its error
+        failures = []
         for i in np.flatnonzero(np.isnan(cols["constraint_residual"])).tolist():
             try:
                 jet = self.surface._chart_point(*y[i].tolist())[0]
                 _chart_columns(jet, self.d, *k[i].tolist(), sign[i])
             except ARITHMETIC_ERRORS as exc:
-                if i == 0:
-                    raise
-                n, error = i, exc
-                break
-        cols = {name: (np.column_stack(x) if isinstance(x, tuple) else x)[:n]
+                failures.append((i, exc))
+        cols = {name: np.column_stack(x) if isinstance(x, tuple) else x
                 for name, x in cols.items()}
-        return {"s": s[:n], "chart": y[:n], **cols}, error
+        return {"s": s, "chart": y, **cols}, failures
 
 
 class _ImplicitTrace:
@@ -762,8 +802,8 @@ class _ImplicitTrace:
     A sample's record keeps what can fail or needs a Python float: the
     point, its tangent, grad f, |grad f|, H and |f|.  f is the value
     the projection read at the state it returned (the state recorded next),
-    else it is evaluated.  The diagnostic columns are computed from the
-    records once, after the loop (_implicit_columns)."""
+    else it is evaluated.  The diagnostic columns of a sweep's records are
+    computed once, after their loops (_implicit_columns)."""
 
     def __init__(self, surface, d, target, config):
         self.surface, self.d, self.target, self.config = surface, d, target, config
@@ -775,7 +815,8 @@ class _ImplicitTrace:
         return p
 
     # a state is its own key, and the field's tangent is unit already
-    key = unit = staticmethod(lambda x: x)
+    key = staticmethod(lambda *p: p)
+    unit = staticmethod(lambda t: t)
 
     def direction(self, p, point, ref):
         t = point[0]
@@ -785,7 +826,7 @@ class _ImplicitTrace:
             t = (-t[0], -t[1], -t[2])
         return t, t
 
-    def fix(self, q):
+    def fix(self, *q):
         q, self.f = _project(self.surface, q, self.config.projection_tol)
         if self.config.project_isophote:
             q, self.f = _project_two_constraints(self.surface, self.d, self.target, q,
@@ -800,7 +841,7 @@ class _ImplicitTrace:
         cols = _implicit_columns(self.d, grad.T, n, H.transpose(1, 2, 0), t.T)
         del cols["omega"]
         cols["normals"] = np.column_stack(cols["normals"])
-        return {"s": s, "points": q, "tangents": t, "surface_residual": f, **cols}, None
+        return {"s": s, "points": q, "tangents": t, "surface_residual": f, **cols}, ()
 
 
 def _project_two_constraints(surface, d, target, p, tol):

@@ -117,6 +117,39 @@ class TestTrace:
             assert run(args + ["--out", str(single)]) == 0
             assert (tmp_path / f"fam_deg{angle}.csv").read_bytes() == single.read_bytes()
 
+    @pytest.mark.parametrize("fmt", ["csv", "json", "obj"])
+    def test_implicit_family_files_match_single_traces(self, fmt, tmp_path):
+        base = ["trace-implicit", "--surface", "builtin:torus?R=2&r=0.5", "--axis", "0,0,1",
+                "--angle", "60", "--seed", "2.5,0,0.1", "--length", "0.2", "--step", "0.01",
+                "--format", fmt]
+        assert run(base + ["--family", "55:65:3", "--out", str(tmp_path / f"fam.{fmt}")]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            f"fam_deg{angle}.{fmt}" for angle in ("55", "60", "65")]
+        for angle in ("55", "60", "65"):
+            single = tmp_path / f"single{angle}.{fmt}"
+            args = base[:]
+            args[args.index("--angle") + 1] = angle
+            assert run(args + ["--out", str(single)]) == 0
+            assert (tmp_path / f"fam_deg{angle}.{fmt}").read_bytes() == single.read_bytes()
+
+    def test_family_stops_at_the_first_failing_angle(self, tmp_path, capsys):
+        # 180 degrees has no level near the guess: the files of 30 and 105
+        # degrees are written, in order, and the sweep exits 2 at 180
+        base = ["trace", "--surface", "builtin:sphere?r=1", "--axis", "0,0,1",
+                "--angle", "45", "--seed", "0,0.785398", "--length", "0.3", "--step", "0.01"]
+        code, captured = run(base + ["--family", "30:180:3",
+                                     "--out", str(tmp_path / "fam.csv")], capsys)
+        assert code == 2
+        assert captured.err == "no isophote at this level near guess\n"
+        assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fam_deg105.csv", "fam_deg30.csv"]
+        for angle in ("30", "105"):
+            args = base[:]
+            args[args.index("--angle") + 1] = angle
+            assert run(args + ["--out", str(tmp_path / "single.csv")]) == 0
+            assert ((tmp_path / f"fam_deg{angle}.csv").read_bytes()
+                    == (tmp_path / "single.csv").read_bytes())
+
     def test_eps_sing_flag_sets_the_threshold(self, capsys):
         # an absurdly large threshold makes every point look singular
         code, captured = run(["trace", "--surface", "builtin:sphere?r=1",

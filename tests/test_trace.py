@@ -207,7 +207,7 @@ class TestNearestBracket:
             full = _nearest_bracket_full_scan(
                 self.grid_function(ts, values, calls_full), lo, hi, center, n)
             nearest = _nearest_bracket(
-                self.grid_function(ts, values, calls_nearest), lo, hi, center, n)
+                self.grid_function(ts, values, calls_nearest), 0.0, lo, hi, center, {}, n)
             if full is None:
                 assert nearest is None
             else:
@@ -1109,17 +1109,17 @@ class TestMidTraceTerminations:
         assert _hex(res.points) == _hex(full.points[:res.n])
 
 
-def _sheared_sphere(u0, lam=1e9):
-    """The unit sphere whose jet, past u = u0, is the jet of the sheared
-    chart sigma(u + lam v, v) at the same point: sigma_v + lam sigma_u is
-    nearly parallel to sigma_u, so E G - F^2 (about lam^2 E^2) rounds to
-    either sign while |sigma_u x sigma_v| stays near its value on the
-    sphere, far above eps_reg."""
+def _sheared_sphere(u0, lam=1e9, v0=math.inf):
+    """The unit sphere whose jet, past u = u0 or v = v0, is the jet of the
+    sheared chart sigma(u + lam v, v) at the same point: sigma_v + lam
+    sigma_u is nearly parallel to sigma_u, so E G - F^2 (about lam^2 E^2)
+    rounds to either sign while |sigma_u x sigma_v| stays near its value on
+    the sphere, far above eps_reg."""
     base = darboux.sphere(1.0)
 
     def jet(u, v):
         s, su, sv, suu, suv, svv = base._jet_fn(u, v)
-        if u > u0:
+        if u > u0 or v > v0:
             sv = tuple(b + lam * a for a, b in zip(su, sv))
             svv = tuple(c + 2.0 * lam * b + lam * lam * a for a, b, c in zip(suu, suv, svv))
             suv = tuple(b + lam * a for a, b in zip(suu, suv))
@@ -1149,6 +1149,76 @@ class TestNegativeFirstFormDeterminant:
         with pytest.raises(NumericalError, match="float arithmetic failed: math domain error"):
             trace_isophote(_sheared_sphere(-10.0), EZ, math.pi / 4, (0.04, math.pi / 4),
                            TraceConfig(step=1e-2, max_length=0.1, seed_tol=1e-6))
+
+
+TRACE_COLUMNS = ("s", "points", "tangents", "normals", "angle_dot", "constraint_residual",
+                 "unit_speed_residual", "kn", "tg", "kg", "chart")
+
+
+class TestSweep:
+    """_sweep traces its angles one after another and computes the
+    diagnostics of all their samples in one column pass: each angle's
+    result is its own trace_isophote's, bit for bit."""
+
+    def test_each_angle_ends_or_fails_as_its_own_trace(self):
+        # past u = 0.5 or v = 1.1 E G - F^2 rounds to either sign: the
+        # 40-degree trace ends at a mid-trace lane, the 25-degree seed lane
+        # raises, and the sweep returns the angles before it
+        surface = _sheared_sphere(0.5, v0=1.1)
+        config = TraceConfig(step=1e-2, max_length=0.4, branch="minus", seed_tol=1e-6)
+        guess, degrees = (0.0, 0.5), (55, 40, 60, 25, 75)
+        results, error = trace_module._sweep(surface, EZ, [math.radians(a) for a in degrees],
+                                             guess, config, snap=True)
+        assert type(error) is NumericalError
+        assert str(error) == "float arithmetic failed: math domain error"
+        assert [res.n for res in results] == [41, 33, 41]
+        assert results[1].termination == "error: float arithmetic failed: math domain error"
+        for res, a in zip(results, degrees):
+            phi = math.radians(a)
+            single = trace_isophote(surface, EZ, phi, snap_seed(surface, EZ, phi, guess, config),
+                                    config)
+            assert (res.termination, res.phi) == (single.termination, single.phi)
+            for name in TRACE_COLUMNS:
+                assert _hex(getattr(res, name)) == _hex(getattr(single, name)), name
+        phi = math.radians(25)
+        with pytest.raises(NumericalError, match="^float arithmetic failed: math domain error$"):
+            trace_isophote(surface, EZ, phi, snap_seed(surface, EZ, phi, guess, config), config)
+
+    def test_snap_failure_stops_the_sweep(self):
+        # the plane has no level near any guess: nothing is traced
+        results, error = trace_module._sweep(darboux.plane(), EZ, [0.5, 0.6], (0.0, 0.0),
+                                             TraceConfig(), snap=True)
+        assert results == []
+        assert type(error) is SeedError
+
+    def test_seed_line_is_scanned_once(self, monkeypatch):
+        # the angles' seed searches share the guess's coordinate-line values:
+        # each line point is read once, the bisections stay per angle
+        calls = []
+        angle_value = trace_module._angle_value_parametric
+
+        def counted(*args):
+            calls.append(args)
+            return angle_value(*args)
+
+        monkeypatch.setattr(trace_module, "_angle_value_parametric", counted)
+        sphere, config = darboux.sphere(1.0), TraceConfig(step=1e-2, max_length=0.05)
+        grid = set(np.linspace(*sphere.v_range, 257).tolist())
+        phis = [math.radians(a) for a in (30.0, 34.0, 38.0, 42.0)]
+        seeds = [snap_seed(sphere, EZ, phi, (0.0, 0.785398), config) for phi in phis]
+        separate = [args[3] for args in calls]
+        calls.clear()
+        results, error = trace_module._sweep(sphere, EZ, phis, (0.0, 0.785398), config,
+                                             snap=True)
+        assert error is None
+        assert [tuple(res.chart[0]) for res in results] == seeds
+        shared = [args[3] for args in calls]
+        # every search reads the guess and bisects; the shared scan reads
+        # each grid point of the v-line once
+        on_grid = [t for t in shared if t in grid]
+        assert len(on_grid) == len(set(on_grid)) == len({t for t in separate if t in grid})
+        assert [t for t in shared if t not in grid] == [t for t in separate if t not in grid]
+        assert (len(separate), len(shared)) == (130, 68)
 
 
 def _scaled_torus_trace(scale):
