@@ -8,7 +8,6 @@ from .classify import (
     CharacterizationSeries,
     ClassificationReport,
     ConstancyVerdict,
-    Tolerances,
     classify_report,
     is_constant,
     mu_u_series,

@@ -32,7 +32,7 @@ from .errors import (
     numerical,
 )
 from .frames import (
-    EPS_KAPPA_DEFAULT,
+    EPS_KAPPA,
     CurveOnSurface,
     FrameData,
     _frenet_columns,
@@ -45,7 +45,6 @@ __all__ = [
     "CharacterizationSeries",
     "ConstancyVerdict",
     "AxisEstimate",
-    "Tolerances",
     "ClassificationReport",
     "mu_v_series",
     "mu_u_series",
@@ -62,7 +61,15 @@ __all__ = [
     "classify_report",
 ]
 
-EPS_PAIR_DEFAULT = 1e-9
+# Non-degeneracy thresholds and report tolerances (see docs/formats.md).
+EPS_PAIR = 1e-9          # (a, tau_g) != (0, 0): a^2 + tau_g^2 > EPS_PAIR^2
+EPS_DIVISOR = 1e-9       # k_g (span{T,U}) or k_n (span{T,V}) != 0: |a| > EPS_DIVISOR
+EPS_RECTIFYING = 1e-9    # a rectifying fit's slope and intercept are nonzero above it
+AXIS_GAP = 1e-12         # covariance eigenvalues closer than this: an ambiguous axis
+FLAG_TOL = 1e-8          # special-type flags, times the frame scale 1 + max kappa
+PLANE_TOL = 1e-8         # plane membership, times the position scale 1 + max |gamma|
+CONSTANCY_TOL_ANALYTIC = 1e-6   # constancy verdicts on analytic input
+CONSTANCY_TOL_SAMPLED = 1e-3    # and on sampled (polyline) input
 
 
 @dataclass
@@ -115,27 +122,10 @@ class AxisEstimate:
         return out
 
 
-@dataclass
-class Tolerances:
-    """Report tolerances; None fields are filled from the data scale."""
-
-    constancy: float | None = None  # 1e-6 analytic input, 1e-3 sampled input
-    plane: float | None = None      # 1e-8 * (1 + max |gamma|)
-    flag: float = 1e-8              # special-type flags, relative to frame scale
-    eps_pair: float = EPS_PAIR_DEFAULT
-    eps_kappa: float = EPS_KAPPA_DEFAULT
-    axis_gap: float = 1e-12
-
-    def resolved_constancy(self, analytic: bool) -> float:
-        if self.constancy is not None:
-            return self.constancy
-        return 1e-6 if analytic else 1e-3
-
-
-def _as_data(c, grid, eps_kappa=EPS_KAPPA_DEFAULT) -> FrameData:
+def _as_data(c, grid) -> FrameData:
     if isinstance(c, FrameData):
         return c
-    return sample_frames(c, np.asarray(grid, dtype=float), eps_kappa=eps_kappa)
+    return sample_frames(c, np.asarray(grid, dtype=float))
 
 
 def _edge_mask(n: int, sampled: bool) -> np.ndarray:
@@ -194,7 +184,7 @@ def _family(which) -> _Family:
 # Constancy measures
 
 
-def mu_v_series(c, grid=None, eps_pair: float = EPS_PAIR_DEFAULT) -> CharacterizationSeries:
+def mu_v_series(c, grid=None) -> CharacterizationSeries:
     """V-slant measure (k_g tau_g' - tau_g k_g' - k_n q)/q^{3/2} with
     q = k_g^2 + tau_g^2: constant iff the curve is a relatively
     normal-slant helix (requires (tau_g, k_g) != (0, 0) pointwise).
@@ -203,10 +193,10 @@ def mu_v_series(c, grid=None, eps_pair: float = EPS_PAIR_DEFAULT) -> Characteriz
     and <U, d> = l k_g with l sqrt(q) = +-sin(phi); differentiating both
     once more, the measure is cos(phi)/(l sqrt(q)) = +-cot(phi), with the
     sign of l."""
-    return _pair_measure(_as_data(c, grid), _TU, eps_pair)
+    return _pair_measure(_as_data(c, grid), _TU)
 
 
-def mu_u_series(c, grid=None, eps_pair: float = EPS_PAIR_DEFAULT) -> CharacterizationSeries:
+def mu_u_series(c, grid=None) -> CharacterizationSeries:
     """Isophote measure (k_n tau_g' - tau_g k_n' + k_g q)/q^{3/2} with
     q = k_n^2 + tau_g^2: constant iff the curve is isophotic (requires
     (tau_g, k_n) != (0, 0) pointwise).
@@ -215,46 +205,41 @@ def mu_u_series(c, grid=None, eps_pair: float = EPS_PAIR_DEFAULT) -> Characteriz
     and <V, d> = -l k_n with l sqrt(q) = +-sin(phi); differentiating both
     once more, the measure is cos(phi)/(l sqrt(q)) = +-cot(phi), with the
     sign of l = <T, d>/tau_g."""
-    return _pair_measure(_as_data(c, grid), _TV, eps_pair)
+    return _pair_measure(_as_data(c, grid), _TV)
 
 
-def _pair_measure(data, fam, eps_pair):
+def _pair_measure(data, fam):
     # (a tg' - tg a' - sign other (a^2 + tg^2)) / (a^2 + tg^2)^{3/2}
     a, da, other = getattr(data, fam.a), getattr(data, "d" + fam.a), getattr(data, fam.other)
     tg, dtg = data.tg, data.dtg
     q = a * a + tg * tg
-    mask = (q > eps_pair * eps_pair) & _edge_mask(data.n, not data.analytic)
+    mask = (q > EPS_PAIR * EPS_PAIR) & _edge_mask(data.n, not data.analytic)
     if not mask.any():
         raise DegenerateFrameError(
             f"{fam.measure}: degenerate pair everywhere on the grid "
-            f"(a^2 + tau_g^2 <= {eps_pair:g}^2)"
+            f"(a^2 + tau_g^2 <= {EPS_PAIR:g}^2)"
         )
     values = np.full(data.n, np.nan)
     values[mask] = (a * dtg - tg * da - fam.sign * other * q)[mask] / _pow(q[mask], 1.5, math.inf)
     return CharacterizationSeries(data.s, values, mask, fam.measure)
 
 
-def slant_series_from_scalars(grid, kappa, tau, dratio=None,
-                              name: str = "slant_helix") -> CharacterizationSeries:
-    """kappa^2 / (kappa^2 + tau^2)^{3/2} * (tau/kappa)' from scalar samples.
-
-    ``dratio`` overrides the central-difference derivative of tau/kappa
-    (useful when an analytic derivative is known)."""
+def slant_series_from_scalars(grid, kappa, tau) -> CharacterizationSeries:
+    """kappa^2 / (kappa^2 + tau^2)^{3/2} * (tau/kappa)' from scalar samples,
+    the derivative of tau/kappa by central differences."""
     grid = np.asarray(grid, dtype=float)
     kappa = np.asarray(kappa, dtype=float)
     tau = np.asarray(tau, dtype=float)
-    ratio = tau / kappa
-    if dratio is None:
-        dratio = deriv_uniform(ratio, grid[1] - grid[0])
+    dratio = deriv_uniform(tau / kappa, grid[1] - grid[0])
     values = kappa**2 / _pow(kappa**2 + tau**2, 1.5, math.inf) * dratio
-    return CharacterizationSeries(grid, values, np.ones(len(grid), dtype=bool), name)
+    return CharacterizationSeries(grid, values, np.ones(len(grid), dtype=bool), "slant_helix")
 
 
-def slant_helix_series(c, grid, eps_kappa: float = EPS_KAPPA_DEFAULT) -> CharacterizationSeries:
+def slant_helix_series(c, grid) -> CharacterizationSeries:
     """Slant-helix measure along a curve; constant iff the principal normal
-    keeps a constant angle with a fixed direction."""
+    keeps a constant angle with a fixed direction (kappa > EPS_KAPPA)."""
     grid = np.asarray(grid, dtype=float)
-    *_, kappa, tau = _frenet_columns(c, grid, eps_kappa)
+    *_, kappa, tau = _frenet_columns(c, grid)
     series = slant_series_from_scalars(grid, kappa, tau)
     series.mask = _edge_mask(len(grid), isinstance(c, CurveOnSurface) and not c.analytic)
     return series
@@ -312,15 +297,15 @@ def _cumulative_integral(y, s):
     return np.concatenate([[0.0], np.cumsum(pieces)])
 
 
-def theorem_functions(c, grid=None, c_const: float = 1.0, family: str = "both",
-                      eps: float = 1e-9) -> TheoremFunctions:
+def theorem_functions(c, grid=None, c_const: float = 1.0,
+                      family: str = "both") -> TheoremFunctions:
     """Characterization functions for the span{T,U} ("TU") and span{T,V}
     ("TV") families, with cumulative integrals started at the grid's first
     sample and free constant ``c_const`` (verdict-level results are invariant
     to both choices).
 
     Raises DegenerateFrameError naming the family whose divisor (k_g for TU,
-    k_n for TV) falls below ``eps`` anywhere on the grid.
+    k_n for TV) falls below EPS_DIVISOR anywhere on the grid.
     """
     if c_const == 0.0:
         raise ValueError("free constant c must be nonzero")
@@ -335,8 +320,8 @@ def theorem_functions(c, grid=None, c_const: float = 1.0, family: str = "both",
         if family not in ("both", fam.which):
             continue
         a, other = getattr(data, fam.a), getattr(data, fam.other)
-        if np.min(np.abs(a)) <= eps:
-            raise DegenerateFrameError(f"{fam.degenerate} <= {eps:g} on the grid")
+        if np.min(np.abs(a)) <= EPS_DIVISOR:
+            raise DegenerateFrameError(f"{fam.degenerate} <= {EPS_DIVISOR:g} on the grid")
         with np.errstate(all="ignore"):  # an overflowing e^I is inf, its products inf or nan
             integral = _cumulative_integral(data.tg * other / a, s)
             q = a**2 + data.tg**2
@@ -366,19 +351,18 @@ class PositionDecomposition:
     plane_tol: float
 
 
-def position_decomposition(c, grid=None, plane_tol: float | None = None) -> PositionDecomposition:
+def position_decomposition(c, grid=None) -> PositionDecomposition:
     """Dot products of the position vector with the Darboux frame, plus
     moving-plane membership flags.
 
     span{T,U} membership requires max |<gamma,V>| below tolerance; span{T,V}
-    requires max |<gamma,U>| below it.  Default tolerance is
-    1e-8 * (1 + max |gamma|)."""
+    requires max |<gamma,U>| below it.  The tolerance is
+    PLANE_TOL * (1 + max |gamma|)."""
     data = _as_data(c, grid)
     dt = dot3(data.gamma.T, data.T.T)
     dv = dot3(data.gamma.T, data.V.T)
     du = dot3(data.gamma.T, data.U.T)
-    if plane_tol is None:
-        plane_tol = 1e-8 * (1.0 + float(np.max(norm3(data.gamma.T))))
+    plane_tol = PLANE_TOL * (1.0 + float(np.max(norm3(data.gamma.T))))
     mask = np.ones(data.n, dtype=bool)
     return PositionDecomposition(
         CharacterizationSeries(data.s, dt, mask.copy(), "gamma_dot_T"),
@@ -390,8 +374,7 @@ def position_decomposition(c, grid=None, plane_tol: float | None = None) -> Posi
     )
 
 
-def position_theorem_residual(c, grid=None, which: str = "TU",
-                              eps_pair: float = EPS_PAIR_DEFAULT) -> CharacterizationSeries:
+def position_theorem_residual(c, grid=None, which: str = "TU") -> CharacterizationSeries:
     """Residual of the closed-form position identity per sample.
 
     which="TU": |gamma - (k_g tau_g) q^{-3/2} T - k_g^2 q^{-3/2} U| with
@@ -401,7 +384,7 @@ def position_theorem_residual(c, grid=None, which: str = "TU",
     data = _as_data(c, grid)
     fam = _family(which)
     a = getattr(data, fam.a)
-    mask = (a * a + data.tg**2 > eps_pair * eps_pair) & _edge_mask(data.n, not data.analytic)
+    mask = (a * a + data.tg**2 > EPS_PAIR * EPS_PAIR) & _edge_mask(data.n, not data.analytic)
     if not mask.any():
         raise DegenerateFrameError(f"position identity {which}: degenerate pair everywhere")
     am, tgm = a[mask], data.tg[mask]
@@ -413,8 +396,8 @@ def position_theorem_residual(c, grid=None, which: str = "TU",
     return CharacterizationSeries(data.s, res, mask, fam.residual)
 
 
-def plane_ode_residual(c, grid=None, c_const: float = 1.0, which: str = "TU",
-                       eps: float = 1e-9) -> CharacterizationSeries:
+def plane_ode_residual(c, grid=None, c_const: float = 1.0,
+                       which: str = "TU") -> CharacterizationSeries:
     """Residual of the scalar relation tying the curvature ratio to the
     exponential integral, for a supplied nonzero constant c.
 
@@ -427,8 +410,9 @@ def plane_ode_residual(c, grid=None, c_const: float = 1.0, which: str = "TU",
     data = _as_data(c, grid)
     fam = _family(which)
     den, dden, other = getattr(data, fam.a), getattr(data, "d" + fam.a), getattr(data, fam.other)
-    if np.min(np.abs(den)) <= eps:
-        raise DegenerateFrameError(f"plane relation {which}: divisor below {eps:g} on the grid")
+    if np.min(np.abs(den)) <= EPS_DIVISOR:
+        raise DegenerateFrameError(
+            f"plane relation {which}: divisor below {EPS_DIVISOR:g} on the grid")
     ratio = data.tg / den
     dratio = (data.dtg * den - dden * data.tg) / den**2
     integrand = data.tg * other / den
@@ -456,13 +440,13 @@ def is_constant(series: CharacterizationSeries, tol: float) -> ConstancyVerdict:
     return ConstancyVerdict(dev <= tol * (1.0 + abs(mean)), mean, dev, tol)
 
 
-def recover_axis(vectors: np.ndarray, axis_gap: float = 1e-12) -> AxisEstimate:
+def recover_axis(vectors: np.ndarray) -> AxisEstimate:
     """Axis d minimizing the variance of projections <w_i, d>, as the
     eigenvector of the smallest eigenvalue of the sample covariance; the
     angle is arccos of the (clamped) mean projection.
 
     Flags ambiguity when the two smallest covariance eigenvalues are within
-    ``axis_gap`` (both candidate axes reported)."""
+    AXIS_GAP (both candidate axes reported)."""
     w = np.asarray(vectors, dtype=float)
     if w.ndim != 2 or w.shape[1] != 3 or len(w) < 3:
         raise DarbouxError("recover_axis needs at least 3 vectors of shape (n, 3)")
@@ -471,9 +455,9 @@ def recover_axis(vectors: np.ndarray, axis_gap: float = 1e-12) -> AxisEstimate:
     # the sum of the samples' outer products, elementwise (no BLAS)
     cov = (centered[:, :, None] * centered[:, None, :]).sum(axis=0) / len(w)
     eigvals, eigvecs = np.linalg.eigh(cov)  # ascending
-    ambiguous = bool(eigvals[1] - eigvals[0] < axis_gap)
+    ambiguous = bool(eigvals[1] - eigvals[0] < AXIS_GAP)
     mean_norm = norm3(mean.tolist())
-    if ambiguous and eigvals[1] < axis_gap and mean_norm > 0.0:
+    if ambiguous and eigvals[1] < AXIS_GAP and mean_norm > 0.0:
         # fully degenerate (e.g. a constant series): every axis has zero
         # projection variance; take the one maximizing the mean projection
         d = mean / mean_norm
@@ -503,25 +487,23 @@ class RectifyingCheck:
     gamma_dot_N: CharacterizationSeries | None = None
 
 
-def rectifying_from_scalars(grid, kappa, tau, tol: float = 1e-6,
-                            eps: float = 1e-9) -> RectifyingCheck:
+def rectifying_from_scalars(grid, kappa, tau, tol: float = 1e-6) -> RectifyingCheck:
     """Least-squares line through (s, tau/kappa); rectifying iff the fit is
-    tight and both coefficients are nonzero."""
+    within tol and both coefficients exceed EPS_RECTIFYING."""
     grid = np.asarray(grid, dtype=float)
     ratio = np.asarray(tau, dtype=float) / np.asarray(kappa, dtype=float)
     slope, intercept = np.polyfit(grid, ratio, 1)
     resid = float(np.max(np.abs(ratio - (slope * grid + intercept))))
-    verdict = resid <= tol and abs(slope) > eps and abs(intercept) > eps
+    verdict = resid <= tol and abs(slope) > EPS_RECTIFYING and abs(intercept) > EPS_RECTIFYING
     return RectifyingCheck(float(slope), float(intercept), resid, bool(verdict))
 
 
-def rectifying_check(c, grid, tol: float = 1e-6, eps: float = 1e-9,
-                     eps_kappa: float = EPS_KAPPA_DEFAULT) -> RectifyingCheck:
+def rectifying_check(c, grid) -> RectifyingCheck:
     """Rectifying test for a curve: <gamma, N> residual series plus the
-    linear fit of tau/kappa."""
+    linear fit of tau/kappa (rectifying_from_scalars at its default tol)."""
     grid = np.asarray(grid, dtype=float)
-    gamma, _, N, _, kappa, tau = _frenet_columns(c, grid, eps_kappa)
-    check = rectifying_from_scalars(grid, kappa, tau, tol=tol, eps=eps)
+    gamma, _, N, _, kappa, tau = _frenet_columns(c, grid)
+    check = rectifying_from_scalars(grid, kappa, tau)
     check.gamma_dot_N = CharacterizationSeries(
         grid, dot3(gamma.T, N.T), np.ones(len(grid), dtype=bool), "gamma_dot_N")
     return check
@@ -560,18 +542,20 @@ def _series_payload(series: CharacterizationSeries, s: list) -> dict:
 
 
 @numerical
-def classify_report(c: CurveOnSurface, grid, tols: Tolerances | None = None,
+def classify_report(c: CurveOnSurface, grid, constancy: float | None = None,
                     c_const: float = 1.0) -> ClassificationReport:
     """Full classification: constancy verdicts, special-type flags, plane
     memberships, axis estimates, and corollary cross-checks.
 
-    Sub-computations whose preconditions fail are recorded under
-    ``verdicts[name]["error"]`` instead of aborting the report."""
-    tols = tols or Tolerances()
+    ``constancy`` is the tolerance of every constancy verdict, by default
+    CONSTANCY_TOL_ANALYTIC on analytic input and CONSTANCY_TOL_SAMPLED on
+    sampled input.  Sub-computations whose preconditions fail are recorded
+    under ``verdicts[name]["error"]`` instead of aborting the report."""
     grid = np.asarray(grid, dtype=float)
-    data = sample_frames(c, grid, eps_kappa=tols.eps_kappa)
+    data = sample_frames(c, grid)
     s = data.s.tolist()
-    tol_const = tols.resolved_constancy(data.analytic)
+    tol_const = constancy if constancy is not None else (
+        CONSTANCY_TOL_ANALYTIC if data.analytic else CONSTANCY_TOL_SAMPLED)
     report = ClassificationReport()
     report.orientation = (
         "parametric: U = sigma_u x sigma_v normalized"
@@ -580,7 +564,7 @@ def classify_report(c: CurveOnSurface, grid, tols: Tolerances | None = None,
     )
 
     scale = 1.0 + float(np.max(data.kappa))
-    flag_tol = tols.flag * scale
+    flag_tol = FLAG_TOL * scale
     report.flags = {
         "geodesic": _flag(np.max(np.abs(data.kg)), flag_tol),
         "asymptotic": _flag(np.max(np.abs(data.kn)), flag_tol),
@@ -600,7 +584,7 @@ def classify_report(c: CurveOnSurface, grid, tols: Tolerances | None = None,
 
     # constancy measures
     for fam in _FAMILIES:
-        measure = attempt(fam.verdict, _pair_measure, data, fam, tols.eps_pair)
+        measure = attempt(fam.verdict, _pair_measure, data, fam)
         if measure is not None:
             report.series[fam.measure] = _series_payload(measure, s)
             report.verdicts[fam.verdict] = _verdict(measure, tol_const)
@@ -614,14 +598,13 @@ def classify_report(c: CurveOnSurface, grid, tols: Tolerances | None = None,
             report.verdicts[fam.position] = _verdict(getattr(tf, fam.criterion), tol_const)
 
     # position decomposition and plane membership
-    decomp = position_decomposition(data, plane_tol=tols.plane)
+    decomp = position_decomposition(data)
     for series in (decomp.dot_T, decomp.dot_V, decomp.dot_U):
         report.series[series.name] = _series_payload(series, s)
     for fam in _FAMILIES:
         report.flags[fam.in_plane] = _flag(
             float(np.max(np.abs(getattr(decomp, fam.off_plane).values))), decomp.plane_tol)
-        res = attempt(fam.residual, position_theorem_residual,
-                      data, which=fam.which, eps_pair=tols.eps_pair)
+        res = attempt(fam.residual, position_theorem_residual, data, which=fam.which)
         if res is not None:
             report.series[res.name] = _series_payload(res, s)
 
@@ -649,8 +632,8 @@ def classify_report(c: CurveOnSurface, grid, tols: Tolerances | None = None,
         report.verdicts["rectifying"] = {"error": msg}
 
     # axis estimates from the V and U series
-    report.axes["V_axis"] = recover_axis(data.V, axis_gap=tols.axis_gap).as_dict()
-    report.axes["U_axis"] = recover_axis(data.U, axis_gap=tols.axis_gap).as_dict()
+    report.axes["V_axis"] = recover_axis(data.V).as_dict()
+    report.axes["U_axis"] = recover_axis(data.U).as_dict()
 
     report.verdicts["cross_checks"] = _cross_checks(
         report, data, decomp, tol_const, frenet_ok)
@@ -659,8 +642,8 @@ def classify_report(c: CurveOnSurface, grid, tols: Tolerances | None = None,
         "constancy": tol_const,
         "plane": decomp.plane_tol,
         "flag": flag_tol,
-        "eps_pair": tols.eps_pair,
-        "eps_kappa": tols.eps_kappa,
+        "eps_pair": EPS_PAIR,
+        "eps_kappa": EPS_KAPPA,
         "analytic_input": data.analytic,
     }
     return report

@@ -347,8 +347,7 @@ def _cmd_classify(args) -> int:
     if not (math.isfinite(args.c_const) and args.c_const != 0.0):
         raise DarbouxError(f"--c-const must be finite and nonzero, got {args.c_const!r}")
     curve, grid = _curve_and_grid(args)
-    tols = _classify.Tolerances(constancy=args.tol)
-    report = _classify.classify_report(curve, grid, tols=tols, c_const=args.c_const)
+    report = _classify.classify_report(curve, grid, constancy=args.tol, c_const=args.c_const)
     _write(args.out, _json(report.as_dict()))
     return 0
 

@@ -55,7 +55,7 @@ class ArclengthTableError(DarbouxError):
 
 
 class FrenetUndefinedError(DarbouxError):
-    """Frenet frame undefined: curvature below eps_kappa (straight segment)."""
+    """Frenet frame undefined: curvature at most EPS_KAPPA (straight segment)."""
 
 
 class DegenerateFrameError(DarbouxError):

@@ -48,18 +48,19 @@ same kernels once over a grid, on (N,) float64 columns in place of the
 floats: elementwise arithmetic, np.sqrt and the lane-by-lane Python powers
 of ``surface._pow`` give each lane the bits of a point-by-point evaluation.
 Its samples (path or curve jets, chart or level point) come from one pass
-of each compiled function's columns: the path jet, or c, c1, c2 and c3, at
-the inverted t, and the chart's or the level set's functions at the
-samples' points.  A grid is evaluated lane by lane (``_lane_columns``)
-only where a function has no columns or they decline, a lane lies outside
-a non-periodic chart range, or the inversion flagged lanes.  All that
-follows, from the chain rule through t(s) to tau_g', runs on the columns.
+of each function's columns: the path jet, or c, c1, c2 and c3, at the
+inverted t, or a polyline's four Hermite interpolants at s, and the chart's
+or the level set's functions at the samples' points.  A grid is evaluated
+lane by lane (``_lane_columns``) only where a function has no columns (a
+Python callable) or they decline, a lane lies outside a non-periodic chart
+range, or the inversion flagged lanes.  All that follows, from the chain
+rule through t(s) to tau_g', runs on the columns.
 
 On the columns of the frame sampler and of the Frenet pass a lane fails
 where its evaluation raised (all lanes where the batched inversion did),
-where it fails a check (unit speed, on the surface, kappa > eps) or where
-a value it computed is not finite, which is how a quotient by zero or an
-overflowing power, both errors on floats, show on a column.  ``_redo``
+where it fails a check (unit speed, on the surface, kappa > EPS_KAPPA) or
+where a value it computed is not finite, which is how a quotient by zero or
+an overflowing power, both errors on floats, show on a column.  ``_redo``
 evaluates those lanes again in grid order on floats: the first that
 raises gives the error, and the others overwrite their own lane.
 """
@@ -120,9 +121,11 @@ __all__ = [
     "deriv_uniform",
 ]
 
-EPS_KAPPA_DEFAULT = 1e-9
-EPS_SPEED = 1e-12
+EPS_KAPPA = 1e-9       # the Frenet frame is defined where kappa > EPS_KAPPA
+EPS_SPEED = 1e-12      # a table speed at or below it vanishes
+SIMPSON_TOL = 1e-10    # the arclength table's adaptive Simpson tolerance
 UNIT_SPEED_TOL = 1e-7
+ON_SURFACE_TOL = 1e-9  # a point of an implicit surface has |f| <= ON_SURFACE_TOL
 
 # What evaluating a path, a curve or a chart can raise: the domain errors,
 # and ZeroDivisionError/OverflowError/ValueError from float arithmetic and
@@ -239,10 +242,12 @@ class UnitSpeedCurve:
 
     def _jet_columns(self, grid):
         """(jet at each s of grid as four 3-vectors of (N,) columns, mask of
-        the lanes whose evaluation raised), evaluated lane by lane (the
-        Hermite interpolants of from_polyline have no compiled columns)."""
+        the lanes whose evaluation raised): one pass of the columns of
+        gamma, d1, d2 and d3 (from_polyline's Hermite interpolants, or
+        compiled functions), else lane by lane."""
         bad = np.zeros(len(grid), dtype=bool)
-        return _lane_columns(self.jet, grid, _CURVE_JET, bad), bad
+        jet = _compiled_columns([grid], self.gamma, self.d1, self.d2, self.d3)
+        return (_lane_columns(self.jet, grid, _CURVE_JET, bad) if jet is None else jet), bad
 
     @classmethod
     def from_polyline(cls, points: np.ndarray, length: float | None = None) -> "UnitSpeedCurve":
@@ -372,7 +377,7 @@ class CurveOnSurface:
 
     def __init__(self, surface, chart_path: ChartPath | None = None,
                  space_curve: UnitSpeedCurve | None = None,
-                 on_surface_tol: float = 1e-9):
+                 on_surface_tol: float = ON_SURFACE_TOL):
         if (chart_path is None) == (space_curve is None):
             raise DarbouxError("provide exactly one of chart_path / space_curve")
         self.surface = surface
@@ -504,23 +509,23 @@ def _weighted_sum(coefs, vectors) -> tuple:
 
 
 @numerical
-def frenet(curve, s: float, eps_kappa: float = EPS_KAPPA_DEFAULT) -> FrenetFrame:
+def frenet(curve, s: float) -> FrenetFrame:
     """Frenet frame at s: T = gamma', kappa = |gamma''|, N = gamma''/kappa,
     B = T x N, tau = (gamma' x gamma'').gamma''' / kappa^2."""
-    T, N, B, kappa, tau, _ = _frenet(curve._jet_of(s), s, eps_kappa)
+    T, N, B, kappa, tau, _ = _frenet(curve._jet_of(s), s)
     return FrenetFrame(np.array(T), np.array(N), np.array(B), kappa, tau)
 
 
-def _frenet(jets, s, eps_kappa) -> tuple:
+def _frenet(jets, s) -> tuple:
     """frenet's (T, N, B, kappa, tau) and the undefined mask from the curve
-    jet at s.  On floats kappa <= eps_kappa raises FrenetUndefinedError (the
+    jet at s.  On floats kappa <= EPS_KAPPA raises FrenetUndefinedError (the
     mask is then False); on columns the mask flags those lanes."""
     _, d1, d2, d3 = jets
     kappa = norm3(d2)
-    undefined = kappa <= eps_kappa
+    undefined = kappa <= EPS_KAPPA
     if undefined is True:
         raise FrenetUndefinedError(
-            f"Frenet frame undefined: curvature {kappa:g} <= {eps_kappa:g} at s={float(s):g}"
+            f"Frenet frame undefined: curvature {kappa:g} <= {EPS_KAPPA:g} at s={float(s):g}"
         )
     N = _div3(d2, kappa)
     return d1, N, _cross(d1, N), kappa, _triple(d1, d2, d3) / _pow(kappa, 2), undefined
@@ -531,18 +536,18 @@ def _triple(a, b, c) -> float:
     return dot3(_cross(a, b), c)
 
 
-def _frenet_columns(curve, grid, eps_kappa) -> list:
+def _frenet_columns(curve, grid) -> list:
     """[gamma, T, N, B, kappa, tau] at each s of grid, vectors (N, 3): _frenet
     on the jet columns, the lanes it flags (an evaluation that raised, kappa
-    <= eps_kappa, a value not finite) evaluated again by _redo."""
+    <= EPS_KAPPA, a value not finite) evaluated again by _redo."""
     grid = np.asarray(grid, dtype=float)
     with np.errstate(all="ignore"):
         jets, bad = curve._jet_columns(grid)
-        *values, undefined = _frenet(jets, grid, eps_kappa)
+        *values, undefined = _frenet(jets, grid)
 
         def row(i):
             jet = curve._jet_of(float(grid[i]))
-            return jet[0], *_frenet(jet, grid[i], eps_kappa)[:-1]
+            return jet[0], *_frenet(jet, grid[i])[:-1]
 
         return _redo((jets[0], *values), bad | undefined, row)
 
@@ -638,7 +643,6 @@ class FrameData:
     kappa: np.ndarray
     tau: np.ndarray
     analytic: bool
-    eps_kappa: float = EPS_KAPPA_DEFAULT
     accel: np.ndarray | None = None
 
     @property
@@ -647,12 +651,11 @@ class FrameData:
 
     @property
     def frenet_mask(self) -> np.ndarray:
-        return self.kappa > self.eps_kappa
+        return self.kappa > EPS_KAPPA
 
 
 @numerical
-def sample_frames(c: CurveOnSurface, grid: np.ndarray,
-                  eps_kappa: float = EPS_KAPPA_DEFAULT) -> FrameData:
+def sample_frames(c: CurveOnSurface, grid: np.ndarray) -> FrameData:
     """Evaluate Darboux data over a uniform grid of arclength values.
 
     The grid's samples come from one pass of the compiled functions'
@@ -665,18 +668,18 @@ def sample_frames(c: CurveOnSurface, grid: np.ndarray,
     _require_uniform(grid)
     with np.errstate(all="ignore"):
         sample, bad = c._sample_columns(grid)
-        values, kap2, off = _frame_values(c, grid, sample, eps_kappa)
-        # tau (9) is nan wherever kappa <= eps_kappa; every other value of a
+        values, kap2, off = _frame_values(c, grid, sample)
+        # tau (9) is nan wherever kappa <= EPS_KAPPA; every other value of a
         # lane that raises on floats is not finite on the columns
         gam, T, V, U, kg, kn, tg, dkg, dkn, tau, accel, dtg = _redo(
             values, bad | off | ~np.isfinite(kap2),
-            lambda i: _frame_values(c, float(grid[i]), c._sample(float(grid[i])), eps_kappa)[0],
+            lambda i: _frame_values(c, float(grid[i]), c._sample(float(grid[i])))[0],
             unchecked=(9,))
     return FrameData(grid, gam, T, V, U, kg, kn, tg, dkg, dkn, dtg, np.hypot(kg, kn), tau,
-                     analytic=c.analytic, eps_kappa=eps_kappa, accel=accel)
+                     analytic=c.analytic, accel=accel)
 
 
-def _frame_values(c: CurveOnSurface, s, sample, eps_kappa) -> tuple:
+def _frame_values(c: CurveOnSurface, s, sample) -> tuple:
     """((gamma, T, V, U, k_g, k_n, tau_g, k_g', k_n', tau, |gamma''|,
     tau_g'), k_g^2 + k_n^2, off) at s from a sample of c: the floats of one
     sample, where a failing check or float operation raises, or the columns
@@ -686,7 +689,7 @@ def _frame_values(c: CurveOnSurface, s, sample, eps_kappa) -> tuple:
     V, kg, kn, tg, off = _darboux_scalars(jets, U, U1, s)
     kap2 = _pow(kg, 2) + _pow(kn, 2)
     tau = np.divide(_triple(d1, d2, d3), kap2, out=np.full(np.shape(kap2), np.nan),
-                    where=kap2 > eps_kappa**2)
+                    where=kap2 > EPS_KAPPA**2)
     return (g, d1, V, U, kg, kn, tg,
             # k_g' = gamma'''.V + tau_g k_n ; k_n' = gamma'''.U - tau_g k_g
             dot3(d3, V) + tg * kn, dot3(d3, U) - tg * kg,
@@ -708,14 +711,14 @@ class AngleSeries:
     r3: np.ndarray
 
 
-def normal_angle_series(c: CurveOnSurface, grid: np.ndarray,
-                        eps_kappa: float = EPS_KAPPA_DEFAULT) -> AngleSeries:
-    """Signed normal angle along the curve; requires kappa > eps on the grid."""
-    data = sample_frames(c, grid, eps_kappa=eps_kappa)
+def normal_angle_series(c: CurveOnSurface, grid: np.ndarray) -> AngleSeries:
+    """Signed normal angle along the curve; requires kappa > EPS_KAPPA on the
+    grid."""
+    data = sample_frames(c, grid)
     if not data.frenet_mask.all():
         bad = data.s[~data.frenet_mask]
         raise FrenetUndefinedError(
-            f"Frenet frame undefined (kappa <= {eps_kappa:g}) at s={float(bad[0]):g}"
+            f"Frenet frame undefined (kappa <= {EPS_KAPPA:g}) at s={float(bad[0]):g}"
         )
     # |gamma''| rather than hypot(kg, kn): keeps r1/r2 sensitive to frame error
     kappa = data.accel
@@ -882,6 +885,11 @@ class _Hermite:
             value = 0.0 + c3 + c2 * z + c1 * zz + c0 * (zz * z)
         return np.where(np.isnan(s)[lanes], np.nan, value)
 
+    def columns(self, s) -> tuple:
+        """The interpolant of an (n, k) y at each lane of the (N,) s, as its
+        k components' (N,) columns, with the bits of a call per lane."""
+        return tuple(self(s).T)
+
 
 class _Pchip(_Hermite):
     """scipy.interpolate.PchipInterpolator(x, y) for a strictly increasing
@@ -911,7 +919,7 @@ class ArclengthMap:
 
     ``speed`` maps an (N,) array of parameters to the (N,) speeds |gamma'(t)|,
     each lane with the bits of a one-lane call.  Table built with adaptive
-    Simpson (tol 1e-10) at n+1 uniform t-nodes, from the speeds taken at the
+    Simpson (SIMPSON_TOL) at n+1 uniform t-nodes, from the speeds taken at the
     nodes and midpoints for the vanishing-speed check, one speed call per
     recursion depth.  A call that raises is made again lane by lane, and the
     error is the one a point-by-point build meets first: the first node's
@@ -925,14 +933,13 @@ class ArclengthMap:
     stopping at its own fixed point.
     """
 
-    def __init__(self, speed: Callable, t_range: tuple[float, float], n: int,
-                 tol: float = 1e-10, eps_speed: float = EPS_SPEED):
+    def __init__(self, speed: Callable, t_range: tuple[float, float], n: int):
         t0, t1 = t_range
         if not t1 > t0:
             raise DarbouxError("empty parameter range")
         self.speed = speed
         self.t_nodes = np.linspace(t0, t1, max(int(n), 8) + 1)
-        self.s_nodes = np.concatenate([[0.0], np.cumsum(self._increments(tol, eps_speed))])
+        self.s_nodes = np.concatenate([[0.0], np.cumsum(self._increments(SIMPSON_TOL, EPS_SPEED))])
         self.length = float(self.s_nodes[-1])
         self._inverse = _Pchip(self.s_nodes, self.t_nodes)
         # the tables PchipInterpolator refuses, and those whose cubics overflow

@@ -544,7 +544,11 @@ class ImplicitSurface:
         return np.array(self._level(*_point(p))[1], dtype=float)
 
     def jet(self, p: np.ndarray):
-        return self.value(p), self.gradient(p), self.hessian(p)
+        """(f, grad f, Hessian) at p, level evaluated once."""
+        p = _point(p)
+        f = float(self._f(*p))
+        g, H = self._level(*p)
+        return f, np.array(g, dtype=float), np.array(H, dtype=float)
 
     def level_point(self, p):
         """The float kernel of the normal: (grad f, |grad f|, H) at the
@@ -801,13 +805,14 @@ CATALOG = {
 }
 
 
-def parse_surface_spec(spec: str, implicit: bool = False, eps_reg: float = EPS_REG_DEFAULT):
+def parse_surface_spec(spec: str, implicit: bool = False):
     """Parse a surface spec string.
 
     Forms: ``builtin:sphere?r=1``, ``builtin:torus?R=2&r=0.5``,
     ``param:x=<expr>;y=<expr>;z=<expr>;u=<lo>,<hi>;v=<lo>,<hi>``,
     ``implicit:f=<expr>``.  With ``implicit=True`` a builtin name resolves
-    to its implicit counterpart (where one exists).
+    to its implicit counterpart (where one exists).  The surface's eps_reg
+    is EPS_REG_DEFAULT.
     """
     if ":" not in spec:
         raise DarbouxError(f"surface spec needs a 'builtin:', 'param:' or 'implicit:' prefix: {spec!r}")
@@ -820,7 +825,7 @@ def parse_surface_spec(spec: str, implicit: bool = False, eps_reg: float = EPS_R
         ctor = implicit_ctor if implicit else parametric_ctor
         if ctor is None:
             raise DarbouxError(f"builtin {name!r} has no implicit form")
-        return ctor(**_builtin_params(name, ctor, query), eps_reg=eps_reg)
+        return ctor(**_builtin_params(name, ctor, query))
     if kind == "param":
         fields = _split_fields(rest)
         for key in ("x", "y", "z", "u", "v"):
@@ -831,13 +836,12 @@ def parse_surface_spec(spec: str, implicit: bool = False, eps_reg: float = EPS_R
             _parse_range(fields["u"]), _parse_range(fields["v"]),
             periodic_u=fields.get("periodic", "").find("u") >= 0,
             periodic_v=fields.get("periodic", "").find("v") >= 0,
-            eps_reg=eps_reg,
         )
     if kind == "implicit":
         fields = _split_fields(rest)
         if "f" not in fields:
             raise DarbouxError(f"implicit surface spec missing f=...: {spec!r}")
-        return implicit_from_expression(fields["f"], eps_reg=eps_reg)
+        return implicit_from_expression(fields["f"])
     raise DarbouxError(f"unknown surface spec kind {kind!r}")
 
 

@@ -57,7 +57,7 @@ from .errors import (
     SingularPointError,
     numerical,
 )
-from .frames import deriv_uniform
+from .frames import ON_SURFACE_TOL, deriv_uniform
 from .surface import (
     ImplicitSurface,
     ParametricSurface,
@@ -94,6 +94,7 @@ __all__ = [
 ]
 
 EPS_SING_DEFAULT = 1e-10
+FIND_SEED_TOL = 1e-12  # find_seed's point has |<U, d> - cos(phi)| <= FIND_SEED_TOL
 
 
 @dataclass
@@ -183,9 +184,10 @@ class TraceResult:
 
 
 @numerical
-def find_seed(surface, d, phi: float, guess, tol: float = 1e-12,
-              max_iter: int = 100, projection_tol: float = 1e-12, lines: dict | None = None):
-    """Locate a point on the level set <U, d> = cos(phi) near ``guess``.
+def find_seed(surface, d, phi: float, guess, max_iter: int = 100, projection_tol: float = 1e-12,
+              lines: dict | None = None):
+    """Locate a point on the level set <U, d> = cos(phi) near ``guess``, to
+    FIND_SEED_TOL.
 
     Parametric surfaces: 1-D bracket-and-bisect (with Newton polish) along
     the coordinate lines through the guess.  Implicit surfaces: projected
@@ -198,9 +200,9 @@ def find_seed(surface, d, phi: float, guess, tol: float = 1e-12,
     d = _floats(_unit(d))
     target = math.cos(phi)
     if isinstance(surface, ParametricSurface):
-        return _find_seed_parametric(surface, d, target, guess, tol, max_iter,
+        return _find_seed_parametric(surface, d, target, guess, FIND_SEED_TOL, max_iter,
                                      {} if lines is None else lines)
-    return np.array(_find_seed_implicit(surface, d, target, guess, tol, max_iter,
+    return np.array(_find_seed_implicit(surface, d, target, guess, FIND_SEED_TOL, max_iter,
                                         projection_tol))
 
 
@@ -367,20 +369,21 @@ def _chart_singular(u, v) -> SingularPointError:
                               f"this axis/angle at (u, v)=({float(u):g}, {float(v):g})")
 
 
+@numerical
 def isophote_direction_parametric(surface: ParametricSurface, d, u: float, v: float,
-                                  branch: str = "plus",
-                                  eps_sing: float = EPS_SING_DEFAULT):
+                                  branch: str = "plus"):
     """Unit-metric-speed chart direction (u', v') of the isophote through
     (u, v): solves g_u u' + g_v v' = 0 for g = <U, d>.
 
-    Raises SingularPointError when both g_u and g_v fall below ``eps_sing``
+    Raises SingularPointError when both g_u and g_v fall below EPS_SING_DEFAULT
     (no isophotic curve with this axis exists through the point)."""
-    k, _, error = _chart_eval(surface, _floats(d), eps_sing, surface.wrap(u, v))[:3]
+    k, _, error = _chart_eval(surface, _floats(d), EPS_SING_DEFAULT, surface.wrap(u, v))[:3]
     if k is None:
         raise error or _chart_singular(u, v)
     return (-k[0], -k[1]) if branch == "minus" else k
 
 
+@numerical
 def direction_scalars_parametric(surface: ParametricSurface, d, u: float, v: float,
                                  direction) -> tuple[float, float]:
     """(k_n, tau_g) of a unit chart direction at a point (point functions of
@@ -389,6 +392,7 @@ def direction_scalars_parametric(surface: ParametricSurface, d, u: float, v: flo
     return cols["kn"], cols["tg"]
 
 
+@numerical
 def delta_coefficients(surface: ParametricSurface, d, u: float, v: float,
                        direction) -> tuple[float, float]:
     """Verification coefficients (Delta, Delta*) for a unit chart direction;
@@ -429,19 +433,19 @@ def _chart_columns(jet, d, du, dv, sign) -> dict:
                 "unit_speed_residual": E * du * du + 2.0 * F * du * dv + G * dv * dv - 1.0}
 
 
-def isophote_direction_implicit(surface: ImplicitSurface, d, p, branch: str = "plus",
-                                eps_sing: float = EPS_SING_DEFAULT,
-                                on_surface_tol: float = 1e-9) -> np.ndarray:
-    """Unit tangent of the isophote through p on f = 0: grad(f) x grad(g)
-    normalized, g = <grad f, d>/|grad f|.
+@numerical
+def isophote_direction_implicit(surface: ImplicitSurface, d, p,
+                                branch: str = "plus") -> np.ndarray:
+    """Unit tangent of the isophote through p on f = 0 (|f| <= ON_SURFACE_TOL):
+    grad(f) x grad(g) normalized, g = <grad f, d>/|grad f|.
 
     Raises SingularPointError when the two gradients are parallel or grad(g)
     vanishes (the level set degenerates; no isophotic curve exists)."""
     p = _point(p)
     f = surface._f(*p)
-    if abs(f) > on_surface_tol:
-        raise DarbouxError(f"point is not on the surface: |f| = {abs(f):g} > {on_surface_tol:g}")
-    t, _, error = _implicit_eval(surface, _floats(d), eps_sing, p)[:3]
+    if abs(f) > ON_SURFACE_TOL:
+        raise DarbouxError(f"point is not on the surface: |f| = {abs(f):g} > {ON_SURFACE_TOL:g}")
+    t, _, error = _implicit_eval(surface, _floats(d), EPS_SING_DEFAULT, p)[:3]
     if t is None:
         raise error or _implicit_singular(p)
     return np.array(_negated(t) if branch == "minus" else t)
@@ -498,12 +502,14 @@ def _implicit_singular(p) -> SingularPointError:
                               "no isophotic curve with this axis/angle")
 
 
+@numerical
 def direction_scalars_implicit(surface: ImplicitSurface, d, p, t) -> tuple[float, float]:
     """(k_n, tau_g) of a unit tangent t at a surface point p."""
     cols = _implicit_point_columns(surface, d, p, t)
     return cols["kn"], cols["tg"]
 
 
+@numerical
 def omega_coefficients(surface: ImplicitSurface, d, p, t) -> np.ndarray:
     """Verification triple Omega = k_n d + tau_g (d x U), U the unit normal.
     Differentiating <U, d> = cos(phi) with U' = -k_n T - tau_g V gives

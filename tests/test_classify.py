@@ -23,7 +23,6 @@ from conftest import (
 from darboux.classify import (
     CharacterizationSeries,
     _cumulative_integral,
-    Tolerances,
     classify_report,
     is_constant,
     mu_u_series,

@@ -18,6 +18,7 @@ from darboux.frames import (
     ChartPath,
     CurveOnSurface,
     ParamCurve,
+    UnitSpeedCurve,
     _chart_chain,
     _triple,
     darboux as darboux_frame,
@@ -75,6 +76,16 @@ def _level_with(surface, wrap):
 PARAM_SURFACE = "param:x=u;y=v;z=0.3*u*u-0.2*v*v+0.1*u*v;u=-3,3;v=-3,3"
 
 
+def _polyline_helix(a, b):
+    """The unit-speed helix (cos(w s), sin(w s), c s) on the implicit unit
+    cylinder, w : c = a : b, as a 301-sample polyline over s in [0, 3]."""
+    w, c = a / math.hypot(a, b), b / math.hypot(a, b)
+    s = np.linspace(0.0, 3.0, 301)
+    points = np.column_stack([np.cos(w * s), np.sin(w * s), c * s])
+    return CurveOnSurface(darboux.implicit_cylinder(1.0),
+                          space_curve=UnitSpeedCurve.from_polyline(points, 3.0))
+
+
 # Oblique chart paths (k_g and tau_g both nonzero along them) and space
 # curves on implicit surfaces, each drawn from two coefficients in [0.1, 1].
 CURVES = {
@@ -126,6 +137,8 @@ CURVES = {
         space_curve=resample_unit_speed(ParamCurve.from_expressions(
             f"(2+0.5*cos(2*s+{b!r}))*cos(s)", f"(2+0.5*cos(2*s+{b!r}))*sin(s)",
             f"0.5*sin(2*s+{b!r})", (a, 3.0)))),
+    # from_polyline's Hermite interpolants give their columns
+    "polyline helix": _polyline_helix,
 }
 
 
@@ -206,6 +219,16 @@ def _sphere_latitude():
                                     (0.0, 2 * math.pi))))
 
 
+def _sphere_latitude_polyline():
+    """The same latitude circle as a 2001-sample polyline."""
+    s = np.linspace(0.0, 2 * math.pi * math.cos(0.3), 2001)
+    t = s / math.cos(0.3)
+    points = np.column_stack([np.cos(t) * math.cos(0.3), np.sin(t) * math.cos(0.3),
+                              np.full(len(s), math.sin(0.3))])
+    return CurveOnSurface(darboux.implicit_sphere(1.0),
+                          space_curve=UnitSpeedCurve.from_polyline(points, s[-1]))
+
+
 def _assert_same_frames(data, expected):
     for key in ("gamma", "T", "V", "U", "kg", "kn", "tg", "dkg", "dkn", "dtg", "tau", "accel"):
         _assert_same(getattr(data, key), getattr(expected, key), key)
@@ -215,8 +238,9 @@ class TestColumnPath:
     """Which path reads a grid's samples: the compiled columns, or
     _lane_columns lane by lane where they cannot."""
 
-    @pytest.mark.parametrize("make", [lambda: CURVES["torus"](0.5, 0.5), _sphere_latitude],
-                             ids=["catalog chart path", "sphere latitude"])
+    @pytest.mark.parametrize("make", [lambda: CURVES["torus"](0.5, 0.5), _sphere_latitude,
+                                      _sphere_latitude_polyline],
+                             ids=["catalog chart path", "sphere latitude", "latitude polyline"])
     def test_compiled_functions_evaluate_no_lane(self, make, lane_calls):
         c = make()
         sample_frames(c, uniform_grid(*c.s_range, 200))

@@ -18,6 +18,7 @@ from darboux.errors import (
     RegularityError,
 )
 from darboux.surface import (
+    ImplicitSurface,
     first_form,
     implicit_from_expression,
     normal_derivatives,
@@ -447,6 +448,16 @@ class TestImplicitJet:
         assert f == 0.0
         np.testing.assert_array_equal(g, [2, 0, 0])
         np.testing.assert_array_equal(H, 2 * np.eye(3))
+
+    def test_jet_evaluates_level_once(self):
+        sphere, p, calls = darboux.implicit_sphere(1.0), np.array([0.6, 0.0, 0.8]), []
+        counted = ImplicitSurface(sphere.name, sphere._f,
+                                  lambda *q: calls.append(q) or sphere._level(*q),
+                                  third=sphere._third)
+        f, g, H = counted.jet(p)
+        assert calls == [(0.6, 0.0, 0.8)]
+        assert (f, g.tolist(), H.tolist()) == (sphere.value(p), sphere.gradient(p).tolist(),
+                                               sphere.hessian(p).tolist())
 
     def test_cylinder(self):
         f, g, _ = darboux.implicit_cylinder(1.0).jet(np.array([0.0, 1.0, 5.0]))
