@@ -24,11 +24,9 @@ from darboux.frames import (
 SQRT2 = math.sqrt(2.0)
 
 # --- helix on the cylinder, already unit speed ------------------------------
+# A chart path is its jet ((u, v), (u', v'), (u'', v''), (u''', v''')) at s.
 path = ChartPath(
-    lambda s: s / SQRT2, lambda s: s / SQRT2,   # u(s), v(s)
-    lambda s: 1 / SQRT2, lambda s: 1 / SQRT2,   # first derivatives
-    lambda s: 0.0, lambda s: 0.0,               # second
-    lambda s: 0.0, lambda s: 0.0,               # third
+    lambda s: ((s / SQRT2, s / SQRT2), (1 / SQRT2, 1 / SQRT2), (0.0, 0.0), (0.0, 0.0)),
     (0.0, 4 * math.pi),
 )
 helix = CurveOnSurface(darboux.cylinder(1.0), chart_path=path)

@@ -25,9 +25,7 @@ from darboux.frames import ChartPath, CurveOnSurface, sample_frames
 SQRT2 = math.sqrt(2.0)
 
 path = ChartPath(
-    lambda s: s / SQRT2, lambda s: s / SQRT2,
-    lambda s: 1 / SQRT2, lambda s: 1 / SQRT2,
-    lambda s: 0.0, lambda s: 0.0, lambda s: 0.0, lambda s: 0.0,
+    lambda s: ((s / SQRT2, s / SQRT2), (1 / SQRT2, 1 / SQRT2), (0.0, 0.0), (0.0, 0.0)),
     (0.0, 4 * math.pi),
 )
 helix = CurveOnSurface(darboux.cylinder(1.0), chart_path=path)

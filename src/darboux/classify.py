@@ -357,7 +357,9 @@ def position_decomposition(c, grid=None) -> PositionDecomposition:
 
     span{T,U} membership requires max |<gamma,V>| below tolerance; span{T,V}
     requires max |<gamma,U>| below it.  The tolerance is
-    PLANE_TOL * (1 + max |gamma|)."""
+    PLANE_TOL * (1 + max |gamma|).  span{V,U} has no flag: <gamma,T> = 0 is
+    (|gamma|^2)' = 0, a curve on a sphere about the origin, which the
+    gamma_dot_T series already shows."""
     data = _as_data(c, grid)
     dt = dot3(data.gamma.T, data.T.T)
     dv = dot3(data.gamma.T, data.V.T)

@@ -90,6 +90,12 @@ def _positive(value: float, label: str) -> float:
     return value
 
 
+def _nonnegative(value: float, label: str) -> float:
+    if not (math.isfinite(value) and value >= 0.0):
+        raise DarbouxError(f"{label} must be a finite number >= 0, got {value!r}")
+    return value
+
+
 def _grid(curve, samples: int) -> np.ndarray:
     if samples < 2:
         raise DarbouxError(f"--samples must be at least 2, got {samples}")
@@ -302,10 +308,9 @@ def _cmd_trace(args, implicit: bool) -> int:
     closure_tol = (None if args.closure_tol is None
                    else _positive(args.closure_tol, "--closure-tol"))
     # checked before TraceConfig, whose own check raises ValueError
-    if not (math.isfinite(args.eps_sing) and args.eps_sing >= 0.0):
-        raise DarbouxError(f"--eps-sing must be a finite number >= 0, got {args.eps_sing!r}")
+    eps_sing = _nonnegative(args.eps_sing, "--eps-sing")
     config = _trace.TraceConfig(step=step, max_length=length, branch=args.branch,
-                                closure_tol=closure_tol, eps_sing=args.eps_sing, **projection)
+                                closure_tol=closure_tol, eps_sing=eps_sing, **projection)
     guess = _parse_floats(args.seed, 3 if implicit else 2, "--seed")
 
     if args.family:
@@ -346,8 +351,9 @@ def _cmd_seed_find(args) -> int:
 def _cmd_classify(args) -> int:
     if not (math.isfinite(args.c_const) and args.c_const != 0.0):
         raise DarbouxError(f"--c-const must be finite and nonzero, got {args.c_const!r}")
+    tol = None if args.tol is None else _nonnegative(args.tol, "--tol")
     curve, grid = _curve_and_grid(args)
-    report = _classify.classify_report(curve, grid, constancy=args.tol, c_const=args.c_const)
+    report = _classify.classify_report(curve, grid, constancy=tol, c_const=args.c_const)
     _write(args.out, _json(report.as_dict()))
     return 0
 

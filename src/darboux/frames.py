@@ -1,9 +1,9 @@
 """Frenet and Darboux frames along unit-speed curves on surfaces.
 
 Curves are arclength-parametrized.  A curve on a parametric surface is a
-chart path (u(s), v(s)) with derivatives to third order; a curve on an
-implicit surface is a unit-speed space curve confined to the level set.
-Frame scalars:
+chart path (u(s), v(s)) given by its jet to third order; a curve on an
+implicit surface is a unit-speed space curve, given by its jet, confined to
+the level set.  Frame scalars:
 
     gamma'' = k_n U + k_g V,     k_n = gamma''.U,   k_g = gamma''.V,
     tau_g = V'.U = -U'.V  (computed from analytic normal derivatives).
@@ -49,12 +49,12 @@ floats: elementwise arithmetic, np.sqrt and the lane-by-lane Python powers
 of ``surface._pow`` give each lane the bits of a point-by-point evaluation.
 Its samples (path or curve jets, chart or level point) come from one pass
 of each function's columns: the path jet, or c, c1, c2 and c3, at the
-inverted t, or a polyline's four Hermite interpolants at s, and the chart's
-or the level set's functions at the samples' points.  A grid is evaluated
-lane by lane (``_lane_columns``) only where a function has no columns (a
-Python callable) or they decline, a lane lies outside a non-periodic chart
-range, or the inversion flagged lanes.  All that follows, from the chain
-rule through t(s) to tau_g', runs on the columns.
+inverted t, or the Hermite interpolant of a polyline's stacked jet at s, and
+the chart's or the level set's functions at the samples' points.  A grid is
+evaluated lane by lane (``_lane_columns``) only where a function has no
+columns (a Python callable) or they decline, a lane lies outside a
+non-periodic chart range, or the inversion flagged lanes.  All that
+follows, from the chain rule through t(s) to tau_g', runs on the columns.
 
 On the columns of the frame sampler and of the Frenet pass a lane fails
 where its evaluation raised (all lanes where the batched inversion did),
@@ -98,6 +98,7 @@ from .surface import (
     _normal_second_partials,
     _pow,
     _unit_second_derivative,
+    _unstack,
     dot3,
     norm3,
 )
@@ -222,19 +223,14 @@ class ParamCurve:
 
 
 class UnitSpeedCurve:
-    """Arclength-parametrized curve on [0, L] with evaluators to 3rd order."""
+    """Arclength-parametrized curve on [0, L] given by its jet: jet(s) is
+    (gamma, gamma', gamma'', gamma''') at s, each 3-vector an array or a
+    sequence of floats."""
 
-    def __init__(self, gamma, d1, d2, d3, length: float, analytic: bool = True):
-        self.gamma, self.d1, self.d2, self.d3 = gamma, d1, d2, d3
+    def __init__(self, jet, length: float, analytic: bool = True):
+        self.jet = jet
         self.length = float(length)
         self.analytic = analytic
-
-    @property
-    def domain(self) -> tuple[float, float]:
-        return (0.0, self.length)
-
-    def jet(self, s: float):
-        return self.gamma(s), self.d1(s), self.d2(s), self.d3(s)
 
     def _jet_of(self, s):
         """The jet at s as lists of Python floats."""
@@ -242,12 +238,11 @@ class UnitSpeedCurve:
 
     def _jet_columns(self, grid):
         """(jet at each s of grid as four 3-vectors of (N,) columns, mask of
-        the lanes whose evaluation raised): one pass of the columns of
-        gamma, d1, d2 and d3 (from_polyline's Hermite interpolants, or
-        compiled functions), else lane by lane."""
+        the lanes whose evaluation raised): one pass of the jet's columns
+        (from_polyline's Hermite interpolant), else lane by lane."""
         bad = np.zeros(len(grid), dtype=bool)
-        jet = _compiled_columns([grid], self.gamma, self.d1, self.d2, self.d3)
-        return (_lane_columns(self.jet, grid, _CURVE_JET, bad) if jet is None else jet), bad
+        jet = _compiled_columns([grid], self.jet)
+        return (_lane_columns(self.jet, grid, _CURVE_JET, bad) if jet is None else jet[0]), bad
 
     @classmethod
     def from_polyline(cls, points: np.ndarray, length: float | None = None) -> "UnitSpeedCurve":
@@ -255,11 +250,12 @@ class UnitSpeedCurve:
 
         Derivatives come from 5-point central stencils at interior nodes
         (O(h^4)) and one-sided stencils at the ends; values between nodes are
-        cubic Hermite interpolated, with the next derivative as slopes.  Marked
-        non-analytic so downstream constancy statistics use the looser
-        tolerance and drop endpoints.  ``length`` defaults to the chord sum,
-        short of a curved polyline's arclength by enough to fail the unit-speed
-        check (UNIT_SPEED_TOL): pass the arclength where known (a trace's s[-1]).
+        cubic Hermite interpolated, with the next derivative as slopes: one
+        interpolant of the stacked (n, 4, 3) jet.  Marked non-analytic so
+        downstream constancy statistics use the looser tolerance and drop
+        endpoints.  ``length`` defaults to the chord sum, short of a curved
+        polyline's arclength by enough to fail the unit-speed check
+        (UNIT_SPEED_TOL): pass the arclength where known (a trace's s[-1]).
         """
         points = np.asarray(points, dtype=float)
         n = len(points)
@@ -274,34 +270,25 @@ class UnitSpeedCurve:
         jets = [points]
         for _ in range(4):
             jets.append(deriv_uniform(jets[-1], h))
-        return cls(*map(_Hermite, [s] * 4, jets, jets[1:]), length, analytic=False)
+        return cls(_Hermite(s, np.stack(jets[:4], axis=1), np.stack(jets[1:], axis=1)),
+                   length, analytic=False)
 
 
 class ChartPath:
-    """Chart path (u(s), v(s)) with derivatives to third order."""
+    """Chart path (u(s), v(s)) given by its jet: jet(s) is ((u, v),
+    (u', v'), (u'', v''), (u''', v''')) at s.  first_order(s) is the
+    (u, v, u', v') the arclength speed reads, by default off the whole jet:
+    a path whose higher derivatives fail where its first order does not
+    must pass first_order."""
 
-    def __init__(self, u, v, du, dv, ddu, ddv, dddu, dddv, s_range: tuple[float, float]):
-        self.u, self.v = u, v
-        self.du, self.dv = du, dv
-        self.ddu, self.ddv = ddu, ddv
-        self.dddu, self.dddv = dddu, dddv
+    def __init__(self, jet, s_range: tuple[float, float], first_order=None):
+        self.jet = jet
+        if first_order is None:
+            def first_order(s):
+                (u, v), (du, dv), _, _ = jet(s)
+                return u, v, du, dv
+        self.first_order = first_order
         self.s_range = (float(s_range[0]), float(s_range[1]))
-
-    def point(self, s: float) -> tuple[float, float]:
-        return self.u(s), self.v(s)
-
-    def first_order(self, s: float):
-        """(u, v, u', v') at s: what the arclength speed reads."""
-        return self.u(s), self.v(s), self.du(s), self.dv(s)
-
-    def jet(self, s: float):
-        """((u, v), (u', v'), (u'', v''), (u''', v'''))."""
-        return (
-            (self.u(s), self.v(s)),
-            (self.du(s), self.dv(s)),
-            (self.ddu(s), self.ddv(s)),
-            (self.dddu(s), self.dddv(s)),
-        )
 
     @classmethod
     def from_expressions(cls, u_src: str, v_src: str, s_range: tuple[float, float],
@@ -313,8 +300,8 @@ class ChartPath:
         jet = [[_expr.parse(src, [var]) for src in (u_src, v_src)]]
         for _ in range(3):
             jet.append([_expr.differentiate(e, var) for e in jet[-1]])
-        return _CompiledChartPath(_expr.compile(jet, [var]),
-                                  _expr.compile([*jet[0], *jet[1]], [var]), s_range)
+        return cls(_expr.compile(jet, [var]), s_range,
+                   first_order=_expr.compile([*jet[0], *jet[1]], [var]))
 
     def _sample(self, surface: ParametricSurface, s):
         """(path jet, chart point, third partials) at s, the surface evaluated
@@ -338,40 +325,6 @@ class ChartPath:
         return (jet[0], chart, third), irregular
 
 
-def _jet_entry(order: int, axis: int | None = None):
-    """Accessor reading entry [order], or [order][axis], of a jet at s."""
-    if axis is None:
-        return lambda curve, s: curve.jet(s)[order]
-    return lambda path, s: path.jet(s)[order][axis]
-
-
-class _JetChartPath(ChartPath):
-    """A ChartPath defined by its jet: the component accessors, point and
-    first_order read jet(s)."""
-
-    u, v = _jet_entry(0, 0), _jet_entry(0, 1)
-    du, dv = _jet_entry(1, 0), _jet_entry(1, 1)
-    ddu, ddv = _jet_entry(2, 0), _jet_entry(2, 1)
-    dddu, dddv = _jet_entry(3, 0), _jet_entry(3, 1)
-
-    def point(self, s: float) -> tuple[float, float]:
-        return self.jet(s)[0]
-
-    def first_order(self, s: float):
-        (u, v), (du, dv), _, _ = self.jet(s)
-        return u, v, du, dv
-
-
-class _CompiledChartPath(_JetChartPath):
-    """ChartPath.from_expressions' path: the jet and first_order are one
-    compiled function each."""
-
-    def __init__(self, jet, first_order, s_range: tuple[float, float]):
-        self.jet = jet  # nested as ChartPath.jet returns it
-        self.first_order = first_order
-        self.s_range = (float(s_range[0]), float(s_range[1]))
-
-
 class CurveOnSurface:
     """Unit-speed curve lying on a surface (chart path or confined space curve)."""
 
@@ -393,7 +346,7 @@ class CurveOnSurface:
             if not isinstance(surface, ImplicitSurface):
                 raise DarbouxError("space curves require an implicit surface")
             self.kind = "implicit"
-            self.s_range = space_curve.domain
+            self.s_range = (0.0, space_curve.length)
 
     @property
     def analytic(self) -> bool:
@@ -860,8 +813,9 @@ class _Hermite:
     """scipy.interpolate.CubicHermiteSpline(x, y, slopes) for a strictly
     increasing finite x, with its bits: the coefficients in scipy's
     operations and order; a call evaluates as PPoly's compiled loop does.
-    y and slopes are (n,) or (n, k); a query of shape Q gives shape
-    Q + y.shape[1:].  Built without numpy warnings."""
+    y and slopes are (n, ...); a query of shape Q gives shape
+    Q + y.shape[1:], each entry's cubic evaluated elementwise.  Built
+    without numpy warnings."""
 
     def __init__(self, x: np.ndarray, y: np.ndarray, slopes: np.ndarray):
         self.x, self.slopes = x, slopes
@@ -886,9 +840,9 @@ class _Hermite:
         return np.where(np.isnan(s)[lanes], np.nan, value)
 
     def columns(self, s) -> tuple:
-        """The interpolant of an (n, k) y at each lane of the (N,) s, as its
-        k components' (N,) columns, with the bits of a call per lane."""
-        return tuple(self(s).T)
+        """The interpolant at each lane of the (N,) s as (N,) columns, nested
+        as a value is, with the bits of a call per lane."""
+        return _unstack(np.moveaxis(self(s), 0, -1))
 
 
 class _Pchip(_Hermite):
@@ -1018,15 +972,12 @@ def _arclength_rule(x1, x2, x3, tp, tpp, tppp) -> tuple:
 class _ResampledCurve(UnitSpeedCurve):
     """A regular ParamCurve reparametrized by arclength.  A grid's jets come
     from one batched inversion, one pass of the compiled curve functions'
-    columns and one chain rule on columns;
-    ``gamma``/``d1``/``d2``/``d3`` each take the whole jet at s."""
+    columns and one chain rule on columns."""
 
     def __init__(self, raw: ParamCurve, amap: ArclengthMap):
         self.raw, self.amap = raw, amap
         self.length = amap.length
         self.analytic = True
-
-    gamma, d1, d2, d3 = _jet_entry(0), _jet_entry(1), _jet_entry(2), _jet_entry(3)
 
     def jet(self, s: float):
         t, = self.amap.t_of_s_many([s]).tolist()
@@ -1079,16 +1030,13 @@ def resample_unit_speed(raw: ParamCurve, n: int = 512) -> UnitSpeedCurve:
     return _ResampledCurve(raw, amap)
 
 
-class _UnitSpeedChartPath(_JetChartPath):
+class _UnitSpeedChartPath(ChartPath):
     """A chart path reparametrized to unit metric speed on one surface: its
     (u, v) and derivatives come together from one arclength inversion."""
 
     def __init__(self, surface: ParametricSurface, raw: ChartPath, amap: ArclengthMap):
+        super().__init__(lambda s: self._sample(surface, s)[0], (0.0, amap.length))
         self.surface, self.raw, self.amap = surface, raw, amap
-        self.s_range = (0.0, amap.length)
-
-    def jet(self, s: float):
-        return self._sample(self.surface, s)[0]
 
     def _sample(self, surface: ParametricSurface, s):
         """The chart sample at s: t(s), the raw path and the chart at t, then

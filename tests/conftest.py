@@ -39,13 +39,8 @@ V0 = math.pi / 4
 
 def constant_speed_path(cu, cv, du, dv, s_range):
     """Chart path with constant derivative (du, dv) from point (cu, cv)."""
-    return ChartPath(
-        lambda s: cu + du * s, lambda s: cv + dv * s,
-        lambda s: du, lambda s: dv,
-        lambda s: 0.0, lambda s: 0.0,
-        lambda s: 0.0, lambda s: 0.0,
-        s_range,
-    )
+    return ChartPath(lambda s: ((cu + du * s, cv + dv * s), (du, dv), (0.0, 0.0), (0.0, 0.0)),
+                     s_range)
 
 
 def make_helix_curve(s_max=4 * math.pi):
@@ -67,10 +62,8 @@ def make_line_on_plane(s_max=5.0):
 def make_circle_on_plane():
     """Origin-centered unit circle on the plane z = 0."""
     path = ChartPath(
-        lambda s: math.cos(s), lambda s: math.sin(s),
-        lambda s: -math.sin(s), lambda s: math.cos(s),
-        lambda s: -math.cos(s), lambda s: -math.sin(s),
-        lambda s: math.sin(s), lambda s: -math.cos(s),
+        lambda s: ((math.cos(s), math.sin(s)), (-math.sin(s), math.cos(s)),
+                   (-math.cos(s), -math.sin(s)), (math.sin(s), -math.cos(s))),
         (0.0, 2 * math.pi),
     )
     return CurveOnSurface(darboux.plane(), chart_path=path)
@@ -81,19 +74,13 @@ def make_latitude_on_implicit_sphere():
     c = math.cos(V0)
     z0 = math.sin(V0)
 
-    def gamma(s):
-        return np.array([c * math.cos(s / c), c * math.sin(s / c), z0])
+    def jet(s):
+        return (np.array([c * math.cos(s / c), c * math.sin(s / c), z0]),
+                np.array([-math.sin(s / c), math.cos(s / c), 0.0]),
+                np.array([-math.cos(s / c) / c, -math.sin(s / c) / c, 0.0]),
+                np.array([math.sin(s / c) / c**2, -math.cos(s / c) / c**2, 0.0]))
 
-    def d1(s):
-        return np.array([-math.sin(s / c), math.cos(s / c), 0.0])
-
-    def d2(s):
-        return np.array([-math.cos(s / c) / c, -math.sin(s / c) / c, 0.0])
-
-    def d3(s):
-        return np.array([math.sin(s / c) / c**2, -math.cos(s / c) / c**2, 0.0])
-
-    curve = darboux.UnitSpeedCurve(gamma, d1, d2, d3, 2 * math.pi * c)
+    curve = darboux.UnitSpeedCurve(jet, 2 * math.pi * c)
     return CurveOnSurface(darboux.implicit_sphere(1.0), space_curve=curve)
 
 
@@ -114,23 +101,14 @@ def make_space_cone_curve():
 def make_unit_helix_space_curve(s_max=4 * math.pi):
     """The b=1 helix as a bare unit-speed space curve."""
 
-    def gamma(s):
+    def jet(s):
         t = s / SQRT2
-        return np.array([math.cos(t), math.sin(t), t])
+        return (np.array([math.cos(t), math.sin(t), t]),
+                np.array([-math.sin(t), math.cos(t), 1.0]) / SQRT2,
+                np.array([-math.cos(t), -math.sin(t), 0.0]) / 2.0,
+                np.array([math.sin(t), -math.cos(t), 0.0]) / (2.0 * SQRT2))
 
-    def d1(s):
-        t = s / SQRT2
-        return np.array([-math.sin(t), math.cos(t), 1.0]) / SQRT2
-
-    def d2(s):
-        t = s / SQRT2
-        return np.array([-math.cos(t), -math.sin(t), 0.0]) / 2.0
-
-    def d3(s):
-        t = s / SQRT2
-        return np.array([math.sin(t), -math.cos(t), 0.0]) / (2.0 * SQRT2)
-
-    return darboux.UnitSpeedCurve(gamma, d1, d2, d3, s_max)
+    return darboux.UnitSpeedCurve(jet, s_max)
 
 
 @pytest.fixture

@@ -104,9 +104,8 @@ def test_c01_frames(helix, latitude):
         assert np.abs(series.r3).max() <= 1e-6
         # unit-speed metric residual <= 1e-9
         for s in grid[::20]:
-            u, v = c.path.point(s)
+            u, v, du, dv = c.path.first_order(s)
             ff = c.surface.first_form(u, v)
-            du, dv = c.path.du(s), c.path.dv(s)
             assert abs(ff.E * du**2 + 2 * ff.F * du * dv + ff.G * dv**2 - 1.0) <= 1e-9
 
 

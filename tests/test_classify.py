@@ -515,16 +515,14 @@ class TestFrenetSeriesInversions:
         everywhere) that rises off the plane beyond s_rise, where its gamma''
         also raises if ``raising``."""
 
-        def gamma(s):
-            return np.array([s, 0.0, max(s - s_rise, 0.0) ** 3])
-
         def d2(s):
             if raising and s > s_rise:
                 raise OutOfDomainError(f"d2 undefined at s={s:g}")
             return np.zeros(3)
 
-        curve = darboux.UnitSpeedCurve(gamma, lambda s: np.array([1.0, 0.0, 0.0]), d2,
-                                       lambda s: np.zeros(3), 2.0)
+        curve = darboux.UnitSpeedCurve(
+            lambda s: (np.array([s, 0.0, max(s - s_rise, 0.0) ** 3]), np.array([1.0, 0.0, 0.0]),
+                       d2(s), np.zeros(3)), 2.0)
         return CurveOnSurface(darboux.implicit_plane(), space_curve=curve)
 
     @pytest.mark.parametrize("fn", [slant_helix_series, darboux.rectifying_check],
@@ -550,9 +548,9 @@ class TestFrenetSeriesInversions:
                 raise OutOfDomainError(f"d2 undefined at s={s:g}")
             return np.array([0.0, s - 1.0, 0.0])
 
-        curve = darboux.UnitSpeedCurve(lambda s: np.array([s, 0.0, 0.0]),
-                                       lambda s: np.array([1.0, 0.0, 0.0]), d2,
-                                       lambda s: np.array([0.0, 1.0, 0.0]), 2.0)
+        curve = darboux.UnitSpeedCurve(
+            lambda s: (np.array([s, 0.0, 0.0]), np.array([1.0, 0.0, 0.0]), d2(s),
+                       np.array([0.0, 1.0, 0.0])), 2.0)
         grid = np.linspace(0.0, 2.0, 21)
 
         def point_by_point():

@@ -531,6 +531,23 @@ class TestBoundaryErrors:
         assert captured.err == (f"--project-tol must be a positive finite number, "
                                 f"got {float(value)!r}\n")
 
+    CLASSIFY_HELIX = ["classify", "--surface", "builtin:cylinder?r=1", "--curve",
+                      "param:u=s;v=s", "--samples", "8"]
+
+    @pytest.mark.parametrize("value", ["nan", "-1", "inf"])
+    def test_classify_tol_named(self, value, tmp_path, capsys):
+        # nan and -1 would make every verdict false and inf every verdict true
+        out = tmp_path / "report.json"
+        code, captured = run(self.CLASSIFY_HELIX + ["--tol", value, "--out", str(out)], capsys)
+        assert code == 2
+        assert captured.err == f"--tol must be a finite number >= 0, got {float(value)!r}\n"
+        assert not out.exists()
+
+    def test_classify_tol_zero_is_valid(self, tmp_path):
+        out = tmp_path / "report.json"
+        assert run(self.CLASSIFY_HELIX + ["--tol", "0", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["tolerances"]["constancy"] == 0.0
+
     @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
     def test_closure_tol_named(self, value, capsys):
         code, captured = run(_with(SPHERE_TRACE, closure_tol=value), capsys)

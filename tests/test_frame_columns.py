@@ -391,10 +391,8 @@ class TestMaskErrorOrder:
         # first in grid order, before the later lanes' domain errors
         grid = uniform_grid(0.0, 3.0, 31)
         sk = grid[k]
-        path = ChartPath(lambda s: s + 100.0 * (s > sk), lambda s: 0.0,
-                         lambda s: 1.5 if s >= sk else 1.0, lambda s: 0.0,
-                         lambda s: 0.0, lambda s: 0.0, lambda s: 0.0, lambda s: 0.0,
-                         (0.0, 3.0))
+        path = ChartPath(lambda s: ((s + 100.0 * (s > sk), 0.0), (1.5 if s >= sk else 1.0, 0.0),
+                                    (0.0, 0.0), (0.0, 0.0)), (0.0, 3.0))
         c = CurveOnSurface(darboux.plane(), chart_path=path)
         with pytest.raises(DarbouxError) as excinfo:
             sample_frames(c, grid)
@@ -406,9 +404,8 @@ class TestMaskErrorOrder:
     def test_python_callable_path_raises_on_floats(self):
         # v = 0*(1/(s-1)) divides by zero at s = 1 on Python floats; numpy
         # float64 lanes would read nan there instead of raising
-        one, zero = (lambda s: 1.0), (lambda s: 0.0)
-        path = ChartPath(lambda s: s, lambda s: 0 * (1 / (s - 1)), one, zero, zero, zero,
-                         zero, zero, (0.0, 2.0))
+        path = ChartPath(lambda s: ((s, 0 * (1 / (s - 1))), (1.0, 0.0), (0.0, 0.0), (0.0, 0.0)),
+                         (0.0, 2.0))
         c = CurveOnSurface(darboux.plane(), chart_path=path)
         for frame in (darboux_frame, frenet):
             with pytest.raises(NumericalError, match="^float arithmetic failed: float division "

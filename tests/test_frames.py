@@ -63,29 +63,21 @@ class TestFrenet:
     def test_circle_curvature(self):
         r = 2.5
 
-        def gamma(s):
-            return np.array([r * math.cos(s / r), r * math.sin(s / r), 0.0])
+        def jet(s):
+            return (np.array([r * math.cos(s / r), r * math.sin(s / r), 0.0]),
+                    np.array([-math.sin(s / r), math.cos(s / r), 0.0]),
+                    np.array([-math.cos(s / r), -math.sin(s / r), 0.0]) / r,
+                    np.array([math.sin(s / r), -math.cos(s / r), 0.0]) / r**2)
 
-        def d1(s):
-            return np.array([-math.sin(s / r), math.cos(s / r), 0.0])
-
-        def d2(s):
-            return np.array([-math.cos(s / r), -math.sin(s / r), 0.0]) / r
-
-        def d3(s):
-            return np.array([math.sin(s / r), -math.cos(s / r), 0.0]) / r**2
-
-        c = UnitSpeedCurve(gamma, d1, d2, d3, 2 * math.pi * r)
+        c = UnitSpeedCurve(jet, 2 * math.pi * r)
         fr = frenet(c, 0.7)
         assert fr.kappa == pytest.approx(1 / r, abs=1e-12)
         assert fr.tau == pytest.approx(0.0, abs=1e-12)
 
     def test_straight_line_undefined(self):
         line = UnitSpeedCurve(
-            lambda s: np.array([s, 0.0, 0.0]),
-            lambda s: np.array([1.0, 0.0, 0.0]),
-            lambda s: np.zeros(3),
-            lambda s: np.zeros(3),
+            lambda s: (np.array([s, 0.0, 0.0]), np.array([1.0, 0.0, 0.0]), np.zeros(3),
+                       np.zeros(3)),
             10.0,
         )
         with pytest.raises(FrenetUndefinedError, match="Frenet frame undefined"):
@@ -150,10 +142,8 @@ class TestDarboux:
 
     def test_curve_leaving_implicit_surface_rejected(self):
         line = UnitSpeedCurve(
-            lambda s: np.array([1.0 + s, 0.0, 0.0]),
-            lambda s: np.array([1.0, 0.0, 0.0]),
-            lambda s: np.zeros(3),
-            lambda s: np.zeros(3),
+            lambda s: (np.array([1.0 + s, 0.0, 0.0]), np.array([1.0, 0.0, 0.0]), np.zeros(3),
+                       np.zeros(3)),
             1.0,
         )
         c = CurveOnSurface(darboux.implicit_sphere(1.0), space_curve=line)
@@ -344,9 +334,8 @@ class TestUnitSpeedCondition:
     @staticmethod
     def assert_unit_metric_speed(c):
         for s in np.linspace(*c.s_range, 50):
-            u, v = c.path.point(s)
+            u, v, du, dv = c.path.first_order(s)
             ff = c.surface.first_form(u, v)
-            du, dv = c.path.du(s), c.path.dv(s)
             residual = ff.E * du**2 + 2 * ff.F * du * dv + ff.G * dv**2 - 1.0
             assert abs(residual) <= 1e-9
 
@@ -363,7 +352,7 @@ class TestResample:
         c = resample_unit_speed(raw, 128)
         assert c.length == pytest.approx(2 * math.pi * SQRT2, abs=1e-9)
         for s in np.linspace(0.0, c.length, 25):
-            assert np.linalg.norm(c.d1(s)) == pytest.approx(1.0, abs=1e-11)
+            assert np.linalg.norm(c.jet(s)[1]) == pytest.approx(1.0, abs=1e-11)
         fr = frenet(c, 1.0)
         assert fr.kappa == pytest.approx(0.5, abs=1e-10)
         assert fr.tau == pytest.approx(0.5, abs=1e-9)
@@ -379,7 +368,7 @@ class TestResample:
         c = resample_unit_speed(raw, 64)
         assert c.length == pytest.approx(2 * math.pi, abs=1e-10)
         for s in (0.3, 1.7, 5.9):
-            np.testing.assert_allclose(c.gamma(s),
+            np.testing.assert_allclose(c.jet(s)[0],
                                        [math.cos(s), math.sin(s), 0.0], atol=1e-10)
 
     def test_vanishing_speed(self):
@@ -552,12 +541,12 @@ def _arclength_cases():
         "torus chart path": _ArclengthCase(
             ArclengthMap(_per_lane(speed), path.s_range, n),
             _ReferenceArclength(speed, path.s_range, n),
-            chart.s_range[1], lambda s: np.array(chart.path.point(s)),
-            lambda t: np.array(path.point(t))),
+            chart.s_range[1], lambda s: np.array(chart.path.jet(s)[0]),
+            lambda t: np.array(path.jet(t)[0])),
         "space helix": _ArclengthCase(
             ArclengthMap(_per_lane(helix_speed), raw.t_range, n),
             _ReferenceArclength(helix_speed, raw.t_range, n),
-            helix.length, helix.gamma, raw.c),
+            helix.length, lambda s: helix.jet(s)[0], raw.c),
     }
 
 
@@ -615,7 +604,7 @@ def _depth_first_chart_table(surface, path, n, eps_speed=1e-12):
     against eps_speed, then Simpson depth first on each interval."""
 
     def speed(t):
-        u, v, du, dv = path.u(t), path.v(t), path.du(t), path.dv(t)
+        u, v, du, dv = path.first_order(t)
         jet = surface.chart_jet(u, v)
         return norm3(du * jet.sigma_u + dv * jet.sigma_v)
 
@@ -747,8 +736,7 @@ class TestArclengthErrorParity:
                 raise DarbouxError(f"no path point at s={s:g}")
             return s
 
-        zero = lambda s: 0.0  # noqa: E731
-        path = ChartPath(u, zero, lambda s: 1.0, zero, zero, zero, zero, zero, (0.0, 1.0))
+        path = ChartPath(lambda s: ((u(s), 0.0), (1.0, 0.0), (0.0, 0.0), (0.0, 0.0)), (0.0, 1.0))
         c = unit_speed_chart_curve(darboux.plane(), path, 64)
         grid = uniform_grid(0.0, c.s_range[1], 11)
 
@@ -959,6 +947,27 @@ class TestPolyline:
     def test_rejects_too_few_samples(self):
         with pytest.raises(DarbouxError):
             UnitSpeedCurve.from_polyline(np.zeros((3, 3)))
+
+    def test_stacked_interpolant_keeps_the_bits_of_one_per_order(self):
+        # the polyline's one interpolant of its (n, 4, 3) jet against four
+        # per-order interpolants of the same stencils: on the nodes (both
+        # ends included), between them, and just inside each end
+        n, L = 41, 1.7
+        s = np.linspace(0.0, L, n)
+        pts = np.column_stack([np.cos(s), np.sin(s), 0.3 * s**2])
+        poly = UnitSpeedCurve.from_polyline(pts, length=L)
+        jets = [pts]
+        for _ in range(4):
+            jets.append(deriv_uniform(jets[-1], s[1] - s[0]))
+        orders = [_frames._Hermite(s, y, slopes) for y, slopes in zip(jets, jets[1:])]
+        grid = np.concatenate([s, 0.5 * (s[:-1] + s[1:]), [1e-9, L - 1e-9]])
+        columns, bad = poly._jet_columns(grid)
+        assert not bad.any()
+        for column, interpolant in zip(columns, orders):
+            assert [x.tobytes() for x in column] == [x.tobytes() for x in interpolant(grid).T]
+        for x in grid.tolist():
+            assert (np.array(poly._jet_of(x)).tobytes()
+                    == np.array([interpolant(x) for interpolant in orders]).tobytes())
 
 
 class TestTypedInputErrors:
