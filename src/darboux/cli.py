@@ -138,31 +138,30 @@ def _write(path: str | None, text: str):
 #              space:x=..;y=..;z=..[;s=<lo>,<hi>]
 
 
+CURVE_FIELDS = {"param": ("u", "v", "s"), "space": ("x", "y", "z", "s")}  # all but s required
+
+
 def build_curve(surface, spec: str):
     if ":" not in spec:
         raise DarbouxError(f"curve spec needs a 'param:' or 'space:' prefix: {spec!r}")
     kind, rest = spec.split(":", 1)
-    fields = _surface._split_fields(rest)
+    if kind not in CURVE_FIELDS:
+        raise DarbouxError(f"unknown curve spec kind {kind!r}")
+    fields = _surface._split_fields(rest, CURVE_FIELDS[kind])
+    for key in CURVE_FIELDS[kind][:-1]:
+        if key not in fields:
+            raise DarbouxError(f"{kind} curve spec missing {key}=...: {spec!r}")
     s_range = _surface._parse_range(fields["s"]) if "s" in fields else (0.0, 2.0 * math.pi)
     if kind == "param":
-        for key in ("u", "v"):
-            if key not in fields:
-                raise DarbouxError(f"param curve spec missing {key}=...: {spec!r}")
         if not isinstance(surface, _surface.ParametricSurface):
             raise DarbouxError("param: curves need a parametric surface")
         path = _frames.ChartPath.from_expressions(fields["u"], fields["v"], s_range)
         return _frames.unit_speed_chart_curve(surface, path, n=RESAMPLE_N)
-    if kind == "space":
-        for key in ("x", "y", "z"):
-            if key not in fields:
-                raise DarbouxError(f"space curve spec missing {key}=...: {spec!r}")
-        if not isinstance(surface, _surface.ImplicitSurface):
-            raise DarbouxError("space: curves need an implicit surface")
-        raw = _frames.ParamCurve.from_expressions(
-            fields["x"], fields["y"], fields["z"], s_range)
-        curve = _frames.resample_unit_speed(raw, n=RESAMPLE_N)
-        return _frames.CurveOnSurface(surface, space_curve=curve)
-    raise DarbouxError(f"unknown curve spec kind {kind!r}")
+    if not isinstance(surface, _surface.ImplicitSurface):
+        raise DarbouxError("space: curves need an implicit surface")
+    raw = _frames.ParamCurve.from_expressions(fields["x"], fields["y"], fields["z"], s_range)
+    curve = _frames.resample_unit_speed(raw, n=RESAMPLE_N)
+    return _frames.CurveOnSurface(surface, space_curve=curve)
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,8 @@ compiles two functions, its jet (nested as jet returns it) and the
 first-order (u, v, u', v') the speed reads, so a path whose higher
 derivatives fail where its first-order ones do not (u = s^2.5 at s = 0)
 still has a speed; ``ParamCurve.from_expressions`` compiles c, c1, c2 and
-c3 once each.
+c3.  Like a surface's, they are compiled once per distinct text and
+process (``surface.COMPILED_TEXTS``).
 
 The per-point functions (``darboux``, ``frenet``, ``gamma_jet``) run the
 float kernels of ``surface`` on tuples of Python floats, with one bivariate
@@ -67,6 +68,7 @@ raises gives the error, and the others overwrite their own lane.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import chain
@@ -84,6 +86,7 @@ from .errors import (
     numerical,
 )
 from .surface import (
+    COMPILED_TEXTS,
     ImplicitSurface,
     ParametricSurface,
     _columns,
@@ -216,10 +219,10 @@ class ParamCurve:
     @classmethod
     def from_expressions(cls, x_src: str, y_src: str, z_src: str,
                          t_range: tuple[float, float], var: str = "s") -> "ParamCurve":
-        jets = [[_expr.parse(src, [var]) for src in (x_src, y_src, z_src)]]
-        for _ in range(3):
-            jets.append([_expr.differentiate(e, var) for e in jets[-1]])
-        return cls(*(_expr.compile(jet, [var]) for jet in jets), t_range)
+        """The curve (x, y, z)(t) of three expressions in var: c, c1, c2 and
+        c3, compiled once per distinct text and process (the texts and var
+        are the key, t_range is not)."""
+        return cls(*_curve_functions(x_src, y_src, z_src, var), t_range)
 
 
 class UnitSpeedCurve:
@@ -293,15 +296,13 @@ class ChartPath:
     @classmethod
     def from_expressions(cls, u_src: str, v_src: str, s_range: tuple[float, float],
                          var: str = "s") -> "ChartPath":
-        """The path (u(s), v(s)) of two expressions in var, compiled twice:
-        its jet, nested as jet returns it, and first_order's (u, v, u', v'),
-        which reads no higher derivative (u = s^2.5 has a first_order at
-        s = 0 but no jet)."""
-        jet = [[_expr.parse(src, [var]) for src in (u_src, v_src)]]
-        for _ in range(3):
-            jet.append([_expr.differentiate(e, var) for e in jet[-1]])
-        return cls(_expr.compile(jet, [var]), s_range,
-                   first_order=_expr.compile([*jet[0], *jet[1]], [var]))
+        """The path (u(s), v(s)) of two expressions in var, compiled as two
+        functions once per distinct text and process (the texts and var are
+        the key, s_range is not): its jet, nested as jet returns it, and
+        first_order's (u, v, u', v'), which reads no higher derivative
+        (u = s^2.5 has a first_order at s = 0 but no jet)."""
+        jet, first_order = _path_functions(u_src, v_src, var)
+        return cls(jet, s_range, first_order=first_order)
 
     def _sample(self, surface: ParametricSurface, s):
         """(path jet, chart point, third partials) at s, the surface evaluated
@@ -323,6 +324,28 @@ class ChartPath:
             return _lane_columns(lambda x: self._sample(surface, x), xs, _CHART_SAMPLE, bad), bad
         chart, third, irregular = point
         return (jet[0], chart, third), irregular
+
+
+def _derivatives(srcs, var: str) -> list:
+    """The expressions srcs in var and their first three derivatives: four
+    lists over srcs, each order differentiated from the one before it."""
+    jet = [[_expr.parse(src, [var]) for src in srcs]]
+    for _ in range(3):
+        jet.append([_expr.differentiate(e, var) for e in jet[-1]])
+    return jet
+
+
+@functools.lru_cache(maxsize=COMPILED_TEXTS)
+def _path_functions(u_src: str, v_src: str, var: str) -> tuple:
+    """(jet, first_order) of ChartPath.from_expressions."""
+    jet = _derivatives((u_src, v_src), var)
+    return _expr.compile(jet, [var]), _expr.compile([*jet[0], *jet[1]], [var])
+
+
+@functools.lru_cache(maxsize=COMPILED_TEXTS)
+def _curve_functions(x_src: str, y_src: str, z_src: str, var: str) -> tuple:
+    """(c, c1, c2, c3) of ParamCurve.from_expressions."""
+    return tuple(_expr.compile(order, [var]) for order in _derivatives((x_src, y_src, z_src), var))
 
 
 class CurveOnSurface:
@@ -892,8 +915,12 @@ class ArclengthMap:
         if not t1 > t0:
             raise DarbouxError("empty parameter range")
         self.speed = speed
-        self.t_nodes = np.linspace(t0, t1, max(int(n), 8) + 1)
-        self.s_nodes = np.concatenate([[0.0], np.cumsum(self._increments(SIMPSON_TOL, EPS_SPEED))])
+        # an overflow (the midpoints of a huge range, the speeds of a huge
+        # curve) shows as a table the checks below reject
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.t_nodes = np.linspace(t0, t1, max(int(n), 8) + 1)
+            increments = self._increments(SIMPSON_TOL, EPS_SPEED)
+            self.s_nodes = np.concatenate([[0.0], np.cumsum(increments)])
         self.length = float(self.s_nodes[-1])
         self._inverse = _Pchip(self.s_nodes, self.t_nodes)
         # the tables PchipInterpolator refuses, and those whose cubics overflow

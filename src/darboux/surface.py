@@ -623,10 +623,12 @@ def project_to_implicit(surface: ImplicitSurface, p: np.ndarray, tol: float = 1e
 # ---------------------------------------------------------------------------
 # Expression-backed surfaces (jets from symbolic differentiation)
 
-# Distinct chart and level texts whose compiled functions a process keeps.
-# It pays only where one process builds the same text again (a catalog
-# surface in a library loop, or cli.main called in a loop, each call
-# rebuilding its surface); a one-command CLI process builds each once.
+# Distinct texts whose compiled functions a process keeps, in each of
+# _chart_functions, _level_functions and frames' _path_functions and
+# _curve_functions.  It pays only where one process builds the same text
+# again (a catalog surface in a library loop, or cli.main called in a loop,
+# each call rebuilding its surface and curve); a one-command CLI process
+# builds each once.
 COMPILED_TEXTS = 64
 
 
@@ -827,18 +829,20 @@ def parse_surface_spec(spec: str, implicit: bool = False):
             raise DarbouxError(f"builtin {name!r} has no implicit form")
         return ctor(**_builtin_params(name, ctor, query))
     if kind == "param":
-        fields = _split_fields(rest)
+        fields = _split_fields(rest, ("x", "y", "z", "u", "v", "periodic"))
         for key in ("x", "y", "z", "u", "v"):
             if key not in fields:
                 raise DarbouxError(f"param surface spec missing {key}=...: {spec!r}")
+        periodic = fields.get("periodic", "")
+        if not set(periodic) <= {"u", "v"}:
+            raise DarbouxError(f"bad periodic={periodic!r} (expected letters u and v)")
         return parametric_from_expressions(
             fields["x"], fields["y"], fields["z"],
             _parse_range(fields["u"]), _parse_range(fields["v"]),
-            periodic_u=fields.get("periodic", "").find("u") >= 0,
-            periodic_v=fields.get("periodic", "").find("v") >= 0,
+            periodic_u="u" in periodic, periodic_v="v" in periodic,
         )
     if kind == "implicit":
-        fields = _split_fields(rest)
+        fields = _split_fields(rest, ("f",))
         if "f" not in fields:
             raise DarbouxError(f"implicit surface spec missing f=...: {spec!r}")
         return implicit_from_expression(fields["f"])
@@ -869,7 +873,9 @@ def _builtin_params(name: str, ctor: Callable, query: str) -> dict[str, float]:
     return params
 
 
-def _split_fields(rest: str) -> dict[str, str]:
+def _split_fields(rest: str, allowed: tuple[str, ...] | None = None) -> dict[str, str]:
+    """The ``key=value`` fields of a spec, split at ``;``: a key given twice,
+    or one not in allowed (where given), raises."""
     fields = {}
     for part in rest.split(";"):
         part = part.strip()
@@ -877,8 +883,12 @@ def _split_fields(rest: str) -> dict[str, str]:
             continue
         if "=" not in part:
             raise DarbouxError(f"bad spec field {part!r} (expected key=value)")
-        key, value = part.split("=", 1)
-        fields[key.strip()] = value.strip()
+        key, value = (t.strip() for t in part.split("=", 1))
+        if allowed is not None and key not in allowed:
+            raise DarbouxError(f"unknown spec field {key!r} (fields: {', '.join(allowed)})")
+        if key in fields:
+            raise DarbouxError(f"spec field {key!r} given twice")
+        fields[key] = value
     return fields
 
 

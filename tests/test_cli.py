@@ -495,6 +495,30 @@ BAD_INPUTS = {
                                        surface="param:x=u;y=v;z=u*v;u=0,1;v=0,1;junk"),
     "range-one-number": _with(PARAM_TRACE, surface="param:x=u;y=v;z=u*v;u=0,1;v=0"),
     "implicit-missing-f": _with(TORUS_TRACE, surface="implicit:g=z"),
+    "implicit-no-fields": _with(TORUS_TRACE, surface="implicit:"),
+    # fields a spec kind does not have, or gives twice
+    "param-surface-unknown-field": _with(PARAM_TRACE,
+                                         surface="param:x=u;y=v;z=u*v;u=0,1;v=0,1;w=0,1"),
+    "param-surface-repeated-field": _with(PARAM_TRACE,
+                                          surface="param:x=u;y=v;z=u*v;u=0,1;v=0,1;x=v"),
+    "param-surface-bad-periodic": _with(PARAM_TRACE,
+                                        surface="param:x=u;y=v;z=u*v;u=0,1;v=0,1;periodic=uw"),
+    "implicit-unknown-field": _with(TORUS_TRACE, surface="implicit:f=z;g=x"),
+    "implicit-repeated-field": _with(TORUS_TRACE, surface="implicit:f=z;f=x"),
+    "param-curve-unknown-field": _frames_argv("builtin:cylinder?r=1", "param:u=s;v=s;S=0,1"),
+    "param-curve-repeated-field": _frames_argv("builtin:cylinder?r=1", "param:u=s;v=s;u=2*s"),
+    "space-curve-unknown-field": _frames_argv("builtin:sphere?r=1",
+                                              "space:x=cos(s);y=sin(s);z=0;t=0,1"),
+    "space-curve-repeated-field": _frames_argv("builtin:sphere?r=1",
+                                               "space:x=cos(s);y=sin(s);z=0;s=0,1;s=0,2"),
+    # curves whose arclength table overflows: the table's checks name them
+    "curve-range-midpoints-overflow": ["classify", "--surface", "builtin:cylinder?r=1",
+                                       "--curve", "param:u=s;v=s;s=0,1e308", "--samples", "5"],
+    "space-curve-speed-overflows": ["classify", "--surface", "builtin:sphere?r=1", "--curve",
+                                    "space:x=1e300*cos(s);y=sin(s);z=0", "--samples", "5"],
+    "space-curve-range-midpoints-overflow": ["classify", "--surface", "builtin:sphere?r=1",
+                                             "--curve", "space:x=cos(s);y=sin(s);z=0;s=0,1e308",
+                                             "--samples", "5"],
     # trace options
     "seed-three-numbers-on-a-chart": _with(SPHERE_TRACE, seed="0.5,0.5,1"),
     "seed-not-a-number": _with(SPHERE_TRACE, seed="0.5,a"),
@@ -587,6 +611,31 @@ class TestBoundaryErrors:
         code, captured = run(BAD_INPUTS[case], capsys)
         assert code == 2
         assert captured.err == f"range {text!r} {why}\n"
+
+    FIELDS = [("param-surface-unknown-field", "unknown spec field 'w' "
+               "(fields: x, y, z, u, v, periodic)"),
+              ("param-surface-repeated-field", "spec field 'x' given twice"),
+              ("param-surface-bad-periodic", "bad periodic='uw' (expected letters u and v)"),
+              ("implicit-unknown-field", "unknown spec field 'g' (fields: f)"),
+              ("implicit-repeated-field", "spec field 'f' given twice"),
+              ("param-curve-unknown-field", "unknown spec field 'S' (fields: u, v, s)"),
+              ("param-curve-repeated-field", "spec field 'u' given twice"),
+              ("space-curve-unknown-field", "unknown spec field 't' (fields: x, y, z, s)"),
+              ("space-curve-repeated-field", "spec field 's' given twice")]
+
+    @pytest.mark.parametrize("case,message", FIELDS, ids=[case for case, _ in FIELDS])
+    def test_spec_field_named(self, case, message, capsys):
+        code, captured = run(BAD_INPUTS[case], capsys)
+        assert code == 2
+        assert captured.err == message + "\n"
+
+    def test_unparsable_curve_fails_alike_twice(self, capsys):
+        # a text that fails to compile is not cached: each call raises again
+        argv = _frames_argv("builtin:cylinder?r=1", "param:u=2*;v=s")
+        first = run(argv, capsys)
+        second = run(argv, capsys)
+        assert first == second
+        assert first[0] == 2 and len(first[1].err.splitlines()) == 1
 
     def test_family_without_out_writes_nothing(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

@@ -30,6 +30,7 @@ from darboux.errors import (
     EvalDomainError,
     FrenetUndefinedError,
     OutOfDomainError,
+    ParseError,
     VanishingSpeedError,
 )
 from darboux.frames import (
@@ -1033,6 +1034,9 @@ class TestCompiledPaths:
             path.jet(0.0)
 
     def test_one_compile_per_kept_function(self, monkeypatch):
+        # a cached text compiles nothing: start from empty caches
+        _frames._path_functions.cache_clear()
+        _frames._curve_functions.cache_clear()
         calls = []
         compile_ = darboux.expr.compile
 
@@ -1084,3 +1088,57 @@ class TestCompiledPaths:
         assert path.first_order.columns(np.array([0.5, 2.5])) is None
         with pytest.raises(EvalDomainError, match="ln of nonpositive"):
             c.path.amap.speed(np.array([0.5, 2.5]))
+
+
+class TestCompiledTexts:
+    """Paths and space curves, like surfaces, compile each distinct text
+    once per process: the texts and the variable are the key, the range is
+    not."""
+
+    def test_same_text_shares_the_functions(self, monkeypatch):
+        path = ChartPath.from_expressions("s", "s*s", (0.0, 1.0))
+        curve = ParamCurve.from_expressions("cos(s)", "sin(s)", "s", (0.0, 1.0))
+        calls = []
+        compile_ = darboux.expr.compile
+        monkeypatch.setattr(darboux.expr, "compile",
+                            lambda *args: calls.append(args) or compile_(*args))
+        again = ChartPath.from_expressions("s", "s*s", (0.0, 1.0))
+        assert again.jet is path.jet and again.first_order is path.first_order
+        assert ParamCurve.from_expressions("cos(s)", "sin(s)", "s", (0.0, 1.0)).c3 is curve.c3
+        assert calls == []
+
+    def test_other_text_or_variable_compiles_anew(self):
+        path = ChartPath.from_expressions("s", "s*s", (0.0, 1.0))
+        for other in (ChartPath.from_expressions("s", "s*s*s", (0.0, 1.0)),
+                      ChartPath.from_expressions("t", "t*t", (0.0, 1.0), var="t")):
+            assert other.jet is not path.jet and other.first_order is not path.first_order
+        curve = ParamCurve.from_expressions("cos(s)", "sin(s)", "s", (0.0, 1.0))
+        assert ParamCurve.from_expressions("cos(s)", "sin(s)", "2*s", (0.0, 1.0)).c3 is not curve.c3
+        assert ParamCurve.from_expressions("cos(t)", "sin(t)", "t", (0.0, 1.0),
+                                           var="t").c3 is not curve.c3
+
+    def test_other_range_shares_the_functions_keeps_its_range(self):
+        path = ChartPath.from_expressions("s", "s*s", (0.0, 1.0))
+        wider = ChartPath.from_expressions("s", "s*s", (0.0, 2.0))
+        assert wider.jet is path.jet and wider.first_order is path.first_order
+        assert (path.s_range, wider.s_range) == ((0.0, 1.0), (0.0, 2.0))
+        curve = ParamCurve.from_expressions("cos(s)", "sin(s)", "s", (0.0, 1.0))
+        longer = ParamCurve.from_expressions("cos(s)", "sin(s)", "s", (0.0, 3.0))
+        assert longer.c is curve.c and longer.c3 is curve.c3
+        assert (curve.t_range, longer.t_range) == ((0.0, 1.0), (0.0, 3.0))
+
+    def test_a_failing_text_raises_on_every_call(self):
+        for _ in range(2):
+            with pytest.raises(ParseError):
+                ChartPath.from_expressions("2*", "s", (0.0, 1.0))
+            with pytest.raises(ParseError):
+                ParamCurve.from_expressions("s", "2*", "s", (0.0, 1.0))
+
+    def test_caches_keep_compiled_texts_entries(self):
+        for cached in (_frames._path_functions, _frames._curve_functions,
+                       darboux.surface._chart_functions, darboux.surface._level_functions):
+            assert cached.cache_parameters()["maxsize"] == darboux.surface.COMPILED_TEXTS
+
+    def test_catalog_surfaces_share_their_functions(self):
+        assert darboux.torus(2, 0.5)._jet_fn is darboux.torus(2, 0.5)._jet_fn
+        assert darboux.implicit_torus(2, 0.5)._level is darboux.implicit_torus(2, 0.5)._level
