@@ -9,6 +9,10 @@ CSV, OBJ and seed-find fields are rendered with %.17g, each file through
 one row template, and JSON by a dedicated writer that gives the bytes of
 ``json.dumps(payload, indent=2, sort_keys=True)`` while formatting each
 list of scalars once, so identical inputs give identical bytes.
+
+A subcommand imports the modules it runs inside its own function, so a
+launch loads only those: a trace loads no ``frames`` or ``classify``, and
+``classify`` and ``frames`` load no ``trace``.
 """
 
 from __future__ import annotations
@@ -19,14 +23,15 @@ import json
 import math
 import os
 import sys
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import classify as _classify
-from . import frames as _frames
 from . import surface as _surface
-from . import trace as _trace
 from .errors import DarbouxError
+
+if TYPE_CHECKING:
+    from . import trace as _trace
 
 TRACE_COLUMNS = ("s,x,y,z,u,v,tx,ty,tz,kg,kn,tg,angle_dot,"
                  "res_constraint,res_unit_speed")
@@ -45,8 +50,12 @@ def _trace_table(result: _trace.TraceResult) -> tuple[np.ndarray, tuple[str, ...
     return table, () if chart else ("u", "v")
 
 
-def _frames_table(data: _frames.FrameData) -> np.ndarray:
-    """Every sample as one row of floats in FRAMES_COLUMNS order."""
+def _frames_table(curve, grid) -> np.ndarray:
+    """The frames of curve sampled on grid, every sample as one row of
+    floats in FRAMES_COLUMNS order."""
+    from . import frames as _frames
+
+    data = _frames.sample_frames(curve, grid)
     return np.column_stack((data.s, data.gamma, data.T, data.V, data.U,
                             data.kg, data.kn, data.tg))
 
@@ -97,6 +106,8 @@ def _nonnegative(value: float, label: str) -> float:
 
 
 def _grid(curve, samples: int) -> np.ndarray:
+    from . import frames as _frames
+
     if samples < 2:
         raise DarbouxError(f"--samples must be at least 2, got {samples}")
     return _frames.uniform_grid(*curve.s_range, samples)
@@ -142,6 +153,8 @@ CURVE_FIELDS = {"param": ("u", "v", "s"), "space": ("x", "y", "z", "s")}  # all 
 
 
 def build_curve(surface, spec: str):
+    from . import frames as _frames
+
     if ":" not in spec:
         raise DarbouxError(f"curve spec needs a 'param:' or 'space:' prefix: {spec!r}")
     kind, rest = spec.split(":", 1)
@@ -281,14 +294,14 @@ def trace_obj(result: _trace.TraceResult) -> str:
 
 
 def frames_csv(c, grid) -> str:
-    return _csv(FRAMES_COLUMNS, _frames_table(_frames.sample_frames(c, grid)))
+    return _csv(FRAMES_COLUMNS, _frames_table(c, grid))
 
 
 def frames_json(c, grid) -> str:
     return _json({
         "kind": "frames",
         "columns": FRAMES_COLUMNS.split(","),
-        "samples": _frames_table(_frames.sample_frames(c, grid)).tolist(),
+        "samples": _frames_table(c, grid).tolist(),
     })
 
 
@@ -297,6 +310,8 @@ def frames_json(c, grid) -> str:
 
 
 def _cmd_trace(args, implicit: bool) -> int:
+    from . import trace as _trace
+
     surface = _surface.parse_surface_spec(args.surface, implicit=implicit)
     d = _axis(args.axis)
     phi = _angle_rad(args.angle)
@@ -306,10 +321,12 @@ def _cmd_trace(args, implicit: bool) -> int:
     step, length = _positive(args.step, "--step"), _positive(args.length, "--length")
     closure_tol = (None if args.closure_tol is None
                    else _positive(args.closure_tol, "--closure-tol"))
-    # checked before TraceConfig, whose own check raises ValueError
-    eps_sing = _nonnegative(args.eps_sing, "--eps-sing")
+    # checked before TraceConfig, whose own check raises ValueError; without
+    # the flag TraceConfig keeps its default
+    eps_sing = ({} if args.eps_sing is None
+                else {"eps_sing": _nonnegative(args.eps_sing, "--eps-sing")})
     config = _trace.TraceConfig(step=step, max_length=length, branch=args.branch,
-                                closure_tol=closure_tol, eps_sing=eps_sing, **projection)
+                                closure_tol=closure_tol, **eps_sing, **projection)
     guess = _parse_floats(args.seed, 3 if implicit else 2, "--seed")
 
     if args.family:
@@ -335,6 +352,8 @@ def _cmd_trace(args, implicit: bool) -> int:
 
 
 def _cmd_seed_find(args) -> int:
+    from . import trace as _trace
+
     surface = _surface.parse_surface_spec(args.surface, implicit=args.implicit)
     d = _axis(args.axis)
     phi = _angle_rad(args.angle)
@@ -348,6 +367,8 @@ def _cmd_seed_find(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    from . import classify as _classify
+
     if not (math.isfinite(args.c_const) and args.c_const != 0.0):
         raise DarbouxError(f"--c-const must be finite and nonzero, got {args.c_const!r}")
     tol = None if args.tol is None else _nonnegative(args.tol, "--tol")
@@ -400,7 +421,7 @@ def _add_trace_args(p, implicit: bool):
     p.add_argument("--branch", choices=("plus", "minus"), default="plus")
     p.add_argument("--closure-tol", type=float, default=None,
                    help="closure detection radius (default 2*step)")
-    p.add_argument("--eps-sing", type=float, default=_trace.EPS_SING_DEFAULT,
+    p.add_argument("--eps-sing", type=float, default=None,
                    help="singularity threshold (default 1e-10)")
     if implicit:
         p.add_argument("--project-tol", type=float, default=1e-12,

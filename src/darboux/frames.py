@@ -87,6 +87,7 @@ from .errors import (
 )
 from .surface import (
     COMPILED_TEXTS,
+    ON_SURFACE_TOL,
     ImplicitSurface,
     ParametricSurface,
     _columns,
@@ -102,6 +103,7 @@ from .surface import (
     _pow,
     _unit_second_derivative,
     _unstack,
+    deriv_uniform,
     dot3,
     norm3,
 )
@@ -129,7 +131,6 @@ EPS_KAPPA = 1e-9       # the Frenet frame is defined where kappa > EPS_KAPPA
 EPS_SPEED = 1e-12      # a table speed at or below it vanishes
 SIMPSON_TOL = 1e-10    # the arclength table's adaptive Simpson tolerance
 UNIT_SPEED_TOL = 1e-7
-ON_SURFACE_TOL = 1e-9  # a point of an implicit surface has |f| <= ON_SURFACE_TOL
 
 # What evaluating a path, a curve or a chart can raise: the domain errors,
 # and ZeroDivisionError/OverflowError/ValueError from float arithmetic and
@@ -803,7 +804,17 @@ def _adaptive_simpson_many(speed, a, b, fa, fm, fb, whole, tol, depth):
     return values
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
+# The 12-point Gauss-Legendre rule on [-1, 1], as
+# numpy.polynomial.legendre.leggauss(12) gives it, written out so that
+# importing this module does not load numpy.polynomial.
+_GL_NODES = np.array([
+    -0.9815606342467192, -0.9041172563704748, -0.7699026741943047, -0.5873179542866175,
+    -0.3678314989981802, -0.1252334085114689, 0.1252334085114689, 0.3678314989981802,
+    0.5873179542866175, 0.7699026741943047, 0.9041172563704748, 0.9815606342467192])
+_GL_WEIGHTS = np.array([
+    0.04717533638651141, 0.10693932599531907, 0.16007832854334642, 0.20316742672306573,
+    0.2334925365383546, 0.2491470458134027, 0.2491470458134027, 0.2334925365383546,
+    0.20316742672306573, 0.16007832854334642, 0.10693932599531907, 0.04717533638651141])
 
 
 def _gl_sum(speeds: np.ndarray) -> np.ndarray:
@@ -1125,18 +1136,3 @@ def _require_uniform(grid: np.ndarray):
     h = steps[0]
     if h <= 0 or not np.allclose(steps, h, rtol=1e-9, atol=1e-12 * abs(h)):
         raise DarbouxError("grid must be uniformly spaced and increasing")
-
-
-def deriv_uniform(values: np.ndarray, h: float) -> np.ndarray:
-    """First derivative on a uniform grid: 5-point central stencil in the
-    interior (O(h^4)), 4th-order one-sided stencils at the edges."""
-    f = np.asarray(values, dtype=float)
-    if len(f) < 5:
-        return np.gradient(f, h, axis=0)
-    out = np.empty_like(f)
-    out[2:-2] = (f[:-4] - 8.0 * f[1:-3] + 8.0 * f[3:-1] - f[4:]) / (12.0 * h)
-    out[0] = (-25.0 * f[0] + 48.0 * f[1] - 36.0 * f[2] + 16.0 * f[3] - 3.0 * f[4]) / (12.0 * h)
-    out[1] = (-3.0 * f[0] - 10.0 * f[1] + 18.0 * f[2] - 6.0 * f[3] + f[4]) / (12.0 * h)
-    out[-2] = (3.0 * f[-1] + 10.0 * f[-2] - 18.0 * f[-3] + 6.0 * f[-4] - f[-5]) / (12.0 * h)
-    out[-1] = (25.0 * f[-1] - 48.0 * f[-2] + 36.0 * f[-3] - 16.0 * f[-4] + 3.0 * f[-5]) / (12.0 * h)
-    return out

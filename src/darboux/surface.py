@@ -68,6 +68,7 @@ __all__ = [
 EPS_REG_DEFAULT = 1e-10
 # Chart poles (e.g. sphere v = +-pi/2) are excluded by shrinking the domain.
 POLE_MARGIN = 1e-6
+ON_SURFACE_TOL = 1e-9  # a point of an implicit surface has |f| <= ON_SURFACE_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -618,6 +619,21 @@ def project_to_implicit(surface: ImplicitSurface, p: np.ndarray, tol: float = 1e
     RegularityError on a vanishing gradient.
     """
     return np.array(_project(surface, _point(p), tol)[0])
+
+
+def deriv_uniform(values: np.ndarray, h: float) -> np.ndarray:
+    """First derivative on a uniform grid: 5-point central stencil in the
+    interior (O(h^4)), 4th-order one-sided stencils at the edges."""
+    f = np.asarray(values, dtype=float)
+    if len(f) < 5:
+        return np.gradient(f, h, axis=0)
+    out = np.empty_like(f)
+    out[2:-2] = (f[:-4] - 8.0 * f[1:-3] + 8.0 * f[3:-1] - f[4:]) / (12.0 * h)
+    out[0] = (-25.0 * f[0] + 48.0 * f[1] - 36.0 * f[2] + 16.0 * f[3] - 3.0 * f[4]) / (12.0 * h)
+    out[1] = (-3.0 * f[0] - 10.0 * f[1] + 18.0 * f[2] - 6.0 * f[3] + f[4]) / (12.0 * h)
+    out[-2] = (3.0 * f[-1] + 10.0 * f[-2] - 18.0 * f[-3] + 6.0 * f[-4] - f[-5]) / (12.0 * h)
+    out[-1] = (25.0 * f[-1] - 48.0 * f[-2] + 36.0 * f[-3] - 16.0 * f[-4] + 3.0 * f[-5]) / (12.0 * h)
+    return out
 
 
 # ---------------------------------------------------------------------------

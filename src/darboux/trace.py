@@ -57,8 +57,8 @@ from .errors import (
     SingularPointError,
     numerical,
 )
-from .frames import ON_SURFACE_TOL, deriv_uniform
 from .surface import (
+    ON_SURFACE_TOL,
     ImplicitSurface,
     ParametricSurface,
     _chart_w,
@@ -75,6 +75,7 @@ from .surface import (
     _pow,
     _project,
     _sqrt,
+    deriv_uniform,
     dot3,
     norm3,
 )

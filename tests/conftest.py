@@ -16,9 +16,16 @@ with k_g, k_n and tau_g all at least 0.16 in absolute value.
 ``make_space_cone_curve`` gives the same curve as a space curve on the
 implicit cone x^2 + y^2 - z^2 = 0, whose normal grad f/|grad f| is the
 chart's negated, so there mu_u = -1.
+
+fresh_interpreter runs a probe in a new Python process that imports this
+checkout's package, for what only a fresh process shows (the modules a
+launch loads).
 """
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -35,6 +42,15 @@ from darboux.surface import implicit_from_expression, parametric_from_expression
 
 SQRT2 = math.sqrt(2.0)
 V0 = math.pi / 4
+
+
+def fresh_interpreter(probe: str) -> str:
+    """stdout of ``python -c probe`` with this checkout's package first."""
+    src = os.path.dirname(os.path.dirname(darboux.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    return subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, check=True, timeout=120).stdout
 
 
 def constant_speed_path(cu, cv, du, dv, s_range):

@@ -16,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import darboux
+from conftest import fresh_interpreter
 from darboux.cli import main
 
 DOCS = os.path.join(os.path.dirname(__file__), "..", "docs")
@@ -167,6 +168,18 @@ class TestTrace:
                               "--angle", "0", "--seed", "0,0,0", "--eps-sing", value], capsys)
         assert code == 2
         assert captured.err == f"--eps-sing must be a finite number >= 0, got {float(value)!r}\n"
+
+    def test_eps_sing_default_is_trace_configs(self, tmp_path, capsys):
+        # the flag's default is TraceConfig's, which the help text names
+        with pytest.raises(SystemExit):
+            main(["trace", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert f"singularity threshold (default {darboux.trace.EPS_SING_DEFAULT:g})" in help_text
+        argv = SPHERE_TRACE + ["--out"]
+        assert run(argv + [str(tmp_path / "default.csv")]) == 0
+        assert run(argv + [str(tmp_path / "flag.csv"), "--eps-sing",
+                           repr(darboux.trace.EPS_SING_DEFAULT)]) == 0
+        assert (tmp_path / "default.csv").read_bytes() == (tmp_path / "flag.csv").read_bytes()
 
 
 class TestTraceImplicit:
@@ -742,21 +755,61 @@ def test_speed_kink_is_integrated_across(tmp_path):
     assert all(math.isfinite(float(x)) for row in rows[1:] for x in row.split(","))
 
 
-def _fresh_interpreter(probe: str) -> str:
-    """stdout of ``python -c probe`` with this checkout's package first."""
-    src = os.path.dirname(os.path.dirname(darboux.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-    return subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                          text=True, check=True, timeout=120).stdout
-
-
 def test_import_loads_no_scipy():
     """The package imports no scipy, so starting the CLI does not pay for
     it."""
     probe = ("import sys, darboux, darboux.cli; "
              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    assert _fresh_interpreter(probe).strip() == "[]"
+    assert fresh_interpreter(probe).strip() == "[]"
+
+
+def _loaded_after(argv: list, out) -> list:
+    """The darboux submodules and numpy.polynomial modules a fresh
+    interpreter holds after ``main(argv + ['--out', out])``."""
+    probe = "\n".join([
+        "import json, sys",
+        "from darboux.cli import main",
+        f"assert main({argv + ['--out', str(out)]!r}) == 0",
+        "print(json.dumps(sorted(m for m in sys.modules",
+        "                        if m.startswith(('darboux.', 'numpy.polynomial')))))",
+    ])
+    return json.loads(fresh_interpreter(probe))
+
+
+LAUNCHES = {
+    "trace": SPHERE_TRACE,
+    "trace-implicit": TORUS_TRACE,
+    "seed-find": ["seed-find", "--surface", "builtin:sphere?r=1", "--axis", "0,0,1",
+                  "--angle", "45", "--guess", "0,0.7"],
+    "classify": ["classify", "--surface", "builtin:cylinder?r=1", "--curve",
+                 "param:u=s;v=0.9*s", "--samples", "50"],
+    "frames": ["frames", "--surface", "builtin:sphere?r=1", "--curve",
+               "space:x=cos(s)*cos(0.4);y=sin(s)*cos(0.4);z=sin(0.4)", "--samples", "30"],
+}
+
+
+@pytest.mark.parametrize("command", ["trace", "trace-implicit", "seed-find"])
+def test_trace_commands_load_no_frames_classify_or_polynomial(command, tmp_path):
+    """A trace, an implicit trace and a seed search run on surface and
+    trace alone: frames, classify and numpy.polynomial never load."""
+    assert _loaded_after(LAUNCHES[command], tmp_path / "out") == [
+        "darboux.cli", "darboux.errors", "darboux.expr", "darboux.surface", "darboux.trace"]
+
+
+@pytest.mark.parametrize("command", ["classify", "frames"])
+def test_classify_and_frames_load_no_trace(command, tmp_path):
+    loaded = _loaded_after(LAUNCHES[command], tmp_path / "out")
+    assert "darboux.frames" in loaded
+    assert "darboux.trace" not in loaded
+    assert ("darboux.classify" in loaded) == (command == "classify")
+
+
+def test_import_darboux_loads_no_submodule():
+    """The package's names resolve on first use: importing it loads none of
+    its modules."""
+    probe = ("import sys, darboux; "
+             "print(sorted(m for m in sys.modules if m.startswith('darboux.')))")
+    assert fresh_interpreter(probe).strip() == "[]"
 
 
 def test_classify_and_frames_load_no_scipy_interpolate_or_integrate(tmp_path):
@@ -779,7 +832,7 @@ def test_classify_and_frames_load_no_scipy_interpolate_or_integrate(tmp_path):
         "print(sorted(m for m in sys.modules",
         "             if m.startswith(('scipy.interpolate', 'scipy.integrate'))))",
     ])
-    assert _fresh_interpreter(probe).strip() == "[]"
+    assert fresh_interpreter(probe).strip() == "[]"
 
 
 class TestCatalog:

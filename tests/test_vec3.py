@@ -21,7 +21,7 @@ from hypothesis.extra.numpy import arrays
 
 import darboux
 from darboux.errors import ARITHMETIC_ERRORS
-from darboux.frames import _GL_WEIGHTS, _gl_sum
+from darboux.frames import _GL_NODES, _GL_WEIGHTS, _gl_sum
 from darboux.surface import (
     _chart_w,
     _cross,
@@ -187,6 +187,13 @@ def test_gauss_legendre_row_sum_matches_exact_left_to_right(speeds):
     weights = _GL_WEIGHTS.tolist()
     assert _same_bits(_gl_sum(speeds),
                       [reference_dot(row, weights) for row in speeds.tolist()])
+
+
+def test_gauss_legendre_literals_are_leggauss_bit_for_bit():
+    nodes, weights = np.polynomial.legendre.leggauss(12)
+    assert _GL_NODES.dtype == _GL_WEIGHTS.dtype == np.float64
+    assert _GL_NODES.tobytes() == nodes.tobytes()
+    assert _GL_WEIGHTS.tobytes() == weights.tobytes()
 
 
 @pytest.mark.parametrize("a, b", EXPLICIT)
