@@ -23,26 +23,21 @@ import json
 import math
 import os
 import sys
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import surface as _surface
 from .errors import DarbouxError
 
-if TYPE_CHECKING:
-    from . import trace as _trace
-
 TRACE_COLUMNS = ("s,x,y,z,u,v,tx,ty,tz,kg,kn,tg,angle_dot,"
                  "res_constraint,res_unit_speed")
 FRAMES_COLUMNS = "s,x,y,z,tx,ty,tz,vx,vy,vz,ux,uy,uz,kg,kn,tg"
-RESAMPLE_N = 512  # arclength table intervals of a curve spec's unit-speed form
 
 
-def _trace_table(result: _trace.TraceResult) -> tuple[np.ndarray, tuple[str, ...]]:
-    """Every sample as one row of floats in TRACE_COLUMNS order, and the
-    columns the rows leave out: u and v on an implicit trace, which has no
-    chart."""
+def _trace_table(result) -> tuple[np.ndarray, tuple[str, ...]]:
+    """Every sample of a trace.TraceResult as one row of floats in
+    TRACE_COLUMNS order, and the columns the rows leave out: u and v on an
+    implicit trace, which has no chart."""
     chart = () if result.chart is None else (result.chart,)
     table = np.column_stack((result.s, result.points, *chart, result.tangents, result.kg,
                              result.kn, result.tg, result.angle_dot,
@@ -169,11 +164,11 @@ def build_curve(surface, spec: str):
         if not isinstance(surface, _surface.ParametricSurface):
             raise DarbouxError("param: curves need a parametric surface")
         path = _frames.ChartPath.from_expressions(fields["u"], fields["v"], s_range)
-        return _frames.unit_speed_chart_curve(surface, path, n=RESAMPLE_N)
+        return _frames.unit_speed_chart_curve(surface, path)
     if not isinstance(surface, _surface.ImplicitSurface):
         raise DarbouxError("space: curves need an implicit surface")
     raw = _frames.ParamCurve.from_expressions(fields["x"], fields["y"], fields["z"], s_range)
-    curve = _frames.resample_unit_speed(raw, n=RESAMPLE_N)
+    curve = _frames.resample_unit_speed(raw)
     return _frames.CurveOnSurface(surface, space_curve=curve)
 
 
@@ -264,11 +259,11 @@ def _json(payload) -> str:
     return _value(payload, 0, {}) + "\n"
 
 
-def trace_csv(result: _trace.TraceResult) -> str:
+def trace_csv(result) -> str:
     return _csv(TRACE_COLUMNS, *_trace_table(result))
 
 
-def trace_json(result: _trace.TraceResult, surface_name: str) -> str:
+def trace_json(result, surface_name: str) -> str:
     table, blank = _trace_table(result)
     samples = table.tolist()
     if blank:  # the implicit trace's u and v, columns 4 and 5, are null
@@ -285,7 +280,7 @@ def trace_json(result: _trace.TraceResult, surface_name: str) -> str:
     })
 
 
-def trace_obj(result: _trace.TraceResult) -> str:
+def trace_obj(result) -> str:
     vertices = ("v %.17g %.17g %.17g\n" * result.n) % tuple(result.points.ravel().tolist())
     indices = list(range(1, result.n + 1))
     if result.closed:
@@ -410,6 +405,12 @@ def _add_common_output(p):
     p.add_argument("--out", default=None, help="output path (default: stdout)")
 
 
+def _add_curve_args(p):
+    p.add_argument("--surface", required=True)
+    p.add_argument("--curve", required=True, help="param:u=..;v=..[;s=lo,hi] or space:x=..;y=..;z=..")
+    p.add_argument("--samples", type=int, default=200)
+
+
 def _add_trace_args(p, implicit: bool):
     p.add_argument("--surface", required=True, help="surface spec string")
     p.add_argument("--axis", required=True, help="axis d as x,y,z (normalized)")
@@ -443,17 +444,13 @@ def make_parser() -> argparse.ArgumentParser:
                                  "and isophote tracing on surfaces")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("frames", parents=[], help="Darboux frames along a curve")
-    p.add_argument("--surface", required=True)
-    p.add_argument("--curve", required=True, help="param:u=..;v=..[;s=lo,hi] or space:x=..;y=..;z=..")
-    p.add_argument("--samples", type=int, default=200)
+    p = sub.add_parser("frames", help="Darboux frames along a curve")
+    _add_curve_args(p)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     _add_common_output(p)
 
     p = sub.add_parser("classify", help="classification report (JSON)")
-    p.add_argument("--surface", required=True)
-    p.add_argument("--curve", required=True)
-    p.add_argument("--samples", type=int, default=200)
+    _add_curve_args(p)
     p.add_argument("--c-const", type=float, default=1.0,
                    help="free constant in the position coefficients (nonzero)")
     p.add_argument("--tol", type=float, default=None,

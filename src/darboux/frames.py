@@ -33,7 +33,7 @@ ArclengthTableError, naming the interval, instead.
 The speed reads the path first: for paths and curves from expressions,
 one pass of the compiled function's columns (``expr.compile``'s
 ``fn.columns``, the same generated code on (N,) columns), else lane by
-lane, also where the columns decline.  ``ChartPath.from_expressions``
+lane (see below).  ``ChartPath.from_expressions``
 compiles two functions, its jet (nested as jet returns it) and the
 first-order (u, v, u', v') the speed reads, so a path whose higher
 derivatives fail where its first-order ones do not (u = s^2.5 at s = 0)
@@ -51,34 +51,33 @@ of ``surface._pow`` give each lane the bits of a point-by-point evaluation.
 Its samples (path or curve jets, chart or level point) come from one pass
 of each function's columns: the path jet, or c, c1, c2 and c3, at the
 inverted t, or the Hermite interpolant of a polyline's stacked jet at s, and
-the chart's or the level set's functions at the samples' points.  A grid is
-evaluated lane by lane (``_lane_columns``) only where a function has no
-columns (a Python callable) or they decline, a lane lies outside a
-non-periodic chart range, or the inversion flagged lanes.  All that
+the chart's or the level set's functions at the samples' points.  One
+reader decides this for every function (``surface._compiled_columns``): a
+function that has no columns (a Python callable), or whose columns
+decline, runs on each lane's Python floats instead, and only it.  All that
 follows, from the chain rule through t(s) to tau_g', runs on the columns.
 
-On the columns of the frame sampler and of the Frenet pass a lane fails
-where its evaluation raised (all lanes where the batched inversion did),
-where it fails a check (unit speed, on the surface, kappa > EPS_KAPPA) or
+Reading a grid either gives the columns and a mask of the lanes that fail
+a check (outside a non-periodic chart range, regularity, on the surface),
+or raises (a lane's evaluation, or the batched inversion), and then every
+lane is flagged.  On the columns of the frame sampler and of the Frenet
+pass a lane also fails where it fails unit speed or kappa > EPS_KAPPA, or
 where a value it computed is not finite, which is how a quotient by zero or
 an overflowing power, both errors on floats, show on a column.  ``_redo``
-evaluates those lanes again in grid order on floats: the first that
+evaluates the flagged lanes again in grid order on floats: the first that
 raises gives the error, and the others overwrite their own lane.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
-from itertools import chain
 from typing import Callable
 
 import numpy as np
 
 from . import expr as _expr
 from .errors import (
-    ARITHMETIC_ERRORS,
     ArclengthTableError,
     DarbouxError,
     FrenetUndefinedError,
@@ -88,9 +87,9 @@ from .errors import (
 from .surface import (
     COMPILED_TEXTS,
     ON_SURFACE_TOL,
+    _EVALUATION_ERRORS,
     ImplicitSurface,
     ParametricSurface,
-    _columns,
     _compiled_columns,
     _cross,
     _div3,
@@ -131,57 +130,7 @@ EPS_KAPPA = 1e-9       # the Frenet frame is defined where kappa > EPS_KAPPA
 EPS_SPEED = 1e-12      # a table speed at or below it vanishes
 SIMPSON_TOL = 1e-10    # the arclength table's adaptive Simpson tolerance
 UNIT_SPEED_TOL = 1e-7
-
-# What evaluating a path, a curve or a chart can raise: the domain errors,
-# and ZeroDivisionError/OverflowError/ValueError from float arithmetic and
-# math.  A batch that raises one of these is redone point by point, and a
-# lane that raises one is flagged.
-_EVALUATION_ERRORS = (DarbouxError, *ARITHMETIC_ERRORS)
-
-# How one evaluated lane is laid out, for _columns in the lane-by-lane
-# fallback: a chart sample is (path jet, (chart jet, w, |w|), third
-# partials), a curve jet is four 3-vectors and a level point is ((grad f,
-# |grad f|, H), third partials).
-_CHART_SAMPLE = [(4, 2), [(6, 3), (3,), ()], (4, 3)]
-_CURVE_JET = (4, 3)
-_LEVEL_POINT = [[(3,), (), (3, 3)], (3, 3, 3)]
-
-
-def _nan_lane(spec):
-    """A lane laid out as spec, every float nan."""
-    if isinstance(spec, list):
-        return tuple(map(_nan_lane, spec))
-    return np.full(spec, np.nan) if spec else math.nan
-
-
-def _lane_columns(evaluate, xs, spec, bad):
-    """evaluate(x) for each lane x of xs, as the columns of _columns: the
-    fallback of a grid whose samples the compiled columns cannot give.  A
-    lane flagged in bad is not evaluated, and a lane whose evaluation
-    raises is flagged (bad is updated in place); both read nan.  A grid's
-    lanes are Python floats, on which a Python callable raises (not nan)."""
-    failed = _nan_lane(spec)
-    values = []
-    xs = xs.tolist() if isinstance(xs, np.ndarray) else xs
-    for i, (skip, x) in enumerate(zip(bad.tolist(), xs)):
-        if not skip:
-            try:
-                values.append(evaluate(x))
-                continue
-            except _EVALUATION_ERRORS:
-                bad[i] = True
-        values.append(failed)
-    return _columns(values, spec)
-
-
-def _inverted(amap, grid):
-    """(t(s) at each s of grid, mask): the mask flags no lane, or every lane
-    when the batched inversion raises; each is then inverted again on its
-    own, so the first lane that fails raises its own error."""
-    try:
-        return amap.t_of_s_many(grid).tolist(), np.zeros(len(grid), dtype=bool)
-    except _EVALUATION_ERRORS:
-        return grid.tolist(), np.ones(len(grid), dtype=bool)
+RESAMPLE_N = 512       # arclength table intervals of a unit-speed reparametrization
 
 
 @dataclass(frozen=True)
@@ -242,11 +191,9 @@ class UnitSpeedCurve:
 
     def _jet_columns(self, grid):
         """(jet at each s of grid as four 3-vectors of (N,) columns, mask of
-        the lanes whose evaluation raised): one pass of the jet's columns
-        (from_polyline's Hermite interpolant), else lane by lane."""
-        bad = np.zeros(len(grid), dtype=bool)
-        jet = _compiled_columns([grid], self.jet)
-        return (_lane_columns(self.jet, grid, _CURVE_JET, bad) if jet is None else jet[0]), bad
+        the lanes failing a check, none on a bare curve): _compiled_columns,
+        one pass of from_polyline's Hermite interpolant."""
+        return _compiled_columns([grid], self.jet)[0], np.zeros(len(grid), dtype=bool)
 
     @classmethod
     def from_polyline(cls, points: np.ndarray, length: float | None = None) -> "UnitSpeedCurve":
@@ -313,18 +260,13 @@ class ChartPath:
         u, v = jet[0]
         return jet, surface.chart_point(u, v), surface._jet3(u, v)
 
-    def _sample_columns(self, surface: ParametricSurface, xs, bad=None):
-        """(_sample at each lane of xs as columns, mask of the lanes flagged
-        in bad, whose evaluation raised or where |w| <= eps_reg): the path
-        jet's compiled columns and ParametricSurface._point_columns, else
-        (see the module docstring) _lane_columns."""
-        bad = np.zeros(len(xs), dtype=bool) if bad is None else bad
-        jet = None if bad.any() else _compiled_columns([np.asarray(xs, dtype=float)], self.jet)
-        point = None if jet is None else surface._point_columns(*jet[0][0])
-        if point is None:
-            return _lane_columns(lambda x: self._sample(surface, x), xs, _CHART_SAMPLE, bad), bad
-        chart, third, irregular = point
-        return (jet[0], chart, third), irregular
+    def _sample_columns(self, surface: ParametricSurface, xs):
+        """(_sample at each lane of the (N,) xs as columns, mask of the lanes
+        outside the chart or where |w| <= eps_reg): the path jet's
+        _compiled_columns and ParametricSurface._point_columns."""
+        jet, = _compiled_columns([xs], self.jet)
+        chart, third, bad = surface._point_columns(*jet[0])
+        return (jet, chart, third), bad
 
 
 def _derivatives(srcs, var: str) -> list:
@@ -417,19 +359,13 @@ class CurveOnSurface:
 
     def _sample_columns(self, grid):
         """(_sample at each s of grid as (N,) columns, mask of the lanes whose
-        evaluation raised, whose point is off the surface or fails a
-        regularity check); a space curve's level points come from
-        ImplicitSurface._level_columns, else _lane_columns."""
+        point is off the surface or fails a regularity check); a space
+        curve's level points come from ImplicitSurface._level_columns."""
         if self.kind == "parametric":
             return self.path._sample_columns(self.surface, grid)
         jets, bad = self.curve._jet_columns(grid)
-        level = None if bad.any() else self.surface._level_columns(*jets[0])
-        if level is None:
-            points = zip(grid.tolist(), zip(*(x.tolist() for x in jets[0])))
-            return (jets, *_lane_columns(lambda sp: self._level(*sp), points, _LEVEL_POINT,
-                                         bad)), bad
-        f, point, third, irregular = level
-        return (jets, point, third), irregular | (abs(f) > self.on_surface_tol)
+        f, point, third, irregular = self.surface._level_columns(*jets[0])
+        return (jets, point, third), bad | irregular | (abs(f) > self.on_surface_tol)
 
     def _jet_columns(self, grid):
         """(curve jet at each s of grid as (N,) columns, mask of the lanes
@@ -515,25 +451,34 @@ def _triple(a, b, c) -> float:
 
 def _frenet_columns(curve, grid) -> list:
     """[gamma, T, N, B, kappa, tau] at each s of grid, vectors (N, 3): _frenet
-    on the jet columns, the lanes it flags (an evaluation that raised, kappa
-    <= EPS_KAPPA, a value not finite) evaluated again by _redo."""
+    on the jet columns, the lanes it flags (a failed check, kappa <=
+    EPS_KAPPA, a value not finite; every lane where reading the jets
+    raised) evaluated again by _redo."""
     grid = np.asarray(grid, dtype=float)
     with np.errstate(all="ignore"):
-        jets, bad = curve._jet_columns(grid)
-        *values, undefined = _frenet(jets, grid)
+        try:
+            jets, bad = curve._jet_columns(grid)
+            *values, undefined = _frenet(jets, grid)
+            values, bad = (jets[0], *values), bad | undefined
+        except _EVALUATION_ERRORS:
+            values, bad = None, np.ones(len(grid), dtype=bool)
 
         def row(i):
             jet = curve._jet_of(float(grid[i]))
             return jet[0], *_frenet(jet, grid[i])[:-1]
 
-        return _redo((jets[0], *values), bad | undefined, row)
+        return _redo(values, bad, row)
 
 
 def _redo(values, bad, row, unchecked=()) -> list:
     """values as arrays (3-vectors of columns stacked to (N, 3)), the lanes
     flagged in bad or not finite in a value outside unchecked evaluated
     again on floats, in order: row(i) raises lane i's error (the first a
-    point-by-point pass meets) or gives its values, written over the lane."""
+    point-by-point pass meets) or gives its values, written over the lane.
+    Where values is None (reading the grid raised), every lane's row,
+    stacked."""
+    if values is None:
+        return [np.array(x, dtype=float) for x in zip(*map(row, range(len(bad))))]
     columns = [np.column_stack(x) if isinstance(x, tuple) else x for x in values]
     for k, x in enumerate(columns):
         if k not in unchecked:
@@ -644,12 +589,16 @@ def sample_frames(c: CurveOnSurface, grid: np.ndarray) -> FrameData:
     grid = np.asarray(grid, dtype=float)
     _require_uniform(grid)
     with np.errstate(all="ignore"):
-        sample, bad = c._sample_columns(grid)
-        values, kap2, off = _frame_values(c, grid, sample)
+        try:
+            sample, bad = c._sample_columns(grid)
+            values, kap2, off = _frame_values(c, grid, sample)
+            bad = bad | off | ~np.isfinite(kap2)
+        except _EVALUATION_ERRORS:
+            values, bad = None, np.ones(len(grid), dtype=bool)
         # tau (9) is nan wherever kappa <= EPS_KAPPA; every other value of a
         # lane that raises on floats is not finite on the columns
         gam, T, V, U, kg, kn, tg, dkg, dkn, tau, accel, dtg = _redo(
-            values, bad | off | ~np.isfinite(kap2),
+            values, bad,
             lambda i: _frame_values(c, float(grid[i]), c._sample(float(grid[i])))[0],
             unchecked=(9,))
     return FrameData(grid, gam, T, V, U, kg, kn, tg, dkg, dkn, dtg, np.hypot(kg, kn), tau,
@@ -1022,16 +971,12 @@ class _ResampledCurve(UnitSpeedCurve):
         return self._reparametrized(self._raw_jet(t))
 
     def _jet_columns(self, grid):
-        """(jet at each s of grid as columns, mask of the lanes the inversion
-        flagged): the compiled columns of c, c1, c2 and c3 at t(s), else
-        _raw_jet lane by lane, then the chain rule."""
-        ts, bad = _inverted(self.amap, grid)
+        """(jet at each s of grid as columns, mask of no lane): one batched
+        inversion, the _compiled_columns of c, c1, c2 and c3 at t(s), then
+        the chain rule."""
         raw = self.raw
-        jet = None if bad.any() else _compiled_columns([np.asarray(ts)], raw.c, raw.c1, raw.c2,
-                                                       raw.c3)
-        if jet is None:
-            jet = _lane_columns(self._raw_jet, ts, _CURVE_JET, bad)
-        return self._reparametrized(jet), bad
+        jet = _compiled_columns([self.amap.t_of_s_many(grid)], raw.c, raw.c1, raw.c2, raw.c3)
+        return self._reparametrized(jet), np.zeros(len(grid), dtype=bool)
 
     def _raw_jet(self, t):
         """(c, c1, c2, c3) at t, evaluated c1, c2, c3 and then c: a lane
@@ -1050,21 +995,10 @@ class _ResampledCurve(UnitSpeedCurve):
         return c, g1, g2, g3
 
 
-def _speed_inputs(fn, ts, width):
-    """fn at each lane of ts as width (N,) columns, for a speed: the columns
-    of a compiled fn, else fn lane by lane."""
-    columns = _compiled_columns([ts], fn)
-    if columns is not None:
-        return columns[0]
-    lanes = ts.tolist()
-    rows = np.fromiter(chain.from_iterable(map(fn, lanes)), float, width * len(lanes))
-    return rows.reshape(-1, width).T
-
-
-def resample_unit_speed(raw: ParamCurve, n: int = 512) -> UnitSpeedCurve:
+def resample_unit_speed(raw: ParamCurve, n: int = RESAMPLE_N) -> UnitSpeedCurve:
     """Arclength reparametrization of a regular curve, derivatives chained
     through third order."""
-    amap = ArclengthMap(lambda ts: norm3(_speed_inputs(raw.c1, ts, 3)), raw.t_range, n)
+    amap = ArclengthMap(lambda ts: norm3(_compiled_columns([ts], raw.c1)[0]), raw.t_range, n)
     return _ResampledCurve(raw, amap)
 
 
@@ -1087,12 +1021,11 @@ class _UnitSpeedChartPath(ChartPath):
 
     def _sample_columns(self, surface: ParametricSurface, grid):
         """_sample at each s of grid as columns: one t_of_s_many call, the
-        raw path's ChartPath._sample_columns at t(s) (the compiled columns,
-        else lane by lane) and one chain rule on the columns."""
+        raw path's _sample_columns at t(s) and one chain rule on the
+        columns."""
         if surface is not self.surface:
             return super()._sample_columns(surface, grid)
-        ts, bad = _inverted(self.amap, grid)
-        sample, bad = ChartPath._sample_columns(self.raw, surface, ts, bad)
+        sample, bad = self.raw._sample_columns(surface, self.amap.t_of_s_many(grid))
         return self._reparametrized(sample), bad
 
     @staticmethod
@@ -1106,14 +1039,14 @@ class _UnitSpeedChartPath(ChartPath):
 
 
 def unit_speed_chart_curve(surface: ParametricSurface, path: ChartPath,
-                           n: int = 512) -> CurveOnSurface:
+                           n: int = RESAMPLE_N) -> CurveOnSurface:
     """Reparametrize a chart path to unit (metric) speed and wrap it as a
     CurveOnSurface."""
 
     def speed(ts):
         # |gamma'| = |u' sigma_u + v' sigma_v|, the path read on all lanes
         # before the chart
-        u, v, du, dv = _speed_inputs(path.first_order, ts, 4)
+        u, v, du, dv = _compiled_columns([ts], path.first_order)[0]
         sigma_u, sigma_v = surface.tangents_many(u, v)
         return norm3(_lincomb(du, sigma_u.T, dv, sigma_v.T))
 

@@ -34,6 +34,7 @@ import numpy as np
 
 from . import expr as _expr
 from .errors import (
+    ARITHMETIC_ERRORS,
     DarbouxError,
     OutOfDomainError,
     ProjectionError,
@@ -69,6 +70,12 @@ EPS_REG_DEFAULT = 1e-10
 # Chart poles (e.g. sphere v = +-pi/2) are excluded by shrinking the domain.
 POLE_MARGIN = 1e-6
 ON_SURFACE_TOL = 1e-9  # a point of an implicit surface has |f| <= ON_SURFACE_TOL
+
+# What evaluating a chart, a level set, a path or a curve can raise: the
+# domain errors, and ZeroDivisionError/OverflowError/ValueError from float
+# arithmetic and math.  A grid reading that raises one of these is redone
+# point by point.
+_EVALUATION_ERRORS = (DarbouxError, *ARITHMETIC_ERRORS)
 
 
 # ---------------------------------------------------------------------------
@@ -144,13 +151,15 @@ def _column(values, shape=None) -> np.ndarray:
     return np.fromiter(flat, float, len(values) * math.prod(shape)).reshape(-1, *shape)
 
 
-def _columns(values, spec):
-    """N evaluated lanes as (N,) float columns, nested as one lane is.  spec
-    lays a lane out: a shape ((4, 3) for four 3-vectors, () for a float) for
-    a block read in one flat pass, or a list of specs, one per part."""
-    if isinstance(spec, list):
-        return tuple(_columns([v[k] for v in values], part) for k, part in enumerate(spec))
-    return _unstack(np.ascontiguousarray(np.moveaxis(_column(values, spec), 0, -1)))
+def _stacked(values):
+    """N lane values as (N,) float columns, nested as one value is: a value
+    of one shape (the first lane's np.shape) read in one flat pass, an
+    irregular nest (level's (grad f, H)) part by part."""
+    try:
+        shape = np.shape(values[0])
+    except ValueError:  # an irregular nest
+        return tuple(_stacked([v[k] for v in values]) for k in range(len(values[0])))
+    return _unstack(np.ascontiguousarray(np.moveaxis(_column(values, shape), 0, -1)))
 
 
 def _unstack(a):
@@ -158,18 +167,22 @@ def _unstack(a):
     return a if a.ndim == 1 else tuple(map(_unstack, a))
 
 
-def _compiled_columns(columns, *fns):
-    """[fn at each lane of the (N,) columns, for each fn of fns]: one pass
-    of each compiled expression function's columns, in order, nested as
-    fn's value is and with its bits lane by lane (see expr.compile).  None
-    from the first fn that has no columns or whose columns decline."""
+def _lanes(fn, columns) -> list:
+    """fn at each lane of the (N,) columns, on the lane's Python floats."""
+    return list(map(fn, *(x.tolist() for x in columns)))
+
+
+def _compiled_columns(columns, *fns) -> list:
+    """[fn at each lane of the (N,) columns, for each fn of fns], nested as
+    fn's value is and with its bits lane by lane: one pass of a compiled
+    expression function's columns (see expr.compile), else, where fn has no
+    columns (a Python callable) or they decline, fn on each lane's floats
+    (_lanes), where a lane that raises raises."""
     out = []
     for fn in fns:
         evaluate = getattr(fn, "columns", None)
         value = None if evaluate is None else evaluate(*columns)
-        if value is None:
-            return None
-        out.append(value)
+        out.append(_stacked(_lanes(fn, columns)) if value is None else value)
     return out
 
 
@@ -433,7 +446,10 @@ class ParametricSurface:
         v = np.asarray(v, dtype=float)
         with np.errstate(all="ignore"):  # numpy warns on nan and infinite lanes
             uw, vw, outside = self._wrap_many(u, v)
-            jet = None if outside.any() else self._jets_many(uw, vw)
+            try:
+                jet = None if outside.any() else self._jets_many(uw, vw)
+            except _EVALUATION_ERRORS:
+                jet = None
             if jet is None or (norm3(_cross(jet[1], jet[2])) <= self.eps_reg).any():
                 # chart_point raises the first failing lane's own error
                 for a, b in zip(u.tolist(), v.tolist()):
@@ -441,30 +457,19 @@ class ParametricSurface:
         return np.column_stack(jet[1]), np.column_stack(jet[2])
 
     def _jets_many(self, u, v):
-        """_chart_point's jets at each lane of the wrapped (N,) arrays u, v,
-        as six 3-vectors of (N,) columns with its bits: one pass of the
-        compiled jet's columns, else (where they are missing or decline)
-        _chart_point lane by lane, which raises the first failing lane's own
-        error.  The columns leave the regularity check to the caller."""
-        jet = _compiled_columns((u, v), self._jet_fn)
-        if jet is None:
-            return _columns([self._chart_point(a, b)[0] for a, b in zip(u.tolist(), v.tolist())],
-                            (6, 3))
-        return jet[0]
+        """The jets of jet_fn at each lane of the wrapped (N,) arrays u, v, as
+        six 3-vectors of (N,) columns with its bits (_compiled_columns).
+        They leave the regularity check to the caller."""
+        return _compiled_columns((u, v), self._jet_fn)[0]
 
     def _point_columns(self, u, v):
         """(chart_point's (jet, w, |w|), _jet3's partials, mask of the lanes
-        where |w| <= eps_reg) at each lane of the (N,) arrays u, v, from the
-        compiled columns; None where a lane lies outside a non-periodic
-        range or the columns are missing or decline."""
+        outside a non-periodic range or where |w| <= eps_reg) at each lane
+        of the (N,) arrays u, v (_compiled_columns at the wrapped lanes)."""
         uw, vw, outside = self._wrap_many(u, v)
-        columns = None if outside.any() else _compiled_columns((uw, vw), self._jet_fn,
-                                                                self._jet3_fn)
-        if columns is None:
-            return None
-        jet, third = columns
+        jet, third = _compiled_columns((uw, vw), self._jet_fn, self._jet3_fn)
         w, n = _chart_w(jet)
-        return (jet, w, n), third, n <= self.eps_reg
+        return (jet, w, n), third, outside | (n <= self.eps_reg)
 
     def _wrap_many(self, u: np.ndarray, v: np.ndarray):
         """wrap for (N,) arrays, with a mask of the lanes outside a
@@ -514,8 +519,9 @@ class ImplicitSurface:
     ``f(x, y, z)``, ``level(x, y, z)`` and ``third(x, y, z)`` return f,
     (gradient, Hessian by rows) and the Hessians of df/dx, df/dy, df/dz, in
     Python floats (the form the float kernels read) or arrays.  The frame
-    sampler reads a grid's level points from one pass of their ``columns``
-    where all three are ``expr.compile`` functions, else lane by lane."""
+    sampler reads a grid's level points from one pass of each one's
+    ``columns`` (an ``expr.compile`` function's), else, where it has none or
+    they decline, lane by lane."""
 
     def __init__(
         self,
@@ -567,12 +573,8 @@ class ImplicitSurface:
     def _level_columns(self, x, y, z):
         """(f, level_point's (grad f, |grad f|, H), third partials, mask of
         the lanes where |grad f| <= eps_reg) at each lane of the (N,) arrays
-        x, y, z, from the compiled columns; None where they are missing or
-        decline."""
-        columns = _compiled_columns((x, y, z), self._f, self._level, self._third)
-        if columns is None:
-            return None
-        f, (g, H), third = columns
+        x, y, z (_compiled_columns)."""
+        f, (g, H), third = _compiled_columns((x, y, z), self._f, self._level, self._third)
         n = norm3(g)
         return f, (g, n, H), third, n <= self.eps_reg
 

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import darboux
-import darboux.frames as frames
 from darboux.cli import main
 from darboux.errors import DarbouxError, NumericalError, OutOfDomainError, RegularityError
 from darboux.frames import (
@@ -195,21 +194,28 @@ class TestColumnBits:
 
 @pytest.fixture
 def lane_calls(monkeypatch):
-    """The lanes each _lane_columns call evaluates, one entry per call."""
+    """(fn, lanes) for each surface._lanes call, one entry per function a
+    grid reads lane by lane on its Python floats."""
     calls = []
-    lane_columns = frames._lane_columns
+    lanes = darboux.surface._lanes
 
-    def counted(evaluate, xs, spec, bad):
-        calls.append(0)
+    def counted(fn, columns):
+        calls.append((fn, len(columns[0])))
+        return lanes(fn, columns)
 
-        def counted_evaluate(x):
-            calls[-1] += 1
-            return evaluate(x)
-
-        return lane_columns(counted_evaluate, xs, spec, bad)
-
-    monkeypatch.setattr(frames, "_lane_columns", counted)
+    monkeypatch.setattr(darboux.surface, "_lanes", counted)
     return calls
+
+
+def _assert_reads(lane_calls, grid_reads, speed_fn=None):
+    """lane_calls are the arclength speed's reads of speed_fn, if given (13
+    lanes, the Gauss-Legendre points and the Newton point, per lane a Newton
+    step moves), then grid_reads."""
+    k = len(lane_calls) - len(grid_reads)
+    assert lane_calls[k:] == grid_reads
+    speed = lane_calls[:k]
+    assert all(fn is speed_fn and n % 13 == 0 for fn, n in speed)
+    assert bool(speed) == (speed_fn is not None)
 
 
 def _sphere_latitude():
@@ -235,29 +241,36 @@ def _assert_same_frames(data, expected):
 
 
 class TestColumnPath:
-    """Which path reads a grid's samples: the compiled columns, or
-    _lane_columns lane by lane where they cannot."""
+    """Which path reads a grid's samples: the compiled columns, or _lanes
+    lane by lane for a function that has none or whose columns decline."""
 
     @pytest.mark.parametrize("make", [lambda: CURVES["torus"](0.5, 0.5), _sphere_latitude,
                                       _sphere_latitude_polyline],
                              ids=["catalog chart path", "sphere latitude", "latitude polyline"])
     def test_compiled_functions_evaluate_no_lane(self, make, lane_calls):
         c = make()
+        lane_calls.clear()
         sample_frames(c, uniform_grid(*c.s_range, 200))
-        assert sum(lane_calls) == 0
+        assert lane_calls == []
 
     def test_jet_fn_without_columns_evaluates_every_lane(self, lane_calls):
         c = CURVES["jet_fn without columns"](0.5, 0.5)
+        lane_calls.clear()
         sample_frames(c, uniform_grid(*c.s_range, 200))
-        assert lane_calls == [200]
+        surface = c.surface
+        _assert_reads(lane_calls, [(surface._jet_fn, 200), (surface._jet3_fn, 200)],
+                      surface._jet_fn)
 
     def test_declining_chart_columns_evaluate_every_lane(self, lane_calls):
         c = CURVES["chart columns declining"](0.8, 0.5)
         grid = uniform_grid(*c.s_range, 50)
-        data = sample_frames(c, grid)
-        assert lane_calls == [50]
         lane_calls.clear()
+        data = sample_frames(c, grid)
+        surface = c.surface
+        _assert_reads(lane_calls, [(surface._jet_fn, 50), (surface._jet3_fn, 50)],
+                      surface._jet_fn)
         compiled = unit_speed_chart_curve(parse_surface_spec(PARAM_SURFACE), c.path.raw)
+        lane_calls.clear()
         _assert_same_frames(data, sample_frames(compiled, grid))
         assert lane_calls == []
 
@@ -269,23 +282,26 @@ class TestColumnPath:
         declining = ParamCurve(*(_declining(fn, 2.0) for fn in (raw.c, raw.c1, raw.c2, raw.c3)),
                                raw.t_range)
         sphere = darboux.implicit_sphere(1.0)
+        level = _level_with(sphere, lambda fn: _declining(fn, 0.5))
         compiled = CurveOnSurface(sphere, space_curve=resample_unit_speed(raw))
         grid = uniform_grid(*compiled.s_range, 40)
         expected = sample_frames(compiled, grid)
-        for curve, surface, lanes in [
-                (declining, sphere, [40]),
-                (raw, _level_with(sphere, lambda fn: _declining(fn, 0.5)), [40]),
-                (declining, _level_with(sphere, lambda fn: _declining(fn, 0.5)), [40, 40])]:
-            lane_calls.clear()
+        for curve, surface in [(declining, sphere), (raw, level), (declining, level)]:
             c = CurveOnSurface(surface, space_curve=resample_unit_speed(curve))
+            lane_calls.clear()
             _assert_same_frames(sample_frames(c, grid), expected)
-            assert lane_calls == lanes
+            reads = []
+            if curve is declining:
+                reads += [(fn, 40) for fn in (curve.c, curve.c1, curve.c2, curve.c3)]
+            if surface is level:
+                reads += [(fn, 40) for fn in (level._f, level._level, level._third)]
+            _assert_reads(lane_calls, reads, declining.c1 if curve is declining else None)
 
-    @pytest.mark.parametrize("name,lanes", [("torus", [0]), ("torus knot", [0, 0])])
+    @pytest.mark.parametrize("name,lanes", [("torus", []), ("torus knot", [])])
     def test_flagged_inversion_evaluates_lanes_again_on_floats(self, name, lanes, monkeypatch,
                                                                lane_calls):
-        # a batched inversion that raises flags every lane: _lane_columns
-        # skips them all and each is sampled again on its own
+        # a batched inversion that raises flags every lane: no function is
+        # read on the grid, and each lane is sampled again on its own
         c = CURVES[name](0.5, 0.5)
         grid = uniform_grid(*c.s_range, 20)
         expected = sample_frames(c, grid)
@@ -303,7 +319,7 @@ class TestColumnPath:
 
     def test_lane_outside_a_non_periodic_range(self, lane_calls):
         # the unit-speed plane line u = s + 19 leaves u <= 20 from s = 1 on:
-        # the grid is read lane by lane, and the first lane outside raises
+        # those lanes join the mask, and the first one raises on floats
         c = CurveOnSurface(darboux.plane(),
                            chart_path=ChartPath.from_expressions("s+19", "0.5", (0.0, 2.0)))
         grid = uniform_grid(0.0, 2.0, 21)
@@ -311,7 +327,43 @@ class TestColumnPath:
             sample_frames(c, grid)
         assert str(excinfo.value) == "plane: parameter u=20.1 outside [-20, 20]"
         assert str(excinfo.value) == _point_by_point_error(c, grid)
-        assert lane_calls == [21]
+        assert lane_calls == []
+
+    def test_python_callable_path_reads_only_its_own_lanes(self, lane_calls):
+        # the path's functions have no columns; the compiled cylinder reads
+        # the path's lanes in one pass of its own columns
+        path = ChartPath.from_expressions("s", "0.5*s+0.2*sin(s)", (0.0, 3.0))
+        callable_path = ChartPath(_without_columns(path.jet), path.s_range,
+                                  _without_columns(path.first_order))
+        surface = darboux.cylinder(1.0)
+        c = unit_speed_chart_curve(surface, callable_path)
+        grid = uniform_grid(*c.s_range, 200)
+        lane_calls.clear()
+        data = sample_frames(c, grid)
+        _assert_reads(lane_calls, [(callable_path.jet, 200)], callable_path.first_order)
+        _assert_same_frames(data, sample_frames(unit_speed_chart_curve(surface, path), grid))
+
+    def test_nan_lane_of_a_python_callable_path(self, lane_calls, monkeypatch):
+        # the third derivatives of the unit-speed cylinder path (0.6 s, 0.8 s)
+        # read nan at s = 1: k_g' and k_n' are not finite on that lane alone,
+        # which is evaluated again on floats and written back
+        grid = uniform_grid(0.0, 2.0, 21)
+        nan_s = grid[10]
+        path = ChartPath(lambda s: ((0.6 * s, 0.8 * s), (0.6, 0.8), (0.0, 0.0),
+                                    (math.nan if s == nan_s else 0.0, 0.0)), (0.0, 2.0))
+        c = CurveOnSurface(darboux.cylinder(1.0), chart_path=path)
+        rows = [_reference(c, s) for s in grid.tolist()]
+        rerun = []
+        sample = CurveOnSurface._sample
+        monkeypatch.setattr(CurveOnSurface, "_sample",
+                            lambda self, s: rerun.append(s) or sample(self, s))
+        lane_calls.clear()
+        data = sample_frames(c, grid)
+        assert lane_calls == [(path.jet, 21)]
+        assert rerun == [nan_s]
+        assert np.isnan(data.dkg[10]) and np.isfinite(np.delete(data.dkg, 10)).all()
+        for key in rows[0]:
+            _assert_same(getattr(data, key), [row[key] for row in rows], key)
 
 
 def _run(argv, capsys):

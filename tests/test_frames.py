@@ -1055,27 +1055,30 @@ class TestCompiledPaths:
              ("s+0.2*tan(0.3*s)", "ln(2+s)*cosh(0.2*s)"), ("abs(s+1)^2", "sinh(0.5*s)")]
 
     @staticmethod
-    def lane_by_lane(monkeypatch):
-        monkeypatch.setattr(_frames, "_compiled_columns", lambda fn, *columns: None)
+    def lane_by_lane(*fns):
+        """fns as Python functions: no columns, so a speed reads them lane by
+        lane."""
+        return [lambda *args, fn=fn: fn(*args) for fn in fns]
 
     @pytest.mark.parametrize("u_src,v_src", PATHS)
-    def test_chart_speed_columns_match_lanes(self, u_src, v_src, monkeypatch):
+    def test_chart_speed_columns_match_lanes(self, u_src, v_src):
         surface = darboux.torus(2.0, 0.5)
         path = ChartPath.from_expressions(u_src, v_src, (0.0, 2.0))
         assert path.first_order.columns(np.linspace(0.0, 2.0, 9)) is not None
         by_columns = unit_speed_chart_curve(surface, path, 64).path.amap
-        self.lane_by_lane(monkeypatch)
-        by_lanes = unit_speed_chart_curve(surface, path, 64).path.amap
+        jet, first_order = self.lane_by_lane(path.jet, path.first_order)
+        by_lanes = unit_speed_chart_curve(surface, ChartPath(jet, path.s_range, first_order),
+                                          64).path.amap
         s = uniform_grid(0.0, by_lanes.length, 101)
         assert by_columns.s_nodes.tobytes() == by_lanes.s_nodes.tobytes()
         assert by_columns.t_of_s_many(s).tobytes() == by_lanes.t_of_s_many(s).tobytes()
 
     @pytest.mark.parametrize("z_src", ["s*tan(0.3*s)", "0.3*s^1.5", "exp(0.2*s)-sqrt(1+s)"])
-    def test_space_curve_speed_columns_match_lanes(self, z_src, monkeypatch):
+    def test_space_curve_speed_columns_match_lanes(self, z_src):
         raw = ParamCurve.from_expressions("cos(s)", "sin(s)", z_src, (0.0, 3.0))
         by_columns = resample_unit_speed(raw, 64).amap
-        self.lane_by_lane(monkeypatch)
-        by_lanes = resample_unit_speed(raw, 64).amap
+        by_lanes = resample_unit_speed(ParamCurve(*self.lane_by_lane(raw.c, raw.c1, raw.c2, raw.c3),
+                                                  raw.t_range), 64).amap
         s = uniform_grid(0.0, by_lanes.length, 101)
         assert by_columns.s_nodes.tobytes() == by_lanes.s_nodes.tobytes()
         assert by_columns.t_of_s_many(s).tobytes() == by_lanes.t_of_s_many(s).tobytes()
