@@ -12,10 +12,12 @@ Delta u' + Delta* v' and Omega . t vanish.
 Integration is classical fixed-step RK4.  Branch continuity picks, at every
 field evaluation, the sign that best aligns with the running tangent, and a
 sample's own oriented slope is the first stage of the step that leaves it.
-Each point is evaluated once, by one straight-line stage kernel per surface
-kind (_chart_eval, _implicit_eval), with the field's plus-branch slope or
-the error its solve raised (met where the slope is read).  Implicit traces
-are Newton-projected back to f = 0 after every step.  When a trace returns
+Each stage point is one call of its adapter's ``stage``, which gives the
+point's key (a chart's wrapped (u, v), or the point on f = 0), and each point
+is evaluated once, by one straight-line stage kernel per surface kind
+(_chart_eval, _implicit_eval), with the field's plus-branch slope or the
+error its solve raised (met where the slope is read).  Implicit traces are
+Newton-projected back to f = 0 after every step.  When a trace returns
 within the closure radius of its seed it is closed with one final
 shortened step landing on the seed's transversal plane (the one sample
 exempt from the fixed-step spacing).
@@ -118,6 +120,11 @@ class TraceConfig:
             raise ValueError(f"closure_tol must be positive and finite, got {self.closure_tol!r}")
         if not 0.0 <= self.eps_sing < math.inf:
             raise ValueError(f"eps_sing must be a finite number >= 0, got {self.eps_sing!r}")
+        if not 0.0 <= self.seed_tol < math.inf:
+            raise ValueError(f"seed_tol must be a finite number >= 0, got {self.seed_tol!r}")
+        if not 0.0 < self.projection_tol < math.inf:
+            raise ValueError(
+                f"projection_tol must be positive and finite, got {self.projection_tol!r}")
 
     @property
     def closure_radius(self) -> float:
@@ -465,26 +472,25 @@ def _level_gradient(point, d) -> tuple:
 
 
 def _implicit_eval(surface, d, eps_sing: float, p) -> tuple:
-    """The evaluation of the surface point p: _implicit_stage of its
-    (grad f, |grad f|, H), with level_point's check written out."""
+    """The evaluation of the surface point p, laid out as _chart_eval's: (t,
+    t, error, p, grad f, |grad f|, H), t the plus unit tangent grad f x grad g
+    over its norm.  Where that solve fails, t is None and error holds its
+    arithmetic error, or None at a singular point (the norm <= eps_sing).
+    The operations of level_point's check, _level_gradient, _cross and norm3
+    in their order, written out."""
     grad, H = surface._level(*p)
     g0, g1, g2 = grad
     n = math.sqrt(g0 * g0 + g1 * g1 + g2 * g2)
     if n <= surface.eps_reg:
         raise surface._irregular(p)
-    return _implicit_stage(p, (grad, n, H), d, eps_sing)
-
-
-def _implicit_stage(p, point, d, eps_sing: float) -> tuple:
-    """The evaluation of the surface point p from its (grad f, |grad f|, H)
-    and the axis d, laid out as _chart_eval's: (t, t, error, p, grad f,
-    |grad f|, H), t the plus unit tangent grad f x grad g over its norm,
-    written out.  Where that solve fails, t is None and error holds its
-    arithmetic error, or None at a singular point (the norm <= eps_sing)."""
-    grad, n, H = point
     try:
-        g0, g1, g2 = grad
-        l0, l1, l2 = _level_gradient(point, d)
+        (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = H
+        d0, d1, d2 = d
+        gd = g0 * d0 + g1 * d1 + g2 * d2
+        n3 = n**3
+        l0 = (a0 * d0 + a1 * d1 + a2 * d2) / n - gd * (a0 * g0 + a1 * g1 + a2 * g2) / n3
+        l1 = (b0 * d0 + b1 * d1 + b2 * d2) / n - gd * (b0 * g0 + b1 * g1 + b2 * g2) / n3
+        l2 = (c0 * d0 + c1 * d1 + c2 * d2) / n - gd * (c0 * g0 + c1 * g1 + c2 * g2) / n3
         w0 = g1 * l2 - g2 * l1
         w1 = g2 * l0 - g0 * l2
         w2 = g0 * l1 - g1 * l0
@@ -619,11 +625,6 @@ def _sweep(surface, d, phis, seed, config: TraceConfig, snap: bool) -> tuple:
     return results, error
 
 
-def _axpy2(y, a, k) -> tuple:
-    """y + a k for a state y and a slope k of 2 components."""
-    return (y[0] + a * k[0], y[1] + a * k[1])
-
-
 def _axpy3(y, a, k) -> tuple:
     """y + a k for a state y and a slope k of 3 components."""
     return (y[0] + a * k[0], y[1] + a * k[1], y[2] + a * k[2])
@@ -650,40 +651,40 @@ def _integrate(adapter, seed) -> tuple:
     continuity and closure onto the seed: the rows the adapter records, one
     per sample, and the termination.
 
-    The adapter (_ChartTrace or _ImplicitTrace) maps the seed to a state, an
-    RK4 stage point to the key of its point (a chart point wrapped once; a
-    state, wrapped or reprojected already, is its own key) and a key to its
-    evaluation by its surface kind's stage kernel (_chart_eval or
-    _implicit_eval), which carries the field's plus-branch slope or the error
-    its solve raised.  It orients that slope into an RK4 slope and a 3-D
-    tangent (raising the error there, so a seed off its level is reported
-    first), fixes up each new state (wrap or reprojection) and records a
-    sample.  States, slopes and tangents are tuples of floats.  Each sample's
-    oriented slope is the first RK4 stage of the step that leaves it, and
-    stages whose key repeats the last one share its evaluation.  A sample's
-    tangent is normalized for the closure test only within the closure
-    radius of the seed.
+    The adapter (_ChartTrace or _ImplicitTrace) maps the seed to a state,
+    (y, a, k) to the key of the RK4 stage point y + a k in one call (stage:
+    the point wrapped on a chart, the point itself on f = 0) and a key to
+    its evaluation by its surface kind's stage kernel (_chart_eval or
+    _implicit_eval), which carries the field's plus-branch slope or the
+    error its solve raised.  It orients that slope into an RK4 slope and a
+    3-D tangent (raising the error there, so a seed off its level is
+    reported first), fixes up each new state (wrap or reprojection; a state
+    is its own key) and records a sample.  States, slopes and tangents are
+    tuples of floats.  Each sample's oriented slope is the first RK4 stage
+    of the step that leaves it, and a stage whose key repeats the last one
+    shares its evaluation.  A sample's tangent is normalized for the
+    closure test only within the closure radius of the seed.
     """
-    config = adapter.config
-    key, evaluate, direction, fix = adapter.key, adapter.evaluate, adapter.direction, adapter.fix
-    record = adapter.record
-
-    def slope(q, ref):
-        # the field at the RK4 stage point q, oriented by ref
-        nonlocal last_key, last
-        c = key(*q)
-        if c != last_key:
-            last_key, last = c, evaluate(c)
-        return direction(q, last, ref)[0]
+    config, stage, record = adapter.config, adapter.stage, adapter.record
+    evaluate, direction, fix = adapter.evaluate, adapter.direction, adapter.fix
 
     def step(y, h, k1, ref, s):
         # one RK4 step from the sample y with its oriented slope k1 and
         # tangent ref, and the new sample's (state, evaluation, slope,
         # tangent), recorded at arclength s
         nonlocal last_key, last
-        k2 = slope(axpy(y, 0.5 * h, k1), ref)
-        k3 = slope(axpy(y, 0.5 * h, k2), ref)
-        k4 = slope(axpy(y, h, k3), ref)
+        c = stage(y, 0.5 * h, k1)
+        if c != last_key:
+            last_key, last = c, evaluate(c)
+        k2 = direction(c, last, ref)[0]
+        c = stage(y, 0.5 * h, k2)
+        if c != last_key:
+            last_key, last = c, evaluate(c)
+        k3 = direction(c, last, ref)[0]
+        c = stage(y, h, k3)
+        if c != last_key:
+            last_key, last = c, evaluate(c)
+        k4 = direction(c, last, ref)[0]
         y = fix(*_rk4_sum(y, h / 6.0, k1, k2, k3, k4))
         if y != last_key:
             last_key, last = y, evaluate(y)
@@ -692,14 +693,11 @@ def _integrate(adapter, seed) -> tuple:
         return y, last, k, t3
 
     y = adapter.start(seed)
-    axpy = _axpy2 if len(y) == 2 else _axpy3
     last_key, last = y, evaluate(y)
-    level = _angle_dot(last, adapter.d)
-    if not abs(level - adapter.target) <= config.seed_tol:
-        raise SeedError(
-            f"seed is not on the isophote level: |<U,d> - cos(phi)| = "
-            f"{abs(level - adapter.target):g} > {config.seed_tol:g}; use find_seed"
-        )
+    gap = abs(_angle_dot(last, adapter.d) - adapter.target)
+    if not gap <= config.seed_tol:
+        raise SeedError(f"seed is not on the isophote level: |<U,d> - cos(phi)| = {gap:g} > "
+                        f"{config.seed_tol:g}; use find_seed")
 
     k, t3 = direction(y, last, None)
     if config.branch == "minus":
@@ -757,7 +755,8 @@ def _closure_step(p, t3, unit, seed_p, seed_t, radius, step):
 class _ChartTrace:
     """Isophote on a chart.  The state is (u, v), wrapped after each step;
     RK4 slopes are (u', v') and the reference tangent is sigma_u u' + sigma_v v'.
-    A point's evaluation is _chart_eval's.  A sample's record is its state,
+    A stage point's key is the point wrapped, so equal points share a key,
+    and a key's evaluation is _chart_eval's.  A sample's record is its state,
     its oriented slope and the slope's sign against the plus branch; the
     diagnostic columns of a sweep's records are computed once, after their
     loops, by _chart_columns on the surface's _jets_many."""
@@ -765,7 +764,8 @@ class _ChartTrace:
     def __init__(self, surface, d, target, config):
         self.surface, self.d, self.target, self.config = surface, d, target, config
         self.evaluate = functools.partial(_chart_eval, surface, d, config.eps_sing)
-        self.key = self.fix = surface.wrap  # wrapping sends equal stage points to one key
+        self.fix = wrap = surface.wrap
+        self.stage = lambda y, a, k: wrap(y[0] + a * k[0], y[1] + a * k[1])
 
     def start(self, seed):
         return self.surface.wrap(float(seed[0]), float(seed[1]))
@@ -803,8 +803,8 @@ class _ChartTrace:
 class _ImplicitTrace:
     """Isophote on f = 0.  The state is the point itself, Newton-projected
     back onto the surface (and optionally the level) after each step; the
-    RK4 slope is the unit tangent.  A point's evaluation is
-    _implicit_eval's.
+    RK4 slope is the unit tangent.  A stage point is its own key (_axpy3),
+    and a key's evaluation is _implicit_eval's.
 
     A sample's record keeps what can fail or needs a Python float: the
     point, its tangent, grad f, |grad f|, H and |f|.  f is the value
@@ -821,8 +821,8 @@ class _ImplicitTrace:
         p, self.f = _project(self.surface, _point(seed), self.config.projection_tol)
         return p
 
-    # a state is its own key, and the field's tangent is unit already
-    key = staticmethod(lambda *p: p)
+    # a point is its own key, and the field's tangent is unit already
+    stage = staticmethod(_axpy3)
     unit = staticmethod(lambda t: t)
 
     def direction(self, p, point, ref):

@@ -686,8 +686,23 @@ class TestTraceConfig:
         with pytest.raises(ValueError, match="eps_sing must be a finite number >= 0"):
             TraceConfig(eps_sing=value)
 
+    @pytest.mark.parametrize("value", [-1.0, math.nan, math.inf])
+    def test_rejects_a_seed_tol_not_finite_and_non_negative(self, value):
+        # a nan or negative tolerance would reject every seed with a SeedError
+        # that points at find_seed
+        with pytest.raises(ValueError, match="seed_tol must be a finite number >= 0"):
+            TraceConfig(seed_tol=value)
+
+    @pytest.mark.parametrize("value", [-1.0, 0.0, math.nan, math.inf])
+    def test_rejects_a_projection_tol_not_positive_and_finite(self, value):
+        # a nan or negative tolerance fails every projection, and 0 ends an
+        # implicit trace after its seed
+        with pytest.raises(ValueError, match="projection_tol must be positive and finite"):
+            TraceConfig(projection_tol=value)
+
     def test_accepts_the_edge_values(self):
         assert TraceConfig(eps_sing=0.0, closure_tol=1e-300).closure_radius == 1e-300
+        assert TraceConfig(seed_tol=0.0, projection_tol=1e-300).seed_tol == 0.0
 
 
 def _without_columns(surface):
@@ -919,16 +934,37 @@ class TestFieldSolves:
         assert calls["_chart_eval"] == calls["jet"] == 2 * (res.n - 1) + 1
 
     def test_implicit_torus_direction_solves(self, monkeypatch):
-        calls = {"f": 0, "level": 0, "_implicit_stage": 0}
+        calls = {"f": 0, "level": 0, "_implicit_eval": 0}
         surface = TestEvaluationCounts.counting_torus(calls)
         seed = find_seed(surface, EZ, math.pi / 3, (2.5, 0.0, 0.1))
         calls["level"] = 0
-        self.counted(monkeypatch, "_implicit_stage", calls)
+        self.counted(monkeypatch, "_implicit_eval", calls)
         res = trace_isophote(surface, EZ, math.pi / 3, seed,
                              TraceConfig(step=1e-2, max_length=2.0))
         assert res.termination == "length reached"
         # RK4 stages 2-4 and the new sample each evaluate a new point
-        assert calls["_implicit_stage"] == calls["level"] == 4 * (res.n - 1) + 1
+        assert calls["_implicit_eval"] == calls["level"] == 4 * (res.n - 1) + 1
+
+    def test_oblique_chart_torus_direction_solves(self, monkeypatch):
+        calls = {"jet": 0, "_chart_eval": 0}
+        base = darboux.torus(2.0, 0.5)
+
+        def jet(u, v):
+            calls["jet"] += 1
+            return base._jet_fn(u, v)
+
+        jet.columns = base._jet_fn.columns
+        surface = ParametricSurface("counted torus", jet, base.u_range, base.v_range,
+                                    periodic_u=True, periodic_v=True, jet3_fn=base.jet3)
+        d, phi = (0.3, 0.2, 1.0), math.radians(60.0)
+        seed = find_seed(surface, d, phi, (0.3, 1.0))
+        calls["jet"] = 0
+        self.counted(monkeypatch, "_chart_eval", calls)
+        res = trace_isophote(surface, d, phi, seed, TraceConfig(step=1e-2, max_length=2.0))
+        assert res.termination == "length reached"
+        # off a latitude no two stage points share a key: RK4 stages 2-4 and
+        # the new sample each evaluate a new point, one at the seed
+        assert calls["_chart_eval"] == calls["jet"] == 4 * (res.n - 1) + 1
 
 
 class TestDeferredSolveErrors:
