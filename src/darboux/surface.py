@@ -308,12 +308,12 @@ def _normal_jacobian(g, n, H) -> tuple:
 
 
 def _project(surface: "ImplicitSurface", p, tol: float = 1e-12) -> tuple:
-    """project_to_implicit on a 3-tuple of floats: (p, f(p)) for the
-    projected point, with the value of f the last check read there."""
+    """project_to_implicit on a 3-tuple of floats: the projected point, where
+    the last check has read f."""
     for _ in range(8):
         f = surface._f(*p)
         if abs(f) <= tol:
-            return p, f
+            return p
         g0, g1, g2 = surface._level(*p)[0]
         gg = g0 * g0 + g1 * g1 + g2 * g2
         if gg <= surface.eps_reg**2:
@@ -322,7 +322,7 @@ def _project(surface: "ImplicitSurface", p, tol: float = 1e-12) -> tuple:
         p = (x - f * g0 / gg, y - f * g1 / gg, z - f * g2 / gg)
     f = surface._f(*p)
     if abs(f) <= tol:
-        return p, f
+        return p
     raise ProjectionError(
         f"{surface.name}: projection did not reach |f| <= {tol:g} in 8 iterations"
     )
@@ -447,7 +447,7 @@ class ParametricSurface:
         with np.errstate(all="ignore"):  # numpy warns on nan and infinite lanes
             uw, vw, outside = self._wrap_many(u, v)
             try:
-                jet = None if outside.any() else self._jets_many(uw, vw)
+                jet = None if outside.any() else _compiled_columns((uw, vw), self._jet_fn)[0]
             except _EVALUATION_ERRORS:
                 jet = None
             if jet is None or (norm3(_cross(jet[1], jet[2])) <= self.eps_reg).any():
@@ -455,12 +455,6 @@ class ParametricSurface:
                 for a, b in zip(u.tolist(), v.tolist()):
                     self.chart_point(a, b)
         return np.column_stack(jet[1]), np.column_stack(jet[2])
-
-    def _jets_many(self, u, v):
-        """The jets of jet_fn at each lane of the wrapped (N,) arrays u, v, as
-        six 3-vectors of (N,) columns with its bits (_compiled_columns).
-        They leave the regularity check to the caller."""
-        return _compiled_columns((u, v), self._jet_fn)[0]
 
     def _point_columns(self, u, v):
         """(chart_point's (jet, w, |w|), _jet3's partials, mask of the lanes
@@ -620,7 +614,7 @@ def project_to_implicit(surface: ImplicitSurface, p: np.ndarray, tol: float = 1e
     At most 8 iterations; raises ProjectionError on non-convergence and
     RegularityError on a vanishing gradient.
     """
-    return np.array(_project(surface, _point(p), tol)[0])
+    return np.array(_project(surface, _point(p), tol))
 
 
 def deriv_uniform(values: np.ndarray, h: float) -> np.ndarray:

@@ -12,12 +12,9 @@ Delta u' + Delta* v' and Omega . t vanish.
 Integration is classical fixed-step RK4.  Branch continuity picks, at every
 field evaluation, the sign that best aligns with the running tangent, and a
 sample's own oriented slope is the first stage of the step that leaves it.
-Each stage point is one call of its adapter's ``stage``, which gives the
-point's key (a chart's wrapped (u, v), or the point on f = 0), and each point
-is evaluated once, by one straight-line stage kernel per surface kind
-(_chart_eval, _implicit_eval), with the field's plus-branch slope or the
-error its solve raised (met where the slope is read).  Implicit traces are
-Newton-projected back to f = 0 after every step.  When a trace returns
+Each stage point is evaluated once, by one straight-line stage kernel per
+surface kind (_chart_eval, _implicit_eval; see _integrate).  Implicit traces
+are Newton-projected back to f = 0 after every step.  When a trace returns
 within the closure radius of its seed it is closed with one final
 shortened step landing on the seed's transversal plane (the one sample
 exempt from the fixed-step spacing).
@@ -25,20 +22,18 @@ exempt from the fixed-step spacing).
 The trace runs on the float kernels of ``surface``: states, RK4 slopes,
 jets, normals and recorded rows are tuples of Python floats, and arrays are
 built only for the columns of the TraceResult.  A sample records only its
-raw state: a chart sample its (u, v) and oriented slope, an implicit one
-what can fail or needs a Python float (the point, its tangent, grad f,
-|grad f|, H and |f|).  Its diagnostics (U, <U, d>, k_n, tau_g, the
-verification residual and the speed residual) are computed once, after the
-RK4 loop, by one kernel per surface kind run on the samples' (N,) columns
-(a chart's jets from one pass of its compiled columns), so each lane has
-the bits of the public per-point functions, which run the same kernel on
-floats.  Where float arithmetic fails (an overflow, a division by zero, a
-math domain error) a NumericalError is raised, or the trace ends with an
-``error:`` termination once it has samples.
+state: a chart sample its (u, v) and oriented slope, an implicit one its
+point and unit tangent.  Where float arithmetic fails (an overflow, a
+division by zero, a math domain error) a NumericalError is raised, or the
+trace ends with an ``error:`` termination once it has samples.
 
 A trace is one angle of a sweep (_sweep) of one surface, axis and seed:
 each angle runs its own RK4 loop, then one column pass computes the
-diagnostics, which do not depend on the angle, of all their samples.
+diagnostics of all their samples (U, <U, d>, k_n, tau_g, the verification
+and speed residuals, |f|), which do not depend on the angle.  One kernel per
+surface kind runs on the (N,) columns of the samples' jets, or f, grad f and
+H, read in one pass of the surface's compiled columns, so each lane has the
+bits of the public per-point functions, which run it on floats.
 """
 
 from __future__ import annotations
@@ -65,6 +60,7 @@ from .surface import (
     ParametricSurface,
     _chart_w,
     _column,
+    _compiled_columns,
     _cross,
     _div3,
     _first_form,
@@ -191,7 +187,6 @@ class TraceResult:
 # Seed finding
 
 
-@numerical
 def find_seed(surface, d, phi: float, guess, max_iter: int = 100, projection_tol: float = 1e-12,
               lines: dict | None = None):
     """Locate a point on the level set <U, d> = cos(phi) near ``guess``, to
@@ -202,9 +197,19 @@ def find_seed(surface, d, phi: float, guess, max_iter: int = 100, projection_tol
     Newton descent of <U, d> - cos(phi) in the tangent plane, each point
     projected onto f = 0 to ``projection_tol``.  Raises
     SeedError("no isophote at this level near guess") when no crossing is
-    found.  ``lines`` keeps the <U, d> values read on a parametric guess's
+    found, and ValueError for a bad ``projection_tol`` or ``max_iter``.
+    ``lines`` keeps the <U, d> values read on a parametric guess's
     coordinate lines, for searches from the same guess, surface and axis.
     """
+    if not 0.0 < projection_tol < math.inf:
+        raise ValueError(f"projection_tol must be positive and finite, got {projection_tol!r}")
+    if isinstance(max_iter, bool) or not isinstance(max_iter, (int, np.integer)) or max_iter < 0:
+        raise ValueError(f"max_iter must be an int >= 0, got {max_iter!r}")
+    return _find_seed(surface, d, phi, guess, max_iter, projection_tol, lines)
+
+
+@numerical
+def _find_seed(surface, d, phi, guess, max_iter, projection_tol, lines):
     d = _floats(_unit(d))
     target = math.cos(phi)
     if isinstance(surface, ParametricSurface):
@@ -302,7 +307,7 @@ def _bisect_newton(g, a, ga, b, gb, tol, max_iter):
 
 
 def _find_seed_implicit(surface, d, target, guess, tol, max_iter, projection_tol):
-    p, _ = _project(surface, _point(guess), projection_tol)
+    p = _project(surface, _point(guess), projection_tol)
     for _ in range(max_iter):
         grad, H = surface._level(*p)
         n = norm3(grad)
@@ -328,7 +333,7 @@ def _find_seed_implicit(surface, d, target, guess, tol, max_iter, projection_tol
         if step_len > limit:
             step = tuple([a * (limit / step_len) for a in step])
         try:
-            p, _ = _project(surface, tuple([a + b for a, b in zip(p, step)]), projection_tol)
+            p = _project(surface, tuple([a + b for a, b in zip(p, step)]), projection_tol)
         except ProjectionError:  # no seed where a Newton step lands beyond its reach
             break
     raise SeedError("no isophote at this level near guess")
@@ -473,7 +478,7 @@ def _level_gradient(point, d) -> tuple:
 
 def _implicit_eval(surface, d, eps_sing: float, p) -> tuple:
     """The evaluation of the surface point p, laid out as _chart_eval's: (t,
-    t, error, p, grad f, |grad f|, H), t the plus unit tangent grad f x grad g
+    t, error, p, grad f, |grad f|), t the plus unit tangent grad f x grad g
     over its norm.  Where that solve fails, t is None and error holds its
     arithmetic error, or None at a singular point (the norm <= eps_sing).
     The operations of level_point's check, _level_gradient, _cross and norm3
@@ -496,11 +501,11 @@ def _implicit_eval(surface, d, eps_sing: float, p) -> tuple:
         w2 = g0 * l1 - g1 * l0
         wn = math.sqrt(w0 * w0 + w1 * w1 + w2 * w2)
         if wn <= eps_sing:
-            return None, None, None, p, grad, n, H
+            return None, None, None, p, grad, n
         t = (w0 / wn, w1 / wn, w2 / wn)
-        return t, t, None, p, grad, n, H
+        return t, t, None, p, grad, n
     except ARITHMETIC_ERRORS as exc:
-        return None, None, exc, p, grad, n, H
+        return None, None, exc, p, grad, n
 
 
 def _implicit_singular(p) -> SingularPointError:
@@ -759,7 +764,7 @@ class _ChartTrace:
     and a key's evaluation is _chart_eval's.  A sample's record is its state,
     its oriented slope and the slope's sign against the plus branch; the
     diagnostic columns of a sweep's records are computed once, after their
-    loops, by _chart_columns on the surface's _jets_many."""
+    loops, by _chart_columns on one pass of the surface's jet columns."""
 
     def __init__(self, surface, d, target, config):
         self.surface, self.d, self.target, self.config = surface, d, target, config
@@ -784,7 +789,8 @@ class _ChartTrace:
         return s, y, k, 1.0 if k is point[0] else -1.0
 
     def columns(self, s, y, k, sign) -> tuple:
-        cols = _chart_columns(self.surface._jets_many(*y.T), self.d, *k.T, sign)
+        jet = _compiled_columns(tuple(y.T), self.surface._jet_fn)[0]
+        cols = _chart_columns(jet, self.d, *k.T, sign)
         del cols["delta"]
         # a lane that raises on floats (a negative EG - F^2) reads nan: each
         # such lane, in order, with its error
@@ -806,20 +812,18 @@ class _ImplicitTrace:
     RK4 slope is the unit tangent.  A stage point is its own key (_axpy3),
     and a key's evaluation is _implicit_eval's.
 
-    A sample's record keeps what can fail or needs a Python float: the
-    point, its tangent, grad f, |grad f|, H and |f|.  f is the value
-    the projection read at the state it returned (the state recorded next),
-    else it is evaluated.  The diagnostic columns of a sweep's records are
-    computed once, after their loops (_implicit_columns)."""
+    A sample's record is its state, the point and its unit tangent.  The
+    diagnostic columns of a sweep's records are computed once, after their
+    loops, by _implicit_columns on one pass of the surface's f and level
+    columns, which cannot raise: the loop has read both at every point it
+    recorded (f in the projection, level in the evaluation)."""
 
     def __init__(self, surface, d, target, config):
         self.surface, self.d, self.target, self.config = surface, d, target, config
         self.evaluate = functools.partial(_implicit_eval, surface, d, config.eps_sing)
-        self.f = None  # f at the last state start or fix returned, if known
 
     def start(self, seed):
-        p, self.f = _project(self.surface, _point(seed), self.config.projection_tol)
-        return p
+        return _project(self.surface, _point(seed), self.config.projection_tol)
 
     # a point is its own key, and the field's tangent is unit already
     stage = staticmethod(_axpy3)
@@ -834,41 +838,43 @@ class _ImplicitTrace:
         return t, t
 
     def fix(self, *q):
-        q, self.f = _project(self.surface, q, self.config.projection_tol)
+        q = _project(self.surface, q, self.config.projection_tol)
         if self.config.project_isophote:
-            q, self.f = _project_two_constraints(self.surface, self.d, self.target, q,
-                                                 self.config.projection_tol)
+            q = _project_two_constraints(self.surface, self.d, self.target, q,
+                                         self.config.projection_tol)
         return q
 
     def record(self, s, q, point, k, t):
-        f = self.f if self.f is not None else self.surface._f(*q)
-        return s, q, t, point[4], point[5], point[6], abs(f)
+        return s, q, t
 
-    def columns(self, s, q, t, grad, n, H, f) -> tuple:
-        cols = _implicit_columns(self.d, grad.T, n, H.transpose(1, 2, 0), t.T)
+    def columns(self, s, q, t) -> tuple:
+        f, (grad, H) = _compiled_columns(tuple(q.T), self.surface._f, self.surface._level)
+        cols = _implicit_columns(self.d, grad, norm3(grad), H, t.T)
         del cols["omega"]
         cols["normals"] = np.column_stack(cols["normals"])
-        return {"s": s, "points": q, "tangents": t, "surface_residual": f, **cols}, ()
+        return {"s": s, "points": q, "tangents": t, "surface_residual": np.abs(f), **cols}, ()
 
 
 def _project_two_constraints(surface, d, target, p, tol):
     """Newton onto {f = 0} intersected with {<U, d> = cos(phi)}: each step
     solves (J J^T) x = -(f, g) for the 2x3 Jacobian J = (grad f; grad g) in
     closed form and moves by J^T x.  A singular system leaves p as it is.
-    Returns (p, f(p)), with None for f where the last step moved p."""
+    Returns the point, where f has been read (once more after a last step
+    that moved it, so that f's error at the point is raised here)."""
     for _ in range(8):
         grad, H = surface._level(*p)
         n = norm3(grad)
         f = surface._f(*p)
         g = dot3(grad, d) / n - target
         if abs(f) <= tol and abs(g) <= tol:
-            return p, f
+            return p
         grad_g = _level_gradient((grad, n, H), d)
         a, b, c = dot3(grad, grad), dot3(grad, grad_g), dot3(grad_g, grad_g)
         det = a * c - b * b
         if det == 0.0:
-            return p, f
+            return p
         x0 = (b * g - c * f) / det
         x1 = (b * f - a * g) / det
         p = tuple([pi + (x0 * ai + x1 * bi) for pi, ai, bi in zip(p, grad, grad_g)])
-    return p, None
+    surface._f(*p)
+    return p

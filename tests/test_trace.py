@@ -117,6 +117,24 @@ class TestFindSeed:
         with pytest.raises(SeedError, match="no isophote at this level near guess"):
             find_seed(darboux.sphere(1.0), EZ, math.pi / 3, (0.0, 0.4), max_iter=0)
 
+    @pytest.mark.parametrize("implicit", [False, True], ids=["chart", "implicit"])
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"projection_tol": math.nan}, "projection_tol must be positive and finite"),
+        ({"projection_tol": -1.0}, "projection_tol must be positive and finite"),
+        ({"projection_tol": 0.0}, "projection_tol must be positive and finite"),
+        ({"projection_tol": math.inf}, "projection_tol must be positive and finite"),
+        ({"max_iter": -1}, "max_iter must be an int >= 0"),
+        ({"max_iter": 2.0}, "max_iter must be an int >= 0"),
+        ({"max_iter": True}, "max_iter must be an int >= 0"),
+    ], ids=["tol-nan", "tol-negative", "tol-zero", "tol-inf", "iter-negative", "iter-float",
+            "iter-bool"])
+    def test_bad_arguments_raise_value_error(self, implicit, kwargs, message):
+        # checked before any search, so no SeedError or ProjectionError names them
+        surface, guess = ((darboux.implicit_sphere(1.0), (0.6, 0.0, 0.8)) if implicit
+                          else (darboux.sphere(1.0), (0.0, 0.4)))
+        with pytest.raises(ValueError, match=message):
+            find_seed(surface, EZ, math.pi / 3, guess, **kwargs)
+
 
 class TestSnapSeed:
     """snap_seed reads the guess's level as trace_isophote reads its seed's:
@@ -564,9 +582,9 @@ class TestTraceImplicit:
 
 class TestEvaluationCounts:
     """Raw surface evaluations per trace, counted through the public
-    constructors: each point a trace visits is evaluated once, and a chart
-    trace's diagnostics evaluate the jets of all its samples in one column
-    pass."""
+    constructors: each point a trace visits is evaluated once, and a
+    sweep's diagnostics read the jets, or f and level, of all its samples
+    in one column pass."""
 
     @staticmethod
     def counting_sphere(calls):
@@ -591,17 +609,33 @@ class TestEvaluationCounts:
 
     @staticmethod
     def counting_torus(calls):
+        """The implicit torus with f and level functions that count their
+        calls in calls["f"] and calls["level"], and the torus's compiled
+        columns of each, counting their calls in calls["f columns"] and
+        calls["level columns"] and their lanes in calls["lanes"]."""
         base = darboux.implicit_torus(2.0, 0.5)
 
-        def counted(name, fn):
+        def counted(name, fn, columns):
             def wrapper(*p):
                 calls[name] += 1
                 return fn(p)
+
+            def counted_columns(*xyz):
+                calls[f"{name} columns"] += 1
+                calls["lanes"] += len(xyz[0])
+                return columns(*xyz)
+
+            wrapper.columns = counted_columns
             return wrapper
 
-        return ImplicitSurface("counted torus", counted("f", base.value),
-                               counted("level", lambda p: (base.gradient(p), base.hessian(p))),
-                               third=base._third)
+        return ImplicitSurface(
+            "counted torus", counted("f", base.value, base._f.columns),
+            counted("level", lambda p: (base.gradient(p), base.hessian(p)), base._level.columns),
+            third=base._third)
+
+    @staticmethod
+    def torus_calls():
+        return {"f": 0, "level": 0, "f columns": 0, "level columns": 0, "lanes": 0}
 
     def test_sphere_circuit_jets(self):
         calls = {"jet": 0, "columns": 0, "lanes": 0}
@@ -615,7 +649,7 @@ class TestEvaluationCounts:
         assert (calls["columns"], calls["lanes"]) == (1, res.n)
 
     def test_implicit_torus_evaluations(self):
-        calls = {"f": 0, "level": 0}
+        calls = self.torus_calls()
         surface = self.counting_torus(calls)
         seed = find_seed(surface, EZ, math.pi / 3, (2.5, 0.0, 0.1))
         for name in calls:
@@ -625,10 +659,24 @@ class TestEvaluationCounts:
         assert res.termination == "length reached"
         # RK4 stages 2-4 and the new sample take grad and H in one level
         # call (the projection, already within its tolerance, takes none);
-        # the projection takes f, and the |f| column reads its last value
+        # the projection takes f.  The column pass reads f, grad f and H of
+        # every sample in one call of each function's columns, no lane
         assert res.n == 201
         assert calls["level"] == 4 * (res.n - 1) + 1
         assert calls["f"] == res.n
+        assert (calls["f columns"], calls["level columns"], calls["lanes"]) == (1, 1, 2 * res.n)
+
+    def test_implicit_sweep_reads_its_columns_once(self):
+        # one column pass covers the samples of every angle
+        calls = self.torus_calls()
+        phis = (math.pi / 3, math.radians(55.0), math.radians(65.0))
+        results, error = trace_module._sweep(self.counting_torus(calls), EZ, phis,
+                                             (2.5, 0.0, 0.1),
+                                             TraceConfig(step=1e-2, max_length=0.5), snap=True)
+        assert error is None
+        assert [res.termination for res in results] == ["length reached"] * 3
+        n = sum(res.n for res in results)
+        assert (calls["f columns"], calls["level columns"], calls["lanes"]) == (1, 1, 2 * n)
 
 
 class TestConvergence:
@@ -878,9 +926,8 @@ def test_two_constraint_projection_leaves_p_on_a_singular_system():
     # on the plane grad g vanishes, so J J^T is singular: no Newton step
     p = (0.1, 0.2, 0.3)
     plane = darboux.implicit_plane()
-    out, f = trace_module._project_two_constraints(plane, (0.0, 0.0, 1.0), 0.5, p, 1e-12)
+    out = trace_module._project_two_constraints(plane, (0.0, 0.0, 1.0), 0.5, p, 1e-12)
     assert out is p
-    assert f == plane.value(p)
 
 
 def test_two_constraint_projection_keeps_its_last_point():
@@ -896,6 +943,50 @@ def test_two_constraint_projection_keeps_its_last_point():
     assert "projection did not reach |f| <= 1e-14" in res.termination
     assert (res.surface_residual > 1e-14).any()
     assert _hex(res.surface_residual) == _hex([abs(itor.value(p)) for p in res.points])
+
+
+def test_two_constraint_projection_reads_f_at_its_last_point(monkeypatch):
+    # as above, the two-constraint Newton ends some samples on a point its
+    # last step moved to.  Where f raises there, the trace ends before that
+    # sample with an error termination: the projection reads f at the point
+    # it returns, so the column pass after the loop meets no failing lane
+    itor = darboux.implicit_torus(2.0, 0.5)
+    levels, poisoned, moved = [], set(), []
+
+    def f(*p):
+        if p in poisoned:
+            raise ZeroDivisionError("f fails here")
+        return itor._f(*p)
+
+    def level(*p):
+        levels.append(p)
+        return itor._level(*p)
+
+    level.columns = itor._level.columns
+    surface = ImplicitSurface("torus", f, level, third=itor._third)
+    project = trace_module._project_two_constraints
+
+    def spy(*args):
+        # a point level was not read at in this call: the last step moved it
+        # (Newton may also move back onto an earlier point below rounding)
+        start = len(levels)
+        q = project(*args)
+        if q not in levels[start:]:
+            moved.append(q)
+        return q
+
+    monkeypatch.setattr(trace_module, "_project_two_constraints", spy)
+    d, phi = [1.0, 0.0, 0.2], math.radians(60.0)
+    seed = find_seed(itor, d, phi, (2.5, 0.0, 0.1))
+    config = TraceConfig(step=0.1, max_length=1.0, project_isophote=True, projection_tol=1e-14)
+    res = trace_isophote(surface, d, phi, seed, config)
+    points = [tuple(p) for p in res.points.tolist()]
+    assert moved and moved[0] in points
+    poisoned.add(moved[0])
+    cut = trace_isophote(surface, d, phi, seed, config)
+    assert cut.termination == "error: float arithmetic failed: f fails here"
+    assert cut.n == points.index(moved[0])
+    assert _hex(cut.points) == _hex(res.points[:cut.n])
 
 
 def test_arithmetic_error_at_the_seed_raises():
@@ -934,16 +1025,18 @@ class TestFieldSolves:
         assert calls["_chart_eval"] == calls["jet"] == 2 * (res.n - 1) + 1
 
     def test_implicit_torus_direction_solves(self, monkeypatch):
-        calls = {"f": 0, "level": 0, "_implicit_eval": 0}
+        calls = {**TestEvaluationCounts.torus_calls(), "_implicit_eval": 0}
         surface = TestEvaluationCounts.counting_torus(calls)
         seed = find_seed(surface, EZ, math.pi / 3, (2.5, 0.0, 0.1))
-        calls["level"] = 0
+        calls["level"] = calls["f"] = 0
         self.counted(monkeypatch, "_implicit_eval", calls)
         res = trace_isophote(surface, EZ, math.pi / 3, seed,
                              TraceConfig(step=1e-2, max_length=2.0))
         assert res.termination == "length reached"
-        # RK4 stages 2-4 and the new sample each evaluate a new point
+        # RK4 stages 2-4 and the new sample each evaluate a new point, and
+        # the projection reads f once per sample
         assert calls["_implicit_eval"] == calls["level"] == 4 * (res.n - 1) + 1
+        assert calls["f"] == res.n
 
     def test_oblique_chart_torus_direction_solves(self, monkeypatch):
         calls = {"jet": 0, "_chart_eval": 0}
