@@ -134,9 +134,12 @@ def _family_angles(text: str) -> np.ndarray:
 def _write(path: str | None, text: str):
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise DarbouxError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -207,6 +207,7 @@ class UnitSpeedCurve:
         endpoints.  ``length`` defaults to the chord sum, short of a curved
         polyline's arclength by enough to fail the unit-speed check
         (UNIT_SPEED_TOL): pass the arclength where known (a trace's s[-1]).
+        A length that is not positive and finite raises DarbouxError.
         """
         points = np.asarray(points, dtype=float)
         n = len(points)
@@ -216,6 +217,8 @@ class UnitSpeedCurve:
             raise DarbouxError("polyline samples must be finite")
         if length is None:
             length = float(np.sum(norm3(np.diff(points, axis=0).T)))
+        if not 0.0 < length < np.inf:  # also nan, and the chord sum of equal points
+            raise DarbouxError(f"polyline length must be positive and finite, got {length!r}")
         s = np.linspace(0.0, length, n)
         h = s[1] - s[0]
         jets = [points]

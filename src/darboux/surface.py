@@ -39,6 +39,7 @@ from .errors import (
     OutOfDomainError,
     ProjectionError,
     RegularityError,
+    numerical,
 )
 
 __all__ = [
@@ -341,7 +342,11 @@ class FirstForm:
         return self.E * self.G - self.F * self.F
 
     @property
+    @numerical
     def area_element(self) -> float:
+        """sqrt(EG - F^2), NumericalError where EG - F^2 < 0: on a sheared
+        chart it can lose every digit, and |sigma_u x sigma_v| is the same
+        quantity without the cancellation."""
         return math.sqrt(self.det)
 
 

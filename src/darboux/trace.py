@@ -5,9 +5,9 @@ The integrated field is the direction-free form of the constant-angle
 condition: with g = <U, d>, an isophote is a level curve of g, so on a chart
 the tangent solves g_u u' + g_v v' = 0 (normalized to unit metric speed) and
 on an implicit surface it is grad(f) x grad(g), normalized.  The coefficient
-forms Delta/Delta* (chart) and Omega (implicit) are kept as verification
-operations evaluated with the realized direction: along a correct trace
-Delta u' + Delta* v' and Omega . t vanish.
+forms Delta/Delta* (chart, area element |sigma_u x sigma_v|) and Omega
+(implicit) are kept as verification operations evaluated with the realized
+direction: along a correct trace Delta u' + Delta* v' and Omega . t vanish.
 
 Integration is classical fixed-step RK4.  Branch continuity picks, at every
 field evaluation, the sign that best aligns with the running tangent, and a
@@ -27,13 +27,13 @@ point and unit tangent.  Where float arithmetic fails (an overflow, a
 division by zero, a math domain error) a NumericalError is raised, or the
 trace ends with an ``error:`` termination once it has samples.
 
-A trace is one angle of a sweep (_sweep) of one surface, axis and seed:
-each angle runs its own RK4 loop, then one column pass computes the
-diagnostics of all their samples (U, <U, d>, k_n, tau_g, the verification
-and speed residuals, |f|), which do not depend on the angle.  One kernel per
-surface kind runs on the (N,) columns of the samples' jets, or f, grad f and
-H, read in one pass of the surface's compiled columns, so each lane has the
-bits of the public per-point functions, which run it on floats.
+A trace is one angle of a sweep (_sweep) of one surface, axis and seed: each
+angle runs its own RK4 loop, then one column pass, which cannot fail,
+computes the diagnostics of all their samples (U, <U, d>, k_n, tau_g, the
+verification and speed residuals, |f|), which do not depend on the angle.
+One kernel per surface kind runs on the (N,) columns of the samples' jets, or
+f, grad f and H, read in one pass of the surface's compiled columns: each
+lane has the bits of the public per-point functions, which run it on floats.
 """
 
 from __future__ import annotations
@@ -72,7 +72,6 @@ from .surface import (
     _point,
     _pow,
     _project,
-    _sqrt,
     deriv_uniform,
     dot3,
     norm3,
@@ -413,7 +412,8 @@ def delta_coefficients(surface: ParametricSurface, d, u: float, v: float,
 
     Delta  = sqrt(EG - F^2) k_n <sigma_u, d> + E tau_g <sigma_v, d> - F tau_g <sigma_u, d>
     Delta* = sqrt(EG - F^2) k_n <sigma_v, d> + F tau_g <sigma_v, d> - G tau_g <sigma_u, d>
-    with k_n, tau_g evaluated for the supplied direction."""
+    with k_n, tau_g evaluated for the supplied direction and sqrt(EG - F^2)
+    read as |sigma_u x sigma_v|, which stays finite where EG - F^2 < 0."""
     return _chart_columns(surface.chart_point(u, v)[0], _floats(d), *direction, 1.0)["delta"]
 
 
@@ -425,8 +425,8 @@ def _chart_columns(jet, d, du, dv, sign) -> dict:
     Delta* v', E u'^2 + 2 F u' v' + G v'^2 - 1 and the tangent: sign (1.0
     or -1.0) times the tangent of sign (u', v'), as a trace negates the
     plus-branch tangent where it reverses the field (a zero keeps its sign).
-    Where EG - F^2 < 0, Delta's _sqrt raises math's ValueError on floats and
-    reads nan on a column lane."""
+    Delta's sqrt(EG - F^2) is n = |sigma_u x sigma_v| (Lagrange's identity),
+    which does not cancel where EG - F^2 does on a sheared chart."""
     with np.errstate(all="ignore"):
         sigma, su, sv, suu, suv, svv = jet
         w, n = _chart_w(jet)
@@ -437,9 +437,8 @@ def _chart_columns(jet, d, du, dv, sign) -> dict:
         kn = dot3(suu, U) * du * du + 2.0 * dot3(suv, U) * du * dv + dot3(svv, U) * dv * dv
         tg = -dot3(_lincomb(du, U_u, dv, U_v), _cross(U, t))
         su_d, sv_d = dot3(su, d), dot3(sv, d)
-        root = _sqrt(E * G - F * F)
-        delta = root * kn * su_d + E * tg * sv_d - F * tg * su_d
-        delta_star = root * kn * sv_d + F * tg * sv_d - G * tg * su_d
+        delta = n * kn * su_d + E * tg * sv_d - F * tg * su_d
+        delta_star = n * kn * sv_d + F * tg * sv_d - G * tg * su_d
         return {"points": sigma, "normals": U, "angle_dot": dot3(U, d), "kn": kn, "tg": tg,
                 "tangents": tuple([sign * x for x in _lincomb(sign * du, su, sign * dv, sv)]),
                 "delta": (delta, delta_star), "constraint_residual": delta * du + delta_star * dv,
@@ -597,10 +596,12 @@ def _sweep(surface, d, phis, seed, config: TraceConfig, snap: bool) -> tuple:
     ``seed``, or (snap) from snap_seed's seed for it as a guess, the guess's
     coordinate lines scanned once for all angles.  Each angle runs its own
     RK4 loop (_integrate); one column pass then computes the diagnostics of
-    all their samples, and a trace ends at its first lane that raises on
-    floats.  Returns the results of the angles before the first that fails
-    (its snap, seed or seed lane raises; no later angle is traced after a
-    failed snap or seed) and that failure, else None."""
+    all their samples.  Returns the results of the angles before the first
+    that fails (its snap or seed raises; no later angle is traced) and that
+    failure, else None.  The column pass cannot fail: at each recorded point
+    the loop has run its operations that can raise on floats (the jet, or
+    f, grad f and H; n**3 and the divisions by n = |w| or |grad f|), and the
+    rest is products, sums and norm3 of sums of squares, which do not."""
     lines, traces, blocks, error = {}, [], [], None
     for phi in phis:
         try:
@@ -616,16 +617,11 @@ def _sweep(surface, d, phis, seed, config: TraceConfig, snap: bool) -> tuple:
     if not traces:
         return [], error
     arrays = blocks[0] if len(blocks) == 1 else [np.concatenate(x) for x in zip(*blocks)]
-    columns, failures = traces[0][0].columns(*arrays)
+    columns = traces[0][0].columns(*arrays)
     results, hi = [], 0
     for adapter, phi, n_rows, termination in traces:
         lo, hi = hi, hi + n_rows
-        n, exc = next(((i, e) for i, e in failures if lo <= i < hi), (hi, None))
-        if n == lo:
-            return results, NumericalError.of(exc)
-        if exc is not None:
-            termination = f"error: {NumericalError.of(exc)}"
-        results.append(TraceResult(**{name: x[lo:n] for name, x in columns.items()},
+        results.append(TraceResult(**{name: x[lo:hi] for name, x in columns.items()},
                                    termination=termination, d=np.array(adapter.d), phi=phi))
     return results, error
 
@@ -788,22 +784,13 @@ class _ChartTrace:
     def record(self, s, y, point, k, t3):
         return s, y, k, 1.0 if k is point[0] else -1.0
 
-    def columns(self, s, y, k, sign) -> tuple:
+    def columns(self, s, y, k, sign) -> dict:
         jet = _compiled_columns(tuple(y.T), self.surface._jet_fn)[0]
         cols = _chart_columns(jet, self.d, *k.T, sign)
         del cols["delta"]
-        # a lane that raises on floats (a negative EG - F^2) reads nan: each
-        # such lane, in order, with its error
-        failures = []
-        for i in np.flatnonzero(np.isnan(cols["constraint_residual"])).tolist():
-            try:
-                jet = self.surface._chart_point(*y[i].tolist())[0]
-                _chart_columns(jet, self.d, *k[i].tolist(), sign[i])
-            except ARITHMETIC_ERRORS as exc:
-                failures.append((i, exc))
         cols = {name: np.column_stack(x) if isinstance(x, tuple) else x
                 for name, x in cols.items()}
-        return {"s": s, "chart": y, **cols}, failures
+        return {"s": s, "chart": y, **cols}
 
 
 class _ImplicitTrace:
@@ -815,8 +802,7 @@ class _ImplicitTrace:
     A sample's record is its state, the point and its unit tangent.  The
     diagnostic columns of a sweep's records are computed once, after their
     loops, by _implicit_columns on one pass of the surface's f and level
-    columns, which cannot raise: the loop has read both at every point it
-    recorded (f in the projection, level in the evaluation)."""
+    columns, which cannot raise (_sweep)."""
 
     def __init__(self, surface, d, target, config):
         self.surface, self.d, self.target, self.config = surface, d, target, config
@@ -847,12 +833,12 @@ class _ImplicitTrace:
     def record(self, s, q, point, k, t):
         return s, q, t
 
-    def columns(self, s, q, t) -> tuple:
+    def columns(self, s, q, t) -> dict:
         f, (grad, H) = _compiled_columns(tuple(q.T), self.surface._f, self.surface._level)
         cols = _implicit_columns(self.d, grad, norm3(grad), H, t.T)
         del cols["omega"]
         cols["normals"] = np.column_stack(cols["normals"])
-        return {"s": s, "points": q, "tangents": t, "surface_residual": np.abs(f), **cols}, ()
+        return {"s": s, "points": q, "tangents": t, "surface_residual": np.abs(f), **cols}
 
 
 def _project_two_constraints(surface, d, target, p, tol):

@@ -659,6 +659,38 @@ class TestBoundaryErrors:
         assert not list(tmp_path.iterdir())
 
 
+class TestUnwritableOut:
+    """An --out that cannot be written exits 2 with one line naming it."""
+
+    COMMANDS = {
+        "catalog": ["catalog"],
+        "trace-family": _with(SPHERE_TRACE, family="30:60:3"),
+        "classify": ["classify", "--surface", "builtin:cylinder?r=1", "--curve",
+                     "param:u=s;v=s", "--samples", "40"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_missing_parent_directory(self, command, tmp_path, capsys):
+        out = tmp_path / "missing" / "out.csv"
+        code, captured = run(self.COMMANDS[command] + ["--out", str(out)], capsys)
+        written = out.with_name("out_deg30.csv") if command == "trace-family" else out
+        assert code == 2
+        assert captured.err == f"cannot write {written}: No such file or directory\n"
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_directory(self, command, tmp_path, capsys):
+        # a family writes out_deg30.csv first
+        out = tmp_path / "out.csv"
+        written = tmp_path / "out_deg30.csv" if command == "trace-family" else out
+        written.mkdir()
+        code, captured = run(self.COMMANDS[command] + ["--out", str(out)], capsys)
+        assert code == 2
+        assert captured.err == f"cannot write {written}: Is a directory\n"
+        assert captured.out == ""
+        assert [p.name for p in tmp_path.iterdir()] == [written.name]
+
+
 # Path coefficients: zero (a zero-speed path), small values, and offsets
 # that put a non-periodic parameter off the chart.
 _COEFFICIENTS = st.one_of(st.sampled_from([0.0, 1.0, -1.0, 30.0, -30.0]),

@@ -949,6 +949,19 @@ class TestPolyline:
         with pytest.raises(DarbouxError):
             UnitSpeedCurve.from_polyline(np.zeros((3, 3)))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("length", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_a_length_not_positive_and_finite(self, length):
+        pts = np.column_stack([np.linspace(0.0, 1.0, 9), np.zeros(9), np.zeros(9)])
+        with pytest.raises(DarbouxError, match="^polyline length must be positive and finite"):
+            UnitSpeedCurve.from_polyline(pts, length)
+
+    @pytest.mark.filterwarnings("error")
+    def test_rejects_equal_points(self):
+        # their chord sum, the default length, is 0
+        with pytest.raises(DarbouxError, match=r"^polyline length .* got 0\.0$"):
+            UnitSpeedCurve.from_polyline(np.ones((9, 3)))
+
     def test_stacked_interpolant_keeps_the_bits_of_one_per_order(self):
         # the polyline's one interpolant of its (n, 4, 3) jet against four
         # per-order interpolants of the same stencils: on the nodes (both

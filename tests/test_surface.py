@@ -362,6 +362,22 @@ class TestFirstForm:
             ff = first_form(surface.chart_jet(u, v))
             assert ff.E > 0 and ff.G > 0 and ff.det > 0
 
+    @pytest.mark.parametrize("surface", CATALOG_CHARTS, ids=[s.name for s in CATALOG_CHARTS])
+    def test_area_element_is_the_normal_length(self, surface):
+        # Lagrange's identity: sqrt(EG - F^2) = |sigma_u x sigma_v|, the area
+        # element Delta reads
+        (u0, u1), (v0, v1) = surface.u_range, surface.v_range
+        rng = np.random.default_rng(5)
+        checked = 0
+        for u, v in zip(rng.uniform(u0, u1, 2000).tolist(), rng.uniform(v0, v1, 2000).tolist()):
+            try:
+                jet, _, n = surface.chart_point(u, v)
+            except RegularityError:
+                continue
+            checked += 1
+            assert abs(n - first_form(jet).area_element) <= 1e-14 * n
+        assert checked >= 1900
+
 
 class TestUnitNormal:
     def test_sphere_outward(self):

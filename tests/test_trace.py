@@ -1260,26 +1260,39 @@ def _sheared_sphere(u0, lam=1e9, v0=math.inf):
                              periodic_u=True, jet3_fn=base.jet3)
 
 
-class TestNegativeFirstFormDeterminant:
-    """Where E G - F^2 rounds below 0, the sample's sqrt(E G - F^2) (in
-    Delta) raises math's ValueError: the trace ends before that sample, or
-    raises at the seed."""
+class TestShearedChartAreaElement:
+    """Where E G - F^2 rounds below 0, Delta's area element is still
+    |sigma_u x sigma_v|: a trace runs through such samples, and the
+    per-point functions return finite values there."""
 
-    def test_mid_trace_sample_ends_the_trace(self):
+    def test_mid_trace_samples_keep_a_finite_residual(self):
         # the minus branch runs along the latitude towards increasing u
         res = trace_isophote(_sheared_sphere(0.5), EZ, math.pi / 4, (0.0, math.pi / 4),
                              TraceConfig(step=1e-2, max_length=1.5, branch="minus"))
-        assert res.termination == "error: float arithmetic failed: math domain error"
-        assert res.n == 38
+        assert (res.termination, res.n) == ("length reached", 151)
+        assert np.isfinite(res.constraint_residual).all()
+        assert np.abs(res.constraint_residual).max() <= 1e-15
         full = trace_isophote(darboux.sphere(1.0), EZ, math.pi / 4, (0.0, math.pi / 4),
                               TraceConfig(step=1e-2, max_length=1.5, branch="minus"))
         assert _hex(res.points[:36]) == _hex(full.points[:36])
 
-    def test_seed_sample_raises(self):
+    def test_seed_sample_traces(self):
         # the sheared jet's |<U, d> - cos(phi)| is 2.6e-9 at this seed
-        with pytest.raises(NumericalError, match="float arithmetic failed: math domain error"):
-            trace_isophote(_sheared_sphere(-10.0), EZ, math.pi / 4, (0.04, math.pi / 4),
-                           TraceConfig(step=1e-2, max_length=0.1, seed_tol=1e-6))
+        res = trace_isophote(_sheared_sphere(-10.0), EZ, math.pi / 4, (0.04, math.pi / 4),
+                             TraceConfig(step=1e-2, max_length=0.1, seed_tol=1e-6))
+        assert (res.termination, res.n) == ("length reached", 11)
+        assert np.isfinite(res.constraint_residual).all()
+
+    def test_per_point_functions_are_finite(self):
+        # E G - F^2 reads -32 here, against |sigma_u x sigma_v|^2 = 0.5
+        surface, u, v = _sheared_sphere(-10.0), 0.04, math.pi / 4
+        assert surface.first_form(u, v).det == -32.0
+        k = isophote_direction_parametric(surface, EZ, u, v)
+        for values in (delta_coefficients(surface, EZ, u, v, k),
+                       direction_scalars_parametric(surface, EZ, u, v, k)):
+            assert np.isfinite(values).all()
+        with pytest.raises(NumericalError, match="math domain error"):
+            surface.first_form(u, v).area_element
 
 
 TRACE_COLUMNS = ("s", "points", "tangents", "normals", "angle_dot", "constraint_residual",
@@ -1292,18 +1305,16 @@ class TestSweep:
     result is its own trace_isophote's, bit for bit."""
 
     def test_each_angle_ends_or_fails_as_its_own_trace(self):
-        # past u = 0.5 or v = 1.1 E G - F^2 rounds to either sign: the
-        # 40-degree trace ends at a mid-trace lane, the 25-degree seed lane
-        # raises, and the sweep returns the angles before it
+        # past u = 0.5 or v = 1.1 E G - F^2 rounds to either sign, and every
+        # angle runs through those samples to its length
         surface = _sheared_sphere(0.5, v0=1.1)
         config = TraceConfig(step=1e-2, max_length=0.4, branch="minus", seed_tol=1e-6)
         guess, degrees = (0.0, 0.5), (55, 40, 60, 25, 75)
         results, error = trace_module._sweep(surface, EZ, [math.radians(a) for a in degrees],
                                              guess, config, snap=True)
-        assert type(error) is NumericalError
-        assert str(error) == "float arithmetic failed: math domain error"
-        assert [res.n for res in results] == [41, 33, 41]
-        assert results[1].termination == "error: float arithmetic failed: math domain error"
+        assert error is None
+        assert [res.n for res in results] == [41] * 5
+        assert [res.phi for res in results] == [math.radians(a) for a in degrees]
         for res, a in zip(results, degrees):
             phi = math.radians(a)
             single = trace_isophote(surface, EZ, phi, snap_seed(surface, EZ, phi, guess, config),
@@ -1311,9 +1322,6 @@ class TestSweep:
             assert (res.termination, res.phi) == (single.termination, single.phi)
             for name in TRACE_COLUMNS:
                 assert _hex(getattr(res, name)) == _hex(getattr(single, name)), name
-        phi = math.radians(25)
-        with pytest.raises(NumericalError, match="^float arithmetic failed: math domain error$"):
-            trace_isophote(surface, EZ, phi, snap_seed(surface, EZ, phi, guess, config), config)
 
     def test_snap_failure_stops_the_sweep(self):
         # the plane has no level near any guess: nothing is traced
